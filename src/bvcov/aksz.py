@@ -120,7 +120,7 @@ class TargetChart:
 
     def _bracket_with(self, pi: list[list[Expression]], f: Expression,
                       g: Expression) -> Expression:
-        out = Expression.zero(self.theory)
+        pieces: list[Expression] = []
         for sf, fp in f.sigma_parts():
             for a, fa in enumerate(self.fields):
                 da = partial_derivative(fp, fa)
@@ -133,13 +133,13 @@ class TargetChart:
                     if db.is_structural_zero():
                         continue
                     sign = -1 if ((sf + fa.parity) * fb.parity) % 2 else 1
-                    out = out + (pi[a][b] * da * db) * sign
-        return out
+                    pieces.append((pi[a][b] * da * db) * sign)
+        return Expression.sum(self.theory, pieces)
 
     def poisson_bracket(self, f: Expression, g: Expression) -> Expression:
         """{f, g} = (-1)^{(pa(f)+pa(a))pa(b)} pi^{ab} d_a f d_b g."""
         pi = self.poisson_tensor()
-        out = Expression.zero(self.theory)
+        pieces: list[Expression] = []
         for sf, fp in f.sigma_parts():
             for a, fa in enumerate(self.fields):
                 da = partial_derivative(fp, fa)
@@ -152,8 +152,8 @@ class TargetChart:
                     if db.is_structural_zero():
                         continue
                     sign = -1 if ((sf + fa.parity) * fb.parity) % 2 else 1
-                    out = out + (pi[a][b] * da * db) * sign
-        return out
+                    pieces.append((pi[a][b] * da * db) * sign)
+        return Expression.sum(self.theory, pieces)
 
 
 def build_covariant_theory(chart: TargetChart, check: bool = True) -> USeries:
@@ -359,10 +359,6 @@ def couple_gravity(S: USeries, chart: TargetChart,
 
 def _matter_d(theory: Theory, exclude: tuple = ()) -> Expression:
     """D = xi+_a d(xi^a) over the fields not in `exclude`."""
-    out = Expression.zero(theory)
-    for fld, anti in theory.field_pairs():
-        if fld.name in exclude:
-            continue
-        out = out + Expression.symbol(theory, anti) * \
-            Expression.symbol(theory, theory.jet(fld.name, 1))
-    return out
+    return Expression.sum(theory, (
+        Expression.symbol(theory, anti) * Expression.symbol(theory, theory.jet(fld.name, 1))
+        for fld, anti in theory.field_pairs() if fld.name not in exclude))

@@ -152,10 +152,9 @@ def b_differential(x: BElement) -> BElement:
     """d(f + g eps) = (-1)^{pa(g)} dg; d^2 = 0."""
     if x.eps.is_structural_zero():
         return BElement.zero(x.theory)
-    out = Expression.zero(x.theory)
-    for sg, part in x.eps.sigma_parts():
-        out = out + total_derivative(part) * (-1 if sg % 2 else 1)
-    return BElement.of_body(out)
+    return BElement.of_body(Expression.sum(x.theory, (
+        total_derivative(part) * (-1 if sg % 2 else 1)
+        for sg, part in x.eps.sigma_parts())))
 
 
 def b_bracket(a: BElement, b: BElement) -> BElement:
@@ -183,20 +182,17 @@ def iota(x: BElement) -> BElement:
     if x.body.is_structural_zero():
         return BElement.zero(x.theory)
     nplus = antifield_counting_field(x.theory)
-    out = Expression.zero(x.theory)
-    for sf, part in x.body.sigma_parts():
-        out = out + (nplus.apply(part) - part) * (-1 if sf % 2 else 1)
-    return BElement.of_eps(out)
+    return BElement.of_eps(Expression.sum(x.theory, (
+        (nplus.apply(part) - part) * (-1 if sf % 2 else 1)
+        for sf, part in x.body.sigma_parts())))
 
 
 def d_element(theory: Theory) -> Expression:
     """D = xi+_a d(xi^a), coordinate invariant, central in the functional
     algebra."""
-    out = Expression.zero(theory)
-    for fld, anti in theory.field_pairs():
-        out = out + Expression.symbol(theory, anti) * \
-            Expression.symbol(theory, theory.jet(fld.name, 1))
-    return out
+    return Expression.sum(theory, (
+        Expression.symbol(theory, anti) * Expression.symbol(theory, theory.jet(fld.name, 1))
+        for fld, anti in theory.field_pairs()))
 
 
 # -- u-series -----------------------------------------------------------------
@@ -626,13 +622,13 @@ def _exp_ad_on(theory: Theory, y: Expression, start: Expression,
     for n in range(1, max_iter + 1):
         v = soloviev(y, v) * direction
         if is_zero(v):
-            out = Expression.zero(theory)
             tsym = Expression.symbol(theory, tau)
             acc = Expression.const(theory, 1)
+            pieces = []
             for k, w in enumerate(terms):
-                out = out + acc * w * Fraction(1, _fact(k))
+                pieces.append(acc * w * Fraction(1, _fact(k)))
                 acc = acc * tsym
-            return out
+            return Expression.sum(theory, pieces)
         prop = _proportionality(v, terms[-1])
         if prop is not None and len(terms) == 1:
             q, base_key = prop

@@ -10,6 +10,7 @@ and reordering tracks the Koszul sign.  Everything is immutable.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import attrgetter
 from typing import Callable, Iterable, Optional, Sequence
 
 from .coefficients import AffineExponent, Atom, FuncAtom, LogAtom, PowerAtom
@@ -24,21 +25,32 @@ class GradingError(TheoryError):
     pass
 
 
-def _mono_key(theory: Theory, mono: Mono) -> tuple:
-    return tuple((theory.sort_key(s), e) for s, e in mono)
-
-
 def _atoms_key(atoms: Atoms) -> tuple:
     return tuple((a.key(), e) for a, e in atoms)
 
 
-class Term:
-    __slots__ = ("coef", "atoms", "mono")
+def _term_key(theory: Theory, atoms: Atoms, mono: Mono) -> tuple:
+    """Canonical term order: the atom keys, then the monomial's sort keys.
+    Flat, (atom keys, kind, rank, jet, exponent, kind, rank, jet, ...):
+    every symbol adds exactly four fields, so it orders like the nested
+    (atom keys, ((kind, rank, jet), exponent), ...) and costs one tuple."""
+    key = [_atoms_key(atoms)]
+    for s, e in mono:
+        key += theory.sort_key(s)
+        key.append(e)
+    return tuple(key)
 
-    def __init__(self, coef: Fraction, atoms: Atoms, mono: Mono):
+
+class Term:
+    """One canonical term; `key` is its `_term_key`, set when it is built."""
+
+    __slots__ = ("coef", "atoms", "mono", "key")
+
+    def __init__(self, coef: Fraction, atoms: Atoms, mono: Mono, key: tuple):
         self.coef = coef
         self.atoms = atoms
         self.mono = mono
+        self.key = key
 
     def sign_degree(self) -> int:
         return sum(s.sign_degree * e for s, e in self.mono) % 2
@@ -117,17 +129,31 @@ class Expression:
         atom = FuncAtom(name, tuple(sorted(deriv)))
         return _from_raw(theory, [(Fraction(1), ((atom, 1),), ())])
 
+    @staticmethod
+    def sum(theory: Theory, pieces: Iterable) -> "Expression":
+        """Canonical sum of expressions (ints and Fractions are coerced) in
+        one pass; the way to accumulate, where `out = out + piece` in a loop
+        would re-merge the growing sum once per piece."""
+        terms: list[Term] = []
+        for p in pieces:
+            terms.extend(_coerce(theory, p).terms)
+        return Expression(theory, _merge_runs(terms))
+
     # -- algebra ----------------------------------------------------------
 
     def __add__(self, other: "Expression") -> "Expression":
         other = _coerce(self.theory, other)
-        return _from_terms(self.theory, list(self.terms) + list(other.terms))
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
+        return Expression(self.theory, _merge_two(self.terms, other.terms))
 
     __radd__ = __add__
 
     def __neg__(self) -> "Expression":
         return Expression(self.theory,
-                          tuple(Term(-t.coef, t.atoms, t.mono) for t in self.terms))
+                          tuple(Term(-t.coef, t.atoms, t.mono, t.key) for t in self.terms))
 
     def __sub__(self, other) -> "Expression":
         return self + (-_coerce(self.theory, other))
@@ -141,7 +167,8 @@ class Expression:
             if q == 0:
                 return Expression.zero(self.theory)
             return Expression(self.theory,
-                              tuple(Term(t.coef * q, t.atoms, t.mono) for t in self.terms))
+                              tuple(Term(t.coef * q, t.atoms, t.mono, t.key)
+                                    for t in self.terms))
         other = _coerce(self.theory, other)
         raw: list[RawTerm] = []
         for t1 in self.terms:
@@ -242,13 +269,6 @@ class Expression:
                 out.add(s)
         return out
 
-    def jet_bases(self) -> set[str]:
-        return {s.base for t in self.terms for s, _ in t.mono
-                if s.kind in (Kind.FIELD_JET, Kind.ANTIFIELD_JET)}
-
-    def has_atoms(self) -> bool:
-        return any(t.atoms for t in self.terms)
-
     def constant_part(self) -> Fraction:
         for t in self.terms:
             if not t.mono and not t.atoms:
@@ -270,11 +290,6 @@ class Expression:
                     break
                 prefix += s.sign_degree * e
         return _from_raw(self.theory, raw)
-
-    def drop(self, sym: GradedSymbol) -> "Expression":
-        """Terms not containing sym."""
-        return Expression(self.theory, tuple(
-            t for t in self.terms if all(s is not sym for s, _ in t.mono)))
 
     def __repr__(self) -> str:
         from .printer import render
@@ -480,19 +495,70 @@ def _from_raw(theory: Theory, raw: Iterable[RawTerm]) -> Expression:
     acc: dict[tuple, list] = {}
     for coef, atoms, mono in raw:
         for c, a, m in _normalize_term(theory, coef, atoms, mono):
-            k = (_atoms_key(a), _mono_key(theory, m))
+            k = _term_key(theory, a, m)
             slot = acc.get(k)
             if slot is None:
                 acc[k] = [c, a, m]
             else:
                 slot[0] += c
-    terms = [Term(c, a, m) for _, (c, a, m) in sorted(acc.items(), key=lambda kv: kv[0])
-             if c != 0]
+    terms = []
+    for k in sorted(acc):
+        c, a, m = acc[k]
+        if c != 0:
+            terms.append(Term(c, a, m, k))
     return Expression(theory, tuple(terms))
 
 
-def _from_terms(theory: Theory, terms: Sequence[Term]) -> Expression:
-    return _from_raw(theory, [(t.coef, t.atoms, t.mono) for t in terms])
+# Canonical terms are fixed points of `_normalize_term`, so sums of
+# canonical expressions merge their key-sorted term tuples instead: two
+# operands by a pairwise merge (about twice as fast as `_merge_runs` on
+# the 1-6-term operands of most additions), many by `_merge_runs`.
+
+
+def _merge_two(a: Sequence[Term], b: Sequence[Term]) -> tuple[Term, ...]:
+    """Merge two key-sorted canonical term tuples, adding equal keys."""
+    out: list[Term] = []
+    i = j = 0
+    na, nb = len(a), len(b)
+    while i < na and j < nb:
+        x, y = a[i], b[j]
+        kx, ky = x.key, y.key
+        if kx < ky:
+            out.append(x)
+            i += 1
+        elif ky < kx:
+            out.append(y)
+            j += 1
+        else:
+            c = x.coef + y.coef
+            if c:
+                out.append(Term(c, x.atoms, x.mono, kx))
+            i += 1
+            j += 1
+    out.extend(a[i:])
+    out.extend(b[j:])
+    return tuple(out)
+
+
+_KEY = attrgetter("key")
+
+
+def _merge_runs(terms: list[Term]) -> tuple[Term, ...]:
+    """Canonical sum of a concatenation of key-sorted term runs: a stable
+    sort on the keys (timsort merges k runs in O(n log k)), then one pass
+    adding equal keys."""
+    terms.sort(key=_KEY)
+    out: list[Term] = []
+    prev = None
+    for t in terms:
+        k = t.key
+        if k == prev:
+            last = out[-1]
+            out[-1] = Term(last.coef + t.coef, last.atoms, last.mono, k)
+        else:
+            out.append(t)
+            prev = k
+    return tuple(t for t in out if t.coef)
 
 
 def normalize(theory: Theory, raw: Iterable[RawTerm]) -> Expression:
@@ -509,7 +575,7 @@ def _atom_derivative(theory: Theory, atom: Atom, s: GradedSymbol) -> Optional[Ex
     if isinstance(atom, FuncAtom):
         decl = theory.function(atom.func)
         if s.name in decl.args and s.jet_order == 0 and s.kind == Kind.FIELD_JET:
-            return Expression(theory, (Term(Fraction(1), ((atom.differentiated(s.name), 1),), ()),))
+            return _from_raw(theory, [(Fraction(1), ((atom.differentiated(s.name), 1),), ())])
         return None
     base = base_expression(theory, atom.base_key)
     dbase = partial_derivative(base, s)
@@ -552,10 +618,7 @@ def partial_derivative(expr: Expression, s: GradedSymbol) -> Expression:
                 rest_atoms = t.atoms[:j] + ((a, e - 1),) + t.atoms[j + 1:]
                 head = _from_raw(theory, [(t.coef * e, rest_atoms, t.mono)])
                 pieces.append(head * da)
-    out = _from_raw(theory, raw)
-    for p in pieces:
-        out = out + p
-    return out
+    return Expression.sum(theory, [_from_raw(theory, raw)] + pieces)
 
 
 def jet_partial(expr: Expression, s: GradedSymbol) -> Expression:
@@ -591,19 +654,15 @@ def total_derivative(expr: Expression) -> Expression:
                 rest_atoms = t.atoms[:j] + ((a, e - 1),) + t.atoms[j + 1:]
                 head = _from_raw(theory, [(t.coef * e, rest_atoms, t.mono)])
                 pieces.append(head * da)
-    out = _from_raw(theory, raw)
-    for p in pieces:
-        out = out + p
-    return out
+    return Expression.sum(theory, [_from_raw(theory, raw)] + pieces)
 
 
 def _atom_total(theory: Theory, atom: Atom) -> Optional[Expression]:
     if isinstance(atom, FuncAtom):
         decl = theory.function(atom.func)
-        out = Expression.zero(theory)
-        for arg in decl.args:
-            out = out + Expression.func(theory, atom.func, atom.deriv + (arg,)) \
-                * Expression.symbol(theory, theory.jet(arg, 1))
+        out = Expression.sum(theory, (
+            Expression.func(theory, atom.func, atom.deriv + (arg,))
+            * Expression.symbol(theory, theory.jet(arg, 1)) for arg in decl.args))
         return None if out.is_structural_zero() else out
     base = base_expression(theory, atom.base_key)
     dbase = total_derivative(base)
@@ -643,10 +702,7 @@ def param_derivative(expr: Expression, param: GradedSymbol) -> Expression:
                                                ((LogAtom(a.base_key), 1),), ())])
                 head = _from_raw(theory, [(t.coef, t.atoms, t.mono)])
                 pieces.append(head * log_part)
-    out = _from_raw(theory, raw)
-    for p in pieces:
-        out = out + p
-    return out
+    return Expression.sum(theory, [_from_raw(theory, raw)] + pieces)
 
 
 def substitute_param(expr: Expression, param: GradedSymbol, value) -> Expression:
@@ -676,7 +732,7 @@ def odd_derivation(expr: Expression, images: dict[GradedSymbol, Expression]) -> 
     (odd) image and annihilating everything else; Koszul signs from the
     position of the occurrence."""
     theory = expr.theory
-    out = Expression.zero(theory)
+    pieces: list[Expression] = []
     for t in expr.terms:
         prefix_sigma = 0
         for i, (sym, e) in enumerate(t.mono):
@@ -687,9 +743,9 @@ def odd_derivation(expr: Expression, images: dict[GradedSymbol, Expression]) -> 
                 tail_mono = (((sym, e - 1),) if e > 1 else ()) + t.mono[i + 1:]
                 head = _from_raw(theory, [(t.coef * e * sign, t.atoms, head_mono)])
                 tail = _from_raw(theory, [(Fraction(1), (), tail_mono)])
-                out = out + head * img * tail
+                pieces.append(head * img * tail)
             prefix_sigma += sym.sign_degree * e
-    return out
+    return Expression.sum(theory, pieces)
 
 
 # -- zero decision -----------------------------------------------------------
@@ -701,22 +757,9 @@ def is_zero(expr: Expression) -> bool:
     construction."""
     if not expr.terms:
         return True
-    need: dict[str, int] = {}
-    for t in expr.terms:
-        for a, _ in t.atoms:
-            if isinstance(a, PowerAtom) and a.exponent.is_constant:
-                n = a.exponent.constant_value()
-                if n < 0 and n.denominator == 1:
-                    need[a.base_key] = max(need.get(a.base_key, 0), int(-n))
-    if not need:
-        return False
-    raw: list[RawTerm] = []
-    extra = tuple((PowerAtom(k, AffineExponent.const(n)), 1) for k, n in sorted(need.items()))
-    for t in expr.terms:
-        raw.append((t.coef, t.atoms + extra, t.mono))
-    lifted = _from_raw(expr.theory, raw)
+    cleared, extra = _clear_denominators(expr)
     # clearing only raises exponents, so no negative integer powers remain
-    return not lifted.terms
+    return extra is not None and not cleared.terms
 
 
 def equal(a: Expression, b: Expression) -> bool:
@@ -734,7 +777,7 @@ def apply_substitution(expr: Expression, images: dict[GradedSymbol, Expression],
     image).  Generators without an image must exist in the target theory
     under the same name.  Atoms are rebuilt: function symbols require their
     arguments to map to plain coordinates unless atom_map is supplied."""
-    out = Expression.zero(target)
+    pieces: list[Expression] = []
     jet_cache: dict[tuple[str, int], Expression] = {}
 
     def image_of(sym: GradedSymbol) -> Expression:
@@ -765,8 +808,8 @@ def apply_substitution(expr: Expression, images: dict[GradedSymbol, Expression],
                     Expression.symbol(target, target.symbol(sym.name, 0))
             for _ in range(e):
                 piece = piece * val
-        out = out + piece
-    return out
+        pieces.append(piece)
+    return Expression.sum(target, pieces)
 
 
 def _map_atom(atom: Atom, images, source: Theory, target: Theory, atom_map) -> Expression:

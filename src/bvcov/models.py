@@ -213,13 +213,14 @@ def register_relation(theory: Theory, func: str, first_deriv: str, rhs: Expressi
 def apply_relations(expr: Expression, max_passes: int = 32) -> Expression:
     """Rewrite function-symbol descendants by the theory's directed rules
     until no rule applies."""
-    from .expression import partial_derivative, _from_raw
+    from .expression import Term, partial_derivative, _from_raw
     theory = expr.theory
     if not theory.relations:
         return expr
     for _ in range(max_passes):
         changed = False
-        out = Expression.zero(theory)
+        kept: list[Term] = []
+        pieces: list[Expression] = []
         for t in expr.terms:
             hit = None
             for idx, (a, e) in enumerate(t.atoms):
@@ -232,7 +233,7 @@ def apply_relations(expr: Expression, max_passes: int = 32) -> Expression:
                 if hit:
                     break
             if hit is None:
-                out = out + Expression(theory, (t,))
+                kept.append(t)
                 continue
             changed = True
             idx, atom, e, d = hit
@@ -243,8 +244,9 @@ def apply_relations(expr: Expression, max_passes: int = 32) -> Expression:
                 value = partial_derivative(value, theory.symbol(extra))
             head_atoms = t.atoms[:idx] + ((atom, e - 1),) + t.atoms[idx + 1:]
             head = _from_raw(theory, [(t.coef, head_atoms, t.mono)])
-            out = out + head * value
-        expr = out
+            pieces.append(head * value)
+        # the kept terms are a subsequence of a canonical tuple, so canonical
+        expr = Expression.sum(theory, [Expression(theory, tuple(kept))] + pieces)
         if not changed:
             return expr
     raise TheoryError("relation rewriting did not terminate")
@@ -276,12 +278,10 @@ def lichnerowicz_check(model: ModelSpec) -> LichnerowiczReport:
         return -Expression.func(t, f"om_{m}_{b}_{a}")
 
     def ptilde(m):
-        out = Expression.of(t, f"p_{m}")
-        for a in range(1, n + 1):
-            for b in range(1, n + 1):
-                out = out + Fraction(1, 2) * om(m, a, b) * \
-                    Expression.of(t, f"psi_{a}") * Expression.of(t, f"psi_{b}")
-        return out
+        return Expression.sum(t, [Expression.of(t, f"p_{m}")] + [
+            Fraction(1, 2) * om(m, a, b) * Expression.of(t, f"psi_{a}")
+            * Expression.of(t, f"psi_{b}")
+            for a in range(1, n + 1) for b in range(1, n + 1)])
 
     for mu in range(1, n + 1):
         for nu in range(1, n + 1):

@@ -98,6 +98,7 @@ class Theory:
         self._functions: dict[str, FunctionDecl] = {}
         self._order_index: dict[str, int] = {}      # base name -> registration rank
         self._next_rank = 0
+        self._sort_keys: dict[GradedSymbol, tuple] = {}   # append-only, like the ranks
         self.max_jet_seen = 0
         self.relations: dict = {}                   # atom key -> Expression, set by models
         self.relations_enabled = False
@@ -247,10 +248,13 @@ class Theory:
     # -- canonical order -------------------------------------------------
 
     def sort_key(self, sym: GradedSymbol) -> tuple:
-        rank = self._order_index.get(sym.base)
-        if rank is None:
-            raise SymbolUnknownError(f"symbol not of this theory: {sym.name}")
-        return (int(sym.kind), rank, sym.jet_order)
+        key = self._sort_keys.get(sym)
+        if key is None:
+            rank = self._order_index.get(sym.base)
+            if rank is None:
+                raise SymbolUnknownError(f"symbol not of this theory: {sym.name}")
+            key = self._sort_keys[sym] = (int(sym.kind), rank, sym.jet_order)
+        return key
 
     def owns(self, sym: GradedSymbol) -> bool:
         return sym.base in self._order_index

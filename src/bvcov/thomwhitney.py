@@ -318,11 +318,9 @@ def tw_curvature(nerve: CoverNerve) -> TWElement:
 
 
 def d_element_matter(theory: Theory) -> Expression:
-    out = Expression.zero(theory)
-    for fld, anti in theory.field_pairs():
-        out = out + Expression.symbol(theory, anti) * \
-            Expression.symbol(theory, theory.jet(fld.name, 1))
-    return out
+    return Expression.sum(theory, (
+        Expression.symbol(theory, anti) * Expression.symbol(theory, theory.jet(fld.name, 1))
+        for fld, anti in theory.field_pairs()))
 
 
 def whitney_commutes(c: CechCochain) -> TWElement:

@@ -50,7 +50,7 @@ class EvolutionaryVectorField:
         return 0 if sig is None else sig
 
     def apply(self, expr: Expression) -> Expression:
-        out = Expression.zero(self.theory)
+        pieces: list[Expression] = []
         for s0, comp in self.components.items():
             kmax = expr.max_jet(s0.base)
             if kmax < 0:
@@ -61,8 +61,8 @@ class EvolutionaryVectorField:
                     dk = total_derivative(dk)
                 pd = jet_partial(expr, self.theory.jet(s0.base, k))
                 if not pd.is_structural_zero():
-                    out = out + dk * pd
-        return out
+                    pieces.append(dk * pd)
+        return Expression.sum(self.theory, pieces)
 
     def __add__(self, other: "EvolutionaryVectorField") -> "EvolutionaryVectorField":
         comps = dict(self.components)
@@ -103,15 +103,15 @@ def euler(expr: Expression, k: int, base_name: str) -> Expression:
     if k < 0:
         raise TheoryError("euler order must be nonnegative")
     theory = expr.theory
-    out = Expression.zero(theory)
+    pieces: list[Expression] = []
     kmax = expr.max_jet(base_name)
     for ell in range(0, kmax - k + 1):
         pd = jet_partial(expr, theory.jet(base_name, k + ell))
         if pd.is_structural_zero():
             continue
         sgn = -1 if ell % 2 else 1
-        out = out + iterated_total(pd, ell) * (comb(k + ell, k) * Fraction(sgn))
-    return out
+        pieces.append(iterated_total(pd, ell) * (comb(k + ell, k) * Fraction(sgn)))
+    return Expression.sum(theory, pieces)
 
 
 def variational_derivative(expr: Expression, base_name: str) -> Expression:
@@ -127,7 +127,7 @@ def soloviev(f: Expression, g: Expression) -> Expression:
     theory = f.theory
     if g.theory is not theory:
         raise TheoryError("mixed theory contexts")
-    out = Expression.zero(theory)
+    pieces: list[Expression] = []
     for sf, fp in f.sigma_parts():
         for field, anti in theory.field_pairs():
             pref = -1 if ((sf + 1) * field.parity) % 2 else 1
@@ -146,7 +146,7 @@ def soloviev(f: Expression, g: Expression) -> Expression:
                     dgl = jet_partial(g, theory.jet(anti.base, ell))
                     if dgl.is_structural_zero():
                         continue
-                    out = out + (dl * iterated_total(dgl, k)) * pref
+                    pieces.append((dl * iterated_total(dgl, k)) * pref)
             # antifield-derivatives of f against field-derivatives of g
             kmax = fp.max_jet(anti.base)
             for k in range(kmax + 1):
@@ -161,15 +161,15 @@ def soloviev(f: Expression, g: Expression) -> Expression:
                     dgl = jet_partial(g, theory.jet(field.base, ell))
                     if dgl.is_structural_zero():
                         continue
-                    out = out + (dl * iterated_total(dgl, k)) * mirror
-    return out
+                    pieces.append((dl * iterated_total(dgl, k)) * mirror)
+    return Expression.sum(theory, pieces)
 
 
 def bv_antibracket(f: Expression, g: Expression) -> Expression:
     """Integrand of the BV antibracket on functionals; equals the Soloviev
     bracket modulo total derivatives (tested, not assumed)."""
     theory = f.theory
-    out = Expression.zero(theory)
+    pieces: list[Expression] = []
     for sf, fp in f.sigma_parts():
         for field, anti in theory.field_pairs():
             pref = -1 if ((sf + 1) * field.parity) % 2 else 1
@@ -178,31 +178,38 @@ def bv_antibracket(f: Expression, g: Expression) -> Expression:
             if not da_f.is_structural_zero():
                 db_g = variational_derivative(g, anti.base)
                 if not db_g.is_structural_zero():
-                    out = out + (da_f * db_g) * pref
+                    pieces.append((da_f * db_g) * pref)
             du_f = variational_derivative(fp, anti.base)
             if not du_f.is_structural_zero():
                 db_g = variational_derivative(g, field.base)
                 if not db_g.is_structural_zero():
-                    out = out + (du_f * db_g) * mirror
-    return out
+                    pieces.append((du_f * db_g) * mirror)
+    return Expression.sum(theory, pieces)
 
 
 def hamiltonian_vf(f: Expression) -> EvolutionaryVectorField:
     """The BV Hamiltonian vector field; depends on f only through its
     functional class."""
+    return _euler_field(f, 0)
+
+
+def _euler_field(f: Expression, k: int) -> EvolutionaryVectorField:
+    """f_(k) of the ad-expansion: the order-k Euler operators of f, paired
+    field with antifield and signed as in the Soloviev bracket."""
     theory = f.theory
-    comps: dict[GradedSymbol, Expression] = {}
+    pieces: dict[GradedSymbol, list[Expression]] = {}
     for sf, fp in f.sigma_parts():
         for field, anti in theory.field_pairs():
             pref = -1 if ((sf + 1) * field.parity) % 2 else 1
             mirror = pref * (-1 if sf % 2 else 1)
-            d_a = variational_derivative(fp, field.base)
+            d_a = euler(fp, k, field.base)
             if not d_a.is_structural_zero():
-                comps[anti] = comps.get(anti, Expression.zero(theory)) + d_a * pref
-            d_u = variational_derivative(fp, anti.base)
+                pieces.setdefault(anti, []).append(d_a * pref)
+            d_u = euler(fp, k, anti.base)
             if not d_u.is_structural_zero():
-                comps[field] = comps.get(field, Expression.zero(theory)) + d_u * mirror
-    return EvolutionaryVectorField(theory, comps)
+                pieces.setdefault(field, []).append(d_u * mirror)
+    return EvolutionaryVectorField(
+        theory, {s: Expression.sum(theory, ps) for s, ps in pieces.items()})
 
 
 def ad_expansion(f: Expression) -> list[EvolutionaryVectorField]:
@@ -214,20 +221,7 @@ def ad_expansion(f: Expression) -> list[EvolutionaryVectorField]:
         for s, _ in t.mono:
             if s.kind in (Kind.FIELD_JET, Kind.ANTIFIELD_JET):
                 kmax = max(kmax, s.jet_order)
-    fields: list[EvolutionaryVectorField] = []
-    for k in range(kmax + 1):
-        comps: dict[GradedSymbol, Expression] = {}
-        for sf, fp in f.sigma_parts():
-            for field, anti in theory.field_pairs():
-                pref = -1 if ((sf + 1) * field.parity) % 2 else 1
-                mirror = pref * (-1 if sf % 2 else 1)
-                d_a = euler(fp, k, field.base)
-                if not d_a.is_structural_zero():
-                    comps[anti] = comps.get(anti, Expression.zero(theory)) + d_a * pref
-                d_u = euler(fp, k, anti.base)
-                if not d_u.is_structural_zero():
-                    comps[field] = comps.get(field, Expression.zero(theory)) + d_u * mirror
-        fields.append(EvolutionaryVectorField(theory, comps))
+    fields = [_euler_field(f, k) for k in range(kmax + 1)]
     while len(fields) > 1 and fields[-1].is_zero():
         fields.pop()
     return fields
@@ -235,10 +229,8 @@ def ad_expansion(f: Expression) -> list[EvolutionaryVectorField]:
 
 def ad_apply(f: Expression, g: Expression) -> Expression:
     """soloviev(f, g) computed through the ad-expansion (resummation oracle)."""
-    out = Expression.zero(f.theory)
-    for k, vf in enumerate(ad_expansion(f)):
-        out = out + iterated_total(vf.apply(g), k)
-    return out
+    return Expression.sum(f.theory, (iterated_total(vf.apply(g), k)
+                                     for k, vf in enumerate(ad_expansion(f))))
 
 
 # -- total-derivative decision procedure ---------------------------------------

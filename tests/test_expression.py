@@ -4,11 +4,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bvcov import expression
 from bvcov.symbols import Theory, TheoryError, SymbolUnknownError
 from bvcov.expression import (Expression, GradingError, inverse_of, is_zero,
                               log_of, normalize, power_of, total_derivative,
                               jet_partial, param_derivative, substitute_param)
-from bvcov.coefficients import AffineExponent
+from bvcov.coefficients import AffineExponent, FuncAtom
 from bvcov.printer import render
 from conftest import HomogeneousSampler
 
@@ -188,3 +189,104 @@ def test_render_reparse_identity(particle_theory):
         back = parse_expression(particle_theory, text)
         assert back == e, text
         assert render(back) == text
+
+
+# -- addition by merging canonical term tuples --------------------------------
+
+
+def _oracle_pools():
+    """A theory with even and odd fields, jets, a function symbol and a flow
+    parameter, plus pools of its symbols and atoms (function descendants,
+    log, rational and parametric pow, inverse of a compound base)."""
+    t = Theory("oracle")
+    t.add_field("q", 0, 0)
+    t.add_field("r", 0, 0)
+    t.add_field("th", 1, 1)
+    t.add_function("F", ["q", "r"])
+    tau = t.add_flow_param("tau")
+    q, r = Expression.of(t, "q"), Expression.of(t, "r")
+    atoms = [FuncAtom("F"), FuncAtom("F", ("q",)), FuncAtom("F", ("q", "r"))]
+    for e in (log_of(q + 1), power_of(q + 1, Fraction(1, 2)), inverse_of(q - r),
+              power_of(q, AffineExponent(Fraction(-1), Fraction(1), tau))):
+        (atom, _), = e.terms[0].atoms
+        atoms.append(atom)
+    symbols = [t.symbol(n, j) for n in ("q", "r", "th", "q+", "th+") for j in (0, 1)]
+    return t, atoms, symbols + [tau]
+
+
+_ORACLE_COEFS = st.sampled_from([1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3)])
+_RAW_TERM = st.tuples(
+    _ORACLE_COEFS,
+    st.lists(st.tuples(st.integers(0, 6), st.integers(1, 2)), max_size=2),
+    st.lists(st.tuples(st.integers(0, 10), st.integers(1, 2)), max_size=3))
+
+
+def _raw_of(e: Expression) -> list:
+    return [(t.coef, t.atoms, t.mono) for t in e.terms]
+
+
+def _terms(e: Expression) -> list:
+    return [(t.coef, t.atoms, t.mono, t.key) for t in e.terms]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_merge_add_matches_normalize_oracle(data):
+    """+, - and Expression.sum on canonical operands agree term by term, in
+    order, with the brute-force normalization of the concatenated terms."""
+    t, atoms, symbols = _oracle_pools()
+
+    def build(raw):
+        return normalize(t, [(c, tuple((atoms[i], e) for i, e in a),
+                              tuple((symbols[i], e) for i, e in m)) for c, a, m in raw])
+
+    a = build(data.draw(st.lists(_RAW_TERM, max_size=6)))
+    # b repeats some of a's terms with a scaled coefficient, so that sums
+    # cancel some terms (factor -1) and merge others
+    picks = data.draw(st.lists(st.integers(0, max(len(a.terms) - 1, 0)), max_size=4)) \
+        if a.terms else []
+    scale = data.draw(st.sampled_from([-1, -1, 1, 2]))
+    b = build(data.draw(st.lists(_RAW_TERM, max_size=4))) + Expression(
+        t, tuple(a.terms[i] for i in sorted(set(picks)))) * scale
+    c = build(data.draw(st.lists(_RAW_TERM, max_size=4)))
+
+    assert _terms(a + b) == _terms(normalize(t, _raw_of(a) + _raw_of(b)))
+    assert _terms(a - b) == _terms(normalize(t, _raw_of(a) + _raw_of(-b)))
+    assert _terms(a - a) == []
+    pieces = [a, b, -a, c, b]
+    oracle = normalize(t, [r for p in pieces for r in _raw_of(p)])
+    assert _terms(Expression.sum(t, pieces)) == _terms(oracle)
+
+
+def test_accumulation_never_renormalizes(particle_theory, monkeypatch):
+    t = particle_theory
+    x, p = t.symbol("x_1"), t.symbol("p_1")
+    monomials = [Expression.symbol(t, x, i) * Expression.symbol(t, p, j) * (i - j)
+                 for i in range(1, 41) for j in range(30) if i != j]
+    monomials += [Expression.symbol(t, t.jet("x_2", k)) for k in range(1, 1201 - len(monomials))]
+    assert len(monomials) == 1200
+    calls = []
+    real = expression._normalize_term
+    monkeypatch.setattr(expression, "_normalize_term",
+                        lambda *args: calls.append(1) or real(*args))
+    one_at_a_time = Expression.zero(t)
+    for m in monomials:
+        one_at_a_time = one_at_a_time + m
+    summed = Expression.sum(t, monomials)
+    assert len(calls) == 0
+    monkeypatch.undo()
+    assert _terms(one_at_a_time) == _terms(summed) == \
+        _terms(normalize(t, [r for m in monomials for r in _raw_of(m)]))
+    assert len(summed.terms) == 1200
+
+
+def test_sum_contract(particle_theory, E):
+    t = particle_theory
+    empty = Expression.sum(t, [])
+    assert empty.theory is t and empty.is_structural_zero()
+    assert Expression.sum(t, iter([E("x_1"), 2, Fraction(1, 2), -E("x_1")])) \
+        == Expression.const(t, Fraction(5, 2))
+    other = Theory("other")
+    other.add_field("x_1", 0, 0)
+    with pytest.raises(TheoryError, match="mixed theory contexts"):
+        Expression.sum(t, [E("x_1"), Expression.of(other, "x_1")])
