@@ -41,7 +41,7 @@ def main(argv=None) -> int:
     ap.add_argument("--model", choices=sorted(MODEL_BUILDERS))
     ap.add_argument("--dim", type=int, default=2)
     ap.add_argument("--max-order", type=int, default=24)
-    ap.add_argument("--dim-bound", type=int, default=3)
+    ap.add_argument("--dim-bound", type=int, default=None)
     ap.add_argument("--relations", choices=["on", "off"], default="off")
     try:
         args = ap.parse_args(argv)
@@ -272,7 +272,7 @@ def _run_one(tf: TheoryFile, name: str, opts: dict, args) -> tuple[bool, list[st
             raise TheoryError(f"no cover named {opts['cover']}")
         from .thomwhitney import global_covariant_theory, global_mc_check
         nerve = build_cover(block)
-        if args.dim_bound:
+        if args.dim_bound is not None:
             nerve.dimension_bound = args.dim_bound
         local = {}
         for cname in block.chart_order:

@@ -10,6 +10,7 @@ eps vanish in the resolution).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Union
@@ -141,13 +142,6 @@ class BElement:
         return f"{render(self.body)} + ({render(self.eps)})*eps"
 
 
-def _sigma_of(e: Expression, what: str) -> int:
-    s = e.sign_degree()
-    if s is None:
-        raise TheoryError(f"{what} must be sign-homogeneous")
-    return s
-
-
 def b_differential(x: BElement) -> BElement:
     """d(f + g eps) = (-1)^{pa(g)} dg; d^2 = 0."""
     if x.eps.is_structural_zero():
@@ -224,9 +218,6 @@ class USeries:
 
     def powers(self) -> list[int]:
         return sorted(self.coeffs)
-
-    def max_power(self) -> int:
-        return max(self.coeffs) if self.coeffs else 0
 
     def __add__(self, other: "USeries") -> "USeries":
         out = dict(self.coeffs)
@@ -421,7 +412,7 @@ class FlowSeries:
         acc = Expression.const(theory, 1)
         for n, w in enumerate(self.steps):
             acc = acc * tpow
-            out = out + w.scale(acc) * Fraction(1, _fact(n + 1))
+            out = out + w.scale(acc) * Fraction(1, math.factorial(n + 1))
         return out
 
     def at(self, value) -> USeries:
@@ -430,7 +421,7 @@ class FlowSeries:
         acc = Fraction(1)
         for n, w in enumerate(self.steps):
             acc = acc * value
-            out = out + w * (acc / _fact(n + 1))
+            out = out + w * (acc / math.factorial(n + 1))
         return out
 
     def endpoint(self) -> USeries:
@@ -443,13 +434,6 @@ class FlowSeries:
 
 class TruncatedFlowError(TheoryError):
     pass
-
-
-def _fact(n: int) -> int:
-    out = 1
-    for k in range(2, n + 1):
-        out *= k
-    return out
 
 
 def gauge_flow_series(x: USeries, y: USeries, max_order: int = 24,
@@ -626,7 +610,7 @@ def _exp_ad_on(theory: Theory, y: Expression, start: Expression,
             acc = Expression.const(theory, 1)
             pieces = []
             for k, w in enumerate(terms):
-                pieces.append(acc * w * Fraction(1, _fact(k)))
+                pieces.append(acc * w * Fraction(1, math.factorial(k)))
                 acc = acc * tsym
             return Expression.sum(theory, pieces)
         prop = _proportionality(v, terms[-1])
@@ -679,7 +663,7 @@ def gauge_flow_closed(x: USeries, y: Expression, tau: GradedSymbol,
                     "d_u(y) source brackets do not terminate; closed flow "
                     "unavailable")
             acc = acc * t
-            family = family + v.scale(acc) * Fraction(1, _fact(n + 1))
+            family = family + v.scale(acc) * Fraction(1, math.factorial(n + 1))
             v = u_bracket(ys, v) * Fraction(-1)
             n += 1
     cert = verify_flow_endpoint(x, family, ys, tau, ctx)

@@ -7,8 +7,6 @@ the identity on canonical forms).
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .coefficients import FuncAtom, LogAtom, PowerAtom
 
 
@@ -68,7 +66,3 @@ def render(expr) -> str:
         else:
             chunks.append(("- " if neg else "+ ") + piece)
     return " ".join(chunks)
-
-
-def render_fraction(q: Fraction) -> str:
-    return str(q)

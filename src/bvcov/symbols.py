@@ -99,7 +99,6 @@ class Theory:
         self._order_index: dict[str, int] = {}      # base name -> registration rank
         self._next_rank = 0
         self._sort_keys: dict[GradedSymbol, tuple] = {}   # append-only, like the ranks
-        self.max_jet_seen = 0
         self.relations: dict = {}                   # atom key -> Expression, set by models
         self.relations_enabled = False
         self._eps: Optional[GradedSymbol] = None
@@ -226,8 +225,6 @@ class Theory:
             s = GradedSymbol(name, base.kind, base.ghost, base.parity,
                              jet_order=order, base=name, chart=self.name)
             self._symbols[key] = s
-        if order > self.max_jet_seen:
-            self.max_jet_seen = order
         return s
 
     def jet_bump(self, sym: GradedSymbol) -> GradedSymbol:
@@ -255,9 +252,6 @@ class Theory:
                 raise SymbolUnknownError(f"symbol not of this theory: {sym.name}")
             key = self._sort_keys[sym] = (int(sym.kind), rank, sym.jet_order)
         return key
-
-    def owns(self, sym: GradedSymbol) -> bool:
-        return sym.base in self._order_index
 
     # -- extension --------------------------------------------------------
 

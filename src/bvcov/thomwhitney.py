@@ -12,6 +12,7 @@ separate tensor type exists at runtime.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
@@ -40,6 +41,7 @@ class CoverNerve:
         self.overlaps: dict[frozenset, OverlapContext] = {}
         self.dimension_bound = dimension_bound
         self._simplex_theories: dict[tuple, Theory] = {}
+        self._whitney_forms: dict[tuple, Expression] = {}   # append-only, same key
 
     def declare_overlap(self, names: frozenset | set | tuple,
                         theory: Theory,
@@ -95,19 +97,36 @@ class CoverNerve:
     def t_symbol(self, theory: Theory, i: int, k: int) -> Expression:
         """Barycentric coordinate t_i on the k-simplex, with t_0 eliminated."""
         if i == 0:
-            out = Expression.const(theory, 1)
-            for j in range(1, k + 1):
-                out = out - Expression.of(theory, f"t_{j}")
-            return out
+            return Expression.sum(theory, [1] + [
+                -Expression.of(theory, f"t_{j}") for j in range(1, k + 1)])
         return Expression.of(theory, f"t_{i}")
 
     def dt_symbol(self, theory: Theory, i: int, k: int) -> Expression:
         if i == 0:
-            out = Expression.zero(theory)
-            for j in range(1, k + 1):
-                out = out - Expression.of(theory, f"dt_{j}")
-            return out
+            return Expression.sum(theory, (
+                -Expression.of(theory, f"dt_{j}") for j in range(1, k + 1)))
         return Expression.of(theory, f"dt_{i}")
+
+    def whitney_form(self, T: Tuple, positions: tuple[int, ...]) -> Expression:
+        """k! sum_j (-1)^j t_{p_j} prod_{r != j} dt_{p_r} on the simplex of
+        T, for the k + 1 positions p; cached per (member set, m, positions)."""
+        m = len(T) - 1
+        key = (frozenset(T), m, positions)
+        got = self._whitney_forms.get(key)
+        if got is not None:
+            return got
+        theory = self.simplex_theory(T, m)
+        k = len(positions) - 1
+        pieces = []
+        for j in range(k + 1):
+            form = Expression.const(theory, math.factorial(k) * (-1) ** j)
+            form = form * self.t_symbol(theory, positions[j], m)
+            for r in range(k + 1):
+                if r != j:
+                    form = form * self.dt_symbol(theory, positions[r], m)
+            pieces.append(form)
+        got = self._whitney_forms[key] = Expression.sum(theory, pieces)
+        return got
 
     # -- restrictions ------------------------------------------------------
 
@@ -153,14 +172,11 @@ def simplicial_pullback(nerve: CoverNerve, f: list[int], k: int, ell: int,
     src_th = value.theory
     images: dict[GradedSymbol, Expression] = {}
     for i in range(1, ell + 1):
-        img_t = Expression.zero(dst_theory)
-        img_dt = Expression.zero(dst_theory)
-        for j, fj in enumerate(f):
-            if fj == i:
-                img_t = img_t + nerve.t_symbol(dst_theory, j, k)
-                img_dt = img_dt + nerve.dt_symbol(dst_theory, j, k)
-        images[src_th.symbol(f"t_{i}")] = img_t
-        images[src_th.symbol(f"dt_{i}")] = img_dt
+        preimage = [j for j, fj in enumerate(f) if fj == i]
+        images[src_th.symbol(f"t_{i}")] = Expression.sum(
+            dst_theory, (nerve.t_symbol(dst_theory, j, k) for j in preimage))
+        images[src_th.symbol(f"dt_{i}")] = Expression.sum(
+            dst_theory, (nerve.dt_symbol(dst_theory, j, k) for j in preimage))
     sub = CanonicalSubstitution(src_th, images, dst_theory)
     return sub.apply_u(value)
 
@@ -271,27 +287,34 @@ class TWElement:
 
 def whitney(c: CechCochain) -> TWElement:
     """The Whitney map: the 1/(k+1) alternating t dt...dt sum applied to the
-    alternating representative, extended to every admissible tuple."""
+    alternating representative, extended to every admissible tuple.
+
+    The form and the cochain are both alternating in the positions, so the
+    summand is invariant under permuting them and vanishes on a repeat: the
+    sum over all (m+1)^(k+1) position tuples is (k+1)! times the sum over
+    increasing ones, which `whitney_form` carries as its k! factor.
+    Positions that pick the same face share one restriction and one scale."""
     nerve = c.nerve
-    k = c.degree
+    restricted: dict[tuple, USeries] = {}
     out: dict[Tuple, USeries] = {}
     for T in nerve.tuples():
         m = len(T) - 1
         theory = nerve.simplex_theory(T, m)
-        acc = USeries.zero(theory)
-        for positions in itertools.product(range(m + 1), repeat=k + 1):
+        faces: dict[Tuple, tuple[USeries, list[Expression]]] = {}
+        for positions in itertools.combinations(range(m + 1), c.degree + 1):
             sign, v = c.value(tuple(T[i] for i in positions))
             if sign == 0 or v is None:
                 continue
-            moved = nerve.restrict(v, tuple(sorted(set(T[i] for i in positions))),
-                                   T, theory)
-            for j in range(k + 1):
-                form = Expression.const(theory, 1 if j % 2 == 0 else -1)
-                form = form * nerve.t_symbol(theory, positions[j], m)
-                for r in range(k + 1):
-                    if r != j:
-                        form = form * nerve.dt_symbol(theory, positions[r], m)
-                acc = acc + moved.scale(form) * Fraction(sign, k + 1)
+            form = nerve.whitney_form(T, positions)
+            face = tuple(sorted(T[i] for i in positions))
+            faces.setdefault(face, (v, []))[1].append(form if sign > 0 else -form)
+        acc = USeries.zero(theory)
+        for face, (v, forms) in faces.items():
+            key = (face, frozenset(T), m)
+            moved = restricted.get(key)
+            if moved is None:
+                moved = restricted[key] = nerve.restrict(v, face, T, theory)
+            acc = acc + moved.scale(Expression.sum(theory, forms))
         out[T] = acc
     return TWElement(nerve, out)
 
@@ -350,35 +373,42 @@ def global_mc_check(SS: TWElement) -> GlobalMCReport:
     return GlobalMCReport(residual.values, not failing, failing)
 
 
-def check_simplicial(SS: TWElement, max_checks: int = 400) -> list[tuple]:
+@dataclass
+class SimplicialReport:
+    """Arrows (T, f) that break the equalizer condition; `checked` of the
+    `total` generating arrows were tested, fewer when the cap was hit."""
+    bad: list[tuple]
+    checked: int
+    total: int
+
+
+def check_simplicial(SS: TWElement, max_checks: int = 400) -> SimplicialReport:
     """Equalizer condition on the generating arrows of the simplex category:
     the form pullback of the value on a tuple agrees with the restricted
-    value on the reindexed tuple."""
+    value on the reindexed tuple.  Tests the first `max_checks` arrows."""
     nerve = SS.nerve
-    bad = []
-    checked = 0
+    arrows: list[tuple[Tuple, list[int]]] = []
     for T in nerve.tuples():
         m = len(T) - 1
-        arrows: list[list[int]] = []
         if m >= 1:
             for i in range(m + 1):
-                arrows.append([j for j in range(m + 1) if j != i])      # faces
+                arrows.append((T, [j for j in range(m + 1) if j != i]))      # faces
         if len(T) + 1 <= nerve.dimension_bound + 1:
             for i in range(m + 1):
-                arrows.append(list(range(i + 1)) + list(range(i, m + 1)))  # degeneracies
-        for f in arrows:
-            src = tuple(T[j] for j in f)       # T o f, the reindexed tuple
-            k = len(f) - 1
-            theory = nerve.simplex_theory(T, k)
-            # form pullback of the long-tuple value along f: [k] -> [m]
-            lhs = simplicial_pullback(nerve, f, k, m, SS.value(T), T, theory)
-            rhs = nerve.restrict(SS.value(src), src, T, theory)
-            if not (lhs - rhs).is_zero():
-                bad.append((T, f))
-            checked += 1
-            if checked >= max_checks:
-                return bad
-    return bad
+                arrows.append((T, list(range(i + 1)) + list(range(i, m + 1))))  # degeneracies
+    tested = arrows[:max_checks]
+    bad = []
+    for T, f in tested:
+        m = len(T) - 1
+        src = tuple(T[j] for j in f)       # T o f, the reindexed tuple
+        k = len(f) - 1
+        theory = nerve.simplex_theory(T, k)
+        # form pullback of the long-tuple value along f: [k] -> [m]
+        lhs = simplicial_pullback(nerve, f, k, m, SS.value(T), T, theory)
+        rhs = nerve.restrict(SS.value(src), src, T, theory)
+        if not (lhs - rhs).is_zero():
+            bad.append((T, f))
+    return SimplicialReport(bad, len(tested), len(arrows))
 
 
 # -- theorem-global builder ----------------------------------------------------------

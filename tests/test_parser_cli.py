@@ -112,6 +112,17 @@ def test_cli_tw_check(capsys):
     assert rc == 0
 
 
+def test_cli_file_bound_wins_unless_dim_bound_given(tmp_path, capsys):
+    text = (THEORIES / "cylinder_flux.bvt").read_text()
+    assert "cover cylinder_flux bound 3\n" in text
+    f = tmp_path / "cylinder_bound1.bvt"
+    f.write_text(text.replace("cover cylinder_flux bound 3\n",
+                              "cover cylinder_flux bound 1\n"))
+    for extra, count in (((), 6), (("--dim-bound", "2"), 14)):
+        assert run_cli("tw-check", str(f), *extra) == 0
+        assert f"  simplices checked: {count}\n" in capsys.readouterr().out
+
+
 def test_cli_unknown_check_exits_2(capsys):
     rc = run_cli("check-mc", str(THEORIES / "particle.bvt"),
                  "--check", "not_there")
