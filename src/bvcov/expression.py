@@ -31,12 +31,13 @@ def _atoms_key(atoms: Atoms) -> tuple:
 
 def _term_key(theory: Theory, atoms: Atoms, mono: Mono) -> tuple:
     """Canonical term order: the atom keys, then the monomial's sort keys.
-    Flat, (atom keys, kind, rank, jet, exponent, kind, rank, jet, ...):
-    every symbol adds exactly four fields, so it orders like the nested
-    (atom keys, ((kind, rank, jet), exponent), ...) and costs one tuple."""
+    Flat, (atom keys, sort key, exponent, sort key, exponent, ...) with the
+    symbol's cached (kind, rank, jet) tuple as its sort key: every symbol
+    adds exactly two fields, the i-th symbol's at 1 + 2*i, so it orders like
+    the nested (atom keys, (sort key, exponent), ...) and costs one tuple."""
     key = [_atoms_key(atoms)]
     for s, e in mono:
-        key += theory.sort_key(s)
+        key.append(theory.sort_key(s))
         key.append(e)
     return tuple(key)
 
@@ -113,11 +114,17 @@ class Expression:
         q = Fraction(q)
         if q == 0:
             return Expression.zero(theory)
-        return _from_raw(theory, [(q, (), ())])
+        return _single(theory, q, (), ())
 
     @staticmethod
     def symbol(theory: Theory, s: GradedSymbol, power: int = 1) -> "Expression":
-        return _from_raw(theory, [(Fraction(1), (), ((s, power),))])
+        if power != 1:
+            return _from_raw(theory, [(Fraction(1), (), ((s, power),))])
+        # interned per theory like the symbols: products reuse its (s, 1) pair
+        unit = theory._units.get(s)
+        if unit is None:
+            unit = theory._units[s] = _single(theory, Fraction(1), (), ((s, 1),))
+        return unit
 
     @staticmethod
     def of(theory: Theory, name: str, jet: int = 0) -> "Expression":
@@ -127,7 +134,7 @@ class Expression:
     def func(theory: Theory, name: str, deriv: Sequence[str] = ()) -> "Expression":
         theory.function(name)
         atom = FuncAtom(name, tuple(sorted(deriv)))
-        return _from_raw(theory, [(Fraction(1), ((atom, 1),), ())])
+        return _single(theory, Fraction(1), ((atom, 1),), ())
 
     @staticmethod
     def sum(theory: Theory, pieces: Iterable) -> "Expression":
@@ -170,13 +177,7 @@ class Expression:
                               tuple(Term(t.coef * q, t.atoms, t.mono, t.key)
                                     for t in self.terms))
         other = _coerce(self.theory, other)
-        raw: list[RawTerm] = []
-        for t1 in self.terms:
-            for t2 in other.terms:
-                raw.append((t1.coef * t2.coef,
-                            tuple(t1.atoms) + tuple(t2.atoms),
-                            tuple(t1.mono) + tuple(t2.mono)))
-        return _from_raw(self.theory, raw)
+        return Expression(self.theory, _product(self.theory, self.terms, other.terms))
 
     def __rmul__(self, other) -> "Expression":
         if isinstance(other, (int, Fraction)):
@@ -280,16 +281,15 @@ class Expression:
         moved to the front and strip it; terms without sym are dropped."""
         if sym.sign_degree != 1:
             raise TheoryError("coefficient_of expects an odd generator")
-        raw = []
+        out: list[Term] = []
         for t in self.terms:
             prefix = 0
             for i, (s, e) in enumerate(t.mono):
                 if s is sym:
-                    sign = -1 if prefix % 2 else 1
-                    raw.append((t.coef * sign, t.atoms, t.mono[:i] + t.mono[i + 1:]))
+                    out.append(_lower_symbol(t, i, -t.coef if prefix % 2 else t.coef))
                     break
                 prefix += s.sign_degree * e
-        return _from_raw(self.theory, raw)
+        return Expression(self.theory, _merge_runs(out))
 
     def __repr__(self) -> str:
         from .printer import render
@@ -544,9 +544,9 @@ _KEY = attrgetter("key")
 
 
 def _merge_runs(terms: list[Term]) -> tuple[Term, ...]:
-    """Canonical sum of a concatenation of key-sorted term runs: a stable
-    sort on the keys (timsort merges k runs in O(n log k)), then one pass
-    adding equal keys."""
+    """Canonical sum of a list of canonical terms: a stable sort on the
+    keys (timsort merges a concatenation of k sorted runs in O(n log k)),
+    then one pass adding equal keys."""
     terms.sort(key=_KEY)
     out: list[Term] = []
     prev = None
@@ -561,12 +561,166 @@ def _merge_runs(terms: list[Term]) -> tuple[Term, ...]:
     return tuple(t for t in out if t.coef)
 
 
+def _single(theory: Theory, coef, atoms: Atoms, mono: Mono) -> Expression:
+    """The expression of one term that is canonical as written."""
+    return Expression(theory, (Term(coef, atoms, mono, _term_key(theory, atoms, mono)),))
+
+
+# Products of canonical terms.  Two pow-free terms multiply by merging:
+# their atom tuples by atom key (equal atoms add exponents) and their
+# monomials by sort key, where a symbol in both factors adds exponents if
+# even and kills the product if odd.  The Koszul sign of sorting
+# t1.mono + t2.mono is the parity of crossings: each odd symbol of t2
+# crosses the odd symbols of t1 not yet placed.  A pair holding a pow atom
+# goes through `_normalize_term`, which folds single-symbol pow bases into
+# the monomial and expands compound integer powers.  The term order is not
+# multiplicative (x < y but x*x > x*y), so the products are sorted once by
+# `_merge_runs` rather than heap-merged.
+
+
+def _layout(t: Term) -> tuple:
+    """(t, [(sort key, (symbol, exponent), odd)] of its monomial, odd
+    count); the entries are None when t holds a pow atom (atom keys of pow
+    atoms start with 2, so they sort last)."""
+    if t.atoms and isinstance(t.atoms[-1][0], PowerAtom):
+        return t, None, 0
+    k = t.key
+    entries = [(k[1 + 2 * i], se, se[0].sign_degree) for i, se in enumerate(t.mono)]
+    return t, entries, sum(o for _, _, o in entries)
+
+
+def _merge_atoms(a1: Atoms, k1: tuple, a2: Atoms, k2: tuple) -> tuple[Atoms, tuple]:
+    """Merge two canonical atom tuples and their atom keys."""
+    atoms: list = []
+    keys: list = []
+    i = j = 0
+    n1, n2 = len(a1), len(a2)
+    while i < n1 and j < n2:
+        x, y = k1[i][0], k2[j][0]
+        if x < y:
+            atoms.append(a1[i])
+            keys.append(k1[i])
+            i += 1
+        elif y < x:
+            atoms.append(a2[j])
+            keys.append(k2[j])
+            j += 1
+        else:
+            e = a1[i][1] + a2[j][1]
+            atoms.append((a1[i][0], e))
+            keys.append((x, e))
+            i += 1
+            j += 1
+    atoms += a1[i:]
+    atoms += a2[j:]
+    keys += k1[i:]
+    keys += k2[j:]
+    return tuple(atoms), tuple(keys)
+
+
+def _merge_pair(coef, t1: Term, m1: list, odd_left: int, t2: Term, m2: list) -> Optional[Term]:
+    """The product of two pow-free canonical terms (laid out by `_layout`)
+    with coefficient `coef` before the Koszul sign; None when it vanishes."""
+    if not t2.atoms:
+        atoms, akey = t1.atoms, t1.key[0]
+    elif not t1.atoms:
+        atoms, akey = t2.atoms, t2.key[0]
+    else:
+        atoms, akey = _merge_atoms(t1.atoms, t1.key[0], t2.atoms, t2.key[0])
+    if not m2:
+        return Term(coef, atoms, t1.mono, t1.key if akey is t1.key[0] else (akey,) + t1.key[1:])
+    if not m1:
+        return Term(coef, atoms, t2.mono, t2.key if akey is t2.key[0] else (akey,) + t2.key[1:])
+    mono: list = []
+    key: list = [akey]
+    negative = False
+    i = j = 0
+    n1, n2 = len(m1), len(m2)
+    while i < n1 and j < n2:
+        k1, se1, o1 = m1[i]
+        k2, se2, o2 = m2[j]
+        if se1[0] is se2[0]:
+            if o1:
+                return None
+            e = se1[1] + se2[1]
+            mono.append((se1[0], e))
+            key += (k1, e)
+            i += 1
+            j += 1
+        elif k1 < k2:
+            mono.append(se1)
+            key += (k1, se1[1])
+            odd_left -= o1
+            i += 1
+        else:
+            mono.append(se2)
+            key += (k2, se2[1])
+            if o2 and odd_left & 1:
+                negative = not negative
+            j += 1
+    mono += t1.mono[i:]
+    key += t1.key[1 + 2 * i:]
+    mono += t2.mono[j:]
+    key += t2.key[1 + 2 * j:]
+    return Term(-coef if negative else coef, atoms, tuple(mono), tuple(key))
+
+
+def _product(theory: Theory, left: Sequence[Term], right: Sequence[Term]) -> tuple[Term, ...]:
+    """Canonical product of two canonical term tuples."""
+    if not left or not right:
+        return ()
+    rows = [_layout(t) for t in right]
+    out: list[Term] = []
+    for t1 in left:
+        t1, m1, odd1 = _layout(t1)
+        for t2, m2, _ in rows:
+            coef = t1.coef * t2.coef
+            if m1 is None or m2 is None:
+                for c, a, m in _normalize_term(theory, coef, t1.atoms + t2.atoms,
+                                               t1.mono + t2.mono):
+                    out.append(Term(c, a, m, _term_key(theory, a, m)))
+            else:
+                t = _merge_pair(coef, t1, m1, odd1, t2, m2)
+                if t is not None:
+                    out.append(t)
+    return _merge_runs(out)
+
+
 def normalize(theory: Theory, raw: Iterable[RawTerm]) -> Expression:
     """Public entry: canonical form of a list of signed raw monomials."""
     return _from_raw(theory, list(raw))
 
 
 # -- derivatives -------------------------------------------------------------
+
+# Lowering one exponent of a canonical term, or removing a factor, keeps it
+# canonical: the remaining factors stay in order.  These build the result
+# from the term's own key, where the i-th symbol's two fields sit at 1 + 2*i.
+
+
+def _lower_symbol(t: Term, i: int, coef) -> Term:
+    """t with coefficient `coef` and the exponent of its i-th symbol lowered
+    by one (the symbol dropped at exponent 1)."""
+    s, e = t.mono[i]
+    k, at = t.key, 1 + 2 * i
+    if e > 1:
+        return Term(coef, t.atoms, t.mono[:i] + ((s, e - 1),) + t.mono[i + 1:],
+                    k[:at + 1] + (e - 1,) + k[at + 2:])
+    return Term(coef, t.atoms, t.mono[:i] + t.mono[i + 1:], k[:at] + k[at + 2:])
+
+
+def _lower_atom(t: Term, j: int, coef) -> Term:
+    """t with coefficient `coef` and the exponent of its j-th atom lowered by
+    one (the atom dropped at exponent 1)."""
+    a, e = t.atoms[j]
+    ak = t.key[0]
+    if e > 1:
+        atoms = t.atoms[:j] + ((a, e - 1),) + t.atoms[j + 1:]
+        akey = ak[:j] + ((ak[j][0], e - 1),) + ak[j + 1:]
+    else:
+        atoms = t.atoms[:j] + t.atoms[j + 1:]
+        akey = ak[:j] + ak[j + 1:]
+    return Term(coef, atoms, t.mono, (akey,) + t.key[1:])
 
 
 def _atom_derivative(theory: Theory, atom: Atom, s: GradedSymbol) -> Optional[Expression]:
@@ -575,7 +729,7 @@ def _atom_derivative(theory: Theory, atom: Atom, s: GradedSymbol) -> Optional[Ex
     if isinstance(atom, FuncAtom):
         decl = theory.function(atom.func)
         if s.name in decl.args and s.jet_order == 0 and s.kind == Kind.FIELD_JET:
-            return _from_raw(theory, [(Fraction(1), ((atom.differentiated(s.name), 1),), ())])
+            return _single(theory, Fraction(1), ((atom.differentiated(s.name), 1),), ())
         return None
     base = base_expression(theory, atom.base_key)
     dbase = partial_derivative(base, s)
@@ -595,30 +749,22 @@ def _atom_derivative(theory: Theory, atom: Atom, s: GradedSymbol) -> Optional[Ex
 def partial_derivative(expr: Expression, s: GradedSymbol) -> Expression:
     """Graded left partial derivative with respect to any generator."""
     theory = expr.theory
-    pieces: list[Expression] = []
-    raw: list[RawTerm] = []
+    out: list[Term] = []
     for t in expr.terms:
         prefix = 0
         for i, (sym, e) in enumerate(t.mono):
             if sym is s:
-                if sym.sign_degree == 1:
-                    sign = -1 if prefix % 2 else 1
-                    raw.append((t.coef * sign, t.atoms, t.mono[:i] + t.mono[i + 1:]))
-                else:
-                    rest = t.mono[:i] + ((sym, e - 1),) + t.mono[i + 1:] if e > 1 \
-                        else t.mono[:i] + t.mono[i + 1:]
-                    raw.append((t.coef * e, t.atoms, rest))
+                # an odd symbol has exponent 1 and passes the odd prefix
+                coef = -t.coef if sym.sign_degree == 1 and prefix % 2 else t.coef * e
+                out.append(_lower_symbol(t, i, coef))
                 break
             prefix += sym.sign_degree * e
         if s.jet_order == 0 and t.atoms:
             for j, (a, e) in enumerate(t.atoms):
                 da = _atom_derivative(theory, a, s)
-                if da is None:
-                    continue
-                rest_atoms = t.atoms[:j] + ((a, e - 1),) + t.atoms[j + 1:]
-                head = _from_raw(theory, [(t.coef * e, rest_atoms, t.mono)])
-                pieces.append(head * da)
-    return Expression.sum(theory, [_from_raw(theory, raw)] + pieces)
+                if da is not None:
+                    out += _product(theory, (_lower_atom(t, j, t.coef * e),), da.terms)
+    return Expression(theory, _merge_runs(out))
 
 
 def jet_partial(expr: Expression, s: GradedSymbol) -> Expression:
@@ -688,21 +834,16 @@ def param_derivative(expr: Expression, param: GradedSymbol) -> Expression:
     """d/d(tau): differentiates monomial powers of the flow parameter and
     pow-atom exponents (d/dtau pow(E, a*tau+b) = a*log(E)*pow(E, a*tau+b))."""
     theory = expr.theory
-    raw: list[RawTerm] = []
-    pieces: list[Expression] = []
+    out: list[Term] = []
     for t in expr.terms:
         for i, (sym, e) in enumerate(t.mono):
             if sym is param:
-                rest = t.mono[:i] + ((sym, e - 1),) + t.mono[i + 1:] if e > 1 \
-                    else t.mono[:i] + t.mono[i + 1:]
-                raw.append((t.coef * e, t.atoms, rest))
-        for j, (a, e) in enumerate(t.atoms):
+                out.append(_lower_symbol(t, i, t.coef * e))
+        for a, _ in t.atoms:
             if isinstance(a, PowerAtom) and a.exponent.param is param and a.exponent.slope != 0:
-                log_part = _from_raw(theory, [(a.exponent.slope,
-                                               ((LogAtom(a.base_key), 1),), ())])
-                head = _from_raw(theory, [(t.coef, t.atoms, t.mono)])
-                pieces.append(head * log_part)
-    return Expression.sum(theory, [_from_raw(theory, raw)] + pieces)
+                log_part = _single(theory, a.exponent.slope, ((LogAtom(a.base_key), 1),), ())
+                out += _product(theory, (t,), log_part.terms)
+    return Expression(theory, _merge_runs(out))
 
 
 def substitute_param(expr: Expression, param: GradedSymbol, value) -> Expression:
@@ -732,20 +873,23 @@ def odd_derivation(expr: Expression, images: dict[GradedSymbol, Expression]) -> 
     (odd) image and annihilating everything else; Koszul signs from the
     position of the occurrence."""
     theory = expr.theory
-    pieces: list[Expression] = []
+    out: list[Term] = []
     for t in expr.terms:
         prefix_sigma = 0
+        k = t.key
         for i, (sym, e) in enumerate(t.mono):
             img = images.get(sym)
             if img is not None:
-                sign = -1 if prefix_sigma % 2 else 1
-                head_mono = t.mono[:i]
-                tail_mono = (((sym, e - 1),) if e > 1 else ()) + t.mono[i + 1:]
-                head = _from_raw(theory, [(t.coef * e * sign, t.atoms, head_mono)])
-                tail = _from_raw(theory, [(Fraction(1), (), tail_mono)])
-                pieces.append(head * img * tail)
+                # t = head * sym * tail, the tail holding sym^(e-1) and the
+                # factors after it; head and tail are canonical as they stand
+                at = 1 + 2 * i
+                coef = t.coef * e
+                head = Term(-coef if prefix_sigma % 2 else coef, t.atoms, t.mono[:i], k[:at])
+                tail = _lower_symbol(Term(Fraction(1), (), t.mono[i:], ((),) + k[at:]), 0,
+                                     Fraction(1))
+                out += _product(theory, _product(theory, (head,), img.terms), (tail,))
             prefix_sigma += sym.sign_degree * e
-    return Expression.sum(theory, pieces)
+    return Expression(theory, _merge_runs(out))
 
 
 # -- zero decision -----------------------------------------------------------

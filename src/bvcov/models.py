@@ -213,7 +213,7 @@ def register_relation(theory: Theory, func: str, first_deriv: str, rhs: Expressi
 def apply_relations(expr: Expression, max_passes: int = 32) -> Expression:
     """Rewrite function-symbol descendants by the theory's directed rules
     until no rule applies."""
-    from .expression import Term, partial_derivative, _from_raw
+    from .expression import Term, partial_derivative, _lower_atom
     theory = expr.theory
     if not theory.relations:
         return expr
@@ -223,12 +223,12 @@ def apply_relations(expr: Expression, max_passes: int = 32) -> Expression:
         pieces: list[Expression] = []
         for t in expr.terms:
             hit = None
-            for idx, (a, e) in enumerate(t.atoms):
+            for idx, (a, _) in enumerate(t.atoms):
                 if not hasattr(a, "deriv"):
                     continue
                 for d in a.deriv:
                     if (a.func, d) in theory.relations:
-                        hit = (idx, a, e, d)
+                        hit = (idx, a, d)
                         break
                 if hit:
                     break
@@ -236,15 +236,13 @@ def apply_relations(expr: Expression, max_passes: int = 32) -> Expression:
                 kept.append(t)
                 continue
             changed = True
-            idx, atom, e, d = hit
+            idx, atom, d = hit
             value = theory.relations[(atom.func, d)]
             rest = list(atom.deriv)
             rest.remove(d)
             for extra in rest:
                 value = partial_derivative(value, theory.symbol(extra))
-            head_atoms = t.atoms[:idx] + ((atom, e - 1),) + t.atoms[idx + 1:]
-            head = _from_raw(theory, [(t.coef, head_atoms, t.mono)])
-            pieces.append(head * value)
+            pieces.append(Expression(theory, (_lower_atom(t, idx, t.coef),)) * value)
         # the kept terms are a subsequence of a canonical tuple, so canonical
         expr = Expression.sum(theory, [Expression(theory, tuple(kept))] + pieces)
         if not changed:

@@ -99,6 +99,7 @@ class Theory:
         self._order_index: dict[str, int] = {}      # base name -> registration rank
         self._next_rank = 0
         self._sort_keys: dict[GradedSymbol, tuple] = {}   # append-only, like the ranks
+        self._units: dict[GradedSymbol, object] = {}      # symbol -> its Expression, append-only
         self.relations: dict = {}                   # atom key -> Expression, set by models
         self.relations_enabled = False
         self._eps: Optional[GradedSymbol] = None

@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bvcov import expression
-from bvcov.symbols import Theory, TheoryError, SymbolUnknownError
+from bvcov.symbols import Kind, Theory, TheoryError, SymbolUnknownError
 from bvcov.expression import (Expression, GradingError, inverse_of, is_zero,
-                              log_of, normalize, power_of, total_derivative,
-                              jet_partial, param_derivative, substitute_param)
-from bvcov.coefficients import AffineExponent, FuncAtom
+                              log_of, normalize, odd_derivation, partial_derivative,
+                              power_of, total_derivative, jet_partial,
+                              param_derivative, substitute_param)
+from bvcov.coefficients import AffineExponent, FuncAtom, LogAtom, PowerAtom
 from bvcov.printer import render
 from conftest import HomogeneousSampler
 
@@ -197,7 +198,9 @@ def test_render_reparse_identity(particle_theory):
 def _oracle_pools():
     """A theory with even and odd fields, jets, a function symbol and a flow
     parameter, plus pools of its symbols and atoms (function descendants,
-    log, rational and parametric pow, inverse of a compound base)."""
+    log, rational and parametric pow, inverse of a compound base; last, a
+    rational pow and an inverse of single symbols, which fold into the
+    monomial)."""
     t = Theory("oracle")
     t.add_field("q", 0, 0)
     t.add_field("r", 0, 0)
@@ -207,7 +210,8 @@ def _oracle_pools():
     q, r = Expression.of(t, "q"), Expression.of(t, "r")
     atoms = [FuncAtom("F"), FuncAtom("F", ("q",)), FuncAtom("F", ("q", "r"))]
     for e in (log_of(q + 1), power_of(q + 1, Fraction(1, 2)), inverse_of(q - r),
-              power_of(q, AffineExponent(Fraction(-1), Fraction(1), tau))):
+              power_of(q, AffineExponent(Fraction(-1), Fraction(1), tau)),
+              power_of(q, Fraction(1, 2)), inverse_of(r)):
         (atom, _), = e.terms[0].atoms
         atoms.append(atom)
     symbols = [t.symbol(n, j) for n in ("q", "r", "th", "q+", "th+") for j in (0, 1)]
@@ -290,3 +294,265 @@ def test_sum_contract(particle_theory, E):
     other.add_field("x_1", 0, 0)
     with pytest.raises(TheoryError, match="mixed theory contexts"):
         Expression.sum(t, [E("x_1"), Expression.of(other, "x_1")])
+
+
+# -- products and derivatives built as canonical terms ------------------------
+#
+# The brute-force oracles below are the raw-term loops the engine used before
+# it built products and derivatives directly as canonical terms: each writes
+# the raw terms out and puts them through `normalize`.  `total_derivative`
+# still runs its loop; `_total_bruteforce` pins what a direct construction of
+# the bumped jets must keep.
+
+
+def _mul_bruteforce(a: Expression, b: Expression) -> Expression:
+    return normalize(a.theory, [(t1.coef * t2.coef, t1.atoms + t2.atoms, t1.mono + t2.mono)
+                                for t1 in a.terms for t2 in b.terms])
+
+
+def _partial_bruteforce(expr: Expression, s) -> Expression:
+    theory = expr.theory
+    raw = []
+    for t in expr.terms:
+        prefix = 0
+        for i, (sym, e) in enumerate(t.mono):
+            if sym is s:
+                if sym.sign_degree == 1:
+                    sign = -1 if prefix % 2 else 1
+                    raw.append((t.coef * sign, t.atoms, t.mono[:i] + t.mono[i + 1:]))
+                else:
+                    rest = t.mono[:i] + ((sym, e - 1),) + t.mono[i + 1:] if e > 1 \
+                        else t.mono[:i] + t.mono[i + 1:]
+                    raw.append((t.coef * e, t.atoms, rest))
+                break
+            prefix += sym.sign_degree * e
+        if s.jet_order == 0 and t.atoms:
+            for j, (a, e) in enumerate(t.atoms):
+                da = expression._atom_derivative(theory, a, s)
+                if da is None:
+                    continue
+                rest_atoms = t.atoms[:j] + ((a, e - 1),) + t.atoms[j + 1:]
+                head = normalize(theory, [(t.coef * e, rest_atoms, t.mono)])
+                raw += _raw_of(_mul_bruteforce(head, da))
+    return normalize(theory, raw)
+
+
+def _total_bruteforce(expr: Expression) -> Expression:
+    theory = expr.theory
+    raw = []
+    for t in expr.terms:
+        for i, (sym, e) in enumerate(t.mono):
+            if sym.kind not in (Kind.FIELD_JET, Kind.ANTIFIELD_JET):
+                continue
+            bumped = theory.jet_bump(sym)
+            if sym.sign_degree == 1:
+                replaced = t.mono[:i] + ((bumped, 1),) + t.mono[i + 1:]
+                raw.append((t.coef, t.atoms, replaced))
+            else:
+                lowered = (t.mono[:i] + ((sym, e - 1), (bumped, 1)) + t.mono[i + 1:]) if e > 1 \
+                    else (t.mono[:i] + ((bumped, 1),) + t.mono[i + 1:])
+                raw.append((t.coef * e, t.atoms, lowered))
+        if t.atoms:
+            for j, (a, e) in enumerate(t.atoms):
+                da = expression._atom_total(theory, a)
+                if da is None:
+                    continue
+                rest_atoms = t.atoms[:j] + ((a, e - 1),) + t.atoms[j + 1:]
+                head = normalize(theory, [(t.coef * e, rest_atoms, t.mono)])
+                raw += _raw_of(_mul_bruteforce(head, da))
+    return normalize(theory, raw)
+
+
+def _param_bruteforce(expr: Expression, param) -> Expression:
+    theory = expr.theory
+    raw = []
+    for t in expr.terms:
+        for i, (sym, e) in enumerate(t.mono):
+            if sym is param:
+                rest = t.mono[:i] + ((sym, e - 1),) + t.mono[i + 1:] if e > 1 \
+                    else t.mono[:i] + t.mono[i + 1:]
+                raw.append((t.coef * e, t.atoms, rest))
+        for a, e in t.atoms:
+            if isinstance(a, PowerAtom) and a.exponent.param is param and a.exponent.slope != 0:
+                log_part = normalize(theory, [(a.exponent.slope, ((LogAtom(a.base_key), 1),), ())])
+                head = normalize(theory, [(t.coef, t.atoms, t.mono)])
+                raw += _raw_of(_mul_bruteforce(head, log_part))
+    return normalize(theory, raw)
+
+
+def _odd_derivation_bruteforce(expr: Expression, images: dict) -> Expression:
+    theory = expr.theory
+    raw = []
+    for t in expr.terms:
+        prefix_sigma = 0
+        for i, (sym, e) in enumerate(t.mono):
+            img = images.get(sym)
+            if img is not None:
+                sign = -1 if prefix_sigma % 2 else 1
+                head_mono = t.mono[:i]
+                tail_mono = (((sym, e - 1),) if e > 1 else ()) + t.mono[i + 1:]
+                head = normalize(theory, [(t.coef * e * sign, t.atoms, head_mono)])
+                tail = normalize(theory, [(Fraction(1), (), tail_mono)])
+                raw += _raw_of(_mul_bruteforce(_mul_bruteforce(head, img), tail))
+            prefix_sigma += sym.sign_degree * e
+    return normalize(theory, raw)
+
+
+def _coefficient_of_bruteforce(expr: Expression, sym) -> Expression:
+    raw = []
+    for t in expr.terms:
+        prefix = 0
+        for i, (s, e) in enumerate(t.mono):
+            if s is sym:
+                sign = -1 if prefix % 2 else 1
+                raw.append((t.coef * sign, t.atoms, t.mono[:i] + t.mono[i + 1:]))
+                break
+            prefix += s.sign_degree * e
+    return normalize(expr.theory, raw)
+
+
+_ALL_ATOMS_RAW_TERM = st.tuples(
+    _ORACLE_COEFS,
+    st.lists(st.tuples(st.integers(0, 8), st.integers(1, 2)), max_size=2),
+    st.lists(st.tuples(st.integers(0, 10), st.integers(1, 2)), max_size=4))
+
+
+def _builder(t, atoms, symbols):
+    def build(raw):
+        return normalize(t, [(c, tuple((atoms[i], e) for i, e in a),
+                              tuple((symbols[i], e) for i, e in m)) for c, a, m in raw])
+    return build
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_mul_matches_normalize_oracle(data):
+    """a * b agrees term by term, in order, with the brute-force
+    normalization of the concatenated raw pair products: odd symbols that
+    cross and square to zero, jets, repeated function and log atoms, pow
+    atoms (single-symbol bases folding into the monomial)."""
+    t, atoms, symbols = _oracle_pools()
+    build = _builder(t, atoms, symbols)
+    a = build(data.draw(st.lists(_ALL_ATOMS_RAW_TERM, max_size=5)))
+    b = build(data.draw(st.lists(_ALL_ATOMS_RAW_TERM, max_size=5)))
+    assert _terms(a * b) == _terms(_mul_bruteforce(a, b))
+    assert _terms(b * a) == _terms(_mul_bruteforce(b, a))
+    assert _terms(a * a) == _terms(_mul_bruteforce(a, a))
+
+
+def test_mul_pinned_cases():
+    t, atoms, symbols = _oracle_pools()
+    q, r, th, th1, qp = (Expression.of(t, n, j) for n, j in
+                         (("q", 0), ("r", 0), ("th", 0), ("th", 1), ("q+", 0)))
+    F, logq = Expression.func(t, "F"), log_of(q + 1)
+    root_q, root_q1 = power_of(q, Fraction(1, 2)), power_of(q + 1, Fraction(1, 2))
+    cases = [
+        (th, th, []),                                   # odd square
+        (th1 * qp, th, [th * th1 * qp]),                # th crosses two odd symbols
+        (qp * th1, th * th1, []),
+        (q * qp, th1 * r, [-(q * r * th1 * qp)]),         # one crossing
+        (F * q, F * r, None), (logq * F, logq * logq, None),
+        (root_q, root_q, [q]),                          # pow(q, 1/2)^2 folds into q
+        (q * root_q, th, [power_of(q, Fraction(3, 2)) * th]),
+        (root_q1, root_q1 * 2, [2 * q + 2]),            # compound base expands
+        (inverse_of(r) * q, r * r, [q * r]),
+    ]
+    for a, b, expected in cases:
+        prod = a * b
+        assert _terms(prod) == _terms(_mul_bruteforce(a, b))
+        if expected is not None:
+            assert prod == Expression.sum(t, expected)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_derivatives_match_bruteforce_oracles(data):
+    """partial_derivative, total_derivative, param_derivative,
+    odd_derivation and coefficient_of agree term by term with the raw-term
+    loops they replace."""
+    t, atoms, symbols = _oracle_pools()
+    build = _builder(t, atoms, symbols)
+    f = build(data.draw(st.lists(_ALL_ATOMS_RAW_TERM, max_size=5)))
+    for s in symbols:
+        assert _terms(partial_derivative(f, s)) == _terms(_partial_bruteforce(f, s)), s
+    assert _terms(total_derivative(f)) == _terms(_total_bruteforce(f))
+    tau = symbols[-1]
+    assert _terms(param_derivative(f, tau)) == _terms(_param_bruteforce(f, tau))
+    for s in symbols:
+        if s.sign_degree == 1:
+            assert _terms(f.coefficient_of(s)) == _terms(_coefficient_of_bruteforce(f, s)), s
+    keys = data.draw(st.lists(st.sampled_from(symbols[:-1]), min_size=1, max_size=3,
+                              unique=True))
+    images = {s: build(data.draw(st.lists(_ALL_ATOMS_RAW_TERM, max_size=3))) for s in keys}
+    assert _terms(odd_derivation(f, images)) == \
+        _terms(_odd_derivation_bruteforce(f, images))
+
+
+def test_total_derivative_bump_meets_next_jet():
+    t, _, _ = _oracle_pools()
+    E = lambda n, j=0: Expression.of(t, n, j)  # noqa: E731
+    F = Expression.func(t, "F")
+    cases = [
+        # even: the bumped jet adds to the next jet already present
+        (E("q") * E("q", 1), E("q", 1) * E("q", 1) + E("q") * E("q", 2)),
+        (E("q") ** 2 * E("q", 1) ** 2 * F,
+         2 * E("q") * E("q", 1) ** 3 * F + 2 * E("q") ** 2 * E("q", 1) * E("q", 2) * F
+         + E("q") ** 2 * E("q", 1) ** 3 * Expression.func(t, "F", ["q"])
+         + E("q") ** 2 * E("q", 1) ** 2 * E("r", 1) * Expression.func(t, "F", ["r"])),
+        # odd: the bumped jet meets itself and the term vanishes
+        (E("th") * E("th", 1), E("th") * E("th", 2)),
+        (E("q+") * E("q+", 1) * E("th+"),
+         E("q+") * E("q+", 2) * E("th+") + E("q+") * E("q+", 1) * E("th+", 1)),
+    ]
+    for f, expected in cases:
+        d = total_derivative(f)
+        assert _terms(d) == _terms(_total_bruteforce(f))
+        assert d == expected
+
+
+def test_products_and_derivatives_never_renormalize(monkeypatch):
+    """Pow-free products and the derivatives built from canonical terms
+    (partial, parametric, odd derivations, coefficient_of) make no
+    `_normalize_term` call."""
+    t, atoms, symbols = _oracle_pools()
+    build = _builder(t, atoms, symbols)
+    rng = random.Random(7)
+
+    def sample(atom_pool):
+        return build([(rng.choice([1, -1, 2, Fraction(1, 3)]),
+                       [(rng.choice(atom_pool), rng.randint(1, 2))
+                        for _ in range(rng.randint(0, 2))],
+                       [(rng.randrange(len(symbols)), rng.randint(1, 2))
+                        for _ in range(rng.randint(0, 4))])
+                      for _ in range(rng.randint(1, 5))])
+
+    func_only = [0, 1, 2]            # function descendants
+    pow_free = func_only + [3]       # and log(q + 1)
+    factors = [sample(pow_free) for _ in range(60)]
+    fs = [sample(func_only) for _ in range(60)]
+    odd = [s for s in symbols if s.sign_degree == 1]
+    images = {odd[0]: fs[0], symbols[0]: fs[1], odd[-1]: fs[2]}
+    calls = []
+    real = expression._normalize_term
+    monkeypatch.setattr(expression, "_normalize_term",
+                        lambda *args: calls.append(1) or real(*args))
+    products = [a * b for a, b in zip(factors, factors[1:])]
+    partials = [partial_derivative(f, s) for f in fs for s in symbols]
+    params = [param_derivative(f, symbols[-1]) for f in fs]
+    derivations = [odd_derivation(f, images) for f in fs]
+    coefficients = [f.coefficient_of(s) for f in fs for s in odd]
+    assert len(calls) == 0
+    monkeypatch.undo()
+    # not vacuous: every operation produced terms
+    for results in (products, partials, params, derivations, coefficients):
+        assert sum(len(r.terms) for r in results) > 20
+    assert [_terms(p) for p in products] == \
+        [_terms(_mul_bruteforce(a, b)) for a, b in zip(factors, factors[1:])]
+    assert [_terms(d) for d in partials] == \
+        [_terms(_partial_bruteforce(f, s)) for f in fs for s in symbols]
+    assert [_terms(d) for d in params] == \
+        [_terms(_param_bruteforce(f, symbols[-1])) for f in fs]
+    assert [_terms(d) for d in derivations] == \
+        [_terms(_odd_derivation_bruteforce(f, images)) for f in fs]
+    assert [_terms(d) for d in coefficients] == \
+        [_terms(_coefficient_of_bruteforce(f, s)) for f in fs for s in odd]
