@@ -10,9 +10,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .expression import (Expression, embed, is_zero, log_of,
+from .expression import (Expression, embed, is_zero, jet_gradient, log_of,
                          partial_derivative)
-from .curved import (BElement, CurvedContext, USeries, du, embed_u,
+from .curved import (BElement, CurvedContext, USeries, d_element, du, embed_u,
                      gauge_flow_closed, gauge_flow_series, iota, iota_series,
                      mc_check, u_bracket)
 from .symbols import Theory, TheoryError, antifield_name
@@ -120,40 +120,26 @@ class TargetChart:
 
     def _bracket_with(self, pi: list[list[Expression]], f: Expression,
                       g: Expression) -> Expression:
+        """{f, g} = (-1)^{(pa(f)+pa(a))pa(b)} pi^{ab} d_a f d_b g for the
+        bivector pi; each operand is differentiated once per call."""
+        dg = jet_gradient(g)
         pieces: list[Expression] = []
         for sf, fp in f.sigma_parts():
+            df = jet_gradient(fp)
             for a, fa in enumerate(self.fields):
-                da = partial_derivative(fp, fa)
-                if da.is_structural_zero():
+                da = df.get(fa)
+                if da is None:
                     continue
                 for b, fb in enumerate(self.fields):
-                    if pi[a][b].is_structural_zero():
-                        continue
-                    db = partial_derivative(g, fb)
-                    if db.is_structural_zero():
+                    db = dg.get(fb)
+                    if db is None or pi[a][b].is_structural_zero():
                         continue
                     sign = -1 if ((sf + fa.parity) * fb.parity) % 2 else 1
                     pieces.append((pi[a][b] * da * db) * sign)
         return Expression.sum(self.theory, pieces)
 
     def poisson_bracket(self, f: Expression, g: Expression) -> Expression:
-        """{f, g} = (-1)^{(pa(f)+pa(a))pa(b)} pi^{ab} d_a f d_b g."""
-        pi = self.poisson_tensor()
-        pieces: list[Expression] = []
-        for sf, fp in f.sigma_parts():
-            for a, fa in enumerate(self.fields):
-                da = partial_derivative(fp, fa)
-                if da.is_structural_zero():
-                    continue
-                for b, fb in enumerate(self.fields):
-                    if pi[a][b].is_structural_zero():
-                        continue
-                    db = partial_derivative(g, fb)
-                    if db.is_structural_zero():
-                        continue
-                    sign = -1 if ((sf + fa.parity) * fb.parity) % 2 else 1
-                    pieces.append((pi[a][b] * da * db) * sign)
-        return Expression.sum(self.theory, pieces)
+        return self._bracket_with(self.poisson_tensor(), f, g)
 
 
 def build_covariant_theory(chart: TargetChart, check: bool = True) -> USeries:
@@ -321,7 +307,7 @@ def couple_gravity(S: USeries, chart: TargetChart,
 
     # Eq (c): d_u(cS_1) + [S_u, cS_1] = c(D + iota S_u), D over matter fields
     lhs_c = du(y2) + u_bracket(Sp, y2)
-    D = USeries.of(BElement.of_body(_matter_d(prod, exclude=("b", "c"))))
+    D = USeries.of(BElement.of_body(d_element(prod, exclude=("b", "c"))))
     rhs_c = (D + iota_series(Sp)).scale(c)
     eq_c_ok = (lhs_c - rhs_c).is_zero()
     # Eq (cc): [that, cS_1] = 2 c dc S_1
@@ -355,10 +341,3 @@ def couple_gravity(S: USeries, chart: TargetChart,
     return GravityCouplingReport(prod, start, after_log, bool(cert), eq_c_ok,
                                  eq_cc_ok, tau_family, family_ok, endpoint,
                                  endpoint_ok, mc_ok)
-
-
-def _matter_d(theory: Theory, exclude: tuple = ()) -> Expression:
-    """D = xi+_a d(xi^a) over the fields not in `exclude`."""
-    return Expression.sum(theory, (
-        Expression.symbol(theory, anti) * Expression.symbol(theory, theory.jet(fld.name, 1))
-        for fld, anti in theory.field_pairs() if fld.name not in exclude))

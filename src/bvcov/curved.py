@@ -20,7 +20,8 @@ from .expression import (Expression, apply_substitution, inverse_of, is_zero,
                          param_derivative, power_of, substitute_param,
                          total_derivative)
 from .symbols import EVEN, GradedSymbol, Kind, Theory, TheoryError
-from .varcalc import (EvolutionaryVectorField, is_total_derivative, soloviev)
+from .varcalc import (EvolutionaryVectorField, JetTable, _sigma_tables, _soloviev_into,
+                      is_total_derivative, soloviev)
 
 
 def _strip_eps_constant(e: Expression) -> Expression:
@@ -155,12 +156,33 @@ def b_bracket(a: BElement, b: BElement) -> BElement:
     """The Soloviev antibracket extended to the resolution: the three-term
     formula with the displayed signs (normative; Leibniz is a property
     test, not an assumption)."""
-    body = soloviev(a.body, b.body)
-    eps = soloviev(a.body, b.eps)
-    if not a.eps.is_structural_zero() and not b.body.is_structural_zero():
-        for sf1, part in b.body.sigma_parts():
-            eps = eps + soloviev(a.eps, part) * (-1 if (sf1 + 1) % 2 else 1)
-    return BElement(a.theory, body, eps)
+    if b.theory is not a.theory:
+        raise TheoryError("mixed theory contexts")
+    body: list[Expression] = []
+    eps: list[Expression] = []
+    _b_bracket_into(body, eps, a.theory, _b_tables(a), _b_tables(b))
+    return BElement(a.theory, Expression.sum(a.theory, body), Expression.sum(a.theory, eps))
+
+
+BTables = tuple[list[tuple[int, JetTable]], list[tuple[int, JetTable]]]
+
+
+def _b_tables(x: BElement) -> BTables:
+    """The jet tables of the sigma parts of x's body and of its eps part."""
+    return _sigma_tables(x.body), _sigma_tables(x.eps)
+
+
+def _b_bracket_into(body: list[Expression], eps: list[Expression], theory: Theory,
+                    a: BTables, b: BTables):
+    """Append the products of b_bracket to the body and eps piece lists:
+    (a.body, b.body) to the body; (a.body, b.eps) and, per sigma part of
+    b.body, (a.eps, part) signed to the eps part."""
+    a_body, a_eps = a
+    b_body, b_eps = b
+    _soloviev_into(body, theory, a_body, [t for _, t in b_body])
+    _soloviev_into(eps, theory, a_body, [t for _, t in b_eps])
+    for sf1, t in b_body:
+        _soloviev_into(eps, theory, a_eps, [t], -1 if (sf1 + 1) % 2 else 1)
 
 
 def antifield_counting_field(theory: Theory) -> EvolutionaryVectorField:
@@ -181,12 +203,12 @@ def iota(x: BElement) -> BElement:
         for sf, part in x.body.sigma_parts())))
 
 
-def d_element(theory: Theory) -> Expression:
+def d_element(theory: Theory, exclude: tuple = ()) -> Expression:
     """D = xi+_a d(xi^a), coordinate invariant, central in the functional
-    algebra."""
+    algebra; summed over the fields not named in `exclude`."""
     return Expression.sum(theory, (
         Expression.symbol(theory, anti) * Expression.symbol(theory, theory.jet(fld.name, 1))
-        for fld, anti in theory.field_pairs()))
+        for fld, anti in theory.field_pairs() if fld.name not in exclude))
 
 
 # -- u-series -----------------------------------------------------------------
@@ -272,16 +294,22 @@ class USeries:
 
 
 def u_bracket(a: USeries, b: USeries) -> USeries:
-    out: dict[int, BElement] = {}
-    for na, ca in a.coeffs.items():
-        for nb, cb in b.coeffs.items():
+    """The bracket of u-series, coefficient pair by coefficient pair; each
+    coefficient's jet tables are built once per call and shared by all its
+    pairs (and by both sides of [S, S])."""
+    theory = a.theory
+    if a.coeffs and b.coeffs and b.theory is not theory:
+        raise TheoryError("mixed theory contexts")
+    ta = {n: _b_tables(c) for n, c in a.coeffs.items()}
+    tb = ta if b is a else {n: _b_tables(c) for n, c in b.coeffs.items()}
+    body: dict[int, list[Expression]] = {}
+    eps: dict[int, list[Expression]] = {}
+    for na, xa in ta.items():
+        for nb, xb in tb.items():
             n = na + nb
-            v = b_bracket(ca, cb)
-            if n in out:
-                out[n] = out[n] + v
-            else:
-                out[n] = v
-    return USeries(a.theory, out)
+            _b_bracket_into(body.setdefault(n, []), eps.setdefault(n, []), theory, xa, xb)
+    return USeries(theory, {n: BElement(theory, Expression.sum(theory, body[n]),
+                                        Expression.sum(theory, eps[n])) for n in body})
 
 
 def du(x: USeries) -> USeries:

@@ -723,27 +723,52 @@ def _lower_atom(t: Term, j: int, coef) -> Term:
     return Term(coef, atoms, t.mono, (akey,) + t.key[1:])
 
 
-def _atom_derivative(theory: Theory, atom: Atom, s: GradedSymbol) -> Optional[Expression]:
-    """d(atom)/ds for a 0-jet symbol s; None when the atom does not depend
-    on s.  Atoms are even, so no Koszul bookkeeping is needed here."""
+def _atom_gradient(theory: Theory, atom: Atom) -> dict[GradedSymbol, Expression]:
+    """{s: d(atom)/ds} over the 0-jet symbols s the atom depends on, nonzero
+    entries only; memoized per theory in an append-only table.  The table is
+    keyed by the atom alone because the entries are read off the atom's own
+    argument list and base, never off the theory's field list, so a field
+    registered later cannot belong to an atom already in the table.  Atoms
+    are even, so no Koszul bookkeeping is needed here."""
+    key = atom.key()
+    grad = theory._atom_gradients.get(key)
+    if grad is not None:
+        return grad
     if isinstance(atom, FuncAtom):
-        decl = theory.function(atom.func)
-        if s.name in decl.args and s.jet_order == 0 and s.kind == Kind.FIELD_JET:
-            return _single(theory, Fraction(1), ((atom.differentiated(s.name), 1),), ())
-        return None
-    base = base_expression(theory, atom.base_key)
-    dbase = partial_derivative(base, s)
-    if dbase.is_structural_zero():
-        return None
+        grad = {theory.symbol(arg): _single(theory, Fraction(1),
+                                            ((atom.differentiated(arg), 1),), ())
+                for arg in theory.function(atom.func).args}
+    else:
+        base = base_expression(theory, atom.base_key)
+        # a base is a polynomial in 0-jets and function symbols
+        deps = {s for t in base.terms for s, _ in t.mono}
+        for t in base.terms:
+            for a, _ in t.atoms:
+                deps.update(_atom_gradient(theory, a))
+        grad = {}
+        outer = None
+        for s in sorted(deps, key=theory.sort_key):
+            dbase = partial_derivative(base, s)
+            if not dbase.is_structural_zero():
+                if outer is None:
+                    outer = _outer_derivative(theory, atom)
+                grad[s] = outer * dbase
+    theory._atom_gradients[key] = grad
+    return grad
+
+
+def _outer_derivative(theory: Theory, atom: Atom) -> Expression:
+    """The chain-rule factor of a log or pow atom: d(atom) = factor * d(base)
+    for any derivation d."""
     if isinstance(atom, LogAtom):
-        return inverse_of(base) * dbase
+        return inverse_of(base_expression(theory, atom.base_key))
     # pow(E, r): r * pow(E, r-1) * dE
     r = atom.exponent
     shifted = _from_raw(theory, [(Fraction(1), ((PowerAtom(atom.base_key, r - 1), 1),), ())])
     lin = Expression.const(theory, r.offset)
     if r.param is not None and r.slope != 0:
         lin = lin + Expression.symbol(theory, r.param) * r.slope
-    return lin * shifted * dbase
+    return lin * shifted
 
 
 def partial_derivative(expr: Expression, s: GradedSymbol) -> Expression:
@@ -761,10 +786,40 @@ def partial_derivative(expr: Expression, s: GradedSymbol) -> Expression:
             prefix += sym.sign_degree * e
         if s.jet_order == 0 and t.atoms:
             for j, (a, e) in enumerate(t.atoms):
-                da = _atom_derivative(theory, a, s)
+                da = _atom_gradient(theory, a).get(s)
                 if da is not None:
                     out += _product(theory, (_lower_atom(t, j, t.coef * e),), da.terms)
     return Expression(theory, _merge_runs(out))
+
+
+def jet_gradient(expr: Expression) -> dict[GradedSymbol, Expression]:
+    """{s: partial_derivative(expr, s)} for every field or antifield jet s
+    with a nonzero partial, in one pass over the terms: each occurrence of a
+    jet symbol is lowered in place with the same Koszul prefix sign, and each
+    atom contributes through its memoized 0-jet gradient."""
+    theory = expr.theory
+    acc: dict[GradedSymbol, list[Term]] = {}
+    for t in expr.terms:
+        prefix = 0
+        for i, (sym, e) in enumerate(t.mono):
+            sd = sym.sign_degree
+            if sym.kind in (Kind.FIELD_JET, Kind.ANTIFIELD_JET):
+                coef = -t.coef if sd == 1 and prefix % 2 else t.coef * e
+                acc.setdefault(sym, []).append(_lower_symbol(t, i, coef))
+            prefix += sd * e
+        for j, (a, e) in enumerate(t.atoms):
+            head = None
+            for s, da in _atom_gradient(theory, a).items():
+                if s.kind in (Kind.FIELD_JET, Kind.ANTIFIELD_JET):
+                    if head is None:
+                        head = (_lower_atom(t, j, t.coef * e),)
+                    acc.setdefault(s, []).extend(_product(theory, head, da.terms))
+    out: dict[GradedSymbol, Expression] = {}
+    for s, ts in acc.items():
+        merged = _merge_runs(ts)
+        if merged:
+            out[s] = Expression(theory, merged)
+    return out
 
 
 def jet_partial(expr: Expression, s: GradedSymbol) -> Expression:
@@ -810,18 +865,10 @@ def _atom_total(theory: Theory, atom: Atom) -> Optional[Expression]:
             Expression.func(theory, atom.func, atom.deriv + (arg,))
             * Expression.symbol(theory, theory.jet(arg, 1)) for arg in decl.args))
         return None if out.is_structural_zero() else out
-    base = base_expression(theory, atom.base_key)
-    dbase = total_derivative(base)
+    dbase = total_derivative(base_expression(theory, atom.base_key))
     if dbase.is_structural_zero():
         return None
-    if isinstance(atom, LogAtom):
-        return inverse_of(base) * dbase
-    r = atom.exponent
-    shifted = _from_raw(theory, [(Fraction(1), ((PowerAtom(atom.base_key, r - 1), 1),), ())])
-    lin = Expression.const(theory, r.offset)
-    if r.param is not None and r.slope != 0:
-        lin = lin + Expression.symbol(theory, r.param) * r.slope
-    return lin * shifted * dbase
+    return _outer_derivative(theory, atom) * dbase
 
 
 def iterated_total(expr: Expression, k: int) -> Expression:

@@ -18,7 +18,7 @@ from .curved import (BElement, CanonicalSubstitution, CurvedContext, USeries,
                      antifield_rank, d_element, embed_u, gauge_flow_closed,
                      gauge_flow_series, iota, mc_check, u_bracket)
 from .aksz import (TargetChart, build_covariant_theory, twist, x_u_series,
-                   xi_u_series, _matter_d)
+                   xi_u_series)
 from .symbols import Theory, TheoryError, product_theory
 
 
@@ -500,7 +500,7 @@ def couple_with_potential(model: ModelSpec) -> PotentialCouplingReport:
     T2 = cert.endpoint
     S1 = S.coeff(1)
     T3 = gauge_flow_series(T2, USeries.of(S1.scale(c))).at(1)
-    D = _matter_d(prod, exclude=("b", "c"))
+    D = d_element(prod, exclude=("b", "c"))
     grav = c * (bp * Expression.of(prod, "b", 1) + cp * Expression.of(prod, "c", 1))
     S0 = S.coeff(0)
     expected = USeries.of(S0) \

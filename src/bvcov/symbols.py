@@ -10,7 +10,7 @@ it is part of the external contract (golden files depend on it).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 
@@ -47,12 +47,13 @@ class GradedSymbol:
     jet_order: int = 0
     base: str = ""          # base field name for jet symbols
     chart: str = ""
+    # Koszul degree: parity + form degree mod 2, stored once at construction
+    # (the sign loops read it on every factor).  Ghost number never enters
+    # sign rules.
+    sign_degree: int = field(init=False)
 
-    @property
-    def sign_degree(self) -> int:
-        """Koszul degree: parity + form degree mod 2.  Ghost number never
-        enters sign rules."""
-        return (self.parity + self.form_degree) % 2
+    def __post_init__(self):
+        object.__setattr__(self, "sign_degree", (self.parity + self.form_degree) % 2)
 
     def __repr__(self) -> str:
         return f"<{self.name}>"
@@ -100,6 +101,7 @@ class Theory:
         self._next_rank = 0
         self._sort_keys: dict[GradedSymbol, tuple] = {}   # append-only, like the ranks
         self._units: dict[GradedSymbol, object] = {}      # symbol -> its Expression, append-only
+        self._atom_gradients: dict[tuple, dict] = {}      # atom key -> {symbol: d atom/d symbol}, append-only
         self.relations: dict = {}                   # atom key -> Expression, set by models
         self.relations_enabled = False
         self._eps: Optional[GradedSymbol] = None

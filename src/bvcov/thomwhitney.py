@@ -18,7 +18,8 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from .expression import Expression, embed, is_zero, odd_derivation
-from .curved import (BElement, CanonicalSubstitution, USeries, du, u_bracket)
+from .curved import (BElement, CanonicalSubstitution, USeries, d_element, du,
+                     u_bracket)
 from .symbols import GradedSymbol, Theory, TheoryError
 
 Tuple = tuple[str, ...]
@@ -336,14 +337,8 @@ def tw_curvature(nerve: CoverNerve) -> TWElement:
     out = {}
     for T in nerve.tuples():
         theory = nerve.simplex_theory(T, len(T) - 1)
-        out[T] = USeries.of(BElement.of_body(d_element_matter(theory)), 1)
+        out[T] = USeries.of(BElement.of_body(d_element(theory)), 1)
     return TWElement(nerve, out)
-
-
-def d_element_matter(theory: Theory) -> Expression:
-    return Expression.sum(theory, (
-        Expression.symbol(theory, anti) * Expression.symbol(theory, theory.jet(fld.name, 1))
-        for fld, anti in theory.field_pairs()))
 
 
 def whitney_commutes(c: CechCochain) -> TWElement:

@@ -16,7 +16,7 @@ from math import comb
 from typing import Optional
 
 from .expression import (Expression, equal, is_zero, iterated_total,
-                         jet_partial, total_derivative)
+                         jet_gradient, jet_partial, total_derivative)
 from .symbols import GradedSymbol, Kind, Theory, TheoryError, antifield_name
 
 
@@ -121,47 +121,71 @@ def variational_derivative(expr: Expression, base_name: str) -> Expression:
 # -- Soloviev and BV antibrackets ---------------------------------------------
 
 
+# The bracket kernel differentiates each operand once.  A jet table holds an
+# operand's nonzero jet partials grouped by base, base -> {jet order k:
+# [d/d(b_k), D d/d(b_k), D^2 d/d(b_k), ...]}, each list of total derivatives
+# extended on demand by `_nth_total`.  Tables are built per bracket call and
+# dropped with it; `u_bracket` builds one per coefficient part and shares it
+# across all the coefficient pairs of the call.
+
+JetTable = dict[str, dict[int, list[Expression]]]
+
+
+def _jet_table(e: Expression) -> JetTable:
+    table: JetTable = {}
+    for s, d in jet_gradient(e).items():
+        table.setdefault(s.base, {})[s.jet_order] = [d]
+    return table
+
+
+def _sigma_tables(e: Expression) -> list[tuple[int, JetTable]]:
+    """The jet tables of e's sigma parts, as left bracket operands."""
+    return [(sf, _jet_table(part)) for sf, part in e.sigma_parts()]
+
+
+def _nth_total(chain: list[Expression], n: int) -> Expression:
+    while len(chain) <= n:
+        chain.append(total_derivative(chain[-1]))
+    return chain[n]
+
+
+def _soloviev_into(pieces: list[Expression], theory: Theory,
+                   f_parts: list[tuple[int, JetTable]], g_tables: list[JetTable],
+                   sign: int = 1):
+    """Append the products of sign * soloviev(f, g) to `pieces`: f given by
+    the tables of its sigma parts, g by the tables of parts summing to g.
+    For each paired index, the (field, antifield) half pairs the field
+    partials of f with the antifield partials of g, and the mirror half the
+    other way round: D^l(df/db_k) * D^k(dg/db'_l) for every k and l."""
+    pairs = theory.field_pairs()
+    for sf, ft in f_parts:
+        for field, anti in pairs:
+            pref = sign * (-1 if ((sf + 1) * field.parity) % 2 else 1)
+            mirror = pref * (-1 if sf % 2 else 1)
+            for left, right, sgn in ((field.base, anti.base, pref),
+                                     (anti.base, field.base, mirror)):
+                f_col = ft.get(left)
+                if f_col is None:
+                    continue
+                for gt in g_tables:
+                    g_col = gt.get(right)
+                    if g_col is None:
+                        continue
+                    for k, f_chain in f_col.items():
+                        for ell, g_chain in g_col.items():
+                            p = _nth_total(f_chain, ell) * _nth_total(g_chain, k)
+                            pieces.append(p if sgn == 1 else -p)
+
+
 def soloviev(f: Expression, g: Expression) -> Expression:
-    """The Soloviev antibracket, the displayed double sum verbatim; the
-    global sign is applied per paired index."""
+    """The Soloviev antibracket: the double sum over jet orders k, l of
+    D^l(df/d(xi^a)_k) D^k(dg/d(xi+_a)_l) and its mirror, with the global
+    sign applied per paired index."""
     theory = f.theory
     if g.theory is not theory:
         raise TheoryError("mixed theory contexts")
     pieces: list[Expression] = []
-    for sf, fp in f.sigma_parts():
-        for field, anti in theory.field_pairs():
-            pref = -1 if ((sf + 1) * field.parity) % 2 else 1
-            mirror = pref * (-1 if sf % 2 else 1)
-            # field-derivatives of f against antifield-derivatives of g
-            kmax = fp.max_jet(field.base)
-            for k in range(kmax + 1):
-                dfk = jet_partial(fp, theory.jet(field.base, k))
-                if dfk.is_structural_zero():
-                    continue
-                lmax = g.max_jet(anti.base)
-                dl = dfk
-                for ell in range(lmax + 1):
-                    if ell > 0:
-                        dl = total_derivative(dl)
-                    dgl = jet_partial(g, theory.jet(anti.base, ell))
-                    if dgl.is_structural_zero():
-                        continue
-                    pieces.append((dl * iterated_total(dgl, k)) * pref)
-            # antifield-derivatives of f against field-derivatives of g
-            kmax = fp.max_jet(anti.base)
-            for k in range(kmax + 1):
-                dfk = jet_partial(fp, theory.jet(anti.base, k))
-                if dfk.is_structural_zero():
-                    continue
-                lmax = g.max_jet(field.base)
-                dl = dfk
-                for ell in range(lmax + 1):
-                    if ell > 0:
-                        dl = total_derivative(dl)
-                    dgl = jet_partial(g, theory.jet(field.base, ell))
-                    if dgl.is_structural_zero():
-                        continue
-                    pieces.append((dl * iterated_total(dgl, k)) * mirror)
+    _soloviev_into(pieces, theory, _sigma_tables(f), [_jet_table(g)])
     return Expression.sum(theory, pieces)
 
 

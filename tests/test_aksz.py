@@ -9,7 +9,7 @@ from bvcov.curved import (BElement, CurvedContext, USeries, antifield_rank,
                           iota, mc_check, u_bracket)
 from bvcov.aksz import (SymplecticError, TargetChart, TwistObstruction,
                         build_covariant_theory, couple_gravity, twist,
-                        x_u_series, xi_u_series, _matter_d)
+                        x_u_series, xi_u_series)
 from bvcov.models import (apply_relations, bc_system, betagamma_system,
                           build_model, couple_with_potential,
                           curved_spinning_particle, flat_particle,

@@ -51,6 +51,30 @@ def test_mul_association_with_atoms(E, particle_theory):
     assert (p * dx) * e == p * (dx * e) == e * (p * dx)
 
 
+def test_sign_degree_is_parity_plus_form_degree():
+    """The Koszul degree stored at construction is (parity + form degree)
+    mod 2 for every kind, parity and form degree, and for every symbol a
+    theory registers."""
+    from bvcov.symbols import GradedSymbol
+    for kind in Kind:
+        for parity in (0, 1):
+            for form in (0, 1, 2):
+                s = GradedSymbol("s", kind, 0, parity, form_degree=form)
+                assert s.sign_degree == (parity + form) % 2
+    t = Theory("kinds")
+    t.add_field("x", 0, 0)
+    t.add_field("c", 1, 1)
+    t.add_flow_param("tau")
+    t.add_one_form("dt")
+    t.add_simplex_coordinate("t0")
+    syms = [t.symbol(n) for n in ("x", "x+", "c", "c+", "tau", "dt", "t0")]
+    syms += [t.jet("c", 2), t.jet("x+", 1), t.epsilon, t.u]
+    assert {s.kind for s in syms} == set(Kind) - {Kind.FUNCTION}
+    for s in syms:
+        assert s.sign_degree == (s.parity + s.form_degree) % 2, s
+    assert [s.sign_degree for s in syms] == [0, 1, 1, 0, 0, 1, 0, 1, 1, 1, 0]
+
+
 def test_unregistered_symbol_errors(particle_theory):
     with pytest.raises(SymbolUnknownError):
         Expression.of(particle_theory, "nope")
@@ -310,6 +334,28 @@ def _mul_bruteforce(a: Expression, b: Expression) -> Expression:
                                 for t1 in a.terms for t2 in b.terms])
 
 
+def _atom_derivative_bruteforce(theory, atom, s):
+    """d(atom)/ds by the chain rule written out, without the engine's
+    memoized atom gradients; None when the atom does not depend on s."""
+    if isinstance(atom, FuncAtom):
+        if s.kind == Kind.FIELD_JET and s.jet_order == 0 \
+                and s.name in theory.function(atom.func).args:
+            return normalize(theory, [(1, ((atom.differentiated(s.name), 1),), ())])
+        return None
+    base = expression.base_expression(theory, atom.base_key)
+    dbase = _partial_bruteforce(base, s)
+    if dbase.is_structural_zero():
+        return None
+    if isinstance(atom, LogAtom):
+        return inverse_of(base) * dbase
+    r = atom.exponent
+    shifted = normalize(theory, [(1, ((PowerAtom(atom.base_key, r - 1), 1),), ())])
+    lin = Expression.const(theory, r.offset)
+    if r.param is not None and r.slope != 0:
+        lin = lin + Expression.symbol(theory, r.param) * r.slope
+    return lin * shifted * dbase
+
+
 def _partial_bruteforce(expr: Expression, s) -> Expression:
     theory = expr.theory
     raw = []
@@ -328,7 +374,7 @@ def _partial_bruteforce(expr: Expression, s) -> Expression:
             prefix += sym.sign_degree * e
         if s.jet_order == 0 and t.atoms:
             for j, (a, e) in enumerate(t.atoms):
-                da = expression._atom_derivative(theory, a, s)
+                da = _atom_derivative_bruteforce(theory, a, s)
                 if da is None:
                     continue
                 rest_atoms = t.atoms[:j] + ((a, e - 1),) + t.atoms[j + 1:]
@@ -486,6 +532,25 @@ def test_derivatives_match_bruteforce_oracles(data):
     images = {s: build(data.draw(st.lists(_ALL_ATOMS_RAW_TERM, max_size=3))) for s in keys}
     assert _terms(odd_derivation(f, images)) == \
         _terms(_odd_derivation_bruteforce(f, images))
+
+
+def test_atom_gradients_match_chain_rule():
+    """Each memoized atom gradient holds exactly the nonzero derivatives the
+    chain rule gives, for every symbol of the pool; also for bases holding a
+    function symbol, which depend on its arguments."""
+    t, atoms, symbols = _oracle_pools()
+    F, q = Expression.func(t, "F"), Expression.of(t, "q")
+    for e in (log_of(F + 1), power_of(F * q + 2, Fraction(1, 3))):
+        (atom, _), = e.terms[0].atoms
+        atoms.append(atom)
+    for a in atoms:
+        grad = expression._atom_gradient(t, a)
+        for s in symbols:
+            want = _atom_derivative_bruteforce(t, a, s)
+            assert (s in grad) == (want is not None), (a, s)
+            if want is not None:
+                assert _terms(grad[s]) == _terms(want), (a, s)
+        assert expression._atom_gradient(t, a) is grad
 
 
 def test_total_derivative_bump_meets_next_jet():

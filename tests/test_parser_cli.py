@@ -1,3 +1,4 @@
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -169,6 +170,23 @@ def test_cli_deterministic_output(tmp_path):
         r = subprocess.run([sys.executable, "-c", script],
                            capture_output=True, text=True)
         assert r.returncode == 0
+        outs.add(r.stdout)
+    assert len(outs) == 1
+
+
+def test_cli_output_independent_of_hash_seed():
+    """The bracket kernel keys its jet tables by identity-hashed symbols;
+    the report must not depend on the hash seed."""
+    script = ("import sys; from bvcov.cli import main; sys.exit(main(["
+              "'spinning', '--model', 'flat-spinning-particle', '--dim', '2']))")
+    src = str(THEORIES.parent / "src")
+    outs = set()
+    for seed in ("0", "12345"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        r = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                           text=True, env=env)
+        assert r.returncode == 0, r.stderr
         outs.add(r.stdout)
     assert len(outs) == 1
 

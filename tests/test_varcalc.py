@@ -2,9 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from bvcov.coefficients import FuncAtom
+from bvcov.curved import BElement, USeries, b_bracket, u_bracket
 from bvcov.symbols import Theory, TheoryError
-from bvcov.expression import Expression, is_zero, total_derivative, iterated_total
+from bvcov.expression import (Expression, inverse_of, is_zero, iterated_total,
+                              jet_gradient, jet_partial, log_of, normalize,
+                              partial_derivative, power_of, total_derivative)
 from bvcov.varcalc import (EtaleMap, EvolutionaryVectorField, RescalingError,
                            ad_apply, ad_expansion, bv_antibracket, euler,
                            functional_equal, hamiltonian_vf,
@@ -289,3 +294,224 @@ def test_etale_rejects_singular_jacobian(etale_pair):
     with pytest.raises(TheoryError):
         EtaleMap(src, tgt, {"X": Expression.of(src, "x_1"),
                             "P": Expression.of(src, "x_1")})
+
+
+# -- the bracket kernel against the double sum it replaces -------------------
+#
+# `_soloviev_bruteforce` is the Soloviev loop the engine ran before it
+# differentiated each operand once into jet tables, unchanged: per sigma
+# part, paired index and jet order it takes the partials again and
+# re-derives their total derivatives.  `_b_bracket_bruteforce` and `_u_bracket_bruteforce` compose it
+# as `b_bracket` and `u_bracket` did.
+
+
+def _soloviev_bruteforce(f: Expression, g: Expression) -> Expression:
+    theory = f.theory
+    pieces = []
+    for sf, fp in f.sigma_parts():
+        for field, anti in theory.field_pairs():
+            pref = -1 if ((sf + 1) * field.parity) % 2 else 1
+            mirror = pref * (-1 if sf % 2 else 1)
+            # field-derivatives of f against antifield-derivatives of g
+            kmax = fp.max_jet(field.base)
+            for k in range(kmax + 1):
+                dfk = jet_partial(fp, theory.jet(field.base, k))
+                if dfk.is_structural_zero():
+                    continue
+                lmax = g.max_jet(anti.base)
+                dl = dfk
+                for ell in range(lmax + 1):
+                    if ell > 0:
+                        dl = total_derivative(dl)
+                    dgl = jet_partial(g, theory.jet(anti.base, ell))
+                    if dgl.is_structural_zero():
+                        continue
+                    pieces.append((dl * iterated_total(dgl, k)) * pref)
+            # antifield-derivatives of f against field-derivatives of g
+            kmax = fp.max_jet(anti.base)
+            for k in range(kmax + 1):
+                dfk = jet_partial(fp, theory.jet(anti.base, k))
+                if dfk.is_structural_zero():
+                    continue
+                lmax = g.max_jet(field.base)
+                dl = dfk
+                for ell in range(lmax + 1):
+                    if ell > 0:
+                        dl = total_derivative(dl)
+                    dgl = jet_partial(g, theory.jet(field.base, ell))
+                    if dgl.is_structural_zero():
+                        continue
+                    pieces.append((dl * iterated_total(dgl, k)) * mirror)
+    return Expression.sum(theory, pieces)
+
+
+def _b_bracket_bruteforce(a: BElement, b: BElement) -> BElement:
+    body = _soloviev_bruteforce(a.body, b.body)
+    eps = _soloviev_bruteforce(a.body, b.eps)
+    for sf1, part in b.body.sigma_parts():
+        eps = eps + _soloviev_bruteforce(a.eps, part) * (-1 if (sf1 + 1) % 2 else 1)
+    return BElement(a.theory, body, eps)
+
+
+def _u_bracket_bruteforce(a: USeries, b: USeries) -> USeries:
+    out = {}
+    for na, ca in a.coeffs.items():
+        for nb, cb in b.coeffs.items():
+            v = _b_bracket_bruteforce(ca, cb)
+            out[na + nb] = out[na + nb] + v if na + nb in out else v
+    return USeries(a.theory, out)
+
+
+def _bracket_pools():
+    """A theory with even and odd fields and a function symbol; its jets up
+    to order 2, a flow parameter (a scalar to the bracket), and atoms:
+    function descendants, log, rational pow, inverse of a compound base, a
+    pow of a single symbol, which folds into the monomial, and the log of a
+    base holding the function symbol."""
+    t = Theory("kernel")
+    t.add_field("q", 0, 0)
+    t.add_field("r", 0, 0)
+    t.add_field("th", 1, 1)
+    t.add_function("F", ["q", "r"])
+    tau = t.add_flow_param("tau")
+    q, r = Expression.of(t, "q"), Expression.of(t, "r")
+    atoms = [FuncAtom("F"), FuncAtom("F", ("q",)), FuncAtom("F", ("q", "r"))]
+    for e in (log_of(q + 1), power_of(q + 1, Fraction(1, 2)), inverse_of(q - r),
+              power_of(q, Fraction(1, 2)), log_of(Expression.func(t, "F") + 1)):
+        (atom, _), = e.terms[0].atoms
+        atoms.append(atom)
+    jets = [t.symbol(n, j) for j in (0, 1, 2) for n in ("q", "q+", "r", "r+", "th", "th+")]
+    return t, atoms, jets + [tau]
+
+
+_KERNEL_RAW_TERM = st.tuples(
+    st.sampled_from([1, -1, 2, Fraction(1, 2), Fraction(-2, 3)]),
+    st.lists(st.tuples(st.integers(0, 7), st.integers(1, 2)), max_size=1),
+    st.lists(st.tuples(st.integers(0, 18), st.integers(1, 2)), min_size=1, max_size=3))
+
+
+def _kernel_builder(t, atoms, symbols):
+    def build(raw):
+        return normalize(t, [(c, tuple((atoms[i], e) for i, e in a),
+                              tuple((symbols[i], e) for i, e in m)) for c, a, m in raw])
+    return build
+
+
+def _terms(e: Expression) -> list:
+    return [(x.coef, x.atoms, x.mono, x.key) for x in e.terms]
+
+
+def _u_terms(x: USeries) -> list:
+    return [(n, _terms(c.body), _terms(c.eps)) for n, c in sorted(x.coeffs.items())]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_soloviev_matches_bruteforce(data):
+    """soloviev agrees term by term, in order, with the double sum: odd
+    symbols, jets up to order 2, inhomogeneous operands (both sigma parts),
+    function, log and pow atoms, and an empty right operand."""
+    t, atoms, symbols = _bracket_pools()
+    build = _kernel_builder(t, atoms, symbols)
+    f = build(data.draw(st.lists(_KERNEL_RAW_TERM, min_size=1, max_size=5)))
+    g = build(data.draw(st.lists(_KERNEL_RAW_TERM, min_size=1, max_size=5)))
+    for a, b in ((f, g), (g, f), (f + g, f + g)):
+        assert _terms(soloviev(a, b)) == _terms(_soloviev_bruteforce(a, b))
+    empty = Expression.zero(t)
+    assert soloviev(f, empty).is_structural_zero()
+    assert soloviev(empty, f).is_structural_zero()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_b_and_u_bracket_match_bruteforce(data):
+    """b_bracket and u_bracket, with every coefficient differentiated once
+    per call, agree term by term with their compositions from the double
+    sum; also [S, S], where both sides share one set of tables."""
+    t, atoms, symbols = _bracket_pools()
+    build = _kernel_builder(t, atoms, symbols)
+    terms = st.lists(_KERNEL_RAW_TERM, min_size=1, max_size=3)
+
+    def element():
+        return BElement(t, build(data.draw(terms)), build(data.draw(terms)))
+
+    a, b = element(), element()
+    for x, y in ((a, b), (a + b, a + b)):
+        got, want = b_bracket(x, y), _b_bracket_bruteforce(x, y)
+        assert (_terms(got.body), _terms(got.eps)) == (_terms(want.body), _terms(want.eps))
+    powers = st.lists(st.integers(0, 3), min_size=1, max_size=3, unique=True)
+    x = USeries(t, {n: element() for n in data.draw(powers)})
+    y = USeries(t, {n: element() for n in data.draw(powers)})
+    assert _u_terms(u_bracket(x, y)) == _u_terms(_u_bracket_bruteforce(x, y))
+    s = x + y
+    assert _u_terms(u_bracket(s, s)) == _u_terms(_u_bracket_bruteforce(s, s))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_jet_gradient_matches_partials(data):
+    """jet_gradient(e)[s] is partial_derivative(e, s) for every field and
+    antifield jet s, and s is absent exactly when that partial is zero."""
+    t, atoms, symbols = _bracket_pools()
+    build = _kernel_builder(t, atoms, symbols)
+    e = build(data.draw(st.lists(_KERNEL_RAW_TERM, max_size=5)))
+    grad = jet_gradient(e)
+    jets = [t.jet(n, j) for n in ("q", "r", "th", "q+", "r+", "th+") for j in range(4)]
+    assert set(grad) <= set(jets)
+    for s in jets:
+        d = partial_derivative(e, s)
+        if d.is_structural_zero():
+            assert s not in grad, s
+        else:
+            assert _terms(grad[s]) == _terms(d), s
+
+
+def test_atom_gradients_see_later_fields():
+    """An atom's memoized gradient is read off its own base, so a field
+    registered after the table was filled is neither missed nor invented."""
+    t = Theory("later")
+    t.add_field("q", 0, 0)
+    q = Expression.of(t, "q")
+    before = log_of(q + 1) * Expression.of(t, "q+")
+    assert set(jet_gradient(before)) == {t.symbol("q"), t.symbol("q+")}
+    t.add_field("z", 0, 0)
+    z = Expression.of(t, "z")
+    after = before * log_of(q + z) + log_of(q + 1) * z
+    grad = jet_gradient(after)
+    for name in ("q", "q+", "z", "z+"):
+        s = t.symbol(name)
+        d = partial_derivative(after, s)
+        assert (s in grad) == (not d.is_structural_zero())
+        if s in grad:
+            assert _terms(grad[s]) == _terms(d)
+    assert t.symbol("z") in grad
+
+
+def test_u_bracket_differentiates_each_coefficient_once(monkeypatch):
+    """[S, S] on a k-coefficient series takes one jet gradient per sigma part
+    of each coefficient's body and eps, not one per coefficient pair."""
+    from bvcov import varcalc
+    t, atoms, symbols = _bracket_pools()
+    build = _kernel_builder(t, atoms, symbols)
+    rng = random.Random(3)
+
+    def part():
+        return build([(rng.choice([1, -1, 2]), [], [(rng.randrange(18), 1)
+                                                     for _ in range(rng.randint(1, 3))])
+                      for _ in range(3)])
+
+    calls = []
+    real = varcalc.jet_gradient
+    monkeypatch.setattr(varcalc, "jet_gradient", lambda e: calls.append(e) or real(e))
+    for k in (2, 4, 8):
+        S = USeries(t, {n: BElement(t, part(), part()) for n in range(k)})
+        parts = sum(len(c.body.sigma_parts()) + len(c.eps.sigma_parts())
+                    for c in S.coeffs.values())
+        del calls[:]
+        u_bracket(S, S)
+        assert len(calls) == parts <= 4 * k
+        T = USeries(t, {n: BElement(t, part(), part()) for n in range(k)})
+        del calls[:]
+        u_bracket(S, T)
+        assert len(calls) == parts + sum(len(c.body.sigma_parts()) + len(c.eps.sigma_parts())
+                                         for c in T.coeffs.values())
