@@ -6,11 +6,11 @@ multiplet and the spinning-particle gauge sequence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .expression import (Expression, embed, is_zero, jet_gradient, log_of,
+from .expression import (Expression, is_zero, jet_gradient, log_of,
                          partial_derivative)
 from .curved import (BElement, CurvedContext, USeries, d_element, du, embed_u,
                      gauge_flow_closed, gauge_flow_series, iota, iota_series,

@@ -15,7 +15,7 @@ from .curved import (CurvedContext, FlowClosureError, TruncatedFlowError,
                      flow_substitution, mc_check, verify_flow_endpoint)
 from .expression import Expression, is_zero, substitute_param
 from .models import (MODEL_BUILDERS, build_model, couple_with_potential,
-                     spinning_pipeline)
+                     lichnerowicz_check, spinning_pipeline)
 from .aksz import TargetChart, build_covariant_theory, couple_gravity, twist
 from .parser import (ParseError, TheoryFile, build_cover, from_useries,
                      parse_theory_file, to_useries)
@@ -71,7 +71,6 @@ def _dispatch(args) -> int:
     sub = args.subcommand
     if sub == "build-aksz":
         model = build_model(args.model, args.dim)
-        model.theory.relations_enabled = args.relations == "on"
         print(f"model {model.name} (n={model.dim})")
         print(f"S_u = {from_useries(model.series)!r}")
         rep = mc_check(model.series, CurvedContext(model.theory))
@@ -94,7 +93,6 @@ def _dispatch(args) -> int:
         if args.model is None:
             raise TheoryError("spinning needs --model")
         model = build_model(args.model, args.dim)
-        model.theory.relations_enabled = args.relations == "on"
         rep = spinning_pipeline(model)
         for s in rep.stages:
             print(f"CHECK stage-{s.name}: {'PASS' if s.mc_ok else 'FAIL'}")
@@ -104,7 +102,6 @@ def _dispatch(args) -> int:
               f"{'PASS' if rep.physical_mc_f_ok else 'FAIL'}")
         print(f"rank = {rep.rank}")
         if args.relations == "on" and model.name == "curved-spinning-particle":
-            from .models import lichnerowicz_check
             lich = lichnerowicz_check(model)
             print(f"lichnerowicz (optional, non-gating): {lich.status}")
         return PASS if rep.ok else FAIL

@@ -10,18 +10,19 @@ eps vanish in the resolution).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Union
 
 from .coefficients import AffineExponent, LogAtom
-from .expression import (Expression, apply_substitution, inverse_of, is_zero,
-                         param_derivative, power_of, substitute_param,
-                         total_derivative)
+from .expression import (Expression, _from_raw, apply_substitution, base_expression,
+                         inverse_of, is_zero, param_derivative, power_of,
+                         substitute_param, total_derivative)
 from .symbols import EVEN, GradedSymbol, Kind, Theory, TheoryError
-from .varcalc import (EvolutionaryVectorField, JetTable, _sigma_tables, _soloviev_into,
-                      is_total_derivative, soloviev)
+from .varcalc import (EvolutionaryVectorField, JetTable, _jet_table, _sigma_tables,
+                      _soloviev_into, _soloviev_of, is_total_derivative, soloviev)
 
 
 def _strip_eps_constant(e: Expression) -> Expression:
@@ -84,7 +85,6 @@ class BElement:
                 eps_raw.append((t.coef, t.atoms, t.mono[:-1]))
             else:
                 body_terms.append(t)
-        from .expression import _from_raw
         return BElement(e.theory, Expression(e.theory, tuple(body_terms)),
                         _from_raw(e.theory, eps_raw))
 
@@ -297,11 +297,18 @@ def u_bracket(a: USeries, b: USeries) -> USeries:
     """The bracket of u-series, coefficient pair by coefficient pair; each
     coefficient's jet tables are built once per call and shared by all its
     pairs (and by both sides of [S, S])."""
-    theory = a.theory
-    if a.coeffs and b.coeffs and b.theory is not theory:
+    if a.coeffs and b.coeffs and b.theory is not a.theory:
         raise TheoryError("mixed theory contexts")
-    ta = {n: _b_tables(c) for n, c in a.coeffs.items()}
-    tb = ta if b is a else {n: _b_tables(c) for n, c in b.coeffs.items()}
+    ta = _u_tables(a)
+    return _u_bracket_of(a.theory, ta, ta if b is a else _u_tables(b))
+
+
+def _u_tables(x: USeries) -> dict[int, BTables]:
+    return {n: _b_tables(c) for n, c in x.coeffs.items()}
+
+
+def _u_bracket_of(theory: Theory, ta: dict[int, BTables], tb: dict[int, BTables]) -> USeries:
+    """u_bracket from the tables of both operands' coefficients."""
     body: dict[int, list[Expression]] = {}
     eps: dict[int, list[Expression]] = {}
     for na, xa in ta.items():
@@ -310,6 +317,12 @@ def u_bracket(a: USeries, b: USeries) -> USeries:
             _b_bracket_into(body.setdefault(n, []), eps.setdefault(n, []), theory, xa, xb)
     return USeries(theory, {n: BElement(theory, Expression.sum(theory, body[n]),
                                         Expression.sum(theory, eps[n])) for n in body})
+
+
+def _bracket_by(y: USeries, sign: int) -> Callable[[USeries], USeries]:
+    """v -> sign * [y, v], with y's tables built once for every v."""
+    ty = _u_tables(y)
+    return lambda v: _u_bracket_of(y.theory, ty, _u_tables(v)) * Fraction(sign)
 
 
 def du(x: USeries) -> USeries:
@@ -425,7 +438,8 @@ def complete_to_b(S: USeries, ctx: CurvedContext) -> USeries:
 @dataclass
 class FlowSeries:
     """x bullet tau*y as an exact tau-polynomial when the iterated brackets
-    terminate; otherwise a truncation with an explicit marker."""
+    terminate; otherwise a truncation with an explicit marker.  `at` needs
+    only sums and rational multiples, so Thom-Whitney elements use it too."""
 
     x: USeries
     y: USeries
@@ -475,18 +489,24 @@ def gauge_flow_series(x: USeries, y: USeries, max_order: int = 24,
         if g is None or g[1] != 1 or g[0] != -1 - 2 * n:
             raise TheoryError("gauge generator must be odd of ghost number -1")
     dy = du(y) if (ctx is None or ctx.mode == "B") else USeries.zero(theory)
-    w = dy + u_bracket(x, y)
-    steps: list[USeries] = []
-    exact = False
-    index = None
-    for n in range(max_order):
-        if w.is_zero():
-            exact = True
-            index = n
-            break
-        steps.append(w)
-        w = u_bracket(y, w) * Fraction(-1)
-    return FlowSeries(x, y, steps, exact, index)
+    steps, index = orbit(dy + u_bracket(x, y), _bracket_by(y, -1), max_order)
+    return FlowSeries(x, y, steps, index is not None, index)
+
+
+def orbit(start, step: Callable, cap: int, vanishes: Callable = lambda v: v.is_zero()):
+    """The one exp(ad) loop: the orbit start, step(start), step(step(start)),
+    ... examined up to its first zero and at most `cap` values.  Returns the
+    nonzero values before the zero and the index of the zero, or, when the
+    cap cuts the orbit short, the `cap` values examined and None."""
+    values = []
+    v = start
+    for n in range(cap):
+        if n:
+            v = step(v)
+        if vanishes(v):
+            return values, n
+        values.append(v)
+    return values, None
 
 
 # -- substitution flows (pullback tables) ---------------------------------------
@@ -530,20 +550,20 @@ class CanonicalSubstitution:
     def check_canonical(self) -> list[tuple[str, str]]:
         """Verify bracket preservation on all generator pairs; returns the
         offending pairs (empty when canonical)."""
-        gens = []
-        for fld, anti in self.theory.field_pairs():
-            gens.append(fld)
-            gens.append(anti)
+        gens = [g for pair in self.theory.field_pairs() for g in pair]
+        # each image is differentiated once, as a left and as a right
+        # operand, for all its partners
+        images = [self.image(g) for g in gens]
+        left = [_sigma_tables(m) for m in images]
+        right = [_jet_table(m) for m in images]
         bad = []
         for i, g1 in enumerate(gens):
             e1 = Expression.symbol(self.theory, g1)
-            m1 = self.image(g1)
-            for g2 in gens[i:]:
-                e2 = Expression.symbol(self.theory, g2)
-                lhs = soloviev(m1, self.image(g2))
-                rhs = self.apply(soloviev(e1, e2))
+            for j in range(i, len(gens)):
+                lhs = _soloviev_of(self.target, left[i], right[j])
+                rhs = self.apply(soloviev(e1, Expression.symbol(self.theory, gens[j])))
                 if not is_zero(lhs - rhs):
-                    bad.append((g1.name, g2.name))
+                    bad.append((g1.name, gens[j].name))
         return bad
 
 
@@ -580,18 +600,23 @@ def flow_substitution(theory: Theory, y: Expression, tau: GradedSymbol,
     ODE when verify is set."""
     if any(s.jet_order > 0 for s in y.symbols()):
         raise FlowClosureError("flow generator must depend on 0-jets only")
+    y_parts = _sigma_tables(y)
+
+    def step(v: Expression) -> Expression:
+        return _soloviev_of(theory, y_parts, _jet_table(v)) * direction
+
     images: dict[GradedSymbol, Expression] = {}
     for fld, anti in theory.field_pairs():
         for gen in (fld, anti):
             base = Expression.symbol(theory, gen)
-            value = _exp_ad_on(theory, y, base, tau, direction, max_iter)
+            value = _exp_ad_on(theory, step, base, tau, max_iter)
             if not is_zero(value - base):
                 images[gen] = value
     sub = CanonicalSubstitution(theory, images)
     if verify:
         for gen, val in images.items():
             lhs = param_derivative(val, tau)
-            rhs = soloviev(y, val) * direction
+            rhs = step(val)
             if not is_zero(lhs - rhs):
                 raise FlowClosureError(f"flow ODE residual nonzero on {gen.name}")
             at0 = substitute_param(val, tau, 0)
@@ -600,68 +625,57 @@ def flow_substitution(theory: Theory, y: Expression, tau: GradedSymbol,
     return sub
 
 
-def _proportionality(v1: Expression, v0: Expression):
-    """Detect v1 = q*v0 or v1 = q*log(E)*v0 by candidate-and-verify;
-    returns (q, base_key or None)."""
-    if v0.is_structural_zero() or v1.is_structural_zero():
-        return None
-    if len(v1.terms) != len(v0.terms):
-        return None
-    theory = v1.theory
-    t1 = v1.terms[0]
-    log_keys = {a.base_key for a, _ in t1.atoms if isinstance(a, LogAtom)}
-    candidates: list[tuple[Fraction, Optional[str]]] = []
-    for t0 in v0.terms:
-        if t0.mono != t1.mono or t0.coef == 0:
+def _proportionality(pairs) -> Optional[tuple[Fraction, Optional[str]]]:
+    """Detect v1 = q*v0 or v1 = q*log(E)*v0, with one factor for all the
+    (v1, v0) pairs, by candidate-and-verify; pairs with both sides zero are
+    skipped.  Returns (q, base_key or None), or None."""
+    ratio = None
+    for v1, v0 in pairs:
+        if v0.is_structural_zero() and v1.is_structural_zero():
             continue
-        q = t1.coef / t0.coef
-        candidates.append((q, None))
-        for key in log_keys:
-            candidates.append((q, key))
-    for q, key in candidates:
-        factor = Expression.const(theory, q)
-        if key is not None:
-            factor = factor * _log(theory, key)
-        if is_zero(v1 - factor * v0):
-            return (q, key)
-    return None
+        if v0.is_structural_zero() or v1.is_structural_zero() \
+                or len(v1.terms) != len(v0.terms):
+            return None
+        t1 = v1.terms[0]
+        keys = [None] + [a.base_key for a, _ in t1.atoms if isinstance(a, LogAtom)]
+        candidates = [(t1.coef / t0.coef, key)
+                      for t0 in v0.terms if t0.mono == t1.mono for key in keys]
+        this = next((c for c in candidates
+                     if is_zero(v1 - _log_factor(v1.theory, *c) * v0)), None)
+        if this is None or ratio not in (None, this):
+            return None
+        ratio = this
+    return ratio
 
 
-def _exp_ad_on(theory: Theory, y: Expression, start: Expression,
-               tau: GradedSymbol, direction: int, max_iter: int) -> Expression:
-    terms = [start]
-    v = start
-    for n in range(1, max_iter + 1):
-        v = soloviev(y, v) * direction
-        if is_zero(v):
-            tsym = Expression.symbol(theory, tau)
-            acc = Expression.const(theory, 1)
-            pieces = []
-            for k, w in enumerate(terms):
-                pieces.append(acc * w * Fraction(1, math.factorial(k)))
-                acc = acc * tsym
-            return Expression.sum(theory, pieces)
-        prop = _proportionality(v, terms[-1])
-        if prop is not None and len(terms) == 1:
-            q, base_key = prop
-            if base_key is None:
-                if q == 0:
-                    return start
-                raise FlowClosureError(
-                    "eigenvalue is a bare rational: exp(q*tau) is not exactly "
-                    "representable")
-            exp_factor = power_of(
-                _base(theory, base_key), AffineExponent(Fraction(0), q, tau))
-            return exp_factor * start
-        terms.append(v)
-    raise FlowClosureError(
-        "flow does not close polynomially or in power/log form; refusing to "
-        "truncate silently")
-
-
-def _base(theory: Theory, key: str) -> Expression:
-    from .expression import base_expression
-    return base_expression(theory, key)
+def _exp_ad_on(theory: Theory, step: Callable[[Expression], Expression],
+               start: Expression, tau: GradedSymbol, max_iter: int) -> Expression:
+    """exp(tau * step) on a generator: a power of a base when the first
+    bracket is a rational multiple of a log atom times the generator, else
+    the tau-polynomial of an orbit that vanishes within max_iter steps."""
+    first = step(start)
+    # a cap below 1 allows no bracket, so not the eigenvector either
+    prop = _proportionality([(first, start)]) if max_iter > 0 else None
+    if prop is not None:
+        q, base_key = prop
+        if base_key is None:
+            raise FlowClosureError(
+                "eigenvalue is a bare rational: exp(q*tau) is not exactly "
+                "representable")
+        exponent = AffineExponent(Fraction(0), q, tau)
+        return power_of(base_expression(theory, base_key), exponent) * start
+    rest, index = orbit(first, step, max_iter, is_zero)
+    if index is None:
+        raise FlowClosureError(
+            "flow does not close polynomially or in power/log form; refusing to "
+            "truncate silently")
+    tsym = Expression.symbol(theory, tau)
+    acc = Expression.const(theory, 1)
+    pieces = []
+    for k, w in enumerate([start] + rest):
+        pieces.append(acc * w * Fraction(1, math.factorial(k)))
+        acc = acc * tsym
+    return Expression.sum(theory, pieces)
 
 
 # -- certified flow families -----------------------------------------------------
@@ -678,22 +692,12 @@ def gauge_flow_closed(x: USeries, y: Expression, tau: GradedSymbol,
     theory = x.theory
     ys = USeries.of(BElement.of_body(y))
     sub = flow_substitution(theory, y, tau, direction=-1)
-    family = sub.apply_u(x)
     w = du(ys) if (ctx is None or ctx.mode == "B") else USeries.zero(theory)
-    if not w.is_zero():
-        t = Expression.symbol(theory, tau)
-        acc = Expression.const(theory, 1)
-        v = w
-        n = 0
-        while not v.is_zero():
-            if n >= max_iter:
-                raise FlowClosureError(
-                    "d_u(y) source brackets do not terminate; closed flow "
-                    "unavailable")
-            acc = acc * t
-            family = family + v.scale(acc) * Fraction(1, math.factorial(n + 1))
-            v = u_bracket(ys, v) * Fraction(-1)
-            n += 1
+    steps, index = orbit(w, _bracket_by(ys, -1), max_iter + 1)
+    if index is None:
+        raise FlowClosureError(
+            "d_u(y) source brackets do not terminate; closed flow unavailable")
+    family = FlowSeries(sub.apply_u(x), ys, steps, True, index).family(tau)
     cert = verify_flow_endpoint(x, family, ys, tau, ctx)
     if not cert:
         raise FlowClosureError("closed gauge flow failed ODE certification")
@@ -753,8 +757,6 @@ def bch(y: USeries, z: USeries, order: int = 6) -> BCHResult:
     # w(t) = y + sum t^k u_k solving dw/dt = psi(ad_w) z
     us: list[USeries] = []        # u_1.. in order
 
-    import itertools
-
     def ad_seq_apply(ks: tuple[int, ...]) -> USeries:
         out = z
         for k in reversed(ks):
@@ -780,55 +782,30 @@ def bch(y: USeries, z: USeries, order: int = 6) -> BCHResult:
                 coeff = coeff + ad_seq_apply(ks) * _PSI[n]
         us.append(coeff * Fraction(1, m + 1))
     total = y
-    orders = []
     for u in us:
-        orders.append(u)
         total = total + u
     closed = None
     hyp = False
-    v1 = u_bracket(y, z)
-    prop = _u_proportionality(v1, z)
+    # z, ad(y) z, ad(y)^2 z up to the first zero
+    ad_z, _ = orbit(z, _bracket_by(y, 1), 3)
+    v1 = ad_z[1] if len(ad_z) > 1 else USeries.zero(theory)
+    prop = _proportionality(pair for n in set(v1.coeffs) | set(z.coeffs)
+                            for pair in ((v1.coeff(n).body, z.coeff(n).body),
+                                         (v1.coeff(n).eps, z.coeff(n).eps)))
     if prop is not None:
         q, base_key = prop
         if base_key is not None and q.denominator == 1:
-            hyp = all(u_bracket(z, _ad_pow(y, z, n)).is_zero() for n in range(3))
+            hyp = all(u_bracket(z, w).is_zero() for w in ad_z)
             if hyp:
                 closed = y + _psi_closed(theory, int(q), base_key, z)
-    return BCHResult(total, orders, closed, hyp)
-
-
-def _ad_pow(y: USeries, z: USeries, n: int) -> USeries:
-    out = z
-    for _ in range(n):
-        out = u_bracket(y, out)
-    return out
-
-
-def _u_proportionality(v1: USeries, v0: USeries):
-    ratio = None
-    for n in set(v1.coeffs) | set(v0.coeffs):
-        for part in ("body", "eps"):
-            e1 = getattr(v1.coeff(n), part)
-            e0 = getattr(v0.coeff(n), part)
-            if e0.is_structural_zero():
-                if e1.is_structural_zero():
-                    continue
-                return None
-            this = _proportionality(e1, e0)
-            if this is None:
-                return None
-            if ratio is None:
-                ratio = this
-            elif ratio != this:
-                return None
-    return ratio
+    return BCHResult(total, us, closed, hyp)
 
 
 def _psi_closed(theory: Theory, q: int, base_key: str, z: USeries) -> USeries:
     """[ad(y)/(1 - e^{-ad y})] z for ad(y) z = q log(E) z:
     equals [q log(E)/(1 - E^{-q})] z, written with polynomial inverses."""
-    E = _base(theory, base_key)
-    lam = Expression.const(theory, q) * _log(theory, base_key)
+    E = base_expression(theory, base_key)
+    lam = _log_factor(theory, q, base_key)
     if q > 0:
         # q log E / (1 - E^-q) = q log E * E^q / (E^q - 1)
         denom = E ** q - Expression.const(theory, 1)
@@ -842,9 +819,12 @@ def _psi_closed(theory: Theory, q: int, base_key: str, z: USeries) -> USeries:
     return z.scale(factor)
 
 
-def _log(theory: Theory, base_key: str) -> Expression:
-    from .expression import _from_raw
-    return _from_raw(theory, [(Fraction(1), ((LogAtom(base_key), 1),), ())])
+def _log_factor(theory: Theory, q, base_key: Optional[str]) -> Expression:
+    """q, or q*log(E) with E the base of key `base_key`."""
+    factor = Expression.const(theory, q)
+    if base_key is None:
+        return factor
+    return factor * _from_raw(theory, [(Fraction(1), ((LogAtom(base_key), 1),), ())])
 
 
 # -- misc ----------------------------------------------------------------------

@@ -242,27 +242,6 @@ class Expression:
 
     # -- structure queries --------------------------------------------------
 
-    def max_jet(self, base: str) -> int:
-        """Highest jet order of `base` occurring anywhere in the expression,
-        including dependence through function symbols and log/pow bases
-        (which live at jet order 0); -1 when absent."""
-        m = -1
-        for t in self.terms:
-            for s, _ in t.mono:
-                if s.base == base and s.jet_order > m:
-                    m = s.jet_order
-            if m < 0:
-                for a, _ in t.atoms:
-                    if isinstance(a, FuncAtom):
-                        if base in self.theory.function(a.func).args:
-                            m = 0
-                            break
-                    else:
-                        if base_expression(self.theory, a.base_key).max_jet(base) >= 0:
-                            m = 0
-                            break
-        return m
-
     def symbols(self) -> set[GradedSymbol]:
         out = set()
         for t in self.terms:

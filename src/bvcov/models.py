@@ -260,7 +260,8 @@ def lichnerowicz_check(model: ModelSpec) -> LichnerowiczReport:
     """Optional (non-gating): compare {Q,Q} with the curved-frame display
     thinv^mu_a thinv^nu_b (eta^{ab} p~_mu p~_nu - (1/2) F_{mu nu} psi^a psi^b);
     identities mixing frame and inverse frame need the non-local contraction
-    relation, so a nonzero residual is reported as needs-relations."""
+    relation, so a residual the theory's rewrite relations leave nonzero is
+    reported as needs-relations."""
     if model.charge is None or model.eta is None:
         raise TheoryError("needs a spinning model")
     t = model.theory
@@ -294,7 +295,7 @@ def lichnerowicz_check(model: ModelSpec) -> LichnerowiczReport:
                             ptilde(mu) * ptilde(nu)
                     rhs = rhs - pref * Fraction(1, 2) * F * \
                         Expression.of(t, f"psi_{a}") * Expression.of(t, f"psi_{b}")
-    residual = apply_relations(lhs - rhs) if t.relations_enabled else (lhs - rhs)
+    residual = apply_relations(lhs - rhs)
     status = "verified" if is_zero(residual) else "needs-relations"
     return LichnerowiczReport(residual, status)
 

@@ -103,7 +103,6 @@ class Theory:
         self._units: dict[GradedSymbol, object] = {}      # symbol -> its Expression, append-only
         self._atom_gradients: dict[tuple, dict] = {}      # atom key -> {symbol: d atom/d symbol}, append-only
         self.relations: dict = {}                   # atom key -> Expression, set by models
-        self.relations_enabled = False
         self._eps: Optional[GradedSymbol] = None
 
     # -- registration -------------------------------------------------
@@ -274,7 +273,6 @@ class Theory:
             elif sym.kind == Kind.SIMPLEX_T and not t.has_name(sym.name):
                 t.add_simplex_coordinate(sym.name)
         t.relations = dict(self.relations)
-        t.relations_enabled = self.relations_enabled
         return t
 
 

@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
 from .expression import Expression, embed, is_zero, odd_derivation
-from .curved import (BElement, CanonicalSubstitution, USeries, d_element, du,
-                     u_bracket)
+from .curved import (BElement, CanonicalSubstitution, FlowSeries, TruncatedFlowError,
+                     USeries, _bracket_by, d_element, du, orbit, u_bracket)
 from .symbols import GradedSymbol, Theory, TheoryError
 
 Tuple = tuple[str, ...]
@@ -462,16 +462,17 @@ class GaugeEquivalenceReport:
 
 
 def tw_gauge_flow(x: TWElement, y: TWElement, max_order: int = 12) -> TWElement:
-    w = tw_differential(y) + tw_bracket(x, y)
-    out = x
-    coeff = Fraction(1)
-    for n in range(max_order):
-        if w.is_zero():
-            return out
-        coeff = coeff / (n + 1)
-        out = out + w * coeff
-        w = tw_bracket(y, w) * Fraction(-1)
-    raise TheoryError("Thom-Whitney gauge flow did not terminate")
+    """x bullet y: the endpoint of the gauge flow when the iterated brackets
+    of d y + [x, y] by y vanish within max_order values; TruncatedFlowError
+    otherwise."""
+    # each tuple's step brackets by y's value there, its tables built once
+    by = {T: _bracket_by(v, -1) for T, v in y.values.items()}
+    steps, index = orbit(tw_differential(y) + tw_bracket(x, y),
+                         lambda w: TWElement(y.nerve, {T: by[T](w.values[T]) for T in by}),
+                         max_order)
+    if index is None:
+        raise TruncatedFlowError("Thom-Whitney gauge flow did not terminate")
+    return FlowSeries(x, y, steps, True, index).at(1)
 
 
 def gauge_equivalence_check(nerve: CoverNerve,

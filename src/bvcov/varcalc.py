@@ -15,8 +15,8 @@ from fractions import Fraction
 from math import comb
 from typing import Optional
 
-from .expression import (Expression, equal, is_zero, iterated_total,
-                         jet_gradient, jet_partial, total_derivative)
+from .expression import (Expression, is_zero, iterated_total, jet_gradient,
+                         jet_partial, total_derivative)
 from .symbols import GradedSymbol, Kind, Theory, TheoryError, antifield_name
 
 
@@ -50,18 +50,14 @@ class EvolutionaryVectorField:
         return 0 if sig is None else sig
 
     def apply(self, expr: Expression) -> Expression:
+        """sum over components and jet orders k of D^k(component) times the
+        k-jet partial of expr, read off one jet table of expr."""
+        table = _jet_table(expr)
         pieces: list[Expression] = []
         for s0, comp in self.components.items():
-            kmax = expr.max_jet(s0.base)
-            if kmax < 0:
-                continue
-            dk = comp
-            for k in range(kmax + 1):
-                if k > 0:
-                    dk = total_derivative(dk)
-                pd = jet_partial(expr, self.theory.jet(s0.base, k))
-                if not pd.is_structural_zero():
-                    pieces.append(dk * pd)
+            chain = [comp]
+            for k, partials in table.get(s0.base, {}).items():
+                pieces.append(_nth_total(chain, k) * partials[0])
         return Expression.sum(self.theory, pieces)
 
     def __add__(self, other: "EvolutionaryVectorField") -> "EvolutionaryVectorField":
@@ -94,39 +90,16 @@ def prolong(theory: Theory, components: dict[GradedSymbol, Expression]) -> Evolu
     return EvolutionaryVectorField(theory, components)
 
 
-# -- Euler operators ----------------------------------------------------------
+# -- jet tables ----------------------------------------------------------------
 
 
-def euler(expr: Expression, k: int, base_name: str) -> Expression:
-    """Higher Euler operator: sum_l C(k+l, k) (-d)^l of the (k+l)-jet
-    partial; k = 0 is the classical variational derivative."""
-    if k < 0:
-        raise TheoryError("euler order must be nonnegative")
-    theory = expr.theory
-    pieces: list[Expression] = []
-    kmax = expr.max_jet(base_name)
-    for ell in range(0, kmax - k + 1):
-        pd = jet_partial(expr, theory.jet(base_name, k + ell))
-        if pd.is_structural_zero():
-            continue
-        sgn = -1 if ell % 2 else 1
-        pieces.append(iterated_total(pd, ell) * (comb(k + ell, k) * Fraction(sgn)))
-    return Expression.sum(theory, pieces)
-
-
-def variational_derivative(expr: Expression, base_name: str) -> Expression:
-    return euler(expr, 0, base_name)
-
-
-# -- Soloviev and BV antibrackets ---------------------------------------------
-
-
-# The bracket kernel differentiates each operand once.  A jet table holds an
-# operand's nonzero jet partials grouped by base, base -> {jet order k:
-# [d/d(b_k), D d/d(b_k), D^2 d/d(b_k), ...]}, each list of total derivatives
-# extended on demand by `_nth_total`.  Tables are built per bracket call and
-# dropped with it; `u_bracket` builds one per coefficient part and shares it
-# across all the coefficient pairs of the call.
+# Every variational operator differentiates each operand once.  A jet table
+# holds an operand's nonzero jet partials grouped by base, base -> {jet order
+# k: [d/d(b_k), D d/d(b_k), D^2 d/d(b_k), ...]}, each list of total
+# derivatives extended on demand by `_nth_total`.  Tables are built per call
+# and dropped with it: `u_bracket` shares one per coefficient part across all
+# the coefficient pairs of the call, a flow shares its generator's across all
+# its steps and a canonical check each generator's across all its partners.
 
 JetTable = dict[str, dict[int, list[Expression]]]
 
@@ -149,32 +122,71 @@ def _nth_total(chain: list[Expression], n: int) -> Expression:
     return chain[n]
 
 
-def _soloviev_into(pieces: list[Expression], theory: Theory,
-                   f_parts: list[tuple[int, JetTable]], g_tables: list[JetTable],
-                   sign: int = 1):
-    """Append the products of sign * soloviev(f, g) to `pieces`: f given by
-    the tables of its sigma parts, g by the tables of parts summing to g.
-    For each paired index, the (field, antifield) half pairs the field
-    partials of f with the antifield partials of g, and the mirror half the
-    other way round: D^l(df/db_k) * D^k(dg/db'_l) for every k and l."""
+def _paired_columns(theory: Theory, f_parts: list[tuple[int, JetTable]], sign: int = 1):
+    """The one pairing loop of the brackets and the Euler fields: for each
+    sigma part sf of f and paired index, f's field column goes with the
+    antifield and the sign pref, and f's antifield column with the field and
+    the mirror sign.  Yields (f's column, partner 0-jet symbol, sign)."""
     pairs = theory.field_pairs()
     for sf, ft in f_parts:
         for field, anti in pairs:
             pref = sign * (-1 if ((sf + 1) * field.parity) % 2 else 1)
             mirror = pref * (-1 if sf % 2 else 1)
-            for left, right, sgn in ((field.base, anti.base, pref),
-                                     (anti.base, field.base, mirror)):
-                f_col = ft.get(left)
-                if f_col is None:
-                    continue
-                for gt in g_tables:
-                    g_col = gt.get(right)
-                    if g_col is None:
-                        continue
-                    for k, f_chain in f_col.items():
-                        for ell, g_chain in g_col.items():
-                            p = _nth_total(f_chain, ell) * _nth_total(g_chain, k)
-                            pieces.append(p if sgn == 1 else -p)
+            for left, right, sgn in ((field, anti, pref), (anti, field, mirror)):
+                col = ft.get(left.base)
+                if col is not None:
+                    yield col, right, sgn
+
+
+# -- Euler operators ----------------------------------------------------------
+
+
+def _euler_column(theory: Theory, col: dict[int, list[Expression]], k: int) -> Expression:
+    """The order-k Euler operator read off one table column: the sum over
+    jet orders j >= k of C(j, k) (-D)^(j-k) of the j-jet partial."""
+    return Expression.sum(theory, (_nth_total(chain, j - k) * (comb(j, k) * (-1) ** (j - k))
+                                   for j, chain in col.items() if j >= k))
+
+
+def euler(expr: Expression, k: int, base_name: str) -> Expression:
+    """Higher Euler operator: sum_l C(k+l, k) (-d)^l of the (k+l)-jet
+    partial; k = 0 is the classical variational derivative."""
+    if k < 0:
+        raise TheoryError("euler order must be nonnegative")
+    return _euler_column(expr.theory, _jet_table(expr).get(base_name, {}), k)
+
+
+def variational_derivative(expr: Expression, base_name: str) -> Expression:
+    return euler(expr, 0, base_name)
+
+
+# -- Soloviev and BV antibrackets ---------------------------------------------
+
+
+def _soloviev_into(pieces: list[Expression], theory: Theory,
+                   f_parts: list[tuple[int, JetTable]], g_tables: list[JetTable],
+                   sign: int = 1):
+    """Append the products of sign * soloviev(f, g) to `pieces`: f given by
+    the tables of its sigma parts, g by the tables of parts summing to g.
+    Each column of f is paired with g's column of the partner base:
+    D^l(df/db_k) * D^k(dg/db'_l) for every k and l."""
+    for f_col, right, sgn in _paired_columns(theory, f_parts, sign):
+        for gt in g_tables:
+            g_col = gt.get(right.base)
+            if g_col is None:
+                continue
+            for k, f_chain in f_col.items():
+                for ell, g_chain in g_col.items():
+                    p = _nth_total(f_chain, ell) * _nth_total(g_chain, k)
+                    pieces.append(p if sgn == 1 else -p)
+
+
+def _soloviev_of(theory: Theory, f_parts: list[tuple[int, JetTable]],
+                 g_table: JetTable) -> Expression:
+    """soloviev(f, g) from the tables of f's sigma parts and of g."""
+    pieces: list[Expression] = []
+    _soloviev_into(pieces, theory, f_parts, [g_table])
+    return Expression.sum(theory, pieces)
 
 
 def soloviev(f: Expression, g: Expression) -> Expression:
@@ -184,68 +196,53 @@ def soloviev(f: Expression, g: Expression) -> Expression:
     theory = f.theory
     if g.theory is not theory:
         raise TheoryError("mixed theory contexts")
-    pieces: list[Expression] = []
-    _soloviev_into(pieces, theory, _sigma_tables(f), [_jet_table(g)])
-    return Expression.sum(theory, pieces)
+    return _soloviev_of(theory, _sigma_tables(f), _jet_table(g))
 
 
 def bv_antibracket(f: Expression, g: Expression) -> Expression:
     """Integrand of the BV antibracket on functionals; equals the Soloviev
     bracket modulo total derivatives (tested, not assumed)."""
     theory = f.theory
+    g_table = _jet_table(g)
     pieces: list[Expression] = []
-    for sf, fp in f.sigma_parts():
-        for field, anti in theory.field_pairs():
-            pref = -1 if ((sf + 1) * field.parity) % 2 else 1
-            mirror = pref * (-1 if sf % 2 else 1)
-            da_f = variational_derivative(fp, field.base)
-            if not da_f.is_structural_zero():
-                db_g = variational_derivative(g, anti.base)
-                if not db_g.is_structural_zero():
-                    pieces.append((da_f * db_g) * pref)
-            du_f = variational_derivative(fp, anti.base)
-            if not du_f.is_structural_zero():
-                db_g = variational_derivative(g, field.base)
-                if not db_g.is_structural_zero():
-                    pieces.append((du_f * db_g) * mirror)
+    for f_col, right, sgn in _paired_columns(theory, _sigma_tables(f)):
+        d_f = _euler_column(theory, f_col, 0)
+        if not d_f.is_structural_zero():
+            d_g = _euler_column(theory, g_table.get(right.base, {}), 0)
+            if not d_g.is_structural_zero():
+                pieces.append((d_f * d_g) * sgn)
     return Expression.sum(theory, pieces)
 
 
 def hamiltonian_vf(f: Expression) -> EvolutionaryVectorField:
     """The BV Hamiltonian vector field; depends on f only through its
     functional class."""
-    return _euler_field(f, 0)
+    return _euler_fields(f.theory, _sigma_tables(f), 1)[0]
 
 
-def _euler_field(f: Expression, k: int) -> EvolutionaryVectorField:
-    """f_(k) of the ad-expansion: the order-k Euler operators of f, paired
-    field with antifield and signed as in the Soloviev bracket."""
-    theory = f.theory
-    pieces: dict[GradedSymbol, list[Expression]] = {}
-    for sf, fp in f.sigma_parts():
-        for field, anti in theory.field_pairs():
-            pref = -1 if ((sf + 1) * field.parity) % 2 else 1
-            mirror = pref * (-1 if sf % 2 else 1)
-            d_a = euler(fp, k, field.base)
-            if not d_a.is_structural_zero():
-                pieces.setdefault(anti, []).append(d_a * pref)
-            d_u = euler(fp, k, anti.base)
-            if not d_u.is_structural_zero():
-                pieces.setdefault(field, []).append(d_u * mirror)
-    return EvolutionaryVectorField(
-        theory, {s: Expression.sum(theory, ps) for s, ps in pieces.items()})
+def _euler_fields(theory: Theory, f_parts: list[tuple[int, JetTable]],
+                  count: int) -> list[EvolutionaryVectorField]:
+    """f_(0), ..., f_(count - 1) of the ad-expansion: f_(k) holds the
+    order-k Euler operators of f, paired field with antifield and signed as
+    in the Soloviev bracket."""
+    fields = []
+    for k in range(count):
+        pieces: dict[GradedSymbol, list[Expression]] = {}
+        for col, right, sgn in _paired_columns(theory, f_parts):
+            d = _euler_column(theory, col, k)
+            if not d.is_structural_zero():
+                pieces.setdefault(right, []).append(d * sgn)
+        fields.append(EvolutionaryVectorField(
+            theory, {s: Expression.sum(theory, ps) for s, ps in pieces.items()}))
+    return fields
 
 
 def ad_expansion(f: Expression) -> list[EvolutionaryVectorField]:
     """Evolutionary fields f_(k) with ad(f) = sum_k d^k o f_(k); f_(0) is
     the Hamiltonian vector field; finitely many are nonzero."""
-    theory = f.theory
-    kmax = 0
-    for t in f.terms:
-        for s, _ in t.mono:
-            if s.kind in (Kind.FIELD_JET, Kind.ANTIFIELD_JET):
-                kmax = max(kmax, s.jet_order)
-    fields = [_euler_field(f, k) for k in range(kmax + 1)]
+    f_parts = _sigma_tables(f)
+    kmax = max((k for _, ft in f_parts for col in ft.values() for k in col), default=0)
+    fields = _euler_fields(f.theory, f_parts, kmax + 1)
     while len(fields) > 1 and fields[-1].is_zero():
         fields.pop()
     return fields
@@ -293,33 +290,23 @@ def is_total_derivative(f: Expression):
     the flag, never by witness comparison."""
     theory = f.theory
     _check_polynomial_in_jets(f)
-    obstruction = None
-    for field, anti in theory.field_pairs():
-        for base in (field.base, anti.base):
-            vd = variational_derivative(f, base)
-            if not is_zero(vd):
-                obstruction = (base, vd)
-                break
-        if obstruction:
-            break
     c = f.constant_part()
-    if obstruction is not None:
-        return (False, c, None)
-    parts = _jet_degree_parts(f)
-    g = Expression.zero(theory)
-    for m, fm in sorted(parts.items()):
+    # the Euler operator of a base without a column is zero
+    for col in _jet_table(f).values():
+        if not is_zero(_euler_column(theory, col, 0)):
+            return (False, c, None)
+    pieces: list[Expression] = []
+    for m, fm in sorted(_jet_degree_parts(f).items()):
         if m == 0:
             continue
         scale = Fraction(1, m)
-        for field, anti in theory.field_pairs():
-            for base in (field.base, anti.base):
-                kmax = fm.max_jet(base)
-                sym0 = Expression.symbol(theory, theory.symbol(base, 0))
-                for k in range(1, kmax + 1):
-                    dk = euler(fm, k, base)
-                    if dk.is_structural_zero():
-                        continue
-                    g = g + iterated_total(sym0 * dk, k - 1) * scale
+        for base, col in _jet_table(fm).items():
+            sym0 = Expression.symbol(theory, theory.symbol(base, 0))
+            for k in range(1, max(col) + 1):
+                dk = _euler_column(theory, col, k)
+                if not dk.is_structural_zero():
+                    pieces.append(iterated_total(sym0 * dk, k - 1) * scale)
+    g = Expression.sum(theory, pieces)
     if not is_zero(f - Expression.const(theory, c) - total_derivative(g)):
         raise AssertionError("homotopy witness failed to reproduce the input")
     return (True, c, g)
@@ -371,9 +358,7 @@ class EtaleMap:
         for b in range(n):
             for c in range(n):
                 want = Fraction(1 if b == c else 0)
-                lhs = Expression.zero(source)
-                for a in range(n):
-                    lhs = lhs + jac[b][a] * inv[a][c]
+                lhs = Expression.sum(source, (jac[b][a] * inv[a][c] for a in range(n)))
                 if not is_zero(lhs - Expression.const(source, want)):
                     raise TheoryError("Jacobian inverse check failed")
         self._images: dict[GradedSymbol, Expression] = {}
@@ -381,11 +366,9 @@ class EtaleMap:
             self._images[target.symbol(fld.name)] = images[fld.name]
         for j, fld in enumerate(tgt_fields):
             anti_t = target.symbol(antifield_name(fld.name))
-            val = Expression.zero(source)
-            for a, sfld in enumerate(src_fields):
-                val = val + inv[a][j] * Expression.symbol(
-                    source, source.symbol(antifield_name(sfld.name)))
-            self._images[anti_t] = val
+            self._images[anti_t] = Expression.sum(source, (
+                inv[a][j] * Expression.symbol(source, source.symbol(antifield_name(sfld.name)))
+                for a, sfld in enumerate(src_fields)))
 
     def pullback(self, expr: Expression) -> Expression:
         from .expression import apply_substitution

@@ -289,7 +289,6 @@ def test_criterion_07_corollary_and_magnetic():
 
 def test_criterion_08_spinning_pipeline():
     model = flat_spinning_particle(N)
-    model.theory.relations_enabled = True
     rep = spinning_pipeline(model)
     ok = rep.ok and rep.rank == 2
     # the physical action is the intro's master-equation solution, exactly

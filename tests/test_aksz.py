@@ -406,7 +406,6 @@ def test_desk_scale_dimension_four():
 
 def test_lichnerowicz_flagged():
     m = curved_spinning_particle(1)
-    m.theory.relations_enabled = True
     rep = lichnerowicz_check(m)
     assert rep.status in ("verified", "needs-relations")
 

@@ -1,17 +1,22 @@
+import math
 from fractions import Fraction
 
 import pytest
 
 from bvcov.symbols import Theory, TheoryError
-from bvcov.expression import (Expression, inverse_of, is_zero, log_of,
-                              substitute_param, total_derivative)
+from bvcov.coefficients import AffineExponent, LogAtom
+from bvcov.expression import (Expression, _from_raw, base_expression, inverse_of,
+                              is_zero, log_of, power_of, substitute_param,
+                              total_derivative)
 from bvcov.curved import (BElement, CanonicalSubstitution, CurvedContext,
-                          TruncatedFlowError, USeries, antifield_rank,
+                          FlowClosureError, FlowSeries, TruncatedFlowError,
+                          USeries, _psi_closed, antifield_rank,
                           antifield_counting_field, b_bracket, b_differential,
                           bch, canonical_substitution_check, complete_to_b,
                           d_element, du, flow_substitution, gauge_flow_closed,
                           gauge_flow_series, iota, mc_check, u_bracket,
                           verify_flow_endpoint)
+from bvcov.varcalc import soloviev
 from conftest import HomogeneousSampler, intro_action
 
 
@@ -341,3 +346,353 @@ def test_antifield_rank(particle_theory):
     two = USeries.of(BElement.of_body(
         Expression.of(t, "x+_1") * Expression.of(t, "p+_1") * Expression.of(t, "e")))
     assert antifield_rank(two) == 2
+
+
+# -- the exp(ad) loops against the one orbit loop ------------------------------
+#
+# The gauge flows, the substitution flow and bch each ran their own loop
+# over the iterated brackets before they shared `orbit`.  These are those
+# loops, unchanged but for their names; the flows must agree with them term
+# by term on the flow fixtures above.
+
+
+def _base(theory, key):
+    return base_expression(theory, key)
+
+
+def _log(theory, base_key):
+    return _from_raw(theory, [(Fraction(1), ((LogAtom(base_key), 1),), ())])
+
+
+def _gauge_flow_series_bruteforce(x, y, max_order=24, ctx=None):
+    theory = x.theory
+    for n, c in y.coeffs.items():
+        g = c.grade()
+        if g is None or g[1] != 1 or g[0] != -1 - 2 * n:
+            raise TheoryError("gauge generator must be odd of ghost number -1")
+    dy = du(y) if (ctx is None or ctx.mode == "B") else USeries.zero(theory)
+    w = dy + u_bracket(x, y)
+    steps = []
+    exact = False
+    index = None
+    for n in range(max_order):
+        if w.is_zero():
+            exact = True
+            index = n
+            break
+        steps.append(w)
+        w = u_bracket(y, w) * Fraction(-1)
+    return FlowSeries(x, y, steps, exact, index)
+
+
+def _proportionality_bruteforce(v1, v0):
+    if v0.is_structural_zero() or v1.is_structural_zero():
+        return None
+    if len(v1.terms) != len(v0.terms):
+        return None
+    theory = v1.theory
+    t1 = v1.terms[0]
+    log_keys = {a.base_key for a, _ in t1.atoms if isinstance(a, LogAtom)}
+    candidates = []
+    for t0 in v0.terms:
+        if t0.mono != t1.mono or t0.coef == 0:
+            continue
+        q = t1.coef / t0.coef
+        candidates.append((q, None))
+        for key in log_keys:
+            candidates.append((q, key))
+    for q, key in candidates:
+        factor = Expression.const(theory, q)
+        if key is not None:
+            factor = factor * _log(theory, key)
+        if is_zero(v1 - factor * v0):
+            return (q, key)
+    return None
+
+
+def _exp_ad_on_bruteforce(theory, y, start, tau, direction, max_iter):
+    terms = [start]
+    v = start
+    for n in range(1, max_iter + 1):
+        v = soloviev(y, v) * direction
+        if is_zero(v):
+            tsym = Expression.symbol(theory, tau)
+            acc = Expression.const(theory, 1)
+            pieces = []
+            for k, w in enumerate(terms):
+                pieces.append(acc * w * Fraction(1, math.factorial(k)))
+                acc = acc * tsym
+            return Expression.sum(theory, pieces)
+        prop = _proportionality_bruteforce(v, terms[-1])
+        if prop is not None and len(terms) == 1:
+            q, base_key = prop
+            if base_key is None:
+                if q == 0:
+                    return start
+                raise FlowClosureError(
+                    "eigenvalue is a bare rational: exp(q*tau) is not exactly "
+                    "representable")
+            exp_factor = power_of(
+                _base(theory, base_key), AffineExponent(Fraction(0), q, tau))
+            return exp_factor * start
+        terms.append(v)
+    raise FlowClosureError(
+        "flow does not close polynomially or in power/log form; refusing to "
+        "truncate silently")
+
+
+def _gauge_flow_closed_bruteforce(x, y, tau, ctx=None, max_iter=12):
+    theory = x.theory
+    ys = USeries.of(BElement.of_body(y))
+    sub = flow_substitution(theory, y, tau, direction=-1)
+    family = sub.apply_u(x)
+    w = du(ys) if (ctx is None or ctx.mode == "B") else USeries.zero(theory)
+    if not w.is_zero():
+        t = Expression.symbol(theory, tau)
+        acc = Expression.const(theory, 1)
+        v = w
+        n = 0
+        while not v.is_zero():
+            if n >= max_iter:
+                raise FlowClosureError(
+                    "d_u(y) source brackets do not terminate; closed flow "
+                    "unavailable")
+            acc = acc * t
+            family = family + v.scale(acc) * Fraction(1, math.factorial(n + 1))
+            v = u_bracket(ys, v) * Fraction(-1)
+            n += 1
+    cert = verify_flow_endpoint(x, family, ys, tau, ctx)
+    if not cert:
+        raise FlowClosureError("closed gauge flow failed ODE certification")
+    return family, cert
+
+
+def _ad_pow_bruteforce(y, z, n):
+    out = z
+    for _ in range(n):
+        out = u_bracket(y, out)
+    return out
+
+
+def _u_proportionality_bruteforce(v1, v0):
+    ratio = None
+    for n in set(v1.coeffs) | set(v0.coeffs):
+        for part in ("body", "eps"):
+            e1 = getattr(v1.coeff(n), part)
+            e0 = getattr(v0.coeff(n), part)
+            if e0.is_structural_zero():
+                if e1.is_structural_zero():
+                    continue
+                return None
+            this = _proportionality_bruteforce(e1, e0)
+            if this is None:
+                return None
+            if ratio is None:
+                ratio = this
+            elif ratio != this:
+                return None
+    return ratio
+
+
+def _bch_closed_bruteforce(y, z):
+    """The closed-form tail of bch: (closed form, hypothesis checked)."""
+    theory = y.theory
+    closed = None
+    hyp = False
+    v1 = u_bracket(y, z)
+    prop = _u_proportionality_bruteforce(v1, z)
+    if prop is not None:
+        q, base_key = prop
+        if base_key is not None and q.denominator == 1:
+            hyp = all(u_bracket(z, _ad_pow_bruteforce(y, z, n)).is_zero() for n in range(3))
+            if hyp:
+                closed = y + _psi_closed(theory, int(q), base_key, z)
+    return closed, hyp
+
+
+def _terms(e):
+    return [(x.coef, x.atoms, x.mono, x.key) for x in e.terms]
+
+
+def _u_terms(x):
+    return [(n, _terms(c.body), _terms(c.eps)) for n, c in sorted(x.coeffs.items())]
+
+
+def _flow_fixtures(particle, bc):
+    """(x, y, ctx, max_order) for the series: a B-mode flow that terminates,
+    one that the cap truncates, F-mode flows and a zero generator."""
+    t = particle
+    S0, D = intro_action(t)
+    c = Expression.of(t, "c")
+    S = complete_to_b(USeries(t, {0: BElement.of_body(S0 + c * D),
+                                  1: BElement.of_body(Expression.of(t, "c+"))}),
+                      CurvedContext(t, mode="F"))
+    y = USeries.of(BElement.of_body(c * Expression.of(t, "x+_1") * Expression.of(t, "p+_1")))
+    out = [(S, y, None, 24)]
+    s = HomogeneousSampler(t, seed=47, max_jet=1, max_factors=2, max_terms=2)
+    for _ in range(3):
+        out.append((USeries.of(BElement.of_body(s.expression())), y,
+                    CurvedContext(t, mode="F"), 24))
+    cp, bp, cb = (Expression.of(bc, n) for n in ("c+", "b+", "c"))
+    X = USeries(bc, {0: BElement.of_body(cb * Expression.of(bc, "b", 1)),
+                     1: BElement(bc, bp * cp, cp * cb)})
+    out.append((X, USeries.of(BElement.of_body(log_of(bp) * cp * cb)), None, 4))
+    out.append((X, USeries.of(BElement.of_body(Expression.zero(bc))), None, 24))
+    return out
+
+
+def test_gauge_flow_series_matches_bruteforce(particle_theory, bc_theory):
+    exact = set()
+    for x, y, ctx, cap in _flow_fixtures(particle_theory, bc_theory):
+        got = gauge_flow_series(x, y, max_order=cap, ctx=ctx)
+        want = _gauge_flow_series_bruteforce(x, y, max_order=cap, ctx=ctx)
+        assert (got.exact, got.termination_index) == (want.exact, want.termination_index)
+        assert [_u_terms(w) for w in got.steps] == [_u_terms(w) for w in want.steps]
+        exact.add(got.exact)
+    assert exact == {True, False}
+
+
+def test_flow_substitution_matches_bruteforce(particle_theory):
+    t = particle_theory
+    tau = t.add_flow_param("tau")
+    c, e = Expression.of(t, "c"), Expression.of(t, "e")
+    polynomial = sum((c * Expression.of(t, f"x+_{m}") * Expression.of(t, f"p+_{m}")
+                      for m in (1, 2)), Expression.zero(t))
+    for y in (polynomial, log_of(e) * Expression.of(t, "c+") * c,
+              Expression.of(t, "p_1") * Expression.of(t, "x+_1") * c):
+        for direction in (1, -1):
+            sub = flow_substitution(t, y, tau, direction=direction)
+            for fld, anti in t.field_pairs():
+                for gen in (fld, anti):
+                    want = _exp_ad_on_bruteforce(t, y, Expression.symbol(t, gen), tau,
+                                                 direction, 12)
+                    assert _terms(sub.image(gen)) == _terms(want), gen.name
+    bare = e * Expression.of(t, "c+") * c
+    with pytest.raises(FlowClosureError):
+        flow_substitution(t, bare, tau)
+    with pytest.raises(FlowClosureError):
+        _exp_ad_on_bruteforce(t, bare, Expression.of(t, "c"), tau, 1, 12)
+
+
+def test_gauge_flow_closed_matches_bruteforce(bc_theory):
+    t = bc_theory
+    tau = t.add_flow_param("tau")
+    c, cp, bp = (Expression.of(t, n) for n in ("c", "c+", "b+"))
+    X = USeries(t, {0: BElement.of_body(c * Expression.of(t, "b", 1)),
+                    1: BElement(t, bp * cp, cp * c)})
+    y = log_of(bp) * cp * c
+    for ctx in (CurvedContext(t), None):
+        family, cert = gauge_flow_closed(X, y, tau, ctx)
+        want, want_cert = _gauge_flow_closed_bruteforce(X, y, tau, ctx)
+        assert _u_terms(family) == _u_terms(want)
+        assert _u_terms(cert.endpoint) == _u_terms(want_cert.endpoint)
+
+
+def test_bch_closed_form_matches_bruteforce():
+    from bvcov.models import flat_particle
+    from bvcov.symbols import product_theory
+    from bvcov.curved import embed_u
+    model = flat_particle(2)
+    bc = Theory("bc")
+    bc.add_field("b", -1, 1)
+    bc.add_field("c", 1, 1)
+    prod = product_theory("Mbc", model.theory, bc)
+    S1 = embed_u(model.series, prod).coeff(1)
+    c, bp, cp = (Expression.of(prod, n) for n in ("c", "b+", "c+"))
+    y = USeries.of(BElement.of_body(log_of(bp) * cp * c))
+    closed_seen = 0
+    for z in (USeries.of(S1.scale(c)), USeries.of(BElement.of_body(cp * c)),
+              USeries.of(S1), USeries.zero(prod)):
+        res = bch(y, z, order=1)
+        closed, hyp = _bch_closed_bruteforce(y, z)
+        assert res.hypothesis_checked == hyp
+        assert (res.closed_form is None) == (closed is None)
+        if closed is not None:
+            assert _u_terms(res.closed_form) == _u_terms(closed)
+            closed_seen += 1
+    assert closed_seen >= 1
+
+
+def test_proportionality_over_pairs_matches_bruteforce(bc_theory):
+    """One ratio for every (v1, v0) pair of two u-series, as the per-series
+    loop found it: a common rational or log multiple, none when two parts
+    disagree or one side of a pair is zero, and both-zero pairs skipped."""
+    from bvcov.curved import _proportionality
+    t = bc_theory
+    c, cp, bp = (Expression.of(t, n) for n in ("c", "c+", "b+"))
+    lam = log_of(bp)
+    z = USeries(t, {0: BElement(t, cp * c, bp * c), 1: BElement.of_body(bp * cp * c)})
+    cases = [z * 2, z.scale(lam * 3), z.scale(lam) + USeries.of(BElement.of_body(cp * c)),
+             USeries(t, {0: BElement(t, cp * c * 2, bp * c * 3), 1: BElement.of_body(bp * cp * c * 2)}),
+             USeries(t, {0: BElement(t, cp * c * 2, bp * c * 2)}), z * 0, z + z]
+    for v1 in cases:
+        for v0 in (z, z * 0):
+            pairs = [(p1, p0) for n in set(v1.coeffs) | set(v0.coeffs)
+                     for p1, p0 in ((v1.coeff(n).body, v0.coeff(n).body),
+                                    (v1.coeff(n).eps, v0.coeff(n).eps))]
+            assert _proportionality(pairs) == _u_proportionality_bruteforce(v1, v0)
+    assert _proportionality([(cp * c * 2, cp * c), (bp * c * 3, bp * c)]) is None
+
+
+def test_flow_caps_pin_their_boundaries(particle_theory, bc_theory):
+    """Each cap keeps its default and its boundary: the smallest cap that
+    lets the orbit reach its zero succeeds, and one less truncates with a
+    TruncatedFlowError or a FlowClosureError, never silently."""
+    import inspect
+    for fn, name, default in ((gauge_flow_series, "max_order", 24),
+                              (gauge_flow_closed, "max_iter", 12),
+                              (flow_substitution, "max_iter", 12)):
+        assert inspect.signature(fn).parameters[name].default == default
+    # gauge_flow_series: the zero at index m needs max_order > m
+    x, y, ctx, _ = _flow_fixtures(particle_theory, bc_theory)[0]
+    m = gauge_flow_series(x, y).termination_index
+    assert m >= 2
+    assert gauge_flow_series(x, y, max_order=m + 1).exact
+    short = gauge_flow_series(x, y, max_order=m)
+    assert not short.exact and len(short.steps) == m
+    with pytest.raises(TruncatedFlowError):
+        short.endpoint()
+    # flow_substitution: a zero at index m of a generator's orbit needs
+    # max_iter >= m; with log(e) c+ c, c and c+ are power/log eigenvectors
+    # after one bracket and the orbit of e+ vanishes at index 2
+    t = particle_theory
+    tau = t.add_flow_param("tau")
+    c = Expression.of(t, "c")
+    poly = Expression.of(t, "p_1") * Expression.of(t, "x+_1") * c \
+        + Expression.of(t, "p_2") * Expression.of(t, "p+_1") * c
+    deepest = max(len(_exp_ad_orbit(t, poly, gen, tau)) for f, a in t.field_pairs()
+                  for gen in (f, a))
+    assert deepest >= 2
+    flow_substitution(t, poly, tau, max_iter=deepest)
+    with pytest.raises(FlowClosureError):
+        flow_substitution(t, poly, tau, max_iter=deepest - 1)
+    eigen = log_of(Expression.of(t, "e")) * Expression.of(t, "c+") * c
+    flow_substitution(t, eigen, tau, max_iter=2)
+    with pytest.raises(FlowClosureError):
+        flow_substitution(t, eigen, tau, max_iter=1)
+    # gauge_flow_closed: a source orbit with its zero at index m needs
+    # max_iter >= m
+    b = bc_theory
+    btau = b.add_flow_param("tau")
+    cb, cp, bp = (Expression.of(b, n) for n in ("c", "c+", "b+"))
+    X = USeries(b, {0: BElement.of_body(cb * Expression.of(b, "b", 1)),
+                    1: BElement(b, bp * cp, cp * cb)})
+    yb = log_of(bp) * cp * cb
+    ys = USeries.of(BElement.of_body(yb))
+    source, k = du(ys), 0
+    while not source.is_zero():
+        source, k = u_bracket(ys, source) * Fraction(-1), k + 1
+    assert k >= 1
+    gauge_flow_closed(X, yb, btau, CurvedContext(b), max_iter=k)
+    with pytest.raises(FlowClosureError):
+        gauge_flow_closed(X, yb, btau, CurvedContext(b), max_iter=k - 1)
+
+
+def _exp_ad_orbit(t, y, gen, tau):
+    """The orbit of a generator under the flow's bracket, up to its zero."""
+    v, out = Expression.symbol(t, gen), []
+    while not is_zero(v):
+        out.append(v)
+        v = soloviev(y, v)
+        assert len(out) < 12
+    return out

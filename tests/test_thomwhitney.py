@@ -6,13 +6,15 @@ import pytest
 
 from bvcov.symbols import Theory, TheoryError
 from bvcov.expression import Expression, is_zero
-from bvcov.curved import BElement, CanonicalSubstitution, USeries, u_bracket
+from bvcov.curved import (BElement, CanonicalSubstitution, TruncatedFlowError, USeries,
+                          u_bracket)
 from bvcov.aksz import TargetChart, build_covariant_theory
 from bvcov.thomwhitney import (CechCochain, CoverNerve, Refinement, TWElement,
                                cech_delta, check_simplicial, form_differential,
                                gauge_equivalence_check, global_covariant_theory,
                                global_mc_check, simplicial_pullback, tw_bracket,
-                               tw_differential, whitney, whitney_commutes)
+                               tw_differential, tw_gauge_flow, whitney,
+                               whitney_commutes)
 
 
 def shared_theory():
@@ -338,7 +340,9 @@ def test_locally_constant_cocycle_dies_in_whitney():
     assert whitney(const_mu).is_zero()
 
 
-def test_gauge_equivalence_constant_shift():
+def _constant_shift():
+    """The cylinder under a constant shift of nu and the homotopy nu_tilde
+    relating the two: (nerve, nu0, mu0, nu1, mu1, nu_tilde, build)."""
     nerve, local, (U0, U1, OV) = cylinder()
     A0, A1, shift = Fraction(2), Fraction(5), Fraction(3)
     pairkey = frozenset({"U0", "U1"})
@@ -360,6 +364,12 @@ def test_gauge_equivalence_constant_shift():
            "U1": {"x": Expression.of(U1, "p") + A1 + k1}}
     mu1 = {pairkey: mu0[pairkey] + k1 * (Expression.of(OV, "x") + shift)
            - k0 * Expression.of(OV, "x")}
+    return nerve, nu0, mu0, nu1, mu1, nu_tilde, build
+
+
+def test_gauge_equivalence_constant_shift():
+    nerve, nu0, mu0, nu1, mu1, nu_tilde, build = _constant_shift()
+    U0, U1 = nerve.charts["U0"], nerve.charts["U1"]
     rep = gauge_equivalence_check(nerve, nu0, mu0, nu1, mu1, nu_tilde, build)
     assert rep.ok
     # zero homotopy: nothing moves
@@ -367,6 +377,65 @@ def test_gauge_equivalence_constant_shift():
                                    {"U0": Expression.zero(U0),
                                     "U1": Expression.zero(U1)}, build)
     assert rep0.ok
+
+
+def _tw_gauge_flow_bruteforce(x, y, max_order=12):
+    """The Thom-Whitney gauge flow's loop before it shared `orbit`, unchanged
+    but for its name."""
+    w = tw_differential(y) + tw_bracket(x, y)
+    out = x
+    coeff = Fraction(1)
+    for n in range(max_order):
+        if w.is_zero():
+            return out
+        coeff = coeff / (n + 1)
+        out = out + w * coeff
+        w = tw_bracket(y, w) * Fraction(-1)
+    raise TheoryError("Thom-Whitney gauge flow did not terminate")
+
+
+def _shift_flow_data():
+    nerve, nu0, mu0, nu1, mu1, nu_tilde, build = _constant_shift()
+    y = whitney(CechCochain(nerve, 0, {
+        (a,): USeries.of(BElement.of_eps(nu_tilde[a])) for a in nerve.chart_names}))
+    return build(nu0, mu0), y
+
+
+def _tw_terms(x: TWElement) -> dict:
+    return {T: [(n, [(t.coef, t.atoms, t.mono) for t in c.body.terms],
+                 [(t.coef, t.atoms, t.mono) for t in c.eps.terms])
+                for n, c in sorted(v.coeffs.items())]
+            for T, v in x.values.items()}
+
+
+def test_tw_gauge_flow_matches_bruteforce():
+    SS0, y = _shift_flow_data()
+    assert _tw_terms(tw_gauge_flow(SS0, y)) == _tw_terms(_tw_gauge_flow_bruteforce(SS0, y))
+    zero = y * 0
+    assert _tw_terms(tw_gauge_flow(SS0, zero)) == _tw_terms(SS0)
+
+
+def test_tw_gauge_flow_truncation_is_a_flow_error():
+    """The cap reports truncation as every flow cap does (exit 3 in the CLI),
+    not as a usage error."""
+    SS0, y = _shift_flow_data()
+    with pytest.raises(TruncatedFlowError):
+        tw_gauge_flow(SS0, y, max_order=1)
+
+
+def test_tw_gauge_flow_cap_boundary():
+    """A zero at index m of the bracket orbit needs max_order > m; the
+    default cap is 12."""
+    import inspect
+    assert inspect.signature(tw_gauge_flow).parameters["max_order"].default == 12
+    SS0, y = _shift_flow_data()
+    w, m = tw_differential(y) + tw_bracket(SS0, y), 0
+    while not w.is_zero():
+        w, m = tw_bracket(y, w) * Fraction(-1), m + 1
+    assert m >= 1
+    tw_gauge_flow(SS0, y, max_order=m + 1)
+    with pytest.raises(TruncatedFlowError):
+        tw_gauge_flow(SS0, y, max_order=m)
 
 
 def test_refinement_preserves_global_mc():

@@ -1,16 +1,19 @@
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from bvcov.coefficients import FuncAtom
 from bvcov.curved import BElement, USeries, b_bracket, u_bracket
-from bvcov.symbols import Theory, TheoryError
-from bvcov.expression import (Expression, inverse_of, is_zero, iterated_total,
-                              jet_gradient, jet_partial, log_of, normalize,
-                              partial_derivative, power_of, total_derivative)
+from bvcov.symbols import Kind, Theory, TheoryError
+from bvcov.expression import (Expression, base_expression, inverse_of, is_zero,
+                              iterated_total, jet_gradient, jet_partial, log_of,
+                              normalize, partial_derivative, power_of,
+                              total_derivative)
 from bvcov.varcalc import (EtaleMap, EvolutionaryVectorField, RescalingError,
+                           _check_polynomial_in_jets, _jet_degree_parts,
                            ad_apply, ad_expansion, bv_antibracket, euler,
                            functional_equal, hamiltonian_vf,
                            is_total_derivative, prolong, soloviev,
@@ -299,10 +302,34 @@ def test_etale_rejects_singular_jacobian(etale_pair):
 # -- the bracket kernel against the double sum it replaces -------------------
 #
 # `_soloviev_bruteforce` is the Soloviev loop the engine ran before it
-# differentiated each operand once into jet tables, unchanged: per sigma
+# differentiated each operand once into jet tables, unchanged but for
+# `_max_jet`, the jet-order scan it took from `Expression`: per sigma
 # part, paired index and jet order it takes the partials again and
 # re-derives their total derivatives.  `_b_bracket_bruteforce` and `_u_bracket_bruteforce` compose it
 # as `b_bracket` and `u_bracket` did.
+
+
+def _max_jet(e: Expression, base: str) -> int:
+    """Highest jet order of `base` occurring anywhere in the expression,
+    including dependence through function symbols and log/pow bases
+    (which live at jet order 0); -1 when absent.  The oracles scan jet
+    orders with it; the engine reads jet tables instead."""
+    m = -1
+    for t in e.terms:
+        for s, _ in t.mono:
+            if s.base == base and s.jet_order > m:
+                m = s.jet_order
+        if m < 0:
+            for a, _ in t.atoms:
+                if isinstance(a, FuncAtom):
+                    if base in e.theory.function(a.func).args:
+                        m = 0
+                        break
+                else:
+                    if _max_jet(base_expression(e.theory, a.base_key), base) >= 0:
+                        m = 0
+                        break
+    return m
 
 
 def _soloviev_bruteforce(f: Expression, g: Expression) -> Expression:
@@ -313,12 +340,12 @@ def _soloviev_bruteforce(f: Expression, g: Expression) -> Expression:
             pref = -1 if ((sf + 1) * field.parity) % 2 else 1
             mirror = pref * (-1 if sf % 2 else 1)
             # field-derivatives of f against antifield-derivatives of g
-            kmax = fp.max_jet(field.base)
+            kmax = _max_jet(fp, field.base)
             for k in range(kmax + 1):
                 dfk = jet_partial(fp, theory.jet(field.base, k))
                 if dfk.is_structural_zero():
                     continue
-                lmax = g.max_jet(anti.base)
+                lmax = _max_jet(g, anti.base)
                 dl = dfk
                 for ell in range(lmax + 1):
                     if ell > 0:
@@ -328,12 +355,12 @@ def _soloviev_bruteforce(f: Expression, g: Expression) -> Expression:
                         continue
                     pieces.append((dl * iterated_total(dgl, k)) * pref)
             # antifield-derivatives of f against field-derivatives of g
-            kmax = fp.max_jet(anti.base)
+            kmax = _max_jet(fp, anti.base)
             for k in range(kmax + 1):
                 dfk = jet_partial(fp, theory.jet(anti.base, k))
                 if dfk.is_structural_zero():
                     continue
-                lmax = g.max_jet(field.base)
+                lmax = _max_jet(g, field.base)
                 dl = dfk
                 for ell in range(lmax + 1):
                     if ell > 0:
@@ -515,3 +542,198 @@ def test_u_bracket_differentiates_each_coefficient_once(monkeypatch):
         u_bracket(S, T)
         assert len(calls) == parts + sum(len(c.body.sigma_parts()) + len(c.eps.sigma_parts())
                                          for c in T.coeffs.values())
+
+
+# -- the other variational operators against the loops they replace ----------
+#
+# Before every operator read one jet table per operand, the Euler operators
+# scanned `max_jet` and took one `jet_partial` per jet order, and the
+# brackets and fields below called them per sigma part and base.  These are
+# those loops, unchanged but for the names of the oracles they call.
+
+
+def _euler_bruteforce(expr: Expression, k: int, base_name: str) -> Expression:
+    if k < 0:
+        raise TheoryError("euler order must be nonnegative")
+    theory = expr.theory
+    pieces: list[Expression] = []
+    kmax = _max_jet(expr, base_name)
+    for ell in range(0, kmax - k + 1):
+        pd = jet_partial(expr, theory.jet(base_name, k + ell))
+        if pd.is_structural_zero():
+            continue
+        sgn = -1 if ell % 2 else 1
+        pieces.append(iterated_total(pd, ell) * (comb(k + ell, k) * Fraction(sgn)))
+    return Expression.sum(theory, pieces)
+
+
+def _bv_antibracket_bruteforce(f: Expression, g: Expression) -> Expression:
+    theory = f.theory
+    pieces: list[Expression] = []
+    for sf, fp in f.sigma_parts():
+        for field, anti in theory.field_pairs():
+            pref = -1 if ((sf + 1) * field.parity) % 2 else 1
+            mirror = pref * (-1 if sf % 2 else 1)
+            da_f = _euler_bruteforce(fp, 0, field.base)
+            if not da_f.is_structural_zero():
+                db_g = _euler_bruteforce(g, 0, anti.base)
+                if not db_g.is_structural_zero():
+                    pieces.append((da_f * db_g) * pref)
+            du_f = _euler_bruteforce(fp, 0, anti.base)
+            if not du_f.is_structural_zero():
+                db_g = _euler_bruteforce(g, 0, field.base)
+                if not db_g.is_structural_zero():
+                    pieces.append((du_f * db_g) * mirror)
+    return Expression.sum(theory, pieces)
+
+
+def _euler_field_bruteforce(f: Expression, k: int) -> EvolutionaryVectorField:
+    theory = f.theory
+    pieces = {}
+    for sf, fp in f.sigma_parts():
+        for field, anti in theory.field_pairs():
+            pref = -1 if ((sf + 1) * field.parity) % 2 else 1
+            mirror = pref * (-1 if sf % 2 else 1)
+            d_a = _euler_bruteforce(fp, k, field.base)
+            if not d_a.is_structural_zero():
+                pieces.setdefault(anti, []).append(d_a * pref)
+            d_u = _euler_bruteforce(fp, k, anti.base)
+            if not d_u.is_structural_zero():
+                pieces.setdefault(field, []).append(d_u * mirror)
+    return EvolutionaryVectorField(
+        theory, {s: Expression.sum(theory, ps) for s, ps in pieces.items()})
+
+
+def _ad_expansion_bruteforce(f: Expression) -> list[EvolutionaryVectorField]:
+    kmax = 0
+    for t in f.terms:
+        for s, _ in t.mono:
+            if s.kind in (Kind.FIELD_JET, Kind.ANTIFIELD_JET):
+                kmax = max(kmax, s.jet_order)
+    fields = [_euler_field_bruteforce(f, k) for k in range(kmax + 1)]
+    while len(fields) > 1 and fields[-1].is_zero():
+        fields.pop()
+    return fields
+
+
+def _apply_bruteforce(vf: EvolutionaryVectorField, expr: Expression) -> Expression:
+    pieces: list[Expression] = []
+    for s0, comp in vf.components.items():
+        kmax = _max_jet(expr, s0.base)
+        if kmax < 0:
+            continue
+        dk = comp
+        for k in range(kmax + 1):
+            if k > 0:
+                dk = total_derivative(dk)
+            pd = jet_partial(expr, vf.theory.jet(s0.base, k))
+            if not pd.is_structural_zero():
+                pieces.append(dk * pd)
+    return Expression.sum(vf.theory, pieces)
+
+
+def _is_total_derivative_bruteforce(f: Expression):
+    theory = f.theory
+    _check_polynomial_in_jets(f)
+    obstruction = None
+    for field, anti in theory.field_pairs():
+        for base in (field.base, anti.base):
+            vd = _euler_bruteforce(f, 0, base)
+            if not is_zero(vd):
+                obstruction = (base, vd)
+                break
+        if obstruction:
+            break
+    c = f.constant_part()
+    if obstruction is not None:
+        return (False, c, None)
+    parts = _jet_degree_parts(f)
+    g = Expression.zero(theory)
+    for m, fm in sorted(parts.items()):
+        if m == 0:
+            continue
+        scale = Fraction(1, m)
+        for field, anti in theory.field_pairs():
+            for base in (field.base, anti.base):
+                kmax = _max_jet(fm, base)
+                sym0 = Expression.symbol(theory, theory.symbol(base, 0))
+                for k in range(1, kmax + 1):
+                    dk = _euler_bruteforce(fm, k, base)
+                    if dk.is_structural_zero():
+                        continue
+                    g = g + iterated_total(sym0 * dk, k - 1) * scale
+    if not is_zero(f - Expression.const(theory, c) - total_derivative(g)):
+        raise AssertionError("homotopy witness failed to reproduce the input")
+    return (True, c, g)
+
+
+def _vf_terms(v: EvolutionaryVectorField) -> list:
+    return [(s, _terms(e)) for s, e in v.components.items()]
+
+
+_BASES = ("q", "r", "th", "q+", "r+", "th+")
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_euler_and_brackets_match_bruteforce(data):
+    """euler for every order and base, bv_antibracket, hamiltonian_vf and
+    ad_expansion agree term by term and in order with the per-order loops,
+    on the kernel test's inputs (odd symbols, jets up to order 2, both sigma
+    parts, function, log and pow atoms)."""
+    t, atoms, symbols = _bracket_pools()
+    build = _kernel_builder(t, atoms, symbols)
+    f = build(data.draw(st.lists(_KERNEL_RAW_TERM, max_size=5)))
+    g = build(data.draw(st.lists(_KERNEL_RAW_TERM, max_size=5)))
+    for e in (f, g, f + g):
+        for base in _BASES:
+            for k in range(4):
+                assert _terms(euler(e, k, base)) == _terms(_euler_bruteforce(e, k, base))
+    for a, b in ((f, g), (g, f), (f + g, f)):
+        assert _terms(bv_antibracket(a, b)) == _terms(_bv_antibracket_bruteforce(a, b))
+    assert _vf_terms(hamiltonian_vf(f)) == _vf_terms(_euler_field_bruteforce(f, 0))
+    got, want = ad_expansion(f + g), _ad_expansion_bruteforce(f + g)
+    assert [_vf_terms(v) for v in got] == [_vf_terms(v) for v in want]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_vector_field_apply_matches_bruteforce(data):
+    """EvolutionaryVectorField.apply on one jet table of its argument agrees
+    term by term with the per-component, per-order loop."""
+    t, atoms, symbols = _bracket_pools()
+    build = _kernel_builder(t, atoms, symbols)
+    terms = st.lists(_KERNEL_RAW_TERM, max_size=3)
+    names = data.draw(st.lists(st.sampled_from(_BASES), unique=True, max_size=4))
+    vf = EvolutionaryVectorField(t, {t.symbol(n): build(data.draw(terms)) for n in names})
+    for _ in range(2):
+        e = build(data.draw(st.lists(_KERNEL_RAW_TERM, max_size=5)))
+        assert _terms(vf.apply(e)) == _terms(_apply_bruteforce(vf, e))
+
+
+# jet polynomials only: the decision procedure refuses atoms and parameters
+_POLY_RAW_TERM = st.tuples(
+    st.sampled_from([1, -1, 2, Fraction(1, 2), Fraction(-2, 3)]),
+    st.just([]),
+    st.lists(st.tuples(st.integers(0, 17), st.integers(1, 2)), max_size=3))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_is_total_derivative_matches_bruteforce(data):
+    """The flag, the constant and the witness agree term by term with the
+    per-order loop, on random jet polynomials and on total derivatives plus
+    a constant, and the witness re-derives its input."""
+    t, atoms, symbols = _bracket_pools()
+    build = _kernel_builder(t, atoms, symbols)
+    f = build(data.draw(st.lists(_POLY_RAW_TERM, max_size=5)))
+    c = data.draw(st.sampled_from([0, 3, Fraction(-1, 2)]))
+    for e in (f, total_derivative(f) + c, total_derivative(f + total_derivative(f))):
+        flag, const, w = is_total_derivative(e)
+        flag0, const0, w0 = _is_total_derivative_bruteforce(e)
+        assert (flag, const) == (flag0, const0)
+        assert (w is None) == (w0 is None)
+        if w is not None:
+            assert _terms(w) == _terms(w0)
+            assert is_zero(e - Expression.const(t, const) - total_derivative(w))
+    assert is_total_derivative(total_derivative(f) + c)[:2] == (True, Fraction(c))
