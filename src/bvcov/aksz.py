@@ -79,9 +79,7 @@ class TargetChart:
         for a in range(n):
             sa = -1 if self.fields[a].parity else 1
             for c in range(n):
-                acc = Expression.zero(self.theory)
-                for b in range(n):
-                    acc = acc + pi[a][b] * omega[b][c]
+                acc = Expression.sum(self.theory, (pi[a][b] * omega[b][c] for b in range(n)))
                 want = Expression.const(self.theory, 1 if a == c else 0)
                 if not is_zero(acc * sa - want):
                     raise SymplecticError("post-check pi.omega = signed identity failed")
@@ -148,15 +146,12 @@ def build_covariant_theory(chart: TargetChart, check: bool = True) -> USeries:
     verified to satisfy the curved Maurer-Cartan equation."""
     theory = chart.theory
     pi = chart.poisson_tensor()
-    s0 = Expression.zero(theory)
-    for f in chart.fields:
-        comp = chart.nu[f.name]
-        if comp.is_structural_zero():
-            continue
-        sign = -1 if f.parity else 1
-        s0 = s0 + comp * Expression.symbol(theory, theory.jet(f.name, 1)) * sign
-    s1_body = Expression.zero(theory)
-    s1_eps = Expression.zero(theory)
+    s0 = Expression.sum(theory, (
+        chart.nu[f.name] * Expression.symbol(theory, theory.jet(f.name, 1))
+        * (-1 if f.parity else 1)
+        for f in chart.fields if not chart.nu[f.name].is_structural_zero()))
+    body: list[Expression] = []
+    eps: list[Expression] = []
     half = Fraction(1, 2)
     for a, fa in enumerate(chart.fields):
         anti_a = Expression.symbol(theory, theory.symbol(antifield_name(fa.name)))
@@ -164,10 +159,12 @@ def build_covariant_theory(chart: TargetChart, check: bool = True) -> USeries:
             if pi[a][b].is_structural_zero():
                 continue
             anti_b = Expression.symbol(theory, theory.symbol(antifield_name(fb.name)))
-            s1_body = s1_body + (anti_a * pi[a][b] * anti_b) * half
+            body.append((anti_a * pi[a][b] * anti_b) * half)
             sign = -1 if fa.parity else 1
-            s1_eps = s1_eps + (chart.nu[fa.name] * pi[a][b] * anti_b) * sign
-    S = USeries(theory, {0: BElement.of_body(s0), 1: BElement(theory, s1_body, s1_eps)})
+            eps.append((chart.nu[fa.name] * pi[a][b] * anti_b) * sign)
+    S = USeries(theory, {0: BElement.of_body(s0),
+                         1: BElement(theory, Expression.sum(theory, body),
+                                     Expression.sum(theory, eps))})
     if check:
         rep = mc_check(S, CurvedContext(theory))
         if not rep.ok:
@@ -332,7 +329,7 @@ def couple_gravity(S: USeries, chart: TargetChart,
         + USeries.of(S1.scale((one - t) * t * cdc)) * Fraction(-1)
     family_ok = (tau_family - disp).is_zero()
 
-    endpoint = series.at(1)
+    endpoint = series.endpoint()
     theorem_rhs = USeries.of(S0) + D.scale(c) + USeries.of(BElement.of_body(grav)) \
         + USeries.of(iS0.scale(c)) + USeries.of(BElement.of_body(cp), 1)
     endpoint_ok = (endpoint - theorem_rhs).is_zero()

@@ -18,7 +18,7 @@ from typing import Callable, Optional, Union
 
 from .coefficients import AffineExponent, LogAtom
 from .expression import (Expression, _from_raw, apply_substitution, base_expression,
-                         inverse_of, is_zero, param_derivative, power_of,
+                         inverse_of, is_zero, partial_derivative, power_of,
                          substitute_param, total_derivative)
 from .symbols import EVEN, GradedSymbol, Kind, Theory, TheoryError
 from .varcalc import (EvolutionaryVectorField, JetTable, _jet_table, _sigma_tables,
@@ -615,7 +615,7 @@ def flow_substitution(theory: Theory, y: Expression, tau: GradedSymbol,
     sub = CanonicalSubstitution(theory, images)
     if verify:
         for gen, val in images.items():
-            lhs = param_derivative(val, tau)
+            lhs = partial_derivative(val, tau)
             rhs = step(val)
             if not is_zero(lhs - rhs):
                 raise FlowClosureError(f"flow ODE residual nonzero on {gen.name}")
@@ -721,7 +721,7 @@ def verify_flow_endpoint(x: USeries, family: USeries, y: USeries,
     d(family)/dtau = dy + (family, y) symbolically and family(0) = x; the
     endpoint is the family at tau = 1."""
     theory = x.theory
-    dtau = family.map_parts(lambda e: param_derivative(e, tau))
+    dtau = family.map_parts(lambda e: partial_derivative(e, tau))
     dy = du(y) if (ctx is None or ctx.mode == "B") else USeries.zero(theory)
     residual = dtau - dy - u_bracket(family, y)
     ok = residual.is_zero()

@@ -703,12 +703,15 @@ def _lower_atom(t: Term, j: int, coef) -> Term:
 
 
 def _atom_gradient(theory: Theory, atom: Atom) -> dict[GradedSymbol, Expression]:
-    """{s: d(atom)/ds} over the 0-jet symbols s the atom depends on, nonzero
-    entries only; memoized per theory in an append-only table.  The table is
-    keyed by the atom alone because the entries are read off the atom's own
-    argument list and base, never off the theory's field list, so a field
-    registered later cannot belong to an atom already in the table.  Atoms
-    are even, so no Koszul bookkeeping is needed here."""
+    """{s: d(atom)/ds} over the symbols s the atom depends on, nonzero
+    entries only: the 0-jet symbols of its arguments or base, and the flow
+    parameter of a pow exponent (d/dtau pow(E, a*tau + b) = a*log(E)*pow(E,
+    a*tau + b)).  This is the one place an atom is differentiated; every
+    derivation reads it.  Memoized per theory in an append-only table, keyed
+    by the atom alone because the entries are read off the atom's own
+    argument list, base and exponent, never off the theory's field list, so
+    a field registered later cannot belong to an atom already in the table.
+    Atoms are even, so no Koszul bookkeeping is needed here."""
     key = atom.key()
     grad = theory._atom_gradients.get(key)
     if grad is not None:
@@ -732,6 +735,12 @@ def _atom_gradient(theory: Theory, atom: Atom) -> dict[GradedSymbol, Expression]
                 if outer is None:
                     outer = _outer_derivative(theory, atom)
                 grad[s] = outer * dbase
+        tau = atom.exponent.param if isinstance(atom, PowerAtom) else None
+        if tau is not None:
+            # the log(E) term is nonzero and the base's share holds no log(E)
+            d = _from_raw(theory, [(atom.exponent.slope,
+                                    ((LogAtom(atom.base_key), 1), (atom, 1)), ())])
+            grad[tau] = grad[tau] + d if tau in grad else d
     theory._atom_gradients[key] = grad
     return grad
 
@@ -750,8 +759,28 @@ def _outer_derivative(theory: Theory, atom: Atom) -> Expression:
     return lin * shifted
 
 
+def _is_jet(s: GradedSymbol) -> bool:
+    return s.kind in (Kind.FIELD_JET, Kind.ANTIFIELD_JET)
+
+
+def _atom_partials(theory: Theory, t: Term, keep: Callable[[GradedSymbol], bool]):
+    """The chain rule on the atoms of one canonical term: (s, terms) for each
+    atom of t and each symbol s with keep(s) that the atom depends on, the
+    terms being the atom's share of dt/ds, t with the atom lowered times
+    `_atom_gradient`'s entry (atoms are even, so no Koszul sign enters)."""
+    for j, (a, e) in enumerate(t.atoms):
+        head = None
+        for s, da in _atom_gradient(theory, a).items():
+            if keep(s):
+                if head is None:
+                    head = (_lower_atom(t, j, t.coef * e),)
+                yield s, _product(theory, head, da.terms)
+
+
 def partial_derivative(expr: Expression, s: GradedSymbol) -> Expression:
-    """Graded left partial derivative with respect to any generator."""
+    """Graded left partial derivative with respect to any generator; atoms
+    follow by the chain rule, so for a flow parameter this is the full
+    d/dtau, pow exponents included."""
     theory = expr.theory
     out: list[Term] = []
     for t in expr.terms:
@@ -763,11 +792,9 @@ def partial_derivative(expr: Expression, s: GradedSymbol) -> Expression:
                 out.append(_lower_symbol(t, i, coef))
                 break
             prefix += sym.sign_degree * e
-        if s.jet_order == 0 and t.atoms:
-            for j, (a, e) in enumerate(t.atoms):
-                da = _atom_gradient(theory, a).get(s)
-                if da is not None:
-                    out += _product(theory, (_lower_atom(t, j, t.coef * e),), da.terms)
+        if t.atoms:
+            for _, terms in _atom_partials(theory, t, lambda x: x is s):
+                out += terms
     return Expression(theory, _merge_runs(out))
 
 
@@ -775,24 +802,19 @@ def jet_gradient(expr: Expression) -> dict[GradedSymbol, Expression]:
     """{s: partial_derivative(expr, s)} for every field or antifield jet s
     with a nonzero partial, in one pass over the terms: each occurrence of a
     jet symbol is lowered in place with the same Koszul prefix sign, and each
-    atom contributes through its memoized 0-jet gradient."""
+    atom contributes through its memoized gradient."""
     theory = expr.theory
     acc: dict[GradedSymbol, list[Term]] = {}
     for t in expr.terms:
         prefix = 0
         for i, (sym, e) in enumerate(t.mono):
             sd = sym.sign_degree
-            if sym.kind in (Kind.FIELD_JET, Kind.ANTIFIELD_JET):
+            if _is_jet(sym):
                 coef = -t.coef if sd == 1 and prefix % 2 else t.coef * e
                 acc.setdefault(sym, []).append(_lower_symbol(t, i, coef))
             prefix += sd * e
-        for j, (a, e) in enumerate(t.atoms):
-            head = None
-            for s, da in _atom_gradient(theory, a).items():
-                if s.kind in (Kind.FIELD_JET, Kind.ANTIFIELD_JET):
-                    if head is None:
-                        head = (_lower_atom(t, j, t.coef * e),)
-                    acc.setdefault(s, []).extend(_product(theory, head, da.terms))
+        for s, terms in _atom_partials(theory, t, _is_jet):
+            acc.setdefault(s, []).extend(terms)
     out: dict[GradedSymbol, Expression] = {}
     for s, ts in acc.items():
         merged = _merge_runs(ts)
@@ -803,20 +825,22 @@ def jet_gradient(expr: Expression) -> dict[GradedSymbol, Expression]:
 
 def jet_partial(expr: Expression, s: GradedSymbol) -> Expression:
     """partial() restricted to jet symbols, per the public contract."""
-    if s.kind not in (Kind.FIELD_JET, Kind.ANTIFIELD_JET):
+    if not _is_jet(s):
         raise TheoryError(f"partial expects a jet symbol, got {s.name}")
     return partial_derivative(expr, s)
 
 
 def total_derivative(expr: Expression) -> Expression:
-    """Total t-derivative: raises jet orders by one; derivation; kills
-    constants, flow parameters and simplex generators."""
+    """Total t-derivative D = sum_s D(s) d/ds: raises jet orders by one;
+    kills constants, flow parameters and simplex generators.  The raised
+    jets of the monomials go through the raw-term loop, the atoms through
+    their gradients: D(atom) = sum over 0-jets s of d(atom)/ds * s_1."""
     theory = expr.theory
     raw: list[RawTerm] = []
-    pieces: list[Expression] = []
+    out: list[Term] = []
     for t in expr.terms:
         for i, (sym, e) in enumerate(t.mono):
-            if sym.kind not in (Kind.FIELD_JET, Kind.ANTIFIELD_JET):
+            if not _is_jet(sym):
                 continue
             bumped = theory.jet_bump(sym)
             if sym.sign_degree == 1:
@@ -826,28 +850,10 @@ def total_derivative(expr: Expression) -> Expression:
                 lowered = (t.mono[:i] + ((sym, e - 1), (bumped, 1)) + t.mono[i + 1:]) if e > 1 \
                     else (t.mono[:i] + ((bumped, 1),) + t.mono[i + 1:])
                 raw.append((t.coef * e, t.atoms, lowered))
-        if t.atoms:
-            for j, (a, e) in enumerate(t.atoms):
-                da = _atom_total(theory, a)
-                if da is None:
-                    continue
-                rest_atoms = t.atoms[:j] + ((a, e - 1),) + t.atoms[j + 1:]
-                head = _from_raw(theory, [(t.coef * e, rest_atoms, t.mono)])
-                pieces.append(head * da)
-    return Expression.sum(theory, [_from_raw(theory, raw)] + pieces)
-
-
-def _atom_total(theory: Theory, atom: Atom) -> Optional[Expression]:
-    if isinstance(atom, FuncAtom):
-        decl = theory.function(atom.func)
-        out = Expression.sum(theory, (
-            Expression.func(theory, atom.func, atom.deriv + (arg,))
-            * Expression.symbol(theory, theory.jet(arg, 1)) for arg in decl.args))
-        return None if out.is_structural_zero() else out
-    dbase = total_derivative(base_expression(theory, atom.base_key))
-    if dbase.is_structural_zero():
-        return None
-    return _outer_derivative(theory, atom) * dbase
+        for s, terms in _atom_partials(theory, t, _is_jet):
+            # s is an even 0-jet, so its raised jet needs no sign
+            out += _product(theory, terms, Expression.symbol(theory, theory.jet_bump(s)).terms)
+    return Expression(theory, _merge_runs(list(_from_raw(theory, raw).terms) + out))
 
 
 def iterated_total(expr: Expression, k: int) -> Expression:
@@ -856,24 +862,9 @@ def iterated_total(expr: Expression, k: int) -> Expression:
     return expr
 
 
-def param_derivative(expr: Expression, param: GradedSymbol) -> Expression:
-    """d/d(tau): differentiates monomial powers of the flow parameter and
-    pow-atom exponents (d/dtau pow(E, a*tau+b) = a*log(E)*pow(E, a*tau+b))."""
-    theory = expr.theory
-    out: list[Term] = []
-    for t in expr.terms:
-        for i, (sym, e) in enumerate(t.mono):
-            if sym is param:
-                out.append(_lower_symbol(t, i, t.coef * e))
-        for a, _ in t.atoms:
-            if isinstance(a, PowerAtom) and a.exponent.param is param and a.exponent.slope != 0:
-                log_part = _single(theory, a.exponent.slope, ((LogAtom(a.base_key), 1),), ())
-                out += _product(theory, (t,), log_part.terms)
-    return Expression(theory, _merge_runs(out))
-
-
 def substitute_param(expr: Expression, param: GradedSymbol, value) -> Expression:
-    """Evaluate a flow parameter at an exact rational value."""
+    """Evaluate a flow parameter at an exact rational value; refuses a
+    log/pow base that mentions the parameter, which it cannot evaluate."""
     value = Fraction(value)
     raw: list[RawTerm] = []
     for t in expr.terms:
@@ -886,6 +877,9 @@ def substitute_param(expr: Expression, param: GradedSymbol, value) -> Expression
                 mono.append((sym, e))
         atoms = []
         for a, e in t.atoms:
+            if not isinstance(a, FuncAtom) and \
+                    param in base_expression(expr.theory, a.base_key).symbols():
+                raise TheoryError(f"cannot evaluate {param.name} inside the base of {a}")
             if isinstance(a, PowerAtom) and a.exponent.param is param:
                 atoms.append((PowerAtom(a.base_key, a.exponent.substitute(value)), e))
             else:
@@ -895,26 +889,17 @@ def substitute_param(expr: Expression, param: GradedSymbol, value) -> Expression
 
 
 def odd_derivation(expr: Expression, images: dict[GradedSymbol, Expression]) -> Expression:
-    """Left action of the odd derivation sending each key symbol to its
-    (odd) image and annihilating everything else; Koszul signs from the
-    position of the occurrence."""
+    """The odd derivation X = sum_s images[s] d/ds (graded left partials):
+    each key symbol goes to its image and every other generator to zero;
+    atoms follow by the chain rule.  Each image must be odd relative to its
+    key (sign degree |s| + 1), else X is not an odd derivation and
+    TheoryError is raised."""
     theory = expr.theory
     out: list[Term] = []
-    for t in expr.terms:
-        prefix_sigma = 0
-        k = t.key
-        for i, (sym, e) in enumerate(t.mono):
-            img = images.get(sym)
-            if img is not None:
-                # t = head * sym * tail, the tail holding sym^(e-1) and the
-                # factors after it; head and tail are canonical as they stand
-                at = 1 + 2 * i
-                coef = t.coef * e
-                head = Term(-coef if prefix_sigma % 2 else coef, t.atoms, t.mono[:i], k[:at])
-                tail = _lower_symbol(Term(Fraction(1), (), t.mono[i:], ((),) + k[at:]), 0,
-                                     Fraction(1))
-                out += _product(theory, _product(theory, (head,), img.terms), (tail,))
-            prefix_sigma += sym.sign_degree * e
+    for s, img in images.items():
+        if img.terms and img.sign_degree() != 1 - s.sign_degree:
+            raise TheoryError(f"odd_derivation: the image of {s.name} is not odd relative to it")
+        out += _product(theory, img.terms, partial_derivative(expr, s).terms)
     return Expression(theory, _merge_runs(out))
 
 

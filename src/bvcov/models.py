@@ -59,9 +59,8 @@ def flat_particle(n: int = 2, eta=None) -> ModelSpec:
         t.add_field(f"p_{m}", 0, 0)
     nu = {f"x_{m}": Expression.of(t, f"p_{m}") for m in range(1, n + 1)}
     chart = TargetChart(t, nu)
-    V = Fraction(1, 2) * sum(
-        ((Fraction(1) / eta[m - 1]) * Expression.of(t, f"p_{m}") ** 2
-         for m in range(1, n + 1)), Expression.zero(t))
+    V = Fraction(1, 2) * Expression.sum(t, (
+        (Fraction(1) / eta[m - 1]) * Expression.of(t, f"p_{m}") ** 2 for m in range(1, n + 1)))
     return ModelSpec("flat-particle", n, chart, build_covariant_theory(chart),
                      eta=eta, potential=V)
 
@@ -82,9 +81,8 @@ def magnetic_particle(n: int = 2, eta=None) -> ModelSpec:
     nu = {f"x_{m}": Expression.of(t, f"p_{m}") + Expression.func(t, f"A_{m}")
           for m in range(1, n + 1)}
     chart = TargetChart(t, nu)
-    V = Fraction(1, 2) * sum(
-        ((Fraction(1) / eta[m - 1]) * Expression.of(t, f"p_{m}") ** 2
-         for m in range(1, n + 1)), Expression.zero(t))
+    V = Fraction(1, 2) * Expression.sum(t, (
+        (Fraction(1) / eta[m - 1]) * Expression.of(t, f"p_{m}") ** 2 for m in range(1, n + 1)))
     return ModelSpec("magnetic-particle", n, chart,
                      build_covariant_theory(chart), eta=eta, potential=V)
 
@@ -135,8 +133,8 @@ def flat_spinning_particle(n: int = 2, eta=None) -> ModelSpec:
     chart = _spinning_chart(t, n, eta, with_potential_A=False)
     # intro convention (psi -> -psi relative to the curved-frame section):
     # Q = -psi^mu p_mu lands the pipeline on the displayed flat action
-    Q = -sum((Expression.of(t, f"psi_{m}") * Expression.of(t, f"p_{m}")
-              for m in range(1, n + 1)), Expression.zero(t))
+    Q = -Expression.sum(t, (Expression.of(t, f"psi_{m}") * Expression.of(t, f"p_{m}")
+                            for m in range(1, n + 1)))
     return ModelSpec("flat-spinning-particle", n, chart,
                      build_covariant_theory(chart), eta=eta, charge=Q,
                      spinning=True)
@@ -167,37 +165,40 @@ def curved_spinning_particle(n: int = 2, eta=None) -> ModelSpec:
                 t.add_function(f"om_{m}_{a}_{b}", xs)
     chart = _spinning_chart(t, n, eta, with_potential_A=True,
                             intro_convention=False)
-
-    def om(m, a, b):
-        if a == b:
-            return Expression.zero(t)
-        if a < b:
-            return Expression.func(t, f"om_{m}_{a}_{b}")
-        return -Expression.func(t, f"om_{m}_{b}_{a}")
-
-    Q = Expression.zero(t)
-    for m in range(1, n + 1):
-        ptilde = Expression.of(t, f"p_{m}")
-        for a in range(1, n + 1):
-            for b in range(1, n + 1):
-                ptilde = ptilde + Fraction(1, 2) * om(m, a, b) * \
-                    Expression.of(t, f"psi_{a}") * Expression.of(t, f"psi_{b}")
-        for a in range(1, n + 1):
-            Q = Q + Expression.func(t, f"thinv_{m}_{a}") * \
-                Expression.of(t, f"psi_{a}") * ptilde
+    rng = range(1, n + 1)
+    ptilde = {m: _ptilde(t, n, m) for m in rng}
+    Q = Expression.sum(t, (Expression.func(t, f"thinv_{m}_{a}") * Expression.of(t, f"psi_{a}")
+                           * ptilde[m] for m in rng for a in rng))
     # first Cartan structure equation as a directed rule: the disordered
     # frame derivative d_m theta^a_k (m > k) is eliminated
-    for a in range(1, n + 1):
-        for k in range(1, n + 1):
+    for a in rng:
+        for k in rng:
             for m in range(k + 1, n + 1):
-                rhs = Expression.func(t, f"th_{a}_{m}", [f"x_{k}"])
-                for b in range(1, n + 1):
-                    rhs = rhs - om(m, a, b) * Expression.func(t, f"th_{b}_{k}")
-                    rhs = rhs + om(k, a, b) * Expression.func(t, f"th_{b}_{m}")
+                rhs = Expression.sum(t, [Expression.func(t, f"th_{a}_{m}", [f"x_{k}"])] + [
+                    _om(t, k, a, b) * Expression.func(t, f"th_{b}_{m}")
+                    - _om(t, m, a, b) * Expression.func(t, f"th_{b}_{k}") for b in rng])
                 register_relation(t, f"th_{a}_{k}", f"x_{m}", rhs)
     return ModelSpec("curved-spinning-particle", n, chart,
                      build_covariant_theory(chart), eta=eta, charge=Q,
                      spinning=True)
+
+
+def _om(t: Theory, m: int, a: int, b: int) -> Expression:
+    """The spin connection om_m_a_b, antisymmetric in (a, b); only a < b is
+    a function symbol."""
+    if a == b:
+        return Expression.zero(t)
+    if a < b:
+        return Expression.func(t, f"om_{m}_{a}_{b}")
+    return -Expression.func(t, f"om_{m}_{b}_{a}")
+
+
+def _ptilde(t: Theory, n: int, m: int) -> Expression:
+    """p~_m = p_m + (1/2) om_m_ab psi^a psi^b."""
+    return Expression.sum(t, [Expression.of(t, f"p_{m}")] + [
+        Fraction(1, 2) * _om(t, m, a, b) * Expression.of(t, f"psi_{a}")
+        * Expression.of(t, f"psi_{b}")
+        for a in range(1, n + 1) for b in range(1, n + 1)])
 
 
 # -- directed function-symbol rewrite rules ---------------------------------------
@@ -267,21 +268,8 @@ def lichnerowicz_check(model: ModelSpec) -> LichnerowiczReport:
     t = model.theory
     n = model.dim
     lhs = model.chart.poisson_bracket(model.charge, model.charge)
-    rhs = Expression.zero(t)
-
-    def om(m, a, b):
-        if a == b:
-            return Expression.zero(t)
-        if a < b:
-            return Expression.func(t, f"om_{m}_{a}_{b}")
-        return -Expression.func(t, f"om_{m}_{b}_{a}")
-
-    def ptilde(m):
-        return Expression.sum(t, [Expression.of(t, f"p_{m}")] + [
-            Fraction(1, 2) * om(m, a, b) * Expression.of(t, f"psi_{a}")
-            * Expression.of(t, f"psi_{b}")
-            for a in range(1, n + 1) for b in range(1, n + 1)])
-
+    ptilde = {m: _ptilde(t, n, m) for m in range(1, n + 1)}
+    pieces = []
     for mu in range(1, n + 1):
         for nu in range(1, n + 1):
             F = Expression.func(t, f"A_{nu}", [f"x_{mu}"]) - \
@@ -291,11 +279,11 @@ def lichnerowicz_check(model: ModelSpec) -> LichnerowiczReport:
                     pref = Expression.func(t, f"thinv_{mu}_{a}") * \
                         Expression.func(t, f"thinv_{nu}_{b}")
                     if a == b:
-                        rhs = rhs + pref * (Fraction(1) / model.eta[a - 1]) * \
-                            ptilde(mu) * ptilde(nu)
-                    rhs = rhs - pref * Fraction(1, 2) * F * \
-                        Expression.of(t, f"psi_{a}") * Expression.of(t, f"psi_{b}")
-    residual = apply_relations(lhs - rhs)
+                        pieces.append(pref * (Fraction(1) / model.eta[a - 1])
+                                      * ptilde[mu] * ptilde[nu])
+                    pieces.append(-(pref * Fraction(1, 2) * F * Expression.of(t, f"psi_{a}")
+                                    * Expression.of(t, f"psi_{b}")))
+    residual = apply_relations(lhs - Expression.sum(t, pieces))
     status = "verified" if is_zero(residual) else "needs-relations"
     return LichnerowiczReport(residual, status)
 
@@ -398,14 +386,14 @@ def spinning_pipeline(model: ModelSpec) -> SpinningReport:
     S1 = S.coeff(1)
     Xi1 = Xi.coeff(1)
     fs3 = gauge_flow_series(T2, USeries.of(Xi1.scale(c)))
-    T3 = fs3.at(1)
+    T3 = fs3.endpoint()
     stages.append(SpinningStage("cXi1", T3, mc_check(T3, ctx).ok))
     fs4 = gauge_flow_series(T3, USeries.of(S1.scale(c)))
-    T4 = fs4.at(1)
+    T4 = fs4.endpoint()
     stages.append(SpinningStage("cS1", T4, mc_check(T4, ctx).ok))
 
     # BCH merge: c Xi_1 * c S_1 = c(S_1 + Xi_1): flowing in one shot agrees
-    merged = gauge_flow_series(T2, USeries.of((S1 + Xi1).scale(c))).at(1)
+    merged = gauge_flow_series(T2, USeries.of((S1 + Xi1).scale(c))).endpoint()
     bch_ok = (merged - T4).is_zero() and \
         u_bracket(USeries.of(Xi1.scale(c)), USeries.of(S1.scale(c))).is_zero()
 
@@ -500,7 +488,7 @@ def couple_with_potential(model: ModelSpec) -> PotentialCouplingReport:
     _, cert = gauge_flow_closed(T1, log_of(bp) * cp * c, tau, ctx)
     T2 = cert.endpoint
     S1 = S.coeff(1)
-    T3 = gauge_flow_series(T2, USeries.of(S1.scale(c))).at(1)
+    T3 = gauge_flow_series(T2, USeries.of(S1.scale(c))).endpoint()
     D = d_element(prod, exclude=("b", "c"))
     grav = c * (bp * Expression.of(prod, "b", 1) + cp * Expression.of(prod, "c", 1))
     S0 = S.coeff(0)
@@ -545,14 +533,14 @@ def intro_transformations(t: Theory, n: int, eta: Optional[Sequence] = None,
     eta = _diag_eta(n, eta)
     tau = t.symbol("tau") if t.has_name("tau") else t.add_flow_param("tau")
     c = Expression.of(t, "c")
-    gen_phi = sum((c * Expression.of(t, f"x+_{m}") * Expression.of(t, f"p+_{m}")
-                   for m in range(1, n + 1)), Expression.zero(t))
+    pieces = [c * Expression.of(t, f"x+_{m}") * Expression.of(t, f"p+_{m}")
+              for m in range(1, n + 1)]
     if spinning:
-        gen_phi = gen_phi + sum(
-            (Fraction(1, 2) * (Fraction(1) / eta[a - 1]) * c
-             * Expression.of(t, f"psi+_{a}") * Expression.of(t, f"psi+_{a}")
-             for a in range(1, n + 1)), Expression.zero(t))
-        gen_phi = gen_phi + c * Expression.of(t, "chi") * Expression.of(t, "gamma+")
+        pieces += [Fraction(1, 2) * (Fraction(1) / eta[a - 1]) * c
+                   * Expression.of(t, f"psi+_{a}") * Expression.of(t, f"psi+_{a}")
+                   for a in range(1, n + 1)]
+        pieces.append(c * Expression.of(t, "chi") * Expression.of(t, "gamma+"))
+    gen_phi = Expression.sum(t, pieces)
     gen_psi = log_of(Expression.of(t, "e")) * Expression.of(t, "c+") * c
     phi_flow = flow_substitution(t, gen_phi, tau, direction=+1)
     psi_flow = flow_substitution(t, gen_psi, tau, direction=+1)
@@ -576,31 +564,27 @@ def intro_spinning_action(t: Theory, n: int, eta: Optional[Sequence] = None) -> 
 
     d = total_derivative
     rng = range(1, n + 1)
-    S0 = sum((E(f"p_{k}") * d(E(f"x_{k}"))
-              + Fraction(1, 2) * eta[k - 1] * E(f"psi_{k}") * d(E(f"psi_{k}"))
-              for k in rng), Expression.zero(t)) \
-        - Fraction(1, 2) * E("e") * sum(((Fraction(1) / eta[k - 1]) * E(f"p_{k}") ** 2
-                                         for k in rng), Expression.zero(t)) \
-        + sum((E("chi") * E(f"p_{k}") * E(f"psi_{k}") for k in rng),
-              Expression.zero(t))
-    Dfull = sum((E(f"x+_{k}") * d(E(f"x_{k}")) + E(f"p+_{k}") * d(E(f"p_{k}"))
-                 + E(f"psi+_{k}") * d(E(f"psi_{k}")) for k in rng),
-                Expression.zero(t)) \
+    S0 = Expression.sum(t, (E(f"p_{k}") * d(E(f"x_{k}"))
+                            + Fraction(1, 2) * eta[k - 1] * E(f"psi_{k}") * d(E(f"psi_{k}"))
+                            for k in rng)) \
+        - Fraction(1, 2) * E("e") * Expression.sum(
+            t, ((Fraction(1) / eta[k - 1]) * E(f"p_{k}") ** 2 for k in rng)) \
+        + Expression.sum(t, (E("chi") * E(f"p_{k}") * E(f"psi_{k}") for k in rng))
+    Dfull = Expression.sum(t, (E(f"x+_{k}") * d(E(f"x_{k}")) + E(f"p+_{k}") * d(E(f"p_{k}"))
+                               + E(f"psi+_{k}") * d(E(f"psi_{k}")) for k in rng)) \
         - E("e") * d(E("e+")) + E("c+") * d(E("c")) \
         - E("chi") * d(E("chi+")) + E("gamma+") * d(E("gamma"))
     return S0 + E("c") * Dfull \
         - E("gamma") * (d(E("chi+"))
-                        - sum(((Fraction(1) / eta[k - 1]) * E(f"p_{k}")
-                               * E(f"psi+_{k}") for k in rng),
-                              Expression.zero(t))
-                        + sum((E(f"psi_{k}") * E(f"x+_{k}") for k in rng),
-                              Expression.zero(t))
+                        - Expression.sum(t, ((Fraction(1) / eta[k - 1]) * E(f"p_{k}")
+                                             * E(f"psi+_{k}") for k in rng))
+                        + Expression.sum(t, (E(f"psi_{k}") * E(f"x+_{k}") for k in rng))
                         + 2 * E("chi") * E("e+")) \
         + inverse_of(E("e")) * E("gamma") ** 2 * (
             E("c+")
-            - sum((E(f"x+_{k}") * E(f"p+_{k}") for k in rng), Expression.zero(t))
-            - Fraction(1, 2) * sum(((Fraction(1) / eta[k - 1]) * E(f"psi+_{k}") ** 2
-                                    for k in rng), Expression.zero(t))
+            - Expression.sum(t, (E(f"x+_{k}") * E(f"p+_{k}") for k in rng))
+            - Fraction(1, 2) * Expression.sum(
+                t, ((Fraction(1) / eta[k - 1]) * E(f"psi+_{k}") ** 2 for k in rng))
             - E("chi") * E("gamma+"))
 
 
@@ -613,11 +597,11 @@ def intro_particle_action(t: Theory, n: int, eta: Optional[Sequence] = None):
 
     d = total_derivative
     rng = range(1, n + 1)
-    S0 = sum((E(f"p_{k}") * d(E(f"x_{k}")) for k in rng), Expression.zero(t)) \
-        - Fraction(1, 2) * E("e") * sum(((Fraction(1) / eta[k - 1]) * E(f"p_{k}") ** 2
-                                         for k in rng), Expression.zero(t))
-    D = sum((E(f"x+_{k}") * d(E(f"x_{k}")) + E(f"p+_{k}") * d(E(f"p_{k}"))
-             for k in rng), Expression.zero(t)) \
+    S0 = Expression.sum(t, (E(f"p_{k}") * d(E(f"x_{k}")) for k in rng)) \
+        - Fraction(1, 2) * E("e") * Expression.sum(
+            t, ((Fraction(1) / eta[k - 1]) * E(f"p_{k}") ** 2 for k in rng))
+    D = Expression.sum(t, (E(f"x+_{k}") * d(E(f"x_{k}")) + E(f"p+_{k}") * d(E(f"p_{k}"))
+                           for k in rng)) \
         - E("e") * d(E("e+")) + E("c+") * d(E("c"))
     return S0 + Expression.of(t, "c") * D, S0, D
 
@@ -654,11 +638,9 @@ def particle_composite_form(theory: Theory, n: int, eta: list[Fraction]) -> Expr
     P = {m: E(f"p_{m}") - dt * E(f"x+_{m}") for m in range(1, n + 1)}
     C = E("c") - dt * E("e")
     B = E("e+") + dt * E("c+")
-    form = sum((P[m] * dw(X[m]) for m in range(1, n + 1)), Expression.zero(t))
-    form = form + C * dw(B)
-    for m in range(1, n + 1):
-        form = form + Fraction(1, 2) * (Fraction(1) / eta[m - 1]) * C * P[m] * P[m]
-    return form
+    rng = range(1, n + 1)
+    return Expression.sum(t, [P[m] * dw(X[m]) for m in rng] + [C * dw(B)] + [
+        Fraction(1, 2) * (Fraction(1) / eta[m - 1]) * C * P[m] * P[m] for m in rng])
 
 
 def spinning_composite_form(theory: Theory, n: int, eta: list[Fraction]) -> Expression:
@@ -683,12 +665,11 @@ def spinning_composite_form(theory: Theory, n: int, eta: list[Fraction]) -> Expr
     B = E("e+") + dt * E("c+")
     GAMMA = -E("gamma") + dt * E("chi")
     BETA = E("chi+") + dt * E("gamma+")
-    form = sum((P[m] * dw(X[m]) for m in range(1, n + 1)), Expression.zero(t))
-    for m in range(1, n + 1):
-        form = form - Fraction(1, 2) * eta[m - 1] * PSI[m] * dw(PSI[m])
-    form = form + C * dw(B) + GAMMA * dw(BETA)
-    for m in range(1, n + 1):
-        form = form + Fraction(1, 2) * (Fraction(1) / eta[m - 1]) * C * P[m] * P[m]
-        form = form + GAMMA * P[m] * PSI[m]
-    form = form + B * GAMMA * GAMMA
-    return form
+    rng = range(1, n + 1)
+    return Expression.sum(t, [P[m] * dw(X[m]) for m in rng]
+                          + [-Fraction(1, 2) * eta[m - 1] * PSI[m] * dw(PSI[m]) for m in rng]
+                          + [C * dw(B), GAMMA * dw(BETA)]
+                          + [Fraction(1, 2) * (Fraction(1) / eta[m - 1]) * C * P[m] * P[m]
+                             for m in rng]
+                          + [GAMMA * P[m] * PSI[m] for m in rng]
+                          + [B * GAMMA * GAMMA])

@@ -287,13 +287,8 @@ def to_useries(expr: Expression) -> USeries:
 
 def from_useries(x: USeries) -> Expression:
     theory = x.theory
-    out = Expression.zero(theory)
-    for n, c in x.coeffs.items():
-        piece = c.fused()
-        for _ in range(n):
-            piece = Expression.symbol(theory, theory.u) * piece
-        out = out + piece
-    return out
+    u = Expression.symbol(theory, theory.u)
+    return Expression.sum(theory, (u ** n * c.fused() for n, c in x.coeffs.items()))
 
 
 # -- theory files -------------------------------------------------------------------

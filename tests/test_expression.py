@@ -9,7 +9,7 @@ from bvcov.symbols import Kind, Theory, TheoryError, SymbolUnknownError
 from bvcov.expression import (Expression, GradingError, inverse_of, is_zero,
                               log_of, normalize, odd_derivation, partial_derivative,
                               power_of, total_derivative, jet_partial,
-                              param_derivative, substitute_param)
+                              substitute_param)
 from bvcov.coefficients import AffineExponent, FuncAtom, LogAtom, PowerAtom
 from bvcov.printer import render
 from conftest import HomogeneousSampler
@@ -152,7 +152,7 @@ def test_inverse_log_power_rules(E, particle_theory):
     aff = AffineExponent(Fraction(-1), Fraction(1), tau)
     pw = power_of(e, aff)
     assert pw * e == power_of(e, AffineExponent(Fraction(0), Fraction(1), tau))
-    assert param_derivative(pw, tau) == log_of(e) * pw
+    assert partial_derivative(pw, tau) == log_of(e) * pw
     assert substitute_param(pw, tau, 1) == Expression.const(particle_theory, 1)
 
 
@@ -324,9 +324,10 @@ def test_sum_contract(particle_theory, E):
 #
 # The brute-force oracles below are the raw-term loops the engine used before
 # it built products and derivatives directly as canonical terms: each writes
-# the raw terms out and puts them through `normalize`.  `total_derivative`
-# still runs its loop; `_total_bruteforce` pins what a direct construction of
-# the bumped jets must keep.
+# the raw terms out and puts them through `normalize`.  They differentiate
+# atoms by the chain rule written out (`_atom_derivative_bruteforce`), never
+# by the engine's memoized gradients, so each derivation is checked against
+# code it does not share.
 
 
 def _mul_bruteforce(a: Expression, b: Expression) -> Expression:
@@ -344,16 +345,19 @@ def _atom_derivative_bruteforce(theory, atom, s):
         return None
     base = expression.base_expression(theory, atom.base_key)
     dbase = _partial_bruteforce(base, s)
-    if dbase.is_structural_zero():
-        return None
     if isinstance(atom, LogAtom):
-        return inverse_of(base) * dbase
-    r = atom.exponent
-    shifted = normalize(theory, [(1, ((PowerAtom(atom.base_key, r - 1), 1),), ())])
-    lin = Expression.const(theory, r.offset)
-    if r.param is not None and r.slope != 0:
-        lin = lin + Expression.symbol(theory, r.param) * r.slope
-    return lin * shifted * dbase
+        d = inverse_of(base) * dbase
+    else:
+        r = atom.exponent
+        shifted = normalize(theory, [(1, ((PowerAtom(atom.base_key, r - 1), 1),), ())])
+        lin = Expression.const(theory, r.offset)
+        if r.param is not None and r.slope != 0:
+            lin = lin + Expression.symbol(theory, r.param) * r.slope
+        d = lin * shifted * dbase
+        if r.param is s:
+            # d/dtau pow(E, a*tau + b) = a * log(E) * pow(E, a*tau + b)
+            d = d + normalize(theory, [(r.slope, ((LogAtom(atom.base_key), 1), (atom, 1)), ())])
+    return None if d.is_structural_zero() else d
 
 
 def _partial_bruteforce(expr: Expression, s) -> Expression:
@@ -398,35 +402,23 @@ def _total_bruteforce(expr: Expression) -> Expression:
                 lowered = (t.mono[:i] + ((sym, e - 1), (bumped, 1)) + t.mono[i + 1:]) if e > 1 \
                     else (t.mono[:i] + ((bumped, 1),) + t.mono[i + 1:])
                 raw.append((t.coef * e, t.atoms, lowered))
-        if t.atoms:
-            for j, (a, e) in enumerate(t.atoms):
-                da = expression._atom_total(theory, a)
-                if da is None:
-                    continue
-                rest_atoms = t.atoms[:j] + ((a, e - 1),) + t.atoms[j + 1:]
-                head = normalize(theory, [(t.coef * e, rest_atoms, t.mono)])
-                raw += _raw_of(_mul_bruteforce(head, da))
-    return normalize(theory, raw)
-
-
-def _param_bruteforce(expr: Expression, param) -> Expression:
-    theory = expr.theory
-    raw = []
-    for t in expr.terms:
-        for i, (sym, e) in enumerate(t.mono):
-            if sym is param:
-                rest = t.mono[:i] + ((sym, e - 1),) + t.mono[i + 1:] if e > 1 \
-                    else t.mono[:i] + t.mono[i + 1:]
-                raw.append((t.coef * e, t.atoms, rest))
-        for a, e in t.atoms:
-            if isinstance(a, PowerAtom) and a.exponent.param is param and a.exponent.slope != 0:
-                log_part = normalize(theory, [(a.exponent.slope, ((LogAtom(a.base_key), 1),), ())])
-                head = normalize(theory, [(t.coef, t.atoms, t.mono)])
-                raw += _raw_of(_mul_bruteforce(head, log_part))
+        # D(atom) = sum over 0-jet fields and antifields s of d(atom)/ds * s_1
+        for j, (a, e) in enumerate(t.atoms):
+            rest_atoms = t.atoms[:j] + ((a, e - 1),) + t.atoms[j + 1:]
+            head = normalize(theory, [(t.coef * e, rest_atoms, t.mono)])
+            for pair in theory.field_pairs():
+                for s in pair:
+                    da = _atom_derivative_bruteforce(theory, a, s)
+                    if da is not None:
+                        bump = normalize(theory, [(1, (), ((theory.jet_bump(s), 1),))])
+                        raw += _raw_of(_mul_bruteforce(_mul_bruteforce(head, da), bump))
     return normalize(theory, raw)
 
 
 def _odd_derivation_bruteforce(expr: Expression, images: dict) -> Expression:
+    """X(expr) for X(s) = images[s]: t = atoms * head * s^e * tail gives
+    (-1)^|head| atoms * head * X(s) * e s^(e-1) * tail, and an atom A of t
+    gives X(s) * dA/ds * (t with A lowered), atoms being even."""
     theory = expr.theory
     raw = []
     for t in expr.terms:
@@ -441,7 +433,22 @@ def _odd_derivation_bruteforce(expr: Expression, images: dict) -> Expression:
                 tail = normalize(theory, [(Fraction(1), (), tail_mono)])
                 raw += _raw_of(_mul_bruteforce(_mul_bruteforce(head, img), tail))
             prefix_sigma += sym.sign_degree * e
+        for j, (a, e) in enumerate(t.atoms):
+            rest_atoms = t.atoms[:j] + ((a, e - 1),) + t.atoms[j + 1:]
+            rest = normalize(theory, [(t.coef * e, rest_atoms, t.mono)])
+            for s, img in images.items():
+                da = _atom_derivative_bruteforce(theory, a, s)
+                if da is not None:
+                    raw += _raw_of(_mul_bruteforce(_mul_bruteforce(img, da), rest))
     return normalize(theory, raw)
+
+
+def _odd_image(e: Expression, s) -> Expression:
+    """An image odd relative to s drawn from e: the terms of e + e*th whose
+    sign degree is |s| + 1."""
+    pool = e + e * Expression.of(e.theory, "th")
+    return Expression(e.theory, tuple(t for t in pool.terms
+                                      if t.sign_degree() != s.sign_degree))
 
 
 def _coefficient_of_bruteforce(expr: Expression, sym) -> Expression:
@@ -513,7 +520,7 @@ def test_mul_pinned_cases():
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_derivatives_match_bruteforce_oracles(data):
-    """partial_derivative, total_derivative, param_derivative,
+    """partial_derivative (d/dtau included), total_derivative,
     odd_derivation and coefficient_of agree term by term with the raw-term
     loops they replace."""
     t, atoms, symbols = _oracle_pools()
@@ -522,16 +529,66 @@ def test_derivatives_match_bruteforce_oracles(data):
     for s in symbols:
         assert _terms(partial_derivative(f, s)) == _terms(_partial_bruteforce(f, s)), s
     assert _terms(total_derivative(f)) == _terms(_total_bruteforce(f))
-    tau = symbols[-1]
-    assert _terms(param_derivative(f, tau)) == _terms(_param_bruteforce(f, tau))
     for s in symbols:
         if s.sign_degree == 1:
             assert _terms(f.coefficient_of(s)) == _terms(_coefficient_of_bruteforce(f, s)), s
     keys = data.draw(st.lists(st.sampled_from(symbols[:-1]), min_size=1, max_size=3,
                               unique=True))
-    images = {s: build(data.draw(st.lists(_ALL_ATOMS_RAW_TERM, max_size=3))) for s in keys}
+    images = {s: _odd_image(build(data.draw(st.lists(_ALL_ATOMS_RAW_TERM, max_size=3))), s)
+              for s in keys}
     assert _terms(odd_derivation(f, images)) == \
         _terms(_odd_derivation_bruteforce(f, images))
+
+
+def test_flow_parameter_chain_rule_pinned():
+    """d/dtau reaches a flow parameter in a pow exponent and in a log base
+    alike: for P = pow(1 + q, tau - 1) and M = P * log(q + tau),
+    dM/dtau = log(1 + q) * log(q + tau) * P + P * inv(q + tau)."""
+    t, _, _ = _oracle_pools()
+    q, tau = Expression.of(t, "q"), t.symbol("tau")
+    T = Expression.symbol(t, tau)
+    P = power_of(q + 1, AffineExponent(Fraction(-1), Fraction(1), tau))
+    M = P * log_of(q + T)
+    assert partial_derivative(M, tau) == \
+        log_of(q + 1) * log_of(q + T) * P + P * inverse_of(q + T)
+    assert partial_derivative(P, tau) == log_of(q + 1) * P
+    assert partial_derivative(log_of(T + 1), tau) == inverse_of(T + 1)
+
+
+def test_odd_derivation_chain_rule_pinned():
+    """An odd derivation reaches function symbols through their arguments:
+    X(q) = th sends F(q, r) to th * F_q."""
+    t, _, _ = _oracle_pools()
+    q, th = t.symbol("q"), Expression.of(t, "th")
+    F = Expression.func(t, "F")
+    assert odd_derivation(F, {q: th}) == th * Expression.func(t, "F", ["q"])
+    assert odd_derivation(F * Expression.symbol(t, q), {q: th}) == \
+        th * Expression.func(t, "F", ["q"]) * Expression.symbol(t, q) + th * F
+
+
+def test_odd_derivation_rejects_images_of_wrong_degree():
+    t, _, _ = _oracle_pools()
+    q, th = t.symbol("q"), t.symbol("th")
+    Q, TH = Expression.symbol(t, q), Expression.symbol(t, th)
+    f = Q * TH
+    for images in ({q: Q}, {th: TH}, {q: TH + Q}, {q: TH, th: TH}):
+        with pytest.raises(TheoryError, match="not odd relative"):
+            odd_derivation(f, images)
+    # a zero image is the zero derivation on that key
+    assert odd_derivation(f, {q: Expression.zero(t), th: Q}) == Q * Q
+    assert odd_derivation(f, {q: Expression.zero(t)}).is_structural_zero()
+
+
+def test_substitute_param_refuses_parameter_in_a_base():
+    t, _, _ = _oracle_pools()
+    tau = t.symbol("tau")
+    T, q = Expression.symbol(t, tau), Expression.of(t, "q")
+    with pytest.raises(TheoryError, match="inside the base"):
+        substitute_param(log_of(T + 1), tau, 0)
+    with pytest.raises(TheoryError, match="inside the base"):
+        substitute_param(power_of(q + T, Fraction(1, 2)), tau, 0)
+    P = power_of(q + 1, AffineExponent(Fraction(-1), Fraction(1), tau))
+    assert substitute_param(P * T, tau, 2) == 2 * (q + 1)
 
 
 def test_atom_gradients_match_chain_rule():
@@ -577,8 +634,8 @@ def test_total_derivative_bump_meets_next_jet():
 
 def test_products_and_derivatives_never_renormalize(monkeypatch):
     """Pow-free products and the derivatives built from canonical terms
-    (partial, parametric, odd derivations, coefficient_of) make no
-    `_normalize_term` call."""
+    (partial derivatives, d/dtau among them, odd derivations,
+    coefficient_of) make no `_normalize_term` call."""
     t, atoms, symbols = _oracle_pools()
     build = _builder(t, atoms, symbols)
     rng = random.Random(7)
@@ -596,27 +653,24 @@ def test_products_and_derivatives_never_renormalize(monkeypatch):
     factors = [sample(pow_free) for _ in range(60)]
     fs = [sample(func_only) for _ in range(60)]
     odd = [s for s in symbols if s.sign_degree == 1]
-    images = {odd[0]: fs[0], symbols[0]: fs[1], odd[-1]: fs[2]}
+    images = {s: _odd_image(f, s) for s, f in zip((odd[0], symbols[0], odd[-1]), fs)}
     calls = []
     real = expression._normalize_term
     monkeypatch.setattr(expression, "_normalize_term",
                         lambda *args: calls.append(1) or real(*args))
     products = [a * b for a, b in zip(factors, factors[1:])]
     partials = [partial_derivative(f, s) for f in fs for s in symbols]
-    params = [param_derivative(f, symbols[-1]) for f in fs]
     derivations = [odd_derivation(f, images) for f in fs]
     coefficients = [f.coefficient_of(s) for f in fs for s in odd]
     assert len(calls) == 0
     monkeypatch.undo()
     # not vacuous: every operation produced terms
-    for results in (products, partials, params, derivations, coefficients):
+    for results in (products, partials, derivations, coefficients):
         assert sum(len(r.terms) for r in results) > 20
     assert [_terms(p) for p in products] == \
         [_terms(_mul_bruteforce(a, b)) for a, b in zip(factors, factors[1:])]
     assert [_terms(d) for d in partials] == \
         [_terms(_partial_bruteforce(f, s)) for f in fs for s in symbols]
-    assert [_terms(d) for d in params] == \
-        [_terms(_param_bruteforce(f, symbols[-1])) for f in fs]
     assert [_terms(d) for d in derivations] == \
         [_terms(_odd_derivation_bruteforce(f, images)) for f in fs]
     assert [_terms(d) for d in coefficients] == \

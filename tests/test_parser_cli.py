@@ -162,6 +162,17 @@ def test_cli_truncation_exit_3(tmp_path, capsys):
     assert rc == 3
 
 
+def test_cli_model_flow_cut_at_its_cap_exits_3(monkeypatch, capsys):
+    """A model pipeline whose series flow stops at its cap refuses the
+    endpoint (exit 3) instead of summing the cut series into a FAIL."""
+    from bvcov import models
+    real = models.gauge_flow_series
+    monkeypatch.setattr(models, "gauge_flow_series",
+                        lambda x, y, **kw: real(x, y, max_order=1))
+    assert run_cli("twist", "--model", "flat-particle", "--dim", "1") == 3
+    assert "TRUNCATED" in capsys.readouterr().err
+
+
 def test_cli_deterministic_output(tmp_path):
     script = ("import sys; from bvcov.cli import main; "
               "sys.exit(main(['run', %r]))" % str(THEORIES / "particle.bvt"))
