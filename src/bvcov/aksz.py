@@ -12,10 +12,10 @@ from typing import Optional
 
 from .expression import (Expression, is_zero, jet_gradient, log_of,
                          partial_derivative)
-from .curved import (BElement, CurvedContext, USeries, d_element, du, embed_u,
-                     gauge_flow_closed, gauge_flow_series, iota, iota_series,
-                     mc_check, u_bracket)
-from .symbols import Theory, TheoryError, antifield_name
+from .curved import (BElement, CurvedContext, EndpointReport, USeries, d_element,
+                     du, embed_u, gauge_flow_closed, gauge_flow_series, iota,
+                     iota_series, mc_check, u_bracket)
+from .symbols import GradedSymbol, Theory, TheoryError, antifield_name, product_theory
 from .varcalc import _matrix_right_inverse
 
 
@@ -140,7 +140,7 @@ class TargetChart:
         return self._bracket_with(self.poisson_tensor(), f, g)
 
 
-def build_covariant_theory(chart: TargetChart, check: bool = True) -> USeries:
+def build_covariant_theory(chart: TargetChart) -> USeries:
     """S_0 = (-1)^{pa(a)} nu_a d(xi^a);
     S_1 = (1/2)(xi+_a - nu_a eps) pi^{ab} (xi+_b - nu_b eps),
     verified to satisfy the curved Maurer-Cartan equation."""
@@ -165,10 +165,8 @@ def build_covariant_theory(chart: TargetChart, check: bool = True) -> USeries:
     S = USeries(theory, {0: BElement.of_body(s0),
                          1: BElement(theory, Expression.sum(theory, body),
                                      Expression.sum(theory, eps))})
-    if check:
-        rep = mc_check(S, CurvedContext(theory))
-        if not rep.ok:
-            raise SymplecticError("builder output failed the Maurer-Cartan check")
+    if not mc_check(S, CurvedContext(theory)).ok:
+        raise SymplecticError("builder output failed the Maurer-Cartan check")
     return S
 
 
@@ -211,30 +209,79 @@ def twist(S: USeries, W: Expression, ctx: Optional[CurvedContext] = None) -> Twi
 
 # -- the gravity multiplet -------------------------------------------------------
 
+# antighost, ghost and their common parity: (b, c) of the worldline gravity
+# multiplet and (beta, gamma) of its supergravity partner
+_GHOST_PAIRS = {"bc": ("b", "c", 1), "betagamma": ("beta", "gamma", 0)}
+
+
+def ghost_pair(kind: str) -> Theory:
+    """The chart of a ghost pair, "bc" or "betagamma": the antighost of ghost
+    number -1, then the ghost of ghost number 1."""
+    b, c, parity = _GHOST_PAIRS[kind]
+    t = Theory(kind)
+    t.add_field(b, -1, parity)
+    t.add_field(c, 1, parity)
+    return t
+
+
+def _ghost_block(theory: Theory, kind: str) -> USeries:
+    """The covariant field theory of the ghost pair (b, c) of `kind`,
+    expressed in `theory`: c d(b) + u(b+ c+ + c+ c eps)."""
+    b, c, _ = _GHOST_PAIRS[kind]
+    ghost = Expression.of(theory, c)
+    ghost_plus = Expression.of(theory, antifield_name(c))
+    return USeries(theory, {
+        0: BElement.of_body(ghost * Expression.of(theory, b, 1)),
+        1: BElement(theory, Expression.of(theory, antifield_name(b)) * ghost_plus,
+                    ghost_plus * ghost),
+    })
+
 
 def x_u_series(theory: Theory) -> USeries:
-    """The gravity-multiplet covariant field theory c db-block:
-    c d(b) + u(b+ c+ + c+ c eps), expressed in `theory`."""
-    c = Expression.of(theory, "c")
-    b1 = Expression.of(theory, "b", 1)
-    bp = Expression.of(theory, "b+")
-    cp = Expression.of(theory, "c+")
-    return USeries(theory, {
-        0: BElement.of_body(c * b1),
-        1: BElement(theory, bp * cp, cp * c),
-    })
+    """The gravity-multiplet block: c d(b) + u(b+ c+ + c+ c eps)."""
+    return _ghost_block(theory, "bc")
 
 
 def xi_u_series(theory: Theory) -> USeries:
     """The supergravity block: gamma d(beta) + u(beta+ gamma+ + gamma+ gamma eps)."""
-    gamma = Expression.of(theory, "gamma")
-    beta1 = Expression.of(theory, "beta", 1)
-    betap = Expression.of(theory, "beta+")
-    gammap = Expression.of(theory, "gamma+")
-    return USeries(theory, {
-        0: BElement.of_body(gamma * beta1),
-        1: BElement(theory, betap * gammap, gammap * gamma),
-    })
+    return _ghost_block(theory, "betagamma")
+
+
+def gravity_product(S: USeries, theory: Theory, suffix: str, *kinds: str):
+    """The first step of the three gravity couplings: the product
+    `theory*suffix` of `theory` with the ghost pairs `kinds`, its flow
+    parameter tau, its B[[u]] context and S embedded in it."""
+    prod = product_theory(f"{theory.name}*{suffix}", theory, *map(ghost_pair, kinds))
+    tau = prod.add_flow_param("tau")
+    return prod, tau, CurvedContext(prod), embed_u(S, prod)
+
+
+def log_flow(T: USeries, tau: GradedSymbol, ctx: CurvedContext) -> EndpointReport:
+    """T flowed by log(b+) c+ c on the closed-orbit route, as the flow's
+    certificate; its endpoint is T at tau = 1 (an uncertified family is
+    refused with FlowClosureError)."""
+    c, bp, cp = (Expression.of(T.theory, n) for n in ("c", "b+", "c+"))
+    _, cert = gauge_flow_closed(T, log_of(bp) * cp * c, tau, ctx)
+    return cert
+
+
+def _bc_kinetic(theory: Theory) -> Expression:
+    """c(b+ db + c+ dc)."""
+    return Expression.of(theory, "c") * (
+        Expression.of(theory, "b+") * Expression.of(theory, "b", 1)
+        + Expression.of(theory, "c+") * Expression.of(theory, "c", 1))
+
+
+def minimal_coupling(S: USeries) -> USeries:
+    """The minimally coupled theory S_0 + c(D + b+ db + c+ dc) + c iota S_0
+    + u c+ of a chart series S embedded in a product with the bc pair, with
+    D summed over the fields other than b and c."""
+    prod = S.theory
+    c = Expression.of(prod, "c")
+    S0 = S.coeff(0)
+    body = c * d_element(prod, exclude=("b", "c")) + _bc_kinetic(prod)
+    return USeries.of(S0) + USeries.of(body) + USeries.of(iota(S0).scale(c)) \
+        + USeries.of(Expression.of(prod, "c+"), 1)
 
 
 @dataclass
@@ -258,48 +305,31 @@ class GravityCouplingReport:
                 and self.mc_ok)
 
 
-def couple_gravity(S: USeries, chart: TargetChart,
-                   extra_blocks: tuple = ()) -> GravityCouplingReport:
+def couple_gravity(S: USeries, chart: TargetChart) -> GravityCouplingReport:
     """Run (S_u + X_u) bullet log(b+)c+c bullet cS_1 and verify the proof's
     tau-interpolation, the two intermediate bracket identities and the
     endpoint against the minimally-coupled form."""
     if any(n > 1 for n in S.powers()):
         raise TheoryError("coupling requires S_i = 0 for i > 1")
-    theory = chart.theory
-    from .symbols import product_theory
-    parts = [theory] + [b.theory for b in extra_blocks]
-    bc = Theory("bc")
-    bc.add_field("b", -1, 1)
-    bc.add_field("c", 1, 1)
-    prod = product_theory(theory.name + "*bc", *parts, bc)
-    tau = prod.add_flow_param("tau")
-
-    Sp = embed_u(S, prod)
-    for blk in extra_blocks:
-        Sp = Sp + embed_u(build_covariant_theory(blk), prod)
-    Xp = x_u_series(prod)
-    start = Sp + Xp
-    ctx = CurvedContext(prod)
+    prod, tau, ctx, Sp = gravity_product(S, chart.theory, "bc", "bc")
+    start = Sp + x_u_series(prod)
     if not mc_check(start, ctx).ok:
         raise TheoryError("product theory failed the Maurer-Cartan check")
 
     c = Expression.of(prod, "c")
-    bp = Expression.of(prod, "b+")
     cp = Expression.of(prod, "c+")
 
-    # step 1: flow by log(b+) c+ c (closed-orbit route, ODE certified)
-    y_log = log_of(bp) * cp * c
-    _, cert = gauge_flow_closed(start, y_log, tau, ctx)
+    # step 1: flow by log(b+) c+ c; expected: Sp + c(b+ db + c+ dc) + u c+
+    cert = log_flow(start, tau, ctx)
     after_log = cert.endpoint
-    # expected: Sp + c(b+ db + c+ dc) + u c+
-    grav = c * (bp * Expression.of(prod, "b", 1) + cp * Expression.of(prod, "c", 1))
+    grav = _bc_kinetic(prod)
     expected_mid = Sp + USeries(prod, {0: BElement.of_body(grav), 1: BElement.of_body(cp)})
     mid_ok = (after_log - expected_mid).is_zero()
 
     # step 2: flow by c S_1 (nilpotent series route)
     S1 = Sp.coeff(1)
     y2 = USeries.of(S1.scale(c))
-    series = gauge_flow_series(after_log, y2)
+    series = gauge_flow_series(after_log, y2, ctx=ctx)
     tau_family = series.family(tau)
 
     # Eq (c): d_u(cS_1) + [S_u, cS_1] = c(D + iota S_u), D over matter fields
@@ -330,9 +360,7 @@ def couple_gravity(S: USeries, chart: TargetChart,
     family_ok = (tau_family - disp).is_zero()
 
     endpoint = series.endpoint()
-    theorem_rhs = USeries.of(S0) + D.scale(c) + USeries.of(BElement.of_body(grav)) \
-        + USeries.of(iS0.scale(c)) + USeries.of(BElement.of_body(cp), 1)
-    endpoint_ok = (endpoint - theorem_rhs).is_zero()
+    endpoint_ok = (endpoint - minimal_coupling(Sp)).is_zero()
     mc_ok = mc_check(endpoint, ctx).ok
 
     return GravityCouplingReport(prod, start, after_log, bool(cert), eq_c_ok,

@@ -265,14 +265,13 @@ class USeries:
     def map_parts(self, fn) -> "USeries":
         return USeries(self.theory, {n: c.map_parts(fn) for n, c in self.coeffs.items()})
 
-    def check_ghost(self, total: int = 0):
-        """Coefficient of u^n must have ghost total - 2n (and even parity
-        when total is even)."""
+    def check_ghost(self):
+        """Coefficient of u^n must be even of ghost -2n (total degree 0)."""
         for n, c in self.coeffs.items():
             g = c.grade()
             if g is None:
                 raise TheoryError(f"u^{n} coefficient is not homogeneous")
-            want = (total - 2 * n, total % 2)
+            want = (-2 * n, EVEN)
             if g != want:
                 raise TheoryError(
                     f"u^{n} coefficient has grade {g}, expected {want}")
@@ -384,7 +383,7 @@ def mc_check(S: USeries, ctx: CurvedContext) -> MCReport:
     """Residual of the Maurer-Cartan equation: curvature + d_u S + (1/2)[S,S].
     In F mode the input must have no eps parts and the residual is zero when
     each u-coefficient is a total derivative with zero constant."""
-    S.check_ghost(0)
+    S.check_ghost()
     half = Fraction(1, 2)
     residual = ctx.curvature + ctx.differential(S) + u_bracket(S, S) * half
     notes: list[str] = []
@@ -482,14 +481,15 @@ def gauge_flow_series(x: USeries, y: USeries, max_order: int = 24,
                       ctx: Optional[CurvedContext] = None) -> FlowSeries:
     """Solve d(x bullet sy)/ds = dy + (x bullet sy, y) as the explicit
     series; terminates with a certificate when ad(y) is nilpotent on the
-    orbit, else truncates with a marker."""
-    theory = x.theory
+    orbit, else truncates with a marker.  The differential is the
+    context's, by default that of B[[u]] over x's theory."""
     for n, c in y.coeffs.items():
         g = c.grade()
         if g is None or g[1] != 1 or g[0] != -1 - 2 * n:
             raise TheoryError("gauge generator must be odd of ghost number -1")
-    dy = du(y) if (ctx is None or ctx.mode == "B") else USeries.zero(theory)
-    steps, index = orbit(dy + u_bracket(x, y), _bracket_by(y, -1), max_order)
+    ctx = ctx or CurvedContext(x.theory)
+    steps, index = orbit(ctx.differential(y) + u_bracket(x, y), _bracket_by(y, -1),
+                         max_order)
     return FlowSeries(x, y, steps, index is not None, index)
 
 
@@ -571,16 +571,11 @@ class CanonicalSubstitution:
 class SubstitutionReport:
     canonical: bool
     offending: list[tuple[str, str]]
-    transformed: Optional[Expression] = None
 
 
-def canonical_substitution_check(m: CanonicalSubstitution,
-                                 action: Optional[Expression] = None) -> SubstitutionReport:
+def canonical_substitution_check(m: CanonicalSubstitution) -> SubstitutionReport:
     bad = m.check_canonical()
-    transformed = None
-    if not bad and action is not None:
-        transformed = m.apply(action)
-    return SubstitutionReport(not bad, bad, transformed)
+    return SubstitutionReport(not bad, bad)
 
 
 class FlowClosureError(TheoryError):
@@ -588,8 +583,7 @@ class FlowClosureError(TheoryError):
 
 
 def flow_substitution(theory: Theory, y: Expression, tau: GradedSymbol,
-                      direction: int = 1, max_iter: int = 12,
-                      verify: bool = True) -> CanonicalSubstitution:
+                      direction: int = 1, max_iter: int = 12) -> CanonicalSubstitution:
     """Exponential flow of the Hamiltonian derivation ad(y) = (y, -) on
     generators: with direction +1 this solves d(F*g)/dtau = (y, F*g) (the
     pullback-table convention), with -1 the gauge-action direction for
@@ -597,7 +591,7 @@ def flow_substitution(theory: Theory, y: Expression, tau: GradedSymbol,
     that ad(y) is an evolutionary derivation.  Each generator must close
     either polynomially or as an eigenvector with eigenvalue a rational
     multiple of a log atom; the result is certified against the defining
-    ODE when verify is set."""
+    ODE and the initial condition."""
     if any(s.jet_order > 0 for s in y.symbols()):
         raise FlowClosureError("flow generator must depend on 0-jets only")
     y_parts = _sigma_tables(y)
@@ -612,17 +606,12 @@ def flow_substitution(theory: Theory, y: Expression, tau: GradedSymbol,
             value = _exp_ad_on(theory, step, base, tau, max_iter)
             if not is_zero(value - base):
                 images[gen] = value
-    sub = CanonicalSubstitution(theory, images)
-    if verify:
-        for gen, val in images.items():
-            lhs = partial_derivative(val, tau)
-            rhs = step(val)
-            if not is_zero(lhs - rhs):
-                raise FlowClosureError(f"flow ODE residual nonzero on {gen.name}")
-            at0 = substitute_param(val, tau, 0)
-            if not is_zero(at0 - Expression.symbol(theory, gen)):
-                raise FlowClosureError(f"flow initial condition fails on {gen.name}")
-    return sub
+    for gen, val in images.items():
+        if not is_zero(partial_derivative(val, tau) - step(val)):
+            raise FlowClosureError(f"flow ODE residual nonzero on {gen.name}")
+        if not is_zero(substitute_param(val, tau, 0) - Expression.symbol(theory, gen)):
+            raise FlowClosureError(f"flow initial condition fails on {gen.name}")
+    return CanonicalSubstitution(theory, images)
 
 
 def _proportionality(pairs) -> Optional[tuple[Fraction, Optional[str]]]:
@@ -689,11 +678,10 @@ def gauge_flow_closed(x: USeries, y: Expression, tau: GradedSymbol,
     and the d_u y source integrates term by term (the iterated brackets of
     d_u y must terminate).  The family is certified against the flow ODE
     before being returned."""
-    theory = x.theory
+    ctx = ctx or CurvedContext(x.theory)
     ys = USeries.of(BElement.of_body(y))
-    sub = flow_substitution(theory, y, tau, direction=-1)
-    w = du(ys) if (ctx is None or ctx.mode == "B") else USeries.zero(theory)
-    steps, index = orbit(w, _bracket_by(ys, -1), max_iter + 1)
+    sub = flow_substitution(x.theory, y, tau, direction=-1)
+    steps, index = orbit(ctx.differential(ys), _bracket_by(ys, -1), max_iter + 1)
     if index is None:
         raise FlowClosureError(
             "d_u(y) source brackets do not terminate; closed flow unavailable")
@@ -720,10 +708,9 @@ def verify_flow_endpoint(x: USeries, family: USeries, y: USeries,
     """Certify a tau-dependent family as the gauge flow of x by y: checks
     d(family)/dtau = dy + (family, y) symbolically and family(0) = x; the
     endpoint is the family at tau = 1."""
-    theory = x.theory
+    ctx = ctx or CurvedContext(x.theory)
     dtau = family.map_parts(lambda e: partial_derivative(e, tau))
-    dy = du(y) if (ctx is None or ctx.mode == "B") else USeries.zero(theory)
-    residual = dtau - dy - u_bracket(family, y)
+    residual = dtau - ctx.differential(y) - u_bracket(family, y)
     ok = residual.is_zero()
     at0 = family.map_parts(lambda e: substitute_param(e, tau, 0))
     initial_ok = (at0 - x).is_zero()

@@ -288,14 +288,6 @@ def _coerce(theory: Theory, v) -> Expression:
 # -- atom base interning ---------------------------------------------------
 
 
-def _base_registry(theory: Theory) -> dict:
-    reg = getattr(theory, "_atom_bases", None)
-    if reg is None:
-        reg = {}
-        setattr(theory, "_atom_bases", reg)
-    return reg
-
-
 def intern_base(expr: Expression) -> str:
     """Register an even ghost-0 polynomial expression as a log/pow base."""
     if expr.is_structural_zero():
@@ -314,15 +306,15 @@ def intern_base(expr: Expression) -> str:
                 raise TheoryError("log/pow base must be built from even generators")
     from .printer import render
     key = render(expr)
-    _base_registry(expr.theory).setdefault(key, expr)
+    expr.theory._atom_bases.setdefault(key, expr)
     return key
 
 
 def base_expression(theory: Theory, key: str) -> Expression:
-    reg = _base_registry(theory)
-    if key not in reg:
+    base = theory._atom_bases.get(key)
+    if base is None:
         raise TheoryError(f"unknown atom base: {key}")
-    return reg[key]
+    return base
 
 
 def _clear_denominators(expr: Expression):
@@ -925,13 +917,12 @@ def equal(a: Expression, b: Expression) -> bool:
 
 
 def apply_substitution(expr: Expression, images: dict[GradedSymbol, Expression],
-                       target: Theory,
-                       atom_map: Optional[Callable[[Atom], Expression]] = None) -> Expression:
+                       target: Theory) -> Expression:
     """Algebra homomorphism sending each 0-jet generator to its image and
     commuting with the total derivative (jets map to derivatives of the
     image).  Generators without an image must exist in the target theory
     under the same name.  Atoms are rebuilt: function symbols require their
-    arguments to map to plain coordinates unless atom_map is supplied."""
+    arguments to map to plain coordinates."""
     pieces: list[Expression] = []
     jet_cache: dict[tuple[str, int], Expression] = {}
 
@@ -951,7 +942,7 @@ def apply_substitution(expr: Expression, images: dict[GradedSymbol, Expression],
     for t in expr.terms:
         piece = Expression.const(target, t.coef)
         for a, e in t.atoms:
-            pa = _map_atom(a, images, expr.theory, target, atom_map)
+            pa = _map_atom(a, images, expr.theory, target)
             for _ in range(e):
                 piece = piece * pa
         for sym, e in t.mono:
@@ -967,11 +958,7 @@ def apply_substitution(expr: Expression, images: dict[GradedSymbol, Expression],
     return Expression.sum(target, pieces)
 
 
-def _map_atom(atom: Atom, images, source: Theory, target: Theory, atom_map) -> Expression:
-    if atom_map is not None:
-        mapped = atom_map(atom)
-        if mapped is not None:
-            return mapped
+def _map_atom(atom: Atom, images, source: Theory, target: Theory) -> Expression:
     if isinstance(atom, FuncAtom):
         decl = source.function(atom.func)
         for arg in decl.args:
@@ -987,7 +974,7 @@ def _map_atom(atom: Atom, images, source: Theory, target: Theory, atom_map) -> E
         target.function(atom.func)
         return _from_raw(target, [(Fraction(1), ((atom, 1),), ())])
     base = base_expression(source, atom.base_key)
-    new_base = apply_substitution(base, images, target, atom_map)
+    new_base = apply_substitution(base, images, target)
     if isinstance(atom, LogAtom):
         return log_of(new_base)
     return power_of(new_base, atom.exponent)

@@ -14,12 +14,11 @@ from typing import Callable, Optional, Sequence
 
 from .expression import (Expression, embed, inverse_of, is_zero, log_of,
                          total_derivative)
-from .curved import (BElement, CanonicalSubstitution, CurvedContext, USeries,
-                     antifield_rank, d_element, embed_u, gauge_flow_closed,
-                     gauge_flow_series, iota, mc_check, u_bracket)
-from .aksz import (TargetChart, build_covariant_theory, twist, x_u_series,
-                   xi_u_series)
-from .symbols import Theory, TheoryError, product_theory
+from .curved import (BElement, CanonicalSubstitution, USeries, antifield_rank,
+                     d_element, gauge_flow_series, mc_check, u_bracket)
+from .aksz import (TargetChart, build_covariant_theory, ghost_pair, gravity_product,
+                   log_flow, minimal_coupling, twist, x_u_series, xi_u_series)
+from .symbols import Theory, TheoryError
 
 
 
@@ -88,17 +87,13 @@ def magnetic_particle(n: int = 2, eta=None) -> ModelSpec:
 
 
 def bc_system() -> ModelSpec:
-    t = Theory("bc")
-    t.add_field("b", -1, 1)
-    t.add_field("c", 1, 1)
+    t = ghost_pair("bc")
     chart = TargetChart(t, {"b": -Expression.of(t, "c")})
     return ModelSpec("bc-system", 0, chart, build_covariant_theory(chart))
 
 
 def betagamma_system() -> ModelSpec:
-    t = Theory("betagamma")
-    t.add_field("beta", -1, 0)
-    t.add_field("gamma", 1, 0)
+    t = ghost_pair("betagamma")
     chart = TargetChart(t, {"beta": Expression.of(t, "gamma")})
     return ModelSpec("betagamma-system", 0, chart, build_covariant_theory(chart))
 
@@ -211,14 +206,18 @@ def register_relation(theory: Theory, func: str, first_deriv: str, rhs: Expressi
     theory.relations[(func, first_deriv)] = rhs
 
 
-def apply_relations(expr: Expression, max_passes: int = 32) -> Expression:
+# a rewrite still changing terms after this many passes is refused
+_RELATION_PASSES = 32
+
+
+def apply_relations(expr: Expression) -> Expression:
     """Rewrite function-symbol descendants by the theory's directed rules
     until no rule applies."""
     from .expression import Term, partial_derivative, _lower_atom
     theory = expr.theory
     if not theory.relations:
         return expr
-    for _ in range(max_passes):
+    for _ in range(_RELATION_PASSES):
         changed = False
         kept: list[Term] = []
         pieces: list[Expression] = []
@@ -333,12 +332,6 @@ class SpinningReport:
         return (all(s.mc_ok for s in self.stages) and self.bch_merge_ok
                 and self.rename_canonical and self.physical_mc_f_ok)
 
-    def stage(self, name: str) -> USeries:
-        for s in self.stages:
-            if s.name == name:
-                return s.series
-        raise KeyError(name)
-
 
 def spinning_pipeline(model: ModelSpec) -> SpinningReport:
     """Twist by u^{-1}(c{Q,Q}/2 + gamma Q - b gamma^2), gauge by
@@ -349,18 +342,8 @@ def spinning_pipeline(model: ModelSpec) -> SpinningReport:
     g = model.charge.grade()
     if g is None or g != (0, 1, 0):
         raise TheoryError("charge Q must be odd of ghost number 0")
-    mt = model.theory
-    bg = Theory("betagamma")
-    bg.add_field("beta", -1, 0)
-    bg.add_field("gamma", 1, 0)
-    bc = Theory("bc")
-    bc.add_field("b", -1, 1)
-    bc.add_field("c", 1, 1)
-    prod = product_theory(mt.name + "*sugra", mt, bg, bc)
-    tau = prod.add_flow_param("tau")
-    ctx = CurvedContext(prod)
-
-    S = embed_u(model.series, prod)
+    prod, tau, ctx, S = gravity_product(model.series, model.theory, "sugra",
+                                        "betagamma", "bc")
     Xi = xi_u_series(prod)
     X = x_u_series(prod)
     T0 = S + Xi + X
@@ -369,8 +352,6 @@ def spinning_pipeline(model: ModelSpec) -> SpinningReport:
     c = Expression.of(prod, "c")
     gamma = Expression.of(prod, "gamma")
     b = Expression.of(prod, "b")
-    bp = Expression.of(prod, "b+")
-    cp = Expression.of(prod, "c+")
     QQ = embed(model.chart.poisson_bracket(model.charge, model.charge), prod)
     Q = embed(model.charge, prod)
     W = Fraction(1, 2) * c * QQ + gamma * Q - b * gamma * gamma
@@ -379,21 +360,18 @@ def spinning_pipeline(model: ModelSpec) -> SpinningReport:
     # twist() re-checks the master equation and raises on failure
     stages.append(SpinningStage("twist", T1, True))
 
-    family, cert = gauge_flow_closed(T1, log_of(bp) * cp * c, tau, ctx)
-    T2 = cert.endpoint
+    T2 = log_flow(T1, tau, ctx).endpoint
     stages.append(SpinningStage("log-flow", T2, mc_check(T2, ctx).ok))
 
     S1 = S.coeff(1)
     Xi1 = Xi.coeff(1)
-    fs3 = gauge_flow_series(T2, USeries.of(Xi1.scale(c)))
-    T3 = fs3.endpoint()
+    T3 = gauge_flow_series(T2, USeries.of(Xi1.scale(c)), ctx=ctx).endpoint()
     stages.append(SpinningStage("cXi1", T3, mc_check(T3, ctx).ok))
-    fs4 = gauge_flow_series(T3, USeries.of(S1.scale(c)))
-    T4 = fs4.endpoint()
+    T4 = gauge_flow_series(T3, USeries.of(S1.scale(c)), ctx=ctx).endpoint()
     stages.append(SpinningStage("cS1", T4, mc_check(T4, ctx).ok))
 
     # BCH merge: c Xi_1 * c S_1 = c(S_1 + Xi_1): flowing in one shot agrees
-    merged = gauge_flow_series(T2, USeries.of((S1 + Xi1).scale(c))).endpoint()
+    merged = gauge_flow_series(T2, USeries.of((S1 + Xi1).scale(c)), ctx=ctx).endpoint()
     bch_ok = (merged - T4).is_zero() and \
         u_bracket(USeries.of(Xi1.scale(c)), USeries.of(S1.scale(c))).is_zero()
 
@@ -471,31 +449,13 @@ def couple_with_potential(model: ModelSpec) -> PotentialCouplingReport:
     S_0 - b+ V + c(D + b+ db + c+ dc) + c iota S_0 + u c+."""
     if model.potential is None:
         raise TheoryError("model has no potential V")
-    mt = model.theory
-    bc = Theory("bc")
-    bc.add_field("b", -1, 1)
-    bc.add_field("c", 1, 1)
-    prod = product_theory(mt.name + "*bc", mt, bc)
-    tau = prod.add_flow_param("tau")
-    ctx = CurvedContext(prod)
-    S = embed_u(model.series, prod)
-    T0 = S + x_u_series(prod)
+    prod, tau, ctx, S = gravity_product(model.series, model.theory, "bc", "bc")
     c = Expression.of(prod, "c")
-    bp = Expression.of(prod, "b+")
-    cp = Expression.of(prod, "c+")
     V = embed(model.potential, prod)
-    T1 = twist(T0, c * V, ctx).theory_series
-    _, cert = gauge_flow_closed(T1, log_of(bp) * cp * c, tau, ctx)
-    T2 = cert.endpoint
-    S1 = S.coeff(1)
-    T3 = gauge_flow_series(T2, USeries.of(S1.scale(c))).endpoint()
-    D = d_element(prod, exclude=("b", "c"))
-    grav = c * (bp * Expression.of(prod, "b", 1) + cp * Expression.of(prod, "c", 1))
-    S0 = S.coeff(0)
-    expected = USeries.of(S0) \
-        + USeries.of(BElement.of_body(-bp * V + c * D + grav)) \
-        + USeries.of(iota(S0).scale(c)) \
-        + USeries.of(BElement.of_body(cp), 1)
+    T1 = twist(S + x_u_series(prod), c * V, ctx).theory_series
+    T2 = log_flow(T1, tau, ctx).endpoint
+    T3 = gauge_flow_series(T2, USeries.of(S.coeff(1).scale(c)), ctx=ctx).endpoint()
+    expected = minimal_coupling(S) - USeries.of(Expression.of(prod, "b+") * V)
     return PotentialCouplingReport(prod, T1, T3, (T3 - expected).is_zero(),
                                    mc_check(T3, ctx).ok, S)
 

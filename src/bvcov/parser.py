@@ -55,13 +55,11 @@ def tokenize(src: str, line_no: int = 0) -> list[tuple[str, str, int]]:
 class ExpressionParser:
     """Recursive descent over one expression source line."""
 
-    def __init__(self, theory: Theory, src: str, line_no: int = 0,
-                 tau: Optional[GradedSymbol] = None):
+    def __init__(self, theory: Theory, src: str, line_no: int = 0):
         self.theory = theory
         self.tokens = tokenize(src, line_no)
         self.i = 0
         self.line_no = line_no
-        self.tau = tau
 
     def peek(self):
         return self.tokens[self.i]
@@ -169,7 +167,7 @@ class ExpressionParser:
         if name == "pow":
             base = self.expr()
             self.take("op", ",")
-            exponent = self.exponent()
+            exponent = self.expr_exponent()
             self.take("op", ")")
             return power_of(base, exponent)
         inner = self.expr()
@@ -180,12 +178,8 @@ class ExpressionParser:
             return log_of(inner)
         raise ParseError(f"unknown call {name}", self.line_no)
 
-    def exponent(self) -> AffineExponent:
-        """A rational-affine function of the flow parameter."""
-        e = self.expr_exponent()
-        return e
-
     def expr_exponent(self) -> AffineExponent:
+        """A rational-affine function of the flow parameter."""
         out = self.exp_term()
         while True:
             tok = self.peek()

@@ -102,6 +102,7 @@ class Theory:
         self._sort_keys: dict[GradedSymbol, tuple] = {}   # append-only, like the ranks
         self._units: dict[GradedSymbol, object] = {}      # symbol -> its Expression, append-only
         self._atom_gradients: dict[tuple, dict] = {}      # atom key -> {symbol: d atom/d symbol}, append-only
+        self._atom_bases: dict[str, object] = {}          # log/pow base key -> its Expression, append-only
         self.relations: dict = {}                   # atom key -> Expression, set by models
         self._eps: Optional[GradedSymbol] = None
 

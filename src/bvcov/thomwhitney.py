@@ -67,12 +67,11 @@ class CoverNerve:
             return self.charts[next(iter(key))]
         return self.overlaps[key].theory
 
-    def tuples(self, max_len: Optional[int] = None) -> list[Tuple]:
+    def tuples(self) -> list[Tuple]:
         """All index tuples up to the dimension bound whose member set is
         declared nonempty."""
         out = []
-        top = (self.dimension_bound + 1) if max_len is None else max_len
-        for k in range(1, top + 1):
+        for k in range(1, self.dimension_bound + 2):
             for T in itertools.product(self.chart_names, repeat=k):
                 if self.nonempty(T):
                     out.append(T)
@@ -187,7 +186,7 @@ def form_differential(value: USeries) -> USeries:
     derivation of the fused algebra."""
     theory = value.theory
     images = {}
-    for i in range(1, 64):
+    for i in itertools.count(1):
         s = theory.maybe_symbol(f"t_{i}")
         if s is None:
             break

@@ -306,6 +306,34 @@ def test_spinning_pipeline_general_signature():
     assert couple_with_potential(flat_particle(2, eta=eta)).ok
 
 
+# a non-unit indefinite frame metric for the eta-taking builders
+ETA = [Fraction(2), Fraction(-3)]
+
+
+def test_eta_reaches_magnetic_coupling():
+    m = magnetic_particle(2, eta=ETA)
+    assert m.eta == ETA
+    assert couple_with_potential(m).ok
+
+
+def test_eta_built_series_solve_master_equation():
+    for m in (curved_spinning_particle(2, eta=ETA),
+              build_model("magnetic-particle", 2, eta=ETA)):
+        assert m.eta == ETA
+        assert mc_check(m.series, CurvedContext(m.theory)).ok
+
+
+def test_eta_intro_particle_and_spinning_xi():
+    from bvcov.models import (intro_particle_action, intro_theory,
+                              intro_transformations)
+    t = intro_theory(2)
+    S, _, _ = intro_particle_action(t, 2, eta=ETA)
+    Su = USeries(t, {0: BElement.of_body(S), 1: BElement.of_body(Expression.of(t, "c+"))})
+    assert mc_check(Su, CurvedContext(t, mode="F")).ok
+    ts = intro_theory(2, spinning=True)
+    assert not intro_transformations(ts, 2, eta=ETA, spinning=True)["xi"].check_canonical()
+
+
 def test_spinning_supertwist_obstruction_free():
     # {W, W} = 0 for W = c{Q,Q}/2 + gamma Q - b gamma^2 (flat and curved)
     for model in (flat_spinning_particle(1), curved_spinning_particle(1)):

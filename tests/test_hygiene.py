@@ -1,10 +1,12 @@
 """Source hygiene of the package, with the standard library only: no module
 imports a name it never uses (`__init__.py` is exempt, since its imports
-are the package's re-exports), and no top-level function or class of the
-package goes unnamed everywhere else in `src/`, `tests/` and `perfbench/`."""
+are the package's re-exports), no top-level function, class or method of
+the package goes unnamed everywhere else in `src/`, `tests/` and
+`perfbench/`, and no defaulted parameter of the package is left to its
+default by every call in those trees."""
 
 import ast
-from collections import Counter
+from collections import Counter, defaultdict
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -85,36 +87,136 @@ def _mentions(node: ast.AST) -> Counter:
     return out
 
 
+def _definitions(tree: ast.Module):
+    """(owner, label, node) of each top-level function and class, and of
+    each method of a top-level class, whose owner is the class name (None
+    for the others) and whose label is `Class.method`."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield None, node.name, node
+        if isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    yield node.name, f"{node.name}.{sub.name}", sub
+
+
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
 def dead_definitions(package: dict[str, str], others: list[str]) -> list[str]:
-    """`file:name` of each top-level function or class of the package
-    sources (file name -> source) that is mentioned nowhere outside its own
+    """`file:name` (or `file:Class.name` for a method; dunders are exempt)
+    of each top-level function, class or method of the package sources
+    (file name -> source) that is mentioned nowhere outside its own
     definition, across the package and the other sources."""
     total: Counter = Counter()
-    defined: list[tuple[str, str, Counter]] = []
+    defined: list[tuple[str, str, str, Counter]] = []
     for name, source in package.items():
         tree = ast.parse(source)
         total += _mentions(tree)
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                defined.append((name, node.name, _mentions(node)))
+        for owner, label, node in _definitions(tree):
+            if owner is None or not _is_dunder(node.name):
+                defined.append((name, node.name, label, _mentions(node)))
     for source in others:
         total += _mentions(ast.parse(source))
-    return [f"{file}:{name}" for file, name, own in defined if total[name] == own[name]]
+    return [f"{file}:{label}" for file, name, label, own in defined
+            if total[name] == own[name]]
 
 
 def test_dead_code_detector():
     package = {"a.py": ("def used():\n    return 1\n"
                         "def recursive(n):\n    return recursive(n - 1)\n"
                         "def probed():\n    pass\n"
-                        "class Dead:\n    pass\n"),
-               "b.py": "from .a import used\n"}
+                        "class Dead:\n    pass\n"
+                        "class Box:\n"
+                        "    def __len__(self):\n        return 0\n"
+                        "    def read(self):\n        return self.read\n"
+                        "    def unread(self):\n        return 0\n"),
+               "b.py": "from .a import used, Box\nBox().read()\n"}
     assert dead_definitions(package, ["PROBES = ('probed',)\n"]) == \
-        ["a.py:recursive", "a.py:Dead"]
+        ["a.py:recursive", "a.py:Dead", "a.py:Box.unread"]
 
 
 def test_no_dead_code_in_package():
+    dead = dead_definitions(*_trees())
+    assert not dead, "defined but never used:\n" + "\n".join(dead)
+
+
+def _trees() -> tuple[dict[str, str], list[str]]:
+    """The package sources by file name, and the sources of `tests/` and
+    `perfbench/`."""
     package = {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
     others = [p.read_text(encoding="utf-8")
               for d in ("tests", "perfbench") for p in sorted((ROOT / d).rglob("*.py"))]
-    dead = dead_definitions(package, others)
-    assert not dead, "defined but never used:\n" + "\n".join(dead)
+    return package, others
+
+
+def _called_name(call: ast.Call):
+    func = call.func
+    if isinstance(func, ast.Name):
+        return func.id
+    return func.attr if isinstance(func, ast.Attribute) else None
+
+
+def _sets(call: ast.Call, position: int, name: str) -> bool:
+    """Whether the call passes the parameter at `position` (counted after
+    any bound self) or named `name`; an unpacked argument sets every
+    parameter of its kind."""
+    if any(k.arg in (None, name) for k in call.keywords):
+        return True
+    return position >= 0 and (len(call.args) > position
+                              or any(isinstance(a, ast.Starred) for a in call.args))
+
+
+def unset_parameters(package: dict[str, str], others: list[str]) -> list[str]:
+    """`file:function(param)` for each defaulted parameter of a package
+    function or method (dunders other than `__init__` exempt) that no call
+    sets, by keyword or by position.  Calls are matched to functions by the
+    called name, a class name calling its `__init__`, so a name clash can
+    hide an unset parameter but never report a set one."""
+    calls: dict[str, list[ast.Call]] = defaultdict(list)
+    trees = {file: ast.parse(source) for file, source in package.items()}
+    for tree in list(trees.values()) + [ast.parse(s) for s in others]:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                calls[_called_name(node)].append(node)
+    found = []
+    for file, tree in trees.items():
+        for owner, label, node in _definitions(tree):
+            if isinstance(node, ast.ClassDef) or \
+                    (_is_dunder(node.name) and node.name != "__init__"):
+                continue
+            callee = owner if node.name == "__init__" else node.name
+            args = node.args
+            positional = args.posonlyargs + args.args
+            bound = owner is not None and not any(
+                isinstance(d, ast.Name) and d.id == "staticmethod"
+                for d in node.decorator_list)
+            defaulted = [(i - bound, a) for i, a in enumerate(positional)
+                         if i >= len(positional) - len(args.defaults)]
+            defaulted += [(-1, a) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                          if d is not None]
+            for position, arg in defaulted:
+                if not any(_sets(c, position, arg.arg) for c in calls[callee]):
+                    found.append(f"{file}:{label}({arg.arg})")
+    return found
+
+
+def test_unset_parameter_detector():
+    package = {"a.py": ("def f(x, y=1, *, z=2):\n    return x\n"
+                        "def g(x=0):\n    return x\n"
+                        "class P:\n"
+                        "    def __init__(self, s, flag=False):\n        pass\n"
+                        "    def m(self, k=3):\n        return k\n"
+                        "    @staticmethod\n"
+                        "    def s(k=3):\n        return k\n"
+                        "    def __eq__(self, other=None):\n        return True\n")}
+    calls = "f(1, 2)\ng(**{})\nP('s').m(4)\nP.s()\n"
+    assert unset_parameters(package, [calls]) == \
+        ["a.py:f(z)", "a.py:P.__init__(flag)", "a.py:P.s(k)"]
+    assert unset_parameters(package, [calls + "f(0, z=1)\nP.s(1)\nP(1, *())\n"]) == []
+
+
+def test_no_unset_parameters_in_package():
+    unset = unset_parameters(*_trees())
+    assert not unset, "parameters no call sets:\n" + "\n".join(unset)

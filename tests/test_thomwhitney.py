@@ -86,6 +86,18 @@ def test_simplicial_pullback_examples(atlas3):
             assert (lhs - rhs).is_zero()
 
 
+def test_form_differential_reaches_every_simplex_coordinate():
+    # the count of simplex coordinates has no cap: t_70 maps to dt_70
+    t = Theory("D70")
+    for i in range(1, 71):
+        t.add_simplex_coordinate(f"t_{i}")
+        t.add_one_form(f"dt_{i}")
+    v = USeries.of(Expression.of(t, "t_1") * Expression.of(t, "t_70"))
+    want = Expression.of(t, "dt_1") * Expression.of(t, "t_70") \
+        + Expression.of(t, "t_1") * Expression.of(t, "dt_70")
+    assert (form_differential(v) - USeries.of(want)).is_zero()
+
+
 def test_cech_delta(atlas3):
     nerve, t = atlas3
     rand_val = sampler(t, 10)
