@@ -356,7 +356,7 @@ def couple_gravity(S: USeries, chart: TargetChart) -> GravityCouplingReport:
         + USeries.of(BElement.of_body(cp), 1) \
         + USeries.of(S1.scale(one - t), 1) \
         + USeries.of(iS1.scale((one - t) * t * c), 1) \
-        + USeries.of(S1.scale((one - t) * t * cdc)) * Fraction(-1)
+        + USeries.of(S1.scale((one - t) * t * cdc)) * -1
     family_ok = (tau_family - disp).is_zero()
 
     endpoint = series.endpoint()

@@ -4,6 +4,11 @@ and formal log / power / inverse of even ghost-0 polynomial arguments.
 Atoms are even and ghost 0, so they commute with everything and never
 enter Koszul signs.  power(E, r) exponents are exact rationals or
 rational-affine functions of a flow parameter; inverse(E) is power(E, -1).
+
+Every exact rational the engine stores (term coefficients, exponent
+offsets and slopes) is in one canonical form: an `int` when it is
+integral, else a `Fraction` whose denominator is not 1.  Integer
+arithmetic then never allocates a `Fraction`.
 """
 
 from __future__ import annotations
@@ -17,21 +22,45 @@ from .symbols import GradedSymbol
 Rat = Union[Fraction, int]
 
 
+def rational(q) -> Rat:
+    """q in canonical form: an int when integral, else a Fraction with a
+    denominator other than 1.  Anything but an int or a Fraction (a float
+    above all) is refused: coefficients are exact."""
+    if q.__class__ is int:
+        return q
+    if isinstance(q, Fraction):
+        return q.numerator if q.denominator == 1 else q
+    if isinstance(q, int):          # bool and other int subclasses
+        return int(q)
+    raise TypeError(f"not an exact rational: {q!r}")
+
+
+def quotient(a: Rat, b: Rat) -> Rat:
+    """The exact quotient a / b in canonical form (`/` on two ints would
+    give a float)."""
+    return rational(Fraction(a, b))
+
+
 @dataclass(frozen=True)
 class AffineExponent:
-    """slope*param + offset with exact rational slope/offset."""
+    """slope*param + offset with exact rational slope/offset, both kept in
+    canonical form."""
 
-    offset: Fraction
-    slope: Fraction = Fraction(0)
+    offset: Rat
+    slope: Rat = 0
     param: Optional[GradedSymbol] = None
 
     def __post_init__(self):
+        if self.offset.__class__ is not int:
+            object.__setattr__(self, "offset", rational(self.offset))
+        if self.slope.__class__ is not int:
+            object.__setattr__(self, "slope", rational(self.slope))
         if self.slope == 0 and self.param is not None:
             object.__setattr__(self, "param", None)
 
     @staticmethod
     def const(r: Rat) -> "AffineExponent":
-        return AffineExponent(Fraction(r))
+        return AffineExponent(r)
 
     @staticmethod
     def of(r: "ExponentLike") -> "AffineExponent":
@@ -43,7 +72,7 @@ class AffineExponent:
     def is_constant(self) -> bool:
         return self.slope == 0
 
-    def constant_value(self) -> Fraction:
+    def constant_value(self) -> Rat:
         if not self.is_constant:
             raise ValueError("exponent is parameter-dependent")
         return self.offset
@@ -60,7 +89,7 @@ class AffineExponent:
         return self + AffineExponent(-o.offset, -o.slope, o.param)
 
     def substitute(self, value: Rat) -> "AffineExponent":
-        return AffineExponent(self.offset + self.slope * Fraction(value))
+        return AffineExponent(self.offset + self.slope * rational(value))
 
     def key(self) -> tuple:
         return (self.offset, self.slope, self.param.name if self.param else "")

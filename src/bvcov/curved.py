@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Union
 
-from .coefficients import AffineExponent, LogAtom
+from .coefficients import AffineExponent, LogAtom, Rat, quotient, rational
 from .expression import (Expression, _from_raw, apply_substitution, base_expression,
                          inverse_of, is_zero, partial_derivative, power_of,
                          substitute_param, total_derivative)
@@ -101,7 +101,7 @@ class BElement:
         return BElement(self.theory, -self.body, -self.eps)
 
     def __mul__(self, q) -> "BElement":
-        return BElement(self.theory, self.body * Fraction(q), self.eps * Fraction(q))
+        return BElement(self.theory, self.body * q, self.eps * q)
 
     def scale(self, e: Expression) -> "BElement":
         """Left multiplication by an eps-free expression."""
@@ -248,10 +248,10 @@ class USeries:
         return USeries(self.theory, out)
 
     def __sub__(self, other: "USeries") -> "USeries":
-        return self + (other * Fraction(-1))
+        return self + (other * -1)
 
     def __mul__(self, q) -> "USeries":
-        return USeries(self.theory, {n: c * Fraction(q) for n, c in self.coeffs.items()})
+        return USeries(self.theory, {n: c * q for n, c in self.coeffs.items()})
 
     def scale(self, e: Expression) -> "USeries":
         return USeries(self.theory, {n: c.scale(e) for n, c in self.coeffs.items()})
@@ -321,7 +321,7 @@ def _u_bracket_of(theory: Theory, ta: dict[int, BTables], tb: dict[int, BTables]
 def _bracket_by(y: USeries, sign: int) -> Callable[[USeries], USeries]:
     """v -> sign * [y, v], with y's tables built once for every v."""
     ty = _u_tables(y)
-    return lambda v: _u_bracket_of(y.theory, ty, _u_tables(v)) * Fraction(sign)
+    return lambda v: _u_bracket_of(y.theory, ty, _u_tables(v)) * sign
 
 
 def du(x: USeries) -> USeries:
@@ -457,12 +457,12 @@ class FlowSeries:
         return out
 
     def at(self, value) -> USeries:
-        value = Fraction(value)
+        value = rational(value)
         out = self.x
-        acc = Fraction(1)
+        acc = 1
         for n, w in enumerate(self.steps):
             acc = acc * value
-            out = out + w * (acc / math.factorial(n + 1))
+            out = out + w * quotient(acc, math.factorial(n + 1))
         return out
 
     def endpoint(self) -> USeries:
@@ -614,7 +614,7 @@ def flow_substitution(theory: Theory, y: Expression, tau: GradedSymbol,
     return CanonicalSubstitution(theory, images)
 
 
-def _proportionality(pairs) -> Optional[tuple[Fraction, Optional[str]]]:
+def _proportionality(pairs) -> Optional[tuple[Rat, Optional[str]]]:
     """Detect v1 = q*v0 or v1 = q*log(E)*v0, with one factor for all the
     (v1, v0) pairs, by candidate-and-verify; pairs with both sides zero are
     skipped.  Returns (q, base_key or None), or None."""
@@ -627,7 +627,7 @@ def _proportionality(pairs) -> Optional[tuple[Fraction, Optional[str]]]:
             return None
         t1 = v1.terms[0]
         keys = [None] + [a.base_key for a, _ in t1.atoms if isinstance(a, LogAtom)]
-        candidates = [(t1.coef / t0.coef, key)
+        candidates = [(quotient(t1.coef, t0.coef), key)
                       for t0 in v0.terms if t0.mono == t1.mono for key in keys]
         this = next((c for c in candidates
                      if is_zero(v1 - _log_factor(v1.theory, *c) * v0)), None)
@@ -651,7 +651,7 @@ def _exp_ad_on(theory: Theory, step: Callable[[Expression], Expression],
             raise FlowClosureError(
                 "eigenvalue is a bare rational: exp(q*tau) is not exactly "
                 "representable")
-        exponent = AffineExponent(Fraction(0), q, tau)
+        exponent = AffineExponent(0, q, tau)
         return power_of(base_expression(theory, base_key), exponent) * start
     rest, index = orbit(first, step, max_iter, is_zero)
     if index is None:
@@ -721,9 +721,8 @@ def verify_flow_endpoint(x: USeries, family: USeries, y: USeries,
 # -- Baker-Campbell-Hausdorff ------------------------------------------------------
 
 # Taylor coefficients of x/(1 - exp(-x)): Bernoulli-plus numbers over n!
-_PSI = [Fraction(1), Fraction(1, 2), Fraction(1, 12), Fraction(0),
-        Fraction(-1, 720), Fraction(0), Fraction(1, 30240), Fraction(0),
-        Fraction(-1, 1209600), Fraction(0)]
+_PSI = [1, Fraction(1, 2), Fraction(1, 12), 0, Fraction(-1, 720), 0, Fraction(1, 30240), 0,
+        Fraction(-1, 1209600), 0]
 
 
 @dataclass
@@ -811,7 +810,7 @@ def _log_factor(theory: Theory, q, base_key: Optional[str]) -> Expression:
     factor = Expression.const(theory, q)
     if base_key is None:
         return factor
-    return factor * _from_raw(theory, [(Fraction(1), ((LogAtom(base_key), 1),), ())])
+    return factor * _from_raw(theory, [(1, ((LogAtom(base_key), 1),), ())])
 
 
 # -- misc ----------------------------------------------------------------------

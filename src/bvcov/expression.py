@@ -1,10 +1,11 @@
 """Exact graded-supercommutative expression engine.
 
 An expression is a finite sum of terms; a term is an exact rational
-coefficient, a product of even ghost-0 coefficient atoms (function
-symbols, log, pow) and a monomial over graded symbols in the theory's
-canonical order.  Odd symbols (parity + form degree odd) square to zero
-and reordering tracks the Koszul sign.  Everything is immutable.
+coefficient (an int when integral, else a Fraction), a product of even
+ghost-0 coefficient atoms (function symbols, log, pow) and a monomial over
+graded symbols in the theory's canonical order.  Odd symbols (parity +
+form degree odd) square to zero and reordering tracks the Koszul sign.
+Everything is immutable.
 """
 
 from __future__ import annotations
@@ -13,12 +14,12 @@ from fractions import Fraction
 from operator import attrgetter
 from typing import Callable, Iterable, Optional, Sequence
 
-from .coefficients import AffineExponent, Atom, FuncAtom, LogAtom, PowerAtom
+from .coefficients import AffineExponent, Atom, FuncAtom, LogAtom, PowerAtom, Rat, rational
 from .symbols import EVEN, GradedSymbol, Kind, Theory, TheoryError
 
 Mono = tuple[tuple[GradedSymbol, int], ...]
 Atoms = tuple[tuple[Atom, int], ...]
-RawTerm = tuple[Fraction, Sequence[tuple[Atom, int]], Sequence[tuple[GradedSymbol, int]]]
+RawTerm = tuple[Rat, Sequence[tuple[Atom, int]], Sequence[tuple[GradedSymbol, int]]]
 
 
 class GradingError(TheoryError):
@@ -43,12 +44,14 @@ def _term_key(theory: Theory, atoms: Atoms, mono: Mono) -> tuple:
 
 
 class Term:
-    """One canonical term; `key` is its `_term_key`, set when it is built."""
+    """One canonical term; `key` is its `_term_key`, set when it is built.
+    Every coefficient passes through here and is stored in canonical form
+    (`coefficients.rational`): an int when integral, else a Fraction."""
 
     __slots__ = ("coef", "atoms", "mono", "key")
 
-    def __init__(self, coef: Fraction, atoms: Atoms, mono: Mono, key: tuple):
-        self.coef = coef
+    def __init__(self, coef: Rat, atoms: Atoms, mono: Mono, key: tuple):
+        self.coef = coef if coef.__class__ is int else rational(coef)
         self.atoms = atoms
         self.mono = mono
         self.key = key
@@ -111,7 +114,7 @@ class Expression:
 
     @staticmethod
     def const(theory: Theory, q) -> "Expression":
-        q = Fraction(q)
+        q = rational(q)
         if q == 0:
             return Expression.zero(theory)
         return _single(theory, q, (), ())
@@ -119,11 +122,11 @@ class Expression:
     @staticmethod
     def symbol(theory: Theory, s: GradedSymbol, power: int = 1) -> "Expression":
         if power != 1:
-            return _from_raw(theory, [(Fraction(1), (), ((s, power),))])
+            return _from_raw(theory, [(1, (), ((s, power),))])
         # interned per theory like the symbols: products reuse its (s, 1) pair
         unit = theory._units.get(s)
         if unit is None:
-            unit = theory._units[s] = _single(theory, Fraction(1), (), ((s, 1),))
+            unit = theory._units[s] = _single(theory, 1, (), ((s, 1),))
         return unit
 
     @staticmethod
@@ -134,7 +137,7 @@ class Expression:
     def func(theory: Theory, name: str, deriv: Sequence[str] = ()) -> "Expression":
         theory.function(name)
         atom = FuncAtom(name, tuple(sorted(deriv)))
-        return _single(theory, Fraction(1), ((atom, 1),), ())
+        return _single(theory, 1, ((atom, 1),), ())
 
     @staticmethod
     def sum(theory: Theory, pieces: Iterable) -> "Expression":
@@ -170,9 +173,11 @@ class Expression:
 
     def __mul__(self, other) -> "Expression":
         if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
+            q = rational(other)
             if q == 0:
                 return Expression.zero(self.theory)
+            if q == 1:
+                return self
             return Expression(self.theory,
                               tuple(Term(t.coef * q, t.atoms, t.mono, t.key)
                                     for t in self.terms))
@@ -249,11 +254,11 @@ class Expression:
                 out.add(s)
         return out
 
-    def constant_part(self) -> Fraction:
+    def constant_part(self) -> Rat:
         for t in self.terms:
             if not t.mono and not t.atoms:
                 return t.coef
-        return Fraction(0)
+        return 0
 
     def coefficient_of(self, sym: GradedSymbol) -> "Expression":
         """Left coefficient of a single odd symbol: write each term with sym
@@ -325,8 +330,8 @@ def _clear_denominators(expr: Expression):
         for a, _ in t.atoms:
             if isinstance(a, PowerAtom) and a.exponent.is_constant:
                 n = a.exponent.constant_value()
-                if n < 0 and n.denominator == 1:
-                    need[a.base_key] = max(need.get(a.base_key, 0), int(-n))
+                if n < 0 and isinstance(n, int):
+                    need[a.base_key] = max(need.get(a.base_key, 0), -n)
     if not need:
         return expr, None
     extra = tuple((PowerAtom(k, AffineExponent.const(n)), 1)
@@ -346,28 +351,28 @@ def power_of(expr: Expression, exponent) -> Expression:
         n = exp.constant_value()
         if n == 0:
             return Expression.const(theory, 1)
-        if n.denominator == 1 and n >= 1:
-            return expr ** int(n)
-        if n.denominator == 1 and n < 0:
+        if isinstance(n, int) and n >= 1:
+            return expr ** n
+        if isinstance(n, int) and n < 0:
             cleared, extra = _clear_denominators(expr)
             if extra is not None:
                 out = power_of(cleared, n)
-                mult = _from_raw(theory, [(Fraction(1), extra, ())])
-                for _ in range(int(-n)):
+                mult = _from_raw(theory, [(1, extra, ())])
+                for _ in range(-n):
                     out = out * mult
                 return out
     key = intern_base(expr)
     atom = PowerAtom(key, exp)
-    return _from_raw(theory, [(Fraction(1), ((atom, 1),), ())])
+    return _from_raw(theory, [(1, ((atom, 1),), ())])
 
 
 def inverse_of(expr: Expression) -> Expression:
-    return power_of(expr, Fraction(-1))
+    return power_of(expr, -1)
 
 
 def log_of(expr: Expression) -> Expression:
     key = intern_base(expr)
-    return _from_raw(expr.theory, [(Fraction(1), ((LogAtom(key), 1),), ())])
+    return _from_raw(expr.theory, [(1, ((LogAtom(key), 1),), ())])
 
 
 # -- normalization ----------------------------------------------------------
@@ -382,9 +387,9 @@ def _single_symbol_base(theory: Theory, key: str) -> Optional[GradedSymbol]:
     return None
 
 
-def _normalize_term(theory: Theory, coef: Fraction,
+def _normalize_term(theory: Theory, coef: Rat,
                     atoms: Sequence[tuple[Atom, int]],
-                    mono: Sequence[tuple[GradedSymbol, int]]) -> list[tuple[Fraction, Atoms, Mono]]:
+                    mono: Sequence[tuple[GradedSymbol, int]]) -> list[tuple[Rat, Atoms, Mono]]:
     """Canonicalize one raw term; may expand into several terms when a
     compound pow-base is promoted to a polynomial."""
     if coef == 0:
@@ -427,8 +432,8 @@ def _normalize_term(theory: Theory, coef: Fraction,
                 n = exp.constant_value()
                 if n == 0:
                     continue
-                if n.denominator == 1 and n >= 1:
-                    mono_d[s] = mono_d.get(s, 0) + int(n)
+                if isinstance(n, int) and n >= 1:
+                    mono_d[s] = mono_d.get(s, 0) + n
                     continue
             final_powers.append(PowerAtom(key, exp))
         else:
@@ -436,8 +441,8 @@ def _normalize_term(theory: Theory, coef: Fraction,
                 n = exp.constant_value()
                 if n == 0:
                     continue
-                if n.denominator == 1 and n >= 1:
-                    expansions.append((key, int(n)))
+                if isinstance(n, int) and n >= 1:
+                    expansions.append((key, n))
                     continue
             final_powers.append(PowerAtom(key, exp))
 
@@ -537,27 +542,49 @@ def _single(theory: Theory, coef, atoms: Atoms, mono: Mono) -> Expression:
     return Expression(theory, (Term(coef, atoms, mono, _term_key(theory, atoms, mono)),))
 
 
-# Products of canonical terms.  Two pow-free terms multiply by merging:
-# their atom tuples by atom key (equal atoms add exponents) and their
-# monomials by sort key, where a symbol in both factors adds exponents if
-# even and kills the product if odd.  The Koszul sign of sorting
-# t1.mono + t2.mono is the parity of crossings: each odd symbol of t2
-# crosses the odd symbols of t1 not yet placed.  A pair holding a pow atom
-# goes through `_normalize_term`, which folds single-symbol pow bases into
-# the monomial and expands compound integer powers.  The term order is not
-# multiplicative (x < y but x*x > x*y), so the products are sorted once by
-# `_merge_runs` rather than heap-merged.
+# Products of canonical terms.  Two terms multiply by merging: their atom
+# tuples by atom key (equal atoms add exponents) and their monomials by sort
+# key, where a symbol in both factors adds exponents if even and kills the
+# product if odd.  The Koszul sign of sorting t1.mono + t2.mono is the
+# parity of crossings: each odd symbol of t2 crosses the odd symbols of t1
+# not yet placed.  That merge is canonical unless the pair's pow atoms
+# collide: the two terms share a pow base, whose exponents then add, or a
+# single-symbol pow base meets its own symbol in the other monomial.  Only
+# a colliding pair goes through `_normalize_term`, which folds single-symbol
+# pow bases into the monomial and expands compound integer powers.  The
+# term order is not multiplicative (x < y but x*x > x*y), so the products
+# are sorted once by `_merge_runs` rather than heap-merged.
 
 
-def _layout(t: Term) -> tuple:
-    """(t, [(sort key, (symbol, exponent), odd)] of its monomial, odd
-    count); the entries are None when t holds a pow atom (atom keys of pow
-    atoms start with 2, so they sort last)."""
-    if t.atoms and isinstance(t.atoms[-1][0], PowerAtom):
-        return t, None, 0
+def _layout(theory: Theory, t: Term) -> tuple:
+    """(t, [(sort key, (symbol, exponent), odd)] of its monomial, odd count,
+    pows): pows is None when t holds no pow atom, else (its pow base keys,
+    the symbols of its single-symbol pow bases).  Atom keys of pow atoms
+    start with 2, so pow atoms sort last."""
     k = t.key
     entries = [(k[1 + 2 * i], se, se[0].sign_degree) for i, se in enumerate(t.mono)]
-    return t, entries, sum(o for _, _, o in entries)
+    pows = None
+    if t.atoms and isinstance(t.atoms[-1][0], PowerAtom):
+        bases = tuple(a.base_key for a, _ in t.atoms if isinstance(a, PowerAtom))
+        symbols = tuple(s for s in (_single_symbol_base(theory, b) for b in bases)
+                        if s is not None)
+        pows = (bases, symbols)
+    return t, entries, sum(o for _, _, o in entries), pows
+
+
+def _meets(symbols: tuple, m: list) -> bool:
+    return any(se[0] is s for _, se, _ in m for s in symbols)
+
+
+def _pow_collision(p1, m1: list, p2, m2: list) -> bool:
+    """Whether two laid-out terms, one of them holding a pow atom, share a
+    pow base or have a single-symbol pow base meeting its own symbol in the
+    other term's monomial; their product then needs `_normalize_term`."""
+    if p1 is None:
+        return _meets(p2[1], m1)
+    if p2 is None:
+        return _meets(p1[1], m2)
+    return any(b in p2[0] for b in p1[0]) or _meets(p1[1], m2) or _meets(p2[1], m1)
 
 
 def _merge_atoms(a1: Atoms, k1: tuple, a2: Atoms, k2: tuple) -> tuple[Atoms, tuple]:
@@ -590,8 +617,9 @@ def _merge_atoms(a1: Atoms, k1: tuple, a2: Atoms, k2: tuple) -> tuple[Atoms, tup
 
 
 def _merge_pair(coef, t1: Term, m1: list, odd_left: int, t2: Term, m2: list) -> Optional[Term]:
-    """The product of two pow-free canonical terms (laid out by `_layout`)
-    with coefficient `coef` before the Koszul sign; None when it vanishes."""
+    """The product of two canonical terms (laid out by `_layout`) whose pow
+    atoms do not collide, with coefficient `coef` before the Koszul sign;
+    None when it vanishes."""
     if not t2.atoms:
         atoms, akey = t1.atoms, t1.key[0]
     elif not t1.atoms:
@@ -640,13 +668,13 @@ def _product(theory: Theory, left: Sequence[Term], right: Sequence[Term]) -> tup
     """Canonical product of two canonical term tuples."""
     if not left or not right:
         return ()
-    rows = [_layout(t) for t in right]
+    rows = [_layout(theory, t) for t in right]
     out: list[Term] = []
     for t1 in left:
-        t1, m1, odd1 = _layout(t1)
-        for t2, m2, _ in rows:
+        t1, m1, odd1, p1 = _layout(theory, t1)
+        for t2, m2, _, p2 in rows:
             coef = t1.coef * t2.coef
-            if m1 is None or m2 is None:
+            if (p1 or p2) and _pow_collision(p1, m1, p2, m2):
                 for c, a, m in _normalize_term(theory, coef, t1.atoms + t2.atoms,
                                                t1.mono + t2.mono):
                     out.append(Term(c, a, m, _term_key(theory, a, m)))
@@ -709,8 +737,7 @@ def _atom_gradient(theory: Theory, atom: Atom) -> dict[GradedSymbol, Expression]
     if grad is not None:
         return grad
     if isinstance(atom, FuncAtom):
-        grad = {theory.symbol(arg): _single(theory, Fraction(1),
-                                            ((atom.differentiated(arg), 1),), ())
+        grad = {theory.symbol(arg): _single(theory, 1, ((atom.differentiated(arg), 1),), ())
                 for arg in theory.function(atom.func).args}
     else:
         base = base_expression(theory, atom.base_key)
@@ -744,7 +771,7 @@ def _outer_derivative(theory: Theory, atom: Atom) -> Expression:
         return inverse_of(base_expression(theory, atom.base_key))
     # pow(E, r): r * pow(E, r-1) * dE
     r = atom.exponent
-    shifted = _from_raw(theory, [(Fraction(1), ((PowerAtom(atom.base_key, r - 1), 1),), ())])
+    shifted = _from_raw(theory, [(1, ((PowerAtom(atom.base_key, r - 1), 1),), ())])
     lin = Expression.const(theory, r.offset)
     if r.param is not None and r.slope != 0:
         lin = lin + Expression.symbol(theory, r.param) * r.slope
@@ -857,7 +884,7 @@ def iterated_total(expr: Expression, k: int) -> Expression:
 def substitute_param(expr: Expression, param: GradedSymbol, value) -> Expression:
     """Evaluate a flow parameter at an exact rational value; refuses a
     log/pow base that mentions the parameter, which it cannot evaluate."""
-    value = Fraction(value)
+    value = rational(value)
     raw: list[RawTerm] = []
     for t in expr.terms:
         coef = t.coef
@@ -972,7 +999,7 @@ def _map_atom(atom: Atom, images, source: Theory, target: Theory) -> Expression:
                         f"cannot transport function symbol {atom.func} along a "
                         f"substitution moving its argument {arg}")
         target.function(atom.func)
-        return _from_raw(target, [(Fraction(1), ((atom, 1),), ())])
+        return _from_raw(target, [(1, ((atom, 1),), ())])
     base = base_expression(source, atom.base_key)
     new_base = apply_substitution(base, images, target)
     if isinstance(atom, LogAtom):

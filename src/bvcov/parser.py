@@ -9,10 +9,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Optional
 
-from .coefficients import AffineExponent
+from .coefficients import AffineExponent, Rat, quotient
 from .curved import BElement, CanonicalSubstitution, USeries
 from .expression import (Expression, inverse_of, log_of, power_of)
 from .symbols import GradedSymbol, Kind, Theory, TheoryError
@@ -124,7 +123,7 @@ class ExpressionParser:
                 neg = True
             n = int(self.take("num")[1])
             if neg:
-                return power_of(base, Fraction(-n))
+                return power_of(base, -n)
             return base ** n
         return base
 
@@ -132,8 +131,7 @@ class ExpressionParser:
         tok = self.peek()
         if tok[0] == "num":
             self.take()
-            num = Fraction(int(tok[1]))
-            return Expression.const(self.theory, num)
+            return Expression.const(self.theory, int(tok[1]))
         if tok[0] == "op" and tok[1] == "(":
             self.take()
             e = self.expr()
@@ -193,27 +191,31 @@ class ExpressionParser:
                 return out
 
     def exp_term(self) -> AffineExponent:
-        sign = Fraction(1)
+        sign = 1
         tok = self.peek()
         if tok[0] == "op" and tok[1] == "-":
             self.take()
-            sign = Fraction(-1)
+            sign = -1
         tok = self.peek()
         if tok[0] == "num":
             self.take()
-            q = Fraction(int(tok[1]))
+            q = int(tok[1])
             nxt = self.peek()
             if nxt[0] == "op" and nxt[1] == "/":
                 self.take()
-                q = q / int(self.take("num")[1])
+                _, digits, col = self.take("num")
+                if int(digits) == 0:
+                    raise ParseError("zero denominator in a rational exponent",
+                                     self.line_no, col)
+                q = quotient(q, int(digits))
                 nxt = self.peek()
             if nxt[0] == "op" and nxt[1] == "*":
                 self.take()
                 pname = self.take("name")[1]
-                return AffineExponent(Fraction(0), sign * q, self._param(pname))
+                return AffineExponent(0, sign * q, self._param(pname))
             return AffineExponent(sign * q)
         pname = self.take("name")[1]
-        return AffineExponent(Fraction(0), sign, self._param(pname))
+        return AffineExponent(0, sign, self._param(pname))
 
     def _param(self, name: str) -> GradedSymbol:
         s = self.theory.maybe_symbol(name)
@@ -248,9 +250,9 @@ class ExpressionParser:
         return Expression.func(self.theory, fname, args)
 
 
-def _as_rational_inverse(e: Expression) -> Fraction:
+def _as_rational_inverse(e: Expression) -> Rat:
     if len(e.terms) == 1 and not e.terms[0].mono and not e.terms[0].atoms:
-        return Fraction(1) / e.terms[0].coef
+        return quotient(1, e.terms[0].coef)
     raise TheoryError("/ is reserved for rational literals; use inv(...)")
 
 

@@ -248,7 +248,7 @@ def cech_delta(c: CechCochain) -> CechCochain:
                 continue
             ok = True
             moved = nerve.restrict(v, face, T, theory)
-            acc = acc + (moved * Fraction(sign) if i % 2 == 0 else moved * Fraction(-sign))
+            acc = acc + (moved * sign if i % 2 == 0 else moved * -sign)
         if ok:
             out[T] = acc
     return CechCochain(nerve, c.degree + 1, out)
@@ -276,7 +276,7 @@ class TWElement:
                                       for T in self.values})
 
     def __mul__(self, q) -> "TWElement":
-        return TWElement(self.nerve, {T: v * Fraction(q) for T, v in self.values.items()})
+        return TWElement(self.nerve, {T: v * q for T, v in self.values.items()})
 
     def is_zero(self) -> bool:
         return all(v.is_zero() for v in self.values.values())
@@ -346,7 +346,7 @@ def whitney_commutes(c: CechCochain) -> TWElement:
     k = c.degree
     lhs = tw_differential(whitney(c))
     internal = CechCochain(c.nerve, k, {
-        T: du(v) * Fraction((-1) ** k) for T, v in c.values.items()})
+        T: du(v) * (-1) ** k for T, v in c.values.items()})
     rhs = whitney(cech_delta(c)) + whitney(internal)
     return lhs - rhs
 

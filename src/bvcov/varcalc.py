@@ -15,6 +15,7 @@ from fractions import Fraction
 from math import comb
 from typing import Optional
 
+from .coefficients import quotient
 from .expression import (Expression, is_zero, iterated_total, jet_gradient,
                          jet_partial, total_derivative)
 from .symbols import GradedSymbol, Kind, Theory, TheoryError, antifield_name
@@ -67,11 +68,11 @@ class EvolutionaryVectorField:
         return EvolutionaryVectorField(self.theory, comps)
 
     def __sub__(self, other):
-        return self + (other * Fraction(-1))
+        return self + (other * -1)
 
     def __mul__(self, q) -> "EvolutionaryVectorField":
         return EvolutionaryVectorField(
-            self.theory, {s: e * Fraction(q) for s, e in self.components.items()})
+            self.theory, {s: e * q for s, e in self.components.items()})
 
     def is_zero(self) -> bool:
         return all(is_zero(e) for e in self.components.values())
@@ -357,7 +358,7 @@ class EtaleMap:
         n = len(src_fields)
         for b in range(n):
             for c in range(n):
-                want = Fraction(1 if b == c else 0)
+                want = 1 if b == c else 0
                 lhs = Expression.sum(source, (jac[b][a] * inv[a][c] for a in range(n)))
                 if not is_zero(lhs - Expression.const(source, want)):
                     raise TheoryError("Jacobian inverse check failed")
@@ -411,7 +412,7 @@ def _matrix_right_inverse(theory: Theory, mat) -> Optional[list[list[Expression]
         aug[col], aug[piv] = aug[piv], aug[col]
         p = aug[col][col]
         if len(p.terms) == 1 and not p.terms[0].mono and not p.terms[0].atoms:
-            pinv = Expression.const(theory, Fraction(1) / p.terms[0].coef)
+            pinv = Expression.const(theory, quotient(1, p.terms[0].coef))
         else:
             pinv = inverse_of(p)
         aug[col] = [pinv * e for e in aug[col]]

@@ -397,7 +397,7 @@ def _proportionality_bruteforce(v1, v0):
     for t0 in v0.terms:
         if t0.mono != t1.mono or t0.coef == 0:
             continue
-        q = t1.coef / t0.coef
+        q = Fraction(t1.coef, t0.coef)
         candidates.append((q, None))
         for key in log_keys:
             candidates.append((q, key))
@@ -632,6 +632,41 @@ def test_proportionality_over_pairs_matches_bruteforce(bc_theory):
                                     (v1.coeff(n).eps, v0.coeff(n).eps))]
             assert _proportionality(pairs) == _u_proportionality_bruteforce(v1, v0)
     assert _proportionality([(cp * c * 2, cp * c), (bp * c * 3, bp * c)]) is None
+
+
+def _coefficients(s: USeries) -> list:
+    return [t.coef for n in s.powers() for part in (s.coeff(n).body, s.coeff(n).eps)
+            for t in part.terms]
+
+
+def test_coefficient_divisions_are_exact(bc_theory):
+    """Integral coefficients are stored as ints, so `/` on two of them would
+    give a float: the ratio `_proportionality` finds and the 1/(n+1)! of
+    `FlowSeries.at` are exact rationals in canonical form."""
+    from bvcov.curved import _proportionality
+    t = bc_theory
+    c, cp, bp = (Expression.of(t, n) for n in ("c", "c+", "b+"))
+    x = cp * c
+    assert type(x.terms[0].coef) is int
+    q, key = _proportionality([(x * 3, x * 2)])
+    assert (q, key) == (Fraction(3, 2), None) and type(q) is Fraction
+    q, key = _proportionality([(x * 4, x * 2)])
+    assert (q, key) == (2, None) and type(q) is int
+    lam = log_of(bp)
+    q, key = _proportionality([(lam * x * 3, x * 2)])
+    assert (q, key) == (Fraction(3, 2), lam.terms[0].atoms[0][0].base_key)
+    assert type(q) is Fraction
+    steps = [USeries.of(c * 2), USeries.of(bp * c * 3), USeries.of(bp * bp * c * 4)]
+    flow = FlowSeries(USeries.of(x), USeries.zero(t), steps, True, len(steps))
+    for value, want in ((1, [2, Fraction(3, 2), Fraction(2, 3)]),
+                        (2, [4, 6, Fraction(16, 3)]),
+                        (Fraction(1, 2), [1, Fraction(3, 8), Fraction(1, 12)])):
+        got = flow.at(value)
+        assert got == USeries.of(x + c * want[0] + bp * c * want[1] + bp * bp * c * want[2])
+        coefs = _coefficients(got)
+        assert set(map(type, coefs)) <= {int, Fraction}
+        assert all(type(q) is int or q.denominator != 1 for q in coefs)
+        assert set(want) <= set(coefs)
 
 
 def test_flow_caps_pin_their_boundaries(particle_theory, bc_theory):

@@ -495,6 +495,7 @@ def test_mul_matches_normalize_oracle(data):
 
 def test_mul_pinned_cases():
     t, atoms, symbols = _oracle_pools()
+    tau = symbols[-1]
     q, r, th, th1, qp = (Expression.of(t, n, j) for n, j in
                          (("q", 0), ("r", 0), ("th", 0), ("th", 1), ("q+", 0)))
     F, logq = Expression.func(t, "F"), log_of(q + 1)
@@ -509,6 +510,17 @@ def test_mul_pinned_cases():
         (q * root_q, th, [power_of(q, Fraction(3, 2)) * th]),
         (root_q1, root_q1 * 2, [2 * q + 2]),            # compound base expands
         (inverse_of(r) * q, r * r, [q * r]),
+        # colliding pow pairs: a shared compound base whose exponents sum to
+        # 0, to an integer >= 1 (expands) and to a non-integer
+        (root_q1 * th, power_of(q + 1, Fraction(-1, 2)), [th]),
+        (power_of(q + 1, Fraction(3, 2)), root_q1 * r, [(q + 1) ** 2 * r]),
+        (root_q1, power_of(q + 1, Fraction(1, 3)), [power_of(q + 1, Fraction(5, 6))]),
+        # a single-symbol base meeting its own symbol in the other monomial
+        (root_q, q * q * th1, [power_of(q, Fraction(5, 2)) * th1]),
+        (power_of(q, AffineExponent(-1, 1, tau)), q, [power_of(q, AffineExponent(0, 1, tau))]),
+        # collision-free pow pairs: distinct bases, no base meeting its symbol
+        (root_q1 * inverse_of(r) * qp, root_q * th, None),
+        (inverse_of(q - r) * logq, root_q1 * F * th1, None),
     ]
     for a, b, expected in cases:
         prod = a * b
@@ -633,18 +645,19 @@ def test_total_derivative_bump_meets_next_jet():
 
 
 def test_products_and_derivatives_never_renormalize(monkeypatch):
-    """Pow-free products and the derivatives built from canonical terms
-    (partial derivatives, d/dtau among them, odd derivations,
-    coefficient_of) make no `_normalize_term` call."""
+    """Products whose pow atoms do not collide (pow-free ones among them)
+    and the derivatives built from canonical terms (partial derivatives,
+    d/dtau among them, odd derivations, coefficient_of) make no
+    `_normalize_term` call."""
     t, atoms, symbols = _oracle_pools()
     build = _builder(t, atoms, symbols)
     rng = random.Random(7)
 
-    def sample(atom_pool):
+    def sample(atom_pool, symbol_pool=range(len(symbols))):
         return build([(rng.choice([1, -1, 2, Fraction(1, 3)]),
                        [(rng.choice(atom_pool), rng.randint(1, 2))
                         for _ in range(rng.randint(0, 2))],
-                       [(rng.randrange(len(symbols)), rng.randint(1, 2))
+                       [(rng.choice(symbol_pool), rng.randint(1, 2))
                         for _ in range(rng.randint(0, 4))])
                       for _ in range(rng.randint(1, 5))])
 
@@ -652,6 +665,11 @@ def test_products_and_derivatives_never_renormalize(monkeypatch):
     pow_free = func_only + [3]       # and log(q + 1)
     factors = [sample(pow_free) for _ in range(60)]
     fs = [sample(func_only) for _ in range(60)]
+    # pow factors whose pairs never collide: the left ones hold pow(q + 1,
+    # 1/2), the right ones inv(q - r) and inv(r), and no monomial holds r
+    no_r = [i for i, s in enumerate(symbols) if s is not t.symbol("r")]
+    pow_left = [sample(pow_free + [4], no_r) for _ in range(40)]
+    pow_right = [sample(pow_free + [5, 8], no_r) for _ in range(40)]
     odd = [s for s in symbols if s.sign_degree == 1]
     images = {s: _odd_image(f, s) for s, f in zip((odd[0], symbols[0], odd[-1]), fs)}
     calls = []
@@ -659,19 +677,99 @@ def test_products_and_derivatives_never_renormalize(monkeypatch):
     monkeypatch.setattr(expression, "_normalize_term",
                         lambda *args: calls.append(1) or real(*args))
     products = [a * b for a, b in zip(factors, factors[1:])]
+    pow_products = [a * b for a, b in zip(pow_left, pow_right)] + \
+        [b * a for a, b in zip(pow_left, pow_right)]
     partials = [partial_derivative(f, s) for f in fs for s in symbols]
     derivations = [odd_derivation(f, images) for f in fs]
     coefficients = [f.coefficient_of(s) for f in fs for s in odd]
     assert len(calls) == 0
     monkeypatch.undo()
-    # not vacuous: every operation produced terms
-    for results in (products, partials, derivations, coefficients):
+    # not vacuous: every operation produced terms, the pow products pow atoms
+    for results in (products, pow_products, partials, derivations, coefficients):
         assert sum(len(r.terms) for r in results) > 20
+    assert sum(isinstance(a, PowerAtom) for p in pow_products for term in p.terms
+               for a, _ in term.atoms) > 20
     assert [_terms(p) for p in products] == \
         [_terms(_mul_bruteforce(a, b)) for a, b in zip(factors, factors[1:])]
+    assert [_terms(p) for p in pow_products] == \
+        [_terms(_mul_bruteforce(a, b)) for a, b in zip(pow_left, pow_right)] + \
+        [_terms(_mul_bruteforce(b, a)) for a, b in zip(pow_left, pow_right)]
     assert [_terms(d) for d in partials] == \
         [_terms(_partial_bruteforce(f, s)) for f in fs for s in symbols]
     assert [_terms(d) for d in derivations] == \
         [_terms(_odd_derivation_bruteforce(f, images)) for f in fs]
     assert [_terms(d) for d in coefficients] == \
         [_terms(_coefficient_of_bruteforce(f, s)) for f in fs for s in odd]
+
+
+# -- canonical coefficients ---------------------------------------------------
+
+
+def _is_canonical_rational(q) -> bool:
+    """An int when integral, else a Fraction with a denominator other than 1
+    (`_terms` comparisons cannot see this: Fraction(3) == 3)."""
+    return type(q) is int or (type(q) is Fraction and q.denominator != 1)
+
+
+def _assert_canonical(e: Expression):
+    for t in e.terms:
+        assert _is_canonical_rational(t.coef), (t.coef, render(e))
+        for a, _ in t.atoms:
+            if isinstance(a, PowerAtom):
+                assert _is_canonical_rational(a.exponent.offset), a
+                assert _is_canonical_rational(a.exponent.slope), a
+
+
+def test_canonical_coefficients_pinned():
+    """Products, sums, negation and scalar multiples whose exact value turns
+    integral store an int, and rationals that stay fractional keep their
+    Fraction."""
+    t, atoms, symbols = _oracle_pools()
+    q, th = Expression.of(t, "q"), Expression.of(t, "th")
+    half = Expression.const(t, Fraction(1, 2))
+    results = [half * 2, half * half * 4, half + half, q * Fraction(1, 2) * 2,
+               (q * Fraction(3, 2)) * (q * Fraction(2, 3)), q * Fraction(4, 2),
+               Expression.sum(t, [q * Fraction(1, 3)] * 3), -(th * Fraction(5, 5)),
+               Expression.const(t, Fraction(6, 3)) * th, half * th * Fraction(2, 3),
+               power_of(q + 1, Fraction(4, 2)), power_of(q + 1, AffineExponent(
+                   Fraction(1, 2), Fraction(2, 2), symbols[-1]))]
+    for e in results:
+        _assert_canonical(e)
+    assert [type(e.terms[0].coef) for e in results[:4]] == [int] * 4
+    assert type((half * th * Fraction(2, 3)).terms[0].coef) is Fraction
+    assert type(Expression.const(t, Fraction(6, 3)).constant_part()) is int
+    with pytest.raises(TypeError, match="not an exact rational"):
+        Expression.const(t, 0.5)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_coefficients_stay_canonical(data):
+    """No Term.coef and no pow exponent offset or slope is a float, a bool or
+    a Fraction with denominator 1, across normalize, sums, products,
+    derivatives, flow-parameter substitution and scalar multiples."""
+    t, atoms, symbols = _oracle_pools()
+    build = _builder(t, atoms, symbols)
+    tau = symbols[-1]
+    a = build(data.draw(st.lists(_ALL_ATOMS_RAW_TERM, max_size=5)))
+    b = build(data.draw(st.lists(_ALL_ATOMS_RAW_TERM, max_size=5)))
+    scalar = data.draw(st.sampled_from([2, -1, Fraction(1, 2), Fraction(-3, 2), Fraction(4, 2)]))
+    results = [a, b, a + b, a - b, -a, a * b, b * a, a * a, a * scalar, scalar * b,
+               Expression.sum(t, [a, b, a * scalar]), total_derivative(a),
+               substitute_param(a, tau, Fraction(1, 2)), substitute_param(a, tau, 2)]
+    results += [partial_derivative(a * b, s) for s in symbols]
+    results += [a.coefficient_of(s) for s in symbols if s.sign_degree == 1]
+    odd = [s for s in symbols[:-1] if s.sign_degree == 1]
+    results.append(odd_derivation(a, {odd[0]: _odd_image(b, odd[0])}))
+    for e in results:
+        _assert_canonical(e)
+
+
+def test_library_model_series_are_canonical():
+    from bvcov.models import MODEL_BUILDERS, build_model
+    for name in sorted(MODEL_BUILDERS):
+        for dim in (1, 2, 3, 4):
+            series = build_model(name, dim).series
+            for n in series.powers():
+                _assert_canonical(series.coeff(n).body)
+                _assert_canonical(series.coeff(n).eps)

@@ -148,6 +148,25 @@ def test_cli_failing_check_exits_1(tmp_path, capsys):
     assert rc == 1 and "FAIL" in out
 
 
+def test_cli_zero_denominator_in_exponent_exits_2(tmp_path, capsys):
+    """A rational exponent with denominator 0 is a parse error with its
+    position (exit 2), not a ZeroDivisionError out of `cli.main`."""
+    f = tmp_path / "zero.bvt"
+    f.write_text(
+        "theory t\n"
+        "field x ghost 0 parity even\n"
+        "expr S = pow(x, 1/0)\n")
+    assert run_cli("run", str(f)) == 2
+    err = capsys.readouterr().err
+    assert "zero denominator" in err and "line 3, column 10" in err
+    t = Theory("t")
+    t.add_field("x", 0, 0)
+    with pytest.raises(ParseError) as exc:
+        parse_expression(t, "pow(x, -3/0)", 4)
+    assert (exc.value.line, exc.value.column) == (4, 11)
+    assert parse_expression(t, "pow(x, 4/2)") == Expression.of(t, "x") ** 2
+
+
 def test_cli_truncation_exit_3(tmp_path, capsys):
     f = tmp_path / "trunc.bvt"
     f.write_text(
