@@ -260,21 +260,6 @@ class Expression:
                 return t.coef
         return 0
 
-    def coefficient_of(self, sym: GradedSymbol) -> "Expression":
-        """Left coefficient of a single odd symbol: write each term with sym
-        moved to the front and strip it; terms without sym are dropped."""
-        if sym.sign_degree != 1:
-            raise TheoryError("coefficient_of expects an odd generator")
-        out: list[Term] = []
-        for t in self.terms:
-            prefix = 0
-            for i, (s, e) in enumerate(t.mono):
-                if s is sym:
-                    out.append(_lower_symbol(t, i, -t.coef if prefix % 2 else t.coef))
-                    break
-                prefix += s.sign_degree * e
-        return Expression(self.theory, _merge_runs(out))
-
     def __repr__(self) -> str:
         from .printer import render
         return render(self)
@@ -782,64 +767,50 @@ def _is_jet(s: GradedSymbol) -> bool:
     return s.kind in (Kind.FIELD_JET, Kind.ANTIFIELD_JET)
 
 
-def _atom_partials(theory: Theory, t: Term, keep: Callable[[GradedSymbol], bool]):
-    """The chain rule on the atoms of one canonical term: (s, terms) for each
-    atom of t and each symbol s with keep(s) that the atom depends on, the
-    terms being the atom's share of dt/ds, t with the atom lowered times
-    `_atom_gradient`'s entry (atoms are even, so no Koszul sign enters)."""
-    for j, (a, e) in enumerate(t.atoms):
-        head = None
-        for s, da in _atom_gradient(theory, a).items():
-            if keep(s):
-                if head is None:
-                    head = (_lower_atom(t, j, t.coef * e),)
-                yield s, _product(theory, head, da.terms)
-
-
-def partial_derivative(expr: Expression, s: GradedSymbol) -> Expression:
-    """Graded left partial derivative with respect to any generator; atoms
-    follow by the chain rule, so for a flow parameter this is the full
-    d/dtau, pow exponents included."""
-    theory = expr.theory
-    out: list[Term] = []
-    for t in expr.terms:
-        prefix = 0
-        for i, (sym, e) in enumerate(t.mono):
-            if sym is s:
-                # an odd symbol has exponent 1 and passes the odd prefix
-                coef = -t.coef if sym.sign_degree == 1 and prefix % 2 else t.coef * e
-                out.append(_lower_symbol(t, i, coef))
-                break
-            prefix += sym.sign_degree * e
-        if t.atoms:
-            for _, terms in _atom_partials(theory, t, lambda x: x is s):
-                out += terms
-    return Expression(theory, _merge_runs(out))
-
-
-def jet_gradient(expr: Expression) -> dict[GradedSymbol, Expression]:
-    """{s: partial_derivative(expr, s)} for every field or antifield jet s
-    with a nonzero partial, in one pass over the terms: each occurrence of a
-    jet symbol is lowered in place with the same Koszul prefix sign, and each
-    atom contributes through its memoized gradient."""
+def _gradient(expr: Expression, keep: Callable[[GradedSymbol], bool]) -> dict[GradedSymbol, Expression]:
+    """{s: graded left partial d(expr)/ds} for every generator s with keep(s)
+    and a nonzero partial, in one pass over the terms.  This is the one place
+    a symbol is lowered with its Koszul prefix sign: an odd symbol has
+    exponent 1 and passes the odd symbols before it, an even one brings down
+    its exponent.  Atoms follow by the chain rule through `_atom_gradient`
+    (they are even, so no sign enters), so for a flow parameter this is the
+    full d/dtau, pow exponents included.  Every derivation reads it."""
     theory = expr.theory
     acc: dict[GradedSymbol, list[Term]] = {}
     for t in expr.terms:
         prefix = 0
         for i, (sym, e) in enumerate(t.mono):
             sd = sym.sign_degree
-            if _is_jet(sym):
+            if keep(sym):
                 coef = -t.coef if sd == 1 and prefix % 2 else t.coef * e
                 acc.setdefault(sym, []).append(_lower_symbol(t, i, coef))
             prefix += sd * e
-        for s, terms in _atom_partials(theory, t, _is_jet):
-            acc.setdefault(s, []).extend(terms)
+        for j, (a, e) in enumerate(t.atoms):
+            head = None
+            for s, da in _atom_gradient(theory, a).items():
+                if keep(s):
+                    if head is None:
+                        head = (_lower_atom(t, j, t.coef * e),)
+                    acc.setdefault(s, []).extend(_product(theory, head, da.terms))
     out: dict[GradedSymbol, Expression] = {}
     for s, ts in acc.items():
         merged = _merge_runs(ts)
         if merged:
             out[s] = Expression(theory, merged)
     return out
+
+
+def partial_derivative(expr: Expression, s: GradedSymbol) -> Expression:
+    """Graded left partial derivative with respect to any generator; for a
+    flow parameter this is the full d/dtau, pow exponents included."""
+    d = _gradient(expr, lambda x: x is s).get(s)
+    return Expression.zero(expr.theory) if d is None else d
+
+
+def jet_gradient(expr: Expression) -> dict[GradedSymbol, Expression]:
+    """{s: partial_derivative(expr, s)} for every field or antifield jet s
+    with a nonzero partial."""
+    return _gradient(expr, _is_jet)
 
 
 def jet_partial(expr: Expression, s: GradedSymbol) -> Expression:
@@ -850,29 +821,15 @@ def jet_partial(expr: Expression, s: GradedSymbol) -> Expression:
 
 
 def total_derivative(expr: Expression) -> Expression:
-    """Total t-derivative D = sum_s D(s) d/ds: raises jet orders by one;
-    kills constants, flow parameters and simplex generators.  The raised
-    jets of the monomials go through the raw-term loop, the atoms through
-    their gradients: D(atom) = sum over 0-jets s of d(atom)/ds * s_1."""
+    """Total t-derivative D = sum over jets s of s_{+1} d/ds: raises jet
+    orders by one; kills constants, flow parameters and simplex generators.
+    D is even, so D(s) stands left of the left partial; a raised jet is never
+    a pow base, so the products never collide."""
     theory = expr.theory
-    raw: list[RawTerm] = []
     out: list[Term] = []
-    for t in expr.terms:
-        for i, (sym, e) in enumerate(t.mono):
-            if not _is_jet(sym):
-                continue
-            bumped = theory.jet_bump(sym)
-            if sym.sign_degree == 1:
-                replaced = t.mono[:i] + ((bumped, 1),) + t.mono[i + 1:]
-                raw.append((t.coef, t.atoms, replaced))
-            else:
-                lowered = (t.mono[:i] + ((sym, e - 1), (bumped, 1)) + t.mono[i + 1:]) if e > 1 \
-                    else (t.mono[:i] + ((bumped, 1),) + t.mono[i + 1:])
-                raw.append((t.coef * e, t.atoms, lowered))
-        for s, terms in _atom_partials(theory, t, _is_jet):
-            # s is an even 0-jet, so its raised jet needs no sign
-            out += _product(theory, terms, Expression.symbol(theory, theory.jet_bump(s)).terms)
-    return Expression(theory, _merge_runs(list(_from_raw(theory, raw).terms) + out))
+    for s, ds in _gradient(expr, _is_jet).items():
+        out += _product(theory, Expression.symbol(theory, theory.jet_bump(s)).terms, ds.terms)
+    return Expression(theory, _merge_runs(out))
 
 
 def iterated_total(expr: Expression, k: int) -> Expression:
@@ -914,11 +871,12 @@ def odd_derivation(expr: Expression, images: dict[GradedSymbol, Expression]) -> 
     key (sign degree |s| + 1), else X is not an odd derivation and
     TheoryError is raised."""
     theory = expr.theory
-    out: list[Term] = []
     for s, img in images.items():
         if img.terms and img.sign_degree() != 1 - s.sign_degree:
             raise TheoryError(f"odd_derivation: the image of {s.name} is not odd relative to it")
-        out += _product(theory, img.terms, partial_derivative(expr, s).terms)
+    out: list[Term] = []
+    for s, ds in _gradient(expr, images.__contains__).items():
+        out += _product(theory, images[s].terms, ds.terms)
     return Expression(theory, _merge_runs(out))
 
 

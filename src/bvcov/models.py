@@ -12,10 +12,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from .expression import (Expression, embed, inverse_of, is_zero, log_of,
-                         total_derivative)
+from .expression import (Expression, Term, _lower_atom, embed, inverse_of, is_zero,
+                         log_of, partial_derivative, total_derivative)
 from .curved import (BElement, CanonicalSubstitution, USeries, antifield_rank,
-                     d_element, gauge_flow_series, mc_check, u_bracket)
+                     d_element, du, gauge_flow_series, mc_check, u_bracket)
 from .aksz import (TargetChart, build_covariant_theory, ghost_pair, gravity_product,
                    log_flow, minimal_coupling, twist, x_u_series, xi_u_series)
 from .symbols import Theory, TheoryError
@@ -213,7 +213,6 @@ _RELATION_PASSES = 32
 def apply_relations(expr: Expression) -> Expression:
     """Rewrite function-symbol descendants by the theory's directed rules
     until no rule applies."""
-    from .expression import Term, partial_derivative, _lower_atom
     theory = expr.theory
     if not theory.relations:
         return expr
@@ -387,22 +386,13 @@ def _master_equation_with_witness(S: USeries, transported_d: Expression) -> bool
     """Functional-level master equation for a renamed resolution solution:
     the transported eps parts are explicit homotopy witnesses, and the
     field/antifield swap shifts the curvature representative by an exact
-    term (m(D) differs from the target D by a total derivative)."""
+    term (m(D) differs from the target D by a total derivative): checks
+    u m(D) + d_u(eps parts) + (1/2)[bodies, bodies] = 0."""
     phys = S.theory
-    corr = transported_d - d_element(phys)
-    half = Fraction(1, 2)
     bodies = USeries(phys, {n: BElement.of_body(c.body) for n, c in S.coeffs.items()})
-    check = u_bracket(bodies, bodies) * half
-    for n in sorted(set(check.coeffs) | set(S.coeffs) | {1}):
-        residual = check.coeff(n).body
-        if n == 1:
-            residual = residual + d_element(phys) + corr
-        # body component of the resolved equation: + (-1)^sigma d(eps_n)
-        for sg, part in S.coeff(n).eps.sigma_parts():
-            residual = residual + total_derivative(part) * (-1 if sg % 2 else 1)
-        if not is_zero(residual):
-            return False
-    return True
+    witnesses = USeries(phys, {n: BElement.of_eps(c.eps) for n, c in S.coeffs.items()})
+    return (USeries.of(transported_d, 1) + du(witnesses)
+            + u_bracket(bodies, bodies) * Fraction(1, 2)).is_zero()
 
 
 def _physical_rename(model: ModelSpec, prod: Theory) -> tuple[Theory, CanonicalSubstitution]:
@@ -578,8 +568,7 @@ def _with_worldline_form(theory: Theory) -> Theory:
 
 def worldline_coefficient(expr: Expression) -> Expression:
     """Coefficient of dt with dt moved to the front."""
-    dt = expr.theory.symbol("dt")
-    return expr.coefficient_of(dt)
+    return partial_derivative(expr, expr.theory.symbol("dt"))
 
 
 def particle_composite_form(theory: Theory, n: int, eta: list[Fraction]) -> Expression:

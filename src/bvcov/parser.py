@@ -36,27 +36,29 @@ _TOKEN = re.compile(r"""
 """, re.VERBOSE)
 
 
-def tokenize(src: str, line_no: int = 0) -> list[tuple[str, str, int]]:
+def tokenize(src: str, line_no: int = 0, offset: int = 0) -> list[tuple[str, str, int]]:
+    """(kind, text, column) tokens of src, which starts `offset` characters
+    into its line; columns count from the start of the line."""
     out = []
     pos = 0
     while pos < len(src):
         m = _TOKEN.match(src, pos)
         if m is None:
-            raise ParseError(f"bad character {src[pos]!r}", line_no, pos + 1)
+            raise ParseError(f"bad character {src[pos]!r}", line_no, offset + pos + 1)
         kind = m.lastgroup
         if kind != "ws":
-            out.append((kind, m.group(), pos + 1))
+            out.append((kind, m.group(), offset + pos + 1))
         pos = m.end()
-    out.append(("end", "", len(src) + 1))
+    out.append(("end", "", offset + len(src) + 1))
     return out
 
 
 class ExpressionParser:
     """Recursive descent over one expression source line."""
 
-    def __init__(self, theory: Theory, src: str, line_no: int = 0):
+    def __init__(self, theory: Theory, src: str, line_no: int = 0, offset: int = 0):
         self.theory = theory
-        self.tokens = tokenize(src, line_no)
+        self.tokens = tokenize(src, line_no, offset)
         self.i = 0
         self.line_no = line_no
 
@@ -256,8 +258,9 @@ def _as_rational_inverse(e: Expression) -> Rat:
     raise TheoryError("/ is reserved for rational literals; use inv(...)")
 
 
-def parse_expression(theory: Theory, src: str, line_no: int = 0) -> Expression:
-    return ExpressionParser(theory, src, line_no).parse()
+def parse_expression(theory: Theory, src: str, line_no: int = 0, offset: int = 0) -> Expression:
+    """Parse src, which starts `offset` characters into line `line_no`."""
+    return ExpressionParser(theory, src, line_no, offset).parse()
 
 
 def to_useries(expr: Expression) -> USeries:
@@ -330,7 +333,8 @@ def parse_theory_file(source: str) -> TheoryFile:
 
     lines = source.splitlines()
     for line_no, raw in enumerate(lines, 1):
-        line = raw.split("#", 1)[0].strip()
+        code = raw.split("#", 1)[0]
+        line = code.strip()
         if not line:
             continue
         words = line.split()
@@ -351,11 +355,11 @@ def parse_theory_file(source: str) -> TheoryFile:
                 ghost = int(words[words.index("ghost") + 1]) if "ghost" in words else 1
                 ctx_theory().add_one_form(words[1], ghost=ghost)
             elif head == "expr":
-                name, _, rhs = line[len("expr"):].strip().partition("=")
-                name = name.strip()
+                left, rhs, at = _split(code, "=")
+                name = left.strip()[len("expr"):].strip()
                 if not name or not rhs.strip():
                     raise ParseError("expr NAME = EXPRESSION", line_no)
-                tf.expressions[name] = parse_expression(tf.theory, rhs.strip(), line_no)
+                tf.expressions[name] = parse_expression(tf.theory, rhs, line_no, at)
             elif head == "subst":
                 context = "subst"
                 subst_name = words[1]
@@ -363,9 +367,9 @@ def parse_theory_file(source: str) -> TheoryFile:
             elif head == "map":
                 if context != "subst":
                     raise ParseError("map outside subst block", line_no)
-                lhs, _, rhs = line[len("map"):].strip().partition("->")
-                gen = tf.theory.symbol(lhs.strip())
-                subst_maps[gen] = parse_expression(tf.theory, rhs.strip(), line_no)
+                lhs, rhs, at = _split(code, "->")
+                gen = tf.theory.symbol(lhs.strip()[len("map"):].strip())
+                subst_maps[gen] = parse_expression(tf.theory, rhs, line_no, at)
             elif head == "endsubst":
                 tf.substitutions[subst_name] = CanonicalSubstitution(tf.theory, subst_maps)
                 context = "theory"
@@ -385,10 +389,10 @@ def parse_theory_file(source: str) -> TheoryFile:
             elif head == "nu":
                 if context != "chart":
                     raise ParseError("nu outside chart block", line_no)
-                lhs, _, rhs = line[len("nu"):].strip().partition("=")
+                lhs, rhs, at = _split(code, "=")
                 th = cover.charts[current_chart]
-                cover.nu[current_chart][lhs.strip()] = \
-                    parse_expression(th, rhs.strip(), line_no)
+                cover.nu[current_chart][lhs.strip()[len("nu"):].strip()] = \
+                    parse_expression(th, rhs, line_no, at)
             elif head == "overlap":
                 names = words[1:]
                 th = Theory("^".join(sorted(names)))
@@ -398,17 +402,17 @@ def parse_theory_file(source: str) -> TheoryFile:
             elif head == "from":
                 if context != "overlap":
                     raise ParseError("from outside overlap block", line_no)
-                chart_name, _, maps_src = line[len("from"):].strip().partition(":")
-                chart_name = chart_name.strip()
+                left, maps_src, at = _split(code, ":")
+                chart_name = left.strip()[len("from"):].strip()
                 src_th = cover.charts[chart_name]
                 dst_th = overlap_entry[1]
                 images = {}
                 for piece in maps_src.split(";"):
-                    piece = piece.strip()
-                    if not piece:
-                        continue
-                    lhs, _, rhs = piece.partition("->")
-                    images[lhs.strip()] = parse_expression(dst_th, rhs.strip(), line_no)
+                    if piece.strip():
+                        lhs, rhs, piece_at = _split(piece, "->")
+                        images[lhs.strip()] = parse_expression(dst_th, rhs, line_no,
+                                                               at + piece_at)
+                    at += len(piece) + 1
                 # antifields transform by the inverse-Jacobian etale rule
                 from .varcalc import EtaleMap
                 emap = EtaleMap(dst_th, src_th, images)
@@ -417,8 +421,8 @@ def parse_theory_file(source: str) -> TheoryFile:
             elif head == "mu":
                 if context != "overlap":
                     raise ParseError("mu outside overlap block", line_no)
-                _, _, rhs = line.partition("=")
-                mu = parse_expression(overlap_entry[1], rhs.strip(), line_no)
+                _, rhs, at = _split(code, "=")
+                mu = parse_expression(overlap_entry[1], rhs, line_no, at)
                 cover.overlaps[-1] = overlap_entry[:3] + (mu,)
                 overlap_entry = cover.overlaps[-1]
             elif head == "endcover":
@@ -442,6 +446,14 @@ def parse_theory_file(source: str) -> TheoryFile:
                 raise
             raise ParseError(str(exc), line_no) from exc
     return tf
+
+
+def _split(code: str, sep: str) -> tuple[str, str, int]:
+    """(left, right, offset): code split at its first sep, the right part
+    without trailing space, and the number of characters of the line before
+    it, so that parse errors count columns from the start of the line."""
+    left, found, right = code.partition(sep)
+    return left, right.rstrip(), len(left) + len(found)
 
 
 def _parse_field(theory: Theory, words: list[str], line_no: int):

@@ -17,9 +17,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .expression import Expression, embed, is_zero, odd_derivation
+from .expression import Expression, embed, is_zero, odd_derivation, partial_derivative
 from .curved import (BElement, CanonicalSubstitution, FlowSeries, TruncatedFlowError,
-                     USeries, _bracket_by, d_element, du, orbit, u_bracket)
+                     USeries, _bracket_by, d_element, du, embed_u, orbit, u_bracket)
 from .symbols import GradedSymbol, Theory, TheoryError
 
 Tuple = tuple[str, ...]
@@ -138,24 +138,23 @@ class CoverNerve:
         if not src <= dst:
             raise TheoryError("restriction goes to a smaller intersection only")
         if src == dst:
-            return _reseat(value, dst_theory)
+            return embed_u(value, dst_theory)
         if len(src) == 1:
-            sub = self.overlaps[dst].from_chart[next(iter(src))]
-            images = {g: embed(img, dst_theory) for g, img in sub.images.items()}
-            moved = CanonicalSubstitution(sub.theory, images, dst_theory)
-            return moved.apply_u(value)
+            return _restrict_along(self.overlaps[dst].from_chart[next(iter(src))],
+                                   value, dst_theory)
         src_th = self.context_theory(src)
         dst_th = self.context_theory(dst)
         if src_th is dst_th or src_th.name == dst_th.name:
-            return _reseat(value, dst_theory)
+            return embed_u(value, dst_theory)
         raise TheoryError(
             f"restriction {sorted(src)} -> {sorted(dst)} not declared")
 
 
-def _reseat(value: USeries, theory: Theory) -> USeries:
-    return USeries(theory, {n: BElement(theory, embed(c.body, theory),
-                                        embed(c.eps, theory))
-                            for n, c in value.coeffs.items()})
+def _restrict_along(sub: CanonicalSubstitution, value: USeries, theory: Theory) -> USeries:
+    """value moved along a chart restriction whose images are embedded in
+    the fused theory."""
+    images = {g: embed(img, theory) for g, img in sub.images.items()}
+    return CanonicalSubstitution(sub.theory, images, theory).apply_u(value)
 
 
 # -- simplicial form operations ---------------------------------------------------
@@ -438,12 +437,8 @@ class Refinement:
         out: dict[Tuple, USeries] = {}
         for T in self.fine.tuples():
             phi_t = tuple(self.chart_map[a] for a in T)
-            theory = self.fine.simplex_theory(T, len(T) - 1)
-            v = SS.value(phi_t)
-            sub = self.restrictions[frozenset(T)]
-            images = {g: embed(img, theory) for g, img in sub.images.items()}
-            moved = CanonicalSubstitution(sub.theory, images, theory)
-            out[T] = moved.apply_u(v)
+            out[T] = _restrict_along(self.restrictions[frozenset(T)], SS.value(phi_t),
+                                     self.fine.simplex_theory(T, len(T) - 1))
         return TWElement(self.fine, out)
 
 
@@ -484,7 +479,6 @@ def gauge_equivalence_check(nerve: CoverNerve,
     """Verify nu1 - nu0 = d(nu_tilde) per chart and mu1 - mu0 = delta
     nu_tilde per overlap, then check SS0 bullet w(nu_tilde eps) = SS1 via
     the two bracket identities of the equivalence proposition."""
-    from .expression import partial_derivative
     homotopy_ok = True
     for a in nerve.chart_names:
         th = nerve.charts[a]

@@ -306,6 +306,46 @@ def test_spinning_pipeline_general_signature():
     assert couple_with_potential(flat_particle(2, eta=eta)).ok
 
 
+def _master_equation_with_witness_loop(S: USeries, transported_d: Expression) -> bool:
+    """Oracle: the hand-rolled body residual, u-power by u-power."""
+    from bvcov.curved import d_element
+    phys = S.theory
+    corr = transported_d - d_element(phys)
+    half = Fraction(1, 2)
+    bodies = USeries(phys, {n: BElement.of_body(c.body) for n, c in S.coeffs.items()})
+    check = u_bracket(bodies, bodies) * half
+    for n in sorted(set(check.coeffs) | set(S.coeffs) | {1}):
+        residual = check.coeff(n).body
+        if n == 1:
+            residual = residual + d_element(phys) + corr
+        # body component of the resolved equation: + (-1)^sigma d(eps_n)
+        for sg, part in S.coeff(n).eps.sigma_parts():
+            residual = residual + total_derivative(part) * (-1 if sg % 2 else 1)
+        if not is_zero(residual):
+            return False
+    return True
+
+
+def test_master_equation_with_witness_matches_loop(monkeypatch):
+    """The witness check built from u_bracket and d_u agrees with the
+    hand-rolled loop on the renamed spinning solutions, and fails closed on
+    both routes when the eps witnesses are dropped."""
+    from bvcov import models
+    seen = []
+    real = models._master_equation_with_witness
+    monkeypatch.setattr(models, "_master_equation_with_witness",
+                        lambda S, d: seen.append((S, d)) or real(S, d))
+    for m in (flat_spinning_particle(1), flat_spinning_particle(2),
+              curved_spinning_particle(1)):
+        assert spinning_pipeline(m).physical_mc_f_ok
+    assert len(seen) == 3
+    for S, d in seen:
+        assert real(S, d) and _master_equation_with_witness_loop(S, d)
+        bare = USeries(S.theory, {n: BElement.of_body(c.body) for n, c in S.coeffs.items()})
+        assert bare != S
+        assert not real(bare, d) and not _master_equation_with_witness_loop(bare, d)
+
+
 # a non-unit indefinite frame metric for the eta-taking builders
 ETA = [Fraction(2), Fraction(-3)]
 

@@ -532,9 +532,9 @@ def test_mul_pinned_cases():
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_derivatives_match_bruteforce_oracles(data):
-    """partial_derivative (d/dtau included), total_derivative,
-    odd_derivation and coefficient_of agree term by term with the raw-term
-    loops they replace."""
+    """partial_derivative (d/dtau included), total_derivative and
+    odd_derivation agree term by term with the raw-term loops they replace;
+    on an odd symbol, partial_derivative is its left coefficient."""
     t, atoms, symbols = _oracle_pools()
     build = _builder(t, atoms, symbols)
     f = build(data.draw(st.lists(_ALL_ATOMS_RAW_TERM, max_size=5)))
@@ -543,7 +543,8 @@ def test_derivatives_match_bruteforce_oracles(data):
     assert _terms(total_derivative(f)) == _terms(_total_bruteforce(f))
     for s in symbols:
         if s.sign_degree == 1:
-            assert _terms(f.coefficient_of(s)) == _terms(_coefficient_of_bruteforce(f, s)), s
+            assert _terms(partial_derivative(f, s)) == \
+                _terms(_coefficient_of_bruteforce(f, s)), s
     keys = data.draw(st.lists(st.sampled_from(symbols[:-1]), min_size=1, max_size=3,
                               unique=True))
     images = {s: _odd_image(build(data.draw(st.lists(_ALL_ATOMS_RAW_TERM, max_size=3))), s)
@@ -647,8 +648,8 @@ def test_total_derivative_bump_meets_next_jet():
 def test_products_and_derivatives_never_renormalize(monkeypatch):
     """Products whose pow atoms do not collide (pow-free ones among them)
     and the derivatives built from canonical terms (partial derivatives,
-    d/dtau among them, odd derivations, coefficient_of) make no
-    `_normalize_term` call."""
+    d/dtau among them, left coefficients of odd symbols, odd derivations and
+    total derivatives) make no `_normalize_term` call."""
     t, atoms, symbols = _oracle_pools()
     build = _builder(t, atoms, symbols)
     rng = random.Random(7)
@@ -672,6 +673,12 @@ def test_products_and_derivatives_never_renormalize(monkeypatch):
     pow_right = [sample(pow_free + [5, 8], no_r) for _ in range(40)]
     odd = [s for s in symbols if s.sign_degree == 1]
     images = {s: _odd_image(f, s) for s, f in zip((odd[0], symbols[0], odd[-1]), fs)}
+    # total derivatives of terms whose chain-rule products never collide
+    # (no log(q + 1) next to pow(q + 1, 1/2)), once the memoized atom
+    # gradients, whose pow shifts are normalized, are built
+    no_collision = fs + factors + pow_right
+    for a in {a for f in no_collision for term in f.terms for a, _ in term.atoms}:
+        expression._atom_gradient(t, a)
     calls = []
     real = expression._normalize_term
     monkeypatch.setattr(expression, "_normalize_term",
@@ -681,11 +688,12 @@ def test_products_and_derivatives_never_renormalize(monkeypatch):
         [b * a for a, b in zip(pow_left, pow_right)]
     partials = [partial_derivative(f, s) for f in fs for s in symbols]
     derivations = [odd_derivation(f, images) for f in fs]
-    coefficients = [f.coefficient_of(s) for f in fs for s in odd]
+    coefficients = [partial_derivative(f, s) for f in fs for s in odd]
+    totals = [total_derivative(f) for f in no_collision]
     assert len(calls) == 0
     monkeypatch.undo()
     # not vacuous: every operation produced terms, the pow products pow atoms
-    for results in (products, pow_products, partials, derivations, coefficients):
+    for results in (products, pow_products, partials, derivations, coefficients, totals):
         assert sum(len(r.terms) for r in results) > 20
     assert sum(isinstance(a, PowerAtom) for p in pow_products for term in p.terms
                for a, _ in term.atoms) > 20
@@ -700,6 +708,7 @@ def test_products_and_derivatives_never_renormalize(monkeypatch):
         [_terms(_odd_derivation_bruteforce(f, images)) for f in fs]
     assert [_terms(d) for d in coefficients] == \
         [_terms(_coefficient_of_bruteforce(f, s)) for f in fs for s in odd]
+    assert [_terms(d) for d in totals] == [_terms(_total_bruteforce(f)) for f in no_collision]
 
 
 # -- canonical coefficients ---------------------------------------------------
@@ -758,7 +767,7 @@ def test_coefficients_stay_canonical(data):
                Expression.sum(t, [a, b, a * scalar]), total_derivative(a),
                substitute_param(a, tau, Fraction(1, 2)), substitute_param(a, tau, 2)]
     results += [partial_derivative(a * b, s) for s in symbols]
-    results += [a.coefficient_of(s) for s in symbols if s.sign_degree == 1]
+    results += [partial_derivative(a, s) for s in symbols if s.sign_degree == 1]
     odd = [s for s in symbols[:-1] if s.sign_degree == 1]
     results.append(odd_derivation(a, {odd[0]: _odd_image(b, odd[0])}))
     for e in results:

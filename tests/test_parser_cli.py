@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -158,13 +159,50 @@ def test_cli_zero_denominator_in_exponent_exits_2(tmp_path, capsys):
         "expr S = pow(x, 1/0)\n")
     assert run_cli("run", str(f)) == 2
     err = capsys.readouterr().err
-    assert "zero denominator" in err and "line 3, column 10" in err
+    assert "zero denominator" in err and "line 3, column 19" in err
     t = Theory("t")
     t.add_field("x", 0, 0)
     with pytest.raises(ParseError) as exc:
         parse_expression(t, "pow(x, -3/0)", 4)
     assert (exc.value.line, exc.value.column) == (4, 11)
     assert parse_expression(t, "pow(x, 4/2)") == Expression.of(t, "x") ** 2
+
+
+def test_parse_error_columns_count_from_the_line_start():
+    """Parse errors inside an `expr`, `map`, `nu`, `from` piece or `mu`
+    right-hand side report the column in the whole line, indentation
+    included."""
+    header = "theory t\nfield x ghost 0 parity even\n"
+    cover = ("cover c bound 1\nchart A\nfield x ghost 0 parity even\n"
+             "chart B\nfield x ghost 0 parity even\noverlap A B\n"
+             "field x ghost 0 parity even\nfrom A : x -> x\n")
+    cases = [
+        (header + "expr S = x + y\n", "unknown symbol y", 3, 14),
+        (header + "  expr S = pow(x, 1/0)\n", "zero denominator", 3, 21),
+        (header + "subst g\n map x -> x $ 1\nendsubst\n", "bad character", 4, 13),
+        ("cover c bound 1\nchart A\nfield x ghost 0 parity even\nnu x = 2*q\n",
+         "unknown symbol q", 4, 10),
+        (cover + "from B : x -> x ;  x -> x + z\n", "unknown symbol z", 9, 29),
+        (cover + "mu = (x\n", "expected ), got ''", 9, 8),
+    ]
+    for source, message, line, column in cases:
+        with pytest.raises(ParseError, match=re.escape(message)) as exc:
+            parse_theory_file(source)
+        assert (exc.value.line, exc.value.column) == (line, column), source
+
+
+def test_cli_couple_gravity_reports_the_log_flow_step(monkeypatch, capsys):
+    """`log-family-certified` reports whether the certified log-flow
+    endpoint equals S + c(b+ db + c+ dc) + u c+: with that expected midpoint
+    made wrong, the line reads FAIL and the command exits 1."""
+    argv = ("couple-gravity", "--model", "flat-particle", "--dim", "1")
+    assert run_cli(*argv) == 0
+    assert "CHECK log-family-certified: PASS" in capsys.readouterr().out
+    from bvcov import aksz
+    real = aksz._bc_kinetic
+    monkeypatch.setattr(aksz, "_bc_kinetic", lambda theory: real(theory) * 2)
+    assert run_cli(*argv) == 1
+    assert "CHECK log-family-certified: FAIL" in capsys.readouterr().out
 
 
 def test_cli_truncation_exit_3(tmp_path, capsys):
