@@ -343,17 +343,16 @@ def du(x: USeries) -> USeries:
 @dataclass
 class CurvedContext:
     """F[[u]] (zero differential) or B[[u]] (d_u = d + u iota), with
-    curvature u*D by default."""
+    curvature u*D."""
 
     theory: Theory
     mode: str = "B"                      # "B" or "F"
-    curvature: Optional[USeries] = None
+    curvature: USeries = field(init=False)
 
     def __post_init__(self):
         if self.mode not in ("B", "F"):
             raise TheoryError("mode must be 'B' or 'F'")
-        if self.curvature is None:
-            self.curvature = USeries.of(BElement.of_body(d_element(self.theory)), 1)
+        self.curvature = USeries.of(BElement.of_body(d_element(self.theory)), 1)
         self.check_axioms_light()
 
     def check_axioms_light(self):
@@ -424,8 +423,7 @@ def complete_to_b(S: USeries, ctx: CurvedContext) -> USeries:
             # when S is even, so the sign is -1 and g~ = witness.
             out[n] = out.get(n, BElement.zero(S.theory)) + BElement.of_eps(g)
     lifted = USeries(S.theory, out)
-    bctx = CurvedContext(S.theory, mode="B", curvature=ctx.curvature)
-    rep = mc_check(lifted, bctx)
+    rep = mc_check(lifted, CurvedContext(S.theory))
     if not rep.ok:
         raise TheoryError("completion failed to satisfy the resolved master equation")
     return lifted
@@ -536,16 +534,6 @@ class CanonicalSubstitution:
 
     def apply_u(self, x: USeries) -> USeries:
         return USeries(self.target, {n: self.apply_b(c) for n, c in x.coeffs.items()})
-
-    def after(self, first: "CanonicalSubstitution") -> "CanonicalSubstitution":
-        """(self o first): apply first, then self."""
-        images = {}
-        gens = set(first.images) | set(self.images)
-        for fld, anti in self.theory.field_pairs():
-            gens.update((fld, self.theory.symbol(anti.name)))
-        for g in gens:
-            images[g] = self.apply(first.image(g))
-        return CanonicalSubstitution(first.theory, images, self.target)
 
     def check_canonical(self) -> list[tuple[str, str]]:
         """Verify bracket preservation on all generator pairs; returns the

@@ -1,6 +1,6 @@
 """The worked-model library: particle and spinning-particle charts with
-flat or curved/magnetic backgrounds, the gravity and supergravity gauge
-sequences, and the composite-field worldline checks.
+flat or curved/magnetic backgrounds, and the gravity and supergravity gauge
+sequences.
 
 Index ranges are expanded eagerly at construction (concrete dimension n);
 the frame metric eta is a numeric symmetric invertible diagonal matrix.
@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from .expression import (Expression, Term, _lower_atom, embed, inverse_of, is_zero,
-                         log_of, partial_derivative, total_derivative)
+from .expression import (Expression, Term, _lower_atom, embed, is_zero,
+                         partial_derivative)
 from .curved import (BElement, CanonicalSubstitution, USeries, antifield_rank,
                      d_element, du, gauge_flow_series, mc_check, u_bracket)
 from .aksz import (TargetChart, build_covariant_theory, ghost_pair, gravity_product,
@@ -49,41 +49,53 @@ def _diag_eta(n: int, eta) -> list[Fraction]:
     return eta
 
 
-def flat_particle(n: int = 2, eta=None) -> ModelSpec:
+def _phase_space(name: str, n: int, spinning: bool = False,
+                 magnetic: bool = False) -> Theory:
+    """The fields x_m and p_m, then psi_a for a spinning particle, then the
+    electromagnetic potentials A_m(x) for a magnetic background."""
+    t = Theory(name)
+    for prefix, parity in [("x", 0), ("p", 0)] + [("psi", 1)] * spinning:
+        for m in range(1, n + 1):
+            t.add_field(f"{prefix}_{m}", 0, parity)
+    if magnetic:
+        xs = [f"x_{m}" for m in range(1, n + 1)]
+        for m in range(1, n + 1):
+            t.add_function(f"A_{m}", xs)
+    return t
+
+
+def _chart(t: Theory, n: int, magnetic: bool,
+           psi_scale: Sequence[Fraction] = ()) -> TargetChart:
+    """nu = p dx, or (p + A) dx in a magnetic background, plus
+    psi_scale_a psi_a dpsi_a for a spinning particle."""
+    nu = {}
+    for m in range(1, n + 1):
+        nu[f"x_{m}"] = Expression.of(t, f"p_{m}")
+        if magnetic:
+            nu[f"x_{m}"] = nu[f"x_{m}"] + Expression.func(t, f"A_{m}")
+    for a, scale in enumerate(psi_scale, 1):
+        nu[f"psi_{a}"] = scale * Expression.of(t, f"psi_{a}")
+    return TargetChart(t, nu)
+
+
+def _particle(name: str, theory: str, n: int, eta, magnetic: bool) -> ModelSpec:
     eta = _diag_eta(n, eta)
-    t = Theory("particle")
-    for m in range(1, n + 1):
-        t.add_field(f"x_{m}", 0, 0)
-    for m in range(1, n + 1):
-        t.add_field(f"p_{m}", 0, 0)
-    nu = {f"x_{m}": Expression.of(t, f"p_{m}") for m in range(1, n + 1)}
-    chart = TargetChart(t, nu)
+    t = _phase_space(theory, n, magnetic=magnetic)
+    chart = _chart(t, n, magnetic)
     V = Fraction(1, 2) * Expression.sum(t, (
         (Fraction(1) / eta[m - 1]) * Expression.of(t, f"p_{m}") ** 2 for m in range(1, n + 1)))
-    return ModelSpec("flat-particle", n, chart, build_covariant_theory(chart),
-                     eta=eta, potential=V)
+    return ModelSpec(name, n, chart, build_covariant_theory(chart), eta=eta, potential=V)
+
+
+def flat_particle(n: int = 2, eta=None) -> ModelSpec:
+    return _particle("flat-particle", "particle", n, eta, magnetic=False)
 
 
 def magnetic_particle(n: int = 2, eta=None) -> ModelSpec:
     """Particle in an electromagnetic background: nu = (p + A) dx with an
     opaque potential A_mu(x); the field strength enters as derivative
     descendants of A."""
-    eta = _diag_eta(n, eta)
-    t = Theory("magnetic")
-    xs = [f"x_{m}" for m in range(1, n + 1)]
-    for name in xs:
-        t.add_field(name, 0, 0)
-    for m in range(1, n + 1):
-        t.add_field(f"p_{m}", 0, 0)
-    for m in range(1, n + 1):
-        t.add_function(f"A_{m}", xs)
-    nu = {f"x_{m}": Expression.of(t, f"p_{m}") + Expression.func(t, f"A_{m}")
-          for m in range(1, n + 1)}
-    chart = TargetChart(t, nu)
-    V = Fraction(1, 2) * Expression.sum(t, (
-        (Fraction(1) / eta[m - 1]) * Expression.of(t, f"p_{m}") ** 2 for m in range(1, n + 1)))
-    return ModelSpec("magnetic-particle", n, chart,
-                     build_covariant_theory(chart), eta=eta, potential=V)
+    return _particle("magnetic-particle", "magnetic", n, eta, magnetic=True)
 
 
 def bc_system() -> ModelSpec:
@@ -98,36 +110,13 @@ def betagamma_system() -> ModelSpec:
     return ModelSpec("betagamma-system", 0, chart, build_covariant_theory(chart))
 
 
-def _spinning_chart(t: Theory, n: int, eta: list[Fraction],
-                    with_potential_A: bool,
-                    intro_convention: bool = True) -> TargetChart:
-    nu = {}
-    for m in range(1, n + 1):
-        comp = Expression.of(t, f"p_{m}")
-        if with_potential_A:
-            comp = comp + Expression.func(t, f"A_{m}")
-        nu[f"x_{m}"] = comp
-    # psi-block sign: the intro convention nu = -(1/2) eta psi dpsi gives
-    # S_0 containing +(1/2) psi dpsi; the curved-frame section uses the
-    # opposite sign (the two differ by psi -> -psi)
-    s = Fraction(-1, 2) if intro_convention else Fraction(1, 2)
-    for a in range(1, n + 1):
-        nu[f"psi_{a}"] = s * eta[a - 1] * Expression.of(t, f"psi_{a}")
-    return TargetChart(t, nu)
-
-
 def flat_spinning_particle(n: int = 2, eta=None) -> ModelSpec:
     eta = _diag_eta(n, eta)
-    t = Theory("spinning")
-    for m in range(1, n + 1):
-        t.add_field(f"x_{m}", 0, 0)
-    for m in range(1, n + 1):
-        t.add_field(f"p_{m}", 0, 0)
-    for a in range(1, n + 1):
-        t.add_field(f"psi_{a}", 0, 1)
-    chart = _spinning_chart(t, n, eta, with_potential_A=False)
-    # intro convention (psi -> -psi relative to the curved-frame section):
-    # Q = -psi^mu p_mu lands the pipeline on the displayed flat action
+    t = _phase_space("spinning", n, spinning=True)
+    # intro convention: nu = -(1/2) eta psi dpsi gives S_0 containing
+    # +(1/2) psi dpsi, and Q = -psi^mu p_mu lands the pipeline on the
+    # displayed flat action; the curved-frame section differs by psi -> -psi
+    chart = _chart(t, n, False, [Fraction(-1, 2) * v for v in eta])
     Q = -Expression.sum(t, (Expression.of(t, f"psi_{m}") * Expression.of(t, f"p_{m}")
                             for m in range(1, n + 1)))
     return ModelSpec("flat-spinning-particle", n, chart,
@@ -140,16 +129,8 @@ def curved_spinning_particle(n: int = 2, eta=None) -> ModelSpec:
     spin connection om_mu_a_b and electromagnetic potential A_mu; the charge
     is Q = thinv^mu_a psi^a (p_mu + (1/2) om_mu_ab psi^a psi^b)."""
     eta = _diag_eta(n, eta)
-    t = Theory("curved-spinning")
+    t = _phase_space("curved-spinning", n, spinning=True, magnetic=True)
     xs = [f"x_{m}" for m in range(1, n + 1)]
-    for name in xs:
-        t.add_field(name, 0, 0)
-    for m in range(1, n + 1):
-        t.add_field(f"p_{m}", 0, 0)
-    for a in range(1, n + 1):
-        t.add_field(f"psi_{a}", 0, 1)
-    for m in range(1, n + 1):
-        t.add_function(f"A_{m}", xs)
     for a in range(1, n + 1):
         for m in range(1, n + 1):
             t.add_function(f"th_{a}_{m}", xs)
@@ -158,8 +139,8 @@ def curved_spinning_particle(n: int = 2, eta=None) -> ModelSpec:
         for a in range(1, n + 1):
             for b in range(a + 1, n + 1):
                 t.add_function(f"om_{m}_{a}_{b}", xs)
-    chart = _spinning_chart(t, n, eta, with_potential_A=True,
-                            intro_convention=False)
+    # the curved-frame psi sign, opposite to the intro convention
+    chart = _chart(t, n, True, [Fraction(1, 2) * v for v in eta])
     rng = range(1, n + 1)
     ptilde = {m: _ptilde(t, n, m) for m in rng}
     Q = Expression.sum(t, (Expression.func(t, f"thinv_{m}_{a}") * Expression.of(t, f"psi_{a}")
@@ -450,20 +431,13 @@ def couple_with_potential(model: ModelSpec) -> PotentialCouplingReport:
                                    mc_check(T3, ctx).ok, S)
 
 
-# -- the intro transformations -------------------------------------------------------
+# -- the worldline fields of the introduction ------------------------------------
 
 
 def intro_theory(n: int = 2, spinning: bool = False) -> Theory:
     """Worldline fields of the introduction: x, p (and psi), e, c (and chi,
     gamma)."""
-    t = Theory("intro-spinning" if spinning else "intro")
-    for m in range(1, n + 1):
-        t.add_field(f"x_{m}", 0, 0)
-    for m in range(1, n + 1):
-        t.add_field(f"p_{m}", 0, 0)
-    if spinning:
-        for a in range(1, n + 1):
-            t.add_field(f"psi_{a}", 0, 1)
+    t = _phase_space("intro-spinning" if spinning else "intro", n, spinning=spinning)
     t.add_field("e", 0, 0)
     if spinning:
         t.add_field("chi", 0, 1)
@@ -471,154 +445,3 @@ def intro_theory(n: int = 2, spinning: bool = False) -> Theory:
     if spinning:
         t.add_field("gamma", 1, 0)
     return t
-
-
-def intro_transformations(t: Theory, n: int, eta: Optional[Sequence] = None,
-                          spinning: bool = False) -> dict:
-    """The flows of the introduction at tau = 1: phi (nilpotent), psi
-    (exponential in log/pow atoms) and their composite xi with pullback
-    xi* = psi* phi*."""
-    from .curved import flow_substitution
-    from .expression import substitute_param
-    eta = _diag_eta(n, eta)
-    tau = t.symbol("tau") if t.has_name("tau") else t.add_flow_param("tau")
-    c = Expression.of(t, "c")
-    pieces = [c * Expression.of(t, f"x+_{m}") * Expression.of(t, f"p+_{m}")
-              for m in range(1, n + 1)]
-    if spinning:
-        pieces += [Fraction(1, 2) * (Fraction(1) / eta[a - 1]) * c
-                   * Expression.of(t, f"psi+_{a}") * Expression.of(t, f"psi+_{a}")
-                   for a in range(1, n + 1)]
-        pieces.append(c * Expression.of(t, "chi") * Expression.of(t, "gamma+"))
-    gen_phi = Expression.sum(t, pieces)
-    gen_psi = log_of(Expression.of(t, "e")) * Expression.of(t, "c+") * c
-    phi_flow = flow_substitution(t, gen_phi, tau, direction=+1)
-    psi_flow = flow_substitution(t, gen_psi, tau, direction=+1)
-    phi = CanonicalSubstitution(
-        t, {g: substitute_param(v, tau, 1) for g, v in phi_flow.images.items()})
-    psi = CanonicalSubstitution(
-        t, {g: substitute_param(v, tau, 1) for g, v in psi_flow.images.items()})
-    xi = psi.after(phi)
-    return {"tau": tau, "phi_generator": gen_phi, "psi_generator": gen_psi,
-            "phi_flow": phi_flow, "psi_flow": psi_flow,
-            "phi": phi, "psi": psi, "xi": xi}
-
-
-def intro_spinning_action(t: Theory, n: int, eta: Optional[Sequence] = None) -> Expression:
-    """The flat spinning-particle master-equation solution of the
-    introduction."""
-    eta = _diag_eta(n, eta)
-
-    def E(nm, j=0):
-        return Expression.of(t, nm, j)
-
-    d = total_derivative
-    rng = range(1, n + 1)
-    S0 = Expression.sum(t, (E(f"p_{k}") * d(E(f"x_{k}"))
-                            + Fraction(1, 2) * eta[k - 1] * E(f"psi_{k}") * d(E(f"psi_{k}"))
-                            for k in rng)) \
-        - Fraction(1, 2) * E("e") * Expression.sum(
-            t, ((Fraction(1) / eta[k - 1]) * E(f"p_{k}") ** 2 for k in rng)) \
-        + Expression.sum(t, (E("chi") * E(f"p_{k}") * E(f"psi_{k}") for k in rng))
-    Dfull = Expression.sum(t, (E(f"x+_{k}") * d(E(f"x_{k}")) + E(f"p+_{k}") * d(E(f"p_{k}"))
-                               + E(f"psi+_{k}") * d(E(f"psi_{k}")) for k in rng)) \
-        - E("e") * d(E("e+")) + E("c+") * d(E("c")) \
-        - E("chi") * d(E("chi+")) + E("gamma+") * d(E("gamma"))
-    return S0 + E("c") * Dfull \
-        - E("gamma") * (d(E("chi+"))
-                        - Expression.sum(t, ((Fraction(1) / eta[k - 1]) * E(f"p_{k}")
-                                             * E(f"psi+_{k}") for k in rng))
-                        + Expression.sum(t, (E(f"psi_{k}") * E(f"x+_{k}") for k in rng))
-                        + 2 * E("chi") * E("e+")) \
-        + inverse_of(E("e")) * E("gamma") ** 2 * (
-            E("c+")
-            - Expression.sum(t, (E(f"x+_{k}") * E(f"p+_{k}") for k in rng))
-            - Fraction(1, 2) * Expression.sum(
-                t, ((Fraction(1) / eta[k - 1]) * E(f"psi+_{k}") ** 2 for k in rng))
-            - E("chi") * E("gamma+"))
-
-
-def intro_particle_action(t: Theory, n: int, eta: Optional[Sequence] = None):
-    """(S, S0, D) for the flat particle of the introduction."""
-    eta = _diag_eta(n, eta)
-
-    def E(nm, j=0):
-        return Expression.of(t, nm, j)
-
-    d = total_derivative
-    rng = range(1, n + 1)
-    S0 = Expression.sum(t, (E(f"p_{k}") * d(E(f"x_{k}")) for k in rng)) \
-        - Fraction(1, 2) * E("e") * Expression.sum(
-            t, ((Fraction(1) / eta[k - 1]) * E(f"p_{k}") ** 2 for k in rng))
-    D = Expression.sum(t, (E(f"x+_{k}") * d(E(f"x_{k}")) + E(f"p+_{k}") * d(E(f"p_{k}"))
-                           for k in rng)) \
-        - E("e") * d(E("e+")) + E("c+") * d(E("c"))
-    return S0 + Expression.of(t, "c") * D, S0, D
-
-
-# -- composite worldline fields -----------------------------------------------------
-
-
-def _with_worldline_form(theory: Theory) -> Theory:
-    t = theory.extended(theory.name + "+dt")
-    if not t.has_name("dt"):
-        t.add_one_form("dt", ghost=1)
-    return t
-
-
-def worldline_coefficient(expr: Expression) -> Expression:
-    """Coefficient of dt with dt moved to the front."""
-    return partial_derivative(expr, expr.theory.symbol("dt"))
-
-
-def particle_composite_form(theory: Theory, n: int, eta: list[Fraction]) -> Expression:
-    """p.dx + c.db + (1/2) eta c p p in the composite worldline fields
-    x + dt p+, p - dt x+, c - dt e, e+ + dt c+ (dt^2 = 0)."""
-    t = theory
-    dt = Expression.symbol(t, t.symbol("dt"))
-
-    def E(name):
-        return Expression.of(t, name)
-
-    def dw(f: Expression) -> Expression:
-        return dt * total_derivative(f)
-
-    X = {m: E(f"x_{m}") + dt * E(f"p+_{m}") for m in range(1, n + 1)}
-    P = {m: E(f"p_{m}") - dt * E(f"x+_{m}") for m in range(1, n + 1)}
-    C = E("c") - dt * E("e")
-    B = E("e+") + dt * E("c+")
-    rng = range(1, n + 1)
-    return Expression.sum(t, [P[m] * dw(X[m]) for m in rng] + [C * dw(B)] + [
-        Fraction(1, 2) * (Fraction(1) / eta[m - 1]) * C * P[m] * P[m] for m in rng])
-
-
-def spinning_composite_form(theory: Theory, n: int, eta: list[Fraction]) -> Expression:
-    """The supersymmetric extension: adds -1/2 eta psi dpsi, gamma dbeta,
-    gamma p psi and b gamma^2 in the composite fields."""
-    t = theory
-    dt = Expression.symbol(t, t.symbol("dt"))
-
-    def E(name):
-        return Expression.of(t, name)
-
-    def dw(f: Expression) -> Expression:
-        return dt * total_derivative(f)
-
-    X = {m: E(f"x_{m}") + dt * E(f"p+_{m}") for m in range(1, n + 1)}
-    P = {m: E(f"p_{m}") - dt * E(f"x+_{m}") for m in range(1, n + 1)}
-    # psi-composite sign follows the intro convention (psi -> -psi relative
-    # to the curved-frame section, which flips the dt term)
-    PSI = {m: E(f"psi_{m}") - dt * (Fraction(1) / eta[m - 1]) * E(f"psi+_{m}")
-           for m in range(1, n + 1)}
-    C = E("c") - dt * E("e")
-    B = E("e+") + dt * E("c+")
-    GAMMA = -E("gamma") + dt * E("chi")
-    BETA = E("chi+") + dt * E("gamma+")
-    rng = range(1, n + 1)
-    return Expression.sum(t, [P[m] * dw(X[m]) for m in rng]
-                          + [-Fraction(1, 2) * eta[m - 1] * PSI[m] * dw(PSI[m]) for m in rng]
-                          + [C * dw(B), GAMMA * dw(BETA)]
-                          + [Fraction(1, 2) * (Fraction(1) / eta[m - 1]) * C * P[m] * P[m]
-                             for m in rng]
-                          + [GAMMA * P[m] * PSI[m] for m in rng]
-                          + [B * GAMMA * GAMMA])

@@ -149,14 +149,14 @@ class ExpressionParser:
         if name == "D" and nxt[0] == "op" and nxt[1] == "[":
             return self.func_derivative()
         if nxt[0] == "op" and nxt[1] == "(" and name in RESERVED_CALLS:
-            return self.call(name, 0)
+            return self.call(name, 0, tok[2])
         if name == "d" and nxt[0] == "op" and nxt[1] == "^":
             self.take()
             order = int(self.take("num")[1])
-            return self.call("d", order)
+            return self.call("d", order, tok[2])
         return self.symbol_or_function(name, tok[2])
 
-    def call(self, name: str, jet_order: int) -> Expression:
+    def call(self, name: str, jet_order: int, col: int) -> Expression:
         self.take("op", "(")
         if name == "d":
             inner = self.expr()
@@ -176,7 +176,7 @@ class ExpressionParser:
             return inverse_of(inner)
         if name == "log":
             return log_of(inner)
-        raise ParseError(f"unknown call {name}", self.line_no)
+        raise ParseError(f"unknown call {name}", self.line_no, col)
 
     def expr_exponent(self) -> AffineExponent:
         """A rational-affine function of the flow parameter."""
@@ -213,16 +213,15 @@ class ExpressionParser:
                 nxt = self.peek()
             if nxt[0] == "op" and nxt[1] == "*":
                 self.take()
-                pname = self.take("name")[1]
-                return AffineExponent(0, sign * q, self._param(pname))
+                return AffineExponent(0, sign * q, self._param())
             return AffineExponent(sign * q)
-        pname = self.take("name")[1]
-        return AffineExponent(0, sign, self._param(pname))
+        return AffineExponent(0, sign, self._param())
 
-    def _param(self, name: str) -> GradedSymbol:
+    def _param(self) -> GradedSymbol:
+        _, name, col = self.take("name")
         s = self.theory.maybe_symbol(name)
         if s is None or s.kind != Kind.FLOW_PARAM:
-            raise ParseError(f"{name} is not a flow parameter", self.line_no)
+            raise ParseError(f"{name} is not a flow parameter", self.line_no, col)
         return s
 
     def symbol_or_function(self, name: str, col: int) -> Expression:
@@ -368,7 +367,11 @@ def parse_theory_file(source: str) -> TheoryFile:
                 if context != "subst":
                     raise ParseError("map outside subst block", line_no)
                 lhs, rhs, at = _split(code, "->")
-                gen = tf.theory.symbol(lhs.strip()[len("map"):].strip())
+                gen_name = lhs.strip()[len("map"):].strip()
+                gen = tf.theory.maybe_symbol(gen_name)
+                if gen is None:
+                    raise ParseError(f"unknown symbol: {gen_name}", line_no,
+                                     lhs.rindex(gen_name) + 1)
                 subst_maps[gen] = parse_expression(tf.theory, rhs, line_no, at)
             elif head == "endsubst":
                 tf.substitutions[subst_name] = CanonicalSubstitution(tf.theory, subst_maps)
@@ -429,14 +432,7 @@ def parse_theory_file(source: str) -> TheoryFile:
                 context = "theory"
                 cover = None
             elif head == "check":
-                if len(words) < 3:
-                    raise ParseError("check NAME KIND key=value ...", line_no)
-                name, kind = words[1], words[2]
-                opts = {}
-                for w in words[3:]:
-                    k, _, v = w.partition("=")
-                    opts[k] = v
-                opts["kind"] = kind
+                name, opts = _parse_check(code, line_no)
                 tf.checks[name] = opts
                 tf.check_order.append(name)
             else:
@@ -454,6 +450,47 @@ def _split(code: str, sep: str) -> tuple[str, str, int]:
     it, so that parse errors count columns from the start of the line."""
     left, found, right = code.partition(sep)
     return left, right.rstrip(), len(left) + len(found)
+
+
+_RATIONAL = (r"[-+]?\d+(/\d*[1-9]\d*)?", "an exact rational")
+# check kind -> (required keys, {key: (pattern of its value, what the value is)})
+_CHECK_KINDS = {
+    "mc": (("expr",), {"mode": ("B|F", "B or F")}),
+    "bracket": (("left", "right", "expect"), {"with": ("soloviev|bv", "soloviev or bv")}),
+    "normalize": (("expr", "expect"), {}),
+    "flow": (("generator", "applyto"), {"direction": ("-?1", "1 or -1"), "at": _RATIONAL}),
+    "verify-endpoint": (("start", "family", "generator"), {}),
+    "twist": (("base", "w"), {}),
+    "rank": (("expr", "expect"), {"expect": (r"[-+]?\d+", "an integer")}),
+    "total-derivative": (("expr",), {"expect": ("yes|no", "yes or no"),
+                                     "expect-const": _RATIONAL}),
+    "canonical": (("subst",), {}),
+    "tw-mc": (("cover",), {}),
+}
+
+
+def _parse_check(code: str, line_no: int) -> tuple[str, dict]:
+    """The name and options of a `check NAME KIND key=value ...` line, with
+    each key its kind needs present and each value its kind reads checked."""
+    words = [(m.group(), m.start() + 1) for m in re.finditer(r"\S+", code)]
+    if len(words) < 3:
+        raise ParseError("check NAME KIND key=value ...", line_no)
+    (name, _), (kind, kind_col) = words[1:3]
+    if kind not in _CHECK_KINDS:
+        raise ParseError(f"unknown check kind {kind!r}", line_no, kind_col)
+    required, values = _CHECK_KINDS[kind]
+    opts = {}
+    for w, col in words[3:]:
+        k, _, v = w.partition("=")
+        if k in values and not re.fullmatch(values[k][0], v):
+            raise ParseError(f"{kind} check: {k} must be {values[k][1]}, got {v!r}",
+                             line_no, col)
+        opts[k] = v
+    for k in required:
+        if k not in opts:
+            raise ParseError(f"{kind} check needs {k}=...", line_no, kind_col)
+    opts["kind"] = kind
+    return name, opts
 
 
 def _parse_field(theory: Theory, words: list[str], line_no: int):

@@ -7,7 +7,7 @@ the identity on canonical forms).
 
 from __future__ import annotations
 
-from .coefficients import FuncAtom, LogAtom, PowerAtom
+from .coefficients import PowerAtom
 
 
 def render_symbol(sym, power: int = 1) -> str:
@@ -23,22 +23,12 @@ def render_symbol(sym, power: int = 1) -> str:
 
 
 def render_atom(atom, power: int = 1) -> str:
-    if isinstance(atom, FuncAtom):
-        s = str(atom)
-    elif isinstance(atom, LogAtom):
-        s = f"log({atom.base_key})"
+    if isinstance(atom, PowerAtom) and atom.exponent.is_constant \
+            and atom.exponent.constant_value() == -1:
+        s = f"inv({atom.base_key})"
     else:
-        assert isinstance(atom, PowerAtom)
-        exp = atom.exponent
-        if exp.is_constant and exp.constant_value() == -1:
-            s = f"inv({atom.base_key})"
-            if power != 1:
-                return f"inv({atom.base_key})^{power}"
-            return s
-        s = f"pow({atom.base_key}, {exp})"
-    if power != 1:
-        s += f"^{power}"
-    return s
+        s = str(atom)
+    return s if power == 1 else f"{s}^{power}"
 
 
 def _render_term_body(term) -> str:

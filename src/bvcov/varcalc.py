@@ -249,12 +249,6 @@ def ad_expansion(f: Expression) -> list[EvolutionaryVectorField]:
     return fields
 
 
-def ad_apply(f: Expression, g: Expression) -> Expression:
-    """soloviev(f, g) computed through the ad-expansion (resummation oracle)."""
-    return Expression.sum(f.theory, (iterated_total(vf.apply(g), k)
-                                     for k, vf in enumerate(ad_expansion(f))))
-
-
 # -- total-derivative decision procedure ---------------------------------------
 
 

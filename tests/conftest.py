@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from bvcov.symbols import Theory
-from bvcov.expression import Expression, total_derivative
+from bvcov.expression import Expression
 
 
 @pytest.fixture
@@ -24,21 +24,6 @@ def E(particle_theory):
     def make(name, jet=0):
         return Expression.of(particle_theory, name, jet)
     return make
-
-
-def intro_action(t: Theory, n: int = 2):
-    """S = S0 + c D for the flat particle, euclidean eta."""
-    def E(name, jet=0):
-        return Expression.of(t, name, jet)
-    d = total_derivative
-    S0 = sum((E(f"p_{m}") * d(E(f"x_{m}")) for m in range(1, n + 1)),
-             Expression.zero(t)) \
-        - Fraction(1, 2) * E("e") * sum((E(f"p_{m}") ** 2 for m in range(1, n + 1)),
-                                        Expression.zero(t))
-    D = sum((E(f"x+_{m}") * d(E(f"x_{m}")) + E(f"p+_{m}") * d(E(f"p_{m}"))
-             for m in range(1, n + 1)), Expression.zero(t)) \
-        - E("e") * d(E("e+")) + E("c+") * d(E("c"))
-    return S0, D
 
 
 class HomogeneousSampler:

@@ -9,7 +9,8 @@ import pytest
 
 from bvcov.symbols import Theory
 from bvcov.expression import (Expression, embed, inverse_of, is_zero, log_of,
-                              power_of, substitute_param, total_derivative)
+                              partial_derivative, power_of, substitute_param,
+                              total_derivative)
 from bvcov.curved import (BElement, CanonicalSubstitution, CurvedContext,
                           USeries, antifield_rank, b_bracket, b_differential,
                           bch, complete_to_b, d_element, du, flow_substitution,
@@ -18,13 +19,11 @@ from bvcov.varcalc import (EtaleMap, functional_equal, hamiltonian_vf,
                            is_total_derivative, soloviev)
 from bvcov.aksz import TargetChart, build_covariant_theory, couple_gravity, x_u_series
 from bvcov.models import (build_model, couple_with_potential, flat_particle,
-                          flat_spinning_particle, intro_particle_action,
-                          intro_spinning_action, intro_theory,
-                          intro_transformations, magnetic_particle,
-                          particle_composite_form, spinning_composite_form,
-                          spinning_pipeline, worldline_coefficient,
-                          _with_worldline_form, curved_spinning_particle)
+                          flat_spinning_particle, intro_theory, magnetic_particle,
+                          spinning_pipeline, curved_spinning_particle)
 from conftest import HomogeneousSampler
+from paper_intro import (_with_worldline_form, composite_form, intro_action,
+                         intro_transformations)
 
 N = 2
 ETA = [Fraction(1)] * N
@@ -41,7 +40,7 @@ def _sum(t, gen):
 
 def test_criterion_01_intro_flow_table():
     t = intro_theory(N)
-    S, S0, D = intro_particle_action(t, N)
+    S, S0, D = intro_action(t, N)
     tr = intro_transformations(t, N)
     tau = tr["tau"]
     sub = tr["phi_flow"]
@@ -82,7 +81,7 @@ def test_criterion_01_intro_flow_table():
 
 def test_criterion_02_xi_endpoint():
     t = intro_theory(N)
-    S, S0, D = intro_particle_action(t, N)
+    S, S0, D = intro_action(t, N)
     tr = intro_transformations(t, N)
     xi = tr["xi"]
     canonical = not xi.check_canonical()
@@ -115,7 +114,7 @@ def test_criterion_03_master_equations():
     ok = True
     # (a) flat particle, functional level
     t = intro_theory(N)
-    S, S0, D = intro_particle_action(t, N)
+    S, S0, D = intro_action(t, N)
     Su = USeries(t, {0: BElement.of_body(S), 1: BElement.of_body(Expression.of(t, "c+"))})
     ok &= mc_check(Su, CurvedContext(t, mode="F")).ok
     # (b) X_u and (c) Xi_u in the resolution
@@ -129,7 +128,7 @@ def test_criterion_03_master_equations():
     rep = spinning_pipeline(flat_spinning_particle(N))
     ok &= rep.physical_mc_f_ok
     ok &= is_zero(rep.physical_series.coeff(0).body
-                  - intro_spinning_action(rep.physical_theory, N))
+                  - intro_action(rep.physical_theory, N, spinning=True)[0])
     # (e) every builder output in the model library
     for name, dim in [("flat-particle", N), ("magnetic-particle", N),
                       ("bc-system", 0), ("betagamma-system", 0),
@@ -142,7 +141,7 @@ def test_criterion_03_master_equations():
 
 def test_criterion_04_composite_identities():
     t = intro_theory(N)
-    S, S0, D = intro_particle_action(t, N)
+    S, S0, D = intro_action(t, N)
     tr = intro_transformations(t, N)
     XiS = tr["xi"].apply(S)
 
@@ -156,14 +155,14 @@ def test_criterion_04_composite_identities():
                              - d(E("e+"))) \
         + d(E("c") * (ppp + E("e") * E("e+")))
     wt = _with_worldline_form(t)
-    coeff = worldline_coefficient(particle_composite_form(wt, N, ETA))
+    coeff = partial_derivative(composite_form(wt, N, ETA), wt.symbol("dt"))
     ok = functional_equal(embed(display, wt), coeff)
     # chain back to the computed transform through the explicit witness
     witness = inverse_of(E("e")) * E("c") * ppp - E("c") * (ppp + E("e") * E("e+"))
     ok &= is_zero(XiS - display - d(witness))
 
     ts = intro_theory(N, spinning=True)
-    Spsi = intro_spinning_action(ts, N)
+    Spsi = intro_action(ts, N, spinning=True)[0]
     trs = intro_transformations(ts, N, spinning=True)
     XiSs = trs["xi"].apply(Spsi)
 
@@ -188,7 +187,8 @@ def test_criterion_04_composite_identities():
         + Es("gamma") * Es("gamma+"))
     ok &= is_zero(XiSs - disp_s - d(witness_s))
     wts = _with_worldline_form(ts)
-    coeff_s = worldline_coefficient(spinning_composite_form(wts, N, ETA))
+    coeff_s = partial_derivative(composite_form(wts, N, ETA, spinning=True),
+                                 wts.symbol("dt"))
     ok &= functional_equal(embed(disp_s, wts), coeff_s)
     report(4, "composite-field identities", ok)
 
@@ -293,7 +293,7 @@ def test_criterion_08_spinning_pipeline():
     ok = rep.ok and rep.rank == 2
     # the physical action is the intro's master-equation solution, exactly
     phys = rep.physical_theory
-    want = intro_spinning_action(phys, N)
+    want = intro_action(phys, N, spinning=True)[0]
     ok &= is_zero(rep.physical_series.coeff(0).body - want)
     ok &= is_zero(rep.physical_series.coeff(1).body - Expression.of(phys, "c+"))
     # and the intro transformation carries it to the AKSZ form (criterion 4

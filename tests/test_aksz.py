@@ -13,12 +13,13 @@ from bvcov.aksz import (SymplecticError, TargetChart, TwistObstruction,
 from bvcov.models import (apply_relations, bc_system, betagamma_system,
                           build_model, couple_with_potential,
                           curved_spinning_particle, flat_particle,
-                          flat_spinning_particle, lichnerowicz_check,
-                          magnetic_particle, particle_composite_form,
-                          spinning_composite_form, spinning_pipeline,
-                          worldline_coefficient, _with_worldline_form)
+                          flat_spinning_particle, intro_theory,
+                          lichnerowicz_check, magnetic_particle,
+                          spinning_pipeline)
 from bvcov.varcalc import EtaleMap, functional_equal, soloviev
 from conftest import HomogeneousSampler
+from paper_intro import (_with_worldline_form, composite_form, intro_action,
+                         intro_transformations)
 
 
 def test_two_form_examples():
@@ -282,13 +283,12 @@ def test_corollary_with_potential_flat_and_magnetic():
 
 
 def test_spinning_pipeline_matches_intro_action():
-    from bvcov.models import intro_spinning_action
     m = flat_spinning_particle(1)
     rep = spinning_pipeline(m)
     assert rep.ok and rep.rank == 2
     phys = rep.physical_theory
     got = rep.physical_series.coeff(0).body
-    assert is_zero(got - intro_spinning_action(phys, 1))
+    assert is_zero(got - intro_action(phys, 1, spinning=True)[0])
     assert is_zero(rep.physical_series.coeff(1).body - Expression.of(phys, "c+"))
     assert rep.physical_series.coeff(1).eps.is_structural_zero()
 
@@ -296,12 +296,11 @@ def test_spinning_pipeline_matches_intro_action():
 def test_spinning_pipeline_general_signature():
     # eta bookkeeping: a non-unit indefinite diagonal flows through the whole
     # pipeline and still lands on the eta-weighted action
-    from bvcov.models import intro_spinning_action
     eta = [Fraction(2), Fraction(-3)]
     m = flat_spinning_particle(2, eta=eta)
     rep = spinning_pipeline(m)
     assert rep.ok and rep.rank == 2
-    want = intro_spinning_action(rep.physical_theory, 2, eta=eta)
+    want = intro_action(rep.physical_theory, 2, eta=eta, spinning=True)[0]
     assert is_zero(rep.physical_series.coeff(0).body - want)
     assert couple_with_potential(flat_particle(2, eta=eta)).ok
 
@@ -364,10 +363,8 @@ def test_eta_built_series_solve_master_equation():
 
 
 def test_eta_intro_particle_and_spinning_xi():
-    from bvcov.models import (intro_particle_action, intro_theory,
-                              intro_transformations)
     t = intro_theory(2)
-    S, _, _ = intro_particle_action(t, 2, eta=ETA)
+    S, _, _ = intro_action(t, 2, eta=ETA)
     Su = USeries(t, {0: BElement.of_body(S), 1: BElement.of_body(Expression.of(t, "c+"))})
     assert mc_check(Su, CurvedContext(t, mode="F")).ok
     ts = intro_theory(2, spinning=True)
@@ -383,11 +380,9 @@ def test_spinning_supertwist_obstruction_free():
 
 
 def test_intro_xi_endpoint_and_composites_particle():
-    from bvcov.models import (intro_particle_action, intro_theory,
-                              intro_transformations)
     n = 2
     t = intro_theory(n)
-    S, S0, D = intro_particle_action(t, n)
+    S, S0, D = intro_action(t, n)
     tr = intro_transformations(t, n)
     assert not tr["xi"].check_canonical()
     XiS = tr["xi"].apply(S)
@@ -412,7 +407,7 @@ def test_intro_xi_endpoint_and_composites_particle():
     assert is_zero(got_u - want_u)
     # worldline composite identity, decided by the derivative test
     wt = _with_worldline_form(t)
-    coeff = worldline_coefficient(particle_composite_form(wt, n, m_eta(n)))
+    coeff = partial_derivative(composite_form(wt, n, m_eta(n)), wt.symbol("dt"))
     assert functional_equal(embed(display, wt), coeff)
 
 
@@ -421,11 +416,9 @@ def m_eta(n):
 
 
 def test_intro_xi_endpoint_and_composites_spinning():
-    from bvcov.models import (intro_spinning_action, intro_theory,
-                              intro_transformations)
     n = 2
     t = intro_theory(n, spinning=True)
-    S = intro_spinning_action(t, n)
+    S = intro_action(t, n, spinning=True)[0]
     tr = intro_transformations(t, n, spinning=True)
     assert not tr["xi"].check_canonical()
     XiS = tr["xi"].apply(S)
@@ -459,7 +452,8 @@ def test_intro_xi_endpoint_and_composites_spinning():
         + E("gamma") * E("gamma+"))
     assert is_zero(XiS - display - d(witness))
     wt = _with_worldline_form(t)
-    coeff = worldline_coefficient(spinning_composite_form(wt, n, m_eta(n)))
+    coeff = partial_derivative(composite_form(wt, n, m_eta(n), spinning=True),
+                               wt.symbol("dt"))
     assert functional_equal(embed(display, wt), coeff)
 
 

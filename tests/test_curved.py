@@ -17,7 +17,8 @@ from bvcov.curved import (BElement, CanonicalSubstitution, CurvedContext,
                           gauge_flow_series, iota, mc_check, u_bracket,
                           verify_flow_endpoint)
 from bvcov.varcalc import soloviev
-from conftest import HomogeneousSampler, intro_action
+from conftest import HomogeneousSampler
+from paper_intro import intro_action
 
 
 def sgn(b):
@@ -133,7 +134,7 @@ def test_x_u_master_equation(bc_theory):
 
 def test_flat_particle_f_mode_and_completion(particle_theory):
     t = particle_theory
-    S0, D = intro_action(t)
+    _, S0, D = intro_action(t, 2)
     S = USeries(t, {0: BElement.of_body(S0 + Expression.of(t, "c") * D),
                     1: BElement.of_body(Expression.of(t, "c+"))})
     fctx = CurvedContext(t, mode="F")
@@ -208,7 +209,7 @@ def test_gauge_flow_series_trivial_and_closed(bc_theory):
 
 def test_gauge_flow_preserves_mc(particle_theory):
     t = particle_theory
-    S0, D = intro_action(t)
+    _, S0, D = intro_action(t, 2)
     c = Expression.of(t, "c")
     S = complete_to_b(USeries(t, {0: BElement.of_body(S0 + c * D),
                                   1: BElement.of_body(Expression.of(t, "c+"))}),
@@ -338,7 +339,7 @@ def test_bch_trivial_cases(particle_theory):
 
 def test_antifield_rank(particle_theory):
     t = particle_theory
-    S0, D = intro_action(t)
+    _, S0, D = intro_action(t, 2)
     c = Expression.of(t, "c")
     S = USeries(t, {0: BElement.of_body(S0 + c * D)})
     assert antifield_rank(S) == 1
@@ -522,7 +523,7 @@ def _flow_fixtures(particle, bc):
     """(x, y, ctx, max_order) for the series: a B-mode flow that terminates,
     one that the cap truncates, F-mode flows and a zero generator."""
     t = particle
-    S0, D = intro_action(t)
+    _, S0, D = intro_action(t, 2)
     c = Expression.of(t, "c")
     S = complete_to_b(USeries(t, {0: BElement.of_body(S0 + c * D),
                                   1: BElement.of_body(Expression.of(t, "c+"))}),

@@ -2,10 +2,12 @@
 imports a name it never uses (`__init__.py` is exempt, since its imports
 are the package's re-exports), no top-level function, class or method of
 the package goes unnamed everywhere else in `src/`, `tests/` and
-`perfbench/`, and no defaulted parameter of the package is left to its
-default by every call in those trees."""
+`perfbench/`, no defaulted parameter of the package is left to its
+default by every call in those trees, and every name the benchmark reaches
+still exists."""
 
 import ast
+import sys
 from collections import Counter, defaultdict
 from pathlib import Path
 
@@ -220,3 +222,22 @@ def test_unset_parameter_detector():
 def test_no_unset_parameters_in_package():
     unset = unset_parameters(*_trees())
     assert not unset, "parameters no call sets:\n" + "\n".join(unset)
+
+
+def test_benchmark_reaches_its_names(monkeypatch):
+    """Every workload of `perfbench/` builds, and its tracer wraps every
+    probed name and puts each back, so a deleted or renamed name fails here
+    and not only in a traced benchmark run."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    import tracer
+    import workloads
+    for name in workloads.BUILDERS:
+        assert workloads.build(name, 1).checks, name
+    spans = tracer.Tracer(workloads.Modules())
+    try:
+        spans.install()
+        assert spans.installed_wrappers() >= len(spans.kinds) - 1
+    finally:
+        spans.uninstall()
+    assert spans.installed_wrappers() == 0

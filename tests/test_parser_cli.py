@@ -184,11 +184,46 @@ def test_parse_error_columns_count_from_the_line_start():
          "unknown symbol q", 4, 10),
         (cover + "from B : x -> x ;  x -> x + z\n", "unknown symbol z", 9, 29),
         (cover + "mu = (x\n", "expected ), got ''", 9, 8),
+        (header + "expr S = pow(x, 2*x)\n", "x is not a flow parameter", 3, 19),
+        (header + "expr S = D(x)\n", "unknown call D", 3, 10),
+        (header + "subst g\nmap y -> x\nendsubst\n", "unknown symbol: y", 4, 5),
     ]
     for source, message, line, column in cases:
         with pytest.raises(ParseError, match=re.escape(message)) as exc:
             parse_theory_file(source)
         assert (exc.value.line, exc.value.column) == (line, column), source
+
+
+def test_check_lines_are_validated_when_parsed(tmp_path, capsys):
+    """A `check` line of an unknown kind, without a key its kind needs, or
+    with a value its kind does not read is a parse error at the offending
+    word, so the CLI exits 2 before any check runs."""
+    header = "theory t\nfield x ghost 0 parity even\nexpr S = x\n"
+    cases = [
+        ("check c1 mc", "mc", "mc check needs expr="),
+        ("check r1 rank expr=S expect=two", "expect=", "expect must be an integer"),
+        ("check b1 bracket left=S right=S expect=zero with=foo", "with=",
+         "with must be soloviev or bv"),
+        ("check t1 total-derivative expr=S expect=maybe", "expect=",
+         "expect must be yes or no"),
+        ("check t2 total-derivative expr=S expect-const=1/0", "expect-const=",
+         "expect-const must be an exact rational"),
+        ("check f1 flow generator=S applyto=S direction=2", "direction=",
+         "direction must be 1 or -1"),
+        ("check f2 flow generator=S applyto=S at=half", "at=",
+         "at must be an exact rational"),
+        ("check m1 mc expr=S mode=C", "mode=", "mode must be B or F"),
+        ("check k1 frobnicate expr=S", "frobnicate", "unknown check kind 'frobnicate'"),
+    ]
+    path = tmp_path / "bad.bvt"
+    for check, word, message in cases:
+        source = header + "  " + check + "\n"
+        with pytest.raises(ParseError, match=re.escape(message)) as exc:
+            parse_theory_file(source)
+        assert (exc.value.line, exc.value.column) == (4, check.index(word) + 3), check
+        path.write_text(source)
+        assert run_cli("run", str(path)) == 2
+        assert capsys.readouterr().err.startswith("parse error: "), check
 
 
 def test_cli_couple_gravity_reports_the_log_flow_step(monkeypatch, capsys):

@@ -14,7 +14,7 @@ from bvcov.expression import (Expression, base_expression, inverse_of, is_zero,
                               total_derivative)
 from bvcov.varcalc import (EtaleMap, EvolutionaryVectorField, RescalingError,
                            _check_polynomial_in_jets, _jet_degree_parts,
-                           ad_apply, ad_expansion, bv_antibracket, euler,
+                           ad_expansion, bv_antibracket, euler,
                            functional_equal, hamiltonian_vf,
                            is_total_derivative, prolong, soloviev,
                            variational_derivative)
@@ -141,6 +141,12 @@ def test_hamiltonian_of_d_element(particle_theory, E):
     f = s.expression()
     flag, c, _ = is_total_derivative(soloviev(D, f))
     assert flag and c == 0
+
+
+def ad_apply(f: Expression, g: Expression) -> Expression:
+    """soloviev(f, g) computed through the ad-expansion (resummation oracle)."""
+    return Expression.sum(f.theory, (iterated_total(vf.apply(g), k)
+                                     for k, vf in enumerate(ad_expansion(f))))
 
 
 def test_ad_expansion(particle_theory, E):
