@@ -343,10 +343,10 @@ def parse_theory_file(source: str) -> TheoryFile:
                 tf.name = words[1]
                 tf.theory = Theory(words[1])
             elif head == "field":
-                _parse_field(ctx_theory(), words, line_no)
+                _parse_field(ctx_theory(), code, line_no)
             elif head == "function":
-                if len(words) < 4 or words[2] != "args":
-                    raise ParseError("function NAME args F1 F2 ...", line_no)
+                _check_shape(_words(code), ("function", None, "args", None),
+                             "function NAME args F1 F2 ...", line_no)
                 ctx_theory().add_function(words[1], words[3:])
             elif head == "param":
                 ctx_theory().add_flow_param(words[1])
@@ -453,14 +453,17 @@ def _split(code: str, sep: str) -> tuple[str, str, int]:
 
 
 _RATIONAL = (r"[-+]?\d+(/\d*[1-9]\d*)?", "an exact rational")
-# check kind -> (required keys, {key: (pattern of its value, what the value is)})
+# check kind -> (required keys, {every other key it reads, and any required
+# key whose value is checked: (pattern of its value, what the value is), or
+# None for a name looked up when the check runs})
 _CHECK_KINDS = {
     "mc": (("expr",), {"mode": ("B|F", "B or F")}),
     "bracket": (("left", "right", "expect"), {"with": ("soloviev|bv", "soloviev or bv")}),
     "normalize": (("expr", "expect"), {}),
-    "flow": (("generator", "applyto"), {"direction": ("-?1", "1 or -1"), "at": _RATIONAL}),
-    "verify-endpoint": (("start", "family", "generator"), {}),
-    "twist": (("base", "w"), {}),
+    "flow": (("generator", "applyto"), {"direction": ("-?1", "1 or -1"), "at": _RATIONAL,
+                                        "param": None, "expect": None}),
+    "verify-endpoint": (("start", "family", "generator"), {"param": None, "expect": None}),
+    "twist": (("base", "w"), {"expect": None}),
     "rank": (("expr", "expect"), {"expect": (r"[-+]?\d+", "an integer")}),
     "total-derivative": (("expr",), {"expect": ("yes|no", "yes or no"),
                                      "expect-const": _RATIONAL}),
@@ -469,10 +472,28 @@ _CHECK_KINDS = {
 }
 
 
+def _words(code: str) -> list[tuple[str, int]]:
+    """The words of a line, each with the column it starts at."""
+    return [(m.group(), m.start() + 1) for m in re.finditer(r"\S+", code)]
+
+
+def _check_shape(words: list[tuple[str, int]], shape: tuple, usage: str, line_no: int):
+    """Refuse a line whose leading words break the shape (a keyword, or None
+    for any word): the usage is the error, at the first word that differs,
+    or just past the line's end when a word is missing."""
+    for i, want in enumerate(shape):
+        if i == len(words):
+            word, col = words[-1]
+            raise ParseError(usage, line_no, col + len(word))
+        if want is not None and words[i][0] != want:
+            raise ParseError(usage, line_no, words[i][1])
+
+
 def _parse_check(code: str, line_no: int) -> tuple[str, dict]:
     """The name and options of a `check NAME KIND key=value ...` line, with
-    each key its kind needs present and each value its kind reads checked."""
-    words = [(m.group(), m.start() + 1) for m in re.finditer(r"\S+", code)]
+    each key its kind needs present, every key one its kind reads, and each
+    value its kind checks well-formed."""
+    words = _words(code)
     if len(words) < 3:
         raise ParseError("check NAME KIND key=value ...", line_no)
     (name, _), (kind, kind_col) = words[1:3]
@@ -482,7 +503,9 @@ def _parse_check(code: str, line_no: int) -> tuple[str, dict]:
     opts = {}
     for w, col in words[3:]:
         k, _, v = w.partition("=")
-        if k in values and not re.fullmatch(values[k][0], v):
+        if k not in required and k not in values:
+            raise ParseError(f"{kind} check reads no key {k!r}", line_no, col)
+        if values.get(k) and not re.fullmatch(values[k][0], v):
             raise ParseError(f"{kind} check: {k} must be {values[k][1]}, got {v!r}",
                              line_no, col)
         opts[k] = v
@@ -493,14 +516,15 @@ def _parse_check(code: str, line_no: int) -> tuple[str, dict]:
     return name, opts
 
 
-def _parse_field(theory: Theory, words: list[str], line_no: int):
-    if len(words) < 6 or words[2] != "ghost" or words[4] != "parity":
-        raise ParseError("field NAME ghost INT parity even|odd", line_no)
-    ghost = int(words[3])
-    parity = {"even": 0, "odd": 1}.get(words[5])
+def _parse_field(theory: Theory, code: str, line_no: int):
+    words = _words(code)
+    _check_shape(words, ("field", None, "ghost", None, "parity", None),
+                 "field NAME ghost INT parity even|odd", line_no)
+    ghost = int(words[3][0])
+    parity = {"even": 0, "odd": 1}.get(words[5][0])
     if parity is None:
-        raise ParseError("parity must be even or odd", line_no)
-    theory.add_field(words[1], ghost, parity)
+        raise ParseError("parity must be even or odd", line_no, words[5][1])
+    theory.add_field(words[1][0], ghost, parity)
 
 
 def build_cover(block: CoverBlock):

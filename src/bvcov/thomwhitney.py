@@ -77,6 +77,11 @@ class CoverNerve:
                     out.append(T)
         return out
 
+    def nondegenerate_tuples(self) -> list[Tuple]:
+        """The admissible tuples where no chart sits next to itself; every
+        other tuple is a degeneracy of one of them (`collapse`)."""
+        return [T for T in self.tuples() if all(a != b for a, b in zip(T, T[1:]))]
+
     # -- fused simplex theories ----------------------------------------
 
     def simplex_theory(self, names, k: int) -> Theory:
@@ -193,6 +198,19 @@ def form_differential(value: USeries) -> USeries:
     return value.map_parts(lambda e: odd_derivation(e, images))
 
 
+def collapse(T: Tuple) -> tuple[Tuple, list[int]]:
+    """T as R o f: R is T with each repeat of its left neighbour dropped, a
+    nondegenerate tuple on the same member set, and f the codegeneracy
+    [len(T) - 1] -> [len(R) - 1] as the image list of the positions of T."""
+    R: list[str] = []
+    f = []
+    for a in T:
+        if not R or R[-1] != a:
+            R.append(a)
+        f.append(len(R) - 1)
+    return tuple(R), f
+
+
 # -- cochains ---------------------------------------------------------------------
 
 
@@ -254,14 +272,23 @@ def cech_delta(c: CechCochain) -> CechCochain:
 
 
 class TWElement:
-    """Assignment of fused simplex-form values to every admissible tuple."""
+    """A simplicial assignment of fused simplex-form values to the admissible
+    tuples, stored on the nondegenerate ones.  The value on a degenerate
+    tuple T = R o f is the form pullback f* of the value on R: the
+    totalization is a simplicial object, and R and T have the same member
+    set, so no chart restriction enters."""
 
     def __init__(self, nerve: CoverNerve, values: dict[Tuple, USeries]):
         self.nerve = nerve
         self.values = values
 
     def value(self, T: Tuple) -> USeries:
-        return self.values[T]
+        got = self.values.get(T)
+        if got is not None:
+            return got
+        R, f = collapse(T)
+        return simplicial_pullback(self.nerve, f, len(T) - 1, len(R) - 1, self.values[R],
+                                   T, self.nerve.simplex_theory(T, len(T) - 1))
 
     def map(self, fn: Callable[[Tuple, USeries], USeries]) -> "TWElement":
         return TWElement(self.nerve, {T: fn(T, v) for T, v in self.values.items()})
@@ -278,15 +305,14 @@ class TWElement:
         return TWElement(self.nerve, {T: v * q for T, v in self.values.items()})
 
     def is_zero(self) -> bool:
+        # f* is injective on polynomial forms: a degenerate value vanishes
+        # exactly when its face's does
         return all(v.is_zero() for v in self.values.values())
-
-    def nonzero_tuples(self) -> list[Tuple]:
-        return [T for T, v in self.values.items() if not v.is_zero()]
 
 
 def whitney(c: CechCochain) -> TWElement:
     """The Whitney map: the 1/(k+1) alternating t dt...dt sum applied to the
-    alternating representative, extended to every admissible tuple.
+    alternating representative, on every nondegenerate tuple.
 
     The form and the cochain are both alternating in the positions, so the
     summand is invariant under permuting them and vanishes on a repeat: the
@@ -296,7 +322,7 @@ def whitney(c: CechCochain) -> TWElement:
     nerve = c.nerve
     restricted: dict[tuple, USeries] = {}
     out: dict[Tuple, USeries] = {}
-    for T in nerve.tuples():
+    for T in nerve.nondegenerate_tuples():
         m = len(T) - 1
         theory = nerve.simplex_theory(T, m)
         faces: dict[Tuple, tuple[USeries, list[Expression]]] = {}
@@ -333,7 +359,7 @@ def tw_bracket(a: TWElement, b: TWElement) -> TWElement:
 
 def tw_curvature(nerve: CoverNerve) -> TWElement:
     out = {}
-    for T in nerve.tuples():
+    for T in nerve.nondegenerate_tuples():
         theory = nerve.simplex_theory(T, len(T) - 1)
         out[T] = USeries.of(BElement.of_body(d_element(theory)), 1)
     return TWElement(nerve, out)
@@ -358,12 +384,26 @@ class GlobalMCReport:
 
 
 def global_mc_check(SS: TWElement) -> GlobalMCReport:
-    """d_TW,u SS + (1/2)[SS, SS] + uD on every admissible tuple."""
+    """d_TW,u SS + (1/2)[SS, SS] + uD on every admissible tuple.  It is
+    computed on the nondegenerate tuples: f* is a map of curved algebras
+    fixing uD, so a degenerate tuple's residual is f* of its face's, and
+    zero exactly when that one is."""
     nerve = SS.nerve
     residual = tw_differential(SS) + tw_bracket(SS, SS) * Fraction(1, 2) \
         + tw_curvature(nerve)
-    failing = residual.nonzero_tuples()
-    return GlobalMCReport(residual.values, not failing, failing)
+    fails = {R: not v.is_zero() for R, v in residual.values.items()}
+    residuals: dict[Tuple, USeries] = {}
+    failing = []
+    for T in nerve.tuples():
+        R = collapse(T)[0]
+        if fails[R]:
+            failing.append(T)
+            residuals[T] = residual.value(T)
+        elif R == T:
+            residuals[T] = residual.values[T]
+        else:
+            residuals[T] = USeries.zero(nerve.simplex_theory(T, len(T) - 1))
+    return GlobalMCReport(residuals, not failing, failing)
 
 
 @dataclass
@@ -435,7 +475,7 @@ class Refinement:
 
     def transport(self, SS: TWElement) -> TWElement:
         out: dict[Tuple, USeries] = {}
-        for T in self.fine.tuples():
+        for T in self.fine.nondegenerate_tuples():
             phi_t = tuple(self.chart_map[a] for a in T)
             out[T] = _restrict_along(self.restrictions[frozenset(T)], SS.value(phi_t),
                                      self.fine.simplex_theory(T, len(T) - 1))

@@ -2,22 +2,17 @@
 (no tolerances anywhere) and prints one PASS/FAIL line."""
 
 import itertools
-import random
 from fractions import Fraction
-
-import pytest
 
 from bvcov.symbols import Theory
 from bvcov.expression import (Expression, embed, inverse_of, is_zero, log_of,
-                              partial_derivative, power_of, substitute_param,
-                              total_derivative)
+                              partial_derivative, total_derivative)
 from bvcov.curved import (BElement, CanonicalSubstitution, CurvedContext,
-                          USeries, antifield_rank, b_bracket, b_differential,
-                          bch, complete_to_b, d_element, du, flow_substitution,
+                          USeries, b_bracket, b_differential, bch, d_element, du,
                           iota, mc_check, u_bracket)
 from bvcov.varcalc import (EtaleMap, functional_equal, hamiltonian_vf,
                            is_total_derivative, soloviev)
-from bvcov.aksz import TargetChart, build_covariant_theory, couple_gravity, x_u_series
+from bvcov.aksz import couple_gravity, x_u_series
 from bvcov.models import (build_model, couple_with_potential, flat_particle,
                           flat_spinning_particle, intro_theory, magnetic_particle,
                           spinning_pipeline, curved_spinning_particle)
@@ -450,11 +445,9 @@ def test_criterion_10_theorem_faithful():
 
 
 def test_criterion_11_thom_whitney():
-    from test_thomwhitney import (atlas3, cylinder, sampler, shared_theory)
-    from bvcov.thomwhitney import (CechCochain, CoverNerve, Refinement,
-                                   cech_delta, gauge_equivalence_check,
-                                   global_covariant_theory, global_mc_check,
-                                   whitney, whitney_commutes)
+    from test_thomwhitney import cylinder, sampler, shared_theory
+    from bvcov.thomwhitney import (CechCochain, CoverNerve, global_covariant_theory,
+                                   global_mc_check, whitney_commutes)
     # 3-chart nerve with random 0- and 1-cochains
     t = shared_theory()
     nerve = CoverNerve({"A": t, "B": t, "C": t}, dimension_bound=3)

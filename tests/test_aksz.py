@@ -3,10 +3,9 @@ from fractions import Fraction
 import pytest
 
 from bvcov.symbols import Theory, TheoryError
-from bvcov.expression import (Expression, embed, inverse_of, is_zero, log_of,
+from bvcov.expression import (Expression, embed, inverse_of, is_zero,
                               partial_derivative, total_derivative)
-from bvcov.curved import (BElement, CurvedContext, USeries, antifield_rank,
-                          iota, mc_check, u_bracket)
+from bvcov.curved import BElement, CurvedContext, USeries, mc_check, u_bracket
 from bvcov.aksz import (SymplecticError, TargetChart, TwistObstruction,
                         build_covariant_theory, couple_gravity, twist,
                         x_u_series, xi_u_series)
@@ -16,7 +15,7 @@ from bvcov.models import (apply_relations, bc_system, betagamma_system,
                           flat_spinning_particle, intro_theory,
                           lichnerowicz_check, magnetic_particle,
                           spinning_pipeline)
-from bvcov.varcalc import EtaleMap, functional_equal, soloviev
+from bvcov.varcalc import EtaleMap, functional_equal
 from conftest import HomogeneousSampler
 from paper_intro import (_with_worldline_form, composite_form, intro_action,
                          intro_transformations)

@@ -10,12 +10,11 @@ from bvcov.expression import (Expression, _from_raw, base_expression, inverse_of
                               total_derivative)
 from bvcov.curved import (BElement, CanonicalSubstitution, CurvedContext,
                           FlowClosureError, FlowSeries, TruncatedFlowError,
-                          USeries, _psi_closed, antifield_rank,
-                          antifield_counting_field, b_bracket, b_differential,
-                          bch, canonical_substitution_check, complete_to_b,
-                          d_element, du, flow_substitution, gauge_flow_closed,
-                          gauge_flow_series, iota, mc_check, u_bracket,
-                          verify_flow_endpoint)
+                          USeries, _psi_closed, antifield_rank, b_bracket,
+                          b_differential, bch, canonical_substitution_check,
+                          complete_to_b, d_element, du, flow_substitution,
+                          gauge_flow_closed, gauge_flow_series, iota, mc_check,
+                          u_bracket, verify_flow_endpoint)
 from bvcov.varcalc import soloviev
 from conftest import HomogeneousSampler
 from paper_intro import intro_action

@@ -1,10 +1,10 @@
 """Source hygiene of the package, with the standard library only: no module
-imports a name it never uses (`__init__.py` is exempt, since its imports
-are the package's re-exports), no top-level function, class or method of
-the package goes unnamed everywhere else in `src/`, `tests/` and
-`perfbench/`, no defaulted parameter of the package is left to its
-default by every call in those trees, and every name the benchmark reaches
-still exists."""
+of the package or of `tests/` imports a name it never uses (the package's
+`__init__.py` is exempt, since its imports are the package's re-exports),
+no top-level function, class or method of the package goes unnamed
+everywhere else in `src/`, `tests/` and `perfbench/`, no defaulted
+parameter of the package is left to its default by every call in those
+trees, and every name the benchmark reaches still exists."""
 
 import ast
 import sys
@@ -62,13 +62,13 @@ def test_detector_flags_unused_and_keeps_used():
     assert unused_imports(source) == [(2, "os"), (4, "c")]
 
 
-def test_no_unused_imports_in_package():
+def test_no_unused_imports_in_package_or_tests():
     found = []
-    for path in sorted(SRC.glob("*.py")):
-        if path.name == "__init__.py":
+    for path in sorted(SRC.glob("*.py")) + sorted((ROOT / "tests").glob("*.py")):
+        if path == SRC / "__init__.py":
             continue
         for line, name in unused_imports(path.read_text(encoding="utf-8")):
-            found.append(f"{path.name}:{line}: {name}")
+            found.append(f"{path.relative_to(ROOT)}:{line}: {name}")
     assert not found, "unused imports:\n" + "\n".join(found)
 
 

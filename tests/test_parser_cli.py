@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from bvcov.symbols import Theory
-from bvcov.expression import Expression, inverse_of, is_zero, log_of, power_of
+from bvcov.expression import Expression
 from bvcov.parser import (ParseError, parse_expression, parse_theory_file,
                           to_useries, from_useries)
 from bvcov.printer import render
@@ -170,8 +170,8 @@ def test_cli_zero_denominator_in_exponent_exits_2(tmp_path, capsys):
 
 def test_parse_error_columns_count_from_the_line_start():
     """Parse errors inside an `expr`, `map`, `nu`, `from` piece or `mu`
-    right-hand side report the column in the whole line, indentation
-    included."""
+    right-hand side, and malformed `field` and `function` lines, report the
+    column in the whole line, indentation included."""
     header = "theory t\nfield x ghost 0 parity even\n"
     cover = ("cover c bound 1\nchart A\nfield x ghost 0 parity even\n"
              "chart B\nfield x ghost 0 parity even\noverlap A B\n"
@@ -187,6 +187,11 @@ def test_parse_error_columns_count_from_the_line_start():
         (header + "expr S = pow(x, 2*x)\n", "x is not a flow parameter", 3, 19),
         (header + "expr S = D(x)\n", "unknown call D", 3, 10),
         (header + "subst g\nmap y -> x\nendsubst\n", "unknown symbol: y", 4, 5),
+        (header + "  field y ghost 0 parity maybe\n", "parity must be even or odd", 3, 26),
+        (header + "field y ghost 0 parity\n", "field NAME ghost INT parity", 3, 23),
+        (header + "field y ghost 0 sign even\n", "field NAME ghost INT parity", 3, 17),
+        (header + "function F of x\n", "function NAME args F1 F2 ...", 3, 12),
+        (header + "function F args\n", "function NAME args F1 F2 ...", 3, 16),
     ]
     for source, message, line, column in cases:
         with pytest.raises(ParseError, match=re.escape(message)) as exc:
@@ -195,9 +200,11 @@ def test_parse_error_columns_count_from_the_line_start():
 
 
 def test_check_lines_are_validated_when_parsed(tmp_path, capsys):
-    """A `check` line of an unknown kind, without a key its kind needs, or
-    with a value its kind does not read is a parse error at the offending
-    word, so the CLI exits 2 before any check runs."""
+    """A `check` line of an unknown kind, without a key its kind needs, with
+    a key its kind never reads (a misspelt `expect` would otherwise be
+    dropped and the check run as if it were absent) or with a value its
+    kind does not read is a parse error at the offending word, so the CLI
+    exits 2 before any check runs."""
     header = "theory t\nfield x ghost 0 parity even\nexpr S = x\n"
     cases = [
         ("check c1 mc", "mc", "mc check needs expr="),
@@ -214,6 +221,9 @@ def test_check_lines_are_validated_when_parsed(tmp_path, capsys):
          "at must be an exact rational"),
         ("check m1 mc expr=S mode=C", "mode=", "mode must be B or F"),
         ("check k1 frobnicate expr=S", "frobnicate", "unknown check kind 'frobnicate'"),
+        ("check t3 total-derivative expr=S expct=no", "expct=",
+         "total-derivative check reads no key 'expct'"),
+        ("check c2 tw-mc cover=c expect=yes", "expect=", "tw-mc check reads no key 'expect'"),
     ]
     path = tmp_path / "bad.bvt"
     for check, word, message in cases:
@@ -224,6 +234,32 @@ def test_check_lines_are_validated_when_parsed(tmp_path, capsys):
         path.write_text(source)
         assert run_cli("run", str(path)) == 2
         assert capsys.readouterr().err.startswith("parse error: "), check
+
+
+def test_check_kinds_list_every_key_the_cli_reads():
+    """The parser's table of check keys is exactly the set of `opts` keys
+    each kind's branch of `cli._run_one` reads, so no key the CLI reads is
+    refused and no key it ignores is accepted."""
+    import ast
+    import inspect
+    from bvcov import cli
+    from bvcov.parser import _CHECK_KINDS
+    read = {}
+    for branch in ast.walk(ast.parse(inspect.getsource(cli._run_one))):
+        if isinstance(branch, ast.If) and isinstance(branch.test, ast.Compare) \
+                and getattr(branch.test.left, "id", None) == "kind":
+            keys = read.setdefault(branch.test.comparators[0].value, set())
+            for node in ast.walk(ast.Module(body=branch.body, type_ignores=[])):
+                if isinstance(node, ast.Subscript) and getattr(node.value, "id", None) == "opts":
+                    keys.add(node.slice.value)
+                elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "get" \
+                        and getattr(node.func.value, "id", None) == "opts":
+                    keys.add(node.args[0].value)
+                elif isinstance(node, ast.Compare) and isinstance(node.ops[0], ast.In) \
+                        and getattr(node.comparators[0], "id", None) == "opts":
+                    keys.add(node.left.value)
+    assert read == {kind: set(required) | set(values)
+                    for kind, (required, values) in _CHECK_KINDS.items()}
 
 
 def test_cli_couple_gravity_reports_the_log_flow_step(monkeypatch, capsys):

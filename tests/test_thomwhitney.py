@@ -5,12 +5,13 @@ from fractions import Fraction
 import pytest
 
 from bvcov.symbols import Theory, TheoryError
-from bvcov.expression import Expression, is_zero
+from bvcov.expression import Expression
 from bvcov.curved import (BElement, CanonicalSubstitution, TruncatedFlowError, USeries,
-                          u_bracket)
+                          d_element, du, u_bracket)
 from bvcov.aksz import TargetChart, build_covariant_theory
 from bvcov.thomwhitney import (CechCochain, CoverNerve, Refinement, TWElement,
-                               cech_delta, check_simplicial, form_differential,
+                               _restrict_along, cech_delta, check_simplicial,
+                               collapse, form_differential,
                                gauge_equivalence_check, global_covariant_theory,
                                global_mc_check, simplicial_pullback, tw_bracket,
                                tw_differential, tw_gauge_flow, whitney,
@@ -133,9 +134,10 @@ def test_whitney_formula_and_commutation(atlas3):
     # w of the zero cochain vanishes
     z = CechCochain(nerve, 1, {})
     assert whitney(z).is_zero()
-    # whitney images are simplicial (equalizer condition) and normalized;
+    # whitney images are simplicial (equalizer condition) and normalized,
+    # checked on the full path, where no value is derived by a pullback;
     # the cap stops both checks at 150 of the 525 generating arrows
-    for w in (w0, whitney(c1)):
+    for w in (_whitney_bruteforce(c0), _whitney_bruteforce(c1)):
         rep = check_simplicial(w, max_checks=150)
         assert not rep.bad
         assert (rep.checked, rep.total) == (150, 525)
@@ -146,9 +148,15 @@ def _embed(e, th):
     return embed(e, th)
 
 
+# The full path: Thom-Whitney elements with a value computed on every
+# admissible tuple, degenerate ones included, the oracle for the elements
+# of `bvcov.thomwhitney`, which compute on the nondegenerate tuples and
+# derive the rest by pullback.
+
 def _whitney_bruteforce(c):
     """The Whitney map as a sum over every position tuple, one restriction
-    and one scale per position: the oracle for `whitney`."""
+    and one scale per position, on every admissible tuple: the oracle for
+    `whitney`."""
     nerve = c.nerve
     k = c.degree
     out = {}
@@ -173,33 +181,116 @@ def _whitney_bruteforce(c):
     return TWElement(nerve, out)
 
 
-def _assert_whitney_matches_oracle(c):
-    fast, slow = whitney(c), _whitney_bruteforce(c)
-    assert list(fast.values) == list(slow.values)
-    for T, v in slow.values.items():
-        assert fast.values[T].coeffs == v.coeffs, T
-        assert repr(fast.values[T].coeffs) == repr(v.coeffs), T
+def _tw_curvature_full(nerve):
+    return TWElement(nerve, {T: USeries.of(BElement.of_body(d_element(
+        nerve.simplex_theory(T, len(T) - 1))), 1) for T in nerve.tuples()})
+
+
+def _whitney_commutes_full(c):
+    internal = CechCochain(c.nerve, c.degree, {
+        T: du(v) * (-1) ** c.degree for T, v in c.values.items()})
+    return tw_differential(_whitney_bruteforce(c)) - (
+        _whitney_bruteforce(cech_delta(c)) + _whitney_bruteforce(internal))
+
+
+def _global_covariant_full(nerve, local):
+    out = _whitney_bruteforce(CechCochain(nerve, 0, {
+        (a,): local[a] for a in nerve.chart_names}))
+    mu = {tuple(sorted(key)): USeries.of(BElement.of_eps(ctx.mu))
+          for key, ctx in nerve.overlaps.items() if len(key) == 2 and ctx.mu is not None}
+    return out + _whitney_bruteforce(CechCochain(nerve, 1, mu)) if mu else out
+
+
+def _global_mc_full(SS):
+    """(residual on every admissible tuple, the tuples where it is nonzero)."""
+    residual = tw_differential(SS) + tw_bracket(SS, SS) * Fraction(1, 2) \
+        + _tw_curvature_full(SS.nerve)
+    return residual.values, [T for T, v in residual.values.items() if not v.is_zero()]
+
+
+def _assert_same_terms(got, want, where):
+    assert got.theory is want.theory, where
+    assert got.coeffs == want.coeffs, where
+    assert repr(got.coeffs) == repr(want.coeffs), where
+
+
+def _assert_matches_full_path(fast, full):
+    """`fast` stores the nondegenerate tuples only, and its value on every
+    admissible tuple, derived or stored, is the full path's term for term."""
+    nerve = fast.nerve
+    assert list(fast.values) == nerve.nondegenerate_tuples()
+    assert list(full.values) == nerve.tuples()
+    for T in nerve.tuples():
+        _assert_same_terms(fast.value(T), full.values[T], T)
+
+
+def test_tuples_collapse_to_their_nondegenerate_face():
+    assert collapse(("A",)) == (("A",), [0])
+    assert collapse(("A", "B", "A")) == (("A", "B", "A"), [0, 1, 2])
+    assert collapse(("A", "A", "B", "B", "B", "A")) == (("A", "B", "A"), [0, 0, 1, 1, 1, 2])
+    # tuples computed per Whitney map: 21 of 39 at bound 2, 45 of 120 at 3
+    for bound, computed, admissible in ((1, 9, 12), (2, 21, 39), (3, 45, 120)):
+        nerve, _ = atlas(bound)
+        assert (len(nerve.nondegenerate_tuples()), len(nerve.tuples())) == \
+            (computed, admissible)
+        assert all(collapse(T)[0] == T for T in nerve.nondegenerate_tuples())
+    nerve, _, _ = cylinder()
+    assert (len(nerve.nondegenerate_tuples()), len(nerve.tuples())) == (8, 30)
+
+
+def _atlas_cochains(bound):
+    nerve, t = atlas(bound)
+    rand_val = sampler(t, 20 + bound)
+    return [CechCochain(nerve, degree, {
+        T: USeries(t, {0: BElement(t, rand_val(), rand_val()),
+                       1: BElement.of_body(rand_val())})
+        for T in itertools.combinations("ABC", degree + 1)}) for degree in (0, 1, 2)]
 
 
 @pytest.mark.parametrize("bound", [1, 2, 3])
 def test_whitney_matches_bruteforce_on_atlas(bound):
-    nerve, t = atlas(bound)
-    rand_val = sampler(t, 20 + bound)
-    for degree in (0, 1, 2):
-        _assert_whitney_matches_oracle(CechCochain(nerve, degree, {
-            T: USeries(t, {0: BElement(t, rand_val(), rand_val()),
-                           1: BElement.of_body(rand_val())})
-            for T in itertools.combinations("ABC", degree + 1)}))
+    for c in _atlas_cochains(bound):
+        _assert_matches_full_path(whitney(c), _whitney_bruteforce(c))
+
+
+@pytest.mark.parametrize("bound", [1, 2])
+def test_whitney_commutes_matches_full_path_on_atlas(bound):
+    # not at bound 3, where the full path's differential of random values
+    # on all 120 tuples takes seconds
+    for c in _atlas_cochains(bound):
+        _assert_matches_full_path(whitney_commutes(c), _whitney_commutes_full(c))
+
+
+def _cylinders():
+    """The cylinder with its cocycle mu, and with mu + x^2, which breaks the
+    global Maurer-Cartan equation."""
+    return [cylinder(), cylinder(mu_extra=lambda OV: Expression.of(OV, "x") ** 2)]
 
 
 def test_whitney_matches_bruteforce_on_cylinder():
     # U1 restricts by y -> x + 3, and the 1-cochain carries mu
-    nerve, local, (U0, U1, OV) = cylinder()
-    _assert_whitney_matches_oracle(CechCochain(nerve, 0, {
-        (a,): local[a] for a in nerve.chart_names}))
-    _assert_whitney_matches_oracle(CechCochain(nerve, 1, {
-        ("U0", "U1"): USeries.of(BElement.of_eps(nerve.overlaps[
-            frozenset({"U0", "U1"})].mu))}))
+    for nerve, local, _ in _cylinders():
+        for c in (CechCochain(nerve, 0, {(a,): local[a] for a in nerve.chart_names}),
+                  CechCochain(nerve, 1, {("U0", "U1"): USeries.of(BElement.of_eps(
+                      nerve.overlaps[frozenset({"U0", "U1"})].mu))})):
+            _assert_matches_full_path(whitney(c), _whitney_bruteforce(c))
+
+
+def test_global_mc_matches_full_path_on_cylinder():
+    """Residuals are computed on the 8 nondegenerate tuples, and reported
+    on all 30 admissible ones term for term as the full path computes them,
+    with the same failing tuples in the same order."""
+    for (nerve, local, _), broken in zip(_cylinders(), (False, True)):
+        SS, full = global_covariant_theory(nerve, local), _global_covariant_full(nerve, local)
+        _assert_matches_full_path(SS, full)
+        report = global_mc_check(SS)
+        residuals, failing = _global_mc_full(full)
+        assert len(report.residuals) == len(nerve.tuples()) == 30
+        assert list(report.residuals) == list(residuals)
+        for T, want in residuals.items():
+            _assert_same_terms(report.residuals[T], want, T)
+        assert report.failing == failing
+        assert report.ok == (not failing) == (not broken)
 
 
 def test_whitney_k1_display(atlas3):
@@ -319,7 +410,7 @@ def test_cylinder_global_mc():
     SS = global_covariant_theory(nerve, local)
     rep = global_mc_check(SS)
     assert rep.ok
-    rep = check_simplicial(SS, max_checks=250)
+    rep = check_simplicial(_global_covariant_full(nerve, local), max_checks=250)
     assert not rep.bad
     assert rep.checked == rep.total == 130
 
@@ -494,3 +585,11 @@ def test_refinement_preserves_global_mc():
     SSf = ref.transport(SS)
     rep = global_mc_check(SSf)
     assert rep.ok
+    # the transport reads degenerate coarse tuples, (V0, V1) -> (U0, U0),
+    # through their pullbacks; the full path restricts stored values
+    full = _global_covariant_full(nerve, local)
+    _assert_matches_full_path(SSf, TWElement(fine, {
+        T: _restrict_along(restrictions[frozenset(T)],
+                           full.values[tuple(chart_map[a] for a in T)],
+                           fine.simplex_theory(T, len(T) - 1))
+        for T in fine.tuples()}))

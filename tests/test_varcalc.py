@@ -16,8 +16,7 @@ from bvcov.varcalc import (EtaleMap, EvolutionaryVectorField, RescalingError,
                            _check_polynomial_in_jets, _jet_degree_parts,
                            ad_expansion, bv_antibracket, euler,
                            functional_equal, hamiltonian_vf,
-                           is_total_derivative, prolong, soloviev,
-                           variational_derivative)
+                           is_total_derivative, prolong, soloviev)
 from conftest import HomogeneousSampler
 
 
