@@ -17,11 +17,12 @@ from fractions import Fraction
 from typing import Callable, Optional, Union
 
 from .coefficients import AffineExponent, LogAtom, Rat, quotient, rational
-from .expression import (Expression, _from_raw, apply_substitution, base_expression,
+from .expression import (Expression, Term, _atom_gradient, _from_raw, _is_jet, _lower_atom,
+                         _merge_runs, _product, apply_substitution, base_expression,
                          inverse_of, is_zero, partial_derivative, power_of,
                          substitute_param, total_derivative)
 from .symbols import EVEN, GradedSymbol, Kind, Theory, TheoryError
-from .varcalc import (EvolutionaryVectorField, JetTable, _jet_table, _sigma_tables,
+from .varcalc import (JetTable, _jet_table, _sigma_tables,
                       _soloviev_into, _soloviev_of, is_total_derivative, soloviev)
 
 
@@ -34,10 +35,9 @@ def _strip_eps_constant(e: Expression) -> Expression:
     dropped = False
     for t in e.terms:
         # every atom kind references chart data (function symbols or
-        # log/pow bases in the chart coordinates)
-        has_chart = bool(t.atoms) or any(
-            s.kind in (Kind.FIELD_JET, Kind.ANTIFIELD_JET) for s, _ in t.mono)
-        if has_chart:
+        # log/pow bases in the chart coordinates); jets sort first, so a
+        # term holds one exactly when its first symbol is one
+        if t.atoms or (t.mono and _is_jet(t.mono[0][0])):
             kept.append(t)
         else:
             dropped = True
@@ -55,11 +55,11 @@ class BElement:
         self.theory = theory
         self.body = body
         self.eps = _strip_eps_constant(eps if eps is not None else Expression.zero(theory))
+        # eps sorts last, so a term holds it exactly when its last symbol is eps
         for part in (self.body, self.eps):
             for t in part.terms:
-                for s, _ in t.mono:
-                    if s.kind == Kind.EPSILON:
-                        raise TheoryError("eps is structural; split it first")
+                if t.mono and t.mono[-1][0].kind == Kind.EPSILON:
+                    raise TheoryError("eps is structural; split it first")
 
     @staticmethod
     def zero(theory: Theory) -> "BElement":
@@ -185,22 +185,33 @@ def _b_bracket_into(body: list[Expression], eps: list[Expression], theory: Theor
         _soloviev_into(eps, theory, a_eps, [t], -1 if (sf1 + 1) % 2 else 1)
 
 
-def antifield_counting_field(theory: Theory) -> EvolutionaryVectorField:
-    comps = {}
-    for _, anti in theory.field_pairs():
-        comps[anti] = Expression.symbol(theory, anti)
-    return EvolutionaryVectorField(theory, comps)
-
-
 def iota(x: BElement) -> BElement:
-    """iota(f + g eps) = (-1)^{pa(f)} (N+ f - f) eps, N+ the antifield
-    counting operator; iota^2 = 0 and d iota + iota d = ad(D)."""
-    if x.body.is_structural_zero():
-        return BElement.zero(x.theory)
-    nplus = antifield_counting_field(x.theory)
-    return BElement.of_eps(Expression.sum(x.theory, (
-        (nplus.apply(part) - part) * (-1 if sf % 2 else 1)
-        for sf, part in x.body.sigma_parts())))
+    """iota(f + g eps) = (-1)^{pa(f)} (N+ f - f) eps, N+ = sum_k a+_k d/d(a+_k)
+    the antifield counting operator; iota^2 = 0 and d iota + iota d = ad(D).
+    N+ is diagonal on monomials: a+_k and d/d(a+_k) have the same parity, so
+    putting a+_k back undoes the partial's prefix sign, and an odd a+_k has
+    exponent 1.  So each term t becomes (-1)^{pa(t)} (n+(t) - 1) t, n+ its
+    antifield degree, in one pass; an atom whose base holds an antifield s
+    adds s * dt/ds through the chain rule, `_atom_gradient`."""
+    theory = x.theory
+    out: list[Term] = []
+    for t in x.body.terms:
+        weight = -1
+        sd = 0
+        for s, e in t.mono:
+            if s.kind == Kind.ANTIFIELD_JET:
+                weight += e
+            sd += s.sign_degree * e
+        sign = -1 if sd % 2 else 1
+        if weight:
+            out.append(Term(sign * weight * t.coef, t.atoms, t.mono, t.key))
+        for j, (a, e) in enumerate(t.atoms):
+            for s, da in _atom_gradient(theory, a).items():
+                if s.kind == Kind.ANTIFIELD_JET:
+                    head = (_lower_atom(t, j, sign * e * t.coef),)
+                    out += _product(theory, Expression.symbol(theory, s).terms,
+                                    _product(theory, head, da.terms))
+    return BElement.of_eps(Expression(theory, _merge_runs(out)))
 
 
 def d_element(theory: Theory, exclude: tuple = ()) -> Expression:

@@ -907,16 +907,40 @@ def apply_substitution(expr: Expression, images: dict[GradedSymbol, Expression],
     commuting with the total derivative (jets map to derivatives of the
     image).  Generators without an image must exist in the target theory
     under the same name.  Atoms are rebuilt: function symbols require their
-    arguments to map to plain coordinates."""
-    pieces: list[Expression] = []
+    arguments to map to plain coordinates.
+
+    A term with no atoms whose generators all have no image and keep their
+    sort key and sign degree in the target is relabeled in place: its
+    factors keep their order, so its key and sign stand and no product is
+    taken.  Every other term is multiplied out factor by factor."""
+    source = expr.theory
+    terms: list[Term] = []
     jet_cache: dict[tuple[str, int], Expression] = {}
+    relabels: dict[GradedSymbol, Optional[GradedSymbol]] = {}
+
+    def relabel(sym: GradedSymbol) -> Optional[GradedSymbol]:
+        """sym's namesake in the target when sym has no image and keeps its
+        sort key and sign degree there, else None; decided once per call."""
+        if sym in relabels:
+            return relabels[sym]
+        got = None
+        jet = _is_jet(sym)
+        if (source.symbol(sym.base) if jet else sym) not in images:
+            ts = target.symbol(sym.base if jet else sym.name)
+            if sym.jet_order and ts.kind == sym.kind:
+                ts = target.jet(sym.base, sym.jet_order)
+            if ts.sign_degree == sym.sign_degree and \
+                    target.sort_key(ts) == source.sort_key(sym):
+                got = ts
+        relabels[sym] = got
+        return got
 
     def image_of(sym: GradedSymbol) -> Expression:
         key = (sym.base, sym.jet_order)
         got = jet_cache.get(key)
         if got is not None:
             return got
-        base0 = sym if sym.jet_order == 0 else expr.theory.symbol(sym.base, 0)
+        base0 = sym if sym.jet_order == 0 else source.symbol(sym.base, 0)
         img = images.get(base0)
         if img is None:
             img = Expression.symbol(target, target.symbol(sym.base, 0))
@@ -925,13 +949,23 @@ def apply_substitution(expr: Expression, images: dict[GradedSymbol, Expression],
         return val
 
     for t in expr.terms:
+        if not t.atoms:
+            mono = []
+            for sym, e in t.mono:
+                ts = relabel(sym)
+                if ts is None:
+                    break
+                mono.append((ts, e))
+            else:
+                terms.append(Term(t.coef, (), tuple(mono), t.key))
+                continue
         piece = Expression.const(target, t.coef)
         for a, e in t.atoms:
-            pa = _map_atom(a, images, expr.theory, target)
+            pa = _map_atom(a, images, source, target)
             for _ in range(e):
                 piece = piece * pa
         for sym, e in t.mono:
-            if sym.kind in (Kind.FIELD_JET, Kind.ANTIFIELD_JET):
+            if _is_jet(sym):
                 val = image_of(sym)
             else:
                 img = images.get(sym)
@@ -939,8 +973,8 @@ def apply_substitution(expr: Expression, images: dict[GradedSymbol, Expression],
                     Expression.symbol(target, target.symbol(sym.name, 0))
             for _ in range(e):
                 piece = piece * val
-        pieces.append(piece)
-    return Expression.sum(target, pieces)
+        terms.extend(piece.terms)
+    return Expression(target, _merge_runs(terms))
 
 
 def _map_atom(atom: Atom, images, source: Theory, target: Theory) -> Expression:

@@ -377,13 +377,11 @@ def parse_theory_file(source: str) -> TheoryFile:
                 tf.substitutions[subst_name] = CanonicalSubstitution(tf.theory, subst_maps)
                 context = "theory"
             elif head == "cover":
-                bound = 3
-                if "bound" in words:
-                    bound = int(words[words.index("bound") + 1])
-                cover = CoverBlock(words[1], bound)
-                tf.covers[words[1]] = cover
+                cover = _parse_cover(code, line_no)
+                tf.covers[cover.name] = cover
                 context = "cover"
             elif head == "chart":
+                _in_cover(cover, code, ("chart", None), "chart NAME", line_no)
                 current_chart = words[1]
                 cover.chart_order.append(current_chart)
                 cover.charts[current_chart] = Theory(current_chart)
@@ -397,6 +395,7 @@ def parse_theory_file(source: str) -> TheoryFile:
                 cover.nu[current_chart][lhs.strip()[len("nu"):].strip()] = \
                     parse_expression(th, rhs, line_no, at)
             elif head == "overlap":
+                _in_cover(cover, code, ("overlap", None), "overlap NAME NAME ...", line_no)
                 names = words[1:]
                 th = Theory("^".join(sorted(names)))
                 overlap_entry = (tuple(sorted(names)), th, {}, None)
@@ -502,7 +501,11 @@ def _parse_check(code: str, line_no: int) -> tuple[str, dict]:
     required, values = _CHECK_KINDS[kind]
     opts = {}
     for w, col in words[3:]:
-        k, _, v = w.partition("=")
+        k, eq, v = w.partition("=")
+        if not eq:
+            raise ParseError(f"{kind} check: expected key=value, got {w!r}", line_no, col)
+        if k in opts:
+            raise ParseError(f"{kind} check: repeated key {k!r}", line_no, col)
         if k not in required and k not in values:
             raise ParseError(f"{kind} check reads no key {k!r}", line_no, col)
         if values.get(k) and not re.fullmatch(values[k][0], v):
@@ -514,6 +517,34 @@ def _parse_check(code: str, line_no: int) -> tuple[str, dict]:
             raise ParseError(f"{kind} check needs {k}=...", line_no, kind_col)
     opts["kind"] = kind
     return name, opts
+
+
+def _parse_cover(code: str, line_no: int) -> CoverBlock:
+    """The block opened by a `cover NAME [bound INT]` line; the bound is 3
+    when not given."""
+    words = _words(code)
+    usage = "cover NAME [bound INT]"
+    _check_shape(words, ("cover", None), usage, line_no)
+    if len(words) == 2:
+        return CoverBlock(words[1][0], 3)
+    _check_shape(words, ("cover", None, "bound", None), usage, line_no)
+    if len(words) > 4:
+        raise ParseError(usage, line_no, words[4][1])
+    bound, col = words[3]
+    if not re.fullmatch(r"\d+", bound):
+        raise ParseError(f"cover bound must be a nonnegative integer, got {bound!r}",
+                         line_no, col)
+    return CoverBlock(words[1][0], int(bound))
+
+
+def _in_cover(cover: Optional[CoverBlock], code: str, shape: tuple, usage: str,
+              line_no: int):
+    """Refuse a `chart` or `overlap` line outside a cover block, at its first
+    word, or one whose leading words break the shape."""
+    words = _words(code)
+    if cover is None:
+        raise ParseError(f"{words[0][0]} outside cover block", line_no, words[0][1])
+    _check_shape(words, shape, usage, line_no)
 
 
 def _parse_field(theory: Theory, code: str, line_no: int):

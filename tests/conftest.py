@@ -5,6 +5,7 @@ import pytest
 
 from bvcov.symbols import Theory
 from bvcov.expression import Expression
+from bvcov.varcalc import EvolutionaryVectorField
 
 
 @pytest.fixture
@@ -17,6 +18,14 @@ def particle_theory():
     t.add_field("e", 0, 0)
     t.add_field("c", 1, 1)
     return t
+
+
+def antifield_counting_field(theory: Theory) -> EvolutionaryVectorField:
+    """N+ = sum_k a+_k d/d(a+_k) as the prolongation of a+ -> a+ over every
+    antifield: the general path that `curved.iota`'s diagonal weight must
+    match."""
+    return EvolutionaryVectorField(theory, {
+        anti: Expression.symbol(theory, anti) for _, anti in theory.field_pairs()})
 
 
 @pytest.fixture

@@ -2,11 +2,12 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bvcov.symbols import Theory, TheoryError
-from bvcov.coefficients import AffineExponent, LogAtom
+from bvcov.coefficients import AffineExponent, FuncAtom, LogAtom
 from bvcov.expression import (Expression, _from_raw, base_expression, inverse_of,
-                              is_zero, log_of, power_of, substitute_param,
+                              is_zero, log_of, normalize, power_of, substitute_param,
                               total_derivative)
 from bvcov.curved import (BElement, CanonicalSubstitution, CurvedContext,
                           FlowClosureError, FlowSeries, TruncatedFlowError,
@@ -16,7 +17,7 @@ from bvcov.curved import (BElement, CanonicalSubstitution, CurvedContext,
                           gauge_flow_closed, gauge_flow_series, iota, mc_check,
                           u_bracket, verify_flow_endpoint)
 from bvcov.varcalc import soloviev
-from conftest import HomogeneousSampler
+from conftest import HomogeneousSampler, antifield_counting_field
 from paper_intro import intro_action
 
 
@@ -102,6 +103,60 @@ def test_iota_identities(particle_theory):
         lhs = b_differential(iota(x)) + iota(b_differential(x))
         rhs = b_bracket(BElement.of_body(D), x)
         assert (lhs - rhs).is_zero()
+
+
+def _iota_by_prolongation(x: BElement) -> BElement:
+    """iota through the general prolongation of N+, one sigma part at a
+    time: the oracle for `iota`'s diagonal antifield weight."""
+    nplus = antifield_counting_field(x.theory)
+    return BElement.of_eps(Expression.sum(x.theory, (
+        (nplus.apply(part) - part) * sgn(sf) for sf, part in x.body.sigma_parts())))
+
+
+def _iota_pools():
+    """A theory with an even field q, an odd field th and an odd ghost -1
+    field b, whose antifield b+ is even of ghost 0 and so can be a log or
+    pow base, as in the gravity couplings; its symbols up to jet order 2
+    and tau, and atoms: a function symbol and its derivative, log(b+),
+    pow(b+, 2 tau - 1/2), and a compound base with an antifield."""
+    t = Theory("iota")
+    t.add_field("q", 0, 0)
+    t.add_field("th", 1, 1)
+    t.add_field("b", -1, 1)
+    t.add_function("F", ["q"])
+    tau = t.add_flow_param("tau")
+    bp = Expression.of(t, "b+")
+    atoms = [FuncAtom("F"), FuncAtom("F", ("q",))]
+    for e in (log_of(bp), power_of(bp, AffineExponent(Fraction(-1, 2), 2, tau)),
+              inverse_of(Expression.of(t, "q") + bp)):
+        (atom, _), = e.terms[0].atoms
+        atoms.append(atom)
+    symbols = [t.symbol(n, j) for n in ("q", "th", "b", "q+", "th+", "b+") for j in (0, 1, 2)]
+    return t, atoms, symbols + [tau]
+
+
+_IOTA_TERM = st.tuples(
+    st.sampled_from([1, -1, 2, Fraction(1, 2), Fraction(-2, 3)]),
+    st.lists(st.tuples(st.integers(0, 4), st.integers(1, 2)), max_size=2),
+    st.lists(st.tuples(st.integers(0, 18), st.integers(1, 2)), max_size=4))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_IOTA_TERM, max_size=6))
+def test_iota_matches_prolongation_oracle(raw):
+    """iota agrees term by term with (N+ f - f) taken through the general
+    prolongation, on bodies with odd and even sigma parts, jets up to order
+    2, function atoms, log(b+) and pow(b+, a tau + b) atoms and constant
+    terms."""
+    t, atoms, symbols = _iota_pools()
+    body = normalize(t, [(c, tuple((atoms[i], e) for i, e in a),
+                          tuple((symbols[i], e) for i, e in m)) for c, a, m in raw])
+    x = BElement.of_body(body)
+    got, want = iota(x), _iota_by_prolongation(x)
+    assert got.body.is_structural_zero()
+    assert [(u.coef, u.atoms, u.mono, u.key) for u in got.eps.terms] == \
+        [(u.coef, u.atoms, u.mono, u.key) for u in want.eps.terms]
+    assert repr(got) == repr(want)
 
 
 def test_curved_context_axioms(particle_theory):

@@ -1,5 +1,6 @@
 """Byte-exact golden reports: canonical renderings are part of the
-external contract, so the reports diff exactly."""
+external contract, so the reports diff exactly, and so does each case's
+exit code (1 for a report that names failing simplices)."""
 
 import io
 import contextlib
@@ -13,18 +14,20 @@ ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 CASES = [
-    ("particle.report", ["run", str(ROOT / "theories" / "particle.bvt")]),
-    ("cylinder_flux.report", ["tw-check", str(ROOT / "theories" / "cylinder_flux.bvt"),
-                              "--check", "cylinder_flux"]),
-    ("magnetic_build.report", ["build-aksz", "--model", "magnetic-particle",
-                               "--dim", "2"]),
+    ("particle.report", 0, ["run", str(ROOT / "theories" / "particle.bvt")]),
+    ("cylinder_flux.report", 0, ["tw-check", str(ROOT / "theories" / "cylinder_flux.bvt"),
+                                 "--check", "cylinder_flux"]),
+    ("magnetic_build.report", 0, ["build-aksz", "--model", "magnetic-particle",
+                                  "--dim", "2"]),
+    ("cylinder_mu_sq.report", 1, ["tw-check",
+                                  str(ROOT / "perfbench" / "inputs" / "cylinder_mu_sq.bvt")]),
 ]
 
 
-@pytest.mark.parametrize("fname,argv", CASES, ids=[c[0] for c in CASES])
-def test_golden_report(fname, argv):
+@pytest.mark.parametrize("fname,expected_rc,argv", CASES, ids=[c[0] for c in CASES])
+def test_golden_report(fname, expected_rc, argv):
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         rc = cli_main(argv)
-    assert rc == 0
+    assert rc == expected_rc
     assert buf.getvalue() == (GOLDEN / fname).read_text()

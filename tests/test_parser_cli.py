@@ -168,10 +168,11 @@ def test_cli_zero_denominator_in_exponent_exits_2(tmp_path, capsys):
     assert parse_expression(t, "pow(x, 4/2)") == Expression.of(t, "x") ** 2
 
 
-def test_parse_error_columns_count_from_the_line_start():
+def test_parse_error_columns_count_from_the_line_start(tmp_path, capsys):
     """Parse errors inside an `expr`, `map`, `nu`, `from` piece or `mu`
-    right-hand side, and malformed `field` and `function` lines, report the
-    column in the whole line, indentation included."""
+    right-hand side, malformed `field`, `function` and `cover` lines, and
+    `chart` or `overlap` lines outside a cover block, report the column in
+    the whole line, indentation included."""
     header = "theory t\nfield x ghost 0 parity even\n"
     cover = ("cover c bound 1\nchart A\nfield x ghost 0 parity even\n"
              "chart B\nfield x ghost 0 parity even\noverlap A B\n"
@@ -192,19 +193,30 @@ def test_parse_error_columns_count_from_the_line_start():
         (header + "field y ghost 0 sign even\n", "field NAME ghost INT parity", 3, 17),
         (header + "function F of x\n", "function NAME args F1 F2 ...", 3, 12),
         (header + "function F args\n", "function NAME args F1 F2 ...", 3, 16),
+        (header + "cover c bound x\n", "cover bound must be a nonnegative integer", 3, 15),
+        (header + "cover c bound\n", "cover NAME [bound INT]", 3, 14),
+        (header + "  chart U0\n", "chart outside cover block", 3, 3),
+        (cover + "endcover\noverlap A B\n", "overlap outside cover block", 10, 1),
     ]
     for source, message, line, column in cases:
         with pytest.raises(ParseError, match=re.escape(message)) as exc:
             parse_theory_file(source)
         assert (exc.value.line, exc.value.column) == (line, column), source
+    # the CLI reports them as usage errors, not as a failed check
+    path = tmp_path / "bad.bvt"
+    for source, message, _, _ in cases[-4:]:
+        path.write_text(source)
+        assert run_cli("run", str(path)) == 2
+        assert capsys.readouterr().err.startswith("parse error: " + message), source
 
 
 def test_check_lines_are_validated_when_parsed(tmp_path, capsys):
     """A `check` line of an unknown kind, without a key its kind needs, with
     a key its kind never reads (a misspelt `expect` would otherwise be
-    dropped and the check run as if it were absent) or with a value its
-    kind does not read is a parse error at the offending word, so the CLI
-    exits 2 before any check runs."""
+    dropped and the check run as if it were absent), with a value its kind
+    does not read, with a word that is not key=value or with a key given
+    twice is a parse error at the offending word, so the CLI exits 2 before
+    any check runs."""
     header = "theory t\nfield x ghost 0 parity even\nexpr S = x\n"
     cases = [
         ("check c1 mc", "mc", "mc check needs expr="),
@@ -224,6 +236,8 @@ def test_check_lines_are_validated_when_parsed(tmp_path, capsys):
         ("check t3 total-derivative expr=S expct=no", "expct=",
          "total-derivative check reads no key 'expct'"),
         ("check c2 tw-mc cover=c expect=yes", "expect=", "tw-mc check reads no key 'expect'"),
+        ("check c3 mc expr", "expr", "mc check: expected key=value, got 'expr'"),
+        ("check c4 mc expr=S expr=T", "expr=T", "mc check: repeated key 'expr'"),
     ]
     path = tmp_path / "bad.bvt"
     for check, word, message in cases:

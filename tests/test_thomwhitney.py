@@ -1,11 +1,16 @@
 import itertools
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bvcov.symbols import Theory, TheoryError
-from bvcov.expression import Expression
+from bvcov.coefficients import FuncAtom
+from bvcov.expression import (Expression, _map_atom, _is_jet, apply_substitution, embed,
+                              iterated_total, log_of, normalize)
+from bvcov.parser import build_cover, parse_theory_file
 from bvcov.curved import (BElement, CanonicalSubstitution, TruncatedFlowError, USeries,
                           d_element, du, u_bracket)
 from bvcov.aksz import TargetChart, build_covariant_theory
@@ -291,6 +296,105 @@ def test_global_mc_matches_full_path_on_cylinder():
             _assert_same_terms(report.residuals[T], want, T)
         assert report.failing == failing
         assert report.ok == (not failing) == (not broken)
+
+
+# `apply_substitution` relabels a term in place when none of its
+# generators moves; the product path below, every term multiplied out
+# factor by factor, is its oracle.
+
+def _substitution_by_products(expr, images, target):
+    def image_of(sym):
+        base0 = expr.theory.symbol(sym.base) if _is_jet(sym) else sym
+        img = images.get(base0)
+        if img is None:
+            img = Expression.of(target, sym.base if _is_jet(sym) else sym.name)
+        return iterated_total(img, sym.jet_order)
+
+    pieces = []
+    for t in expr.terms:
+        piece = Expression.const(target, t.coef)
+        for a, e in t.atoms:
+            pa = _map_atom(a, images, expr.theory, target)
+            for _ in range(e):
+                piece = piece * pa
+        for sym, e in t.mono:
+            for _ in range(e):
+                piece = piece * image_of(sym)
+        pieces.append(piece)
+    return Expression.sum(target, pieces)
+
+
+def _chart(name, fields):
+    t = Theory(name)
+    for f in fields:
+        t.add_field(f, *{"q": (0, 0), "th": (1, 1)}[f])
+    t.add_function("F", ["q"])
+    t.add_flow_param("tau")
+    return t
+
+
+def _draw(data, theory, names):
+    """An expression over the jets (orders 0 to 2) of the named generators
+    and tau when declared, with a function symbol when declared, its
+    derivative and a log atom."""
+    symbols = [theory.symbol(n, j) for n in names for j in (0, 1, 2)] + \
+        [s for s in (theory.maybe_symbol("tau"),) if s is not None]
+    (log, _), = log_of(Expression.of(theory, names[0]) + 1).terms[0].atoms
+    atoms = [FuncAtom("F"), FuncAtom("F", ("q",)), log] if theory.functions() else [log]
+    raw = data.draw(st.lists(st.tuples(
+        st.sampled_from([1, -2, Fraction(1, 3)]),
+        st.lists(st.tuples(st.integers(0, len(atoms) - 1), st.integers(1, 2)), max_size=1),
+        st.lists(st.tuples(st.integers(0, len(symbols) - 1), st.integers(1, 2)), max_size=4)),
+        max_size=6))
+    return normalize(theory, [(c, tuple((atoms[i], e) for i, e in a),
+                               tuple((symbols[i], e) for i, e in m)) for c, a, m in raw])
+
+
+def _assert_substitution_matches(got, expr, images, target):
+    want = _substitution_by_products(expr, images, target)
+    assert got.theory is target
+    assert [(t.coef, t.atoms, t.mono, t.key) for t in got.terms] == \
+        [(t.coef, t.atoms, t.mono, t.key) for t in want.terms]
+    assert repr(got) == repr(want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_substitution_relabels_as_the_product_path(data):
+    """apply_substitution agrees term by term with the product path when it
+    embeds a chart value into a fused simplex theory, in the atlas's
+    identity restriction, into a theory that registers the fields in
+    another order (where it must multiply out), and along the cylinder's
+    y -> x + 3."""
+    chart = _chart("A", ("q", "th"))
+    nerve = CoverNerve({"A": chart, "B": chart}, dimension_bound=2)
+    nerve.declare_overlap({"A", "B"}, chart,
+                          {c: CanonicalSubstitution(chart, {}, chart) for c in "AB"})
+    names = ("q", "th", "q+", "th+")
+    e = _draw(data, chart, names)
+    fused = nerve.simplex_theory(("A", "B", "A"), 2)
+    _assert_substitution_matches(embed(e, fused), e, {}, fused)
+    # the identity restriction embeds each part of the value
+    fused = nerve.simplex_theory(("A", "B"), 1)
+    x = USeries.of(BElement(chart, e, _draw(data, chart, names)))
+    moved = nerve.restrict(x, ("A", "B"), ("A", "B"), fused).coeff(0)
+    _assert_substitution_matches(moved.body, x.coeff(0).body, {}, fused)
+    _assert_substitution_matches(moved.eps, x.coeff(0).eps, {}, fused)
+    # th before q: every term with a field changes its order
+    swapped = _chart("A", ("th", "q"))
+    _assert_substitution_matches(embed(e, swapped), e, {}, swapped)
+    # the cylinder restricts U1 along y -> x + 3
+    tf = parse_theory_file((Path(__file__).resolve().parent.parent / "theories"
+                            / "cylinder_flux.bvt").read_text())
+    cyl = build_cover(tf.covers["cylinder_flux"])
+    sub = cyl.overlaps[frozenset({"U0", "U1"})].from_chart["U1"]
+    f = _draw(data, sub.theory, ("y", "p", "y+", "p+"))
+    _assert_substitution_matches(apply_substitution(f, sub.images, sub.target), f,
+                                 sub.images, sub.target)
+    fused = cyl.simplex_theory(("U0", "U1"), 1)
+    images = {g: embed(img, fused) for g, img in sub.images.items()}
+    moved = _restrict_along(sub, USeries.of(f), fused).coeff(0).body
+    _assert_substitution_matches(moved, f, images, fused)
 
 
 def test_whitney_k1_display(atlas3):

@@ -17,7 +17,7 @@ from bvcov.varcalc import (EtaleMap, EvolutionaryVectorField, RescalingError,
                            ad_expansion, bv_antibracket, euler,
                            functional_equal, hamiltonian_vf,
                            is_total_derivative, prolong, soloviev)
-from conftest import HomogeneousSampler
+from conftest import HomogeneousSampler, antifield_counting_field
 
 
 def sgn(b):
@@ -158,7 +158,7 @@ def test_ad_expansion(particle_theory, E):
     fields = ad_expansion(f0)
     assert len(fields) == 1
     # f = D: ad(D) = d o pr(xi+ d^a) - d
-    from bvcov.curved import antifield_counting_field, d_element
+    from bvcov.curved import d_element
     t = particle_theory
     D = d_element(t)
     nplus = antifield_counting_field(t)
