@@ -177,18 +177,12 @@ class TwistObstruction(TheoryError):
     pass
 
 
-@dataclass
-class TwistResult:
-    theory_series: USeries
-    d_w: USeries
-
-
-def twist(S: USeries, W: Expression, ctx: Optional[CurvedContext] = None) -> TwistResult:
+def twist(S: USeries, W: Expression, ctx: Optional[CurvedContext] = None) -> USeries:
     """S + u^{-1} dW for the differential d = d_u + ad(S); requires dW
     divisible by u and [dW, W] = 0, and re-checks the master equation."""
     theory = S.theory
     if W.is_structural_zero():
-        return TwistResult(S, USeries.zero(theory))
+        return S
     g = W.grade()
     if g is None or g[0] != 1 or (g[1] + g[2]) % 2 != 1:
         raise TwistObstruction("twist Hamiltonian must be odd of ghost number 1")
@@ -204,7 +198,7 @@ def twist(S: USeries, W: Expression, ctx: Optional[CurvedContext] = None) -> Twi
     rep = mc_check(out, ctx or CurvedContext(theory))
     if not rep.ok:
         raise TwistObstruction("twisted theory failed the Maurer-Cartan check")
-    return TwistResult(out, dW)
+    return out
 
 
 # -- the gravity multiplet -------------------------------------------------------
@@ -285,32 +279,22 @@ def minimal_coupling(S: USeries) -> USeries:
 
 
 @dataclass
-class GravityCouplingReport:
-    """`log_family_certified`: the certified log-flow endpoint equals
-    S + c(b+ db + c+ dc) + u c+."""
-    product_theory: Theory
-    start: USeries
-    after_log_flow: USeries
-    log_family_certified: bool
-    eq_c_ok: bool
-    eq_cc_ok: bool
-    tau_family: USeries
-    family_matches_proof: bool
-    endpoint: USeries
-    endpoint_matches_theorem: bool
-    mc_ok: bool
+class PipelineReport:
+    """The checks of a gauge pipeline as (label, passed) in report order,
+    and the series the pipeline ends on."""
+    checks: list[tuple[str, bool]]
+    series: USeries
 
     @property
     def ok(self) -> bool:
-        return (self.log_family_certified and self.eq_c_ok and self.eq_cc_ok
-                and self.family_matches_proof and self.endpoint_matches_theorem
-                and self.mc_ok)
+        return all(passed for _, passed in self.checks)
 
 
-def couple_gravity(S: USeries, chart: TargetChart) -> GravityCouplingReport:
+def couple_gravity(S: USeries, chart: TargetChart) -> PipelineReport:
     """Run (S_u + X_u) bullet log(b+)c+c bullet cS_1 and verify the proof's
     tau-interpolation, the two intermediate bracket identities and the
-    endpoint against the minimally-coupled form."""
+    endpoint against the minimally-coupled form.  `log-family-certified`:
+    the certified log-flow endpoint equals S + c(b+ db + c+ dc) + u c+."""
     if any(n > 1 for n in S.powers()):
         raise TheoryError("coupling requires S_i = 0 for i > 1")
     prod, tau, ctx, Sp = gravity_product(S, chart.theory, "bc", "bc")
@@ -331,7 +315,6 @@ def couple_gravity(S: USeries, chart: TargetChart) -> GravityCouplingReport:
     S1 = Sp.coeff(1)
     y2 = USeries.of(S1.scale(c))
     series = gauge_flow_series(after_log, y2, ctx=ctx)
-    tau_family = series.family(tau)
 
     # Eq (c): d_u(cS_1) + [S_u, cS_1] = c(D + iota S_u), D over matter fields
     lhs_c = du(y2) + u_bracket(Sp, y2)
@@ -358,12 +341,14 @@ def couple_gravity(S: USeries, chart: TargetChart) -> GravityCouplingReport:
         + USeries.of(S1.scale(one - t), 1) \
         + USeries.of(iS1.scale((one - t) * t * c), 1) \
         + USeries.of(S1.scale((one - t) * t * cdc)) * -1
-    family_ok = (tau_family - disp).is_zero()
+    family_ok = (series.family(tau) - disp).is_zero()
 
     endpoint = series.endpoint()
-    endpoint_ok = (endpoint - minimal_coupling(Sp)).is_zero()
-    mc_ok = mc_check(endpoint, ctx).ok
-
-    return GravityCouplingReport(prod, start, after_log, mid_ok, eq_c_ok,
-                                 eq_cc_ok, tau_family, family_ok, endpoint,
-                                 endpoint_ok, mc_ok)
+    return PipelineReport([
+        ("log-family-certified", mid_ok),
+        ("identity-c", eq_c_ok),
+        ("identity-cc", eq_cc_ok),
+        ("tau-interpolation", family_ok),
+        ("endpoint", (endpoint - minimal_coupling(Sp)).is_zero()),
+        ("endpoint-master-equation", mc_check(endpoint, ctx).ok),
+    ], endpoint)

@@ -19,7 +19,7 @@ from typing import Callable, Optional, Union
 from .coefficients import AffineExponent, LogAtom, Rat, quotient, rational
 from .expression import (Expression, Term, _atom_gradient, _from_raw, _is_jet, _lower_atom,
                          _merge_runs, _product, apply_substitution, base_expression,
-                         inverse_of, is_zero, partial_derivative, power_of,
+                         embed, inverse_of, is_zero, partial_derivative, power_of,
                          substitute_param, total_derivative)
 from .symbols import EVEN, GradedSymbol, Kind, Theory, TheoryError
 from .varcalc import (JetTable, _jet_table, _sigma_tables,
@@ -128,8 +128,14 @@ class BElement:
             return None
         return grades.pop()
 
-    def map_parts(self, fn: Callable[[Expression], Expression]) -> "BElement":
-        return BElement(self.theory, fn(self.body), fn(self.eps))
+    def map_parts(self, fn: Callable[[Expression], Expression],
+                  target: Optional[Theory] = None) -> "BElement":
+        """fn on the body and on the eps part, as an element of `target`
+        (default: this element's theory); an empty part stays empty and is
+        not passed to fn."""
+        theory = target or self.theory
+        return BElement(theory, *(fn(e) if e.terms else Expression.zero(theory)
+                                  for e in (self.body, self.eps)))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, BElement) and self.body == other.body and self.eps == other.eps
@@ -273,8 +279,9 @@ class USeries:
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.coeffs.values())
 
-    def map_parts(self, fn) -> "USeries":
-        return USeries(self.theory, {n: c.map_parts(fn) for n, c in self.coeffs.items()})
+    def map_parts(self, fn, target: Optional[Theory] = None) -> "USeries":
+        theory = target or self.theory
+        return USeries(theory, {n: c.map_parts(fn, theory) for n, c in self.coeffs.items()})
 
     def check_ghost(self):
         """Coefficient of u^n must be even of ghost -2n (total degree 0)."""
@@ -382,7 +389,6 @@ class CurvedContext:
 class MCReport:
     residual: USeries
     ok: bool
-    mode: str
     notes: list[str] = field(default_factory=list)
 
     def __bool__(self) -> bool:
@@ -408,13 +414,13 @@ def mc_check(S: USeries, ctx: CurvedContext) -> MCReport:
             if not (flag and c0 == 0):
                 ok = False
                 notes.append(f"u^{n}: residual is not a total derivative")
-        return MCReport(residual, ok, "F", notes)
+        return MCReport(residual, ok, notes)
     ok = residual.is_zero()
     if not ok:
         for n in residual.powers():
             if not residual.coeff(n).is_zero():
                 notes.append(f"u^{n}: nonzero residual")
-    return MCReport(residual, ok, "B", notes)
+    return MCReport(residual, ok, notes)
 
 
 def complete_to_b(S: USeries, ctx: CurvedContext) -> USeries:
@@ -540,41 +546,28 @@ class CanonicalSubstitution:
     def apply(self, expr: Expression) -> Expression:
         return apply_substitution(expr, self.images, self.target)
 
-    def apply_b(self, x: BElement) -> BElement:
-        return BElement(self.target, self.apply(x.body), self.apply(x.eps))
-
     def apply_u(self, x: USeries) -> USeries:
-        return USeries(self.target, {n: self.apply_b(c) for n, c in x.coeffs.items()})
-
-    def check_canonical(self) -> list[tuple[str, str]]:
-        """Verify bracket preservation on all generator pairs; returns the
-        offending pairs (empty when canonical)."""
-        gens = [g for pair in self.theory.field_pairs() for g in pair]
-        # each image is differentiated once, as a left and as a right
-        # operand, for all its partners
-        images = [self.image(g) for g in gens]
-        left = [_sigma_tables(m) for m in images]
-        right = [_jet_table(m) for m in images]
-        bad = []
-        for i, g1 in enumerate(gens):
-            e1 = Expression.symbol(self.theory, g1)
-            for j in range(i, len(gens)):
-                lhs = _soloviev_of(self.target, left[i], right[j])
-                rhs = self.apply(soloviev(e1, Expression.symbol(self.theory, gens[j])))
-                if not is_zero(lhs - rhs):
-                    bad.append((g1.name, gens[j].name))
-        return bad
+        return x.map_parts(self.apply, self.target)
 
 
-@dataclass
-class SubstitutionReport:
-    canonical: bool
-    offending: list[tuple[str, str]]
-
-
-def canonical_substitution_check(m: CanonicalSubstitution) -> SubstitutionReport:
-    bad = m.check_canonical()
-    return SubstitutionReport(not bad, bad)
+def canonical_substitution_check(m: CanonicalSubstitution) -> list[tuple[str, str]]:
+    """Verify bracket preservation on all generator pairs; returns the
+    offending pairs (empty when canonical)."""
+    gens = [g for pair in m.theory.field_pairs() for g in pair]
+    # each image is differentiated once, as a left and as a right operand,
+    # for all its partners
+    images = [m.image(g) for g in gens]
+    left = [_sigma_tables(e) for e in images]
+    right = [_jet_table(e) for e in images]
+    bad = []
+    for i, g1 in enumerate(gens):
+        e1 = Expression.symbol(m.theory, g1)
+        for j in range(i, len(gens)):
+            lhs = _soloviev_of(m.target, left[i], right[j])
+            rhs = m.apply(soloviev(e1, Expression.symbol(m.theory, gens[j])))
+            if not is_zero(lhs - rhs):
+                bad.append((g1.name, gens[j].name))
+    return bad
 
 
 class FlowClosureError(TheoryError):
@@ -727,7 +720,6 @@ _PSI = [1, Fraction(1, 2), Fraction(1, 12), 0, Fraction(-1, 720), 0, Fraction(1,
 @dataclass
 class BCHResult:
     series: USeries
-    orders: list[USeries]          # contribution at each bracket order
     closed_form: Optional[USeries]
     hypothesis_checked: bool
 
@@ -783,7 +775,7 @@ def bch(y: USeries, z: USeries, order: int = 6) -> BCHResult:
             hyp = all(u_bracket(z, w).is_zero() for w in ad_z)
             if hyp:
                 closed = y + _psi_closed(theory, int(q), base_key, z)
-    return BCHResult(total, us, closed, hyp)
+    return BCHResult(total, closed, hyp)
 
 
 def _psi_closed(theory: Theory, q: int, base_key: str, z: USeries) -> USeries:
@@ -815,13 +807,8 @@ def _log_factor(theory: Theory, q, base_key: Optional[str]) -> Expression:
 # -- misc ----------------------------------------------------------------------
 
 
-def embed_b(x: BElement, target: Theory) -> BElement:
-    from .expression import embed
-    return BElement(target, embed(x.body, target), embed(x.eps, target))
-
-
 def embed_u(x: USeries, target: Theory) -> USeries:
-    return USeries(target, {n: embed_b(c, target) for n, c in x.coeffs.items()})
+    return x.map_parts(lambda e: embed(e, target), target)
 
 
 def iota_series(x: USeries) -> USeries:

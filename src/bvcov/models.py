@@ -14,10 +14,12 @@ from typing import Callable, Optional, Sequence
 
 from .expression import (Expression, Term, _lower_atom, embed, is_zero,
                          partial_derivative)
-from .curved import (BElement, CanonicalSubstitution, USeries, antifield_rank,
-                     d_element, du, gauge_flow_series, mc_check, u_bracket)
-from .aksz import (TargetChart, build_covariant_theory, ghost_pair, gravity_product,
-                   log_flow, minimal_coupling, twist, x_u_series, xi_u_series)
+from .curved import (BElement, CanonicalSubstitution, USeries,
+                     canonical_substitution_check, d_element, du, gauge_flow_series,
+                     mc_check, u_bracket)
+from .aksz import (PipelineReport, TargetChart, build_covariant_theory, ghost_pair,
+                   gravity_product, log_flow, minimal_coupling, twist, x_u_series,
+                   xi_u_series)
 from .symbols import Theory, TheoryError
 
 
@@ -289,31 +291,7 @@ def build_model(name: str, dim: int = 2, eta=None) -> ModelSpec:
 # -- the supergravity gauge sequence ---------------------------------------------
 
 
-@dataclass
-class SpinningStage:
-    name: str
-    series: USeries
-    mc_ok: bool
-
-
-@dataclass
-class SpinningReport:
-    product_theory: Theory
-    physical_theory: Theory
-    stages: list[SpinningStage]
-    bch_merge_ok: bool
-    rename_canonical: bool
-    physical_series: USeries
-    physical_mc_f_ok: bool
-    rank: int
-
-    @property
-    def ok(self) -> bool:
-        return (all(s.mc_ok for s in self.stages) and self.bch_merge_ok
-                and self.rename_canonical and self.physical_mc_f_ok)
-
-
-def spinning_pipeline(model: ModelSpec) -> SpinningReport:
+def spinning_pipeline(model: ModelSpec) -> PipelineReport:
     """Twist by u^{-1}(c{Q,Q}/2 + gamma Q - b gamma^2), gauge by
     log(b+)c+c, c Xi_1 and c S_1, then substitute the graviton e for b+
     and the gravitino chi for beta+ and project to the physical theory."""
@@ -327,7 +305,7 @@ def spinning_pipeline(model: ModelSpec) -> SpinningReport:
     Xi = xi_u_series(prod)
     X = x_u_series(prod)
     T0 = S + Xi + X
-    stages = [SpinningStage("product", T0, mc_check(T0, ctx).ok)]
+    checks = [("stage-product", mc_check(T0, ctx).ok)]
 
     c = Expression.of(prod, "c")
     gamma = Expression.of(prod, "gamma")
@@ -335,32 +313,32 @@ def spinning_pipeline(model: ModelSpec) -> SpinningReport:
     QQ = embed(model.chart.poisson_bracket(model.charge, model.charge), prod)
     Q = embed(model.charge, prod)
     W = Fraction(1, 2) * c * QQ + gamma * Q - b * gamma * gamma
-    tw = twist(T0, W, ctx)
-    T1 = tw.theory_series
+    T1 = twist(T0, W, ctx)
     # twist() re-checks the master equation and raises on failure
-    stages.append(SpinningStage("twist", T1, True))
+    checks.append(("stage-twist", True))
 
     T2 = log_flow(T1, tau, ctx).endpoint
-    stages.append(SpinningStage("log-flow", T2, mc_check(T2, ctx).ok))
+    checks.append(("stage-log-flow", mc_check(T2, ctx).ok))
 
     S1 = S.coeff(1)
     Xi1 = Xi.coeff(1)
     T3 = gauge_flow_series(T2, USeries.of(Xi1.scale(c)), ctx=ctx).endpoint()
-    stages.append(SpinningStage("cXi1", T3, mc_check(T3, ctx).ok))
+    checks.append(("stage-cXi1", mc_check(T3, ctx).ok))
     T4 = gauge_flow_series(T3, USeries.of(S1.scale(c)), ctx=ctx).endpoint()
-    stages.append(SpinningStage("cS1", T4, mc_check(T4, ctx).ok))
+    checks.append(("stage-cS1", mc_check(T4, ctx).ok))
 
     # BCH merge: c Xi_1 * c S_1 = c(S_1 + Xi_1): flowing in one shot agrees
     merged = gauge_flow_series(T2, USeries.of((S1 + Xi1).scale(c)), ctx=ctx).endpoint()
     bch_ok = (merged - T4).is_zero() and \
         u_bracket(USeries.of(Xi1.scale(c)), USeries.of(S1.scale(c))).is_zero()
 
-    phys, rename = _physical_rename(model, prod)
+    rename = _physical_rename(model, prod)
     T5 = rename.apply_u(T4)
-    bad = rename.check_canonical()
-    mc_f = _master_equation_with_witness(T5, rename.apply(d_element(prod)))
-    return SpinningReport(prod, phys, stages, bch_ok, not bad, T5,
-                          mc_f, antifield_rank(T5))
+    checks += [("bch-merge", bch_ok),
+               ("rename-canonical", not canonical_substitution_check(rename)),
+               ("physical-master-equation",
+                _master_equation_with_witness(T5, rename.apply(d_element(prod))))]
+    return PipelineReport(checks, T5)
 
 
 def _master_equation_with_witness(S: USeries, transported_d: Expression) -> bool:
@@ -376,7 +354,7 @@ def _master_equation_with_witness(S: USeries, transported_d: Expression) -> bool
             + u_bracket(bodies, bodies) * Fraction(1, 2)).is_zero()
 
 
-def _physical_rename(model: ModelSpec, prod: Theory) -> tuple[Theory, CanonicalSubstitution]:
+def _physical_rename(model: ModelSpec, prod: Theory) -> CanonicalSubstitution:
     """Physical variables: graviton e for b+, gravitino chi for beta+, with
     b -> -e+ and beta -> -chi+ fixed by bracket preservation."""
     phys = Theory(model.theory.name + "-physical")
@@ -394,27 +372,13 @@ def _physical_rename(model: ModelSpec, prod: Theory) -> tuple[Theory, CanonicalS
         prod.symbol("beta"): -Expression.of(phys, "chi+"),
         prod.symbol("beta+"): Expression.of(phys, "chi"),
     }
-    return phys, CanonicalSubstitution(prod, images, phys)
+    return CanonicalSubstitution(prod, images, phys)
 
 
 # -- coupling with a potential (the particle proper) ------------------------------
 
 
-@dataclass
-class PotentialCouplingReport:
-    product_theory: Theory
-    twisted: USeries
-    endpoint: USeries
-    endpoint_matches: bool
-    mc_ok: bool
-    s1_series: USeries
-
-    @property
-    def ok(self) -> bool:
-        return self.endpoint_matches and self.mc_ok
-
-
-def couple_with_potential(model: ModelSpec) -> PotentialCouplingReport:
+def couple_with_potential(model: ModelSpec) -> PipelineReport:
     """Corollary route: twist (S_u + X_u) by u^{-1} cV, then gauge by
     log(b+)c+c and cS_1; the endpoint is the minimally coupled particle
     S_0 - b+ V + c(D + b+ db + c+ dc) + c iota S_0 + u c+."""
@@ -423,12 +387,12 @@ def couple_with_potential(model: ModelSpec) -> PotentialCouplingReport:
     prod, tau, ctx, S = gravity_product(model.series, model.theory, "bc", "bc")
     c = Expression.of(prod, "c")
     V = embed(model.potential, prod)
-    T1 = twist(S + x_u_series(prod), c * V, ctx).theory_series
+    T1 = twist(S + x_u_series(prod), c * V, ctx)
     T2 = log_flow(T1, tau, ctx).endpoint
     T3 = gauge_flow_series(T2, USeries.of(S.coeff(1).scale(c)), ctx=ctx).endpoint()
     expected = minimal_coupling(S) - USeries.of(Expression.of(prod, "b+") * V)
-    return PotentialCouplingReport(prod, T1, T3, (T3 - expected).is_zero(),
-                                   mc_check(T3, ctx).ok, S)
+    return PipelineReport([("twist-couple-endpoint", (T3 - expected).is_zero()),
+                           ("endpoint-master-equation", mc_check(T3, ctx).ok)], T3)
 
 
 # -- the worldline fields of the introduction ------------------------------------

@@ -310,7 +310,6 @@ class TheoryFile:
     substitutions: dict[str, CanonicalSubstitution] = field(default_factory=dict)
     covers: dict[str, CoverBlock] = field(default_factory=dict)
     checks: dict[str, dict] = field(default_factory=dict)
-    check_order: list[str] = field(default_factory=list)
 
 
 def parse_theory_file(source: str) -> TheoryFile:
@@ -433,7 +432,6 @@ def parse_theory_file(source: str) -> TheoryFile:
             elif head == "check":
                 name, opts = _parse_check(code, line_no)
                 tf.checks[name] = opts
-                tf.check_order.append(name)
             else:
                 raise ParseError(f"unknown directive {head!r}", line_no)
         except TheoryError as exc:

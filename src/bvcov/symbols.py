@@ -46,7 +46,6 @@ class GradedSymbol:
     form_degree: int = 0
     jet_order: int = 0
     base: str = ""          # base field name for jet symbols
-    chart: str = ""
     # Koszul degree: parity + form degree mod 2, stored once at construction
     # (the sign loops read it on every factor).  Ghost number never enters
     # sign rules.
@@ -133,11 +132,11 @@ class Theory:
             raise TheoryError(f"parity must be 0 or 1, got {parity}")
         self._claim_rank(name)
         f = self._intern(GradedSymbol(name, Kind.FIELD_JET, ghost, parity,
-                                      base=name, chart=self.name))
+                                      base=name))
         aname = antifield_name(name)
         self._claim_rank(aname)
         self._intern(GradedSymbol(aname, Kind.ANTIFIELD_JET, -ghost - 1,
-                                  1 - parity, base=aname, chart=self.name))
+                                  1 - parity, base=aname))
         self._fields.append(f)
         return f
 
@@ -157,18 +156,18 @@ class Theory:
     def add_flow_param(self, name: str = "tau") -> GradedSymbol:
         self._claim_rank(name)
         return self._intern(GradedSymbol(name, Kind.FLOW_PARAM, 0, EVEN,
-                                         base=name, chart=self.name))
+                                         base=name))
 
     def add_one_form(self, name: str = "dt", ghost: int = 1) -> GradedSymbol:
         """A standalone odd one-form (worldline dt, simplex dt_i)."""
         self._claim_rank(name)
         return self._intern(GradedSymbol(name, Kind.SIMPLEX_DT, ghost, EVEN,
-                                         form_degree=1, base=name, chart=self.name))
+                                         form_degree=1, base=name))
 
     def add_simplex_coordinate(self, name: str) -> GradedSymbol:
         self._claim_rank(name)
         return self._intern(GradedSymbol(name, Kind.SIMPLEX_T, 0, EVEN,
-                                         base=name, chart=self.name))
+                                         base=name))
 
     @property
     def epsilon(self) -> GradedSymbol:
@@ -177,7 +176,7 @@ class Theory:
             if "eps" not in self._order_index:
                 self._claim_rank("eps")
             self._eps = self._intern(GradedSymbol("eps", Kind.EPSILON, -1, ODD,
-                                                  base="eps", chart=self.name))
+                                                  base="eps"))
         return self._eps
 
     @property
@@ -190,7 +189,7 @@ class Theory:
         if "u" not in self._order_index:
             self._claim_rank("u")
         return self._intern(GradedSymbol("u", Kind.U_PARAM, 2, EVEN,
-                                         base="u", chart=self.name))
+                                         base="u"))
 
     # -- lookup ---------------------------------------------------------
 
@@ -226,7 +225,7 @@ class Theory:
         s = self._symbols.get(key)
         if s is None:
             s = GradedSymbol(name, base.kind, base.ghost, base.parity,
-                             jet_order=order, base=name, chart=self.name)
+                             jet_order=order, base=name)
             self._symbols[key] = s
         return s
 

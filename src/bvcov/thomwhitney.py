@@ -468,7 +468,6 @@ class Refinement:
     """A refinement of covers: a map of chart indices plus, per fine
     context, the restriction from the matching coarse context."""
 
-    coarse: CoverNerve
     fine: CoverNerve
     chart_map: dict[str, str]
     restrictions: dict[frozenset, CanonicalSubstitution]

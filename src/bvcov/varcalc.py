@@ -340,15 +340,12 @@ class EtaleMap:
                 for s, _ in t.mono:
                     if s.jet_order != 0 or s.kind != Kind.FIELD_JET:
                         raise TheoryError("images must be functions of source fields")
-        self.field_images = dict(images)
         src_fields = [fld for fld, _ in source.field_pairs()]
         jac = [[jet_partial(images[fb.name], fa) for fa in src_fields]
                for fb in tgt_fields]
         inv = _matrix_right_inverse(source, jac)
         if inv is None:
             raise TheoryError("Jacobian is not invertible: map is not etale")
-        self.jacobian = jac
-        self.jacobian_inverse = inv
         n = len(src_fields)
         for b in range(n):
             for c in range(n):

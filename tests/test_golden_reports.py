@@ -21,6 +21,16 @@ CASES = [
                                   "--dim", "2"]),
     ("cylinder_mu_sq.report", 1, ["tw-check",
                                   str(ROOT / "perfbench" / "inputs" / "cylinder_mu_sq.bvt")]),
+    ("magnetic_couple_gravity.report", 0, ["couple-gravity", "--model", "magnetic-particle",
+                                           "--dim", "3"]),
+    ("magnetic_twist.report", 0, ["twist", "--model", "magnetic-particle", "--dim", "4"]),
+    ("flat_spinning.report", 0, ["spinning", "--model", "flat-spinning-particle",
+                                 "--dim", "2"]),
+    ("curved_spinning_relations.report", 0, ["spinning", "--model",
+                                             "curved-spinning-particle", "--dim", "1",
+                                             "--relations", "on"]),
+    ("flat_spinning_rank.report", 0, ["rank", "--model", "flat-spinning-particle",
+                                      "--dim", "1"]),
 ]
 
 

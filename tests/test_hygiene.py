@@ -4,7 +4,9 @@ of the package or of `tests/` imports a name it never uses (the package's
 no top-level function, class or method of the package goes unnamed
 everywhere else in `src/`, `tests/` and `perfbench/`, no defaulted
 parameter of the package is left to its default by every call in those
-trees, and every name the benchmark reaches still exists."""
+trees, no field or `self` attribute of a package class is written without
+being read anywhere in them, and every name the benchmark reaches still
+exists."""
 
 import ast
 import sys
@@ -222,6 +224,83 @@ def test_unset_parameter_detector():
 def test_no_unset_parameters_in_package():
     unset = unset_parameters(*_trees())
     assert not unset, "parameters no call sets:\n" + "\n".join(unset)
+
+
+def _attribute_reads(tree: ast.AST) -> set[str]:
+    """Names read as an attribute (not only assigned) or quoted in tree."""
+    out = set()
+    for sub in ast.walk(tree):
+        if isinstance(sub, ast.Attribute) and not isinstance(sub.ctx, ast.Store):
+            out.add(sub.attr)
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str) \
+                and sub.value.isidentifier():
+            out.add(sub.value)
+    return out
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for d in node.decorator_list:
+        d = d.func if isinstance(d, ast.Call) else d
+        if getattr(d, "id", getattr(d, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def _stored_attributes(node: ast.ClassDef):
+    """Each field of a dataclass, and each attribute a method of the class
+    assigns through `self`, in source order."""
+    if _is_dataclass(node):
+        for stmt in node.body:
+            if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                yield stmt.target.id
+    for sub in ast.walk(node):
+        targets = sub.targets if isinstance(sub, ast.Assign) else \
+            [sub.target] if isinstance(sub, ast.AnnAssign) else []
+        for target in targets:
+            for el in ast.walk(target):
+                if isinstance(el, ast.Attribute) and isinstance(el.ctx, ast.Store) \
+                        and isinstance(el.value, ast.Name) and el.value.id == "self":
+                    yield el.attr
+
+
+def unread_attributes(package: dict[str, str], others: list[str]) -> list[str]:
+    """`file:Class.name` for each dataclass field and each `self.name`
+    attribute of a top-level package class whose name is never read as an
+    attribute, nor quoted, in the package or the other sources.  Reads are
+    matched by name, so a name clash can hide an unread attribute but never
+    report a read one."""
+    trees = {file: ast.parse(source) for file, source in package.items()}
+    read: set[str] = set()
+    for tree in list(trees.values()) + [ast.parse(s) for s in others]:
+        read |= _attribute_reads(tree)
+    found = []
+    for file, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef):
+                found += [f"{file}:{node.name}.{name}"
+                          for name in dict.fromkeys(_stored_attributes(node))
+                          if name not in read]
+    return found
+
+
+def test_unread_attribute_detector():
+    package = {"a.py": ("from dataclasses import dataclass\n"
+                        "@dataclass(frozen=True)\n"
+                        "class R:\n    read: int\n    lost: int\n    quoted: int = 0\n"
+                        "class Box:\n"
+                        "    def __init__(self):\n"
+                        "        self.kept, self.dropped = 1, 2\n"
+                        "        self.count: int = 0\n        self.table = {}\n"
+                        "    def bump(self):\n"
+                        "        self.count += 1\n        self.table[0] = self.kept\n")}
+    others = ["r = R(1, 2)\nprint(r.read, getattr(r, 'quoted'))\n"]
+    assert unread_attributes(package, others) == \
+        ["a.py:R.lost", "a.py:Box.dropped", "a.py:Box.count"]
+
+
+def test_no_unread_attributes():
+    unread = unread_attributes(*_trees())
+    assert not unread, "attributes written but never read:\n" + "\n".join(unread)
 
 
 def test_benchmark_reaches_its_names(monkeypatch):

@@ -290,6 +290,20 @@ def test_cli_couple_gravity_reports_the_log_flow_step(monkeypatch, capsys):
     assert "CHECK log-family-certified: FAIL" in capsys.readouterr().out
 
 
+def test_cli_spinning_reports_a_failing_stage(monkeypatch, capsys):
+    """With the functional-level master equation made to fail, `spinning`
+    still prints every check line, marks only that one FAIL, prints the
+    rank and exits 1."""
+    from bvcov import models
+    monkeypatch.setattr(models, "_master_equation_with_witness", lambda S, d: False)
+    assert run_cli("spinning", "--model", "flat-spinning-particle", "--dim", "1") == 1
+    labels = ["stage-product", "stage-twist", "stage-log-flow", "stage-cXi1",
+              "stage-cS1", "bch-merge", "rename-canonical"]
+    assert capsys.readouterr().out.splitlines() == \
+        [f"CHECK {label}: PASS" for label in labels] \
+        + ["CHECK physical-master-equation: FAIL", "rank = 2"]
+
+
 def test_cli_truncation_exit_3(tmp_path, capsys):
     f = tmp_path / "trunc.bvt"
     f.write_text(

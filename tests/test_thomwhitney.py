@@ -128,9 +128,9 @@ def test_whitney_formula_and_commutation(atlas3):
     T = ("A", "B")
     th = nerve.simplex_theory(T, 1)
     want = vals[("A",)].map_parts(lambda e: nerve.t_symbol(th, 0, 1)
-                                  * _embed(e, th)) \
+                                  * _embed(e, th), th) \
         + vals[("B",)].map_parts(lambda e: nerve.t_symbol(th, 1, 1)
-                                 * _embed(e, th))
+                                 * _embed(e, th), th)
     assert (w0.value(T) - want).is_zero()
     assert whitney_commutes(c0).is_zero()
     c1 = CechCochain(nerve, 1, {p: USeries.of(BElement.of_body(rand_val()))
@@ -411,7 +411,7 @@ def test_whitney_k1_display(atlas3):
         ti, tj = nerve.t_symbol(th, i, 2), nerve.t_symbol(th, j, 2)
         dti, dtj = nerve.dt_symbol(th, i, 2), nerve.dt_symbol(th, j, 2)
         form = ti * dtj - tj * dti
-        acc = acc + mu[key].map_parts(lambda e, f=form: f * _embed(e, th))
+        acc = acc + mu[key].map_parts(lambda e, f=form: f * _embed(e, th), th)
     assert (w1.value(T) - acc).is_zero()
 
 
@@ -685,7 +685,7 @@ def test_refinement_preserves_global_mc():
         restrictions[frozenset(pair)] = CanonicalSubstitution(
             src, {src.symbol("x"): Expression.of(th, "x"),
                   src.symbol("p"): Expression.of(th, "p")}, th)
-    ref = Refinement(nerve, fine, chart_map, restrictions)
+    ref = Refinement(fine, chart_map, restrictions)
     SSf = ref.transport(SS)
     rep = global_mc_check(SSf)
     assert rep.ok
