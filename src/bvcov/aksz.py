@@ -12,7 +12,7 @@ from typing import Optional
 
 from .expression import (Expression, is_zero, jet_gradient, log_of,
                          partial_derivative)
-from .curved import (BElement, CurvedContext, EndpointReport, USeries, d_element,
+from .curved import (BElement, EndpointReport, USeries, d_element,
                      du, embed_u, gauge_flow_closed, gauge_flow_series, iota,
                      iota_series, mc_check, u_bracket)
 from .symbols import GradedSymbol, Theory, TheoryError, antifield_name, product_theory
@@ -165,7 +165,7 @@ def build_covariant_theory(chart: TargetChart) -> USeries:
     S = USeries(theory, {0: BElement.of_body(s0),
                          1: BElement(theory, Expression.sum(theory, body),
                                      Expression.sum(theory, eps))})
-    if not mc_check(S, CurvedContext(theory)).ok:
+    if not mc_check(S).ok:
         raise SymplecticError("builder output failed the Maurer-Cartan check")
     return S
 
@@ -177,9 +177,10 @@ class TwistObstruction(TheoryError):
     pass
 
 
-def twist(S: USeries, W: Expression, ctx: Optional[CurvedContext] = None) -> USeries:
-    """S + u^{-1} dW for the differential d = d_u + ad(S); requires dW
-    divisible by u and [dW, W] = 0, and re-checks the master equation."""
+def twist(S: USeries, W: Expression) -> USeries:
+    """S + u^{-1} dW for the differential d = d_u + ad(S); requires W odd of
+    ghost number 1, dW divisible by u and [dW, W] = 0.  The master equation
+    of the result is the caller's check."""
     theory = S.theory
     if W.is_structural_zero():
         return S
@@ -193,12 +194,7 @@ def twist(S: USeries, W: Expression, ctx: Optional[CurvedContext] = None) -> USe
     obstruction = u_bracket(dW, Wu)
     if not obstruction.is_zero():
         raise TwistObstruction("[dW, W] != 0: twist obstructed")
-    shifted = USeries(theory, {n - 1: c for n, c in dW.coeffs.items() if n >= 1})
-    out = S + shifted
-    rep = mc_check(out, ctx or CurvedContext(theory))
-    if not rep.ok:
-        raise TwistObstruction("twisted theory failed the Maurer-Cartan check")
-    return out
+    return S + USeries(theory, {n - 1: c for n, c in dW.coeffs.items() if n >= 1})
 
 
 # -- the gravity multiplet -------------------------------------------------------
@@ -244,18 +240,25 @@ def xi_u_series(theory: Theory) -> USeries:
 def gravity_product(S: USeries, theory: Theory, suffix: str, *kinds: str):
     """The first step of the three gravity couplings: the product
     `theory*suffix` of `theory` with the ghost pairs `kinds`, its flow
-    parameter tau, its B[[u]] context and S embedded in it."""
+    parameter tau and S embedded in it.  A theory that already declares a
+    pair's fields is refused."""
+    declared = {f.name for f, _ in theory.field_pairs()}
+    for kind in kinds:
+        b, c, _ = _GHOST_PAIRS[kind]
+        if declared & {b, c}:
+            raise TheoryError(f"the model already carries the {b}, {c} ghosts and "
+                              "cannot be coupled to gravity again")
     prod = product_theory(f"{theory.name}*{suffix}", theory, *map(ghost_pair, kinds))
     tau = prod.add_flow_param("tau")
-    return prod, tau, CurvedContext(prod), embed_u(S, prod)
+    return prod, tau, embed_u(S, prod)
 
 
-def log_flow(T: USeries, tau: GradedSymbol, ctx: CurvedContext) -> EndpointReport:
+def log_flow(T: USeries, tau: GradedSymbol) -> EndpointReport:
     """T flowed by log(b+) c+ c on the closed-orbit route, as the flow's
     certificate; its endpoint is T at tau = 1 (an uncertified family is
     refused with FlowClosureError)."""
     c, bp, cp = (Expression.of(T.theory, n) for n in ("c", "b+", "c+"))
-    _, cert = gauge_flow_closed(T, log_of(bp) * cp * c, tau, ctx)
+    _, cert = gauge_flow_closed(T, log_of(bp) * cp * c, tau)
     return cert
 
 
@@ -297,16 +300,16 @@ def couple_gravity(S: USeries, chart: TargetChart) -> PipelineReport:
     the certified log-flow endpoint equals S + c(b+ db + c+ dc) + u c+."""
     if any(n > 1 for n in S.powers()):
         raise TheoryError("coupling requires S_i = 0 for i > 1")
-    prod, tau, ctx, Sp = gravity_product(S, chart.theory, "bc", "bc")
+    prod, tau, Sp = gravity_product(S, chart.theory, "bc", "bc")
     start = Sp + x_u_series(prod)
-    if not mc_check(start, ctx).ok:
+    if not mc_check(start).ok:
         raise TheoryError("product theory failed the Maurer-Cartan check")
 
     c = Expression.of(prod, "c")
     cp = Expression.of(prod, "c+")
 
     # step 1: flow by log(b+) c+ c; expected: Sp + c(b+ db + c+ dc) + u c+
-    after_log = log_flow(start, tau, ctx).endpoint
+    after_log = log_flow(start, tau).endpoint
     grav = _bc_kinetic(prod)
     expected_mid = Sp + USeries(prod, {0: BElement.of_body(grav), 1: BElement.of_body(cp)})
     mid_ok = (after_log - expected_mid).is_zero()
@@ -314,7 +317,7 @@ def couple_gravity(S: USeries, chart: TargetChart) -> PipelineReport:
     # step 2: flow by c S_1 (nilpotent series route)
     S1 = Sp.coeff(1)
     y2 = USeries.of(S1.scale(c))
-    series = gauge_flow_series(after_log, y2, ctx=ctx)
+    series = gauge_flow_series(after_log, y2)
 
     # Eq (c): d_u(cS_1) + [S_u, cS_1] = c(D + iota S_u), D over matter fields
     lhs_c = du(y2) + u_bracket(Sp, y2)
@@ -350,5 +353,5 @@ def couple_gravity(S: USeries, chart: TargetChart) -> PipelineReport:
         ("identity-cc", eq_cc_ok),
         ("tau-interpolation", family_ok),
         ("endpoint", (endpoint - minimal_coupling(Sp)).is_zero()),
-        ("endpoint-master-equation", mc_check(endpoint, ctx).ok),
+        ("endpoint-master-equation", mc_check(endpoint).ok),
     ], endpoint)

@@ -355,34 +355,16 @@ def du(x: USeries) -> USeries:
     return USeries(x.theory, out)
 
 
-# -- curved context and Maurer-Cartan ------------------------------------------
+# -- curvature and Maurer-Cartan -----------------------------------------------
 
 
-@dataclass
-class CurvedContext:
-    """F[[u]] (zero differential) or B[[u]] (d_u = d + u iota), with
-    curvature u*D."""
-
-    theory: Theory
-    mode: str = "B"                      # "B" or "F"
-    curvature: USeries = field(init=False)
-
-    def __post_init__(self):
-        if self.mode not in ("B", "F"):
-            raise TheoryError("mode must be 'B' or 'F'")
-        self.curvature = USeries.of(BElement.of_body(d_element(self.theory)), 1)
-        self.check_axioms_light()
-
-    def check_axioms_light(self):
-        # Bianchi: the differential of the curvature vanishes
-        if self.mode == "B":
-            if not du(self.curvature).is_zero():
-                raise TheoryError("Bianchi identity fails for the curvature")
-
-    def differential(self, x: USeries) -> USeries:
-        if self.mode == "B":
-            return du(x)
-        return USeries.zero(self.theory)
+def curvature(theory: Theory) -> USeries:
+    """The curvature u*D of B[[u]] over `theory`; TheoryError when it breaks
+    the Bianchi identity d_u(u*D) = 0."""
+    uD = USeries.of(d_element(theory), 1)
+    if not du(uD).is_zero():
+        raise TheoryError("Bianchi identity fails for the curvature")
+    return uD
 
 
 @dataclass
@@ -395,15 +377,18 @@ class MCReport:
         return self.ok
 
 
-def mc_check(S: USeries, ctx: CurvedContext) -> MCReport:
-    """Residual of the Maurer-Cartan equation: curvature + d_u S + (1/2)[S,S].
-    In F mode the input must have no eps parts and the residual is zero when
-    each u-coefficient is a total derivative with zero constant."""
+def mc_check(S: USeries, mode: str = "B") -> MCReport:
+    """Residual of the Maurer-Cartan equation u*D + d_u S + (1/2)[S,S] in
+    B[[u]], or with zero differential in F[[u]] (mode "F"), where the input
+    must have no eps parts and the residual is zero when each u-coefficient
+    is a total derivative with zero constant."""
+    if mode not in ("B", "F"):
+        raise TheoryError("mode must be 'B' or 'F'")
     S.check_ghost()
-    half = Fraction(1, 2)
-    residual = ctx.curvature + ctx.differential(S) + u_bracket(S, S) * half
+    residual = curvature(S.theory) + (du(S) if mode == "B" else USeries.zero(S.theory)) \
+        + u_bracket(S, S) * Fraction(1, 2)
     notes: list[str] = []
-    if ctx.mode == "F":
+    if mode == "F":
         for n, c in S.coeffs.items():
             if not c.eps.is_structural_zero():
                 raise TheoryError("F-mode input must have no eps part")
@@ -423,11 +408,10 @@ def mc_check(S: USeries, ctx: CurvedContext) -> MCReport:
     return MCReport(residual, ok, notes)
 
 
-def complete_to_b(S: USeries, ctx: CurvedContext) -> USeries:
+def complete_to_b(S: USeries) -> USeries:
     """Lift an F-mode solution (no eps parts) to the resolution: the eps
     parts are the homotopy witnesses of the body residuals."""
-    half = Fraction(1, 2)
-    residual = ctx.curvature + u_bracket(S, S) * half
+    residual = curvature(S.theory) + u_bracket(S, S) * Fraction(1, 2)
     out = dict(S.coeffs)
     for n in residual.powers():
         body = residual.coeff(n).body
@@ -440,8 +424,7 @@ def complete_to_b(S: USeries, ctx: CurvedContext) -> USeries:
             # when S is even, so the sign is -1 and g~ = witness.
             out[n] = out.get(n, BElement.zero(S.theory)) + BElement.of_eps(g)
     lifted = USeries(S.theory, out)
-    rep = mc_check(lifted, CurvedContext(S.theory))
-    if not rep.ok:
+    if not mc_check(lifted).ok:
         raise TheoryError("completion failed to satisfy the resolved master equation")
     return lifted
 
@@ -449,36 +432,39 @@ def complete_to_b(S: USeries, ctx: CurvedContext) -> USeries:
 # -- gauge flows ---------------------------------------------------------------
 
 
+def exp_sum(x, steps: list, t):
+    """x + sum_n t^(n+1)/(n+1)! steps[n]: the one Taylor sum of an exp(ad)
+    orbit.  t is a rational (a point of the flow) or the flow parameter as
+    an Expression (the whole family); it is even, so multiplying from the
+    right is exact.  x and the steps are Expressions, USeries or
+    Thom-Whitney elements, which all multiply by either kind of t."""
+    out = x
+    tk = 1
+    for n, w in enumerate(steps):
+        tk = tk * t
+        out = out + w * (tk * Fraction(1, math.factorial(n + 1)))
+    return out
+
+
 @dataclass
 class FlowSeries:
     """x bullet tau*y as an exact tau-polynomial when the iterated brackets
-    terminate; otherwise a truncation with an explicit marker.  `at` needs
-    only sums and rational multiples, so Thom-Whitney elements use it too."""
+    terminate (`termination_index` is the index of the zero); otherwise a
+    truncation, marked by `termination_index` None."""
 
     x: USeries
-    y: USeries
-    steps: list[USeries]          # steps[n] = (-ad y)^n (dy + (x,y))
-    exact: bool
+    steps: list[USeries]          # steps[n] = (-ad y)^n (d_u y + (x,y))
     termination_index: Optional[int]
 
+    @property
+    def exact(self) -> bool:
+        return self.termination_index is not None
+
     def family(self, tau: GradedSymbol) -> USeries:
-        theory = self.x.theory
-        out = self.x
-        tpow = Expression.symbol(theory, tau)
-        acc = Expression.const(theory, 1)
-        for n, w in enumerate(self.steps):
-            acc = acc * tpow
-            out = out + w.scale(acc) * Fraction(1, math.factorial(n + 1))
-        return out
+        return exp_sum(self.x, self.steps, Expression.symbol(self.x.theory, tau))
 
     def at(self, value) -> USeries:
-        value = rational(value)
-        out = self.x
-        acc = 1
-        for n, w in enumerate(self.steps):
-            acc = acc * value
-            out = out + w * quotient(acc, math.factorial(n + 1))
-        return out
+        return exp_sum(self.x, self.steps, rational(value))
 
     def endpoint(self) -> USeries:
         if not self.exact:
@@ -492,20 +478,16 @@ class TruncatedFlowError(TheoryError):
     pass
 
 
-def gauge_flow_series(x: USeries, y: USeries, max_order: int = 24,
-                      ctx: Optional[CurvedContext] = None) -> FlowSeries:
-    """Solve d(x bullet sy)/ds = dy + (x bullet sy, y) as the explicit
+def gauge_flow_series(x: USeries, y: USeries, max_order: int = 24) -> FlowSeries:
+    """Solve d(x bullet sy)/ds = d_u y + (x bullet sy, y) as the explicit
     series; terminates with a certificate when ad(y) is nilpotent on the
-    orbit, else truncates with a marker.  The differential is the
-    context's, by default that of B[[u]] over x's theory."""
+    orbit, else truncates with a marker."""
     for n, c in y.coeffs.items():
         g = c.grade()
         if g is None or g[1] != 1 or g[0] != -1 - 2 * n:
             raise TheoryError("gauge generator must be odd of ghost number -1")
-    ctx = ctx or CurvedContext(x.theory)
-    steps, index = orbit(ctx.differential(y) + u_bracket(x, y), _bracket_by(y, -1),
-                         max_order)
-    return FlowSeries(x, y, steps, index is not None, index)
+    steps, index = orbit(du(y) + u_bracket(x, y), _bracket_by(y, -1), max_order)
+    return FlowSeries(x, steps, index)
 
 
 def orbit(start, step: Callable, cap: int, vanishes: Callable = lambda v: v.is_zero()):
@@ -650,35 +632,27 @@ def _exp_ad_on(theory: Theory, step: Callable[[Expression], Expression],
         raise FlowClosureError(
             "flow does not close polynomially or in power/log form; refusing to "
             "truncate silently")
-    tsym = Expression.symbol(theory, tau)
-    acc = Expression.const(theory, 1)
-    pieces = []
-    for k, w in enumerate([start] + rest):
-        pieces.append(acc * w * Fraction(1, math.factorial(k)))
-        acc = acc * tsym
-    return Expression.sum(theory, pieces)
+    return exp_sum(start, rest, Expression.symbol(theory, tau))
 
 
 # -- certified flow families -----------------------------------------------------
 
 
 def gauge_flow_closed(x: USeries, y: Expression, tau: GradedSymbol,
-                      ctx: Optional[CurvedContext] = None,
                       max_iter: int = 12) -> tuple[USeries, "EndpointReport"]:
     """Gauge flow by an eps-free 0-jet generator whose ad-orbit closes in
     power/log form: the homogeneous part is the substitution exponential
     and the d_u y source integrates term by term (the iterated brackets of
     d_u y must terminate).  The family is certified against the flow ODE
     before being returned."""
-    ctx = ctx or CurvedContext(x.theory)
     ys = USeries.of(BElement.of_body(y))
     sub = flow_substitution(x.theory, y, tau, direction=-1)
-    steps, index = orbit(ctx.differential(ys), _bracket_by(ys, -1), max_iter + 1)
+    steps, index = orbit(du(ys), _bracket_by(ys, -1), max_iter + 1)
     if index is None:
         raise FlowClosureError(
             "d_u(y) source brackets do not terminate; closed flow unavailable")
-    family = FlowSeries(sub.apply_u(x), ys, steps, True, index).family(tau)
-    cert = verify_flow_endpoint(x, family, ys, tau, ctx)
+    family = exp_sum(sub.apply_u(x), steps, Expression.symbol(x.theory, tau))
+    cert = verify_flow_endpoint(x, family, ys, tau)
     if not cert:
         raise FlowClosureError("closed gauge flow failed ODE certification")
     return family, cert
@@ -696,13 +670,12 @@ class EndpointReport:
 
 
 def verify_flow_endpoint(x: USeries, family: USeries, y: USeries,
-                         tau: GradedSymbol, ctx: Optional[CurvedContext] = None) -> EndpointReport:
+                         tau: GradedSymbol) -> EndpointReport:
     """Certify a tau-dependent family as the gauge flow of x by y: checks
-    d(family)/dtau = dy + (family, y) symbolically and family(0) = x; the
+    d(family)/dtau = d_u y + (family, y) symbolically and family(0) = x; the
     endpoint is the family at tau = 1."""
-    ctx = ctx or CurvedContext(x.theory)
     dtau = family.map_parts(lambda e: partial_derivative(e, tau))
-    residual = dtau - ctx.differential(y) - u_bracket(family, y)
+    residual = dtau - du(y) - u_bracket(family, y)
     ok = residual.is_zero()
     at0 = family.map_parts(lambda e: substitute_param(e, tau, 0))
     initial_ok = (at0 - x).is_zero()

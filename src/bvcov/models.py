@@ -17,9 +17,9 @@ from .expression import (Expression, Term, _lower_atom, embed, is_zero,
 from .curved import (BElement, CanonicalSubstitution, USeries,
                      canonical_substitution_check, d_element, du, gauge_flow_series,
                      mc_check, u_bracket)
-from .aksz import (PipelineReport, TargetChart, build_covariant_theory, ghost_pair,
-                   gravity_product, log_flow, minimal_coupling, twist, x_u_series,
-                   xi_u_series)
+from .aksz import (PipelineReport, TargetChart, TwistObstruction,
+                   build_covariant_theory, ghost_pair, gravity_product, log_flow,
+                   minimal_coupling, twist, x_u_series, xi_u_series)
 from .symbols import Theory, TheoryError
 
 
@@ -300,12 +300,11 @@ def spinning_pipeline(model: ModelSpec) -> PipelineReport:
     g = model.charge.grade()
     if g is None or g != (0, 1, 0):
         raise TheoryError("charge Q must be odd of ghost number 0")
-    prod, tau, ctx, S = gravity_product(model.series, model.theory, "sugra",
-                                        "betagamma", "bc")
+    prod, tau, S = gravity_product(model.series, model.theory, "sugra", "betagamma", "bc")
     Xi = xi_u_series(prod)
     X = x_u_series(prod)
     T0 = S + Xi + X
-    checks = [("stage-product", mc_check(T0, ctx).ok)]
+    checks = [("stage-product", mc_check(T0).ok)]
 
     c = Expression.of(prod, "c")
     gamma = Expression.of(prod, "gamma")
@@ -313,22 +312,21 @@ def spinning_pipeline(model: ModelSpec) -> PipelineReport:
     QQ = embed(model.chart.poisson_bracket(model.charge, model.charge), prod)
     Q = embed(model.charge, prod)
     W = Fraction(1, 2) * c * QQ + gamma * Q - b * gamma * gamma
-    T1 = twist(T0, W, ctx)
-    # twist() re-checks the master equation and raises on failure
-    checks.append(("stage-twist", True))
+    T1 = twist(T0, W)
+    checks.append(("stage-twist", mc_check(T1).ok))
 
-    T2 = log_flow(T1, tau, ctx).endpoint
-    checks.append(("stage-log-flow", mc_check(T2, ctx).ok))
+    T2 = log_flow(T1, tau).endpoint
+    checks.append(("stage-log-flow", mc_check(T2).ok))
 
     S1 = S.coeff(1)
     Xi1 = Xi.coeff(1)
-    T3 = gauge_flow_series(T2, USeries.of(Xi1.scale(c)), ctx=ctx).endpoint()
-    checks.append(("stage-cXi1", mc_check(T3, ctx).ok))
-    T4 = gauge_flow_series(T3, USeries.of(S1.scale(c)), ctx=ctx).endpoint()
-    checks.append(("stage-cS1", mc_check(T4, ctx).ok))
+    T3 = gauge_flow_series(T2, USeries.of(Xi1.scale(c))).endpoint()
+    checks.append(("stage-cXi1", mc_check(T3).ok))
+    T4 = gauge_flow_series(T3, USeries.of(S1.scale(c))).endpoint()
+    checks.append(("stage-cS1", mc_check(T4).ok))
 
     # BCH merge: c Xi_1 * c S_1 = c(S_1 + Xi_1): flowing in one shot agrees
-    merged = gauge_flow_series(T2, USeries.of((S1 + Xi1).scale(c)), ctx=ctx).endpoint()
+    merged = gauge_flow_series(T2, USeries.of((S1 + Xi1).scale(c))).endpoint()
     bch_ok = (merged - T4).is_zero() and \
         u_bracket(USeries.of(Xi1.scale(c)), USeries.of(S1.scale(c))).is_zero()
 
@@ -384,15 +382,17 @@ def couple_with_potential(model: ModelSpec) -> PipelineReport:
     S_0 - b+ V + c(D + b+ db + c+ dc) + c iota S_0 + u c+."""
     if model.potential is None:
         raise TheoryError("model has no potential V")
-    prod, tau, ctx, S = gravity_product(model.series, model.theory, "bc", "bc")
+    prod, tau, S = gravity_product(model.series, model.theory, "bc", "bc")
     c = Expression.of(prod, "c")
     V = embed(model.potential, prod)
-    T1 = twist(S + x_u_series(prod), c * V, ctx)
-    T2 = log_flow(T1, tau, ctx).endpoint
-    T3 = gauge_flow_series(T2, USeries.of(S.coeff(1).scale(c)), ctx=ctx).endpoint()
+    T1 = twist(S + x_u_series(prod), c * V)
+    if not mc_check(T1).ok:
+        raise TwistObstruction("twisted theory failed the Maurer-Cartan check")
+    T2 = log_flow(T1, tau).endpoint
+    T3 = gauge_flow_series(T2, USeries.of(S.coeff(1).scale(c))).endpoint()
     expected = minimal_coupling(S) - USeries.of(Expression.of(prod, "b+") * V)
     return PipelineReport([("twist-couple-endpoint", (T3 - expected).is_zero()),
-                           ("endpoint-master-equation", mc_check(T3, ctx).ok)], T3)
+                           ("endpoint-master-equation", mc_check(T3).ok)], T3)
 
 
 # -- the worldline fields of the introduction ------------------------------------

@@ -18,8 +18,8 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from .expression import Expression, embed, is_zero, odd_derivation, partial_derivative
-from .curved import (BElement, CanonicalSubstitution, FlowSeries, TruncatedFlowError,
-                     USeries, _bracket_by, d_element, du, embed_u, orbit, u_bracket)
+from .curved import (BElement, CanonicalSubstitution, TruncatedFlowError, USeries,
+                     _bracket_by, curvature, du, embed_u, exp_sum, orbit, u_bracket)
 from .symbols import GradedSymbol, Theory, TheoryError
 
 Tuple = tuple[str, ...]
@@ -358,11 +358,8 @@ def tw_bracket(a: TWElement, b: TWElement) -> TWElement:
 
 
 def tw_curvature(nerve: CoverNerve) -> TWElement:
-    out = {}
-    for T in nerve.nondegenerate_tuples():
-        theory = nerve.simplex_theory(T, len(T) - 1)
-        out[T] = USeries.of(BElement.of_body(d_element(theory)), 1)
-    return TWElement(nerve, out)
+    return TWElement(nerve, {T: curvature(nerve.simplex_theory(T, len(T) - 1))
+                             for T in nerve.nondegenerate_tuples()})
 
 
 def whitney_commutes(c: CechCochain) -> TWElement:
@@ -505,7 +502,7 @@ def tw_gauge_flow(x: TWElement, y: TWElement, max_order: int = 12) -> TWElement:
                          max_order)
     if index is None:
         raise TruncatedFlowError("Thom-Whitney gauge flow did not terminate")
-    return FlowSeries(x, y, steps, True, index).at(1)
+    return exp_sum(x, steps, 1)
 
 
 def gauge_equivalence_check(nerve: CoverNerve,

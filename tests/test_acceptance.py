@@ -7,10 +7,9 @@ from fractions import Fraction
 from bvcov.symbols import Theory
 from bvcov.expression import (Expression, embed, inverse_of, is_zero, log_of,
                               partial_derivative, total_derivative)
-from bvcov.curved import (BElement, CanonicalSubstitution, CurvedContext,
-                          USeries, antifield_rank, b_bracket, b_differential, bch,
-                          canonical_substitution_check, d_element, du, iota,
-                          mc_check, u_bracket)
+from bvcov.curved import (BElement, CanonicalSubstitution, USeries, antifield_rank,
+                          b_bracket, b_differential, bch, canonical_substitution_check,
+                          d_element, du, iota, mc_check, u_bracket)
 from bvcov.varcalc import (EtaleMap, functional_equal, hamiltonian_vf,
                            is_total_derivative, soloviev)
 from bvcov.aksz import couple_gravity, x_u_series
@@ -112,11 +111,11 @@ def test_criterion_03_master_equations():
     t = intro_theory(N)
     S, S0, D = intro_action(t, N)
     Su = USeries(t, {0: BElement.of_body(S), 1: BElement.of_body(Expression.of(t, "c+"))})
-    ok &= mc_check(Su, CurvedContext(t, mode="F")).ok
+    ok &= mc_check(Su, "F").ok
     # (b) X_u and (c) Xi_u in the resolution
     for name in ("bc-system", "betagamma-system"):
         model = build_model(name)
-        ok &= mc_check(model.series, CurvedContext(model.theory)).ok
+        ok &= mc_check(model.series).ok
     # (d) the flat spinning action with its u-extension: the transported
     # eps parts are explicit master-equation witnesses (the action has
     # inverse-graviton coefficients, so the rescaling decision procedure
@@ -131,7 +130,7 @@ def test_criterion_03_master_equations():
                       ("flat-spinning-particle", N),
                       ("curved-spinning-particle", 1)]:
         model = build_model(name, dim)
-        ok &= mc_check(model.series, CurvedContext(model.theory)).ok
+        ok &= mc_check(model.series).ok
     report(3, "master equations", ok)
 
 

@@ -5,7 +5,7 @@ import pytest
 from bvcov.symbols import Theory, TheoryError
 from bvcov.expression import (Expression, embed, inverse_of, is_zero,
                               partial_derivative, total_derivative)
-from bvcov.curved import (BElement, CurvedContext, USeries, antifield_rank,
+from bvcov.curved import (BElement, USeries, antifield_rank,
                           canonical_substitution_check, mc_check, u_bracket)
 from bvcov.aksz import (SymplecticError, TargetChart, TwistObstruction,
                         build_covariant_theory, couple_gravity, twist,
@@ -117,7 +117,7 @@ def test_builders_all_models_pass_mc():
                       ("flat-spinning-particle", 2),
                       ("curved-spinning-particle", 1)]:
         model = build_model(name, dim)
-        rep = mc_check(model.series, CurvedContext(model.theory))
+        rep = mc_check(model.series)
         assert rep.ok, name
 
 
@@ -177,11 +177,11 @@ def test_twist_cv_and_guards():
     T = embed_u(m.series, prod) + x_u_series(prod)
     V = Fraction(1, 2) * Expression.of(prod, "p_1") ** 2
     W = Expression.of(prod, "c") * V
-    out = twist(T, W, CurvedContext(prod))
-    assert mc_check(out, CurvedContext(prod)).ok
+    out = twist(T, W)
+    assert mc_check(out).ok
     # wrong grading is rejected before any evaluation
     with pytest.raises(TwistObstruction):
-        twist(T, Expression.of(prod, "x_1"), CurvedContext(prod))
+        twist(T, Expression.of(prod, "x_1"))
 
 
 def test_twist_closed_form_display():
@@ -210,8 +210,7 @@ def test_twist_closed_form_display():
     W = Fraction(1, 2) * Expression.of(prod, "c") * QQ \
         + Expression.of(prod, "gamma") * Q \
         - Expression.of(prod, "b") * Expression.of(prod, "gamma") ** 2
-    ctx = CurvedContext(prod)
-    got = twist(S, W, ctx)
+    got = twist(S, W)
 
     pi = chart.poisson_tensor()
     epss = Expression.symbol(prod, prod.epsilon)
@@ -258,7 +257,7 @@ def test_twist_obstruction_without_b_term():
     W_bad = Fraction(1, 2) * Expression.of(prod, "c") * QQ \
         + Expression.of(prod, "gamma") * Q
     with pytest.raises(TwistObstruction):
-        twist(T, W_bad, CurvedContext(prod))
+        twist(T, W_bad)
 
 
 def test_couple_gravity_flat_and_betagamma():
@@ -359,14 +358,14 @@ def test_eta_built_series_solve_master_equation():
     for m in (curved_spinning_particle(2, eta=ETA),
               build_model("magnetic-particle", 2, eta=ETA)):
         assert m.eta == ETA
-        assert mc_check(m.series, CurvedContext(m.theory)).ok
+        assert mc_check(m.series).ok
 
 
 def test_eta_intro_particle_and_spinning_xi():
     t = intro_theory(2)
     S, _, _ = intro_action(t, 2, eta=ETA)
     Su = USeries(t, {0: BElement.of_body(S), 1: BElement.of_body(Expression.of(t, "c+"))})
-    assert mc_check(Su, CurvedContext(t, mode="F")).ok
+    assert mc_check(Su, "F").ok
     ts = intro_theory(2, spinning=True)
     assert not canonical_substitution_check(
         intro_transformations(ts, 2, eta=ETA, spinning=True)["xi"])

@@ -9,11 +9,11 @@ from bvcov.coefficients import AffineExponent, FuncAtom, LogAtom
 from bvcov.expression import (Expression, _from_raw, base_expression, inverse_of,
                               is_zero, log_of, normalize, power_of, substitute_param,
                               total_derivative)
-from bvcov.curved import (BElement, CanonicalSubstitution, CurvedContext,
-                          FlowClosureError, FlowSeries, TruncatedFlowError,
-                          USeries, _psi_closed, antifield_rank, b_bracket,
-                          b_differential, bch, canonical_substitution_check,
-                          complete_to_b, d_element, du, flow_substitution,
+from bvcov.curved import (BElement, CanonicalSubstitution, FlowClosureError,
+                          FlowSeries, TruncatedFlowError, USeries, _psi_closed,
+                          antifield_rank, b_bracket, b_differential, bch,
+                          canonical_substitution_check, complete_to_b, curvature,
+                          d_element, du, flow_substitution,
                           gauge_flow_closed, gauge_flow_series, iota, mc_check,
                           u_bracket, verify_flow_endpoint)
 from bvcov.varcalc import soloviev
@@ -159,15 +159,24 @@ def test_iota_matches_prolongation_oracle(raw):
     assert repr(got) == repr(want)
 
 
-def test_curved_context_axioms(particle_theory):
-    t = particle_theory
-    ctx = CurvedContext(t)
-    assert du(ctx.curvature).is_zero()          # Bianchi
-    for x in rand_belements(t, 45, 6):
-        xs = USeries.of(x)
-        lhs = du(du(xs))
-        rhs = u_bracket(ctx.curvature, xs)
-        assert (lhs - rhs).is_zero()            # d_u^2 = ad(uD)
+def test_curvature_axioms():
+    """Bianchi, d_u(uD) = 0, and d_u^2 = ad(uD) on the theory of each
+    library model and on a fused simplex theory of a cover."""
+    from bvcov.models import MODEL_BUILDERS, build_model
+    from bvcov.thomwhitney import CoverNerve
+    theories = [build_model(name, 1).theory for name in sorted(MODEL_BUILDERS)]
+    chart = build_model("flat-particle", 1).theory
+    theories.append(CoverNerve({"A": chart}).simplex_theory(("A", "A"), 1))
+    assert len(theories) == 7
+    for t in theories:
+        uD = curvature(t)
+        assert uD == USeries.of(d_element(t), 1)
+        assert du(uD).is_zero()                 # Bianchi
+        for x in rand_belements(t, 45, 4):
+            xs = USeries.of(x)
+            lhs = du(du(xs))
+            rhs = u_bracket(uD, xs)
+            assert (lhs - rhs).is_zero(), t.name    # d_u^2 = ad(uD)
 
 
 def test_x_u_master_equation(bc_theory):
@@ -176,7 +185,7 @@ def test_x_u_master_equation(bc_theory):
     X = USeries(t, {0: BElement.of_body(c * b1),
                     1: BElement(t, Expression.of(t, "b+") * Expression.of(t, "c+"),
                                 Expression.of(t, "c+") * c)})
-    assert mc_check(X, CurvedContext(t)).ok
+    assert mc_check(X).ok
     # MC solutions square the twisted differential to zero on probes
     s = HomogeneousSampler(t, seed=46)
     for _ in range(5):
@@ -191,13 +200,12 @@ def test_flat_particle_f_mode_and_completion(particle_theory):
     _, S0, D = intro_action(t, 2)
     S = USeries(t, {0: BElement.of_body(S0 + Expression.of(t, "c") * D),
                     1: BElement.of_body(Expression.of(t, "c+"))})
-    fctx = CurvedContext(t, mode="F")
-    assert mc_check(S, fctx).ok
-    SB = complete_to_b(S, fctx)
-    assert mc_check(SB, CurvedContext(t)).ok
+    assert mc_check(S, "F").ok
+    SB = complete_to_b(S)
+    assert mc_check(SB).ok
     # S0-only truncation fails, with the residual reported
     S_only = USeries(t, {0: S.coeff(0)})
-    rep = mc_check(S_only, fctx)
+    rep = mc_check(S_only, "F")
     assert not rep.ok and not rep.residual.is_zero()
 
 
@@ -205,7 +213,15 @@ def test_mc_grading_guard(particle_theory):
     t = particle_theory
     bad = USeries.of(BElement.of_body(Expression.of(t, "c")))
     with pytest.raises(TheoryError):
-        mc_check(bad, CurvedContext(t))
+        mc_check(bad)
+
+
+def test_mc_check_refuses_an_unknown_mode(particle_theory):
+    t = particle_theory
+    S = USeries.of(Expression.of(t, "c+"), 1)
+    assert mc_check(S, "B").ok == mc_check(S).ok
+    with pytest.raises(TheoryError, match="mode must be 'B' or 'F'"):
+        mc_check(S, "C")
 
 
 def test_flow_tables_golden(particle_theory):
@@ -266,15 +282,13 @@ def test_gauge_flow_preserves_mc(particle_theory):
     _, S0, D = intro_action(t, 2)
     c = Expression.of(t, "c")
     S = complete_to_b(USeries(t, {0: BElement.of_body(S0 + c * D),
-                                  1: BElement.of_body(Expression.of(t, "c+"))}),
-                      CurvedContext(t, mode="F"))
-    ctx = CurvedContext(t)
+                                  1: BElement.of_body(Expression.of(t, "c+"))}))
     y = USeries.of(BElement.of_body(
         c * Expression.of(t, "x+_1") * Expression.of(t, "p+_1")))
     fs = gauge_flow_series(S, y)
     assert fs.exact
-    assert mc_check(fs.at(1), ctx).ok
-    assert mc_check(fs.at(Fraction(1, 3)), ctx).ok
+    assert mc_check(fs.at(1)).ok
+    assert mc_check(fs.at(Fraction(1, 3))).ok
 
 
 def test_gauge_flow_closed_x_u(bc_theory):
@@ -284,9 +298,8 @@ def test_gauge_flow_closed_x_u(bc_theory):
     c, cp, bp = (Expression.of(t, n) for n in ("c", "c+", "b+"))
     X = USeries(t, {0: BElement.of_body(c * Expression.of(t, "b", 1)),
                     1: BElement(t, bp * cp, cp * c)})
-    ctx = CurvedContext(t)
     y = log_of(bp) * cp * c
-    family, cert = gauge_flow_closed(X, y, tau, ctx)
+    family, cert = gauge_flow_closed(X, y, tau)
     assert cert.ok and cert.initial_ok
     # endpoint as displayed: c(b+ db + c+ dc) + u c+
     endpoint = cert.endpoint
@@ -294,7 +307,7 @@ def test_gauge_flow_closed_x_u(bc_theory):
         c * (bp * Expression.of(t, "b", 1) + cp * Expression.of(t, "c", 1))),
         1: BElement.of_body(cp)})
     assert (endpoint - want).is_zero()
-    assert mc_check(endpoint, ctx).ok
+    assert mc_check(endpoint).ok
     # the u-part of the family carries pow(b+, 1-tau) and (1-tau) c+ c eps
     from bvcov.expression import power_of
     from bvcov.coefficients import AffineExponent
@@ -313,12 +326,12 @@ def test_verify_flow_endpoint_reports(bc_theory):
                     1: BElement(t, Expression.of(t, "b+") * Expression.of(t, "c+"),
                                 Expression.of(t, "c+") * Expression.of(t, "c"))})
     y = USeries.of(BElement.of_body(Expression.zero(t)))
-    rep = verify_flow_endpoint(X, X, y, tau, CurvedContext(t))
+    rep = verify_flow_endpoint(X, X, y, tau)
     assert rep.ok and rep.initial_ok and (rep.endpoint - X).is_zero()
     shifted = X + USeries.of(BElement.of_body(
         Expression.symbol(t, tau) * Expression.of(t, "b", 1)
         * Expression.of(t, "b+")))
-    rep2 = verify_flow_endpoint(X, shifted, y, tau, CurvedContext(t))
+    rep2 = verify_flow_endpoint(X, shifted, y, tau)
     assert not rep2.ok
 
 
@@ -335,17 +348,16 @@ def test_truncated_flow_refuses_endpoint(bc_theory):
 
 
 def test_closed_generator_flow_matches_exponential_oracle(particle_theory):
-    # with zero differential (functional-level context) the gauge flow of
-    # any generator is the exponential, summed directly as the oracle
+    # a closed generator, d_u y = 0: the gauge flow is the exponential
+    # exp(-ad y), summed directly as the oracle
     t = particle_theory
     s = HomogeneousSampler(t, seed=47, max_jet=1, max_factors=2, max_terms=2)
-    c = Expression.of(t, "c")
-    y_body = c * Expression.of(t, "x+_1") * Expression.of(t, "p+_1")
+    y_body = Expression.of(t, "x+_1") * Expression.of(t, "p_1")
     y = USeries.of(BElement.of_body(y_body))
-    fctx = CurvedContext(t, mode="F")
+    assert du(y).is_zero()
     for _ in range(6):
         x = USeries.of(BElement.of_body(s.expression()))
-        fs = gauge_flow_series(x, y, ctx=fctx)
+        fs = gauge_flow_series(x, y)
         assert fs.exact
         flowed = fs.at(1)
         oracle = USeries.zero(t)
@@ -417,25 +429,21 @@ def _log(theory, base_key):
     return _from_raw(theory, [(Fraction(1), ((LogAtom(base_key), 1),), ())])
 
 
-def _gauge_flow_series_bruteforce(x, y, max_order=24, ctx=None):
-    theory = x.theory
+def _gauge_flow_series_bruteforce(x, y, max_order=24):
     for n, c in y.coeffs.items():
         g = c.grade()
         if g is None or g[1] != 1 or g[0] != -1 - 2 * n:
             raise TheoryError("gauge generator must be odd of ghost number -1")
-    dy = du(y) if (ctx is None or ctx.mode == "B") else USeries.zero(theory)
-    w = dy + u_bracket(x, y)
+    w = du(y) + u_bracket(x, y)
     steps = []
-    exact = False
     index = None
     for n in range(max_order):
         if w.is_zero():
-            exact = True
             index = n
             break
         steps.append(w)
         w = u_bracket(y, w) * Fraction(-1)
-    return FlowSeries(x, y, steps, exact, index)
+    return FlowSeries(x, steps, index)
 
 
 def _proportionality_bruteforce(v1, v0):
@@ -494,12 +502,12 @@ def _exp_ad_on_bruteforce(theory, y, start, tau, direction, max_iter):
         "truncate silently")
 
 
-def _gauge_flow_closed_bruteforce(x, y, tau, ctx=None, max_iter=12):
+def _gauge_flow_closed_bruteforce(x, y, tau, max_iter=12):
     theory = x.theory
     ys = USeries.of(BElement.of_body(y))
     sub = flow_substitution(theory, y, tau, direction=-1)
     family = sub.apply_u(x)
-    w = du(ys) if (ctx is None or ctx.mode == "B") else USeries.zero(theory)
+    w = du(ys)
     if not w.is_zero():
         t = Expression.symbol(theory, tau)
         acc = Expression.const(theory, 1)
@@ -514,7 +522,7 @@ def _gauge_flow_closed_bruteforce(x, y, tau, ctx=None, max_iter=12):
             family = family + v.scale(acc) * Fraction(1, math.factorial(n + 1))
             v = u_bracket(ys, v) * Fraction(-1)
             n += 1
-    cert = verify_flow_endpoint(x, family, ys, tau, ctx)
+    cert = verify_flow_endpoint(x, family, ys, tau)
     if not cert:
         raise FlowClosureError("closed gauge flow failed ODE certification")
     return family, cert
@@ -572,33 +580,32 @@ def _u_terms(x):
 
 
 def _flow_fixtures(particle, bc):
-    """(x, y, ctx, max_order) for the series: a B-mode flow that terminates,
-    one that the cap truncates, F-mode flows and a zero generator."""
+    """(x, y, max_order) for the series: a flow of a master-equation
+    solution that terminates, flows of sampled starts, one that the cap
+    truncates and a zero generator."""
     t = particle
     _, S0, D = intro_action(t, 2)
     c = Expression.of(t, "c")
     S = complete_to_b(USeries(t, {0: BElement.of_body(S0 + c * D),
-                                  1: BElement.of_body(Expression.of(t, "c+"))}),
-                      CurvedContext(t, mode="F"))
+                                  1: BElement.of_body(Expression.of(t, "c+"))}))
     y = USeries.of(BElement.of_body(c * Expression.of(t, "x+_1") * Expression.of(t, "p+_1")))
-    out = [(S, y, None, 24)]
+    out = [(S, y, 24)]
     s = HomogeneousSampler(t, seed=47, max_jet=1, max_factors=2, max_terms=2)
     for _ in range(3):
-        out.append((USeries.of(BElement.of_body(s.expression())), y,
-                    CurvedContext(t, mode="F"), 24))
+        out.append((USeries.of(BElement.of_body(s.expression())), y, 24))
     cp, bp, cb = (Expression.of(bc, n) for n in ("c+", "b+", "c"))
     X = USeries(bc, {0: BElement.of_body(cb * Expression.of(bc, "b", 1)),
                      1: BElement(bc, bp * cp, cp * cb)})
-    out.append((X, USeries.of(BElement.of_body(log_of(bp) * cp * cb)), None, 4))
-    out.append((X, USeries.of(BElement.of_body(Expression.zero(bc))), None, 24))
+    out.append((X, USeries.of(BElement.of_body(log_of(bp) * cp * cb)), 4))
+    out.append((X, USeries.of(BElement.of_body(Expression.zero(bc))), 24))
     return out
 
 
 def test_gauge_flow_series_matches_bruteforce(particle_theory, bc_theory):
     exact = set()
-    for x, y, ctx, cap in _flow_fixtures(particle_theory, bc_theory):
-        got = gauge_flow_series(x, y, max_order=cap, ctx=ctx)
-        want = _gauge_flow_series_bruteforce(x, y, max_order=cap, ctx=ctx)
+    for x, y, cap in _flow_fixtures(particle_theory, bc_theory):
+        got = gauge_flow_series(x, y, max_order=cap)
+        want = _gauge_flow_series_bruteforce(x, y, max_order=cap)
         assert (got.exact, got.termination_index) == (want.exact, want.termination_index)
         assert [_u_terms(w) for w in got.steps] == [_u_terms(w) for w in want.steps]
         exact.add(got.exact)
@@ -634,11 +641,10 @@ def test_gauge_flow_closed_matches_bruteforce(bc_theory):
     X = USeries(t, {0: BElement.of_body(c * Expression.of(t, "b", 1)),
                     1: BElement(t, bp * cp, cp * c)})
     y = log_of(bp) * cp * c
-    for ctx in (CurvedContext(t), None):
-        family, cert = gauge_flow_closed(X, y, tau, ctx)
-        want, want_cert = _gauge_flow_closed_bruteforce(X, y, tau, ctx)
-        assert _u_terms(family) == _u_terms(want)
-        assert _u_terms(cert.endpoint) == _u_terms(want_cert.endpoint)
+    family, cert = gauge_flow_closed(X, y, tau)
+    want, want_cert = _gauge_flow_closed_bruteforce(X, y, tau)
+    assert _u_terms(family) == _u_terms(want)
+    assert _u_terms(cert.endpoint) == _u_terms(want_cert.endpoint)
 
 
 def test_bch_closed_form_matches_bruteforce():
@@ -710,7 +716,7 @@ def test_coefficient_divisions_are_exact(bc_theory):
     assert (q, key) == (Fraction(3, 2), lam.terms[0].atoms[0][0].base_key)
     assert type(q) is Fraction
     steps = [USeries.of(c * 2), USeries.of(bp * c * 3), USeries.of(bp * bp * c * 4)]
-    flow = FlowSeries(USeries.of(x), USeries.zero(t), steps, True, len(steps))
+    flow = FlowSeries(USeries.of(x), steps, len(steps))
     for value, want in ((1, [2, Fraction(3, 2), Fraction(2, 3)]),
                         (2, [4, 6, Fraction(16, 3)]),
                         (Fraction(1, 2), [1, Fraction(3, 8), Fraction(1, 12)])):
@@ -732,7 +738,7 @@ def test_flow_caps_pin_their_boundaries(particle_theory, bc_theory):
                               (flow_substitution, "max_iter", 12)):
         assert inspect.signature(fn).parameters[name].default == default
     # gauge_flow_series: the zero at index m needs max_order > m
-    x, y, ctx, _ = _flow_fixtures(particle_theory, bc_theory)[0]
+    x, y, _ = _flow_fixtures(particle_theory, bc_theory)[0]
     m = gauge_flow_series(x, y).termination_index
     assert m >= 2
     assert gauge_flow_series(x, y, max_order=m + 1).exact
@@ -771,9 +777,9 @@ def test_flow_caps_pin_their_boundaries(particle_theory, bc_theory):
     while not source.is_zero():
         source, k = u_bracket(ys, source) * Fraction(-1), k + 1
     assert k >= 1
-    gauge_flow_closed(X, yb, btau, CurvedContext(b), max_iter=k)
+    gauge_flow_closed(X, yb, btau, max_iter=k)
     with pytest.raises(FlowClosureError):
-        gauge_flow_closed(X, yb, btau, CurvedContext(b), max_iter=k - 1)
+        gauge_flow_closed(X, yb, btau, max_iter=k - 1)
 
 
 def _exp_ad_orbit(t, y, gen, tau):

@@ -304,6 +304,94 @@ def test_cli_spinning_reports_a_failing_stage(monkeypatch, capsys):
         + ["CHECK physical-master-equation: FAIL", "rank = 2"]
 
 
+def _fail_mc_on_twisted(monkeypatch, module):
+    """Wrap `module.twist` to remember the series it returns and
+    `module.mc_check` to report that series as failing."""
+    twisted = []
+    real_twist, real_mc = module.twist, module.mc_check
+
+    def twist(S, W):
+        twisted.append(real_twist(S, W))
+        return twisted[-1]
+
+    def mc_check(S, *args):
+        rep = real_mc(S, *args)
+        if any(S is T for T in twisted):
+            rep.ok = False
+        return rep
+    monkeypatch.setattr(module, "twist", twist)
+    monkeypatch.setattr(module, "mc_check", mc_check)
+
+
+def test_cli_spinning_reports_a_failing_twist_stage(monkeypatch, capsys):
+    """`stage-twist` is the master equation of the twisted theory: when it
+    fails, the line reads FAIL and the command exits 1 (a failed check),
+    not 2."""
+    from bvcov import models
+    _fail_mc_on_twisted(monkeypatch, models)
+    assert run_cli("spinning", "--model", "flat-spinning-particle", "--dim", "1") == 1
+    out = capsys.readouterr().out.splitlines()
+    assert [line for line in out if "FAIL" in line] == ["CHECK stage-twist: FAIL"]
+
+
+def test_cli_twist_model_refuses_a_failing_twisted_theory(monkeypatch, capsys):
+    """`twist --model` keeps refusing a twisted theory that fails the master
+    equation as a TwistObstruction (exit 2), with the same message."""
+    from bvcov import models
+    _fail_mc_on_twisted(monkeypatch, models)
+    assert run_cli("twist", "--model", "flat-particle", "--dim", "1") == 2
+    assert capsys.readouterr().err == \
+        "error: twisted theory failed the Maurer-Cartan check\n"
+
+
+_TWIST_FILE = (
+    "theory p\n"
+    "field x_1 ghost 0 parity even\n"
+    "field p_1 ghost 0 parity even\n"
+    "field b ghost -1 parity odd\n"
+    "field c ghost 1 parity odd\n"
+    "expr T = d(x_1)*p_1 + p_1*p+_1*u*eps - d(b)*c + c*c+*u*eps + x+_1*p+_1*u + b+*c+*u\n"
+    "expr S = d(x_1)*p_1\n"
+    "expr W = 1/2*c*p_1^2\n"
+    "check tw twist base=T w=W\n"
+    "check bad twist base=S w=W\n")
+
+
+def test_cli_twist_check_reports_the_master_equation(tmp_path, monkeypatch, capsys):
+    """A `twist` file check passes when the twisted theory solves the master
+    equation; otherwise it prints FAIL with a `residual:` line after its
+    `twisted:` line and exits 1.  A base that breaks the master equation
+    gives such a twisted theory, and so does a failing `cli.mc_check`."""
+    f = tmp_path / "twist.bvt"
+    f.write_text(_TWIST_FILE)
+    assert run_cli("twist", str(f), "--check", "tw") == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "CHECK tw: PASS" and out[1].startswith("  twisted: ")
+    assert len(out) == 2
+    assert run_cli("twist", str(f), "--check", "bad") == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "CHECK bad: FAIL" and out[1].startswith("  twisted: ")
+    assert out[2].startswith("  residual: ") and len(out) == 3
+    from bvcov import cli
+    _fail_mc_on_twisted(monkeypatch, cli)
+    assert run_cli("twist", str(f), "--check", "tw") == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "CHECK tw: FAIL" and out[1].startswith("  twisted: ")
+    assert out[2].startswith("  residual: ") and len(out) == 3
+
+
+def test_cli_couple_gravity_refuses_a_model_with_the_bc_ghosts(capsys):
+    """The bc system already carries the b, c ghosts: coupling it to
+    gravity again is refused before the product is built (exit 2)."""
+    assert run_cli("couple-gravity", "--model", "bc-system") == 2
+    assert capsys.readouterr().err == (
+        "error: the model already carries the b, c ghosts and cannot be coupled "
+        "to gravity again\n")
+    assert run_cli("couple-gravity", "--model", "betagamma-system") == 0
+    out = capsys.readouterr().out
+    assert "FAIL" not in out and "CHECK endpoint-master-equation: PASS" in out
+
+
 def test_cli_truncation_exit_3(tmp_path, capsys):
     f = tmp_path / "trunc.bvt"
     f.write_text(
