@@ -16,7 +16,7 @@ from .curved import (FlowClosureError, TruncatedFlowError, antifield_rank,
 from .expression import Expression, is_zero, substitute_param
 from .models import (MODEL_BUILDERS, build_model, couple_with_potential,
                      lichnerowicz_check, spinning_pipeline)
-from .aksz import TargetChart, build_covariant_theory, couple_gravity, twist
+from .aksz import PipelineReport, TargetChart, build_covariant_theory, couple_gravity, twist
 from .parser import (ParseError, TheoryFile, build_cover, from_useries,
                      parse_theory_file, to_useries)
 from .printer import render
@@ -63,8 +63,12 @@ def main(argv=None) -> int:
 def _load(args) -> TheoryFile:
     if not args.file:
         raise TheoryError("this subcommand needs a theory file")
-    with open(args.file, "r", encoding="utf-8") as fh:
-        return parse_theory_file(fh.read())
+    try:
+        with open(args.file, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise TheoryError(f"cannot read {args.file}: {exc.strerror or exc}") from exc
+    return parse_theory_file(text)
 
 
 def _print_check(label: str, ok: bool, lines=()) -> bool:
@@ -77,45 +81,39 @@ def _print_check(label: str, ok: bool, lines=()) -> bool:
 
 def _dispatch(args) -> int:
     sub = args.subcommand
-    if sub in ("couple-gravity", "spinning") and args.model is None:
+    if sub in ("build-aksz", "couple-gravity", "spinning") and args.model is None:
         raise TheoryError(f"{sub} needs --model")
-    if sub == "build-aksz":
-        model = build_model(args.model, args.dim)
-        print(f"model {model.name} (n={model.dim})")
-        print(f"S_u = {from_useries(model.series)!r}")
-        ok = _print_check("master-equation", mc_check(model.series).ok)
-        return PASS if ok else FAIL
+    if args.dim_bound is not None and args.dim_bound < 0:
+        raise TheoryError(f"--dim-bound must be at least 0, got {args.dim_bound}")
     # looked up per call, so a wrapped or patched pipeline is the one run
-    pipelines = {"couple-gravity": lambda m: couple_gravity(m.series, m.chart),
+    pipelines = {"build-aksz": lambda m: PipelineReport(
+                     [("master-equation", mc_check(m.series).ok)], m.series),
+                 "couple-gravity": lambda m: couple_gravity(m.series, m.chart),
                  "spinning": spinning_pipeline, "twist": couple_with_potential}
-    if sub in pipelines and args.model:
+    if args.model and (sub in pipelines or sub == "rank"):
         model = build_model(args.model, args.dim)
-        rep = pipelines[sub](model)
-        ok = all([_print_check(label, passed) for label, passed in rep.checks])
-        if sub == "spinning":
+        if sub == "build-aksz":
+            print(f"model {model.name} (n={model.dim})")
+            print(f"S_u = {from_useries(model.series)!r}")
+        pipeline = sub
+        if sub == "rank":    # the pipeline of the model's kind; only FAILs print
+            pipeline = ("spinning" if model.spinning else
+                        "twist" if model.potential is not None else "build-aksz")
+        rep = pipelines[pipeline](model)
+        for label, passed in rep.checks:
+            if sub != "rank" or not passed:
+                _print_check(label, passed)
+        if sub in ("spinning", "rank"):
             print(f"rank = {antifield_rank(rep.series)}")
-            if args.relations == "on" and model.name == "curved-spinning-particle":
-                lich = lichnerowicz_check(model)
-                print(f"lichnerowicz (optional, non-gating): {lich.status}")
-        return PASS if ok else FAIL
-    if sub == "rank" and args.model:
-        model = build_model(args.model, args.dim)
-        if model.spinning:
-            series = spinning_pipeline(model).series
-        elif model.potential is not None:
-            series = couple_with_potential(model).series
-        else:
-            series = model.series
-        print(f"rank = {antifield_rank(series)}")
-        return PASS
+        if sub == "spinning" and args.relations == "on" \
+                and model.name == "curved-spinning-particle":
+            print(f"lichnerowicz (optional, non-gating): {lichnerowicz_check(model).status}")
+        return PASS if rep.ok else FAIL
 
     tf = _load(args)
     if sub == "normalize":
         if args.expr:
-            e = tf.expressions.get(args.expr)
-            if e is None:
-                raise TheoryError(f"no expression named {args.expr}")
-            print(render(e))
+            print(render(_expr(tf, args.expr)))
             return PASS
         return _run_checks(tf, args, only_kind="normalize")
     if sub == "bracket" and args.left and args.right:
@@ -255,10 +253,8 @@ def _run_one(tf: TheoryFile, name: str, opts: dict, args) -> tuple[bool, list[st
         nerve = build_cover(block)
         if args.dim_bound is not None:
             nerve.dimension_bound = args.dim_bound
-        local = {}
-        for cname in block.chart_order:
-            chart = TargetChart(block.charts[cname], block.nu[cname])
-            local[cname] = build_covariant_theory(chart)
+        local = {c: build_covariant_theory(TargetChart(block.charts[c], block.nu[c]))
+                 for c in block.chart_order}
         SS = global_covariant_theory(nerve, local)
         rep = global_mc_check(SS)
         lines = [f"simplices checked: {len(rep.residuals)}"]

@@ -17,9 +17,9 @@ from .expression import (Expression, Term, _lower_atom, embed, is_zero,
 from .curved import (BElement, CanonicalSubstitution, USeries,
                      canonical_substitution_check, d_element, du, gauge_flow_series,
                      mc_check, u_bracket)
-from .aksz import (PipelineReport, TargetChart, TwistObstruction,
-                   build_covariant_theory, ghost_pair, gravity_product, log_flow,
-                   minimal_coupling, twist, x_u_series, xi_u_series)
+from .aksz import (PipelineReport, TargetChart, build_covariant_theory, ghost_pair,
+                   gravity_product, log_flow, minimal_coupling, twist, x_u_series,
+                   xi_u_series)
 from .symbols import Theory, TheoryError
 
 
@@ -285,6 +285,8 @@ def build_model(name: str, dim: int = 2, eta=None) -> ModelSpec:
     builder = MODEL_BUILDERS[name]
     if name in ("bc-system", "betagamma-system"):
         return builder()
+    if dim < 1:
+        raise TheoryError(f"{name} needs --dim of at least 1, got {dim}")
     return builder(dim, eta)
 
 
@@ -379,7 +381,8 @@ def _physical_rename(model: ModelSpec, prod: Theory) -> CanonicalSubstitution:
 def couple_with_potential(model: ModelSpec) -> PipelineReport:
     """Corollary route: twist (S_u + X_u) by u^{-1} cV, then gauge by
     log(b+)c+c and cS_1; the endpoint is the minimally coupled particle
-    S_0 - b+ V + c(D + b+ db + c+ dc) + c iota S_0 + u c+."""
+    S_0 - b+ V + c(D + b+ db + c+ dc) + c iota S_0 + u c+.  A twisted theory
+    that fails its master equation ends the run on `twisted-master-equation`."""
     if model.potential is None:
         raise TheoryError("model has no potential V")
     prod, tau, S = gravity_product(model.series, model.theory, "bc", "bc")
@@ -387,7 +390,7 @@ def couple_with_potential(model: ModelSpec) -> PipelineReport:
     V = embed(model.potential, prod)
     T1 = twist(S + x_u_series(prod), c * V)
     if not mc_check(T1).ok:
-        raise TwistObstruction("twisted theory failed the Maurer-Cartan check")
+        return PipelineReport([("twisted-master-equation", False)], T1)
     T2 = log_flow(T1, tau).endpoint
     T3 = gauge_flow_series(T2, USeries.of(S.coeff(1).scale(c))).endpoint()
     expected = minimal_coupling(S) - USeries.of(Expression.of(prod, "b+") * V)

@@ -467,9 +467,19 @@ def test_desk_scale_dimension_four():
 
 
 def test_lichnerowicz_flagged():
+    """Today's residuals of {Q,Q} against the curved-frame display, pinned
+    exactly.  At dim 1 no relation applies, and the one term left is twice
+    {Q,Q} = -thinv_1_1^2 p_1^2: the display is -{Q,Q}, its sign opposite
+    to the chart's psi convention."""
     m = curved_spinning_particle(1)
+    t = m.theory
     rep = lichnerowicz_check(m)
-    assert rep.status in ("verified", "needs-relations")
+    want = -2 * Expression.func(t, "thinv_1_1") ** 2 * Expression.of(t, "p_1") ** 2
+    assert rep.status == "needs-relations" and rep.residual == want
+    QQ = m.chart.poisson_bracket(m.charge, m.charge)
+    assert rep.residual == QQ * 2
+    rep = lichnerowicz_check(curved_spinning_particle(2))
+    assert rep.status == "needs-relations" and len(rep.residual.terms) == 26
 
 
 def test_relation_rewriting_cartan():

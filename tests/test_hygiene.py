@@ -5,8 +5,8 @@ no top-level function, class or method of the package goes unnamed
 everywhere else in `src/`, `tests/` and `perfbench/`, no defaulted
 parameter of the package is left to its default by every call in those
 trees, no field or `self` attribute of a package class is written without
-being read anywhere in them, and every name the benchmark reaches still
-exists."""
+being read anywhere in them, no `_print_check` call of the package passes
+a literal verdict, and every name the benchmark reaches still exists."""
 
 import ast
 import sys
@@ -224,6 +224,33 @@ def test_unset_parameter_detector():
 def test_no_unset_parameters_in_package():
     unset = unset_parameters(*_trees())
     assert not unset, "parameters no call sets:\n" + "\n".join(unset)
+
+
+def constant_verdicts(package: dict[str, str]) -> list[str]:
+    """`file:line` of each `_print_check` call whose verdict (its second
+    argument, or `ok=`) is a literal: a report line that can never change."""
+    found = []
+    for file, source in package.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Call) and _called_name(node) == "_print_check":
+                verdicts = node.args[1:2] + [k.value for k in node.keywords if k.arg == "ok"]
+                if any(isinstance(v, ast.Constant) for v in verdicts):
+                    found.append(f"{file}:{node.lineno}")
+    return found
+
+
+def test_constant_verdict_detector():
+    package = {"a.py": ("_print_check('a', ok)\n"
+                        "_print_check('b', True)\n"
+                        "cli._print_check('c', ok=False, lines=[])\n"
+                        "_print_check('d', *rep)\n"
+                        "print_check('e', True)\n")}
+    assert constant_verdicts(package) == ["a.py:2", "a.py:3"]
+
+
+def test_no_constant_verdicts_in_package():
+    found = constant_verdicts(_trees()[0])
+    assert not found, "checks printed with a constant verdict:\n" + "\n".join(found)
 
 
 def _attribute_reads(tree: ast.AST) -> set[str]:

@@ -136,6 +136,30 @@ def test_cli_usage_error():
     assert run_cli("check-mc") == 2
 
 
+def test_cli_refuses_out_of_range_numbers_and_unreadable_files(tmp_path, capsys):
+    """A negative --dim-bound (which would check no simplex), a --dim below 1
+    on a dimensioned model, build-aksz without --model and a file that
+    cannot be read are usage errors (exit 2) naming the flag or the path."""
+    missing = tmp_path / "missing.bvt"
+    cases = [
+        (("tw-check", str(THEORIES / "cylinder_flux.bvt"), "--dim-bound", "-1"),
+         "--dim-bound must be at least 0, got -1"),
+        (("build-aksz", "--model", "flat-particle", "--dim", "0"),
+         "flat-particle needs --dim of at least 1, got 0"),
+        (("spinning", "--model", "curved-spinning-particle", "--dim", "-2"),
+         "curved-spinning-particle needs --dim of at least 1, got -2"),
+        (("build-aksz",), "build-aksz needs --model"),
+        (("run", str(missing)), f"cannot read {missing}: No such file or directory"),
+        (("check-mc", str(tmp_path)), f"cannot read {tmp_path}: Is a directory"),
+    ]
+    for argv, message in cases:
+        assert run_cli(*argv) == 2, argv
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert run_cli("build-aksz", "--model", "bc-system", "--dim", "0") == 0
+    assert run_cli("tw-check", str(THEORIES / "cylinder_flux.bvt"), "--dim-bound", "0") == 0
+    assert "  simplices checked: 2\n" in capsys.readouterr().out
+
+
 def test_cli_failing_check_exits_1(tmp_path, capsys):
     bad = tmp_path / "bad.bvt"
     bad.write_text(
@@ -334,14 +358,65 @@ def test_cli_spinning_reports_a_failing_twist_stage(monkeypatch, capsys):
     assert [line for line in out if "FAIL" in line] == ["CHECK stage-twist: FAIL"]
 
 
-def test_cli_twist_model_refuses_a_failing_twisted_theory(monkeypatch, capsys):
-    """`twist --model` keeps refusing a twisted theory that fails the master
-    equation as a TwistObstruction (exit 2), with the same message."""
+def test_cli_twist_model_reports_a_failing_twisted_theory(monkeypatch, capsys):
+    """`twist --model` reports a twisted theory that fails the master
+    equation as the one failing check `twisted-master-equation` (exit 1),
+    and runs no gauge flow on it."""
     from bvcov import models
     _fail_mc_on_twisted(monkeypatch, models)
-    assert run_cli("twist", "--model", "flat-particle", "--dim", "1") == 2
-    assert capsys.readouterr().err == \
-        "error: twisted theory failed the Maurer-Cartan check\n"
+    assert run_cli("twist", "--model", "flat-particle", "--dim", "1") == 1
+    assert capsys.readouterr() == ("CHECK twisted-master-equation: FAIL\n", "")
+
+
+# Each model subcommand, with the label of each `mc_check` it runs in call order.
+_SPINNING_STAGES = ["stage-product", "stage-twist", "stage-log-flow", "stage-cXi1",
+                    "stage-cS1"]
+_MC_LABELS = [(("build-aksz", "--model", model, "--dim", "1"), ["master-equation"])
+              for model in ("flat-particle", "magnetic-particle", "bc-system",
+                            "betagamma-system", "flat-spinning-particle",
+                            "curved-spinning-particle")] + [
+    (("couple-gravity", "--model", "magnetic-particle", "--dim", "1"),
+     ["product-master-equation", "endpoint-master-equation"]),
+    (("twist", "--model", "flat-particle", "--dim", "1"),
+     ["twisted-master-equation", "endpoint-master-equation"]),
+    (("spinning", "--model", "flat-spinning-particle", "--dim", "1"), _SPINNING_STAGES),
+    (("rank", "--model", "flat-spinning-particle", "--dim", "1"), _SPINNING_STAGES),
+    (("rank", "--model", "bc-system"), ["master-equation"]),
+]
+
+
+@pytest.mark.parametrize("argv, labels", _MC_LABELS,
+                         ids=[" ".join(argv) for argv, _ in _MC_LABELS])
+def test_every_master_equation_of_a_model_subcommand_can_fail(argv, labels,
+                                                             monkeypatch, capsys):
+    """A passing run makes exactly one `mc_check` per label.  With the k-th
+    call made to fail, the run prints exactly one FAIL line, that of the
+    k-th label, writes nothing to stderr and exits 1; `rank` prints that
+    line and then the rank."""
+    from bvcov import aksz, cli, curved, models
+    calls, fail_at = [], [None]
+
+    def mc_check(S, *args):
+        calls.append(S)
+        rep = curved.mc_check(S, *args)
+        if len(calls) == fail_at[0]:
+            rep.ok = False
+        return rep
+    for module in (aksz, models, cli):
+        monkeypatch.setattr(module, "mc_check", mc_check)
+    assert run_cli(*argv) == 0
+    capsys.readouterr()
+    assert len(calls) == len(labels)
+    for k, label in enumerate(labels, 1):
+        calls.clear()
+        fail_at[0] = k
+        assert run_cli(*argv) == 1
+        out, err = capsys.readouterr()
+        assert err == ""
+        lines = out.splitlines()
+        assert [line for line in lines if line.endswith(": FAIL")] == [f"CHECK {label}: FAIL"]
+        if argv[0] == "rank":
+            assert len(lines) == 2 and lines[1].startswith("rank = ")
 
 
 _TWIST_FILE = (
