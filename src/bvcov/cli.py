@@ -85,6 +85,8 @@ def _dispatch(args) -> int:
         raise TheoryError(f"{sub} needs --model")
     if args.dim_bound is not None and args.dim_bound < 0:
         raise TheoryError(f"--dim-bound must be at least 0, got {args.dim_bound}")
+    if args.max_order < 1:
+        raise TheoryError(f"--max-order must be at least 1, got {args.max_order}")
     # looked up per call, so a wrapped or patched pipeline is the one run
     pipelines = {"build-aksz": lambda m: PipelineReport(
                      [("master-equation", mc_check(m.series).ok)], m.series),

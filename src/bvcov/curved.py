@@ -17,8 +17,8 @@ from fractions import Fraction
 from typing import Callable, Optional, Union
 
 from .coefficients import AffineExponent, LogAtom, Rat, quotient, rational
-from .expression import (Expression, Term, _atom_gradient, _from_raw, _is_jet, _lower_atom,
-                         _merge_runs, _product, apply_substitution, base_expression,
+from .expression import (Expression, Term, _atom_gradient, _is_jet, _lower_atom,
+                         _merge_runs, _product, _single, apply_substitution, base_expression,
                          embed, inverse_of, is_zero, partial_derivative, power_of,
                          substitute_param, total_derivative)
 from .symbols import EVEN, GradedSymbol, Kind, Theory, TheoryError
@@ -76,17 +76,19 @@ class BElement:
     @staticmethod
     def from_fused(e: Expression) -> "BElement":
         """Split an expression containing the eps symbol.  eps is last in
-        the canonical order, so each term factors as g*eps with no sign."""
+        the canonical order, so each term factors as g*eps with no sign, and
+        g's key is the term's own without its last two fields; dropping
+        them can reorder the terms, so the eps part is sorted again."""
         eps_sym = e.theory.epsilon
         body_terms = []
-        eps_raw = []
+        eps_terms = []
         for t in e.terms:
             if t.mono and t.mono[-1][0] is eps_sym:
-                eps_raw.append((t.coef, t.atoms, t.mono[:-1]))
+                eps_terms.append(Term(t.coef, t.atoms, t.mono[:-1], t.key[:-2]))
             else:
                 body_terms.append(t)
         return BElement(e.theory, Expression(e.theory, tuple(body_terms)),
-                        _from_raw(e.theory, eps_raw))
+                        Expression(e.theory, _merge_runs(eps_terms)))
 
     def fused(self) -> Expression:
         return self.body + self.eps * Expression.symbol(self.theory, self.theory.epsilon)
@@ -774,7 +776,7 @@ def _log_factor(theory: Theory, q, base_key: Optional[str]) -> Expression:
     factor = Expression.const(theory, q)
     if base_key is None:
         return factor
-    return factor * _from_raw(theory, [(1, ((LogAtom(base_key), 1),), ())])
+    return factor * _single(theory, 1, ((LogAtom(base_key), 1),), ())
 
 
 # -- misc ----------------------------------------------------------------------

@@ -69,33 +69,6 @@ class Term:
         return sum(s.form_degree * e for s, e in self.mono)
 
 
-def _sort_mono(theory: Theory, seq: Sequence[tuple[GradedSymbol, int]]) -> Optional[tuple[int, Mono]]:
-    """Canonically order a written monomial; returns (koszul sign, mono) or
-    None when an odd symbol squares to zero."""
-    entries = [(theory.sort_key(s), s, e) for s, e in seq if e != 0]
-    # Koszul sign: inversions among odd entries in written order.
-    odd_keys = [k for k, s, e in entries if s.sign_degree == 1]
-    inv = 0
-    for i in range(len(odd_keys)):
-        ki = odd_keys[i]
-        for j in range(i + 1, len(odd_keys)):
-            if odd_keys[j] < ki:
-                inv += 1
-    entries.sort(key=lambda t: t[0])
-    merged: list[tuple[GradedSymbol, int]] = []
-    for _, s, e in entries:
-        if merged and merged[-1][0] is s:
-            merged[-1] = (s, merged[-1][1] + e)
-        else:
-            merged.append((s, e))
-    for s, e in merged:
-        if s.sign_degree == 1 and e > 1:
-            return None
-        if e < 0:
-            raise TheoryError(f"negative exponent on {s.name}")
-    return (-1 if inv % 2 else 1, tuple(merged))
-
-
 class Expression:
     """Canonical sum of Koszul-signed terms over one theory context."""
 
@@ -121,8 +94,12 @@ class Expression:
 
     @staticmethod
     def symbol(theory: Theory, s: GradedSymbol, power: int = 1) -> "Expression":
+        if power < 0:
+            raise TheoryError(f"negative exponent on {s.name}")
         if power != 1:
-            return _from_raw(theory, [(1, (), ((s, power),))])
+            if power and s.sign_degree:
+                return Expression.zero(theory)
+            return _single(theory, 1, (), ((s, power),) if power else ())
         # interned per theory like the symbols: products reuse its (s, 1) pair
         unit = theory._units.get(s)
         if unit is None:
@@ -321,8 +298,9 @@ def _clear_denominators(expr: Expression):
         return expr, None
     extra = tuple((PowerAtom(k, AffineExponent.const(n)), 1)
                   for k, n in sorted(need.items()))
-    cleared = _from_raw(expr.theory,
-                        [(t.coef, t.atoms + extra, t.mono) for t in expr.terms])
+    cleared = Expression(expr.theory, _merge_runs(
+        [c for t in expr.terms
+         for c in _normalize_term(expr.theory, t.coef, t.atoms + extra, t.mono)]))
     return cleared, extra
 
 
@@ -342,13 +320,13 @@ def power_of(expr: Expression, exponent) -> Expression:
             cleared, extra = _clear_denominators(expr)
             if extra is not None:
                 out = power_of(cleared, n)
-                mult = _from_raw(theory, [(1, extra, ())])
+                mult = Expression(theory, _normalize_term(theory, 1, extra, ()))
                 for _ in range(-n):
                     out = out * mult
                 return out
     key = intern_base(expr)
     atom = PowerAtom(key, exp)
-    return _from_raw(theory, [(1, ((atom, 1),), ())])
+    return _single(theory, 1, ((atom, 1),), ())
 
 
 def inverse_of(expr: Expression) -> Expression:
@@ -357,7 +335,7 @@ def inverse_of(expr: Expression) -> Expression:
 
 def log_of(expr: Expression) -> Expression:
     key = intern_base(expr)
-    return _from_raw(expr.theory, [(1, ((LogAtom(key), 1),), ())])
+    return _single(expr.theory, 1, ((LogAtom(key), 1),), ())
 
 
 # -- normalization ----------------------------------------------------------
@@ -372,19 +350,14 @@ def _single_symbol_base(theory: Theory, key: str) -> Optional[GradedSymbol]:
     return None
 
 
-def _normalize_term(theory: Theory, coef: Rat,
-                    atoms: Sequence[tuple[Atom, int]],
-                    mono: Sequence[tuple[GradedSymbol, int]]) -> list[tuple[Rat, Atoms, Mono]]:
-    """Canonicalize one raw term; may expand into several terms when a
-    compound pow-base is promoted to a polynomial."""
+def _normalize_term(theory: Theory, coef: Rat, atoms: Sequence[tuple[Atom, int]],
+                    mono: Mono) -> tuple[Term, ...]:
+    """Fold the atoms of a term whose monomial is canonical: equal atoms add
+    exponents, and so do pow atoms of one base; a single-symbol base folds
+    into its even symbol, and a compound base at a positive integer power is
+    multiplied out.  Returns the canonical terms, sorted by key."""
     if coef == 0:
-        return []
-    sorted_mono = _sort_mono(theory, mono)
-    if sorted_mono is None:
-        return []
-    sign, mono_t = sorted_mono
-    coef = coef * sign
-
+        return ()
     counts: dict[tuple, list] = {}
     powers: dict[str, AffineExponent] = {}
     for a, e in atoms:
@@ -403,77 +376,39 @@ def _normalize_term(theory: Theory, coef: Rat,
             else:
                 counts[k] = [a, e]
 
-    # merge single-symbol pow bases with the monomial exponent
-    mono_d = {s: e for s, e in mono_t}
-    expansions: list[tuple[str, int]] = []
-    final_powers: list[PowerAtom] = []
+    # a single-symbol base takes its symbol's exponent out of the monomial
+    # (removing an even factor keeps the order); a positive integer
+    # power comes back in as a product
+    mono_d = dict(mono)
+    factors: list[Expression] = []
+    final_powers: list[tuple[Atom, int]] = []
     for key in sorted(powers):
         exp = powers[key]
         s = _single_symbol_base(theory, key)
-        if s is not None:
-            if s in mono_d:
-                exp = exp + mono_d.pop(s)
-            if exp.is_constant:
-                n = exp.constant_value()
-                if n == 0:
-                    continue
-                if isinstance(n, int) and n >= 1:
-                    mono_d[s] = mono_d.get(s, 0) + n
-                    continue
-            final_powers.append(PowerAtom(key, exp))
-        else:
-            if exp.is_constant:
-                n = exp.constant_value()
-                if n == 0:
-                    continue
-                if isinstance(n, int) and n >= 1:
-                    expansions.append((key, n))
-                    continue
-            final_powers.append(PowerAtom(key, exp))
+        if s is not None and s in mono_d:
+            exp = exp + mono_d.pop(s)
+        if exp.is_constant:
+            n = exp.constant_value()
+            if n == 0:
+                continue
+            if isinstance(n, int) and n >= 1:
+                factors.append(Expression.symbol(theory, s, n) if s is not None
+                               else base_expression(theory, key) ** n)
+                continue
+        final_powers.append((PowerAtom(key, exp), 1))
 
-    atom_list = [(a, e) for a, e in
-                 ([(v[0], v[1]) for v in counts.values()] + [(p, 1) for p in final_powers])
-                 if e != 0]
-    atom_list.sort(key=lambda ae: ae[0].key())
-    mono_items = sorted(mono_d.items(), key=lambda se: theory.sort_key(se[0]))
-    for s, e in mono_items:
-        if s.sign_degree == 1 and e > 1:
-            return []
-
-    if not expansions:
-        return [(coef, tuple(atom_list), tuple(mono_items))]
-
-    # promote pow(E, n>=1 integer) on compound bases: multiply out E^n
-    result = _from_raw(theory, [(coef, tuple(atom_list), tuple(mono_items))])
-    for key, n in expansions:
-        base = base_expression(theory, key)
-        for _ in range(n):
-            result = result * base
-    return [(t.coef, t.atoms, t.mono) for t in result.terms]
+    atom_list = sorted([(a, e) for a, e in counts.values()] + final_powers,
+                       key=lambda ae: ae[0].key())
+    out = _single(theory, coef, tuple(atom_list), tuple(mono_d.items()))
+    for f in factors:
+        out = out * f
+    return out.terms
 
 
-def _from_raw(theory: Theory, raw: Iterable[RawTerm]) -> Expression:
-    acc: dict[tuple, list] = {}
-    for coef, atoms, mono in raw:
-        for c, a, m in _normalize_term(theory, coef, atoms, mono):
-            k = _term_key(theory, a, m)
-            slot = acc.get(k)
-            if slot is None:
-                acc[k] = [c, a, m]
-            else:
-                slot[0] += c
-    terms = []
-    for k in sorted(acc):
-        c, a, m = acc[k]
-        if c != 0:
-            terms.append(Term(c, a, m, k))
-    return Expression(theory, tuple(terms))
-
-
-# Canonical terms are fixed points of `_normalize_term`, so sums of
-# canonical expressions merge their key-sorted term tuples instead: two
-# operands by a pairwise merge (about twice as fast as `_merge_runs` on
-# the 1-6-term operands of most additions), many by `_merge_runs`.
+# The one accumulator: sums of canonical expressions merge their key-sorted
+# term tuples, two operands by a pairwise merge (about twice as fast as
+# `_merge_runs` on the 1-6-term operands of most additions), many by
+# `_merge_runs`.
 
 
 def _merge_two(a: Sequence[Term], b: Sequence[Term]) -> tuple[Term, ...]:
@@ -534,9 +469,10 @@ def _single(theory: Theory, coef, atoms: Atoms, mono: Mono) -> Expression:
 # parity of crossings: each odd symbol of t2 crosses the odd symbols of t1
 # not yet placed.  That merge is canonical unless the pair's pow atoms
 # collide: the two terms share a pow base, whose exponents then add, or a
-# single-symbol pow base meets its own symbol in the other monomial.  Only
-# a colliding pair goes through `_normalize_term`, which folds single-symbol
-# pow bases into the monomial and expands compound integer powers.  The
+# single-symbol pow base meets its own symbol in the other monomial.  A
+# colliding pair is merged the same way, then `_normalize_term` folds its
+# atoms: single-symbol pow bases into the monomial, compound integer powers
+# multiplied out.  This crossing count is the engine's one Koszul sign.  The
 # term order is not multiplicative (x < y but x*x > x*y), so the products
 # are sorted once by `_merge_runs` rather than heap-merged.
 
@@ -659,20 +595,29 @@ def _product(theory: Theory, left: Sequence[Term], right: Sequence[Term]) -> tup
         t1, m1, odd1, p1 = _layout(theory, t1)
         for t2, m2, _, p2 in rows:
             coef = t1.coef * t2.coef
+            t = _merge_pair(coef, t1, m1, odd1, t2, m2)
+            if t is None:
+                continue
             if (p1 or p2) and _pow_collision(p1, m1, p2, m2):
-                for c, a, m in _normalize_term(theory, coef, t1.atoms + t2.atoms,
-                                               t1.mono + t2.mono):
-                    out.append(Term(c, a, m, _term_key(theory, a, m)))
+                out += _normalize_term(theory, t.coef, t.atoms, t.mono)
             else:
-                t = _merge_pair(coef, t1, m1, odd1, t2, m2)
-                if t is not None:
-                    out.append(t)
+                out.append(t)
     return _merge_runs(out)
 
 
 def normalize(theory: Theory, raw: Iterable[RawTerm]) -> Expression:
-    """Public entry: canonical form of a list of signed raw monomials."""
-    return _from_raw(theory, list(raw))
+    """Public entry: canonical form of a list of signed raw monomials.  Each
+    monomial is multiplied out symbol by symbol, so the product gives its
+    Koszul sign; its atoms are folded once, all together, so that exponents
+    of one pow base add before an integer power is multiplied out."""
+    terms: list[Term] = []
+    for coef, atoms, mono in raw:
+        product = Expression.const(theory, coef)
+        for s, e in mono:
+            product = product * Expression.symbol(theory, s, e)
+        for t in product.terms:
+            terms += _normalize_term(theory, t.coef, atoms, t.mono)
+    return Expression(theory, _merge_runs(terms))
 
 
 # -- derivatives -------------------------------------------------------------
@@ -742,8 +687,7 @@ def _atom_gradient(theory: Theory, atom: Atom) -> dict[GradedSymbol, Expression]
         tau = atom.exponent.param if isinstance(atom, PowerAtom) else None
         if tau is not None:
             # the log(E) term is nonzero and the base's share holds no log(E)
-            d = _from_raw(theory, [(atom.exponent.slope,
-                                    ((LogAtom(atom.base_key), 1), (atom, 1)), ())])
+            d = _single(theory, atom.exponent.slope, ((LogAtom(atom.base_key), 1), (atom, 1)), ())
             grad[tau] = grad[tau] + d if tau in grad else d
     theory._atom_gradients[key] = grad
     return grad
@@ -756,7 +700,8 @@ def _outer_derivative(theory: Theory, atom: Atom) -> Expression:
         return inverse_of(base_expression(theory, atom.base_key))
     # pow(E, r): r * pow(E, r-1) * dE
     r = atom.exponent
-    shifted = _from_raw(theory, [(1, ((PowerAtom(atom.base_key, r - 1), 1),), ())])
+    shifted = Expression(theory, _normalize_term(
+        theory, 1, ((PowerAtom(atom.base_key, r - 1), 1),), ()))
     lin = Expression.const(theory, r.offset)
     if r.param is not None and r.slope != 0:
         lin = lin + Expression.symbol(theory, r.param) * r.slope
@@ -842,7 +787,7 @@ def substitute_param(expr: Expression, param: GradedSymbol, value) -> Expression
     """Evaluate a flow parameter at an exact rational value; refuses a
     log/pow base that mentions the parameter, which it cannot evaluate."""
     value = rational(value)
-    raw: list[RawTerm] = []
+    terms: list[Term] = []
     for t in expr.terms:
         coef = t.coef
         mono = []
@@ -860,8 +805,9 @@ def substitute_param(expr: Expression, param: GradedSymbol, value) -> Expression
                 atoms.append((PowerAtom(a.base_key, a.exponent.substitute(value)), e))
             else:
                 atoms.append((a, e))
-        raw.append((coef, tuple(atoms), tuple(mono)))
-    return _from_raw(expr.theory, raw)
+        # dropping an even symbol keeps the monomial canonical
+        terms += _normalize_term(expr.theory, coef, atoms, tuple(mono))
+    return Expression(expr.theory, _merge_runs(terms))
 
 
 def odd_derivation(expr: Expression, images: dict[GradedSymbol, Expression]) -> Expression:
@@ -991,7 +937,7 @@ def _map_atom(atom: Atom, images, source: Theory, target: Theory) -> Expression:
                         f"cannot transport function symbol {atom.func} along a "
                         f"substitution moving its argument {arg}")
         target.function(atom.func)
-        return _from_raw(target, [(1, ((atom, 1),), ())])
+        return _single(target, 1, ((atom, 1),), ())
     base = base_expression(source, atom.base_key)
     new_base = apply_substitution(base, images, target)
     if isinstance(atom, LogAtom):

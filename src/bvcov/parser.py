@@ -13,7 +13,7 @@ from typing import Optional
 
 from .coefficients import AffineExponent, Rat, quotient
 from .curved import BElement, CanonicalSubstitution, USeries
-from .expression import (Expression, inverse_of, log_of, power_of)
+from .expression import Expression, Term, _merge_runs, inverse_of, log_of, power_of
 from .symbols import GradedSymbol, Kind, Theory, TheoryError
 
 RESERVED_CALLS = {"d", "inv", "log", "pow", "D"}
@@ -30,7 +30,7 @@ class ParseError(TheoryError):
 
 _TOKEN = re.compile(r"""
     (?P<num>\d+) |
-    (?P<name>[A-Za-z][A-Za-z0-9]*\+?(?:_[A-Za-z0-9]+)*) |
+    (?P<name>[A-Za-z][A-Za-z0-9]*(?:\+(?![A-Za-z0-9(-]))?(?:_[A-Za-z0-9]+)*) |
     (?P<op>[-+*/^(),\[\]]) |
     (?P<ws>\s+)
 """, re.VERBOSE)
@@ -266,21 +266,19 @@ def to_useries(expr: Expression) -> USeries:
     """Split a parsed expression on powers of u and the eps generator."""
     theory = expr.theory
     u = theory.u
-    buckets: dict[int, list] = {}
+    buckets: dict[int, list[Term]] = {}
     for t in expr.terms:
-        power = 0
-        mono = []
-        for s, e in t.mono:
-            if s is u:
-                power = e
-            else:
-                mono.append((s, e))
-        buckets.setdefault(power, []).append((t.coef, t.atoms, tuple(mono)))
-    from .expression import _from_raw
-    out = {}
-    for n, raws in buckets.items():
-        out[n] = BElement.from_fused(_from_raw(theory, raws))
-    return USeries(theory, out)
+        i = next((j for j, (s, _) in enumerate(t.mono) if s is u), None)
+        if i is None:
+            buckets.setdefault(0, []).append(t)
+        else:
+            # u is even, so dropping it and its two key fields keeps the
+            # term canonical; the shorter keys may reorder a bucket
+            buckets.setdefault(t.mono[i][1], []).append(Term(
+                t.coef, t.atoms, t.mono[:i] + t.mono[i + 1:],
+                t.key[:1 + 2 * i] + t.key[3 + 2 * i:]))
+    return USeries(theory, {n: BElement.from_fused(Expression(theory, _merge_runs(ts)))
+                            for n, ts in buckets.items()})
 
 
 def from_useries(x: USeries) -> Expression:

@@ -470,7 +470,9 @@ def test_lichnerowicz_flagged():
     """Today's residuals of {Q,Q} against the curved-frame display, pinned
     exactly.  At dim 1 no relation applies, and the one term left is twice
     {Q,Q} = -thinv_1_1^2 p_1^2: the display is -{Q,Q}, its sign opposite
-    to the chart's psi convention."""
+    to the chart's psi convention.  At dim 2 the 4 residual terms holding A
+    are its F part, 3 F_12 det(thinv) psi_1 psi_2: the bracket's 2 F_12
+    det(thinv) psi_1 psi_2 less the display's -F_12 det(thinv) psi_1 psi_2."""
     m = curved_spinning_particle(1)
     t = m.theory
     rep = lichnerowicz_check(m)
@@ -478,8 +480,19 @@ def test_lichnerowicz_flagged():
     assert rep.status == "needs-relations" and rep.residual == want
     QQ = m.chart.poisson_bracket(m.charge, m.charge)
     assert rep.residual == QQ * 2
-    rep = lichnerowicz_check(curved_spinning_particle(2))
+    m = curved_spinning_particle(2)
+    t = m.theory
+    rep = lichnerowicz_check(m)
     assert rep.status == "needs-relations" and len(rep.residual.terms) == 26
+
+    def F(name, *deriv):
+        return Expression.func(t, name, deriv)
+    f_part = Expression(t, tuple(term for term in rep.residual.terms
+                                 if any(a.func in ("A_1", "A_2") for a, _ in term.atoms)))
+    assert f_part == 3 * (F("A_2", "x_1") - F("A_1", "x_2")) \
+        * (F("thinv_1_1") * F("thinv_2_2") - F("thinv_1_2") * F("thinv_2_1")) \
+        * Expression.of(t, "psi_1") * Expression.of(t, "psi_2")
+    assert len(f_part.terms) == 4
 
 
 def test_relation_rewriting_cartan():

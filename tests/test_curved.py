@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from bvcov.symbols import Theory, TheoryError
 from bvcov.coefficients import AffineExponent, FuncAtom, LogAtom
-from bvcov.expression import (Expression, _from_raw, base_expression, inverse_of,
+from bvcov.expression import (Expression, _single, base_expression, inverse_of,
                               is_zero, log_of, normalize, power_of, substitute_param,
                               total_derivative)
 from bvcov.curved import (BElement, CanonicalSubstitution, FlowClosureError,
@@ -426,7 +426,7 @@ def _base(theory, key):
 
 
 def _log(theory, base_key):
-    return _from_raw(theory, [(Fraction(1), ((LogAtom(base_key), 1),), ())])
+    return _single(theory, Fraction(1), ((LogAtom(base_key), 1),), ())
 
 
 def _gauge_flow_series_bruteforce(x, y, max_order=24):

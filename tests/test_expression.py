@@ -326,8 +326,11 @@ def test_sum_contract(particle_theory, E):
 # it built products and derivatives directly as canonical terms: each writes
 # the raw terms out and puts them through `normalize`.  They differentiate
 # atoms by the chain rule written out (`_atom_derivative_bruteforce`), never
-# by the engine's memoized gradients, so each derivation is checked against
-# code it does not share.
+# by the engine's memoized gradients, so each chain rule is checked against
+# code it does not share.  `normalize` takes its Koszul sign from the
+# engine's own product, so these oracles cannot see a sign the product gets
+# wrong; the signs are checked against the reference algebra, which shares
+# no code with the engine (`test_reference_algebra.py`).
 
 
 def _mul_bruteforce(a: Expression, b: Expression) -> Expression:

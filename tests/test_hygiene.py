@@ -6,7 +6,8 @@ everywhere else in `src/`, `tests/` and `perfbench/`, no defaulted
 parameter of the package is left to its default by every call in those
 trees, no field or `self` attribute of a package class is written without
 being read anywhere in them, no `_print_check` call of the package passes
-a literal verdict, and every name the benchmark reaches still exists."""
+a literal verdict, every name the benchmark reaches still exists, and the
+reference algebra of `tests/` reaches no module of the package."""
 
 import ast
 import sys
@@ -347,3 +348,51 @@ def test_benchmark_reaches_its_names(monkeypatch):
     finally:
         spans.uninstall()
     assert spans.installed_wrappers() == 0
+
+
+def package_imports(modules: dict[str, str], start: str, package: str) -> list[str]:
+    """The import chains `start -> ... -> package.x` by which module `start`
+    reaches `package`: directly, or through the other local modules (name ->
+    source), followed transitively; an import anywhere in a module counts,
+    a function-local one too."""
+    chains = []
+    seen = {start}
+    todo = [[start]]
+    while todo:
+        path = todo.pop()
+        for node in ast.walk(ast.parse(modules[path[-1]])):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.split(".")[0]
+                if top == package:
+                    chains.append(" -> ".join(path + [name]))
+                elif top in modules and top not in seen:
+                    seen.add(top)
+                    todo.append(path + [top])
+    return sorted(chains)
+
+
+def test_package_import_detector():
+    modules = {"ref": "import math\nfrom helper import f\n",
+               "helper": "def f():\n    from pkg.core import g\n    return g\n",
+               "clean": "import ref\nimport pkgs\n",
+               "direct": "import pkg\nimport clean\n"}
+    assert package_imports(modules, "ref", "pkg") == ["ref -> helper -> pkg.core"]
+    assert package_imports(modules, "direct", "pkg") == \
+        ["direct -> clean -> ref -> helper -> pkg.core", "direct -> pkg"]
+    assert package_imports(modules, "helper", "other") == []
+
+
+def test_reference_algebra_imports_no_package_module():
+    """The reference algebra is the engine's oracle only while it shares no
+    code with it: no import of `bvcov`, directly or through a module of
+    `tests/` such as `conftest` or `paper_intro`."""
+    modules = {p.stem: p.read_text(encoding="utf-8")
+               for p in sorted((ROOT / "tests").glob("*.py"))}
+    found = package_imports(modules, "reference_algebra", "bvcov")
+    assert not found, "the reference algebra reaches the package:\n" + "\n".join(found)

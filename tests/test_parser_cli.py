@@ -48,6 +48,24 @@ def test_jet_and_antifield_forms(particle_theory):
     assert parse_expression(t, "u").grade() == (2, 0, 0)
 
 
+def test_plus_after_a_name_is_the_suffix_unless_an_operand_follows(particle_theory):
+    """After a name, + is the antifield suffix unless the next character is a
+    letter, a digit, ( or -; then it is the operator."""
+    t = particle_theory
+
+    def P(src):
+        return parse_expression(t, src)
+    e, p, anti = Expression.of(t, "e"), Expression.of(t, "p_1"), Expression.of(t, "e+")
+    assert P("e+1") == P("e + 1") == e + 1
+    assert P("e+-p_1") == P("e - p_1") == e - p
+    assert P("e+p_1") == P("e+(p_1)") == e + p
+    assert P("e+") == P("e+ + 0") == anti
+    assert P("e+*c") == anti * Expression.of(t, "c")
+    assert P("c+^2 - x+_1") == Expression.of(t, "c+") ** 2 - Expression.of(t, "x+_1")
+    with pytest.raises(ParseError, match="unexpected 'p_1'"):
+        P("e+ p_1")
+
+
 def test_pow_inv_log_round_trip(particle_theory):
     t = particle_theory
     t.add_flow_param("tau")
@@ -137,13 +155,18 @@ def test_cli_usage_error():
 
 
 def test_cli_refuses_out_of_range_numbers_and_unreadable_files(tmp_path, capsys):
-    """A negative --dim-bound (which would check no simplex), a --dim below 1
-    on a dimensioned model, build-aksz without --model and a file that
-    cannot be read are usage errors (exit 2) naming the flag or the path."""
+    """A negative --dim-bound (which would check no simplex), a --max-order
+    below 1 (which would report a truncation), a --dim below 1 on a
+    dimensioned model, build-aksz without --model and a file that cannot be
+    read are usage errors (exit 2) naming the flag or the path."""
     missing = tmp_path / "missing.bvt"
     cases = [
         (("tw-check", str(THEORIES / "cylinder_flux.bvt"), "--dim-bound", "-1"),
          "--dim-bound must be at least 0, got -1"),
+        (("flow", str(THEORIES / "particle.bvt"), "--max-order", "0"),
+         "--max-order must be at least 1, got 0"),
+        (("flow", str(THEORIES / "particle.bvt"), "--max-order", "-1"),
+         "--max-order must be at least 1, got -1"),
         (("build-aksz", "--model", "flat-particle", "--dim", "0"),
          "flat-particle needs --dim of at least 1, got 0"),
         (("spinning", "--model", "curved-spinning-particle", "--dim", "-2"),
