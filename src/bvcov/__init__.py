@@ -8,9 +8,8 @@ from .symbols import Theory, GradedSymbol, Kind, TheoryError
 from .expression import (Expression, normalize, total_derivative,
                          jet_partial, partial_derivative, is_zero, equal,
                          inverse_of, log_of, power_of)
-from .varcalc import (EvolutionaryVectorField, EtaleMap, prolong, euler,
-                      variational_derivative, soloviev, bv_antibracket,
-                      hamiltonian_vf, ad_expansion, is_total_derivative,
+from .varcalc import (EvolutionaryVectorField, EtaleMap, prolong, euler, soloviev,
+                      bv_antibracket, hamiltonian_vf, ad_expansion, is_total_derivative,
                       functional_equal)
 from .curved import (BElement, USeries, curvature, b_differential,
                      b_bracket, iota, d_element, mc_check, complete_to_b,

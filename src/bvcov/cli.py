@@ -256,7 +256,7 @@ def _run_one(tf: TheoryFile, name: str, opts: dict, args) -> tuple[bool, list[st
         if args.dim_bound is not None:
             nerve.dimension_bound = args.dim_bound
         local = {c: build_covariant_theory(TargetChart(block.charts[c], block.nu[c]))
-                 for c in block.chart_order}
+                 for c in block.charts}
         SS = global_covariant_theory(nerve, local)
         rep = global_mc_check(SS)
         lines = [f"simplices checked: {len(rep.residuals)}"]

@@ -155,7 +155,7 @@ def curved_spinning_particle(n: int = 2, eta=None) -> ModelSpec:
                 rhs = Expression.sum(t, [Expression.func(t, f"th_{a}_{m}", [f"x_{k}"])] + [
                     _om(t, k, a, b) * Expression.func(t, f"th_{b}_{m}")
                     - _om(t, m, a, b) * Expression.func(t, f"th_{b}_{k}") for b in rng])
-                register_relation(t, f"th_{a}_{k}", f"x_{m}", rhs)
+                t.relations[(f"th_{a}_{k}", f"x_{m}")] = rhs
     return ModelSpec("curved-spinning-particle", n, chart,
                      build_covariant_theory(chart), eta=eta, charge=Q,
                      spinning=True)
@@ -180,13 +180,6 @@ def _ptilde(t: Theory, n: int, m: int) -> Expression:
 
 
 # -- directed function-symbol rewrite rules ---------------------------------------
-
-
-def register_relation(theory: Theory, func: str, first_deriv: str, rhs: Expression):
-    """Directed rule: the descendant d_{first}(func) rewrites to rhs (an
-    expression in the same theory); higher descendants differentiate the
-    rule."""
-    theory.relations[(func, first_deriv)] = rhs
 
 
 # a rewrite still changing terms after this many passes is refused

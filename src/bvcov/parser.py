@@ -13,14 +13,15 @@ from typing import Optional
 
 from .coefficients import AffineExponent, Rat, quotient
 from .curved import BElement, CanonicalSubstitution, USeries
-from .expression import Expression, Term, _merge_runs, inverse_of, log_of, power_of
+from .expression import Expression, Term, _merge_runs, inverse_of, iterated_total, log_of, power_of
 from .symbols import GradedSymbol, Kind, Theory, TheoryError
+from .varcalc import EtaleMap
 
 RESERVED_CALLS = {"d", "inv", "log", "pow", "D"}
 
 
 class ParseError(TheoryError):
-    def __init__(self, message: str, line: int = 0, column: int = 0):
+    def __init__(self, message: str, line: int, column: int):
         self.line = line
         self.column = column
         where = f" at line {line}" if line else ""
@@ -108,8 +109,7 @@ class ExpressionParser:
                 out = out * self.factor()
             elif tok[0] == "op" and tok[1] == "/":
                 self.take()
-                den = self.factor()
-                out = out * _as_rational_inverse(den)
+                out = out * _as_rational_inverse(self.factor(), self.line_no, tok[2])
             else:
                 return out
 
@@ -162,7 +162,6 @@ class ExpressionParser:
             inner = self.expr()
             self.take("op", ")")
             order = jet_order if jet_order else 1
-            from .expression import iterated_total
             return iterated_total(inner, order)
         if name == "pow":
             base = self.expr()
@@ -251,10 +250,10 @@ class ExpressionParser:
         return Expression.func(self.theory, fname, args)
 
 
-def _as_rational_inverse(e: Expression) -> Rat:
+def _as_rational_inverse(e: Expression, line_no: int, col: int) -> Rat:
     if len(e.terms) == 1 and not e.terms[0].mono and not e.terms[0].atoms:
         return quotient(1, e.terms[0].coef)
-    raise TheoryError("/ is reserved for rational literals; use inv(...)")
+    raise ParseError("/ is reserved for rational literals; use inv(...)", line_no, col)
 
 
 def parse_expression(theory: Theory, src: str, line_no: int = 0, offset: int = 0) -> Expression:
@@ -294,10 +293,9 @@ def from_useries(x: USeries) -> Expression:
 class CoverBlock:
     name: str
     bound: int
-    chart_order: list[str] = field(default_factory=list)
     charts: dict[str, Theory] = field(default_factory=dict)
     nu: dict[str, dict[str, Expression]] = field(default_factory=dict)
-    overlaps: list = field(default_factory=list)   # (names, theory, maps, mu_src)
+    overlaps: list = field(default_factory=list)   # [names, theory, maps, mu]
 
 
 @dataclass
@@ -310,141 +308,190 @@ class TheoryFile:
     checks: dict[str, dict] = field(default_factory=dict)
 
 
+# directive -> (usage, the block its line must be in, or None for anywhere).
+# The usage is both the error message and the shape of the line's words: a
+# lower-case word stands for itself, a|b is one of those words, any other
+# word (NAME, INT, key=value) is any word, `X ...` is zero or more X, [...]
+# is an optional tail, and a separator (=, -> or :) ends the shape: the rest
+# of the line is expression text.  INT is a placeholder, not a checked
+# type, and `param` has no usage: the benchmark's front-door workload pins
+# the ValueError of a non-integer field ghost and the IndexError of a bare
+# `param` as known defects.
+_DIRECTIVES = {
+    "theory": ("theory NAME", None),
+    "field": ("field NAME ghost INT parity even|odd", None),
+    "function": ("function NAME args F1 F2 ...", None),
+    "param": (None, None),
+    "oneform": ("oneform NAME [ghost INT]", None),
+    "expr": ("expr NAME = EXPRESSION", None),
+    "subst": ("subst NAME", None),
+    "map": ("map NAME -> EXPRESSION", "subst"),
+    "endsubst": ("endsubst", "subst"),
+    "cover": ("cover NAME [bound INT]", None),
+    "chart": ("chart NAME", "cover"),
+    "nu": ("nu FIELD = EXPRESSION", "chart"),
+    "overlap": ("overlap CHART CHART ...", "cover"),
+    "from": ("from CHART : FIELD -> EXPRESSION ; ...", "overlap"),
+    "mu": ("mu = EXPRESSION", "overlap"),
+    "endcover": ("endcover", "cover"),
+    "check": ("check NAME KIND key=value ...", None),
+}
+
+
+def _shape(usage: str) -> tuple:
+    """(allowed, required, repeats, separator) of a usage: the words each
+    word of a line may be (None for any word), how many words a line needs,
+    whether more may follow, and the separator ending the shape."""
+    words = usage.split()
+    sep = next((w for w in words if w in ("=", "->", ":")), None)
+    words = words[:words.index(sep)] if sep else words
+    repeats = words[-1] == "..."
+    words = words[:-2] if repeats else words
+    required = next((i for i, w in enumerate(words) if w.startswith("[")), len(words))
+    allowed = [tuple(w.split("|")) if w.replace("|", "").isalpha() and w.islower() else None
+               for w in (w.strip("[]") for w in words)]
+    return allowed, required, repeats, sep
+
+
+_SHAPES = {d: _shape(usage) for d, (usage, _) in _DIRECTIVES.items() if usage}
+
+
+def _words(code: str) -> list[tuple[str, int]]:
+    """The words of a line, each with the column it starts at."""
+    return [(m.group(), m.start() + 1) for m in re.finditer(r"\S+", code)]
+
+
+def _match(shape: tuple, words: list[tuple[str, int]], usage: str, line_no: int):
+    """Refuse words that break the shape: at the first wrong or extra word,
+    or just past the last word when one is missing."""
+    allowed, required, repeats, _ = shape
+    for i, want in enumerate(allowed):
+        if i == len(words):
+            if i == required:
+                return
+            word, col = words[-1]
+            raise ParseError(usage, line_no, col + len(word))
+        if want is not None and words[i][0] not in want:
+            message = f"{words[i - 1][0]} must be {' or '.join(want)}" if want[1:] else usage
+            raise ParseError(message, line_no, words[i][1])
+    if len(words) > len(allowed) and not repeats:
+        raise ParseError(usage, line_no, words[len(allowed)][1])
+
+
 def parse_theory_file(source: str) -> TheoryFile:
-    tf = TheoryFile()
-    tf.theory = Theory("main")
-    context = "theory"            # theory | cover | chart | overlap | subst
-    cover: Optional[CoverBlock] = None
-    current_chart: Optional[str] = None
-    overlap_entry = None
-    subst_name = None
-    subst_maps: dict[GradedSymbol, Expression] = {}
-
-    def ctx_theory() -> Theory:
-        if context == "chart":
-            return cover.charts[current_chart]
-        if context == "overlap":
-            return overlap_entry[1]
-        return tf.theory
-
-    lines = source.splitlines()
-    for line_no, raw in enumerate(lines, 1):
+    tf = TheoryFile(theory=Theory("main"))
+    blocks: tuple[str, ...] = ()      # the open blocks: subst, or cover [chart|overlap]
+    local: Optional[Theory] = None    # the open chart's or overlap's theory
+    cover = subst = chart = overlap = None
+    for line_no, raw in enumerate(source.splitlines(), 1):
         code = raw.split("#", 1)[0]
-        line = code.strip()
-        if not line:
+        if not code.strip():
             continue
-        words = line.split()
-        head = words[0]
+        head = code.split(None, 1)[0]
+        if head not in _DIRECTIVES:
+            raise ParseError(f"unknown directive {head!r}", line_no, code.index(head) + 1)
+        usage, block = _DIRECTIVES[head]
+        if block is not None and block not in blocks:
+            raise ParseError(f"{head} outside {block} block", line_no, code.index(head) + 1)
+        shape = _SHAPES.get(head)
+        sep = shape and shape[3]
+        left, found, rhs = code.partition(sep) if sep else (code, "", "")
+        if sep and not (found and rhs.strip()):
+            raise ParseError(usage, line_no, len(code.rstrip()) + 1)
+        words, at, rhs = _words(left), len(left) + len(found), rhs.rstrip()
+        if shape:
+            _match(shape, words, usage, line_no)
+        here = local or tf.theory
         try:
             if head == "theory":
-                tf.name = words[1]
-                tf.theory = Theory(words[1])
+                tf.name = words[1][0]
+                tf.theory = Theory(tf.name)
             elif head == "field":
-                _parse_field(ctx_theory(), code, line_no)
+                here.add_field(words[1][0], int(words[3][0]), ("even", "odd").index(words[5][0]))
             elif head == "function":
-                _check_shape(_words(code), ("function", None, "args", None),
-                             "function NAME args F1 F2 ...", line_no)
-                ctx_theory().add_function(words[1], words[3:])
+                here.add_function(words[1][0], [w for w, _ in words[3:]])
             elif head == "param":
-                ctx_theory().add_flow_param(words[1])
+                here.add_flow_param(words[1][0])
             elif head == "oneform":
-                ghost = int(words[words.index("ghost") + 1]) if "ghost" in words else 1
-                ctx_theory().add_one_form(words[1], ghost=ghost)
+                ghost = _optional_int(words, 1, r"[-+]?\d+", "an integer", line_no)
+                here.add_one_form(words[1][0], ghost=ghost)
             elif head == "expr":
-                left, rhs, at = _split(code, "=")
-                name = left.strip()[len("expr"):].strip()
-                if not name or not rhs.strip():
-                    raise ParseError("expr NAME = EXPRESSION", line_no)
-                tf.expressions[name] = parse_expression(tf.theory, rhs, line_no, at)
+                tf.expressions[words[1][0]] = parse_expression(tf.theory, rhs, line_no, at)
             elif head == "subst":
-                context = "subst"
-                subst_name = words[1]
-                subst_maps = {}
+                subst = tf.substitutions[words[1][0]] = CanonicalSubstitution(tf.theory, {})
+                blocks, local = ("subst",), None
             elif head == "map":
-                if context != "subst":
-                    raise ParseError("map outside subst block", line_no)
-                lhs, rhs, at = _split(code, "->")
-                gen_name = lhs.strip()[len("map"):].strip()
-                gen = tf.theory.maybe_symbol(gen_name)
+                name, col = words[1]
+                gen = subst.theory.maybe_symbol(name)
                 if gen is None:
-                    raise ParseError(f"unknown symbol: {gen_name}", line_no,
-                                     lhs.rindex(gen_name) + 1)
-                subst_maps[gen] = parse_expression(tf.theory, rhs, line_no, at)
-            elif head == "endsubst":
-                tf.substitutions[subst_name] = CanonicalSubstitution(tf.theory, subst_maps)
-                context = "theory"
+                    raise ParseError(f"unknown symbol: {name}", line_no, col)
+                subst.images[gen] = parse_expression(subst.theory, rhs, line_no, at)
             elif head == "cover":
-                cover = _parse_cover(code, line_no)
-                tf.covers[cover.name] = cover
-                context = "cover"
+                bound = _optional_int(words, 3, r"\d+", "a nonnegative integer", line_no)
+                cover = tf.covers[words[1][0]] = CoverBlock(words[1][0], bound)
+                blocks, local = ("cover",), None
             elif head == "chart":
-                _in_cover(cover, code, ("chart", None), "chart NAME", line_no)
-                current_chart = words[1]
-                cover.chart_order.append(current_chart)
-                cover.charts[current_chart] = Theory(current_chart)
-                cover.nu[current_chart] = {}
-                context = "chart"
+                chart = words[1][0]
+                local = cover.charts[chart] = Theory(chart)
+                cover.nu[chart] = {}
+                blocks = ("cover", "chart")
             elif head == "nu":
-                if context != "chart":
-                    raise ParseError("nu outside chart block", line_no)
-                lhs, rhs, at = _split(code, "=")
-                th = cover.charts[current_chart]
-                cover.nu[current_chart][lhs.strip()[len("nu"):].strip()] = \
-                    parse_expression(th, rhs, line_no, at)
+                name, col = words[1]
+                s = local.maybe_symbol(name)
+                if s is None or s.kind != Kind.FIELD_JET:
+                    raise ParseError(f"{name} is not a field of chart {chart}", line_no, col)
+                cover.nu[chart][name] = parse_expression(local, rhs, line_no, at)
             elif head == "overlap":
-                _in_cover(cover, code, ("overlap", None), "overlap NAME NAME ...", line_no)
-                names = words[1:]
-                th = Theory("^".join(sorted(names)))
-                overlap_entry = (tuple(sorted(names)), th, {}, None)
-                cover.overlaps.append(overlap_entry)
-                context = "overlap"
+                for name, col in words[1:]:
+                    if name not in cover.charts:
+                        raise ParseError(f"{name} is not a chart of cover {cover.name}",
+                                         line_no, col)
+                names = tuple(sorted(w for w, _ in words[1:]))
+                local = Theory("^".join(names))
+                overlap = [names, local, {}, None]
+                cover.overlaps.append(overlap)
+                blocks = ("cover", "overlap")
             elif head == "from":
-                if context != "overlap":
-                    raise ParseError("from outside overlap block", line_no)
-                left, maps_src, at = _split(code, ":")
-                chart_name = left.strip()[len("from"):].strip()
-                src_th = cover.charts[chart_name]
-                dst_th = overlap_entry[1]
+                name, col = words[1]
+                if name not in overlap[0]:
+                    raise ParseError(f"{name} is not a chart of overlap {' '.join(overlap[0])}",
+                                     line_no, col)
                 images = {}
-                for piece in maps_src.split(";"):
+                for piece in rhs.split(";"):
                     if piece.strip():
-                        lhs, rhs, piece_at = _split(piece, "->")
-                        images[lhs.strip()] = parse_expression(dst_th, rhs, line_no,
-                                                               at + piece_at)
+                        lhs, arrow, image = piece.partition("->")
+                        if not arrow:
+                            raise ParseError(usage, line_no, at + len(piece.rstrip()) + 1)
+                        images[lhs.strip()] = parse_expression(local, image.rstrip(), line_no,
+                                                               at + len(lhs) + 2)
                     at += len(piece) + 1
                 # antifields transform by the inverse-Jacobian etale rule
-                from .varcalc import EtaleMap
-                emap = EtaleMap(dst_th, src_th, images)
-                overlap_entry[2][chart_name] = \
-                    CanonicalSubstitution(src_th, emap.generator_images(), dst_th)
+                chart_th = cover.charts[name]
+                overlap[2][name] = CanonicalSubstitution(
+                    chart_th, EtaleMap(local, chart_th, images).generator_images(), local)
             elif head == "mu":
-                if context != "overlap":
-                    raise ParseError("mu outside overlap block", line_no)
-                _, rhs, at = _split(code, "=")
-                mu = parse_expression(overlap_entry[1], rhs, line_no, at)
-                cover.overlaps[-1] = overlap_entry[:3] + (mu,)
-                overlap_entry = cover.overlaps[-1]
-            elif head == "endcover":
-                context = "theory"
-                cover = None
-            elif head == "check":
-                name, opts = _parse_check(code, line_no)
-                tf.checks[name] = opts
+                overlap[3] = parse_expression(local, rhs, line_no, at)
+            elif head in ("endsubst", "endcover"):
+                blocks, local = (), None
             else:
-                raise ParseError(f"unknown directive {head!r}", line_no)
+                name, opts = _parse_check(words, line_no)
+                tf.checks[name] = opts
         except TheoryError as exc:
             if isinstance(exc, ParseError):
                 raise
-            raise ParseError(str(exc), line_no) from exc
+            # at the word the error names, else at the name the line declares
+            about = [col for w, col in words[1:] if w in str(exc).split()]
+            about.append(words[min(1, len(words) - 1)][1])
+            raise ParseError(str(exc), line_no, about[0]) from exc
     return tf
 
 
-def _split(code: str, sep: str) -> tuple[str, str, int]:
-    """(left, right, offset): code split at its first sep, the right part
-    without trailing space, and the number of characters of the line before
-    it, so that parse errors count columns from the start of the line."""
-    left, found, right = code.partition(sep)
-    return left, right.rstrip(), len(left) + len(found)
+def _optional_int(words: list, default: int, pattern: str, what: str, line_no: int) -> int:
+    """The INT of a line's optional `[KEY INT]` tail, or the default."""
+    value, col = words[3] if len(words) == 4 else (str(default), 0)
+    if not re.fullmatch(pattern, value):
+        raise ParseError(f"{words[0][0]} {words[2][0]} must be {what}, got {value!r}", line_no, col)
+    return int(value)
 
 
 _RATIONAL = (r"[-+]?\d+(/\d*[1-9]\d*)?", "an exact rational")
@@ -467,30 +514,10 @@ _CHECK_KINDS = {
 }
 
 
-def _words(code: str) -> list[tuple[str, int]]:
-    """The words of a line, each with the column it starts at."""
-    return [(m.group(), m.start() + 1) for m in re.finditer(r"\S+", code)]
-
-
-def _check_shape(words: list[tuple[str, int]], shape: tuple, usage: str, line_no: int):
-    """Refuse a line whose leading words break the shape (a keyword, or None
-    for any word): the usage is the error, at the first word that differs,
-    or just past the line's end when a word is missing."""
-    for i, want in enumerate(shape):
-        if i == len(words):
-            word, col = words[-1]
-            raise ParseError(usage, line_no, col + len(word))
-        if want is not None and words[i][0] != want:
-            raise ParseError(usage, line_no, words[i][1])
-
-
-def _parse_check(code: str, line_no: int) -> tuple[str, dict]:
+def _parse_check(words: list[tuple[str, int]], line_no: int) -> tuple[str, dict]:
     """The name and options of a `check NAME KIND key=value ...` line, with
     each key its kind needs present, every key one its kind reads, and each
     value its kind checks well-formed."""
-    words = _words(code)
-    if len(words) < 3:
-        raise ParseError("check NAME KIND key=value ...", line_no)
     (name, _), (kind, kind_col) = words[1:3]
     if kind not in _CHECK_KINDS:
         raise ParseError(f"unknown check kind {kind!r}", line_no, kind_col)
@@ -513,45 +540,6 @@ def _parse_check(code: str, line_no: int) -> tuple[str, dict]:
             raise ParseError(f"{kind} check needs {k}=...", line_no, kind_col)
     opts["kind"] = kind
     return name, opts
-
-
-def _parse_cover(code: str, line_no: int) -> CoverBlock:
-    """The block opened by a `cover NAME [bound INT]` line; the bound is 3
-    when not given."""
-    words = _words(code)
-    usage = "cover NAME [bound INT]"
-    _check_shape(words, ("cover", None), usage, line_no)
-    if len(words) == 2:
-        return CoverBlock(words[1][0], 3)
-    _check_shape(words, ("cover", None, "bound", None), usage, line_no)
-    if len(words) > 4:
-        raise ParseError(usage, line_no, words[4][1])
-    bound, col = words[3]
-    if not re.fullmatch(r"\d+", bound):
-        raise ParseError(f"cover bound must be a nonnegative integer, got {bound!r}",
-                         line_no, col)
-    return CoverBlock(words[1][0], int(bound))
-
-
-def _in_cover(cover: Optional[CoverBlock], code: str, shape: tuple, usage: str,
-              line_no: int):
-    """Refuse a `chart` or `overlap` line outside a cover block, at its first
-    word, or one whose leading words break the shape."""
-    words = _words(code)
-    if cover is None:
-        raise ParseError(f"{words[0][0]} outside cover block", line_no, words[0][1])
-    _check_shape(words, shape, usage, line_no)
-
-
-def _parse_field(theory: Theory, code: str, line_no: int):
-    words = _words(code)
-    _check_shape(words, ("field", None, "ghost", None, "parity", None),
-                 "field NAME ghost INT parity even|odd", line_no)
-    ghost = int(words[3][0])
-    parity = {"even": 0, "odd": 1}.get(words[5][0])
-    if parity is None:
-        raise ParseError("parity must be even or odd", line_no, words[5][1])
-    theory.add_field(words[1][0], ghost, parity)
 
 
 def build_cover(block: CoverBlock):

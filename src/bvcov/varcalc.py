@@ -157,10 +157,6 @@ def euler(expr: Expression, k: int, base_name: str) -> Expression:
     return _euler_column(expr.theory, _jet_table(expr).get(base_name, {}), k)
 
 
-def variational_derivative(expr: Expression, base_name: str) -> Expression:
-    return euler(expr, 0, base_name)
-
-
 # -- Soloviev and BV antibrackets ---------------------------------------------
 
 

@@ -18,6 +18,7 @@ generators commute with everything.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 
 Var = tuple[str, int]
 Mono = tuple[tuple[tuple[Var, int], ...], tuple[Var, ...]]
@@ -156,4 +157,24 @@ class JetAlgebra:
                         if dg:
                             out.append(self.scale(self.mul(self.total(df, ell),
                                                            self.total(dg, k)), sign))
+        return self.add(*out)
+
+    def euler(self, p: Poly, k: int, base: str, left: bool = True) -> Poly:
+        """The order-k Euler operator: over jet orders j >= k, C(j, k) times
+        (-D)^(j-k) of the left (or right) partial by (base, j); k = 0 is the
+        variational derivative."""
+        return self.add(*(self.scale(self.total(self._partial(p, (base, j), left), j - k),
+                                     comb(j, k) * (-1) ** (j - k))
+                          for j in self.jet_orders(p) if j >= k))
+
+    def bv(self, f: Poly, g: Poly) -> Poly:
+        """The integrand of the BV antibracket, built as the Soloviev bracket
+        is: over each field a with antifield a+, the right variational
+        derivative of f by a times the left one of g by a+, minus the same
+        with a and a+ exchanged."""
+        out = []
+        for field, anti in self.pairs:
+            for a, b, sign in ((field, anti, 1), (anti, field, -1)):
+                out.append(self.scale(self.mul(self.euler(f, 0, a, left=False),
+                                               self.euler(g, 0, b)), sign))
         return self.add(*out)

@@ -6,8 +6,9 @@ everywhere else in `src/`, `tests/` and `perfbench/`, no defaulted
 parameter of the package is left to its default by every call in those
 trees, no field or `self` attribute of a package class is written without
 being read anywhere in them, no `_print_check` call of the package passes
-a literal verdict, every name the benchmark reaches still exists, and the
-reference algebra of `tests/` reaches no module of the package."""
+a literal verdict, every `ParseError` of the parser names a column, every
+name the benchmark reaches still exists, and the reference algebra of
+`tests/` reaches no module of the package."""
 
 import ast
 import sys
@@ -252,6 +253,30 @@ def test_constant_verdict_detector():
 def test_no_constant_verdicts_in_package():
     found = constant_verdicts(_trees()[0])
     assert not found, "checks printed with a constant verdict:\n" + "\n".join(found)
+
+
+def columnless_parse_errors(source: str) -> list[int]:
+    """The line of each `ParseError(...)` call that passes no column: fewer
+    than three positional arguments, none unpacked, and no `column=`."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and _called_name(node) == "ParseError"
+            and len(node.args) < 3 and not any(isinstance(a, ast.Starred) for a in node.args)
+            and not any(k.arg in ("column", None) for k in node.keywords)]
+
+
+def test_columnless_parse_error_detector():
+    source = ("raise ParseError('a', line_no, col)\n"
+              "raise ParseError('b', line_no)\n"
+              "raise parser.ParseError('c', 1, column=3)\n"
+              "raise ParseError(f'{d}')\n"
+              "raise ParseError(*where)\n"
+              "raise TheoryError('e')\n")
+    assert columnless_parse_errors(source) == [2, 4]
+
+
+def test_every_parse_error_names_a_column():
+    found = columnless_parse_errors((SRC / "parser.py").read_text(encoding="utf-8"))
+    assert not found, f"ParseError without a column at parser.py lines {found}"
 
 
 def _attribute_reads(tree: ast.AST) -> set[str]:

@@ -1,17 +1,17 @@
 """The expression engine against the reference algebra of
 `reference_algebra.py`, which shares no code with it: sums, products,
-`normalize`, graded left partials, the total derivative and the Soloviev
-bracket, compared as maps from monomials to coefficients matched by symbol
-name, on seeded atom-free inputs with odd symbols and jets up to order
-2.  Atoms never enter a sign; the pinned `pow` cases of `test_expression.py`
-cover their fold."""
+`normalize`, graded left partials, the total derivative, the Euler
+operators and the Soloviev and BV brackets, compared as maps from monomials
+to coefficients matched by symbol name, on seeded atom-free inputs with odd
+symbols and jets up to order 2.  Atoms never enter a sign; the pinned `pow`
+cases of `test_expression.py` cover their fold."""
 
 import random
 from fractions import Fraction
 
 from bvcov.expression import Expression, normalize, partial_derivative, total_derivative
 from bvcov.symbols import Theory
-from bvcov.varcalc import soloviev
+from bvcov.varcalc import bv_antibracket, euler, soloviev
 from reference_algebra import JetAlgebra
 
 # (field, antifield, parity of the field); the reference's odd order sorts
@@ -94,11 +94,30 @@ def test_soloviev_matches_the_reference():
         assert _read(ref, soloviev(f, f)) == ref.soloviev(F, F), rf
 
 
+def test_euler_operators_match_the_reference():
+    t, symbols, ref = _setup()
+    for raw in _raws(4, 300):
+        f, F = _pair(t, symbols, ref, raw)
+        for base in BASES:
+            for k in JETS:
+                assert _read(ref, euler(f, k, base)) == ref.euler(F, k, base), (raw, base, k)
+
+
+def test_bv_antibracket_matches_the_reference():
+    t, symbols, ref = _setup()
+    raws = _raws(5, 400)
+    for rf, rg in zip(raws[0::2], raws[1::2]):
+        (f, F), (g, G) = _pair(t, symbols, ref, rf), _pair(t, symbols, ref, rg)
+        assert _read(ref, bv_antibracket(f, g)) == ref.bv(F, G), (rf, rg)
+        assert _read(ref, bv_antibracket(f, f)) == ref.bv(F, F), rf
+
+
 def test_reference_signs_pinned():
     """The reference's own conventions on small cases: odd generators
     anticommute and square to zero, a left and a right partial differ by
-    the sign of the generators passed, D is an even derivation and the
-    bracket pairs a field with its antifield."""
+    the sign of the generators passed, D is an even derivation, the Euler
+    operators take (-D)^(j-k) and the brackets pair a field with its
+    antifield."""
     ref = JetAlgebra(PAIRS)
     th, c, q, cp = ("th", 0), ("c", 0), ("q", 0), ("c+", 0)
     assert ref.written(1, [(th, 1), (c, 1)]) == ref.written(-1, [(c, 1), (th, 1)]) \
@@ -116,3 +135,9 @@ def test_reference_signs_pinned():
     assert ref.soloviev(ref.written(1, [(cp, 1)]), ref.written(1, [(c, 1)])) == {((), ()): -1}
     assert ref.soloviev(ref.written(1, [(q, 1)]), ref.written(1, [(("q+", 0), 1)])) == \
         {((), ()): 1}
+    # euler by q of q_1^2 is -D(2 q_1) at k = 0 and 2 q_1 at k = 1; the BV
+    # integrand of c and c+ is 1, as the Soloviev bracket's
+    q1 = ("q", 1)
+    assert ref.euler(ref.written(1, [(q1, 2)]), 0, "q") == ref.written(-2, [(("q", 2), 1)])
+    assert ref.euler(ref.written(1, [(q1, 2)]), 1, "q") == ref.written(2, [(q1, 1)])
+    assert ref.bv(ref.written(1, [(c, 1)]), ref.written(1, [(cp, 1)])) == {((), ()): 1}
