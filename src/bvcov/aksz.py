@@ -10,11 +10,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .expression import (Expression, is_zero, jet_gradient, log_of,
+from .expression import (Expression, embed, is_zero, jet_gradient, log_of,
                          partial_derivative)
 from .curved import (BElement, EndpointReport, USeries, d_element,
                      du, embed_u, gauge_flow_closed, gauge_flow_series, iota,
-                     iota_series, mc_check, u_bracket)
+                     mc_check, u_bracket)
 from .symbols import GradedSymbol, Theory, TheoryError, antifield_name, product_theory
 from .varcalc import _matrix_right_inverse
 
@@ -235,11 +235,12 @@ def xi_u_series(theory: Theory) -> USeries:
     return _ghost_block(theory, "betagamma")
 
 
-def gravity_product(S: USeries, theory: Theory, suffix: str, *kinds: str):
+def gravity_product(S: USeries, suffix: str, *kinds: str):
     """The first step of the three gravity couplings: the product
-    `theory*suffix` of `theory` with the ghost pairs `kinds`, its flow
+    `theory*suffix` of S's theory with the ghost pairs `kinds`, its flow
     parameter tau and S embedded in it.  A theory that already declares a
     pair's fields is refused."""
+    theory = S.theory
     declared = {f.name for f, _ in theory.field_pairs()}
     for kind in kinds:
         b, c, _ = _GHOST_PAIRS[kind]
@@ -260,22 +261,14 @@ def log_flow(T: USeries, tau: GradedSymbol) -> EndpointReport:
     return cert
 
 
-def _bc_kinetic(theory: Theory) -> Expression:
-    """c(b+ db + c+ dc)."""
-    return Expression.of(theory, "c") * (
-        Expression.of(theory, "b+") * Expression.of(theory, "b", 1)
-        + Expression.of(theory, "c+") * Expression.of(theory, "c", 1))
-
-
 def minimal_coupling(S: USeries) -> USeries:
-    """The minimally coupled theory S_0 + c(D + b+ db + c+ dc) + c iota S_0
-    + u c+ of a chart series S embedded in a product with the bc pair, with
-    D summed over the fields other than b and c."""
+    """The minimally coupled theory S_0 + c D + c iota S_0 + u c+ of a chart
+    series S embedded in a product with the bc pair; D is the product's, so
+    c D holds the bc kinetic term c(b+ db + c+ dc)."""
     prod = S.theory
     c = Expression.of(prod, "c")
     S0 = S.coeff(0)
-    body = c * d_element(prod, exclude=("b", "c")) + _bc_kinetic(prod)
-    return USeries.of(S0) + USeries.of(body) + USeries.of(iota(S0).scale(c)) \
+    return USeries.of(S0) + USeries.of(c * d_element(prod)) + USeries.of(iota(S0).scale(c)) \
         + USeries.of(Expression.of(prod, "c+"), 1)
 
 
@@ -291,7 +284,7 @@ class PipelineReport:
         return all(passed for _, passed in self.checks)
 
 
-def couple_gravity(S: USeries, chart: TargetChart) -> PipelineReport:
+def couple_gravity(S: USeries) -> PipelineReport:
     """Run (S_u + X_u) bullet log(b+)c+c bullet cS_1 and verify the proof's
     tau-interpolation, the two intermediate bracket identities and the
     endpoint against the minimally-coupled form.  `log-family-certified`:
@@ -300,17 +293,21 @@ def couple_gravity(S: USeries, chart: TargetChart) -> PipelineReport:
     `product-master-equation`."""
     if any(n > 1 for n in S.powers()):
         raise TheoryError("coupling requires S_i = 0 for i > 1")
-    prod, tau, Sp = gravity_product(S, chart.theory, "bc", "bc")
+    prod, tau, Sp = gravity_product(S, "bc", "bc")
     start = Sp + x_u_series(prod)
     if not mc_check(start).ok:
         return PipelineReport([("product-master-equation", False)], start)
 
     c = Expression.of(prod, "c")
     cp = Expression.of(prod, "c+")
+    cdc = c * Expression.of(prod, "c", 1)
+
+    # D over the matter fields, and the bc kinetic term c(b+ db + c+ dc)
+    D = embed(d_element(S.theory), prod)
+    grav = c * (d_element(prod) - D)
 
     # step 1: flow by log(b+) c+ c; expected: Sp + c(b+ db + c+ dc) + u c+
     after_log = log_flow(start, tau).endpoint
-    grav = _bc_kinetic(prod)
     expected_mid = Sp + USeries(prod, {0: BElement.of_body(grav), 1: BElement.of_body(cp)})
     mid_ok = (after_log - expected_mid).is_zero()
 
@@ -319,26 +316,24 @@ def couple_gravity(S: USeries, chart: TargetChart) -> PipelineReport:
     y2 = USeries.of(S1.scale(c))
     series = gauge_flow_series(after_log, y2)
 
-    # Eq (c): d_u(cS_1) + [S_u, cS_1] = c(D + iota S_u), D over matter fields
+    # Eq (c): d_u(cS_1) + [S_u, cS_1] = c(D + iota S_u)
+    S0 = Sp.coeff(0)
+    iS0 = iota(S0)
+    iS1 = iota(S1)
     lhs_c = du(y2) + u_bracket(Sp, y2)
-    D = USeries.of(BElement.of_body(d_element(prod, exclude=("b", "c"))))
-    rhs_c = (D + iota_series(Sp)).scale(c)
+    rhs_c = (USeries.of(D) + USeries.of(iS0) + USeries.of(iS1, 1)).scale(c)
     eq_c_ok = (lhs_c - rhs_c).is_zero()
     # Eq (cc): [that, cS_1] = 2 c dc S_1
     lhs_cc = u_bracket(lhs_c, y2)
-    rhs_cc = USeries.of(S1.scale(c * Expression.of(prod, "c", 1) * 2))
+    rhs_cc = USeries.of(S1.scale(cdc * 2))
     eq_cc_ok = (lhs_cc - rhs_cc).is_zero()
 
     # proof display: S_0 + c(tau D + b+ db + c+ dc) + tau c iota S_0 + u c+
     #                + (1 - tau)(u S_1 + tau u c iota S_1 - tau c dc S_1)
     t = Expression.symbol(prod, tau)
     one = Expression.const(prod, 1)
-    S0 = Sp.coeff(0)
-    iS0 = iota(S0)
-    iS1 = iota(S1)
-    cdc = c * Expression.of(prod, "c", 1)
     disp = USeries.of(S0) \
-        + D.scale(c * t) + USeries.of(BElement.of_body(grav)) \
+        + USeries.of(c * t * D) + USeries.of(grav) \
         + USeries.of(iS0.scale(c * t)) \
         + USeries.of(BElement.of_body(cp), 1) \
         + USeries.of(S1.scale(one - t), 1) \

@@ -90,7 +90,7 @@ def _dispatch(args) -> int:
     # looked up per call, so a wrapped or patched pipeline is the one run
     pipelines = {"build-aksz": lambda m: PipelineReport(
                      [("master-equation", mc_check(m.series).ok)], m.series),
-                 "couple-gravity": lambda m: couple_gravity(m.series, m.chart),
+                 "couple-gravity": lambda m: couple_gravity(m.series),
                  "spinning": spinning_pipeline, "twist": couple_with_potential}
     if args.model and (sub in pipelines or sub == "rank"):
         model = build_model(args.model, args.dim)
@@ -99,7 +99,7 @@ def _dispatch(args) -> int:
             print(f"S_u = {from_useries(model.series)!r}")
         pipeline = sub
         if sub == "rank":    # the pipeline of the model's kind; only FAILs print
-            pipeline = ("spinning" if model.spinning else
+            pipeline = ("spinning" if model.charge is not None else
                         "twist" if model.potential is not None else "build-aksz")
         rep = pipelines[pipeline](model)
         for label, passed in rep.checks:

@@ -17,9 +17,9 @@ from fractions import Fraction
 from typing import Callable, Optional, Union
 
 from .coefficients import AffineExponent, LogAtom, Rat, quotient, rational
-from .expression import (Expression, Term, _atom_gradient, _is_jet, _lower_atom,
-                         _merge_runs, _product, _single, apply_substitution, base_expression,
-                         embed, inverse_of, is_zero, partial_derivative, power_of,
+from .expression import (Expression, Term, _atom_partials, _is_jet, _merge_runs, _product,
+                         _single, apply_substitution, base_expression, embed, inverse_of,
+                         is_zero, partial_derivative, power_of, split_powers,
                          substitute_param, total_derivative)
 from .symbols import EVEN, GradedSymbol, Kind, Theory, TheoryError
 from .varcalc import (JetTable, _jet_table, _sigma_tables,
@@ -75,20 +75,10 @@ class BElement:
 
     @staticmethod
     def from_fused(e: Expression) -> "BElement":
-        """Split an expression containing the eps symbol.  eps is last in
-        the canonical order, so each term factors as g*eps with no sign, and
-        g's key is the term's own without its last two fields; dropping
-        them can reorder the terms, so the eps part is sorted again."""
-        eps_sym = e.theory.epsilon
-        body_terms = []
-        eps_terms = []
-        for t in e.terms:
-            if t.mono and t.mono[-1][0] is eps_sym:
-                eps_terms.append(Term(t.coef, t.atoms, t.mono[:-1], t.key[:-2]))
-            else:
-                body_terms.append(t)
-        return BElement(e.theory, Expression(e.theory, tuple(body_terms)),
-                        Expression(e.theory, _merge_runs(eps_terms)))
+        """Split an expression containing the eps symbol: eps is last in the
+        canonical order, so each term factors as g*eps with no sign."""
+        parts = split_powers(e, e.theory.epsilon)
+        return BElement(e.theory, parts.get(0, Expression.zero(e.theory)), parts.get(1))
 
     def fused(self) -> Expression:
         return self.body + self.eps * Expression.symbol(self.theory, self.theory.epsilon)
@@ -200,7 +190,7 @@ def iota(x: BElement) -> BElement:
     putting a+_k back undoes the partial's prefix sign, and an odd a+_k has
     exponent 1.  So each term t becomes (-1)^{pa(t)} (n+(t) - 1) t, n+ its
     antifield degree, in one pass; an atom whose base holds an antifield s
-    adds s * dt/ds through the chain rule, `_atom_gradient`."""
+    adds s * dt/ds through the chain rule, `_atom_partials`."""
     theory = x.theory
     out: list[Term] = []
     for t in x.body.terms:
@@ -213,21 +203,19 @@ def iota(x: BElement) -> BElement:
         sign = -1 if sd % 2 else 1
         if weight:
             out.append(Term(sign * weight * t.coef, t.atoms, t.mono, t.key))
-        for j, (a, e) in enumerate(t.atoms):
-            for s, da in _atom_gradient(theory, a).items():
-                if s.kind == Kind.ANTIFIELD_JET:
-                    head = (_lower_atom(t, j, sign * e * t.coef),)
-                    out += _product(theory, Expression.symbol(theory, s).terms,
-                                    _product(theory, head, da.terms))
+        if t.atoms:
+            for s, terms in _atom_partials(theory, t, lambda a: a.kind == Kind.ANTIFIELD_JET,
+                                           sign * t.coef):
+                out += _product(theory, Expression.symbol(theory, s).terms, terms)
     return BElement.of_eps(Expression(theory, _merge_runs(out)))
 
 
-def d_element(theory: Theory, exclude: tuple = ()) -> Expression:
+def d_element(theory: Theory) -> Expression:
     """D = xi+_a d(xi^a), coordinate invariant, central in the functional
-    algebra; summed over the fields not named in `exclude`."""
+    algebra."""
     return Expression.sum(theory, (
         Expression.symbol(theory, anti) * Expression.symbol(theory, theory.jet(fld.name, 1))
-        for fld, anti in theory.field_pairs() if fld.name not in exclude))
+        for fld, anti in theory.field_pairs()))
 
 
 # -- u-series -----------------------------------------------------------------
@@ -729,8 +717,6 @@ def bch(y: USeries, z: USeries, order: int = 6) -> BCHResult:
             for ks in itertools.product(range(0, m + 1), repeat=n):
                 if sum(ks) != m:
                     continue
-                if any(k > len(us) for k in ks):
-                    continue
                 coeff = coeff + ad_seq_apply(ks) * _PSI[n]
         us.append(coeff * Fraction(1, m + 1))
     total = y
@@ -762,12 +748,10 @@ def _psi_closed(theory: Theory, q: int, base_key: str, z: USeries) -> USeries:
         # q log E / (1 - E^-q) = q log E * E^q / (E^q - 1)
         denom = E ** q - Expression.const(theory, 1)
         factor = lam * (E ** q) * inverse_of(denom)
-    elif q < 0:
-        # 1 - E^{-q} with -q > 0 is polynomial
+    else:
+        # q is nonzero, and 1 - E^{-q} with -q > 0 is polynomial
         denom = Expression.const(theory, 1) - E ** (-q)
         factor = lam * inverse_of(denom)
-    else:
-        factor = Expression.const(theory, 1)
     return z.scale(factor)
 
 
@@ -784,10 +768,6 @@ def _log_factor(theory: Theory, q, base_key: Optional[str]) -> Expression:
 
 def embed_u(x: USeries, target: Theory) -> USeries:
     return x.map_parts(lambda e: embed(e, target), target)
-
-
-def iota_series(x: USeries) -> USeries:
-    return USeries(x.theory, {n: iota(c) for n, c in x.coeffs.items()})
 
 
 def antifield_rank(S: USeries) -> int:

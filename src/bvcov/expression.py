@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from operator import attrgetter
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .coefficients import AffineExponent, Atom, FuncAtom, LogAtom, PowerAtom, Rat, rational
 from .symbols import EVEN, GradedSymbol, Kind, Theory, TheoryError
@@ -652,16 +652,35 @@ def _lower_atom(t: Term, j: int, coef) -> Term:
     return Term(coef, atoms, t.mono, (akey,) + t.key[1:])
 
 
+def split_powers(expr: Expression, sym: GradedSymbol) -> dict[int, Expression]:
+    """{n: c_n} with expr = sum_n c_n sym^n and each c_n free of sym, keyed
+    in order of first appearance.  sym is even or sorts after every other
+    symbol (u, eps), so taking it out of a term takes no sign; dropping it
+    and its two key fields keeps the term canonical, but the shorter keys
+    may reorder a part, so each part is sorted again."""
+    parts: dict[int, list[Term]] = {}
+    for t in expr.terms:
+        i = next((j for j, (s, _) in enumerate(t.mono) if s is sym), None)
+        if i is None:
+            parts.setdefault(0, []).append(t)
+        else:
+            parts.setdefault(t.mono[i][1], []).append(Term(
+                t.coef, t.atoms, t.mono[:i] + t.mono[i + 1:],
+                t.key[:1 + 2 * i] + t.key[3 + 2 * i:]))
+    return {n: Expression(expr.theory, _merge_runs(ts)) for n, ts in parts.items()}
+
+
 def _atom_gradient(theory: Theory, atom: Atom) -> dict[GradedSymbol, Expression]:
     """{s: d(atom)/ds} over the symbols s the atom depends on, nonzero
     entries only: the 0-jet symbols of its arguments or base, and the flow
     parameter of a pow exponent (d/dtau pow(E, a*tau + b) = a*log(E)*pow(E,
     a*tau + b)).  This is the one place an atom is differentiated; every
-    derivation reads it.  Memoized per theory in an append-only table, keyed
-    by the atom alone because the entries are read off the atom's own
-    argument list, base and exponent, never off the theory's field list, so
-    a field registered later cannot belong to an atom already in the table.
-    Atoms are even, so no Koszul bookkeeping is needed here."""
+    derivation reads it through `_atom_partials`.  Memoized per theory in an
+    append-only table, keyed by the atom alone because the entries are read
+    off the atom's own argument list, base and exponent, never off the
+    theory's field list, so a field registered later cannot belong to an
+    atom already in the table.  Atoms are even, so no Koszul bookkeeping is
+    needed here."""
     key = atom.key()
     grad = theory._atom_gradients.get(key)
     if grad is not None:
@@ -712,14 +731,29 @@ def _is_jet(s: GradedSymbol) -> bool:
     return s.kind in (Kind.FIELD_JET, Kind.ANTIFIELD_JET)
 
 
+def _atom_partials(theory: Theory, t: Term, keep: Callable[[GradedSymbol], bool],
+                   coef) -> Iterator[tuple[GradedSymbol, tuple[Term, ...]]]:
+    """(s, terms) per atom of t and per generator s with keep(s) that the
+    atom depends on: the chain-rule share of d/ds of t, with t's coefficient
+    replaced by `coef`.  This is the one reader of `_atom_gradient`; atoms
+    are even, so no sign enters."""
+    for j, (a, e) in enumerate(t.atoms):
+        head = None
+        for s, da in _atom_gradient(theory, a).items():
+            if keep(s):
+                if head is None:
+                    head = (_lower_atom(t, j, coef * e),)
+                yield s, _product(theory, head, da.terms)
+
+
 def _gradient(expr: Expression, keep: Callable[[GradedSymbol], bool]) -> dict[GradedSymbol, Expression]:
     """{s: graded left partial d(expr)/ds} for every generator s with keep(s)
     and a nonzero partial, in one pass over the terms.  This is the one place
     a symbol is lowered with its Koszul prefix sign: an odd symbol has
     exponent 1 and passes the odd symbols before it, an even one brings down
-    its exponent.  Atoms follow by the chain rule through `_atom_gradient`
-    (they are even, so no sign enters), so for a flow parameter this is the
-    full d/dtau, pow exponents included.  Every derivation reads it."""
+    its exponent.  Atoms follow by the chain rule, `_atom_partials`, so for
+    a flow parameter this is the full d/dtau, pow exponents included.  Every
+    derivation reads it."""
     theory = expr.theory
     acc: dict[GradedSymbol, list[Term]] = {}
     for t in expr.terms:
@@ -730,13 +764,9 @@ def _gradient(expr: Expression, keep: Callable[[GradedSymbol], bool]) -> dict[Gr
                 coef = -t.coef if sd == 1 and prefix % 2 else t.coef * e
                 acc.setdefault(sym, []).append(_lower_symbol(t, i, coef))
             prefix += sd * e
-        for j, (a, e) in enumerate(t.atoms):
-            head = None
-            for s, da in _atom_gradient(theory, a).items():
-                if keep(s):
-                    if head is None:
-                        head = (_lower_atom(t, j, t.coef * e),)
-                    acc.setdefault(s, []).extend(_product(theory, head, da.terms))
+        if t.atoms:
+            for s, terms in _atom_partials(theory, t, keep, t.coef):
+                acc.setdefault(s, []).extend(terms)
     out: dict[GradedSymbol, Expression] = {}
     for s, ts in acc.items():
         merged = _merge_runs(ts)

@@ -20,7 +20,7 @@ from .curved import (BElement, CanonicalSubstitution, USeries,
 from .aksz import (PipelineReport, TargetChart, build_covariant_theory, ghost_pair,
                    gravity_product, log_flow, minimal_coupling, twist, x_u_series,
                    xi_u_series)
-from .symbols import Theory, TheoryError
+from .symbols import Theory, TheoryError, product_theory
 
 
 
@@ -34,8 +34,7 @@ class ModelSpec:
     series: USeries
     eta: Optional[list[Fraction]] = None
     potential: Optional[Expression] = None      # V for the particle twist
-    charge: Optional[Expression] = None         # odd ghost-0 Q for spinning
-    spinning: bool = False
+    charge: Optional[Expression] = None         # odd ghost-0 Q, for a spinning particle
 
     @property
     def theory(self) -> Theory:
@@ -122,8 +121,7 @@ def flat_spinning_particle(n: int = 2, eta=None) -> ModelSpec:
     Q = -Expression.sum(t, (Expression.of(t, f"psi_{m}") * Expression.of(t, f"p_{m}")
                             for m in range(1, n + 1)))
     return ModelSpec("flat-spinning-particle", n, chart,
-                     build_covariant_theory(chart), eta=eta, charge=Q,
-                     spinning=True)
+                     build_covariant_theory(chart), eta=eta, charge=Q)
 
 
 def curved_spinning_particle(n: int = 2, eta=None) -> ModelSpec:
@@ -157,8 +155,7 @@ def curved_spinning_particle(n: int = 2, eta=None) -> ModelSpec:
                     - _om(t, m, a, b) * Expression.func(t, f"th_{b}_{k}") for b in rng])
                 t.relations[(f"th_{a}_{k}", f"x_{m}")] = rhs
     return ModelSpec("curved-spinning-particle", n, chart,
-                     build_covariant_theory(chart), eta=eta, charge=Q,
-                     spinning=True)
+                     build_covariant_theory(chart), eta=eta, charge=Q)
 
 
 def _om(t: Theory, m: int, a: int, b: int) -> Expression:
@@ -290,12 +287,12 @@ def spinning_pipeline(model: ModelSpec) -> PipelineReport:
     """Twist by u^{-1}(c{Q,Q}/2 + gamma Q - b gamma^2), gauge by
     log(b+)c+c, c Xi_1 and c S_1, then substitute the graviton e for b+
     and the gravitino chi for beta+ and project to the physical theory."""
-    if not model.spinning or model.charge is None:
+    if model.charge is None:
         raise TheoryError("spinning pipeline needs a spinning model with a charge Q")
     g = model.charge.grade()
     if g is None or g != (0, 1, 0):
         raise TheoryError("charge Q must be odd of ghost number 0")
-    prod, tau, S = gravity_product(model.series, model.theory, "sugra", "betagamma", "bc")
+    prod, tau, S = gravity_product(model.series, "sugra", "betagamma", "bc")
     Xi = xi_u_series(prod)
     X = x_u_series(prod)
     T0 = S + Xi + X
@@ -350,15 +347,11 @@ def _master_equation_with_witness(S: USeries, transported_d: Expression) -> bool
 def _physical_rename(model: ModelSpec, prod: Theory) -> CanonicalSubstitution:
     """Physical variables: graviton e for b+, gravitino chi for beta+, with
     b -> -e+ and beta -> -chi+ fixed by bracket preservation."""
-    phys = Theory(model.theory.name + "-physical")
-    for f, _ in model.theory.field_pairs():
-        phys.add_field(f.name, f.ghost, f.parity)
+    phys = product_theory(model.theory.name + "-physical", model.theory)
     phys.add_field("e", 0, 0)
     phys.add_field("chi", 0, 1)
     phys.add_field("c", 1, 1)
     phys.add_field("gamma", 1, 0)
-    for decl in model.theory.functions().values():
-        phys.add_function(decl.name, decl.args)
     images = {
         prod.symbol("b"): -Expression.of(phys, "e+"),
         prod.symbol("b+"): Expression.of(phys, "e"),
@@ -378,7 +371,7 @@ def couple_with_potential(model: ModelSpec) -> PipelineReport:
     that fails its master equation ends the run on `twisted-master-equation`."""
     if model.potential is None:
         raise TheoryError("model has no potential V")
-    prod, tau, S = gravity_product(model.series, model.theory, "bc", "bc")
+    prod, tau, S = gravity_product(model.series, "bc", "bc")
     c = Expression.of(prod, "c")
     V = embed(model.potential, prod)
     T1 = twist(S + x_u_series(prod), c * V)

@@ -13,7 +13,7 @@ from typing import Optional
 
 from .coefficients import AffineExponent, Rat, quotient
 from .curved import BElement, CanonicalSubstitution, USeries
-from .expression import Expression, Term, _merge_runs, inverse_of, iterated_total, log_of, power_of
+from .expression import Expression, inverse_of, iterated_total, log_of, power_of, split_powers
 from .symbols import GradedSymbol, Kind, Theory, TheoryError
 from .varcalc import EtaleMap
 
@@ -263,21 +263,8 @@ def parse_expression(theory: Theory, src: str, line_no: int = 0, offset: int = 0
 
 def to_useries(expr: Expression) -> USeries:
     """Split a parsed expression on powers of u and the eps generator."""
-    theory = expr.theory
-    u = theory.u
-    buckets: dict[int, list[Term]] = {}
-    for t in expr.terms:
-        i = next((j for j, (s, _) in enumerate(t.mono) if s is u), None)
-        if i is None:
-            buckets.setdefault(0, []).append(t)
-        else:
-            # u is even, so dropping it and its two key fields keeps the
-            # term canonical; the shorter keys may reorder a bucket
-            buckets.setdefault(t.mono[i][1], []).append(Term(
-                t.coef, t.atoms, t.mono[:i] + t.mono[i + 1:],
-                t.key[:1 + 2 * i] + t.key[3 + 2 * i:]))
-    return USeries(theory, {n: BElement.from_fused(Expression(theory, _merge_runs(ts)))
-                            for n, ts in buckets.items()})
+    return USeries(expr.theory, {n: BElement.from_fused(c)
+                                 for n, c in split_powers(expr, expr.theory.u).items()})
 
 
 def from_useries(x: USeries) -> Expression:

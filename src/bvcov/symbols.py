@@ -93,37 +93,24 @@ class Theory:
     def __init__(self, name: str = ""):
         self.name = name
         self._fields: list[GradedSymbol] = []       # 0-jet field symbols, in order
-        self._symbols: dict[tuple, GradedSymbol] = {}
-        self._by_name: dict[str, GradedSymbol] = {}
+        self._symbols: dict[tuple, GradedSymbol] = {}   # (name, jet order) -> symbol
         self._functions: dict[str, FunctionDecl] = {}
         self._order_index: dict[str, int] = {}      # base name -> registration rank
-        self._next_rank = 0
         self._sort_keys: dict[GradedSymbol, tuple] = {}   # append-only, like the ranks
         self._units: dict[GradedSymbol, object] = {}      # symbol -> its Expression, append-only
         self._atom_gradients: dict[tuple, dict] = {}      # atom key -> {symbol: d atom/d symbol}, append-only
         self._atom_bases: dict[str, object] = {}          # log/pow base key -> its Expression, append-only
         self.relations: dict = {}                   # (func, x) -> what d_x(func) rewrites to
-        self._eps: Optional[GradedSymbol] = None
 
     # -- registration -------------------------------------------------
 
     def _intern(self, sym: GradedSymbol) -> GradedSymbol:
-        key = (sym.name, sym.jet_order)
-        existing = self._symbols.get(key)
-        if existing is not None:
-            return existing
-        self._symbols[key] = sym
-        if sym.jet_order == 0:
-            self._by_name[sym.name] = sym
-        return sym
+        return self._symbols.setdefault((sym.name, sym.jet_order), sym)
 
-    def _claim_rank(self, name: str) -> int:
+    def _claim_rank(self, name: str):
         if name in self._order_index:
             raise TheoryError(f"name already registered: {name}")
-        rank = self._next_rank
-        self._order_index[name] = rank
-        self._next_rank += 1
-        return rank
+        self._order_index[name] = len(self._order_index)
 
     def add_field(self, name: str, ghost: int, parity: int) -> GradedSymbol:
         """Register a base field; its antifield xi+ is generated alongside
@@ -143,7 +130,7 @@ class Theory:
     def add_function(self, name: str, args: Iterable[str]) -> FunctionDecl:
         args = tuple(args)
         for a in args:
-            s = self._by_name.get(a)
+            s = self._symbols.get((a, 0))
             if s is None or s.kind != Kind.FIELD_JET:
                 raise TheoryError(f"function argument {a} is not a field")
             if s.parity != EVEN or s.ghost != 0:
@@ -169,27 +156,25 @@ class Theory:
         return self._intern(GradedSymbol(name, Kind.SIMPLEX_T, 0, EVEN,
                                          base=name))
 
+    def _structural(self, name: str, kind: Kind, ghost: int, parity: int) -> GradedSymbol:
+        """The symbol `name`, interned with the given grading on first use."""
+        got = self._symbols.get((name, 0))
+        if got is not None:
+            return got
+        if name not in self._order_index:
+            self._claim_rank(name)
+        return self._intern(GradedSymbol(name, kind, ghost, parity, base=name))
+
     @property
     def epsilon(self) -> GradedSymbol:
         """The structural resolution generator: odd, ghost -1."""
-        if self._eps is None:
-            if "eps" not in self._order_index:
-                self._claim_rank("eps")
-            self._eps = self._intern(GradedSymbol("eps", Kind.EPSILON, -1, ODD,
-                                                  base="eps"))
-        return self._eps
+        return self._structural("eps", Kind.EPSILON, -1, ODD)
 
     @property
     def u(self) -> GradedSymbol:
         """The ghost-2 series variable (parser-level; split off into u-series
         before any curved computation)."""
-        got = self._by_name.get("u")
-        if got is not None:
-            return got
-        if "u" not in self._order_index:
-            self._claim_rank("u")
-        return self._intern(GradedSymbol("u", Kind.U_PARAM, 2, EVEN,
-                                         base="u"))
+        return self._structural("u", Kind.U_PARAM, 2, EVEN)
 
     # -- lookup ---------------------------------------------------------
 
@@ -203,18 +188,18 @@ class Theory:
 
     def symbol(self, name: str, jet_order: int = 0) -> GradedSymbol:
         if jet_order == 0:
-            s = self._by_name.get(name)
+            s = self._symbols.get((name, 0))
             if s is not None:
                 return s
             raise SymbolUnknownError(f"unknown symbol: {name}")
         return self.jet(name, jet_order)
 
     def maybe_symbol(self, name: str) -> Optional[GradedSymbol]:
-        return self._by_name.get(name)
+        return self._symbols.get((name, 0))
 
     def jet(self, name: str, order: int) -> GradedSymbol:
         """d^order(name); lazily interned."""
-        base = self._by_name.get(name)
+        base = self._symbols.get((name, 0))
         if base is None:
             raise SymbolUnknownError(f"unknown symbol: {name}")
         if base.kind not in (Kind.FIELD_JET, Kind.ANTIFIELD_JET):
@@ -255,34 +240,24 @@ class Theory:
             key = self._sort_keys[sym] = (int(sym.kind), rank, sym.jet_order)
         return key
 
-    # -- extension --------------------------------------------------------
-
-    def extended(self, name: str = "") -> "Theory":
-        """A fresh theory containing the same declarations, for products."""
-        t = Theory(name or self.name)
-        for f in self._fields:
-            t.add_field(f.name, f.ghost, f.parity)
-        for decl in self._functions.values():
-            t.add_function(decl.name, decl.args)
-        for key, sym in self._symbols.items():
-            if sym.kind in (Kind.FLOW_PARAM,):
-                if not t.has_name(sym.name):
-                    t.add_flow_param(sym.name)
-            elif sym.kind == Kind.SIMPLEX_DT and not t.has_name(sym.name):
-                t.add_one_form(sym.name, ghost=sym.ghost)
-            elif sym.kind == Kind.SIMPLEX_T and not t.has_name(sym.name):
-                t.add_simplex_coordinate(sym.name)
-        t.relations = dict(self.relations)
-        return t
-
 
 def product_theory(name: str, *parts: Theory) -> Theory:
-    """Combine charts (disjoint field names) into one theory; field order is
-    part-by-part in the order given."""
+    """A copy of every declaration of each part, part by part in the order
+    given: fields, functions, then flow parameters, one-forms and simplex
+    coordinates, and the rewrite relations.  A name declared by two parts
+    is refused."""
     t = Theory(name)
     for p in parts:
         for f in p.fields:
             t.add_field(f.name, f.ghost, f.parity)
         for decl in p.functions().values():
             t.add_function(decl.name, decl.args)
+        for sym in p._symbols.values():
+            if sym.kind == Kind.FLOW_PARAM:
+                t.add_flow_param(sym.name)
+            elif sym.kind == Kind.SIMPLEX_DT:
+                t.add_one_form(sym.name, ghost=sym.ghost)
+            elif sym.kind == Kind.SIMPLEX_T:
+                t.add_simplex_coordinate(sym.name)
+        t.relations.update(p.relations)
     return t

@@ -20,7 +20,7 @@ from typing import Callable, Optional
 from .expression import Expression, embed, is_zero, odd_derivation, partial_derivative
 from .curved import (BElement, CanonicalSubstitution, TruncatedFlowError, USeries,
                      _bracket_by, curvature, du, embed_u, exp_sum, orbit, u_bracket)
-from .symbols import GradedSymbol, Theory, TheoryError
+from .symbols import GradedSymbol, Theory, TheoryError, product_theory
 
 Tuple = tuple[str, ...]
 
@@ -90,7 +90,7 @@ class CoverNerve:
         if got is not None:
             return got
         base = self.context_theory(names)
-        t = base.extended(f"{base.name}|D{k}")
+        t = product_theory(f"{base.name}|D{k}", base)
         for i in range(1, k + 1):
             if not t.has_name(f"t_{i}"):
                 t.add_simplex_coordinate(f"t_{i}")
@@ -238,22 +238,21 @@ class CechCochain:
         v = self.values.get(order)
         if v is None:
             return (0, None)
-        perm = list(T)
-        sign = 1
-        for i in range(len(perm)):
-            for j in range(len(perm) - 1 - i):
-                if perm[j] > perm[j + 1]:
-                    perm[j], perm[j + 1] = perm[j + 1], perm[j]
-                    sign = -sign
-        return (sign, v)
+        inversions = sum(a > b for a, b in itertools.combinations(T, 2))
+        return (-1 if inversions % 2 else 1, v)
 
 
 def cech_delta(c: CechCochain) -> CechCochain:
     """Alternating face sum with restriction maps; delta^2 = 0."""
     nerve = c.nerve
     out: dict[Tuple, USeries] = {}
-    for T in nerve.tuples():
-        if len(T) != c.degree + 2 or tuple(sorted(T)) != T or len(set(T)) != len(T):
+    size = c.degree + 2
+    # sorted distinct tuples, in the order of `nerve.tuples()`; beyond the
+    # dimension bound every simplex is empty
+    tuples = itertools.combinations(nerve.chart_names, size) \
+        if size <= nerve.dimension_bound + 1 else ()
+    for T in tuples:
+        if not nerve.nonempty(T):
             continue
         theory = nerve.context_theory(T)
         acc = USeries.zero(theory)

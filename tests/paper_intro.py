@@ -10,7 +10,7 @@ from bvcov.curved import CanonicalSubstitution, flow_substitution
 from bvcov.expression import (Expression, inverse_of, log_of, substitute_param,
                               total_derivative)
 from bvcov.models import _diag_eta
-from bvcov.symbols import Theory
+from bvcov.symbols import Theory, product_theory
 
 HALF = Fraction(1, 2)
 
@@ -89,7 +89,7 @@ def _after(second: CanonicalSubstitution, first: CanonicalSubstitution) -> Canon
 
 def _with_worldline_form(theory: Theory) -> Theory:
     """The theory extended by the worldline one-form dt (ghost 1)."""
-    t = theory.extended(theory.name + "+dt")
+    t = product_theory(theory.name + "+dt", theory)
     if not t.has_name("dt"):
         t.add_one_form("dt", ghost=1)
     return t

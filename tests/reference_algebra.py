@@ -12,7 +12,8 @@ Python's on the `(base, k)` tuples, unrelated to the engine's canonical
 order.  A monomial written in any order is brought to that form by adjacent
 transpositions, each swap of two odd generators flipping the sign, and an
 odd generator met twice kills it.  Nothing else carries a sign: even
-generators commute with everything.
+generators commute with everything.  The resolution generator `EPS` is one
+more odd generator, with no jets and no antifield.
 """
 
 from __future__ import annotations
@@ -23,6 +24,13 @@ from math import comb
 Var = tuple[str, int]
 Mono = tuple[tuple[tuple[Var, int], ...], tuple[Var, ...]]
 Poly = dict[Mono, Fraction]
+# an element body + eps*EPS of the resolution, and a u-series of them keyed
+# by the power of u
+Element = tuple[Poly, Poly]
+Series = dict[int, Element]
+
+# the resolution generator: odd, killed by D and paired with no antifield
+EPS: Var = ("eps", 0)
 
 
 class JetAlgebra:
@@ -32,7 +40,7 @@ class JetAlgebra:
 
     def __init__(self, pairs: list[tuple[str, str, int]]):
         self.pairs = [(f, a) for f, a, _ in pairs]
-        self.parity = {}
+        self.parity = {EPS[0]: 1}
         for f, a, p in pairs:
             self.parity[f] = p
             self.parity[a] = 1 - p
@@ -123,13 +131,16 @@ class JetAlgebra:
         return self._partial(p, v, left=False)
 
     def total(self, p: Poly, n: int = 1) -> Poly:
-        """D^n, D the even derivation (base, k) -> (base, k + 1): each
-        factor of a monomial in turn is replaced in place by its D."""
+        """D^n, D the even derivation (base, k) -> (base, k + 1) that kills
+        EPS: each other factor of a monomial in turn is replaced in place by
+        its D."""
         for _ in range(n):
             out = []
             for m, c in p.items():
                 fs = self.factors(m)
                 for i, ((base, k), e) in enumerate(fs):
+                    if (base, k) == EPS:
+                        continue
                     lowered = [((base, k), e - 1)] if e > 1 else []
                     out.append(self.written(c * e, fs[:i] + lowered
                                             + [((base, k + 1), 1)] + fs[i + 1:]))
@@ -178,3 +189,34 @@ class JetAlgebra:
                 out.append(self.scale(self.mul(self.euler(f, 0, a, left=False),
                                                self.euler(g, 0, b)), sign))
         return self.add(*out)
+
+    def u_bracket(self, a: Series, b: Series) -> Series:
+        """The bracket of two u-series of elements body + eps*EPS, from the
+        definition: EPS is odd, D kills it and no antifield pairs with it,
+        so it is central for the Soloviev bracket; u is even and central,
+        so the bracket adds the powers of u.  Each pair of coefficients is
+        fused, bracketed and split again by `split_eps`."""
+        eps = self.written(1, [(EPS, 1)])
+        fused: dict[int, Poly] = {}
+        for na, (fa, ga) in a.items():
+            for nb, (fb, gb) in b.items():
+                bracket = self.soloviev(self.add(fa, self.mul(ga, eps)),
+                                        self.add(fb, self.mul(gb, eps)))
+                fused[na + nb] = self.add(fused.get(na + nb, {}), bracket)
+        return {n: self.split_eps(p) for n, p in fused.items()}
+
+    def split_eps(self, p: Poly) -> Element:
+        """(body, eps) with p = body + eps*EPS: EPS is moved to the back of
+        its monomial, one transposition per odd generator after it.  An eps
+        part is kept modulo constants, so a monomial holding EPS and no jet
+        is dropped."""
+        body, eps = [], []
+        for (even, odd), c in p.items():
+            if EPS not in odd:
+                body.append({(even, odd): c})
+                continue
+            rest = tuple(v for v in odd if v != EPS)
+            if even or rest:
+                passed = len(odd) - 1 - odd.index(EPS)
+                eps.append({(even, rest): c * (-1) ** passed})
+        return self.add(*body), self.add(*eps)

@@ -190,7 +190,7 @@ def test_criterion_04_composite_identities():
 
 def test_criterion_05_theorem_particle():
     model = flat_particle(N)
-    rep = couple_gravity(model.series, model.chart)
+    rep = couple_gravity(model.series)
     report(5, "gravity coupling theorem", rep.ok)
 
 

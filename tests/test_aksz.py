@@ -262,10 +262,10 @@ def test_twist_obstruction_without_b_term():
 
 def test_couple_gravity_flat_and_betagamma():
     m = flat_particle(2)
-    rep = couple_gravity(m.series, m.chart)
+    rep = couple_gravity(m.series)
     assert rep.ok
     bg = betagamma_system()
-    rep2 = couple_gravity(bg.series, bg.chart)
+    rep2 = couple_gravity(bg.series)
     assert rep2.ok
 
 
@@ -273,7 +273,7 @@ def test_couple_gravity_guard():
     m = flat_particle(1)
     bad = m.series + USeries.of(m.series.coeff(1), 2)
     with pytest.raises(TheoryError):
-        couple_gravity(bad, m.chart)
+        couple_gravity(bad)
 
 
 def test_corollary_with_potential_flat_and_magnetic():
@@ -460,7 +460,7 @@ def test_intro_xi_endpoint_and_composites_spinning():
 def test_desk_scale_dimension_four():
     # the whole pipeline family stays fast at the n = 4 desk scale
     m4 = flat_particle(4)
-    assert couple_gravity(m4.series, m4.chart).ok
+    assert couple_gravity(m4.series).ok
     rep = spinning_pipeline(flat_spinning_particle(3))
     assert rep.ok and antifield_rank(rep.series) == 2
     assert couple_with_potential(magnetic_particle(4)).ok

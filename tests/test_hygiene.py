@@ -6,9 +6,10 @@ everywhere else in `src/`, `tests/` and `perfbench/`, no defaulted
 parameter of the package is left to its default by every call in those
 trees, no field or `self` attribute of a package class is written without
 being read anywhere in them, no `_print_check` call of the package passes
-a literal verdict, every `ParseError` of the parser names a column, every
-name the benchmark reaches still exists, and the reference algebra of
-`tests/` reaches no module of the package."""
+a literal verdict, every `ParseError` of the parser names a column, only
+the chain rule `_atom_partials` reads an atom's gradient, every name the
+benchmark reaches still exists, and the reference algebra of `tests/`
+reaches no module of the package."""
 
 import ast
 import sys
@@ -277,6 +278,41 @@ def test_columnless_parse_error_detector():
 def test_every_parse_error_names_a_column():
     found = columnless_parse_errors((SRC / "parser.py").read_text(encoding="utf-8"))
     assert not found, f"ParseError without a column at parser.py lines {found}"
+
+
+def callers(package: dict[str, str], name: str) -> list[str]:
+    """`file:label` of each top-level function or class, or method of a
+    top-level class (`Class.method`), of the package sources that calls
+    `name`, nested calls included; a call outside them is `file:<module>`."""
+    found = []
+    for file, source in package.items():
+        for node in ast.parse(source).body:
+            parts = [(f"{node.name}.{getattr(sub, 'name', '<body>')}", sub) for sub in node.body] \
+                if isinstance(node, ast.ClassDef) else [(getattr(node, "name", "<module>"), node)]
+            for label, part in parts:
+                if any(isinstance(c, ast.Call) and _called_name(c) == name
+                       for c in ast.walk(part)):
+                    found.append(f"{file}:{label}")
+    return list(dict.fromkeys(found))
+
+
+def test_callers_detector():
+    package = {"a.py": ("def g(x):\n    return g(x - 1)\n"
+                        "def outer():\n    def inner():\n        return m.g(1)\n    return inner\n"
+                        "def named():\n    return g\n"
+                        "class C:\n    k = g(0)\n    def f(self):\n        return [g(i) for i in ()]\n"
+                        "v = g(2)\n"),
+               "b.py": "from a import g\n"}
+    assert callers(package, "g") == ["a.py:g", "a.py:outer", "a.py:C.<body>", "a.py:C.f",
+                                     "a.py:<module>"]
+
+
+def test_atom_gradients_are_read_by_the_chain_rule_only():
+    """Every derivation differentiates atoms through `_atom_partials`, the
+    one chain-rule loop, so no other code calls `_atom_gradient`."""
+    found = set(callers(_trees()[0], "_atom_gradient")) - \
+        {"expression.py:_atom_gradient", "expression.py:_atom_partials"}
+    assert not found, f"_atom_gradient called outside the chain rule: {sorted(found)}"
 
 
 def _attribute_reads(tree: ast.AST) -> set[str]:

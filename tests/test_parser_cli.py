@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import re
 import subprocess
@@ -422,14 +423,19 @@ def test_check_kinds_list_every_key_the_cli_reads():
 
 def test_cli_couple_gravity_reports_the_log_flow_step(monkeypatch, capsys):
     """`log-family-certified` reports whether the certified log-flow
-    endpoint equals S + c(b+ db + c+ dc) + u c+: with that expected midpoint
-    made wrong, the line reads FAIL and the command exits 1."""
+    endpoint equals S + c(b+ db + c+ dc) + u c+: with that endpoint made
+    wrong, the line reads FAIL and the command exits 1."""
     argv = ("couple-gravity", "--model", "flat-particle", "--dim", "1")
     assert run_cli(*argv) == 0
     assert "CHECK log-family-certified: PASS" in capsys.readouterr().out
     from bvcov import aksz
-    real = aksz._bc_kinetic
-    monkeypatch.setattr(aksz, "_bc_kinetic", lambda theory: real(theory) * 2)
+    real = aksz.log_flow
+
+    def doubled(T, tau):
+        cert = real(T, tau)
+        return dataclasses.replace(cert, endpoint=cert.endpoint * 2)
+
+    monkeypatch.setattr(aksz, "log_flow", doubled)
     assert run_cli(*argv) == 1
     assert "CHECK log-family-certified: FAIL" in capsys.readouterr().out
 

@@ -1,7 +1,8 @@
 """The expression engine against the reference algebra of
 `reference_algebra.py`, which shares no code with it: sums, products,
 `normalize`, graded left partials, the total derivative, the Euler
-operators and the Soloviev and BV brackets, compared as maps from monomials
+operators, the Soloviev and BV brackets and the bracket of u-series of
+resolution elements, compared as maps from monomials
 to coefficients matched by symbol name, on seeded atom-free inputs with odd
 symbols and jets up to order 2.  Atoms never enter a sign; the pinned `pow`
 cases of `test_expression.py` cover their fold."""
@@ -9,10 +10,11 @@ cases of `test_expression.py` cover their fold."""
 import random
 from fractions import Fraction
 
+from bvcov.curved import BElement, USeries, u_bracket
 from bvcov.expression import Expression, normalize, partial_derivative, total_derivative
 from bvcov.symbols import Theory
 from bvcov.varcalc import bv_antibracket, euler, soloviev
-from reference_algebra import JetAlgebra
+from reference_algebra import EPS, JetAlgebra
 
 # (field, antifield, parity of the field); the reference's odd order sorts
 # by name (c < q+ < r+ < th), unlike the engine's fields-then-antifields
@@ -112,6 +114,30 @@ def test_bv_antibracket_matches_the_reference():
         assert _read(ref, bv_antibracket(f, f)) == ref.bv(F, F), rf
 
 
+def _series(t, symbols, ref, raws):
+    """An engine u-series and its reference from four raw inputs: the body
+    and the eps part of the u^0 coefficient, then of the u^1 one."""
+    parts = [_pair(t, symbols, ref, r) for r in raws]
+    return (USeries(t, {n: BElement(t, parts[2 * n][0], parts[2 * n + 1][0]) for n in (0, 1)}),
+            {n: (parts[2 * n][1], parts[2 * n + 1][1]) for n in (0, 1)})
+
+
+def test_u_bracket_matches_the_reference():
+    """The eps rule of the bracket: the engine's three-term formula against
+    the reference's fused bracket with eps an odd central generator."""
+    t, symbols, ref = _setup()
+    raws = _raws(6, 8 * 40)
+    for i in range(0, len(raws), 8):
+        (a, A), (b, B) = _series(t, symbols, ref, raws[i:i + 4]), \
+            _series(t, symbols, ref, raws[i + 4:i + 8])
+        for x, y, X, Y in ((a, b, A, B), (b, a, B, A), (a, a, A, A)):
+            got, want = u_bracket(x, y), ref.u_bracket(X, Y)
+            for n in set(got.coeffs) | set(want):
+                c = got.coeff(n)
+                assert (_read(ref, c.body), _read(ref, c.eps)) == want.get(n, ({}, {})), \
+                    (raws[i:i + 8], n)
+
+
 def test_reference_signs_pinned():
     """The reference's own conventions on small cases: odd generators
     anticommute and square to zero, a left and a right partial differ by
@@ -141,3 +167,12 @@ def test_reference_signs_pinned():
     assert ref.euler(ref.written(1, [(q1, 2)]), 0, "q") == ref.written(-2, [(("q", 2), 1)])
     assert ref.euler(ref.written(1, [(q1, 2)]), 1, "q") == ref.written(2, [(q1, 1)])
     assert ref.bv(ref.written(1, [(c, 1)]), ref.written(1, [(cp, 1)])) == {((), ()): 1}
+    # eps is odd and central: [q+ eps, q^2] = -[q+, q^2] eps = 2 q eps, and
+    # [c+ eps, c] = [c+, c] eps = -eps is a constant eps part, so zero; the
+    # powers of u add
+    qp = ref.written(1, [(("q+", 0), 1)])
+    assert ref.u_bracket({0: ({}, qp)}, {1: (ref.written(1, [(q, 2)]), {})}) == \
+        {1: ({}, ref.written(2, [(q, 1)]))}
+    assert ref.u_bracket({0: ({}, ref.written(1, [(cp, 1)]))}, {0: (ref.written(1, [(c, 1)]), {})}) \
+        == {0: ({}, {})}
+    assert ref.total(ref.written(1, [(q, 1), (EPS, 1)])) == ref.written(1, [(q1, 1), (EPS, 1)])
