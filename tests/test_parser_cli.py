@@ -128,6 +128,23 @@ def test_cli_check_mc_single(capsys):
     assert "PASS" in capsys.readouterr().out
 
 
+def test_cli_check_mc_prints_the_residual_by_u_power(tmp_path, capsys):
+    """A failing `mc` check prints its residual u-power by u-power, each
+    coefficient as body + (eps part)*eps, then one note per nonzero power."""
+    f = tmp_path / "bad.bvt"
+    f.write_text("field x_1 ghost 0 parity even\n"
+                 "field p_1 ghost 0 parity even\n"
+                 "expr S = d(x_1)*p_1 + u*x+_1*p+_1 - u*p_1*p+_1*eps + u*x_1*p+_1*eps\n"
+                 "check bad mc expr=S\n")
+    assert run_cli("check-mc", str(f)) == 1
+    assert capsys.readouterr().out == (
+        "CHECK bad: FAIL\n"
+        "  residual: u*(-x_1*d(p+_1) - d(x_1)*p+_1 + 2*p_1*d(p+_1) + 2*d(p_1)*p+_1"
+        " + (x_1*d(x_1) - 2*d(x_1)*p_1)*eps) + u^2*((2*x+_1*p+_1)*eps)\n"
+        "  u^1: nonzero residual\n"
+        "  u^2: nonzero residual\n")
+
+
 def test_cli_tw_check(capsys):
     rc = run_cli("tw-check", str(THEORIES / "cylinder_flux.bvt"),
                  "--check", "cylinder_flux")
