@@ -163,9 +163,8 @@ def build_covariant_theory(chart: TargetChart) -> USeries:
             body.append((anti_a * pi[a][b] * anti_b) * half)
             sign = -1 if fa.parity else 1
             eps.append((chart.nu[fa.name] * pi[a][b] * anti_b) * sign)
-    return USeries(theory, {0: BElement.of_body(s0),
-                            1: BElement(theory, Expression.sum(theory, body),
-                                        Expression.sum(theory, eps))})
+    return USeries(theory, {0: s0, 1: Expression.sum(theory, body)
+                            + BElement.of_eps(Expression.sum(theory, eps))})
 
 
 # -- twisting -------------------------------------------------------------------
@@ -185,10 +184,11 @@ def twist(S: USeries, W: Expression) -> USeries:
     g = W.grade()
     if g is None or g[0] != 1 or (g[1] + g[2]) % 2 != 1:
         raise TwistObstruction("twist Hamiltonian must be odd of ghost number 1")
-    Wu = USeries.of(BElement.of_body(W))
+    Wu = USeries.of(W)
     dW = du(Wu) + u_bracket(S, Wu)
-    if not dW.coeff(0).is_zero():
-        raise TwistObstruction(f"dW is not divisible by u: u^0 part {dW.coeff(0)!r}")
+    if not is_zero(dW.coeff(0)):
+        raise TwistObstruction(
+            f"dW is not divisible by u: u^0 part {USeries.of(dW.coeff(0))!r}")
     obstruction = u_bracket(dW, Wu)
     if not obstruction.is_zero():
         raise TwistObstruction("[dW, W] != 0: twist obstructed")
@@ -219,9 +219,9 @@ def _ghost_block(theory: Theory, kind: str) -> USeries:
     ghost = Expression.of(theory, c)
     ghost_plus = Expression.of(theory, antifield_name(c))
     return USeries(theory, {
-        0: BElement.of_body(ghost * Expression.of(theory, b, 1)),
-        1: BElement(theory, Expression.of(theory, antifield_name(b)) * ghost_plus,
-                    ghost_plus * ghost),
+        0: ghost * Expression.of(theory, b, 1),
+        1: Expression.of(theory, antifield_name(b)) * ghost_plus
+        + BElement.of_eps(ghost_plus * ghost),
     })
 
 
@@ -268,7 +268,7 @@ def minimal_coupling(S: USeries) -> USeries:
     prod = S.theory
     c = Expression.of(prod, "c")
     S0 = S.coeff(0)
-    return USeries.of(S0) + USeries.of(c * d_element(prod)) + USeries.of(iota(S0).scale(c)) \
+    return USeries.of(S0) + USeries.of(c * d_element(prod)) + USeries.of(c * iota(S0)) \
         + USeries.of(Expression.of(prod, "c+"), 1)
 
 
@@ -308,12 +308,12 @@ def couple_gravity(S: USeries) -> PipelineReport:
 
     # step 1: flow by log(b+) c+ c; expected: Sp + c(b+ db + c+ dc) + u c+
     after_log = log_flow(start, tau).endpoint
-    expected_mid = Sp + USeries(prod, {0: BElement.of_body(grav), 1: BElement.of_body(cp)})
+    expected_mid = Sp + USeries(prod, {0: grav, 1: cp})
     mid_ok = (after_log - expected_mid).is_zero()
 
     # step 2: flow by c S_1 (nilpotent series route)
     S1 = Sp.coeff(1)
-    y2 = USeries.of(S1.scale(c))
+    y2 = USeries.of(c * S1)
     series = gauge_flow_series(after_log, y2)
 
     # Eq (c): d_u(cS_1) + [S_u, cS_1] = c(D + iota S_u)
@@ -325,7 +325,7 @@ def couple_gravity(S: USeries) -> PipelineReport:
     eq_c_ok = (lhs_c - rhs_c).is_zero()
     # Eq (cc): [that, cS_1] = 2 c dc S_1
     lhs_cc = u_bracket(lhs_c, y2)
-    rhs_cc = USeries.of(S1.scale(cdc * 2))
+    rhs_cc = USeries.of(cdc * 2 * S1)
     eq_cc_ok = (lhs_cc - rhs_cc).is_zero()
 
     # proof display: S_0 + c(tau D + b+ db + c+ dc) + tau c iota S_0 + u c+
@@ -334,11 +334,11 @@ def couple_gravity(S: USeries) -> PipelineReport:
     one = Expression.const(prod, 1)
     disp = USeries.of(S0) \
         + USeries.of(c * t * D) + USeries.of(grav) \
-        + USeries.of(iS0.scale(c * t)) \
-        + USeries.of(BElement.of_body(cp), 1) \
-        + USeries.of(S1.scale(one - t), 1) \
-        + USeries.of(iS1.scale((one - t) * t * c), 1) \
-        + USeries.of(S1.scale((one - t) * t * cdc)) * -1
+        + USeries.of(c * t * iS0) \
+        + USeries.of(cp, 1) \
+        + USeries.of((one - t) * S1, 1) \
+        + USeries.of((one - t) * t * c * iS1, 1) \
+        + USeries.of((one - t) * t * cdc * S1) * -1
     family_ok = (series.family(tau) - disp).is_zero()
 
     endpoint = series.endpoint()

@@ -1,11 +1,13 @@
 """The curved Lie superalgebras built on the resolution of the space of
-functionals: elements f + g*eps, u-power series of them, differentials,
-curvature, Maurer-Cartan checking, gauge flows, BCH and canonical
-substitutions.
+functionals: u-power series over it, differentials, curvature,
+Maurer-Cartan checking, gauge flows, BCH and canonical substitutions.
 
-The eps generator is structural: a BElement stores its body and eps part
-separately, the eps part modulo additive constants (constant multiples of
-eps vanish in the resolution).
+An element f + g*eps of the resolution is one expression over the theory's
+structural eps generator: odd, of ghost -1, killed by D and paired with no
+antifield, and sorted after every other symbol, so each eps term is g*eps
+with no sign.  Its eps part is kept modulo additive constants (constant
+multiples of eps vanish in the resolution).  A u-series stores one such
+expression per power of u.
 """
 
 from __future__ import annotations
@@ -14,10 +16,10 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 from .coefficients import AffineExponent, LogAtom, Rat, quotient, rational
-from .expression import (Expression, Term, _atom_partials, _is_jet, _merge_runs, _product,
+from .expression import (Expression, Term, _atom_partials, _merge_runs, _product,
                          _single, apply_substitution, base_expression, embed, inverse_of,
                          is_zero, partial_derivative, power_of, split_powers,
                          substitute_param, total_derivative)
@@ -26,174 +28,79 @@ from .varcalc import (JetTable, _jet_table, _sigma_tables,
                       _soloviev_into, _soloviev_of, is_total_derivative, soloviev)
 
 
+def _has_eps(t: Term) -> bool:
+    # eps sorts last, so a term holds it exactly when its last symbol is eps
+    return bool(t.mono) and t.mono[-1][0].kind == Kind.EPSILON
+
+
 def _strip_eps_constant(e: Expression) -> Expression:
     """Quotient by constants of the chart algebra: eps-terms with no field,
     antifield or function-symbol content vanish (simplex forms and flow
     parameters count as scalars, which is what makes the Whitney image of a
     locally constant cocycle vanish)."""
-    kept = []
-    dropped = False
-    for t in e.terms:
-        # every atom kind references chart data (function symbols or
-        # log/pow bases in the chart coordinates); jets sort first, so a
-        # term holds one exactly when its first symbol is one
-        if t.atoms or (t.mono and _is_jet(t.mono[0][0])):
-            kept.append(t)
-        else:
-            dropped = True
-    if not dropped:
-        return e
-    return Expression(e.theory, tuple(kept))
+    # every atom kind references chart data (function symbols or log/pow
+    # bases in the chart coordinates); jets sort first, so a term holds one
+    # exactly when its first symbol is one.  `_has_eps` and `_is_jet` are
+    # written out: every u-series coefficient passes here.
+    kept = tuple(t for t in e.terms
+                 if t.atoms or not t.mono or t.mono[-1][0].kind != Kind.EPSILON
+                 or t.mono[0][0].kind <= Kind.ANTIFIELD_JET)
+    return e if len(kept) == len(e.terms) else Expression(e.theory, kept)
+
+
+def _body(e: Expression) -> Expression:
+    """The eps-free part f of f + g*eps; a subsequence of canonical terms is
+    canonical."""
+    return Expression(e.theory, tuple(t for t in e.terms if not _has_eps(t)))
 
 
 class BElement:
-    """f + g*eps with f, g eps-free; g modulo constants."""
-
-    __slots__ = ("theory", "body", "eps")
-
-    def __init__(self, theory: Theory, body: Expression, eps: Optional[Expression] = None):
-        self.theory = theory
-        self.body = body
-        self.eps = _strip_eps_constant(eps if eps is not None else Expression.zero(theory))
-        # eps sorts last, so a term holds it exactly when its last symbol is eps
-        for part in (self.body, self.eps):
-            for t in part.terms:
-                if t.mono and t.mono[-1][0].kind == Kind.EPSILON:
-                    raise TheoryError("eps is structural; split it first")
+    """The two embeddings of the functionals into the resolution, as fused
+    expressions."""
 
     @staticmethod
-    def zero(theory: Theory) -> "BElement":
-        return BElement(theory, Expression.zero(theory))
+    def of_body(e: Expression) -> Expression:
+        return e
 
     @staticmethod
-    def of_body(e: Expression) -> "BElement":
-        return BElement(e.theory, e)
-
-    @staticmethod
-    def of_eps(e: Expression) -> "BElement":
-        return BElement(e.theory, Expression.zero(e.theory), e)
-
-    @staticmethod
-    def from_fused(e: Expression) -> "BElement":
-        """Split an expression containing the eps symbol: eps is last in the
-        canonical order, so each term factors as g*eps with no sign."""
-        parts = split_powers(e, e.theory.epsilon)
-        return BElement(e.theory, parts.get(0, Expression.zero(e.theory)), parts.get(1))
-
-    def fused(self) -> Expression:
-        return self.body + self.eps * Expression.symbol(self.theory, self.theory.epsilon)
-
-    def __add__(self, other: "BElement") -> "BElement":
-        return BElement(self.theory, self.body + other.body, self.eps + other.eps)
-
-    def __sub__(self, other: "BElement") -> "BElement":
-        return BElement(self.theory, self.body - other.body, self.eps - other.eps)
-
-    def __neg__(self) -> "BElement":
-        return BElement(self.theory, -self.body, -self.eps)
-
-    def __mul__(self, q) -> "BElement":
-        return BElement(self.theory, self.body * q, self.eps * q)
-
-    def scale(self, e: Expression) -> "BElement":
-        """Left multiplication by an eps-free expression."""
-        return BElement(self.theory, e * self.body, e * self.eps)
-
-    def is_zero(self) -> bool:
-        return is_zero(self.body) and is_zero(self.eps)
-
-    def is_structural_zero(self) -> bool:
-        return self.body.is_structural_zero() and self.eps.is_structural_zero()
-
-    def grade(self):
-        """(ghost, sign_degree) of the element; eps contributes (-1, 1)."""
-        grades = set()
-        if not self.body.is_structural_zero():
-            for t in self.body.terms:
-                grades.add((t.ghost(), t.sign_degree()))
-        if not self.eps.is_structural_zero():
-            for t in self.eps.terms:
-                grades.add((t.ghost() - 1, (t.sign_degree() + 1) % 2))
-        if not grades:
-            return (0, EVEN)
-        if len(grades) > 1:
-            return None
-        return grades.pop()
-
-    def map_parts(self, fn: Callable[[Expression], Expression],
-                  target: Optional[Theory] = None) -> "BElement":
-        """fn on the body and on the eps part, as an element of `target`
-        (default: this element's theory); an empty part stays empty and is
-        not passed to fn."""
-        theory = target or self.theory
-        return BElement(theory, *(fn(e) if e.terms else Expression.zero(theory)
-                                  for e in (self.body, self.eps)))
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, BElement) and self.body == other.body and self.eps == other.eps
-
-    def __repr__(self) -> str:
-        from .printer import render
-        if self.eps.is_structural_zero():
-            return render(self.body)
-        if self.body.is_structural_zero():
-            return f"({render(self.eps)})*eps"
-        return f"{render(self.body)} + ({render(self.eps)})*eps"
+    def of_eps(e: Expression) -> Expression:
+        """g -> g*eps modulo constants."""
+        return _strip_eps_constant(e * Expression.symbol(e.theory, e.theory.epsilon))
 
 
-def b_differential(x: BElement) -> BElement:
-    """d(f + g eps) = (-1)^{pa(g)} dg; d^2 = 0."""
-    if x.eps.is_structural_zero():
-        return BElement.zero(x.theory)
-    return BElement.of_body(Expression.sum(x.theory, (
-        total_derivative(part) * (-1 if sg % 2 else 1)
-        for sg, part in x.eps.sigma_parts())))
+def _grade(e: Expression):
+    """(ghost, sign_degree) common to the terms of a nonzero element, eps
+    counting (-1, 1), else None."""
+    grades = {(t.ghost(), t.sign_degree()) for t in e.terms}
+    return grades.pop() if len(grades) == 1 else None
 
 
-def b_bracket(a: BElement, b: BElement) -> BElement:
-    """The Soloviev antibracket extended to the resolution: the three-term
-    formula with the displayed signs (normative; Leibniz is a property
-    test, not an assumption)."""
-    if b.theory is not a.theory:
-        raise TheoryError("mixed theory contexts")
-    body: list[Expression] = []
-    eps: list[Expression] = []
-    _b_bracket_into(body, eps, a.theory, _b_tables(a), _b_tables(b))
-    return BElement(a.theory, Expression.sum(a.theory, body), Expression.sum(a.theory, eps))
+def b_differential(x: Expression) -> Expression:
+    """d = D o d/deps: d(f + g eps) = (-1)^{pa(g)} dg, the sign that of the
+    left partial by eps; d^2 = 0."""
+    return total_derivative(partial_derivative(x, x.theory.epsilon))
 
 
-BTables = tuple[list[tuple[int, JetTable]], list[tuple[int, JetTable]]]
+def b_bracket(a: Expression, b: Expression) -> Expression:
+    """The Soloviev antibracket extended to the resolution: eps is odd,
+    central for the bracket (D kills it, no antifield pairs with it), so
+    the bracket of fused operands, its eps part modulo constants."""
+    return _strip_eps_constant(soloviev(a, b))
 
 
-def _b_tables(x: BElement) -> BTables:
-    """The jet tables of the sigma parts of x's body and of its eps part."""
-    return _sigma_tables(x.body), _sigma_tables(x.eps)
-
-
-def _b_bracket_into(body: list[Expression], eps: list[Expression], theory: Theory,
-                    a: BTables, b: BTables):
-    """Append the products of b_bracket to the body and eps piece lists:
-    (a.body, b.body) to the body; (a.body, b.eps) and, per sigma part of
-    b.body, (a.eps, part) signed to the eps part."""
-    a_body, a_eps = a
-    b_body, b_eps = b
-    _soloviev_into(body, theory, a_body, [t for _, t in b_body])
-    _soloviev_into(eps, theory, a_body, [t for _, t in b_eps])
-    for sf1, t in b_body:
-        _soloviev_into(eps, theory, a_eps, [t], -1 if (sf1 + 1) % 2 else 1)
-
-
-def iota(x: BElement) -> BElement:
+def iota(x: Expression) -> Expression:
     """iota(f + g eps) = (-1)^{pa(f)} (N+ f - f) eps, N+ = sum_k a+_k d/d(a+_k)
     the antifield counting operator; iota^2 = 0 and d iota + iota d = ad(D).
     N+ is diagonal on monomials: a+_k and d/d(a+_k) have the same parity, so
     putting a+_k back undoes the partial's prefix sign, and an odd a+_k has
-    exponent 1.  So each term t becomes (-1)^{pa(t)} (n+(t) - 1) t, n+ its
-    antifield degree, in one pass; an atom whose base holds an antifield s
-    adds s * dt/ds through the chain rule, `_atom_partials`."""
+    exponent 1.  So each term t of f becomes (-1)^{pa(t)} (n+(t) - 1) t eps,
+    n+ its antifield degree, in one pass; an atom whose base holds an
+    antifield s adds s * dt/ds through the chain rule, `_atom_partials`."""
     theory = x.theory
     out: list[Term] = []
-    for t in x.body.terms:
+    for t in x.terms:
+        if _has_eps(t):
+            continue
         weight = -1
         sd = 0
         for s, e in t.mono:
@@ -222,28 +129,31 @@ def d_element(theory: Theory) -> Expression:
 
 
 class USeries:
-    """Finite u-power series of BElements; u has ghost number 2."""
+    """Finite u-power series of fused elements f + g*eps; u has ghost
+    number 2."""
 
     __slots__ = ("theory", "coeffs")
 
-    def __init__(self, theory: Theory, coeffs: dict[int, BElement]):
+    def __init__(self, theory: Theory, coeffs: dict[int, Expression]):
         self.theory = theory
-        self.coeffs = {n: c for n, c in coeffs.items() if not c.is_structural_zero()}
-        if any(n < 0 for n in self.coeffs):
-            raise TheoryError("negative u-power outside a twist computation")
+        self.coeffs = {}
+        for n, c in coeffs.items():
+            c = _strip_eps_constant(c)
+            if c.terms:
+                if n < 0:
+                    raise TheoryError("negative u-power outside a twist computation")
+                self.coeffs[n] = c
 
     @staticmethod
     def zero(theory: Theory) -> "USeries":
         return USeries(theory, {})
 
     @staticmethod
-    def of(x: Union[BElement, Expression], power: int = 0) -> "USeries":
-        if isinstance(x, Expression):
-            x = BElement.of_body(x)
+    def of(x: Expression, power: int = 0) -> "USeries":
         return USeries(x.theory, {power: x})
 
-    def coeff(self, n: int) -> BElement:
-        return self.coeffs.get(n, BElement.zero(self.theory))
+    def coeff(self, n: int) -> Expression:
+        return self.coeffs.get(n, Expression.zero(self.theory))
 
     def powers(self) -> list[int]:
         return sorted(self.coeffs)
@@ -251,7 +161,7 @@ class USeries:
     def __add__(self, other: "USeries") -> "USeries":
         out = dict(self.coeffs)
         for n, c in other.coeffs.items():
-            out[n] = out.get(n, BElement.zero(self.theory)) + c
+            out[n] = out[n] + c if n in out else c
         return USeries(self.theory, out)
 
     def __sub__(self, other: "USeries") -> "USeries":
@@ -261,22 +171,22 @@ class USeries:
         return USeries(self.theory, {n: c * q for n, c in self.coeffs.items()})
 
     def scale(self, e: Expression) -> "USeries":
-        return USeries(self.theory, {n: c.scale(e) for n, c in self.coeffs.items()})
-
-    def shift(self, k: int) -> "USeries":
-        return USeries(self.theory, {n + k: c for n, c in self.coeffs.items()})
+        """Left multiplication by an eps-free expression."""
+        return USeries(self.theory, {n: e * c for n, c in self.coeffs.items()})
 
     def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coeffs.values())
+        return all(is_zero(c) for c in self.coeffs.values())
 
-    def map_parts(self, fn, target: Optional[Theory] = None) -> "USeries":
-        theory = target or self.theory
-        return USeries(theory, {n: c.map_parts(fn, theory) for n, c in self.coeffs.items()})
+    def map_parts(self, fn: Callable[[Expression], Expression],
+                  target: Optional[Theory] = None) -> "USeries":
+        """fn on each coefficient, as a series of `target` (default: this
+        series' theory)."""
+        return USeries(target or self.theory, {n: fn(c) for n, c in self.coeffs.items()})
 
     def check_ghost(self):
         """Coefficient of u^n must be even of ghost -2n (total degree 0)."""
         for n, c in self.coeffs.items():
-            g = c.grade()
+            g = _grade(c)
             if g is None:
                 raise TheoryError(f"u^{n} coefficient is not homogeneous")
             want = (-2 * n, EVEN)
@@ -287,21 +197,31 @@ class USeries:
     def __eq__(self, other) -> bool:
         if not isinstance(other, USeries):
             return NotImplemented
-        ns = set(self.coeffs) | set(other.coeffs)
-        return all(self.coeff(n) == other.coeff(n) for n in ns)
+        return self.coeffs == other.coeffs
 
     def __repr__(self) -> str:
+        """u-power by u-power, each coefficient split by eps for display:
+        body + (eps part)*eps."""
+        from .printer import render
         if not self.coeffs:
             return "0"
         parts = []
         for n in self.powers():
-            c = repr(self.coeffs[n])
+            split = split_powers(self.coeffs[n], self.theory.epsilon)
+            body, eps = split.get(0), split.get(1)
+            if eps is None:
+                c = render(body)
+            elif body is None:
+                c = f"({render(eps)})*eps"
+            else:
+                c = f"{render(body)} + ({render(eps)})*eps"
             parts.append(c if n == 0 else (f"u*({c})" if n == 1 else f"u^{n}*({c})"))
         return " + ".join(parts)
 
 
 def u_bracket(a: USeries, b: USeries) -> USeries:
-    """The bracket of u-series, coefficient pair by coefficient pair; each
+    """The bracket of u-series, coefficient pair by coefficient pair: the
+    Soloviev bracket of the fused coefficients, whose u-powers add.  Each
     coefficient's jet tables are built once per call and shared by all its
     pairs (and by both sides of [S, S])."""
     if a.coeffs and b.coeffs and b.theory is not a.theory:
@@ -310,20 +230,20 @@ def u_bracket(a: USeries, b: USeries) -> USeries:
     return _u_bracket_of(a.theory, ta, ta if b is a else _u_tables(b))
 
 
-def _u_tables(x: USeries) -> dict[int, BTables]:
-    return {n: _b_tables(c) for n, c in x.coeffs.items()}
+def _u_tables(x: USeries) -> dict[int, list[tuple[int, JetTable]]]:
+    """The jet tables of each coefficient's sigma parts: as a left operand
+    they are its parts, as a right one they sum to it."""
+    return {n: _sigma_tables(c) for n, c in x.coeffs.items()}
 
 
-def _u_bracket_of(theory: Theory, ta: dict[int, BTables], tb: dict[int, BTables]) -> USeries:
+def _u_bracket_of(theory: Theory, ta: dict[int, list[tuple[int, JetTable]]],
+                  tb: dict[int, list[tuple[int, JetTable]]]) -> USeries:
     """u_bracket from the tables of both operands' coefficients."""
-    body: dict[int, list[Expression]] = {}
-    eps: dict[int, list[Expression]] = {}
+    pieces: dict[int, list[Expression]] = {}
     for na, xa in ta.items():
         for nb, xb in tb.items():
-            n = na + nb
-            _b_bracket_into(body.setdefault(n, []), eps.setdefault(n, []), theory, xa, xb)
-    return USeries(theory, {n: BElement(theory, Expression.sum(theory, body[n]),
-                                        Expression.sum(theory, eps[n])) for n in body})
+            _soloviev_into(pieces.setdefault(na + nb, []), theory, xa, [t for _, t in xb])
+    return USeries(theory, {n: Expression.sum(theory, ps) for n, ps in pieces.items()})
 
 
 def _bracket_by(y: USeries, sign: int) -> Callable[[USeries], USeries]:
@@ -334,15 +254,11 @@ def _bracket_by(y: USeries, sign: int) -> Callable[[USeries], USeries]:
 
 def du(x: USeries) -> USeries:
     """d_u = d + u iota."""
-    out: dict[int, BElement] = {}
+    out: dict[int, list[Expression]] = {}
     for n, c in x.coeffs.items():
-        d = b_differential(c)
-        if not d.is_structural_zero():
-            out[n] = out.get(n, BElement.zero(x.theory)) + d
-        i = iota(c)
-        if not i.is_structural_zero():
-            out[n + 1] = out.get(n + 1, BElement.zero(x.theory)) + i
-    return USeries(x.theory, out)
+        out.setdefault(n, []).append(b_differential(c))
+        out.setdefault(n + 1, []).append(iota(c))
+    return USeries(x.theory, {n: Expression.sum(x.theory, ps) for n, ps in out.items()})
 
 
 # -- curvature and Maurer-Cartan -----------------------------------------------
@@ -374,18 +290,16 @@ def mc_check(S: USeries, mode: str = "B") -> MCReport:
     is a total derivative with zero constant."""
     if mode not in ("B", "F"):
         raise TheoryError("mode must be 'B' or 'F'")
+    if mode == "F" and any(_has_eps(t) for c in S.coeffs.values() for t in c.terms):
+        raise TheoryError("F-mode input must have no eps part")
     S.check_ghost()
     residual = curvature(S.theory) + (du(S) if mode == "B" else USeries.zero(S.theory)) \
         + u_bracket(S, S) * Fraction(1, 2)
     notes: list[str] = []
     if mode == "F":
-        for n, c in S.coeffs.items():
-            if not c.eps.is_structural_zero():
-                raise TheoryError("F-mode input must have no eps part")
         ok = True
         for n in residual.powers():
-            body = residual.coeff(n).body
-            flag, c0, _ = is_total_derivative(body)
+            flag, c0, _ = is_total_derivative(residual.coeff(n))
             if not (flag and c0 == 0):
                 ok = False
                 notes.append(f"u^{n}: residual is not a total derivative")
@@ -393,7 +307,7 @@ def mc_check(S: USeries, mode: str = "B") -> MCReport:
     ok = residual.is_zero()
     if not ok:
         for n in residual.powers():
-            if not residual.coeff(n).is_zero():
+            if not is_zero(residual.coeff(n)):
                 notes.append(f"u^{n}: nonzero residual")
     return MCReport(residual, ok, notes)
 
@@ -402,18 +316,17 @@ def complete_to_b(S: USeries) -> USeries:
     """Lift an F-mode solution (no eps parts) to the resolution: the eps
     parts are the homotopy witnesses of the body residuals."""
     residual = curvature(S.theory) + u_bracket(S, S) * Fraction(1, 2)
-    out = dict(S.coeffs)
+    witnesses: dict[int, Expression] = {}
     for n in residual.powers():
-        body = residual.coeff(n).body
-        flag, c0, g = is_total_derivative(body)
+        flag, c0, g = is_total_derivative(_body(residual.coeff(n)))
         if not flag or c0 != 0:
             raise TheoryError(f"u^{n} residual is not a total derivative; "
                               "not a covariant field theory")
-        if g is not None and not g.is_structural_zero():
+        if g is not None:
             # d(g~ eps) contributes (-1)^{pa(g~)} dg~ to the body; g~ is odd
             # when S is even, so the sign is -1 and g~ = witness.
-            out[n] = out.get(n, BElement.zero(S.theory)) + BElement.of_eps(g)
-    lifted = USeries(S.theory, out)
+            witnesses[n] = BElement.of_eps(g)
+    lifted = S + USeries(S.theory, witnesses)
     if not mc_check(lifted).ok:
         raise TheoryError("completion failed to satisfy the resolved master equation")
     return lifted
@@ -473,7 +386,7 @@ def gauge_flow_series(x: USeries, y: USeries, max_order: int = 24) -> FlowSeries
     series; terminates with a certificate when ad(y) is nilpotent on the
     orbit, else truncates with a marker."""
     for n, c in y.coeffs.items():
-        g = c.grade()
+        g = _grade(c)
         if g is None or g[1] != 1 or g[0] != -1 - 2 * n:
             raise TheoryError("gauge generator must be odd of ghost number -1")
     steps, index = orbit(du(y) + u_bracket(x, y), _bracket_by(y, -1), max_order)
@@ -635,7 +548,7 @@ def gauge_flow_closed(x: USeries, y: Expression, tau: GradedSymbol,
     and the d_u y source integrates term by term (the iterated brackets of
     d_u y must terminate).  The family is certified against the flow ODE
     before being returned."""
-    ys = USeries.of(BElement.of_body(y))
+    ys = USeries.of(y)
     sub = flow_substitution(x.theory, y, tau, direction=-1)
     steps, index = orbit(du(ys), _bracket_by(ys, -1), max_iter + 1)
     if index is None:
@@ -727,9 +640,7 @@ def bch(y: USeries, z: USeries, order: int = 6) -> BCHResult:
     # z, ad(y) z, ad(y)^2 z up to the first zero
     ad_z, _ = orbit(z, _bracket_by(y, 1), 3)
     v1 = ad_z[1] if len(ad_z) > 1 else USeries.zero(theory)
-    prop = _proportionality(pair for n in set(v1.coeffs) | set(z.coeffs)
-                            for pair in ((v1.coeff(n).body, z.coeff(n).body),
-                                         (v1.coeff(n).eps, z.coeff(n).eps)))
+    prop = _proportionality((v1.coeff(n), z.coeff(n)) for n in set(v1.coeffs) | set(z.coeffs))
     if prop is not None:
         q, base_key = prop
         if base_key is not None and q.denominator == 1:
@@ -772,9 +683,8 @@ def embed_u(x: USeries, target: Theory) -> USeries:
 
 def antifield_rank(S: USeries) -> int:
     """Maximal total antifield degree across the u^0 body terms."""
-    body = S.coeff(0).body
     rank = 0
-    for t in body.terms:
+    for t in _body(S.coeff(0)).terms:
         deg = sum(e for s, e in t.mono if s.kind == Kind.ANTIFIELD_JET)
         rank = max(rank, deg)
     return rank

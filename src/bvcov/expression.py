@@ -882,8 +882,8 @@ def apply_substitution(expr: Expression, images: dict[GradedSymbol, Expression],
     """Algebra homomorphism sending each 0-jet generator to its image and
     commuting with the total derivative (jets map to derivatives of the
     image).  Generators without an image must exist in the target theory
-    under the same name.  Atoms are rebuilt: function symbols require their
-    arguments to map to plain coordinates.
+    under the same name; eps goes to the target's own.  Atoms are rebuilt:
+    function symbols require their arguments to map to plain coordinates.
 
     A term with no atoms whose generators all have no image and keep their
     sort key and sign degree in the target is relabeled in place: its
@@ -894,6 +894,10 @@ def apply_substitution(expr: Expression, images: dict[GradedSymbol, Expression],
     jet_cache: dict[tuple[str, int], Expression] = {}
     relabels: dict[GradedSymbol, Optional[GradedSymbol]] = {}
 
+    def namesake(sym: GradedSymbol) -> GradedSymbol:
+        """The target's 0-jet symbol of sym's base name."""
+        return target.epsilon if sym.kind == Kind.EPSILON else target.symbol(sym.base)
+
     def relabel(sym: GradedSymbol) -> Optional[GradedSymbol]:
         """sym's namesake in the target when sym has no image and keeps its
         sort key and sign degree there, else None; decided once per call."""
@@ -902,7 +906,7 @@ def apply_substitution(expr: Expression, images: dict[GradedSymbol, Expression],
         got = None
         jet = _is_jet(sym)
         if (source.symbol(sym.base) if jet else sym) not in images:
-            ts = target.symbol(sym.base if jet else sym.name)
+            ts = namesake(sym)
             if sym.jet_order and ts.kind == sym.kind:
                 ts = target.jet(sym.base, sym.jet_order)
             if ts.sign_degree == sym.sign_degree and \
@@ -919,7 +923,7 @@ def apply_substitution(expr: Expression, images: dict[GradedSymbol, Expression],
         base0 = sym if sym.jet_order == 0 else source.symbol(sym.base, 0)
         img = images.get(base0)
         if img is None:
-            img = Expression.symbol(target, target.symbol(sym.base, 0))
+            img = Expression.symbol(target, namesake(sym))
         val = iterated_total(img, sym.jet_order)
         jet_cache[key] = val
         return val
@@ -945,8 +949,7 @@ def apply_substitution(expr: Expression, images: dict[GradedSymbol, Expression],
                 val = image_of(sym)
             else:
                 img = images.get(sym)
-                val = img if img is not None else \
-                    Expression.symbol(target, target.symbol(sym.name, 0))
+                val = img if img is not None else Expression.symbol(target, namesake(sym))
             for _ in range(e):
                 piece = piece * val
         terms.extend(piece.terms)

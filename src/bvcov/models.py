@@ -14,7 +14,7 @@ from typing import Callable, Optional, Sequence
 
 from .expression import (Expression, Term, _lower_atom, embed, is_zero,
                          partial_derivative)
-from .curved import (BElement, CanonicalSubstitution, USeries,
+from .curved import (CanonicalSubstitution, USeries, _body,
                      canonical_substitution_check, d_element, du, gauge_flow_series,
                      mc_check, u_bracket)
 from .aksz import (PipelineReport, TargetChart, build_covariant_theory, ghost_pair,
@@ -210,6 +210,9 @@ def apply_relations(expr: Expression) -> Expression:
             changed = True
             idx, atom, d = hit
             value = theory.relations[(atom.func, d)]
+            if value.theory is not theory:
+                # a product theory copies its parts' rules as they are
+                value = embed(value, theory)
             rest = list(atom.deriv)
             rest.remove(d)
             for extra in rest:
@@ -312,15 +315,15 @@ def spinning_pipeline(model: ModelSpec) -> PipelineReport:
 
     S1 = S.coeff(1)
     Xi1 = Xi.coeff(1)
-    T3 = gauge_flow_series(T2, USeries.of(Xi1.scale(c))).endpoint()
+    T3 = gauge_flow_series(T2, USeries.of(c * Xi1)).endpoint()
     checks.append(("stage-cXi1", mc_check(T3).ok))
-    T4 = gauge_flow_series(T3, USeries.of(S1.scale(c))).endpoint()
+    T4 = gauge_flow_series(T3, USeries.of(c * S1)).endpoint()
     checks.append(("stage-cS1", mc_check(T4).ok))
 
     # BCH merge: c Xi_1 * c S_1 = c(S_1 + Xi_1): flowing in one shot agrees
-    merged = gauge_flow_series(T2, USeries.of((S1 + Xi1).scale(c))).endpoint()
+    merged = gauge_flow_series(T2, USeries.of(c * (S1 + Xi1))).endpoint()
     bch_ok = (merged - T4).is_zero() and \
-        u_bracket(USeries.of(Xi1.scale(c)), USeries.of(S1.scale(c))).is_zero()
+        u_bracket(USeries.of(c * Xi1), USeries.of(c * S1)).is_zero()
 
     rename = _physical_rename(model, prod)
     T5 = rename.apply_u(T4)
@@ -338,8 +341,8 @@ def _master_equation_with_witness(S: USeries, transported_d: Expression) -> bool
     term (m(D) differs from the target D by a total derivative): checks
     u m(D) + d_u(eps parts) + (1/2)[bodies, bodies] = 0."""
     phys = S.theory
-    bodies = USeries(phys, {n: BElement.of_body(c.body) for n, c in S.coeffs.items()})
-    witnesses = USeries(phys, {n: BElement.of_eps(c.eps) for n, c in S.coeffs.items()})
+    bodies = USeries(phys, {n: _body(c) for n, c in S.coeffs.items()})
+    witnesses = S - bodies
     return (USeries.of(transported_d, 1) + du(witnesses)
             + u_bracket(bodies, bodies) * Fraction(1, 2)).is_zero()
 
@@ -378,7 +381,7 @@ def couple_with_potential(model: ModelSpec) -> PipelineReport:
     if not mc_check(T1).ok:
         return PipelineReport([("twisted-master-equation", False)], T1)
     T2 = log_flow(T1, tau).endpoint
-    T3 = gauge_flow_series(T2, USeries.of(S.coeff(1).scale(c))).endpoint()
+    T3 = gauge_flow_series(T2, USeries.of(c * S.coeff(1))).endpoint()
     expected = minimal_coupling(S) - USeries.of(Expression.of(prod, "b+") * V)
     return PipelineReport([("twist-couple-endpoint", (T3 - expected).is_zero()),
                            ("endpoint-master-equation", mc_check(T3).ok)], T3)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .coefficients import AffineExponent, Rat, quotient
-from .curved import BElement, CanonicalSubstitution, USeries
+from .curved import CanonicalSubstitution, USeries
 from .expression import Expression, inverse_of, iterated_total, log_of, power_of, split_powers
 from .symbols import GradedSymbol, Kind, Theory, TheoryError
 from .varcalc import EtaleMap
@@ -262,15 +262,14 @@ def parse_expression(theory: Theory, src: str, line_no: int = 0, offset: int = 0
 
 
 def to_useries(expr: Expression) -> USeries:
-    """Split a parsed expression on powers of u and the eps generator."""
-    return USeries(expr.theory, {n: BElement.from_fused(c)
-                                 for n, c in split_powers(expr, expr.theory.u).items()})
+    """Split a parsed expression on powers of u."""
+    return USeries(expr.theory, split_powers(expr, expr.theory.u))
 
 
 def from_useries(x: USeries) -> Expression:
     theory = x.theory
     u = Expression.symbol(theory, theory.u)
-    return Expression.sum(theory, (u ** n * c.fused() for n, c in x.coeffs.items()))
+    return Expression.sum(theory, (u ** n * c for n, c in x.coeffs.items()))
 
 
 # -- theory files -------------------------------------------------------------------

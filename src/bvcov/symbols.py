@@ -234,7 +234,9 @@ class Theory:
     def sort_key(self, sym: GradedSymbol) -> tuple:
         key = self._sort_keys.get(sym)
         if key is None:
-            rank = self._order_index.get(sym.base)
+            # eps is one structural symbol per theory, sorting last in every
+            # theory alike, so a relabel between theories keeps its key
+            rank = 0 if sym.kind == Kind.EPSILON else self._order_index.get(sym.base)
             if rank is None:
                 raise SymbolUnknownError(f"symbol not of this theory: {sym.name}")
             key = self._sort_keys[sym] = (int(sym.kind), rank, sym.jet_order)

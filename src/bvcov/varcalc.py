@@ -123,7 +123,7 @@ def _nth_total(chain: list[Expression], n: int) -> Expression:
     return chain[n]
 
 
-def _paired_columns(theory: Theory, f_parts: list[tuple[int, JetTable]], sign: int = 1):
+def _paired_columns(theory: Theory, f_parts: list[tuple[int, JetTable]]):
     """The one pairing loop of the brackets and the Euler fields: for each
     sigma part sf of f and paired index, f's field column goes with the
     antifield and the sign pref, and f's antifield column with the field and
@@ -131,7 +131,7 @@ def _paired_columns(theory: Theory, f_parts: list[tuple[int, JetTable]], sign: i
     pairs = theory.field_pairs()
     for sf, ft in f_parts:
         for field, anti in pairs:
-            pref = sign * (-1 if ((sf + 1) * field.parity) % 2 else 1)
+            pref = -1 if ((sf + 1) * field.parity) % 2 else 1
             mirror = pref * (-1 if sf % 2 else 1)
             for left, right, sgn in ((field, anti, pref), (anti, field, mirror)):
                 col = ft.get(left.base)
@@ -161,13 +161,12 @@ def euler(expr: Expression, k: int, base_name: str) -> Expression:
 
 
 def _soloviev_into(pieces: list[Expression], theory: Theory,
-                   f_parts: list[tuple[int, JetTable]], g_tables: list[JetTable],
-                   sign: int = 1):
-    """Append the products of sign * soloviev(f, g) to `pieces`: f given by
+                   f_parts: list[tuple[int, JetTable]], g_tables: list[JetTable]):
+    """Append the products of soloviev(f, g) to `pieces`: f given by
     the tables of its sigma parts, g by the tables of parts summing to g.
     Each column of f is paired with g's column of the partner base:
     D^l(df/db_k) * D^k(dg/db'_l) for every k and l."""
-    for f_col, right, sgn in _paired_columns(theory, f_parts, sign):
+    for f_col, right, sgn in _paired_columns(theory, f_parts):
         for gt in g_tables:
             g_col = gt.get(right.base)
             if g_col is None:

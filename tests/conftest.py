@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from bvcov.symbols import Theory
-from bvcov.expression import Expression
+from bvcov.expression import Expression, split_powers
 from bvcov.varcalc import EvolutionaryVectorField
 
 
@@ -26,6 +26,14 @@ def antifield_counting_field(theory: Theory) -> EvolutionaryVectorField:
     match."""
     return EvolutionaryVectorField(theory, {
         anti: Expression.symbol(theory, anti) for _, anti in theory.field_pairs()})
+
+
+def eps_parts(x: Expression) -> tuple[Expression, Expression]:
+    """(f, g) with x = f + g*eps, read off by `split_powers` on the
+    theory's eps."""
+    parts = split_powers(x, x.theory.epsilon)
+    zero = Expression.zero(x.theory)
+    return parts.get(0, zero), parts.get(1, zero)
 
 
 @pytest.fixture

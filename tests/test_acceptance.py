@@ -16,7 +16,7 @@ from bvcov.aksz import couple_gravity, x_u_series
 from bvcov.models import (build_model, couple_with_potential, flat_particle,
                           flat_spinning_particle, intro_theory, magnetic_particle,
                           spinning_pipeline, curved_spinning_particle)
-from conftest import HomogeneousSampler
+from conftest import HomogeneousSampler, eps_parts
 from paper_intro import (_with_worldline_form, composite_form, intro_action,
                          intro_transformations)
 
@@ -122,7 +122,7 @@ def test_criterion_03_master_equations():
     # does not apply); the u^0 part is the displayed action exactly
     rep = spinning_pipeline(flat_spinning_particle(N))
     ok &= dict(rep.checks)["physical-master-equation"]
-    ok &= is_zero(rep.series.coeff(0).body
+    ok &= is_zero(eps_parts(rep.series.coeff(0))[0]
                   - intro_action(rep.series.theory, N, spinning=True)[0])
     # (e) every builder output in the model library
     for name, dim in [("flat-particle", N), ("magnetic-particle", N),
@@ -209,12 +209,12 @@ def test_criterion_06_bch_closed_form():
     cp = Expression.of(prod, "c+")
     y = USeries.of(BElement.of_body(log_of(bp) * cp * c))
     S1 = Sp.coeff(1)
-    z = USeries.of(S1.scale(c))
+    z = USeries.of(c * S1)
     res = bch(y, z, order=6)
     ok = res.hypothesis_checked and res.closed_form is not None
     # closed form equals the displayed [log(b+)/(b+ - 1)](c(S1 + X1) - c+c)
     X1 = x_u_series(prod).coeff(1)
-    target = USeries.of((S1 + X1).scale(c)) - USeries.of(BElement.of_body(cp * c))
+    target = USeries.of(c * (S1 + X1)) - USeries.of(BElement.of_body(cp * c))
     factor = log_of(bp) * inverse_of(bp - Expression.const(prod, 1))
     ok &= (res.closed_form - target.scale(factor)).is_zero()
     # series branch: order k is psi_k (-log b+)^k z with psi the Taylor
@@ -278,7 +278,7 @@ def test_criterion_07_corollary_and_magnetic():
                 - Expression.func(t, f"A_{mu}", [f"x_{nu}"])
             f_term = f_term + Fraction(1, 2) * F * Expression.of(t, f"p+_{mu}") \
                 * Expression.of(t, f"p+_{nu}")
-    ok &= is_zero(mag.series.coeff(1).body - flat_part - f_term)
+    ok &= is_zero(eps_parts(mag.series.coeff(1))[0] - flat_part - f_term)
     report(7, "potential twist corollary and magnetic model", ok)
 
 
@@ -289,8 +289,8 @@ def test_criterion_08_spinning_pipeline():
     # the physical action is the intro's master-equation solution, exactly
     phys = rep.series.theory
     want = intro_action(phys, N, spinning=True)[0]
-    ok &= is_zero(rep.series.coeff(0).body - want)
-    ok &= is_zero(rep.series.coeff(1).body - Expression.of(phys, "c+"))
+    ok &= is_zero(eps_parts(rep.series.coeff(0))[0] - want)
+    ok &= is_zero(eps_parts(rep.series.coeff(1))[0] - Expression.of(phys, "c+"))
     # and the intro transformation carries it to the AKSZ form (criterion 4
     # checked the displays; here the pipeline and intro routes agree)
     tr = intro_transformations(phys, N, spinning=True)
@@ -360,7 +360,7 @@ def _curved_display_matches(model, rep) -> bool:
                 continue
             gq = gq + Expression.of(model.theory, antifield_name(fa.name)) \
                 * pi[a][b2] * dq
-    S1body = embed(model.series.coeff(1).body, phys)
+    S1body = embed(eps_parts(model.series.coeff(1))[0], phys)
     expected = S0 - Fraction(1, 2) * E("e") * QQ - E("chi") * Q \
         + E("c") * (Dm - E("chi") * d(E("chi+")) + E("gamma+") * d(E("gamma"))
                     - E("e") * d(E("e+")) + E("c+") * d(E("c"))) \
@@ -368,7 +368,7 @@ def _curved_display_matches(model, rep) -> bool:
         - E("gamma") * d(E("chi+")) \
         + inverse_of(E("e")) * E("gamma") ** 2 * (E("c+") - S1body
                                                   - E("chi") * E("gamma+"))
-    return is_zero(rep.series.coeff(0).body - expected)
+    return is_zero(eps_parts(rep.series.coeff(0))[0] - expected)
 
 
 def test_criterion_09_bracket_axioms_bulk():
@@ -494,7 +494,7 @@ def test_criterion_12_curved_context_self_tests():
         for g in gens:
             gs = USeries.of(g)
             ok &= (du(du(gs)) - u_bracket(uD, gs)).is_zero()
-            ok &= iota(iota(g)).is_zero()
+            ok &= is_zero(iota(iota(g)))
             lhs = b_differential(iota(g)) + iota(b_differential(g))
-            ok &= (lhs - b_bracket(D, g)).is_zero()
+            ok &= is_zero(lhs - b_bracket(D, g))
     report(12, "curved-context identities on generators", ok)

@@ -10,14 +10,14 @@ from bvcov.expression import (Expression, _single, base_expression, inverse_of,
                               is_zero, log_of, normalize, power_of, substitute_param,
                               total_derivative)
 from bvcov.curved import (BElement, CanonicalSubstitution, FlowClosureError,
-                          FlowSeries, TruncatedFlowError, USeries, _psi_closed,
+                          FlowSeries, TruncatedFlowError, USeries, _grade, _psi_closed,
                           antifield_rank, b_bracket, b_differential, bch,
                           canonical_substitution_check, complete_to_b, curvature,
                           d_element, du, flow_substitution,
                           gauge_flow_closed, gauge_flow_series, iota, mc_check,
                           u_bracket, verify_flow_endpoint)
 from bvcov.varcalc import soloviev
-from conftest import HomogeneousSampler, antifield_counting_field
+from conftest import HomogeneousSampler, antifield_counting_field, eps_parts
 from paper_intro import intro_action
 
 
@@ -37,25 +37,25 @@ def rand_belements(theory, seed, count):
     s = HomogeneousSampler(theory, seed=seed)
     out = []
     for _ in range(count):
-        out.append(BElement(theory, s.expression(), s.expression()))
+        out.append(s.expression() + BElement.of_eps(s.expression()))
     return out
 
 
 def test_b_differential(particle_theory):
     t = particle_theory
     f = Expression.of(t, "x_1") * Expression.of(t, "p_1")
-    assert b_differential(BElement.of_body(f)).is_zero()
+    assert is_zero(b_differential(BElement.of_body(f)))
     g_even = Expression.of(t, "x_1") * Expression.of(t, "p_1")
     assert b_differential(BElement.of_eps(g_even)) == \
         BElement.of_body(total_derivative(g_even))
     for x in rand_belements(t, 41, 10):
-        assert b_differential(b_differential(x)).is_zero()
+        assert is_zero(b_differential(b_differential(x)))
 
 
 def test_eps_part_mod_constants(particle_theory):
     t = particle_theory
     x = BElement.of_eps(Expression.of(t, "x_1") + 7)
-    assert x.eps == Expression.of(t, "x_1")
+    assert eps_parts(x)[1] == Expression.of(t, "x_1")
 
 
 def test_soloviev2_leibniz(particle_theory):
@@ -63,13 +63,13 @@ def test_soloviev2_leibniz(particle_theory):
     els = rand_belements(t, 42, 8)
     for i in range(0, 8, 2):
         a, b = els[i], els[i + 1]
-        ga = a.grade()
+        ga = _grade(a)
         if ga is None:
             continue
         lhs = b_differential(b_bracket(a, b))
         rhs = b_bracket(b_differential(a), b) \
             + b_bracket(a, b_differential(b)) * sgn(ga[1] + 1)
-        assert (lhs - rhs).is_zero()
+        assert is_zero(lhs - rhs)
 
 
 def test_b_bracket_restriction_and_eps_only(particle_theory):
@@ -77,12 +77,13 @@ def test_b_bracket_restriction_and_eps_only(particle_theory):
     s = HomogeneousSampler(t, seed=43)
     f, g = s.expression(), s.expression()
     from bvcov.varcalc import soloviev
-    assert b_bracket(BElement.of_body(f), BElement.of_body(g)).body == soloviev(f, g)
+    assert eps_parts(b_bracket(BElement.of_body(f), BElement.of_body(g)))[0] == soloviev(f, g)
     # [f0 + g0 eps, g1 eps-only] has only the eps part [f0, g1]
     g0, g1 = s.expression(), s.expression()
-    res = b_bracket(BElement(t, f, g0), BElement.of_eps(g1))
-    assert is_zero(res.body)
-    assert is_zero(res.eps - _strip(soloviev(f, g1)))
+    res = b_bracket(f + BElement.of_eps(g0), BElement.of_eps(g1))
+    body, eps = eps_parts(res)
+    assert is_zero(body)
+    assert is_zero(eps - _strip(soloviev(f, g1)))
 
 
 def _strip(e):
@@ -93,24 +94,24 @@ def _strip(e):
 def test_iota_identities(particle_theory):
     t = particle_theory
     x1 = Expression.of(t, "x_1")
-    got = iota(BElement.of_body(x1))
-    assert is_zero(got.eps + x1) and is_zero(got.body)
+    body, eps = eps_parts(iota(BElement.of_body(x1)))
+    assert is_zero(eps + x1) and is_zero(body)
     xp = Expression.of(t, "x+_1")
-    assert iota(BElement.of_body(xp)).is_zero()
+    assert is_zero(iota(BElement.of_body(xp)))
     D = d_element(t)
     for x in rand_belements(t, 44, 8):
-        assert iota(iota(x)).is_zero()
+        assert is_zero(iota(iota(x)))
         lhs = b_differential(iota(x)) + iota(b_differential(x))
         rhs = b_bracket(BElement.of_body(D), x)
-        assert (lhs - rhs).is_zero()
+        assert is_zero(lhs - rhs)
 
 
-def _iota_by_prolongation(x: BElement) -> BElement:
+def _iota_by_prolongation(x: Expression) -> Expression:
     """iota through the general prolongation of N+, one sigma part at a
     time: the oracle for `iota`'s diagonal antifield weight."""
     nplus = antifield_counting_field(x.theory)
     return BElement.of_eps(Expression.sum(x.theory, (
-        (nplus.apply(part) - part) * sgn(sf) for sf, part in x.body.sigma_parts())))
+        (nplus.apply(part) - part) * sgn(sf) for sf, part in eps_parts(x)[0].sigma_parts())))
 
 
 def _iota_pools():
@@ -153,9 +154,9 @@ def test_iota_matches_prolongation_oracle(raw):
                           tuple((symbols[i], e) for i, e in m)) for c, a, m in raw])
     x = BElement.of_body(body)
     got, want = iota(x), _iota_by_prolongation(x)
-    assert got.body.is_structural_zero()
-    assert [(u.coef, u.atoms, u.mono, u.key) for u in got.eps.terms] == \
-        [(u.coef, u.atoms, u.mono, u.key) for u in want.eps.terms]
+    assert eps_parts(got)[0].is_structural_zero()
+    assert [(u.coef, u.atoms, u.mono, u.key) for u in eps_parts(got)[1].terms] == \
+        [(u.coef, u.atoms, u.mono, u.key) for u in eps_parts(want)[1].terms]
     assert repr(got) == repr(want)
 
 
@@ -183,13 +184,13 @@ def test_x_u_master_equation(bc_theory):
     t = bc_theory
     c, b1 = Expression.of(t, "c"), Expression.of(t, "b", 1)
     X = USeries(t, {0: BElement.of_body(c * b1),
-                    1: BElement(t, Expression.of(t, "b+") * Expression.of(t, "c+"),
-                                Expression.of(t, "c+") * c)})
+                    1: Expression.of(t, "b+") * Expression.of(t, "c+")
+                    + BElement.of_eps(Expression.of(t, "c+") * c)})
     assert mc_check(X).ok
     # MC solutions square the twisted differential to zero on probes
     s = HomogeneousSampler(t, seed=46)
     for _ in range(5):
-        y = USeries.of(BElement(t, s.expression(), s.expression()))
+        y = USeries.of(s.expression() + BElement.of_eps(s.expression()))
         dxy = du(y) + u_bracket(X, y)
         ddxy = du(dxy) + u_bracket(X, dxy)
         assert ddxy.is_zero()
@@ -222,6 +223,20 @@ def test_mc_check_refuses_an_unknown_mode(particle_theory):
     assert mc_check(S, "B").ok == mc_check(S).ok
     with pytest.raises(TheoryError, match="mode must be 'B' or 'F'"):
         mc_check(S, "C")
+
+
+def test_mc_check_refuses_eps_in_f_mode_before_any_work(particle_theory, monkeypatch):
+    """F mode has no resolution: an input with an eps part is refused, with
+    its message, before the residual is built."""
+    from bvcov import curved
+    t = particle_theory
+    S = USeries.of(Expression.of(t, "c+"), 1) \
+        + USeries.of(BElement.of_eps(Expression.of(t, "c") * Expression.of(t, "x_1")))
+    assert mc_check(S).ok is False
+    monkeypatch.setattr(curved, "u_bracket", lambda *args: pytest.fail("bracket taken"))
+    monkeypatch.setattr(curved, "curvature", lambda *args: pytest.fail("curvature built"))
+    with pytest.raises(TheoryError, match="^F-mode input must have no eps part$"):
+        mc_check(S, "F")
 
 
 def test_flow_tables_golden(particle_theory):
@@ -267,8 +282,8 @@ def test_gauge_flow_series_trivial_and_closed(bc_theory):
     t = bc_theory
     X = USeries(t, {0: BElement.of_body(Expression.of(t, "c")
                                         * Expression.of(t, "b", 1)),
-                    1: BElement(t, Expression.of(t, "b+") * Expression.of(t, "c+"),
-                                Expression.of(t, "c+") * Expression.of(t, "c"))})
+                    1: Expression.of(t, "b+") * Expression.of(t, "c+")
+                    + BElement.of_eps(Expression.of(t, "c+") * Expression.of(t, "c"))})
     # dy = 0 and [x, y] = 0: the flow is constant
     y0 = USeries.of(BElement.of_body(Expression.zero(t)))
     fs = gauge_flow_series(X, y0)
@@ -297,7 +312,7 @@ def test_gauge_flow_closed_x_u(bc_theory):
     tau = t.add_flow_param("tau")
     c, cp, bp = (Expression.of(t, n) for n in ("c", "c+", "b+"))
     X = USeries(t, {0: BElement.of_body(c * Expression.of(t, "b", 1)),
-                    1: BElement(t, bp * cp, cp * c)})
+                    1: bp * cp + BElement.of_eps(cp * c)})
     y = log_of(bp) * cp * c
     family, cert = gauge_flow_closed(X, y, tau)
     assert cert.ok and cert.initial_ok
@@ -313,9 +328,10 @@ def test_gauge_flow_closed_x_u(bc_theory):
     from bvcov.coefficients import AffineExponent
     u1 = family.coeff(1)
     exp_body = power_of(bp, AffineExponent(Fraction(1), Fraction(-1), tau)) * cp
-    assert is_zero(u1.body - exp_body)
+    body, eps = eps_parts(u1)
+    assert is_zero(body - exp_body)
     one_minus = Expression.const(t, 1) - Expression.symbol(t, tau)
-    assert is_zero(u1.eps - one_minus * cp * c)
+    assert is_zero(eps - one_minus * cp * c)
 
 
 def test_verify_flow_endpoint_reports(bc_theory):
@@ -323,8 +339,8 @@ def test_verify_flow_endpoint_reports(bc_theory):
     tau = t.add_flow_param("tau")
     X = USeries(t, {0: BElement.of_body(Expression.of(t, "c")
                                         * Expression.of(t, "b", 1)),
-                    1: BElement(t, Expression.of(t, "b+") * Expression.of(t, "c+"),
-                                Expression.of(t, "c+") * Expression.of(t, "c"))})
+                    1: Expression.of(t, "b+") * Expression.of(t, "c+")
+                    + BElement.of_eps(Expression.of(t, "c+") * Expression.of(t, "c"))})
     y = USeries.of(BElement.of_body(Expression.zero(t)))
     rep = verify_flow_endpoint(X, X, y, tau)
     assert rep.ok and rep.initial_ok and (rep.endpoint - X).is_zero()
@@ -339,7 +355,7 @@ def test_truncated_flow_refuses_endpoint(bc_theory):
     t = bc_theory
     cp, bp, c = (Expression.of(t, n) for n in ("c+", "b+", "c"))
     X = USeries(t, {0: BElement.of_body(c * Expression.of(t, "b", 1)),
-                    1: BElement(t, bp * cp, cp * c)})
+                    1: bp * cp + BElement.of_eps(cp * c)})
     y = USeries.of(BElement.of_body(log_of(bp) * cp * c))
     fs = gauge_flow_series(X, y, max_order=4)
     assert not fs.exact
@@ -431,7 +447,7 @@ def _log(theory, base_key):
 
 def _gauge_flow_series_bruteforce(x, y, max_order=24):
     for n, c in y.coeffs.items():
-        g = c.grade()
+        g = _grade(c)
         if g is None or g[1] != 1 or g[0] != -1 - 2 * n:
             raise TheoryError("gauge generator must be odd of ghost number -1")
     w = du(y) + u_bracket(x, y)
@@ -538,9 +554,7 @@ def _ad_pow_bruteforce(y, z, n):
 def _u_proportionality_bruteforce(v1, v0):
     ratio = None
     for n in set(v1.coeffs) | set(v0.coeffs):
-        for part in ("body", "eps"):
-            e1 = getattr(v1.coeff(n), part)
-            e0 = getattr(v0.coeff(n), part)
+        for e1, e0 in zip(eps_parts(v1.coeff(n)), eps_parts(v0.coeff(n))):
             if e0.is_structural_zero():
                 if e1.is_structural_zero():
                     continue
@@ -576,7 +590,7 @@ def _terms(e):
 
 
 def _u_terms(x):
-    return [(n, _terms(c.body), _terms(c.eps)) for n, c in sorted(x.coeffs.items())]
+    return [(n, *map(_terms, eps_parts(c))) for n, c in sorted(x.coeffs.items())]
 
 
 def _flow_fixtures(particle, bc):
@@ -595,7 +609,7 @@ def _flow_fixtures(particle, bc):
         out.append((USeries.of(BElement.of_body(s.expression())), y, 24))
     cp, bp, cb = (Expression.of(bc, n) for n in ("c+", "b+", "c"))
     X = USeries(bc, {0: BElement.of_body(cb * Expression.of(bc, "b", 1)),
-                     1: BElement(bc, bp * cp, cp * cb)})
+                     1: bp * cp + BElement.of_eps(cp * cb)})
     out.append((X, USeries.of(BElement.of_body(log_of(bp) * cp * cb)), 4))
     out.append((X, USeries.of(BElement.of_body(Expression.zero(bc))), 24))
     return out
@@ -639,7 +653,7 @@ def test_gauge_flow_closed_matches_bruteforce(bc_theory):
     tau = t.add_flow_param("tau")
     c, cp, bp = (Expression.of(t, n) for n in ("c", "c+", "b+"))
     X = USeries(t, {0: BElement.of_body(c * Expression.of(t, "b", 1)),
-                    1: BElement(t, bp * cp, cp * c)})
+                    1: bp * cp + BElement.of_eps(cp * c)})
     y = log_of(bp) * cp * c
     family, cert = gauge_flow_closed(X, y, tau)
     want, want_cert = _gauge_flow_closed_bruteforce(X, y, tau)
@@ -660,7 +674,7 @@ def test_bch_closed_form_matches_bruteforce():
     c, bp, cp = (Expression.of(prod, n) for n in ("c", "b+", "c+"))
     y = USeries.of(BElement.of_body(log_of(bp) * cp * c))
     closed_seen = 0
-    for z in (USeries.of(S1.scale(c)), USeries.of(BElement.of_body(cp * c)),
+    for z in (USeries.of(c * S1), USeries.of(BElement.of_body(cp * c)),
               USeries.of(S1), USeries.zero(prod)):
         res = bch(y, z, order=1)
         closed, hyp = _bch_closed_bruteforce(y, z)
@@ -680,21 +694,21 @@ def test_proportionality_over_pairs_matches_bruteforce(bc_theory):
     t = bc_theory
     c, cp, bp = (Expression.of(t, n) for n in ("c", "c+", "b+"))
     lam = log_of(bp)
-    z = USeries(t, {0: BElement(t, cp * c, bp * c), 1: BElement.of_body(bp * cp * c)})
+    z = USeries(t, {0: cp * c + BElement.of_eps(bp * c), 1: BElement.of_body(bp * cp * c)})
     cases = [z * 2, z.scale(lam * 3), z.scale(lam) + USeries.of(BElement.of_body(cp * c)),
-             USeries(t, {0: BElement(t, cp * c * 2, bp * c * 3), 1: BElement.of_body(bp * cp * c * 2)}),
-             USeries(t, {0: BElement(t, cp * c * 2, bp * c * 2)}), z * 0, z + z]
+             USeries(t, {0: cp * c * 2 + BElement.of_eps(bp * c * 3),
+                         1: BElement.of_body(bp * cp * c * 2)}),
+             USeries(t, {0: cp * c * 2 + BElement.of_eps(bp * c * 2)}), z * 0, z + z]
     for v1 in cases:
         for v0 in (z, z * 0):
-            pairs = [(p1, p0) for n in set(v1.coeffs) | set(v0.coeffs)
-                     for p1, p0 in ((v1.coeff(n).body, v0.coeff(n).body),
-                                    (v1.coeff(n).eps, v0.coeff(n).eps))]
+            # bch passes the fused coefficients; the oracle pairs their parts
+            pairs = [(v1.coeff(n), v0.coeff(n)) for n in set(v1.coeffs) | set(v0.coeffs)]
             assert _proportionality(pairs) == _u_proportionality_bruteforce(v1, v0)
     assert _proportionality([(cp * c * 2, cp * c), (bp * c * 3, bp * c)]) is None
 
 
 def _coefficients(s: USeries) -> list:
-    return [t.coef for n in s.powers() for part in (s.coeff(n).body, s.coeff(n).eps)
+    return [t.coef for n in s.powers() for part in eps_parts(s.coeff(n))
             for t in part.terms]
 
 
@@ -770,7 +784,7 @@ def test_flow_caps_pin_their_boundaries(particle_theory, bc_theory):
     btau = b.add_flow_param("tau")
     cb, cp, bp = (Expression.of(b, n) for n in ("c", "c+", "b+"))
     X = USeries(b, {0: BElement.of_body(cb * Expression.of(b, "b", 1)),
-                    1: BElement(b, bp * cp, cp * cb)})
+                    1: bp * cp + BElement.of_eps(cp * cb)})
     yb = log_of(bp) * cp * cb
     ys = USeries.of(BElement.of_body(yb))
     source, k = du(ys), 0

@@ -12,7 +12,7 @@ from bvcov.expression import (Expression, GradingError, inverse_of, is_zero,
                               substitute_param)
 from bvcov.coefficients import AffineExponent, FuncAtom, LogAtom, PowerAtom
 from bvcov.printer import render
-from conftest import HomogeneousSampler
+from conftest import HomogeneousSampler, eps_parts
 
 
 def test_odd_transposition(E):
@@ -783,5 +783,5 @@ def test_library_model_series_are_canonical():
         for dim in (1, 2, 3, 4):
             series = build_model(name, dim).series
             for n in series.powers():
-                _assert_canonical(series.coeff(n).body)
-                _assert_canonical(series.coeff(n).eps)
+                for part in (series.coeff(n), *eps_parts(series.coeff(n))):
+                    _assert_canonical(part)

@@ -77,13 +77,15 @@ def test_no_unused_imports_in_package_or_tests():
     assert not found, "unused imports:\n" + "\n".join(found)
 
 
-def _mentions(node: ast.AST) -> Counter:
+def _mentions(node: ast.AST, bare: bool = True) -> Counter:
     """How often each name is read, imported or quoted (a string constant
-    naming it, as the tracer's probe lists do) inside node."""
+    naming it, as the tracer's probe lists do) inside node; a bare name,
+    such as a local variable, counts only when `bare` is set."""
     out: Counter = Counter()
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name):
-            out[sub.id] += 1
+            if bare:
+                out[sub.id] += 1
         elif isinstance(sub, ast.Attribute):
             out[sub.attr] += 1
         elif isinstance(sub, ast.alias):
@@ -115,19 +117,21 @@ def dead_definitions(package: dict[str, str], others: list[str]) -> list[str]:
     """`file:name` (or `file:Class.name` for a method; dunders are exempt)
     of each top-level function, class or method of the package sources
     (file name -> source) that is mentioned nowhere outside its own
-    definition, across the package and the other sources."""
-    total: Counter = Counter()
-    defined: list[tuple[str, str, str, Counter]] = []
-    for name, source in package.items():
-        tree = ast.parse(source)
-        total += _mentions(tree)
+    definition, across the package and the other sources.  A method is
+    reached through an attribute, so a bare name (a local variable that
+    shares its name) does not keep it alive."""
+    trees = [ast.parse(source) for source in package.values()]
+    others = [ast.parse(source) for source in others]
+    total = {bare: sum((_mentions(tree, bare) for tree in trees + others), Counter())
+             for bare in (True, False)}
+    defined: list[tuple[str, str, str, bool, Counter]] = []
+    for name, tree in zip(package, trees):
         for owner, label, node in _definitions(tree):
             if owner is None or not _is_dunder(node.name):
-                defined.append((name, node.name, label, _mentions(node)))
-    for source in others:
-        total += _mentions(ast.parse(source))
-    return [f"{file}:{label}" for file, name, label, own in defined
-            if total[name] == own[name]]
+                bare = owner is None
+                defined.append((name, node.name, label, bare, _mentions(node, bare)))
+    return [f"{file}:{label}" for file, name, label, bare, own in defined
+            if total[bare][name] == own[name]]
 
 
 def test_dead_code_detector():
@@ -139,7 +143,7 @@ def test_dead_code_detector():
                         "    def __len__(self):\n        return 0\n"
                         "    def read(self):\n        return self.read\n"
                         "    def unread(self):\n        return 0\n"),
-               "b.py": "from .a import used, Box\nBox().read()\n"}
+               "b.py": "from .a import used, Box\nBox().read()\nunread = 1\nprint(unread)\n"}
     assert dead_definitions(package, ["PROBES = ('probed',)\n"]) == \
         ["a.py:recursive", "a.py:Dead", "a.py:Box.unread"]
 

@@ -12,7 +12,7 @@ from bvcov.expression import (Expression, _map_atom, _is_jet, apply_substitution
                               iterated_total, log_of, normalize)
 from bvcov.parser import build_cover, parse_theory_file
 from bvcov.curved import (BElement, CanonicalSubstitution, TruncatedFlowError, USeries,
-                          d_element, du, u_bracket)
+                          _grade, d_element, du, u_bracket)
 from bvcov.aksz import TargetChart, build_covariant_theory
 from bvcov.thomwhitney import (CechCochain, CoverNerve, Refinement, TWElement,
                                _restrict_along, cech_delta, check_simplicial,
@@ -21,6 +21,7 @@ from bvcov.thomwhitney import (CechCochain, CoverNerve, Refinement, TWElement,
                                global_mc_check, simplicial_pullback, tw_bracket,
                                tw_differential, tw_gauge_flow, whitney,
                                whitney_commutes)
+from conftest import eps_parts
 
 
 def shared_theory():
@@ -247,7 +248,7 @@ def _atlas_cochains(bound):
     nerve, t = atlas(bound)
     rand_val = sampler(t, 20 + bound)
     return [CechCochain(nerve, degree, {
-        T: USeries(t, {0: BElement(t, rand_val(), rand_val()),
+        T: USeries(t, {0: rand_val() + BElement.of_eps(rand_val()),
                        1: BElement.of_body(rand_val())})
         for T in itertools.combinations("ABC", degree + 1)}) for degree in (0, 1, 2)]
 
@@ -376,10 +377,10 @@ def test_substitution_relabels_as_the_product_path(data):
     _assert_substitution_matches(embed(e, fused), e, {}, fused)
     # the identity restriction embeds each part of the value
     fused = nerve.simplex_theory(("A", "B"), 1)
-    x = USeries.of(BElement(chart, e, _draw(data, chart, names)))
+    x = USeries.of(e + BElement.of_eps(_draw(data, chart, names)))
     moved = nerve.restrict(x, ("A", "B"), ("A", "B"), fused).coeff(0)
-    _assert_substitution_matches(moved.body, x.coeff(0).body, {}, fused)
-    _assert_substitution_matches(moved.eps, x.coeff(0).eps, {}, fused)
+    for got, part in zip(eps_parts(moved), eps_parts(x.coeff(0))):
+        _assert_substitution_matches(got, part, {}, fused)
     # th before q: every term with a field changes its order
     swapped = _chart("A", ("th", "q"))
     _assert_substitution_matches(embed(e, swapped), e, {}, swapped)
@@ -393,7 +394,7 @@ def test_substitution_relabels_as_the_product_path(data):
                                  sub.images, sub.target)
     fused = cyl.simplex_theory(("U0", "U1"), 1)
     images = {g: embed(img, fused) for g, img in sub.images.items()}
-    moved = _restrict_along(sub, USeries.of(f), fused).coeff(0).body
+    moved = eps_parts(_restrict_along(sub, USeries.of(f), fused).coeff(0))[0]
     _assert_substitution_matches(moved, f, images, fused)
 
 
@@ -444,7 +445,7 @@ def _sigma(x):
     sig = None
     for v in x.values.values():
         for c in v.coeffs.values():
-            g = c.grade()
+            g = _grade(c)
             if g is None:
                 return None
             if sig is None:
@@ -609,8 +610,8 @@ def _shift_flow_data():
 
 
 def _tw_terms(x: TWElement) -> dict:
-    return {T: [(n, [(t.coef, t.atoms, t.mono) for t in c.body.terms],
-                 [(t.coef, t.atoms, t.mono) for t in c.eps.terms])
+    return {T: [(n, *([(t.coef, t.atoms, t.mono) for t in part.terms]
+                      for part in eps_parts(c)))
                 for n, c in sorted(v.coeffs.items())]
             for T, v in x.values.items()}
 

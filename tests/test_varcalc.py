@@ -17,7 +17,7 @@ from bvcov.varcalc import (EtaleMap, EvolutionaryVectorField, RescalingError,
                            ad_expansion, bv_antibracket, euler,
                            functional_equal, hamiltonian_vf,
                            is_total_derivative, prolong, soloviev)
-from conftest import HomogeneousSampler, antifield_counting_field
+from conftest import HomogeneousSampler, antifield_counting_field, eps_parts
 
 
 def sgn(b):
@@ -310,8 +310,10 @@ def test_etale_rejects_singular_jacobian(etale_pair):
 # differentiated each operand once into jet tables, unchanged but for
 # `_max_jet`, the jet-order scan it took from `Expression`: per sigma
 # part, paired index and jet order it takes the partials again and
-# re-derives their total derivatives.  `_b_bracket_bruteforce` and `_u_bracket_bruteforce` compose it
-# as `b_bracket` and `u_bracket` did.
+# re-derives their total derivatives.  `_b_bracket_bruteforce` and
+# `_u_bracket_bruteforce` compose it as `b_bracket` and `u_bracket` did
+# before eps was fused: the three-term formula on the parts f + g*eps,
+# with its hand-written signs.
 
 
 def _max_jet(e: Expression, base: str) -> int:
@@ -377,12 +379,13 @@ def _soloviev_bruteforce(f: Expression, g: Expression) -> Expression:
     return Expression.sum(theory, pieces)
 
 
-def _b_bracket_bruteforce(a: BElement, b: BElement) -> BElement:
-    body = _soloviev_bruteforce(a.body, b.body)
-    eps = _soloviev_bruteforce(a.body, b.eps)
-    for sf1, part in b.body.sigma_parts():
-        eps = eps + _soloviev_bruteforce(a.eps, part) * (-1 if (sf1 + 1) % 2 else 1)
-    return BElement(a.theory, body, eps)
+def _b_bracket_bruteforce(a: Expression, b: Expression) -> Expression:
+    (fa, ga), (fb, gb) = eps_parts(a), eps_parts(b)
+    body = _soloviev_bruteforce(fa, fb)
+    eps = _soloviev_bruteforce(fa, gb)
+    for sf1, part in fb.sigma_parts():
+        eps = eps + _soloviev_bruteforce(ga, part) * (-1 if (sf1 + 1) % 2 else 1)
+    return body + BElement.of_eps(eps)
 
 
 def _u_bracket_bruteforce(a: USeries, b: USeries) -> USeries:
@@ -434,7 +437,7 @@ def _terms(e: Expression) -> list:
 
 
 def _u_terms(x: USeries) -> list:
-    return [(n, _terms(c.body), _terms(c.eps)) for n, c in sorted(x.coeffs.items())]
+    return [(n, *map(_terms, eps_parts(c))) for n, c in sorted(x.coeffs.items())]
 
 
 @settings(max_examples=150, deadline=None)
@@ -465,12 +468,12 @@ def test_b_and_u_bracket_match_bruteforce(data):
     terms = st.lists(_KERNEL_RAW_TERM, min_size=1, max_size=3)
 
     def element():
-        return BElement(t, build(data.draw(terms)), build(data.draw(terms)))
+        return build(data.draw(terms)) + BElement.of_eps(build(data.draw(terms)))
 
     a, b = element(), element()
     for x, y in ((a, b), (a + b, a + b)):
         got, want = b_bracket(x, y), _b_bracket_bruteforce(x, y)
-        assert (_terms(got.body), _terms(got.eps)) == (_terms(want.body), _terms(want.eps))
+        assert [*map(_terms, eps_parts(got))] == [*map(_terms, eps_parts(want))]
     powers = st.lists(st.integers(0, 3), min_size=1, max_size=3, unique=True)
     x = USeries(t, {n: element() for n in data.draw(powers)})
     y = USeries(t, {n: element() for n in data.draw(powers)})
@@ -521,7 +524,7 @@ def test_atom_gradients_see_later_fields():
 
 def test_u_bracket_differentiates_each_coefficient_once(monkeypatch):
     """[S, S] on a k-coefficient series takes one jet gradient per sigma part
-    of each coefficient's body and eps, not one per coefficient pair."""
+    of each fused coefficient, not one per coefficient pair."""
     from bvcov import varcalc
     t, atoms, symbols = _bracket_pools()
     build = _kernel_builder(t, atoms, symbols)
@@ -536,17 +539,15 @@ def test_u_bracket_differentiates_each_coefficient_once(monkeypatch):
     real = varcalc.jet_gradient
     monkeypatch.setattr(varcalc, "jet_gradient", lambda e: calls.append(e) or real(e))
     for k in (2, 4, 8):
-        S = USeries(t, {n: BElement(t, part(), part()) for n in range(k)})
-        parts = sum(len(c.body.sigma_parts()) + len(c.eps.sigma_parts())
-                    for c in S.coeffs.values())
+        S = USeries(t, {n: part() + BElement.of_eps(part()) for n in range(k)})
+        parts = sum(len(c.sigma_parts()) for c in S.coeffs.values())
         del calls[:]
         u_bracket(S, S)
-        assert len(calls) == parts <= 4 * k
-        T = USeries(t, {n: BElement(t, part(), part()) for n in range(k)})
+        assert len(calls) == parts <= 2 * k
+        T = USeries(t, {n: part() + BElement.of_eps(part()) for n in range(k)})
         del calls[:]
         u_bracket(S, T)
-        assert len(calls) == parts + sum(len(c.body.sigma_parts()) + len(c.eps.sigma_parts())
-                                         for c in T.coeffs.values())
+        assert len(calls) == parts + sum(len(c.sigma_parts()) for c in T.coeffs.values())
 
 
 # -- the other variational operators against the loops they replace ----------
