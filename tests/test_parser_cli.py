@@ -145,6 +145,34 @@ def test_cli_check_mc_prints_the_residual_by_u_power(tmp_path, capsys):
         "  u^2: nonzero residual\n")
 
 
+_PHASE_SPACE = "field x_1 ghost 0 parity even\nfield p_1 ghost 0 parity even\n"
+
+
+@pytest.mark.parametrize("sub, source, rc, out, err", [
+    ("check-mc", _PHASE_SPACE + "expr S = d(x_1)*p_1 + u*x+_1*p+_1 + u*x_1\n"
+     "check g mc expr=S\n",
+     2, "", "error: u^1 coefficient is not homogeneous\n"),
+    ("check-mc", _PHASE_SPACE + "expr S = d(x_1)*p_1 + u*x_1\ncheck g mc expr=S\n",
+     2, "", "error: u^1 coefficient has grade (0, 0), expected (-2, 0)\n"),
+    ("verify-endpoint", "field x ghost 0 parity even\nfield p ghost 0 parity even\n"
+     "param tau\nexpr A = d(x)*p + u*x+*p+\nexpr F = d(x)*p + u*x+*p+ + tau*x*p\n"
+     "expr G = x*eps\ncheck v verify-endpoint start=A family=F generator=G\n",
+     1, "CHECK v: FAIL\n  ODE residual: x*p - d(x) + u*((-p+)*eps)\n", ""),
+    ("twist", "field x ghost 0 parity even\nfield c ghost 1 parity odd\n"
+     "expr S = d(x)*c+ + u*x+*c\nexpr W = c*x\ncheck t twist base=S w=W\n",
+     2, "", "error: dW is not divisible by u: u^0 part -x*d(x)\n"),
+])
+def test_cli_prints_grades_and_residuals_by_u_power(tmp_path, capsys, sub, source,
+                                                    rc, out, err):
+    """The texts that show an element power by power: the grade refusals of
+    `check-mc`, the ODE residual of `verify-endpoint` and the u^0 part of a
+    twist that u does not divide."""
+    f = tmp_path / "pin.bvt"
+    f.write_text(source)
+    assert run_cli(sub, str(f)) == rc
+    assert capsys.readouterr() == (out, err)
+
+
 def test_cli_tw_check(capsys):
     rc = run_cli("tw-check", str(THEORIES / "cylinder_flux.bvt"),
                  "--check", "cylinder_flux")
