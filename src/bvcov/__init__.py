@@ -11,7 +11,7 @@ from .expression import (Expression, normalize, total_derivative,
 from .varcalc import (EvolutionaryVectorField, EtaleMap, prolong, euler, soloviev,
                       bv_antibracket, hamiltonian_vf, ad_expansion, is_total_derivative,
                       functional_equal)
-from .curved import (USeries, curvature, b_differential,
+from .curved import (curvature, b_differential,
                      b_bracket, iota, d_element, mc_check, complete_to_b,
                      gauge_flow_series, gauge_flow_closed, flow_substitution,
                      verify_flow_endpoint, bch, CanonicalSubstitution,

@@ -11,10 +11,10 @@ from fractions import Fraction
 from typing import Optional
 
 from .expression import (Expression, embed, is_zero, jet_gradient, log_of,
-                         partial_derivative)
-from .curved import (BElement, EndpointReport, USeries, d_element,
-                     du, embed_u, gauge_flow_closed, gauge_flow_series, iota,
-                     mc_check, u_bracket)
+                         partial_derivative, split_powers)
+from .curved import (BElement, EndpointReport, d_element, du, gauge_flow_closed,
+                     gauge_flow_series, iota, mc_check, u_bracket, u_coefficient, u_element)
+from .printer import render_by_u
 from .symbols import GradedSymbol, Theory, TheoryError, antifield_name, product_theory
 from .varcalc import _matrix_right_inverse
 
@@ -140,7 +140,7 @@ class TargetChart:
         return self._bracket_with(self.poisson_tensor(), f, g)
 
 
-def build_covariant_theory(chart: TargetChart) -> USeries:
+def build_covariant_theory(chart: TargetChart) -> Expression:
     """S_0 = (-1)^{pa(a)} nu_a d(xi^a);
     S_1 = (1/2)(xi+_a - nu_a eps) pi^{ab} (xi+_b - nu_b eps).  The builder
     theorem says it solves the curved Maurer-Cartan equation; that master
@@ -163,8 +163,8 @@ def build_covariant_theory(chart: TargetChart) -> USeries:
             body.append((anti_a * pi[a][b] * anti_b) * half)
             sign = -1 if fa.parity else 1
             eps.append((chart.nu[fa.name] * pi[a][b] * anti_b) * sign)
-    return USeries(theory, {0: s0, 1: Expression.sum(theory, body)
-                            + BElement.of_eps(Expression.sum(theory, eps))})
+    return s0 + u_element(theory) * (Expression.sum(theory, body)
+                                     + BElement.of_eps(Expression.sum(theory, eps)))
 
 
 # -- twisting -------------------------------------------------------------------
@@ -174,7 +174,7 @@ class TwistObstruction(TheoryError):
     pass
 
 
-def twist(S: USeries, W: Expression) -> USeries:
+def twist(S: Expression, W: Expression) -> Expression:
     """S + u^{-1} dW for the differential d = d_u + ad(S); requires W odd of
     ghost number 1, dW divisible by u and [dW, W] = 0.  The master equation
     of the result is the caller's check."""
@@ -184,15 +184,15 @@ def twist(S: USeries, W: Expression) -> USeries:
     g = W.grade()
     if g is None or g[0] != 1 or (g[1] + g[2]) % 2 != 1:
         raise TwistObstruction("twist Hamiltonian must be odd of ghost number 1")
-    Wu = USeries.of(W)
-    dW = du(Wu) + u_bracket(S, Wu)
-    if not is_zero(dW.coeff(0)):
-        raise TwistObstruction(
-            f"dW is not divisible by u: u^0 part {USeries.of(dW.coeff(0))!r}")
-    obstruction = u_bracket(dW, Wu)
-    if not obstruction.is_zero():
+    dW = du(W) + u_bracket(S, W)
+    parts = split_powers(dW, theory.u)
+    u0 = parts.pop(0, Expression.zero(theory))
+    if not is_zero(u0):
+        raise TwistObstruction(f"dW is not divisible by u: u^0 part {render_by_u(u0)}")
+    if not is_zero(u_bracket(dW, W)):
         raise TwistObstruction("[dW, W] != 0: twist obstructed")
-    return S + USeries(theory, {n - 1: c for n, c in dW.coeffs.items() if n >= 1})
+    return S + Expression.sum(theory, (Expression.symbol(theory, theory.u, n - 1) * c
+                                       for n, c in parts.items()))
 
 
 # -- the gravity multiplet -------------------------------------------------------
@@ -212,30 +212,28 @@ def ghost_pair(kind: str) -> Theory:
     return t
 
 
-def _ghost_block(theory: Theory, kind: str) -> USeries:
+def _ghost_block(theory: Theory, kind: str) -> Expression:
     """The covariant field theory of the ghost pair (b, c) of `kind`,
     expressed in `theory`: c d(b) + u(b+ c+ + c+ c eps)."""
     b, c, _ = _GHOST_PAIRS[kind]
     ghost = Expression.of(theory, c)
     ghost_plus = Expression.of(theory, antifield_name(c))
-    return USeries(theory, {
-        0: ghost * Expression.of(theory, b, 1),
-        1: Expression.of(theory, antifield_name(b)) * ghost_plus
-        + BElement.of_eps(ghost_plus * ghost),
-    })
+    return ghost * Expression.of(theory, b, 1) + u_element(theory) * (
+        Expression.of(theory, antifield_name(b)) * ghost_plus
+        + BElement.of_eps(ghost_plus * ghost))
 
 
-def x_u_series(theory: Theory) -> USeries:
+def x_u_series(theory: Theory) -> Expression:
     """The gravity-multiplet block: c d(b) + u(b+ c+ + c+ c eps)."""
     return _ghost_block(theory, "bc")
 
 
-def xi_u_series(theory: Theory) -> USeries:
+def xi_u_series(theory: Theory) -> Expression:
     """The supergravity block: gamma d(beta) + u(beta+ gamma+ + gamma+ gamma eps)."""
     return _ghost_block(theory, "betagamma")
 
 
-def gravity_product(S: USeries, suffix: str, *kinds: str):
+def gravity_product(S: Expression, suffix: str, *kinds: str):
     """The first step of the three gravity couplings: the product
     `theory*suffix` of S's theory with the ghost pairs `kinds`, its flow
     parameter tau and S embedded in it.  A theory that already declares a
@@ -249,10 +247,10 @@ def gravity_product(S: USeries, suffix: str, *kinds: str):
                               "cannot be coupled to gravity again")
     prod = product_theory(f"{theory.name}*{suffix}", theory, *map(ghost_pair, kinds))
     tau = prod.add_flow_param("tau")
-    return prod, tau, embed_u(S, prod)
+    return prod, tau, embed(S, prod)
 
 
-def log_flow(T: USeries, tau: GradedSymbol) -> EndpointReport:
+def log_flow(T: Expression, tau: GradedSymbol) -> EndpointReport:
     """T flowed by log(b+) c+ c on the closed-orbit route, as the flow's
     certificate; its endpoint is T at tau = 1 (an uncertified family is
     refused with FlowClosureError)."""
@@ -261,15 +259,14 @@ def log_flow(T: USeries, tau: GradedSymbol) -> EndpointReport:
     return cert
 
 
-def minimal_coupling(S: USeries) -> USeries:
+def minimal_coupling(S: Expression) -> Expression:
     """The minimally coupled theory S_0 + c D + c iota S_0 + u c+ of a chart
     series S embedded in a product with the bc pair; D is the product's, so
     c D holds the bc kinetic term c(b+ db + c+ dc)."""
     prod = S.theory
     c = Expression.of(prod, "c")
-    S0 = S.coeff(0)
-    return USeries.of(S0) + USeries.of(c * d_element(prod)) + USeries.of(c * iota(S0)) \
-        + USeries.of(Expression.of(prod, "c+"), 1)
+    S0 = u_coefficient(S, 0)
+    return S0 + c * d_element(prod) + c * iota(S0) + u_element(prod) * Expression.of(prod, "c+")
 
 
 @dataclass
@@ -277,21 +274,21 @@ class PipelineReport:
     """The checks of a gauge pipeline as (label, passed) in report order,
     and the series the pipeline ends on."""
     checks: list[tuple[str, bool]]
-    series: USeries
+    series: Expression
 
     @property
     def ok(self) -> bool:
         return all(passed for _, passed in self.checks)
 
 
-def couple_gravity(S: USeries) -> PipelineReport:
+def couple_gravity(S: Expression) -> PipelineReport:
     """Run (S_u + X_u) bullet log(b+)c+c bullet cS_1 and verify the proof's
     tau-interpolation, the two intermediate bracket identities and the
     endpoint against the minimally-coupled form.  `log-family-certified`:
     the certified log-flow endpoint equals S + c(b+ db + c+ dc) + u c+.  A
     product S_u + X_u that fails its master equation ends the run on
     `product-master-equation`."""
-    if any(n > 1 for n in S.powers()):
+    if any(n > 1 for n in split_powers(S, S.theory.u)):
         raise TheoryError("coupling requires S_i = 0 for i > 1")
     prod, tau, Sp = gravity_product(S, "bc", "bc")
     start = Sp + x_u_series(prod)
@@ -301,6 +298,7 @@ def couple_gravity(S: USeries) -> PipelineReport:
     c = Expression.of(prod, "c")
     cp = Expression.of(prod, "c+")
     cdc = c * Expression.of(prod, "c", 1)
+    u = u_element(prod)
 
     # D over the matter fields, and the bc kinetic term c(b+ db + c+ dc)
     D = embed(d_element(S.theory), prod)
@@ -308,38 +306,29 @@ def couple_gravity(S: USeries) -> PipelineReport:
 
     # step 1: flow by log(b+) c+ c; expected: Sp + c(b+ db + c+ dc) + u c+
     after_log = log_flow(start, tau).endpoint
-    expected_mid = Sp + USeries(prod, {0: grav, 1: cp})
-    mid_ok = (after_log - expected_mid).is_zero()
+    expected_mid = Sp + grav + u * cp
+    mid_ok = is_zero(after_log - expected_mid)
 
     # step 2: flow by c S_1 (nilpotent series route)
-    S1 = Sp.coeff(1)
-    y2 = USeries.of(c * S1)
+    S0, S1 = u_coefficient(Sp, 0), u_coefficient(Sp, 1)
+    y2 = c * S1
     series = gauge_flow_series(after_log, y2)
 
     # Eq (c): d_u(cS_1) + [S_u, cS_1] = c(D + iota S_u)
-    S0 = Sp.coeff(0)
     iS0 = iota(S0)
     iS1 = iota(S1)
     lhs_c = du(y2) + u_bracket(Sp, y2)
-    rhs_c = (USeries.of(D) + USeries.of(iS0) + USeries.of(iS1, 1)).scale(c)
-    eq_c_ok = (lhs_c - rhs_c).is_zero()
+    eq_c_ok = is_zero(lhs_c - c * (D + iS0 + u * iS1))
     # Eq (cc): [that, cS_1] = 2 c dc S_1
-    lhs_cc = u_bracket(lhs_c, y2)
-    rhs_cc = USeries.of(cdc * 2 * S1)
-    eq_cc_ok = (lhs_cc - rhs_cc).is_zero()
+    eq_cc_ok = is_zero(u_bracket(lhs_c, y2) - cdc * 2 * S1)
 
     # proof display: S_0 + c(tau D + b+ db + c+ dc) + tau c iota S_0 + u c+
     #                + (1 - tau)(u S_1 + tau u c iota S_1 - tau c dc S_1)
     t = Expression.symbol(prod, tau)
     one = Expression.const(prod, 1)
-    disp = USeries.of(S0) \
-        + USeries.of(c * t * D) + USeries.of(grav) \
-        + USeries.of(c * t * iS0) \
-        + USeries.of(cp, 1) \
-        + USeries.of((one - t) * S1, 1) \
-        + USeries.of((one - t) * t * c * iS1, 1) \
-        + USeries.of((one - t) * t * cdc * S1) * -1
-    family_ok = (series.family(tau) - disp).is_zero()
+    disp = S0 + c * t * D + grav + c * t * iS0 + u * cp \
+        + u * ((one - t) * S1) + u * ((one - t) * t * c * iS1) - (one - t) * t * cdc * S1
+    family_ok = is_zero(series.family(tau) - disp)
 
     endpoint = series.endpoint()
     return PipelineReport([
@@ -347,6 +336,6 @@ def couple_gravity(S: USeries) -> PipelineReport:
         ("identity-c", eq_c_ok),
         ("identity-cc", eq_cc_ok),
         ("tau-interpolation", family_ok),
-        ("endpoint", (endpoint - minimal_coupling(Sp)).is_zero()),
+        ("endpoint", is_zero(endpoint - minimal_coupling(Sp))),
         ("endpoint-master-equation", mc_check(endpoint).ok),
     ], endpoint)

@@ -17,9 +17,8 @@ from .expression import Expression, is_zero, substitute_param
 from .models import (MODEL_BUILDERS, build_model, couple_with_potential,
                      lichnerowicz_check, spinning_pipeline)
 from .aksz import PipelineReport, TargetChart, build_covariant_theory, couple_gravity, twist
-from .parser import (ParseError, TheoryFile, build_cover, from_useries,
-                     parse_theory_file, to_useries)
-from .printer import render
+from .parser import ParseError, TheoryFile, build_cover, parse_theory_file, to_useries
+from .printer import render, render_by_u
 from .symbols import TheoryError
 from .varcalc import bv_antibracket, is_total_derivative, soloviev
 
@@ -96,7 +95,7 @@ def _dispatch(args) -> int:
         model = build_model(args.model, args.dim)
         if sub == "build-aksz":
             print(f"model {model.name} (n={model.dim})")
-            print(f"S_u = {from_useries(model.series)!r}")
+            print(f"S_u = {render(model.series)}")
         pipeline = sub
         if sub == "rank":    # the pipeline of the model's kind; only FAILs print
             pipeline = ("spinning" if model.charge is not None else
@@ -169,7 +168,7 @@ def _run_one(tf: TheoryFile, name: str, opts: dict, args) -> tuple[bool, list[st
     if kind == "mc":
         S = to_useries(_expr(tf, opts["expr"]))
         rep = mc_check(S, opts.get("mode", "B"))
-        lines = [] if rep.ok else [f"residual: {rep.residual!r}"] + rep.notes
+        lines = [] if rep.ok else [f"residual: {render_by_u(rep.residual)}"] + rep.notes
         return rep.ok, lines
     if kind == "bracket":
         a, b = _expr(tf, opts["left"]), _expr(tf, opts["right"])
@@ -207,13 +206,13 @@ def _run_one(tf: TheoryFile, name: str, opts: dict, args) -> tuple[bool, list[st
         rep = verify_flow_endpoint(start, family, gen, tau)
         lines = []
         if not rep.ok:
-            lines.append(f"ODE residual: {rep.residual!r}")
+            lines.append(f"ODE residual: {render_by_u(rep.residual)}")
         if not rep.initial_ok:
             lines.append("family(0) != start")
         ok = bool(rep)
         if ok and "expect" in opts:
             want = to_useries(_expr(tf, opts["expect"]))
-            ok = (rep.endpoint - want).is_zero()
+            ok = is_zero(rep.endpoint - want)
             if not ok:
                 lines.append("endpoint differs from expected")
         return ok, lines
@@ -221,13 +220,13 @@ def _run_one(tf: TheoryFile, name: str, opts: dict, args) -> tuple[bool, list[st
         S = to_useries(_expr(tf, opts["base"]))
         W = _expr(tf, opts["w"])
         twisted = twist(S, W)
-        lines = [f"twisted: {from_useries(twisted)!r}"]
+        lines = [f"twisted: {render(twisted)}"]
         rep = mc_check(twisted)
         if not rep.ok:
-            return False, lines + [f"residual: {rep.residual!r}"]
+            return False, lines + [f"residual: {render_by_u(rep.residual)}"]
         if "expect" in opts:
             want = to_useries(_expr(tf, opts["expect"]))
-            return (twisted - want).is_zero(), lines
+            return is_zero(twisted - want), lines
         return True, lines
     if kind == "rank":
         S = to_useries(_expr(tf, opts["expr"]))

@@ -2,12 +2,15 @@
 functionals: u-power series over it, differentials, curvature,
 Maurer-Cartan checking, gauge flows, BCH and canonical substitutions.
 
-An element f + g*eps of the resolution is one expression over the theory's
-structural eps generator: odd, of ghost -1, killed by D and paired with no
+An element of B[[u]] is one expression over the theory's two structural
+generators.  eps is odd, of ghost -1, killed by D and paired with no
 antifield, and sorted after every other symbol, so each eps term is g*eps
-with no sign.  Its eps part is kept modulo additive constants (constant
-multiples of eps vanish in the resolution).  A u-series stores one such
-expression per power of u.
+with no sign; the eps part is kept modulo additive constants (constant
+multiples of eps vanish in the resolution), dropped wherever an operation
+can make one: after a bracket, a substitution or an evaluation of a flow
+parameter, and on parsed input.  u is even, of ghost 2, killed by D and
+paired with no antifield, so it is central for the bracket and a power
+series is a polynomial in it; `split_powers` reads its coefficients.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from typing import Callable, Optional
 
 from .coefficients import AffineExponent, LogAtom, Rat, quotient, rational
 from .expression import (Expression, Term, _atom_partials, _merge_runs, _product,
-                         _single, apply_substitution, base_expression, embed, inverse_of,
+                         _single, apply_substitution, base_expression, inverse_of,
                          is_zero, partial_derivative, power_of, split_powers,
                          substitute_param, total_derivative)
 from .symbols import EVEN, GradedSymbol, Kind, Theory, TheoryError
@@ -36,12 +39,12 @@ def _has_eps(t: Term) -> bool:
 def _strip_eps_constant(e: Expression) -> Expression:
     """Quotient by constants of the chart algebra: eps-terms with no field,
     antifield or function-symbol content vanish (simplex forms and flow
-    parameters count as scalars, which is what makes the Whitney image of a
-    locally constant cocycle vanish)."""
+    parameters count as scalars, and so does u, which is what makes the
+    Whitney image of a locally constant cocycle vanish)."""
     # every atom kind references chart data (function symbols or log/pow
     # bases in the chart coordinates); jets sort first, so a term holds one
     # exactly when its first symbol is one.  `_has_eps` and `_is_jet` are
-    # written out: every u-series coefficient passes here.
+    # written out: every bracket passes here.
     kept = tuple(t for t in e.terms
                  if t.atoms or not t.mono or t.mono[-1][0].kind != Kind.EPSILON
                  or t.mono[0][0].kind <= Kind.ANTIFIELD_JET)
@@ -125,157 +128,74 @@ def d_element(theory: Theory) -> Expression:
         for fld, anti in theory.field_pairs()))
 
 
-# -- u-series -----------------------------------------------------------------
+# -- B[[u]] -------------------------------------------------------------------
 
 
 class USeries:
-    """Finite u-power series of fused elements f + g*eps; u has ghost
-    number 2."""
-
-    __slots__ = ("theory", "coeffs")
-
-    def __init__(self, theory: Theory, coeffs: dict[int, Expression]):
-        self.theory = theory
-        self.coeffs = {}
-        for n, c in coeffs.items():
-            c = _strip_eps_constant(c)
-            if c.terms:
-                if n < 0:
-                    raise TheoryError("negative u-power outside a twist computation")
-                self.coeffs[n] = c
+    """An element of B[[u]] is its expression; only the constructor name is
+    left."""
 
     @staticmethod
-    def zero(theory: Theory) -> "USeries":
-        return USeries(theory, {})
-
-    @staticmethod
-    def of(x: Expression, power: int = 0) -> "USeries":
-        return USeries(x.theory, {power: x})
-
-    def coeff(self, n: int) -> Expression:
-        return self.coeffs.get(n, Expression.zero(self.theory))
-
-    def powers(self) -> list[int]:
-        return sorted(self.coeffs)
-
-    def __add__(self, other: "USeries") -> "USeries":
-        out = dict(self.coeffs)
-        for n, c in other.coeffs.items():
-            out[n] = out[n] + c if n in out else c
-        return USeries(self.theory, out)
-
-    def __sub__(self, other: "USeries") -> "USeries":
-        return self + (other * -1)
-
-    def __mul__(self, q) -> "USeries":
-        return USeries(self.theory, {n: c * q for n, c in self.coeffs.items()})
-
-    def scale(self, e: Expression) -> "USeries":
-        """Left multiplication by an eps-free expression."""
-        return USeries(self.theory, {n: e * c for n, c in self.coeffs.items()})
-
-    def is_zero(self) -> bool:
-        return all(is_zero(c) for c in self.coeffs.values())
-
-    def map_parts(self, fn: Callable[[Expression], Expression],
-                  target: Optional[Theory] = None) -> "USeries":
-        """fn on each coefficient, as a series of `target` (default: this
-        series' theory)."""
-        return USeries(target or self.theory, {n: fn(c) for n, c in self.coeffs.items()})
-
-    def check_ghost(self):
-        """Coefficient of u^n must be even of ghost -2n (total degree 0)."""
-        for n, c in self.coeffs.items():
-            g = _grade(c)
-            if g is None:
-                raise TheoryError(f"u^{n} coefficient is not homogeneous")
-            want = (-2 * n, EVEN)
-            if g != want:
-                raise TheoryError(
-                    f"u^{n} coefficient has grade {g}, expected {want}")
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, USeries):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __repr__(self) -> str:
-        """u-power by u-power, each coefficient split by eps for display:
-        body + (eps part)*eps."""
-        from .printer import render
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for n in self.powers():
-            split = split_powers(self.coeffs[n], self.theory.epsilon)
-            body, eps = split.get(0), split.get(1)
-            if eps is None:
-                c = render(body)
-            elif body is None:
-                c = f"({render(eps)})*eps"
-            else:
-                c = f"{render(body)} + ({render(eps)})*eps"
-            parts.append(c if n == 0 else (f"u*({c})" if n == 1 else f"u^{n}*({c})"))
-        return " + ".join(parts)
+    def of(x: Expression) -> Expression:
+        return x
 
 
-def u_bracket(a: USeries, b: USeries) -> USeries:
-    """The bracket of u-series, coefficient pair by coefficient pair: the
-    Soloviev bracket of the fused coefficients, whose u-powers add.  Each
-    coefficient's jet tables are built once per call and shared by all its
-    pairs (and by both sides of [S, S])."""
-    if a.coeffs and b.coeffs and b.theory is not a.theory:
+def u_element(theory: Theory) -> Expression:
+    """The series variable u as an element."""
+    return Expression.symbol(theory, theory.u)
+
+
+def u_coefficient(x: Expression, n: int) -> Expression:
+    """The coefficient of u^n in x."""
+    return split_powers(x, x.theory.u).get(n, Expression.zero(x.theory))
+
+
+def u_bracket(a: Expression, b: Expression) -> Expression:
+    """The bracket of B[[u]]: u is even and central for the bracket (D kills
+    it, no antifield pairs with it), so the Soloviev bracket of the fused
+    operands, its eps part modulo constants.  a's jet tables serve both
+    sides of [S, S]."""
+    if a.terms and b.terms and b.theory is not a.theory:
         raise TheoryError("mixed theory contexts")
-    ta = _u_tables(a)
-    return _u_bracket_of(a.theory, ta, ta if b is a else _u_tables(b))
+    ta = _sigma_tables(a)
+    return _bracket_of(a.theory, ta, [t for _, t in ta] if b is a else [_jet_table(b)])
 
 
-def _u_tables(x: USeries) -> dict[int, list[tuple[int, JetTable]]]:
-    """The jet tables of each coefficient's sigma parts: as a left operand
-    they are its parts, as a right one they sum to it."""
-    return {n: _sigma_tables(c) for n, c in x.coeffs.items()}
+def _bracket_of(theory: Theory, left: list[tuple[int, JetTable]],
+                right: list[JetTable]) -> Expression:
+    """u_bracket from the tables of the left operand's sigma parts and of
+    parts summing to the right operand."""
+    pieces: list[Expression] = []
+    _soloviev_into(pieces, theory, left, right)
+    return _strip_eps_constant(Expression.sum(theory, pieces))
 
 
-def _u_bracket_of(theory: Theory, ta: dict[int, list[tuple[int, JetTable]]],
-                  tb: dict[int, list[tuple[int, JetTable]]]) -> USeries:
-    """u_bracket from the tables of both operands' coefficients."""
-    pieces: dict[int, list[Expression]] = {}
-    for na, xa in ta.items():
-        for nb, xb in tb.items():
-            _soloviev_into(pieces.setdefault(na + nb, []), theory, xa, [t for _, t in xb])
-    return USeries(theory, {n: Expression.sum(theory, ps) for n, ps in pieces.items()})
-
-
-def _bracket_by(y: USeries, sign: int) -> Callable[[USeries], USeries]:
+def _bracket_by(y: Expression, sign: int) -> Callable[[Expression], Expression]:
     """v -> sign * [y, v], with y's tables built once for every v."""
-    ty = _u_tables(y)
-    return lambda v: _u_bracket_of(y.theory, ty, _u_tables(v)) * sign
+    ty = _sigma_tables(y)
+    return lambda v: _bracket_of(y.theory, ty, [_jet_table(v)]) * sign
 
 
-def du(x: USeries) -> USeries:
+def du(x: Expression) -> Expression:
     """d_u = d + u iota."""
-    out: dict[int, list[Expression]] = {}
-    for n, c in x.coeffs.items():
-        out.setdefault(n, []).append(b_differential(c))
-        out.setdefault(n + 1, []).append(iota(c))
-    return USeries(x.theory, {n: Expression.sum(x.theory, ps) for n, ps in out.items()})
+    return b_differential(x) + u_element(x.theory) * iota(x)
 
 
 # -- curvature and Maurer-Cartan -----------------------------------------------
 
 
-def curvature(theory: Theory) -> USeries:
+def curvature(theory: Theory) -> Expression:
     """The curvature u*D of B[[u]] over `theory`; TheoryError when it breaks
     the Bianchi identity d_u(u*D) = 0."""
-    uD = USeries.of(d_element(theory), 1)
-    if not du(uD).is_zero():
+    uD = u_element(theory) * d_element(theory)
+    if not is_zero(du(uD)):
         raise TheoryError("Bianchi identity fails for the curvature")
     return uD
 
 
 @dataclass
 class MCReport:
-    residual: USeries
+    residual: Expression
     ok: bool
     notes: list[str] = field(default_factory=list)
 
@@ -283,50 +203,64 @@ class MCReport:
         return self.ok
 
 
-def mc_check(S: USeries, mode: str = "B") -> MCReport:
+def _check_grade(S: Expression):
+    """The coefficient of u^n must be even of ghost -2n: S has total grade
+    (0, EVEN), u counting ghost 2.  Otherwise the first offending power is
+    named."""
+    if not S.terms or _grade(S) == (0, EVEN):
+        return
+    for n, c in split_powers(S, S.theory.u).items():
+        g = _grade(c)
+        if g is None:
+            raise TheoryError(f"u^{n} coefficient is not homogeneous")
+        want = (-2 * n, EVEN)
+        if g != want:
+            raise TheoryError(f"u^{n} coefficient has grade {g}, expected {want}")
+
+
+def mc_check(S: Expression, mode: str = "B") -> MCReport:
     """Residual of the Maurer-Cartan equation u*D + d_u S + (1/2)[S,S] in
     B[[u]], or with zero differential in F[[u]] (mode "F"), where the input
     must have no eps parts and the residual is zero when each u-coefficient
     is a total derivative with zero constant."""
     if mode not in ("B", "F"):
         raise TheoryError("mode must be 'B' or 'F'")
-    if mode == "F" and any(_has_eps(t) for c in S.coeffs.values() for t in c.terms):
+    if mode == "F" and any(_has_eps(t) for t in S.terms):
         raise TheoryError("F-mode input must have no eps part")
-    S.check_ghost()
-    residual = curvature(S.theory) + (du(S) if mode == "B" else USeries.zero(S.theory)) \
-        + u_bracket(S, S) * Fraction(1, 2)
-    notes: list[str] = []
+    _check_grade(S)
+    theory = S.theory
+    residual = curvature(theory) + u_bracket(S, S) * Fraction(1, 2)
     if mode == "F":
-        ok = True
-        for n in residual.powers():
-            flag, c0, _ = is_total_derivative(residual.coeff(n))
+        notes = []
+        for n, c in sorted(split_powers(residual, theory.u).items()):
+            flag, c0, _ = is_total_derivative(c)
             if not (flag and c0 == 0):
-                ok = False
                 notes.append(f"u^{n}: residual is not a total derivative")
-        return MCReport(residual, ok, notes)
-    ok = residual.is_zero()
-    if not ok:
-        for n in residual.powers():
-            if not is_zero(residual.coeff(n)):
-                notes.append(f"u^{n}: nonzero residual")
-    return MCReport(residual, ok, notes)
+        return MCReport(residual, not notes, notes)
+    residual = residual + du(S)
+    if is_zero(residual):
+        return MCReport(residual, True)
+    return MCReport(residual, False, [
+        f"u^{n}: nonzero residual"
+        for n, c in sorted(split_powers(residual, theory.u).items()) if not is_zero(c)])
 
 
-def complete_to_b(S: USeries) -> USeries:
+def complete_to_b(S: Expression) -> Expression:
     """Lift an F-mode solution (no eps parts) to the resolution: the eps
     parts are the homotopy witnesses of the body residuals."""
-    residual = curvature(S.theory) + u_bracket(S, S) * Fraction(1, 2)
-    witnesses: dict[int, Expression] = {}
-    for n in residual.powers():
-        flag, c0, g = is_total_derivative(_body(residual.coeff(n)))
+    theory = S.theory
+    residual = curvature(theory) + u_bracket(S, S) * Fraction(1, 2)
+    witnesses: list[Expression] = []
+    for n, c in sorted(split_powers(residual, theory.u).items()):
+        flag, c0, g = is_total_derivative(_body(c))
         if not flag or c0 != 0:
             raise TheoryError(f"u^{n} residual is not a total derivative; "
                               "not a covariant field theory")
         if g is not None:
             # d(g~ eps) contributes (-1)^{pa(g~)} dg~ to the body; g~ is odd
             # when S is even, so the sign is -1 and g~ = witness.
-            witnesses[n] = BElement.of_eps(g)
-    lifted = S + USeries(S.theory, witnesses)
+            witnesses.append(Expression.symbol(theory, theory.u, n) * BElement.of_eps(g))
+    lifted = S + Expression.sum(theory, witnesses)
     if not mc_check(lifted).ok:
         raise TheoryError("completion failed to satisfy the resolved master equation")
     return lifted
@@ -339,8 +273,8 @@ def exp_sum(x, steps: list, t):
     """x + sum_n t^(n+1)/(n+1)! steps[n]: the one Taylor sum of an exp(ad)
     orbit.  t is a rational (a point of the flow) or the flow parameter as
     an Expression (the whole family); it is even, so multiplying from the
-    right is exact.  x and the steps are Expressions, USeries or
-    Thom-Whitney elements, which all multiply by either kind of t."""
+    right is exact.  x and the steps are Expressions or Thom-Whitney
+    elements, which both multiply by either kind of t."""
     out = x
     tk = 1
     for n, w in enumerate(steps):
@@ -355,21 +289,21 @@ class FlowSeries:
     terminate (`termination_index` is the index of the zero); otherwise a
     truncation, marked by `termination_index` None."""
 
-    x: USeries
-    steps: list[USeries]          # steps[n] = (-ad y)^n (d_u y + (x,y))
+    x: Expression
+    steps: list[Expression]       # steps[n] = (-ad y)^n (d_u y + (x,y))
     termination_index: Optional[int]
 
     @property
     def exact(self) -> bool:
         return self.termination_index is not None
 
-    def family(self, tau: GradedSymbol) -> USeries:
+    def family(self, tau: GradedSymbol) -> Expression:
         return exp_sum(self.x, self.steps, Expression.symbol(self.x.theory, tau))
 
-    def at(self, value) -> USeries:
+    def at(self, value) -> Expression:
         return exp_sum(self.x, self.steps, rational(value))
 
-    def endpoint(self) -> USeries:
+    def endpoint(self) -> Expression:
         if not self.exact:
             raise TruncatedFlowError(
                 "flow did not terminate; endpoint claim refused (use "
@@ -381,19 +315,17 @@ class TruncatedFlowError(TheoryError):
     pass
 
 
-def gauge_flow_series(x: USeries, y: USeries, max_order: int = 24) -> FlowSeries:
+def gauge_flow_series(x: Expression, y: Expression, max_order: int = 24) -> FlowSeries:
     """Solve d(x bullet sy)/ds = d_u y + (x bullet sy, y) as the explicit
     series; terminates with a certificate when ad(y) is nilpotent on the
     orbit, else truncates with a marker."""
-    for n, c in y.coeffs.items():
-        g = _grade(c)
-        if g is None or g[1] != 1 or g[0] != -1 - 2 * n:
-            raise TheoryError("gauge generator must be odd of ghost number -1")
+    if y.terms and _grade(y) != (-1, 1):
+        raise TheoryError("gauge generator must be odd of ghost number -1")
     steps, index = orbit(du(y) + u_bracket(x, y), _bracket_by(y, -1), max_order)
     return FlowSeries(x, steps, index)
 
 
-def orbit(start, step: Callable, cap: int, vanishes: Callable = lambda v: v.is_zero()):
+def orbit(start, step: Callable, cap: int, vanishes: Callable = is_zero):
     """The one exp(ad) loop: the orbit start, step(start), step(step(start)),
     ... examined up to its first zero and at most `cap` values.  Returns the
     nonzero values before the zero and the index of the zero, or, when the
@@ -430,9 +362,6 @@ class CanonicalSubstitution:
 
     def apply(self, expr: Expression) -> Expression:
         return apply_substitution(expr, self.images, self.target)
-
-    def apply_u(self, x: USeries) -> USeries:
-        return x.map_parts(self.apply, self.target)
 
 
 def canonical_substitution_check(m: CanonicalSubstitution) -> list[tuple[str, str]]:
@@ -471,11 +400,7 @@ def flow_substitution(theory: Theory, y: Expression, tau: GradedSymbol,
     ODE and the initial condition."""
     if any(s.jet_order > 0 for s in y.symbols()):
         raise FlowClosureError("flow generator must depend on 0-jets only")
-    y_parts = _sigma_tables(y)
-
-    def step(v: Expression) -> Expression:
-        return _soloviev_of(theory, y_parts, _jet_table(v)) * direction
-
+    step = _bracket_by(y, direction)
     images: dict[GradedSymbol, Expression] = {}
     for fld, anti in theory.field_pairs():
         for gen in (fld, anti):
@@ -530,7 +455,7 @@ def _exp_ad_on(theory: Theory, step: Callable[[Expression], Expression],
                 "representable")
         exponent = AffineExponent(0, q, tau)
         return power_of(base_expression(theory, base_key), exponent) * start
-    rest, index = orbit(first, step, max_iter, is_zero)
+    rest, index = orbit(first, step, max_iter)
     if index is None:
         raise FlowClosureError(
             "flow does not close polynomially or in power/log form; refusing to "
@@ -541,21 +466,20 @@ def _exp_ad_on(theory: Theory, step: Callable[[Expression], Expression],
 # -- certified flow families -----------------------------------------------------
 
 
-def gauge_flow_closed(x: USeries, y: Expression, tau: GradedSymbol,
-                      max_iter: int = 12) -> tuple[USeries, "EndpointReport"]:
+def gauge_flow_closed(x: Expression, y: Expression, tau: GradedSymbol,
+                      max_iter: int = 12) -> tuple[Expression, "EndpointReport"]:
     """Gauge flow by an eps-free 0-jet generator whose ad-orbit closes in
     power/log form: the homogeneous part is the substitution exponential
     and the d_u y source integrates term by term (the iterated brackets of
     d_u y must terminate).  The family is certified against the flow ODE
     before being returned."""
-    ys = USeries.of(y)
     sub = flow_substitution(x.theory, y, tau, direction=-1)
-    steps, index = orbit(du(ys), _bracket_by(ys, -1), max_iter + 1)
+    steps, index = orbit(du(y), _bracket_by(y, -1), max_iter + 1)
     if index is None:
         raise FlowClosureError(
             "d_u(y) source brackets do not terminate; closed flow unavailable")
-    family = exp_sum(sub.apply_u(x), steps, Expression.symbol(x.theory, tau))
-    cert = verify_flow_endpoint(x, family, ys, tau)
+    family = exp_sum(_strip_eps_constant(sub.apply(x)), steps, Expression.symbol(x.theory, tau))
+    cert = verify_flow_endpoint(x, family, y, tau)
     if not cert:
         raise FlowClosureError("closed gauge flow failed ODE certification")
     return family, cert
@@ -565,24 +489,24 @@ def gauge_flow_closed(x: USeries, y: Expression, tau: GradedSymbol,
 class EndpointReport:
     ok: bool
     initial_ok: bool
-    residual: USeries
-    endpoint: Optional[USeries]
+    residual: Expression
+    endpoint: Optional[Expression]
 
     def __bool__(self):
         return self.ok and self.initial_ok
 
 
-def verify_flow_endpoint(x: USeries, family: USeries, y: USeries,
+def verify_flow_endpoint(x: Expression, family: Expression, y: Expression,
                          tau: GradedSymbol) -> EndpointReport:
     """Certify a tau-dependent family as the gauge flow of x by y: checks
     d(family)/dtau = d_u y + (family, y) symbolically and family(0) = x; the
-    endpoint is the family at tau = 1."""
-    dtau = family.map_parts(lambda e: partial_derivative(e, tau))
-    residual = dtau - du(y) - u_bracket(family, y)
-    ok = residual.is_zero()
-    at0 = family.map_parts(lambda e: substitute_param(e, tau, 0))
-    initial_ok = (at0 - x).is_zero()
-    endpoint = family.map_parts(lambda e: substitute_param(e, tau, 1)) if ok and initial_ok else None
+    endpoint is the family at tau = 1.  Evaluating tau can turn a pow atom
+    into a constant, so the values at 0 and 1 drop constant eps terms."""
+    residual = partial_derivative(family, tau) - du(y) - u_bracket(family, y)
+    ok = is_zero(residual)
+    initial_ok = is_zero(_strip_eps_constant(substitute_param(family, tau, 0)) - x)
+    endpoint = _strip_eps_constant(substitute_param(family, tau, 1)) \
+        if ok and initial_ok else None
     return EndpointReport(ok, initial_ok, residual, endpoint)
 
 
@@ -595,12 +519,12 @@ _PSI = [1, Fraction(1, 2), Fraction(1, 12), 0, Fraction(-1, 720), 0, Fraction(1,
 
 @dataclass
 class BCHResult:
-    series: USeries
-    closed_form: Optional[USeries]
+    series: Expression
+    closed_form: Optional[Expression]
     hypothesis_checked: bool
 
 
-def bch(y: USeries, z: USeries, order: int = 6) -> BCHResult:
+def bch(y: Expression, z: Expression, order: int = 6) -> BCHResult:
     """y * z to the given nested-bracket order via the integral formula's
     series; when ad(z) ad(y)^n z = 0 and ad(y) z = q log(E) z the closed
     form y + [ad(y)/(1-e^{-ad(y)})] z is also produced."""
@@ -608,9 +532,9 @@ def bch(y: USeries, z: USeries, order: int = 6) -> BCHResult:
     if order + 1 > len(_PSI):
         raise TheoryError(f"bch supports order <= {len(_PSI) - 1}")
     # w(t) = y + sum t^k u_k solving dw/dt = psi(ad_w) z
-    us: list[USeries] = []        # u_1.. in order
+    us: list[Expression] = []     # u_1.. in order
 
-    def ad_seq_apply(ks: tuple[int, ...]) -> USeries:
+    def ad_seq_apply(ks: tuple[int, ...]) -> Expression:
         out = z
         for k in reversed(ks):
             w = y if k == 0 else us[k - 1]
@@ -619,38 +543,36 @@ def bch(y: USeries, z: USeries, order: int = 6) -> BCHResult:
 
     for m in range(0, order):
         # t^m coefficient of psi(ad_w) z
-        coeff = USeries.zero(theory)
+        coeff: list[Expression] = []
         for n in range(0, order + 1):
             if _PSI[n] == 0:
                 continue
             if n == 0:
                 if m == 0:
-                    coeff = coeff + z * _PSI[0]
+                    coeff.append(z * _PSI[0])
                 continue
             for ks in itertools.product(range(0, m + 1), repeat=n):
                 if sum(ks) != m:
                     continue
-                coeff = coeff + ad_seq_apply(ks) * _PSI[n]
-        us.append(coeff * Fraction(1, m + 1))
-    total = y
-    for u in us:
-        total = total + u
+                coeff.append(ad_seq_apply(ks) * _PSI[n])
+        us.append(Expression.sum(theory, coeff) * Fraction(1, m + 1))
+    total = Expression.sum(theory, [y] + us)
     closed = None
     hyp = False
     # z, ad(y) z, ad(y)^2 z up to the first zero
     ad_z, _ = orbit(z, _bracket_by(y, 1), 3)
-    v1 = ad_z[1] if len(ad_z) > 1 else USeries.zero(theory)
-    prop = _proportionality((v1.coeff(n), z.coeff(n)) for n in set(v1.coeffs) | set(z.coeffs))
+    v1 = ad_z[1] if len(ad_z) > 1 else Expression.zero(theory)
+    prop = _proportionality([(v1, z)])
     if prop is not None:
         q, base_key = prop
         if base_key is not None and q.denominator == 1:
-            hyp = all(u_bracket(z, w).is_zero() for w in ad_z)
+            hyp = all(is_zero(u_bracket(z, w)) for w in ad_z)
             if hyp:
                 closed = y + _psi_closed(theory, int(q), base_key, z)
     return BCHResult(total, closed, hyp)
 
 
-def _psi_closed(theory: Theory, q: int, base_key: str, z: USeries) -> USeries:
+def _psi_closed(theory: Theory, q: int, base_key: str, z: Expression) -> Expression:
     """[ad(y)/(1 - e^{-ad y})] z for ad(y) z = q log(E) z:
     equals [q log(E)/(1 - E^{-q})] z, written with polynomial inverses."""
     E = base_expression(theory, base_key)
@@ -663,7 +585,7 @@ def _psi_closed(theory: Theory, q: int, base_key: str, z: USeries) -> USeries:
         # q is nonzero, and 1 - E^{-q} with -q > 0 is polynomial
         denom = Expression.const(theory, 1) - E ** (-q)
         factor = lam * inverse_of(denom)
-    return z.scale(factor)
+    return factor * z
 
 
 def _log_factor(theory: Theory, q, base_key: Optional[str]) -> Expression:
@@ -677,14 +599,10 @@ def _log_factor(theory: Theory, q, base_key: Optional[str]) -> Expression:
 # -- misc ----------------------------------------------------------------------
 
 
-def embed_u(x: USeries, target: Theory) -> USeries:
-    return x.map_parts(lambda e: embed(e, target), target)
-
-
-def antifield_rank(S: USeries) -> int:
+def antifield_rank(S: Expression) -> int:
     """Maximal total antifield degree across the u^0 body terms."""
     rank = 0
-    for t in _body(S.coeff(0)).terms:
+    for t in _body(u_coefficient(S, 0)).terms:
         deg = sum(e for s, e in t.mono if s.kind == Kind.ANTIFIELD_JET)
         rank = max(rank, deg)
     return rank

@@ -882,7 +882,7 @@ def apply_substitution(expr: Expression, images: dict[GradedSymbol, Expression],
     """Algebra homomorphism sending each 0-jet generator to its image and
     commuting with the total derivative (jets map to derivatives of the
     image).  Generators without an image must exist in the target theory
-    under the same name; eps goes to the target's own.  Atoms are rebuilt:
+    under the same name; eps and u go to the target's own.  Atoms are rebuilt:
     function symbols require their arguments to map to plain coordinates.
 
     A term with no atoms whose generators all have no image and keep their
@@ -896,7 +896,9 @@ def apply_substitution(expr: Expression, images: dict[GradedSymbol, Expression],
 
     def namesake(sym: GradedSymbol) -> GradedSymbol:
         """The target's 0-jet symbol of sym's base name."""
-        return target.epsilon if sym.kind == Kind.EPSILON else target.symbol(sym.base)
+        if sym.kind == Kind.EPSILON:
+            return target.epsilon
+        return target.u if sym.kind == Kind.U_PARAM else target.symbol(sym.base)
 
     def relabel(sym: GradedSymbol) -> Optional[GradedSymbol]:
         """sym's namesake in the target when sym has no image and keeps its

@@ -14,9 +14,9 @@ from typing import Callable, Optional, Sequence
 
 from .expression import (Expression, Term, _lower_atom, embed, is_zero,
                          partial_derivative)
-from .curved import (CanonicalSubstitution, USeries, _body,
+from .curved import (CanonicalSubstitution, _body, _strip_eps_constant,
                      canonical_substitution_check, d_element, du, gauge_flow_series,
-                     mc_check, u_bracket)
+                     mc_check, u_bracket, u_coefficient, u_element)
 from .aksz import (PipelineReport, TargetChart, build_covariant_theory, ghost_pair,
                    gravity_product, log_flow, minimal_coupling, twist, x_u_series,
                    xi_u_series)
@@ -31,7 +31,7 @@ class ModelSpec:
     name: str
     dim: int
     chart: TargetChart
-    series: USeries
+    series: Expression
     eta: Optional[list[Fraction]] = None
     potential: Optional[Expression] = None      # V for the particle twist
     charge: Optional[Expression] = None         # odd ghost-0 Q, for a spinning particle
@@ -313,20 +313,19 @@ def spinning_pipeline(model: ModelSpec) -> PipelineReport:
     T2 = log_flow(T1, tau).endpoint
     checks.append(("stage-log-flow", mc_check(T2).ok))
 
-    S1 = S.coeff(1)
-    Xi1 = Xi.coeff(1)
-    T3 = gauge_flow_series(T2, USeries.of(c * Xi1)).endpoint()
+    S1 = u_coefficient(S, 1)
+    Xi1 = u_coefficient(Xi, 1)
+    T3 = gauge_flow_series(T2, c * Xi1).endpoint()
     checks.append(("stage-cXi1", mc_check(T3).ok))
-    T4 = gauge_flow_series(T3, USeries.of(c * S1)).endpoint()
+    T4 = gauge_flow_series(T3, c * S1).endpoint()
     checks.append(("stage-cS1", mc_check(T4).ok))
 
     # BCH merge: c Xi_1 * c S_1 = c(S_1 + Xi_1): flowing in one shot agrees
-    merged = gauge_flow_series(T2, USeries.of(c * (S1 + Xi1))).endpoint()
-    bch_ok = (merged - T4).is_zero() and \
-        u_bracket(USeries.of(c * Xi1), USeries.of(c * S1)).is_zero()
+    merged = gauge_flow_series(T2, c * (S1 + Xi1)).endpoint()
+    bch_ok = is_zero(merged - T4) and is_zero(u_bracket(c * Xi1, c * S1))
 
     rename = _physical_rename(model, prod)
-    T5 = rename.apply_u(T4)
+    T5 = _strip_eps_constant(rename.apply(T4))
     checks += [("bch-merge", bch_ok),
                ("rename-canonical", not canonical_substitution_check(rename)),
                ("physical-master-equation",
@@ -334,17 +333,16 @@ def spinning_pipeline(model: ModelSpec) -> PipelineReport:
     return PipelineReport(checks, T5)
 
 
-def _master_equation_with_witness(S: USeries, transported_d: Expression) -> bool:
+def _master_equation_with_witness(S: Expression, transported_d: Expression) -> bool:
     """Functional-level master equation for a renamed resolution solution:
     the transported eps parts are explicit homotopy witnesses, and the
     field/antifield swap shifts the curvature representative by an exact
     term (m(D) differs from the target D by a total derivative): checks
     u m(D) + d_u(eps parts) + (1/2)[bodies, bodies] = 0."""
-    phys = S.theory
-    bodies = USeries(phys, {n: _body(c) for n, c in S.coeffs.items()})
+    bodies = _body(S)
     witnesses = S - bodies
-    return (USeries.of(transported_d, 1) + du(witnesses)
-            + u_bracket(bodies, bodies) * Fraction(1, 2)).is_zero()
+    return is_zero(u_element(S.theory) * transported_d + du(witnesses)
+                   + u_bracket(bodies, bodies) * Fraction(1, 2))
 
 
 def _physical_rename(model: ModelSpec, prod: Theory) -> CanonicalSubstitution:
@@ -381,9 +379,9 @@ def couple_with_potential(model: ModelSpec) -> PipelineReport:
     if not mc_check(T1).ok:
         return PipelineReport([("twisted-master-equation", False)], T1)
     T2 = log_flow(T1, tau).endpoint
-    T3 = gauge_flow_series(T2, USeries.of(c * S.coeff(1))).endpoint()
-    expected = minimal_coupling(S) - USeries.of(Expression.of(prod, "b+") * V)
-    return PipelineReport([("twist-couple-endpoint", (T3 - expected).is_zero()),
+    T3 = gauge_flow_series(T2, c * u_coefficient(S, 1)).endpoint()
+    expected = minimal_coupling(S) - Expression.of(prod, "b+") * V
+    return PipelineReport([("twist-couple-endpoint", is_zero(T3 - expected)),
                            ("endpoint-master-equation", mc_check(T3).ok)], T3)
 
 

@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .coefficients import AffineExponent, Rat, quotient
-from .curved import CanonicalSubstitution, USeries
-from .expression import Expression, inverse_of, iterated_total, log_of, power_of, split_powers
+from .curved import CanonicalSubstitution, _strip_eps_constant
+from .expression import Expression, inverse_of, iterated_total, log_of, power_of
 from .symbols import GradedSymbol, Kind, Theory, TheoryError
 from .varcalc import EtaleMap
 
@@ -261,15 +261,15 @@ def parse_expression(theory: Theory, src: str, line_no: int = 0, offset: int = 0
     return ExpressionParser(theory, src, line_no, offset).parse()
 
 
-def to_useries(expr: Expression) -> USeries:
-    """Split a parsed expression on powers of u."""
-    return USeries(expr.theory, split_powers(expr, expr.theory.u))
+def to_useries(expr: Expression) -> Expression:
+    """A parsed expression as an element of B[[u]]: its eps part modulo
+    constants."""
+    return _strip_eps_constant(expr)
 
 
-def from_useries(x: USeries) -> Expression:
-    theory = x.theory
-    u = Expression.symbol(theory, theory.u)
-    return Expression.sum(theory, (u ** n * c for n, c in x.coeffs.items()))
+def from_useries(x: Expression) -> Expression:
+    """An element of B[[u]] is its expression."""
+    return x
 
 
 # -- theory files -------------------------------------------------------------------

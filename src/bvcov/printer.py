@@ -8,6 +8,7 @@ the identity on canonical forms).
 from __future__ import annotations
 
 from .coefficients import PowerAtom
+from .expression import split_powers
 
 
 def render_symbol(sym, power: int = 1) -> str:
@@ -56,3 +57,24 @@ def render(expr) -> str:
         else:
             chunks.append(("- " if neg else "+ ") + piece)
     return " ".join(chunks)
+
+
+def render_by_u(expr) -> str:
+    """An element of B[[u]] u-power by u-power, each coefficient split by
+    eps: body + (eps part)*eps.  For display only; the parser reads the
+    fused form that `render` prints."""
+    if not expr.terms:
+        return "0"
+    theory = expr.theory
+    parts = []
+    for n, coeff in sorted(split_powers(expr, theory.u).items()):
+        split = split_powers(coeff, theory.epsilon)
+        body, eps = split.get(0), split.get(1)
+        if eps is None:
+            c = render(body)
+        elif body is None:
+            c = f"({render(eps)})*eps"
+        else:
+            c = f"{render(body)} + ({render(eps)})*eps"
+        parts.append(c if n == 0 else (f"u*({c})" if n == 1 else f"u^{n}*({c})"))
+    return " + ".join(parts)

@@ -172,8 +172,8 @@ class Theory:
 
     @property
     def u(self) -> GradedSymbol:
-        """The ghost-2 series variable (parser-level; split off into u-series
-        before any curved computation)."""
+        """The structural series variable of B[[u]]: even, ghost 2, central;
+        every element of B[[u]] is an expression in it."""
         return self._structural("u", Kind.U_PARAM, 2, EVEN)
 
     # -- lookup ---------------------------------------------------------
@@ -234,9 +234,11 @@ class Theory:
     def sort_key(self, sym: GradedSymbol) -> tuple:
         key = self._sort_keys.get(sym)
         if key is None:
-            # eps is one structural symbol per theory, sorting last in every
-            # theory alike, so a relabel between theories keeps its key
-            rank = 0 if sym.kind == Kind.EPSILON else self._order_index.get(sym.base)
+            # eps and u are one structural symbol each per theory, sorting
+            # alike in every theory, so a relabel between theories keeps
+            # their keys
+            rank = 0 if sym.kind in (Kind.EPSILON, Kind.U_PARAM) \
+                else self._order_index.get(sym.base)
             if rank is None:
                 raise SymbolUnknownError(f"symbol not of this theory: {sym.name}")
             key = self._sort_keys[sym] = (int(sym.kind), rank, sym.jet_order)

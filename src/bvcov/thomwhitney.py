@@ -17,9 +17,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .expression import Expression, embed, is_zero, odd_derivation, partial_derivative
-from .curved import (BElement, CanonicalSubstitution, TruncatedFlowError, USeries,
-                     _bracket_by, curvature, du, embed_u, exp_sum, orbit, u_bracket)
+from .expression import (Expression, apply_substitution, embed, is_zero, odd_derivation,
+                         partial_derivative)
+from .curved import (BElement, CanonicalSubstitution, TruncatedFlowError, _bracket_by,
+                     _strip_eps_constant, curvature, du, exp_sum, orbit, u_bracket)
 from .symbols import GradedSymbol, Theory, TheoryError, product_theory
 
 Tuple = tuple[str, ...]
@@ -135,7 +136,8 @@ class CoverNerve:
 
     # -- restrictions ------------------------------------------------------
 
-    def restrict(self, value: USeries, src_names, dst_names, dst_theory: Theory) -> USeries:
+    def restrict(self, value: Expression, src_names, dst_names,
+                 dst_theory: Theory) -> Expression:
         """Restrict a value on U_{src} to U_{dst} (src set inside dst set),
         landing in the given fused theory."""
         src = frozenset(src_names)
@@ -143,30 +145,30 @@ class CoverNerve:
         if not src <= dst:
             raise TheoryError("restriction goes to a smaller intersection only")
         if src == dst:
-            return embed_u(value, dst_theory)
+            return embed(value, dst_theory)
         if len(src) == 1:
             return _restrict_along(self.overlaps[dst].from_chart[next(iter(src))],
                                    value, dst_theory)
         src_th = self.context_theory(src)
         dst_th = self.context_theory(dst)
         if src_th is dst_th or src_th.name == dst_th.name:
-            return embed_u(value, dst_theory)
+            return embed(value, dst_theory)
         raise TheoryError(
             f"restriction {sorted(src)} -> {sorted(dst)} not declared")
 
 
-def _restrict_along(sub: CanonicalSubstitution, value: USeries, theory: Theory) -> USeries:
+def _restrict_along(sub: CanonicalSubstitution, value: Expression, theory: Theory) -> Expression:
     """value moved along a chart restriction whose images are embedded in
     the fused theory."""
     images = {g: embed(img, theory) for g, img in sub.images.items()}
-    return CanonicalSubstitution(sub.theory, images, theory).apply_u(value)
+    return _strip_eps_constant(apply_substitution(value, images, theory))
 
 
 # -- simplicial form operations ---------------------------------------------------
 
 
 def simplicial_pullback(nerve: CoverNerve, f: list[int], k: int, ell: int,
-                        value: USeries, src_names, dst_theory: Theory) -> USeries:
+                        value: Expression, src_names, dst_theory: Theory) -> Expression:
     """Pullback along the arrow f: [k] -> [ell] of Delta (f given as the
     image list of 0..k), acting on the simplex coordinates of a value on an
     ell-simplex; the underlying chart value is restricted separately.
@@ -181,11 +183,10 @@ def simplicial_pullback(nerve: CoverNerve, f: list[int], k: int, ell: int,
             dst_theory, (nerve.t_symbol(dst_theory, j, k) for j in preimage))
         images[src_th.symbol(f"dt_{i}")] = Expression.sum(
             dst_theory, (nerve.dt_symbol(dst_theory, j, k) for j in preimage))
-    sub = CanonicalSubstitution(src_th, images, dst_theory)
-    return sub.apply_u(value)
+    return _strip_eps_constant(apply_substitution(value, images, dst_theory))
 
 
-def form_differential(value: USeries) -> USeries:
+def form_differential(value: Expression) -> Expression:
     """The simplex de Rham differential: t_i -> dt_i, as an odd left
     derivation of the fused algebra."""
     theory = value.theory
@@ -195,7 +196,7 @@ def form_differential(value: USeries) -> USeries:
         if s is None:
             break
         images[s] = Expression.of(theory, f"dt_{i}")
-    return value.map_parts(lambda e: odd_derivation(e, images))
+    return odd_derivation(value, images)
 
 
 def collapse(T: Tuple) -> tuple[Tuple, list[int]]:
@@ -218,10 +219,10 @@ class CechCochain:
     """Alternating Cech k-cochain with values on sorted distinct tuples."""
 
     def __init__(self, nerve: CoverNerve, degree: int,
-                 values: dict[Tuple, USeries]):
+                 values: dict[Tuple, Expression]):
         self.nerve = nerve
         self.degree = degree
-        self.values: dict[Tuple, USeries] = {}
+        self.values: dict[Tuple, Expression] = {}
         for T, v in values.items():
             if len(T) != degree + 1 or tuple(sorted(T)) != T or len(set(T)) != len(T):
                 raise TheoryError("values must be keyed by sorted distinct tuples")
@@ -229,7 +230,7 @@ class CechCochain:
                 raise TheoryError(f"tuple {T} is declared empty")
             self.values[T] = v
 
-    def value(self, T: Tuple) -> tuple[int, Optional[USeries]]:
+    def value(self, T: Tuple) -> tuple[int, Optional[Expression]]:
         """(sign, value on sorted representative) with alternation; sign 0
         for repeated indices."""
         if len(set(T)) != len(T):
@@ -245,7 +246,7 @@ class CechCochain:
 def cech_delta(c: CechCochain) -> CechCochain:
     """Alternating face sum with restriction maps; delta^2 = 0."""
     nerve = c.nerve
-    out: dict[Tuple, USeries] = {}
+    out: dict[Tuple, Expression] = {}
     size = c.degree + 2
     # sorted distinct tuples, in the order of `nerve.tuples()`; beyond the
     # dimension bound every simplex is empty
@@ -255,18 +256,16 @@ def cech_delta(c: CechCochain) -> CechCochain:
         if not nerve.nonempty(T):
             continue
         theory = nerve.context_theory(T)
-        acc = USeries.zero(theory)
-        ok = False
+        pieces = []
         for i in range(len(T)):
             face = T[:i] + T[i + 1:]
             sign, v = c.value(face)
             if sign == 0 or v is None:
                 continue
-            ok = True
             moved = nerve.restrict(v, face, T, theory)
-            acc = acc + (moved * sign if i % 2 == 0 else moved * -sign)
-        if ok:
-            out[T] = acc
+            pieces.append(moved * sign if i % 2 == 0 else moved * -sign)
+        if pieces:
+            out[T] = Expression.sum(theory, pieces)
     return CechCochain(nerve, c.degree + 1, out)
 
 
@@ -277,11 +276,11 @@ class TWElement:
     totalization is a simplicial object, and R and T have the same member
     set, so no chart restriction enters."""
 
-    def __init__(self, nerve: CoverNerve, values: dict[Tuple, USeries]):
+    def __init__(self, nerve: CoverNerve, values: dict[Tuple, Expression]):
         self.nerve = nerve
         self.values = values
 
-    def value(self, T: Tuple) -> USeries:
+    def value(self, T: Tuple) -> Expression:
         got = self.values.get(T)
         if got is not None:
             return got
@@ -289,7 +288,7 @@ class TWElement:
         return simplicial_pullback(self.nerve, f, len(T) - 1, len(R) - 1, self.values[R],
                                    T, self.nerve.simplex_theory(T, len(T) - 1))
 
-    def map(self, fn: Callable[[Tuple, USeries], USeries]) -> "TWElement":
+    def map(self, fn: Callable[[Tuple, Expression], Expression]) -> "TWElement":
         return TWElement(self.nerve, {T: fn(T, v) for T, v in self.values.items()})
 
     def __add__(self, other: "TWElement") -> "TWElement":
@@ -306,7 +305,7 @@ class TWElement:
     def is_zero(self) -> bool:
         # f* is injective on polynomial forms: a degenerate value vanishes
         # exactly when its face's does
-        return all(v.is_zero() for v in self.values.values())
+        return all(is_zero(v) for v in self.values.values())
 
 
 def whitney(c: CechCochain) -> TWElement:
@@ -317,14 +316,15 @@ def whitney(c: CechCochain) -> TWElement:
     summand is invariant under permuting them and vanishes on a repeat: the
     sum over all (m+1)^(k+1) position tuples is (k+1)! times the sum over
     increasing ones, which `whitney_form` carries as its k! factor.
-    Positions that pick the same face share one restriction and one scale."""
+    Positions that pick the same face share one restriction and one product
+    by their summed forms."""
     nerve = c.nerve
-    restricted: dict[tuple, USeries] = {}
-    out: dict[Tuple, USeries] = {}
+    restricted: dict[tuple, Expression] = {}
+    out: dict[Tuple, Expression] = {}
     for T in nerve.nondegenerate_tuples():
         m = len(T) - 1
         theory = nerve.simplex_theory(T, m)
-        faces: dict[Tuple, tuple[USeries, list[Expression]]] = {}
+        faces: dict[Tuple, tuple[Expression, list[Expression]]] = {}
         for positions in itertools.combinations(range(m + 1), c.degree + 1):
             sign, v = c.value(tuple(T[i] for i in positions))
             if sign == 0 or v is None:
@@ -332,14 +332,14 @@ def whitney(c: CechCochain) -> TWElement:
             form = nerve.whitney_form(T, positions)
             face = tuple(sorted(T[i] for i in positions))
             faces.setdefault(face, (v, []))[1].append(form if sign > 0 else -form)
-        acc = USeries.zero(theory)
+        pieces = []
         for face, (v, forms) in faces.items():
             key = (face, frozenset(T), m)
             moved = restricted.get(key)
             if moved is None:
                 moved = restricted[key] = nerve.restrict(v, face, T, theory)
-            acc = acc + moved.scale(Expression.sum(theory, forms))
-        out[T] = acc
+            pieces.append(Expression.sum(theory, forms) * moved)
+        out[T] = Expression.sum(theory, pieces)
     return TWElement(nerve, out)
 
 
@@ -374,7 +374,7 @@ def whitney_commutes(c: CechCochain) -> TWElement:
 
 @dataclass
 class GlobalMCReport:
-    residuals: dict[Tuple, USeries]
+    residuals: dict[Tuple, Expression]
     ok: bool
     failing: list[Tuple]
 
@@ -387,8 +387,8 @@ def global_mc_check(SS: TWElement) -> GlobalMCReport:
     nerve = SS.nerve
     residual = tw_differential(SS) + tw_bracket(SS, SS) * Fraction(1, 2) \
         + tw_curvature(nerve)
-    fails = {R: not v.is_zero() for R, v in residual.values.items()}
-    residuals: dict[Tuple, USeries] = {}
+    fails = {R: not is_zero(v) for R, v in residual.values.items()}
+    residuals: dict[Tuple, Expression] = {}
     failing = []
     for T in nerve.tuples():
         R = collapse(T)[0]
@@ -398,7 +398,7 @@ def global_mc_check(SS: TWElement) -> GlobalMCReport:
         elif R == T:
             residuals[T] = residual.values[T]
         else:
-            residuals[T] = USeries.zero(nerve.simplex_theory(T, len(T) - 1))
+            residuals[T] = Expression.zero(nerve.simplex_theory(T, len(T) - 1))
     return GlobalMCReport(residuals, not failing, failing)
 
 
@@ -435,7 +435,7 @@ def check_simplicial(SS: TWElement, max_checks: int = 400) -> SimplicialReport:
         # form pullback of the long-tuple value along f: [k] -> [m]
         lhs = simplicial_pullback(nerve, f, k, m, SS.value(T), T, theory)
         rhs = nerve.restrict(SS.value(src), src, T, theory)
-        if not (lhs - rhs).is_zero():
+        if not is_zero(lhs - rhs):
             bad.append((T, f))
     return SimplicialReport(bad, len(tested), len(arrows))
 
@@ -444,16 +444,16 @@ def check_simplicial(SS: TWElement, max_checks: int = 400) -> SimplicialReport:
 
 
 def global_covariant_theory(nerve: CoverNerve,
-                            local_series: dict[str, USeries]) -> TWElement:
+                            local_series: dict[str, Expression]) -> TWElement:
     """w(S_u + mu eps): the Whitney image of the chart-wise local theories
     plus the overlap functions mu as an eps-valued 1-cochain."""
     zero_deg = CechCochain(nerve, 0, {(a,): local_series[a] for a in nerve.chart_names})
     out = whitney(zero_deg)
-    mu_values: dict[Tuple, USeries] = {}
+    mu_values: dict[Tuple, Expression] = {}
     for key, ctx in nerve.overlaps.items():
         if len(key) == 2 and ctx.mu is not None:
             pair = tuple(sorted(key))
-            mu_values[pair] = USeries.of(BElement.of_eps(ctx.mu))
+            mu_values[pair] = BElement.of_eps(ctx.mu)
     if mu_values:
         out = out + whitney(CechCochain(nerve, 1, mu_values))
     return out
@@ -469,7 +469,7 @@ class Refinement:
     restrictions: dict[frozenset, CanonicalSubstitution]
 
     def transport(self, SS: TWElement) -> TWElement:
-        out: dict[Tuple, USeries] = {}
+        out: dict[Tuple, Expression] = {}
         for T in self.fine.nondegenerate_tuples():
             phi_t = tuple(self.chart_map[a] for a in T)
             out[T] = _restrict_along(self.restrictions[frozenset(T)], SS.value(phi_t),
@@ -498,7 +498,7 @@ def tw_gauge_flow(x: TWElement, y: TWElement, max_order: int = 12) -> TWElement:
     by = {T: _bracket_by(v, -1) for T, v in y.values.items()}
     steps, index = orbit(tw_differential(y) + tw_bracket(x, y),
                          lambda w: TWElement(y.nerve, {T: by[T](w.values[T]) for T in by}),
-                         max_order)
+                         max_order, TWElement.is_zero)
     if index is None:
         raise TruncatedFlowError("Thom-Whitney gauge flow did not terminate")
     return exp_sum(x, steps, 1)
@@ -537,7 +537,7 @@ def gauge_equivalence_check(nerve: CoverNerve,
     SS0 = build(nu0, mu0)
     SS1 = build(nu1, mu1)
     y = whitney(CechCochain(nerve, 0, {
-        (a,): USeries.of(BElement.of_eps(nu_tilde[a])) for a in nerve.chart_names}))
+        (a,): BElement.of_eps(nu_tilde[a]) for a in nerve.chart_names}))
     diff = SS1 - SS0
     id1 = (tw_differential(y) + tw_bracket(SS0, y) - diff).is_zero()
     id2 = tw_bracket(diff, y).is_zero()

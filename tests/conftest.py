@@ -28,6 +28,18 @@ def antifield_counting_field(theory: Theory) -> EvolutionaryVectorField:
         anti: Expression.symbol(theory, anti) for _, anti in theory.field_pairs()})
 
 
+def u_parts(x: Expression) -> dict[int, Expression]:
+    """{n: c_n}, by increasing n, with x = sum_n c_n u^n, read off by
+    `split_powers` on the theory's u."""
+    return dict(sorted(split_powers(x, x.theory.u).items()))
+
+
+def u_series(theory: Theory, coeffs: dict[int, Expression]) -> Expression:
+    """sum_n coeffs[n] u^n."""
+    return Expression.sum(theory, (Expression.symbol(theory, theory.u, n) * c
+                                   for n, c in coeffs.items()))
+
+
 def eps_parts(x: Expression) -> tuple[Expression, Expression]:
     """(f, g) with x = f + g*eps, read off by `split_powers` on the
     theory's eps."""

@@ -12,7 +12,7 @@ from bvcov.expression import (Expression, GradingError, inverse_of, is_zero,
                               substitute_param)
 from bvcov.coefficients import AffineExponent, FuncAtom, LogAtom, PowerAtom
 from bvcov.printer import render
-from conftest import HomogeneousSampler, eps_parts
+from conftest import HomogeneousSampler, eps_parts, u_parts
 
 
 def test_odd_transposition(E):
@@ -782,6 +782,7 @@ def test_library_model_series_are_canonical():
     for name in sorted(MODEL_BUILDERS):
         for dim in (1, 2, 3, 4):
             series = build_model(name, dim).series
-            for n in series.powers():
-                for part in (series.coeff(n), *eps_parts(series.coeff(n))):
+            _assert_canonical(series)
+            for c in u_parts(series).values():
+                for part in (c, *eps_parts(c)):
                     _assert_canonical(part)

@@ -10,11 +10,11 @@ cases of `test_expression.py` cover their fold."""
 import random
 from fractions import Fraction
 
-from bvcov.curved import BElement, USeries, u_bracket
+from bvcov.curved import BElement, u_bracket
 from bvcov.expression import Expression, normalize, partial_derivative, total_derivative
 from bvcov.symbols import Theory
 from bvcov.varcalc import bv_antibracket, euler, soloviev
-from conftest import eps_parts
+from conftest import eps_parts, u_parts, u_series
 from reference_algebra import EPS, JetAlgebra
 
 # (field, antifield, parity of the field); the reference's odd order sorts
@@ -119,8 +119,8 @@ def _series(t, symbols, ref, raws):
     """An engine u-series and its reference from four raw inputs: the body
     and the eps part of the u^0 coefficient, then of the u^1 one."""
     parts = [_pair(t, symbols, ref, r) for r in raws]
-    return (USeries(t, {n: parts[2 * n][0] + BElement.of_eps(parts[2 * n + 1][0])
-                        for n in (0, 1)}),
+    return (u_series(t, {n: parts[2 * n][0] + BElement.of_eps(parts[2 * n + 1][0])
+                         for n in (0, 1)}),
             {n: (parts[2 * n][1], parts[2 * n + 1][1]) for n in (0, 1)})
 
 
@@ -134,9 +134,9 @@ def test_u_bracket_matches_the_reference():
         (a, A), (b, B) = _series(t, symbols, ref, raws[i:i + 4]), \
             _series(t, symbols, ref, raws[i + 4:i + 8])
         for x, y, X, Y in ((a, b, A, B), (b, a, B, A), (a, a, A, A)):
-            got, want = u_bracket(x, y), ref.u_bracket(X, Y)
-            for n in set(got.coeffs) | set(want):
-                body, eps = eps_parts(got.coeff(n))
+            got, want = u_parts(u_bracket(x, y)), ref.u_bracket(X, Y)
+            for n in set(got) | set(want):
+                body, eps = eps_parts(got.get(n, Expression.zero(t)))
                 assert (_read(ref, body), _read(ref, eps)) == want.get(n, ({}, {})), \
                     (raws[i:i + 8], n)
 
