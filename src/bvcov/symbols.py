@@ -70,6 +70,11 @@ class TheoryError(Exception):
     pass
 
 
+# the names of the structural generators eps and u, which no declaration
+# may take
+_STRUCTURAL_NAMES = ("eps", "u")
+
+
 class SymbolUnknownError(TheoryError):
     pass
 
@@ -108,6 +113,8 @@ class Theory:
         return self._symbols.setdefault((sym.name, sym.jet_order), sym)
 
     def _claim_rank(self, name: str):
+        if name in _STRUCTURAL_NAMES:
+            raise TheoryError(f"reserved name: {name}")
         if name in self._order_index:
             raise TheoryError(f"name already registered: {name}")
         self._order_index[name] = len(self._order_index)
@@ -157,12 +164,11 @@ class Theory:
                                          base=name))
 
     def _structural(self, name: str, kind: Kind, ghost: int, parity: int) -> GradedSymbol:
-        """The symbol `name`, interned with the given grading on first use."""
+        """The symbol `name`, interned with the given grading on first use;
+        its sort key takes no registration rank."""
         got = self._symbols.get((name, 0))
         if got is not None:
             return got
-        if name not in self._order_index:
-            self._claim_rank(name)
         return self._intern(GradedSymbol(name, kind, ghost, parity, base=name))
 
     @property

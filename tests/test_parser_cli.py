@@ -393,6 +393,22 @@ def test_malformed_directive_lines_fail_at_their_column(tmp_path, capsys):
     assert [s.name for s in tf.substitutions["xi"].images] == ["x"]
 
 
+@pytest.mark.parametrize("declaration", [
+    "field eps ghost 0 parity even", "field u ghost -2 parity even",
+    "function eps args x", "function u args x", "param u", "param eps",
+    "oneform u", "oneform eps ghost 1"])
+def test_structural_names_are_reserved(tmp_path, capsys, declaration):
+    """eps and u name the structural generators of every theory, so a
+    declaration taking either is refused at the name (exit 2); before, a
+    field eps or u was accepted and replaced the generator."""
+    head, name = declaration.split()[:2]
+    path = tmp_path / "reserved.bvt"
+    path.write_text(f"field x ghost 0 parity even\n{declaration}\nexpr S = x*eps\n")
+    assert run_cli("run", str(path)) == 2
+    assert capsys.readouterr().err == \
+        f"parse error: reserved name: {name} at line 2, column {len(head) + 2}\n"
+
+
 def _word_mutants(source: str):
     """The sources made from each non-comment line of source by dropping
     the line, and for each of its words by deleting the word, duplicating
