@@ -85,10 +85,9 @@ def b_differential(x: Expression) -> Expression:
 
 
 def b_bracket(a: Expression, b: Expression) -> Expression:
-    """The Soloviev antibracket extended to the resolution: eps is odd,
-    central for the bracket (D kills it, no antifield pairs with it), so
-    the bracket of fused operands, its eps part modulo constants."""
-    return _strip_eps_constant(soloviev(a, b))
+    """The Soloviev antibracket extended to the resolution: `u_bracket`, the
+    u^0 part of B[[u]]'s."""
+    return u_bracket(a, b)
 
 
 def iota(x: Expression) -> Expression:
@@ -151,10 +150,10 @@ def u_coefficient(x: Expression, n: int) -> Expression:
 
 
 def u_bracket(a: Expression, b: Expression) -> Expression:
-    """The bracket of B[[u]]: u is even and central for the bracket (D kills
-    it, no antifield pairs with it), so the Soloviev bracket of the fused
-    operands, its eps part modulo constants.  a's jet tables serve both
-    sides of [S, S]."""
+    """The bracket of B[[u]]: eps is odd and u even, and both are central
+    for the bracket (D kills them, no antifield pairs with them), so the
+    Soloviev bracket of the fused operands, its eps part modulo constants.
+    a's jet tables serve both sides of [S, S]."""
     if a.terms and b.terms and b.theory is not a.theory:
         raise TheoryError("mixed theory contexts")
     ta = _sigma_tables(a)
@@ -231,18 +230,15 @@ def mc_check(S: Expression, mode: str = "B") -> MCReport:
     theory = S.theory
     residual = curvature(theory) + u_bracket(S, S) * Fraction(1, 2)
     if mode == "F":
-        notes = []
-        for n, c in sorted(split_powers(residual, theory.u).items()):
-            flag, c0, _ = is_total_derivative(c)
-            if not (flag and c0 == 0):
-                notes.append(f"u^{n}: residual is not a total derivative")
+        notes = [f"u^{n}: residual is not a total derivative"
+                 for n, c in sorted(split_powers(residual, theory.u).items())
+                 if is_total_derivative(c)[:2] != (True, 0)]
         return MCReport(residual, not notes, notes)
     residual = residual + du(S)
-    if is_zero(residual):
-        return MCReport(residual, True)
-    return MCReport(residual, False, [
+    notes = [] if is_zero(residual) else [
         f"u^{n}: nonzero residual"
-        for n, c in sorted(split_powers(residual, theory.u).items()) if not is_zero(c)])
+        for n, c in sorted(split_powers(residual, theory.u).items()) if not is_zero(c)]
+    return MCReport(residual, not notes, notes)
 
 
 def complete_to_b(S: Expression) -> Expression:
@@ -416,27 +412,16 @@ def flow_substitution(theory: Theory, y: Expression, tau: GradedSymbol,
     return CanonicalSubstitution(theory, images)
 
 
-def _proportionality(pairs) -> Optional[tuple[Rat, Optional[str]]]:
-    """Detect v1 = q*v0 or v1 = q*log(E)*v0, with one factor for all the
-    (v1, v0) pairs, by candidate-and-verify; pairs with both sides zero are
-    skipped.  Returns (q, base_key or None), or None."""
-    ratio = None
-    for v1, v0 in pairs:
-        if v0.is_structural_zero() and v1.is_structural_zero():
-            continue
-        if v0.is_structural_zero() or v1.is_structural_zero() \
-                or len(v1.terms) != len(v0.terms):
-            return None
-        t1 = v1.terms[0]
-        keys = [None] + [a.base_key for a, _ in t1.atoms if isinstance(a, LogAtom)]
-        candidates = [(quotient(t1.coef, t0.coef), key)
-                      for t0 in v0.terms if t0.mono == t1.mono for key in keys]
-        this = next((c for c in candidates
-                     if is_zero(v1 - _log_factor(v1.theory, *c) * v0)), None)
-        if this is None or ratio not in (None, this):
-            return None
-        ratio = this
-    return ratio
+def _proportionality(v1: Expression, v0: Expression) -> Optional[tuple[Rat, Optional[str]]]:
+    """Detect v1 = q*v0 or v1 = q*log(E)*v0 with both sides nonzero, by
+    candidate-and-verify.  Returns (q, base_key or None), or None."""
+    if v0.is_structural_zero() or v1.is_structural_zero() or len(v1.terms) != len(v0.terms):
+        return None
+    t1 = v1.terms[0]
+    keys = [None] + [a.base_key for a, _ in t1.atoms if isinstance(a, LogAtom)]
+    candidates = [(quotient(t1.coef, t0.coef), key)
+                  for t0 in v0.terms if t0.mono == t1.mono for key in keys]
+    return next((c for c in candidates if is_zero(v1 - _log_factor(v1.theory, *c) * v0)), None)
 
 
 def _exp_ad_on(theory: Theory, step: Callable[[Expression], Expression],
@@ -446,7 +431,7 @@ def _exp_ad_on(theory: Theory, step: Callable[[Expression], Expression],
     the tau-polynomial of an orbit that vanishes within max_iter steps."""
     first = step(start)
     # a cap below 1 allows no bracket, so not the eigenvector either
-    prop = _proportionality([(first, start)]) if max_iter > 0 else None
+    prop = _proportionality(first, start) if max_iter > 0 else None
     if prop is not None:
         q, base_key = prop
         if base_key is None:
@@ -478,7 +463,8 @@ def gauge_flow_closed(x: Expression, y: Expression, tau: GradedSymbol,
     if index is None:
         raise FlowClosureError(
             "d_u(y) source brackets do not terminate; closed flow unavailable")
-    family = exp_sum(_strip_eps_constant(sub.apply(x)), steps, Expression.symbol(x.theory, tau))
+    family = exp_sum(_strip_eps_constant(sub.apply(x)), steps,
+                     Expression.symbol(x.theory, tau))
     cert = verify_flow_endpoint(x, family, y, tau)
     if not cert:
         raise FlowClosureError("closed gauge flow failed ODE certification")
@@ -562,7 +548,7 @@ def bch(y: Expression, z: Expression, order: int = 6) -> BCHResult:
     # z, ad(y) z, ad(y)^2 z up to the first zero
     ad_z, _ = orbit(z, _bracket_by(y, 1), 3)
     v1 = ad_z[1] if len(ad_z) > 1 else Expression.zero(theory)
-    prop = _proportionality([(v1, z)])
+    prop = _proportionality(v1, z)
     if prop is not None:
         q, base_key = prop
         if base_key is not None and q.denominator == 1:

@@ -882,8 +882,9 @@ def apply_substitution(expr: Expression, images: dict[GradedSymbol, Expression],
     """Algebra homomorphism sending each 0-jet generator to its image and
     commuting with the total derivative (jets map to derivatives of the
     image).  Generators without an image must exist in the target theory
-    under the same name; eps and u go to the target's own.  Atoms are rebuilt:
-    function symbols require their arguments to map to plain coordinates.
+    under the same name; eps and u go to the target's own.  Atoms are
+    rebuilt: function symbols require their arguments to map to plain
+    coordinates.
 
     A term with no atoms whose generators all have no image and keep their
     sort key and sign degree in the target is relabeled in place: its
@@ -895,7 +896,8 @@ def apply_substitution(expr: Expression, images: dict[GradedSymbol, Expression],
     relabels: dict[GradedSymbol, Optional[GradedSymbol]] = {}
 
     def namesake(sym: GradedSymbol) -> GradedSymbol:
-        """The target's 0-jet symbol of sym's base name."""
+        """The target's 0-jet symbol of sym's base name, or its own
+        structural eps or u."""
         if sym.kind == Kind.EPSILON:
             return target.epsilon
         return target.u if sym.kind == Kind.U_PARAM else target.symbol(sym.base)

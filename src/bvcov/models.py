@@ -14,9 +14,8 @@ from typing import Callable, Optional, Sequence
 
 from .expression import (Expression, Term, _lower_atom, embed, is_zero,
                          partial_derivative)
-from .curved import (CanonicalSubstitution, _body, _strip_eps_constant,
-                     canonical_substitution_check, d_element, du, gauge_flow_series,
-                     mc_check, u_bracket, u_coefficient, u_element)
+from .curved import (CanonicalSubstitution, _body, canonical_substitution_check, d_element,
+                     du, gauge_flow_series, mc_check, u_bracket, u_coefficient, u_element)
 from .aksz import (PipelineReport, TargetChart, build_covariant_theory, ghost_pair,
                    gravity_product, log_flow, minimal_coupling, twist, x_u_series,
                    xi_u_series)
@@ -325,7 +324,7 @@ def spinning_pipeline(model: ModelSpec) -> PipelineReport:
     bch_ok = is_zero(merged - T4) and is_zero(u_bracket(c * Xi1, c * S1))
 
     rename = _physical_rename(model, prod)
-    T5 = _strip_eps_constant(rename.apply(T4))
+    T5 = rename.apply(T4)
     checks += [("bch-merge", bch_ok),
                ("rename-canonical", not canonical_substitution_check(rename)),
                ("physical-master-equation",

@@ -136,8 +136,7 @@ class CoverNerve:
 
     # -- restrictions ------------------------------------------------------
 
-    def restrict(self, value: Expression, src_names, dst_names,
-                 dst_theory: Theory) -> Expression:
+    def restrict(self, value: Expression, src_names, dst_names, dst_theory: Theory) -> Expression:
         """Restrict a value on U_{src} to U_{dst} (src set inside dst set),
         landing in the given fused theory."""
         src = frozenset(src_names)
@@ -183,7 +182,9 @@ def simplicial_pullback(nerve: CoverNerve, f: list[int], k: int, ell: int,
             dst_theory, (nerve.t_symbol(dst_theory, j, k) for j in preimage))
         images[src_th.symbol(f"dt_{i}")] = Expression.sum(
             dst_theory, (nerve.dt_symbol(dst_theory, j, k) for j in preimage))
-    return _strip_eps_constant(apply_substitution(value, images, dst_theory))
+    # only t and dt move, to forms, so every term keeps its chart data and
+    # no constant eps term appears
+    return apply_substitution(value, images, dst_theory)
 
 
 def form_differential(value: Expression) -> Expression:

@@ -98,9 +98,9 @@ def prolong(theory: Theory, components: dict[GradedSymbol, Expression]) -> Evolu
 # holds an operand's nonzero jet partials grouped by base, base -> {jet order
 # k: [d/d(b_k), D d/d(b_k), D^2 d/d(b_k), ...]}, each list of total
 # derivatives extended on demand by `_nth_total`.  Tables are built per call
-# and dropped with it: `u_bracket` shares one per coefficient part across all
-# the coefficient pairs of the call, a flow shares its generator's across all
-# its steps and a canonical check each generator's across all its partners.
+# and dropped with it: `u_bracket` shares its operand's across both sides of
+# [S, S], a flow shares its generator's across all its steps and a canonical
+# check each generator's across all its partners.
 
 JetTable = dict[str, dict[int, list[Expression]]]
 

@@ -164,6 +164,23 @@ def test_nu_exactness_ambiguity():
     assert functional_equal(eps_parts(moved[1])[0], eps_parts(u_parts(S)[1])[0])
 
 
+def test_fused_generators_keep_their_keys_in_a_product():
+    """u and eps sort alike in every theory, so the gravity product, which
+    interned neither, takes an element of `magnetic-particle` term by term:
+    each key stands, and each atom-free term is relabeled in place, keeping
+    its key tuple."""
+    from bvcov.aksz import gravity_product
+    m = magnetic_particle(2)
+    S = m.series
+    prod, _, Sp = gravity_product(S, "bc", "bc")
+    assert Sp.theory is prod
+    for name in ("u", "epsilon"):
+        assert prod.sort_key(getattr(prod, name)) == S.theory.sort_key(getattr(S.theory, name))
+    assert [t.key for t in Sp.terms] == [t.key for t in S.terms]
+    assert all(got.key is t.key for got, t in zip(Sp.terms, S.terms) if not t.atoms)
+    assert repr(Sp) == repr(S)
+
+
 def test_twist_cv_and_guards():
     m = flat_particle(1)
     bcth = Theory("bc")

@@ -679,9 +679,10 @@ def test_bch_closed_form_matches_bruteforce():
 
 
 def test_proportionality_over_pairs_matches_bruteforce(bc_theory):
-    """One ratio for every (v1, v0) pair of two u-series, as the per-series
-    loop found it: a common rational or log multiple, none when two parts
-    disagree or one side of a pair is zero, and both-zero pairs skipped."""
+    """One ratio for the fused pair (v1, v0), as the loop over their u-power
+    and eps parts found it: a common rational or log multiple, none when two
+    parts disagree or one side of a part pair is zero, and both-zero part
+    pairs skipped."""
     from bvcov.curved import _proportionality
     t = bc_theory
     c, cp, bp = (Expression.of(t, n) for n in ("c", "c+", "b+"))
@@ -694,8 +695,8 @@ def test_proportionality_over_pairs_matches_bruteforce(bc_theory):
     for v1 in cases:
         for v0 in (z, z * 0):
             # bch passes the fused pair; the oracle pairs its parts
-            assert _proportionality([(v1, v0)]) == _u_proportionality_bruteforce(v1, v0)
-    assert _proportionality([(cp * c * 2, cp * c), (bp * c * 3, bp * c)]) is None
+            assert _proportionality(v1, v0) == _u_proportionality_bruteforce(v1, v0)
+    assert _proportionality(cp * c * 2 + bp * c * 3, cp * c + bp * c) is None
 
 
 def _coefficients(s: Expression) -> list:
@@ -712,12 +713,12 @@ def test_coefficient_divisions_are_exact(bc_theory):
     c, cp, bp = (Expression.of(t, n) for n in ("c", "c+", "b+"))
     x = cp * c
     assert type(x.terms[0].coef) is int
-    q, key = _proportionality([(x * 3, x * 2)])
+    q, key = _proportionality(x * 3, x * 2)
     assert (q, key) == (Fraction(3, 2), None) and type(q) is Fraction
-    q, key = _proportionality([(x * 4, x * 2)])
+    q, key = _proportionality(x * 4, x * 2)
     assert (q, key) == (2, None) and type(q) is int
     lam = log_of(bp)
-    q, key = _proportionality([(lam * x * 3, x * 2)])
+    q, key = _proportionality(lam * x * 3, x * 2)
     assert (q, key) == (Fraction(3, 2), lam.terms[0].atoms[0][0].base_key)
     assert type(q) is Fraction
     steps = [c * 2, bp * c * 3, bp * bp * c * 4]
