@@ -332,6 +332,18 @@ def test_gauge_flow_closed_x_u(bc_theory):
     assert is_zero(eps - one_minus * cp * c)
 
 
+def test_gauge_flow_closed_drops_the_constant_eps_terms_it_makes(particle_theory):
+    """x+ moves x by a multiple of tau, so its substitution takes x*eps to
+    x*eps plus a constant multiple of eps, which vanishes in the
+    resolution: the certified family and its endpoint are x*eps."""
+    t = particle_theory
+    tau = t.add_flow_param("tau")
+    x = BElement.of_eps(Expression.of(t, "x_1"))
+    family, cert = gauge_flow_closed(x, Expression.of(t, "x+_1"), tau)
+    assert cert.ok and cert.initial_ok
+    assert family == x and cert.endpoint == x
+
+
 def test_verify_flow_endpoint_reports(bc_theory):
     t = bc_theory
     tau = t.add_flow_param("tau")
@@ -342,11 +354,15 @@ def test_verify_flow_endpoint_reports(bc_theory):
     y = Expression.zero(t)
     rep = verify_flow_endpoint(X, X, y, tau)
     assert rep.ok and rep.initial_ok and is_zero(rep.endpoint - X)
-    shifted = X + (
-        Expression.symbol(t, tau) * Expression.of(t, "b", 1)
-        * Expression.of(t, "b+"))
+    shifted = X + Expression.symbol(t, tau) * Expression.of(t, "b", 1) \
+        * Expression.of(t, "b+")
     rep2 = verify_flow_endpoint(X, shifted, y, tau)
     assert not rep2.ok
+    # at tau = 0 a pow atom becomes 1: the constant multiple of eps it
+    # leaves vanishes in the resolution
+    lone = power_of(Expression.of(t, "b+"), AffineExponent(0, 1, tau)) \
+        * Expression.symbol(t, t.epsilon)
+    assert verify_flow_endpoint(Expression.zero(t), lone, y, tau).initial_ok
 
 
 def test_truncated_flow_refuses_endpoint(bc_theory):

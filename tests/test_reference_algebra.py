@@ -116,8 +116,9 @@ def test_bv_antibracket_matches_the_reference():
 
 
 def _series(t, symbols, ref, raws):
-    """An engine u-series and its reference from four raw inputs: the body
-    and the eps part of the u^0 coefficient, then of the u^1 one."""
+    """An engine element of B[[u]] and its reference u-series from four raw
+    inputs: the body and the eps part of the u^0 coefficient, then of the
+    u^1 one."""
     parts = [_pair(t, symbols, ref, r) for r in raws]
     return (u_series(t, {n: parts[2 * n][0] + BElement.of_eps(parts[2 * n + 1][0])
                          for n in (0, 1)}),

@@ -461,9 +461,10 @@ def test_soloviev_matches_bruteforce(data):
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_b_and_u_bracket_match_bruteforce(data):
-    """b_bracket and u_bracket, with every coefficient differentiated once
-    per call, agree term by term with their compositions from the double
-    sum; also [S, S], where both sides share one set of tables."""
+    """b_bracket and u_bracket, with each operand differentiated once per
+    call, agree term by term with their compositions from the double sum,
+    u-power by u-power; also [S, S], where both sides share one set of
+    tables."""
     t, atoms, symbols = _bracket_pools()
     build = _kernel_builder(t, atoms, symbols)
     terms = st.lists(_KERNEL_RAW_TERM, min_size=1, max_size=3)
