@@ -28,7 +28,7 @@ from .expression import (Expression, Term, _atom_partials, _merge_runs, _product
                          substitute_param, total_derivative)
 from .symbols import EVEN, GradedSymbol, Kind, Theory, TheoryError
 from .varcalc import (JetTable, _jet_table, _sigma_tables,
-                      _soloviev_into, _soloviev_of, is_total_derivative, soloviev)
+                      _soloviev_into, is_total_derivative, soloviev)
 
 
 def _has_eps(t: Term) -> bool:
@@ -164,9 +164,7 @@ def _bracket_of(theory: Theory, left: list[tuple[int, JetTable]],
                 right: list[JetTable]) -> Expression:
     """u_bracket from the tables of the left operand's sigma parts and of
     parts summing to the right operand."""
-    pieces: list[Expression] = []
-    _soloviev_into(pieces, theory, left, right)
-    return _strip_eps_constant(Expression.sum(theory, pieces))
+    return _strip_eps_constant(_soloviev_into(theory, left, right))
 
 
 def _bracket_by(y: Expression, sign: int) -> Callable[[Expression], Expression]:
@@ -373,7 +371,7 @@ def canonical_substitution_check(m: CanonicalSubstitution) -> list[tuple[str, st
     for i, g1 in enumerate(gens):
         e1 = Expression.symbol(m.theory, g1)
         for j in range(i, len(gens)):
-            lhs = _soloviev_of(m.target, left[i], right[j])
+            lhs = _soloviev_into(m.target, left[i], [right[j]])
             rhs = m.apply(soloviev(e1, Expression.symbol(m.theory, gens[j])))
             if not is_zero(lhs - rhs):
                 bad.append((g1.name, gens[j].name))

@@ -477,35 +477,40 @@ def _single(theory: Theory, coef, atoms: Atoms, mono: Mono) -> Expression:
 # are sorted once by `_merge_runs` rather than heap-merged.
 
 
+def _pows(theory: Theory, t: Term):
+    """None when t holds no pow atom, else (its pow base keys, the symbols
+    of its single-symbol pow bases).  Atom keys of pow atoms start with 2,
+    so pow atoms sort last."""
+    if not (t.atoms and isinstance(t.atoms[-1][0], PowerAtom)):
+        return None
+    bases = tuple(a.base_key for a, _ in t.atoms if isinstance(a, PowerAtom))
+    return bases, tuple(s for s in (_single_symbol_base(theory, b) for b in bases)
+                        if s is not None)
+
+
 def _layout(theory: Theory, t: Term) -> tuple:
     """(t, [(sort key, (symbol, exponent), odd)] of its monomial, odd count,
-    pows): pows is None when t holds no pow atom, else (its pow base keys,
-    the symbols of its single-symbol pow bases).  Atom keys of pow atoms
-    start with 2, so pow atoms sort last."""
+    `_pows`)."""
     k = t.key
     entries = [(k[1 + 2 * i], se, se[0].sign_degree) for i, se in enumerate(t.mono)]
-    pows = None
-    if t.atoms and isinstance(t.atoms[-1][0], PowerAtom):
-        bases = tuple(a.base_key for a, _ in t.atoms if isinstance(a, PowerAtom))
-        symbols = tuple(s for s in (_single_symbol_base(theory, b) for b in bases)
-                        if s is not None)
-        pows = (bases, symbols)
-    return t, entries, sum(o for _, _, o in entries), pows
+    return t, entries, sum(o for _, _, o in entries), _pows(theory, t)
 
 
-def _meets(symbols: tuple, m: list) -> bool:
-    return any(se[0] is s for _, se, _ in m for s in symbols)
+def _meets(symbols: tuple, mono: Mono) -> bool:
+    return any(x is s for x, _ in mono for s in symbols)
 
 
-def _pow_collision(p1, m1: list, p2, m2: list) -> bool:
-    """Whether two laid-out terms, one of them holding a pow atom, share a
-    pow base or have a single-symbol pow base meeting its own symbol in the
-    other term's monomial; their product then needs `_normalize_term`."""
+def _pow_collision(p1, t1: Term, p2, t2: Term) -> bool:
+    """Whether two terms with `_pows` p1 and p2, one of them holding a pow
+    atom, share a pow base or have a single-symbol pow base meeting its own
+    symbol in the other term's monomial; their product then needs
+    `_normalize_term`."""
     if p1 is None:
-        return _meets(p2[1], m1)
+        return _meets(p2[1], t1.mono)
     if p2 is None:
-        return _meets(p1[1], m2)
-    return any(b in p2[0] for b in p1[0]) or _meets(p1[1], m2) or _meets(p2[1], m1)
+        return _meets(p1[1], t2.mono)
+    return any(b in p2[0] for b in p1[0]) or _meets(p1[1], t2.mono) or \
+        _meets(p2[1], t1.mono)
 
 
 def _merge_atoms(a1: Atoms, k1: tuple, a2: Atoms, k2: tuple) -> tuple[Atoms, tuple]:
@@ -598,7 +603,110 @@ def _product(theory: Theory, left: Sequence[Term], right: Sequence[Term]) -> tup
             t = _merge_pair(coef, t1, m1, odd1, t2, m2)
             if t is None:
                 continue
-            if (p1 or p2) and _pow_collision(p1, m1, p2, m2):
+            if (p1 or p2) and _pow_collision(p1, t1, p2, t2):
+                out += _normalize_term(theory, t.coef, t.atoms, t.mono)
+            else:
+                out.append(t)
+    return _merge_runs(out)
+
+
+# The bracket's multiply-accumulate.  A Soloviev bracket is a double sum of
+# products whose pairs collapse onto few monomials, so its pairs are summed
+# on packed keys and only the surviving monomials become terms.  Each
+# distinct operand's terms are packed once per call into one int: the
+# exponent of every even symbol and of every atom in a fixed-width field
+# sized from the call's largest exponent (so two exponents add without a
+# carry), and above those fields a bitmask of the odd symbols in canonical
+# order.  A pair with a common odd bit vanishes.  Otherwise its product's
+# key is the sum of the keys, and its Koszul sign is `_merge_pair`'s
+# crossing count taken on the masks: the parity of the pairs of an odd bit
+# of the left term above an odd bit of the right one.  Each surviving
+# monomial is built by `_merge_pair` from the first pair that produced it.
+# The key holds a pow atom like any atom, so a key whose pairs have
+# colliding pow atoms is one merged product, which `_normalize_term` folds
+# once for all of them (a canonical term never holds two pow atoms of one
+# base, nor a single-symbol base with its symbol, so every pair of such a
+# key collides).  Terms are laid out (`_layout`) only for the survivors.
+
+
+def _pack(theory: Theory, terms: Sequence[Term], fields: dict, width: int,
+          bits: dict) -> list[tuple]:
+    """One row per term: (packed key, odd mask, below, coef, term, `_pows`),
+    where bit i of `below` is the parity of the term's odd bits under i."""
+    rows = []
+    odd_shift = len(fields) * width
+    for t in terms:
+        key = mask = below = 0
+        for s, e in t.mono:
+            if s.sign_degree:
+                j = bits[s]
+                mask |= 1 << j
+                below ^= ~((2 << j) - 1)
+            else:
+                key += e << (fields[s] * width)
+        for ak, e in t.key[0]:
+            key += e << (fields[ak] * width)
+        rows.append((key + (mask << odd_shift), mask, below, t.coef, t, _pows(theory, t)))
+    return rows
+
+
+def _multiply_accumulate(theory: Theory, jobs: Sequence[tuple]) -> tuple[Term, ...]:
+    """The canonical sum of sign * left * right over the jobs (left terms,
+    right terms, sign +-1); equal to summing the signed `_product`s."""
+    if not jobs:
+        return ()
+    operands = {}
+    for left, right, _ in jobs:
+        operands[id(left)] = left
+        operands[id(right)] = right
+    fields: dict = {}
+    odd: set = set()
+    top = 1
+    for terms in operands.values():
+        for t in terms:
+            for s, e in t.mono:
+                if s.sign_degree:
+                    odd.add(s)
+                else:
+                    fields.setdefault(s, len(fields))
+                    if e > top:
+                        top = e
+            for ak, e in t.key[0]:
+                fields.setdefault(ak, len(fields))
+                if e > top:
+                    top = e
+    width = (2 * top).bit_length()
+    bits = {s: j for j, s in enumerate(sorted(odd, key=theory.sort_key))}
+    rows = {i: _pack(theory, terms, fields, width, bits) for i, terms in operands.items()}
+
+    acc: dict[int, list] = {}
+    for left, right, sign in jobs:
+        right_rows = rows[id(right)]
+        for k1, o1, _, c1, t1, p1 in rows[id(left)]:
+            c1 *= sign
+            for k2, o2, below2, c2, t2, p2 in right_rows:
+                if o1 & o2:
+                    continue
+                negative = (o1 & below2).bit_count() & 1
+                c = -c1 * c2 if negative else c1 * c2
+                k = k1 + k2
+                got = acc.get(k)
+                if got is None:
+                    acc[k] = [c, negative, t1, t2,
+                              (p1 or p2) and _pow_collision(p1, t1, p2, t2)]
+                else:
+                    got[0] += c
+    out: list[Term] = []
+    layouts: dict[int, tuple] = {}
+    for c, negative, t1, t2, collide in acc.values():
+        if c:
+            for t in (t1, t2):
+                if id(t) not in layouts:
+                    layouts[id(t)] = _layout(theory, t)
+            _, m1, n1, _ = layouts[id(t1)]
+            # _merge_pair applies the first pair's sign to what it is given
+            t = _merge_pair(-c if negative else c, t1, m1, n1, t2, layouts[id(t2)][1])
+            if collide:
                 out += _normalize_term(theory, t.coef, t.atoms, t.mono)
             else:
                 out.append(t)

@@ -97,7 +97,7 @@ class Theory:
 
     def __init__(self, name: str = ""):
         self.name = name
-        self._fields: list[GradedSymbol] = []       # 0-jet field symbols, in order
+        self._field_pairs: tuple = ()               # (field, antifield) 0-jets, in order
         self._symbols: dict[tuple, GradedSymbol] = {}   # (name, jet order) -> symbol
         self._functions: dict[str, FunctionDecl] = {}
         self._order_index: dict[str, int] = {}      # base name -> registration rank
@@ -129,9 +129,9 @@ class Theory:
                                       base=name))
         aname = antifield_name(name)
         self._claim_rank(aname)
-        self._intern(GradedSymbol(aname, Kind.ANTIFIELD_JET, -ghost - 1,
-                                  1 - parity, base=aname))
-        self._fields.append(f)
+        anti = self._intern(GradedSymbol(aname, Kind.ANTIFIELD_JET, -ghost - 1,
+                                         1 - parity, base=aname))
+        self._field_pairs += ((f, anti),)
         return f
 
     def add_function(self, name: str, args: Iterable[str]) -> FunctionDecl:
@@ -186,11 +186,11 @@ class Theory:
 
     @property
     def fields(self) -> tuple[GradedSymbol, ...]:
-        return tuple(self._fields)
+        return tuple(f for f, _ in self._field_pairs)
 
-    def field_pairs(self) -> list[tuple[GradedSymbol, GradedSymbol]]:
+    def field_pairs(self) -> tuple[tuple[GradedSymbol, GradedSymbol], ...]:
         """(field, antifield) 0-jet pairs in registration order."""
-        return [(f, self.symbol(antifield_name(f.name))) for f in self._fields]
+        return self._field_pairs
 
     def symbol(self, name: str, jet_order: int = 0) -> GradedSymbol:
         if jet_order == 0:

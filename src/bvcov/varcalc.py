@@ -16,8 +16,8 @@ from math import comb
 from typing import Optional
 
 from .coefficients import quotient
-from .expression import (Expression, is_zero, iterated_total, jet_gradient,
-                         jet_partial, total_derivative)
+from .expression import (Expression, _multiply_accumulate, is_zero, iterated_total,
+                         jet_gradient, jet_partial, total_derivative)
 from .symbols import GradedSymbol, Kind, Theory, TheoryError, antifield_name
 
 
@@ -160,12 +160,13 @@ def euler(expr: Expression, k: int, base_name: str) -> Expression:
 # -- Soloviev and BV antibrackets ---------------------------------------------
 
 
-def _soloviev_into(pieces: list[Expression], theory: Theory,
-                   f_parts: list[tuple[int, JetTable]], g_tables: list[JetTable]):
-    """Append the products of soloviev(f, g) to `pieces`: f given by
-    the tables of its sigma parts, g by the tables of parts summing to g.
-    Each column of f is paired with g's column of the partner base:
-    D^l(df/db_k) * D^k(dg/db'_l) for every k and l."""
+def _soloviev_into(theory: Theory, f_parts: list[tuple[int, JetTable]],
+                   g_tables: list[JetTable]) -> Expression:
+    """soloviev(f, g), f given by the tables of its sigma parts and g by
+    the tables of parts summing to g, with all its products summed in one
+    multiply-accumulate.  Each column of f is paired with g's column of the
+    partner base: D^l(df/db_k) * D^k(dg/db'_l) for every k and l."""
+    jobs = []
     for f_col, right, sgn in _paired_columns(theory, f_parts):
         for gt in g_tables:
             g_col = gt.get(right.base)
@@ -173,16 +174,8 @@ def _soloviev_into(pieces: list[Expression], theory: Theory,
                 continue
             for k, f_chain in f_col.items():
                 for ell, g_chain in g_col.items():
-                    p = _nth_total(f_chain, ell) * _nth_total(g_chain, k)
-                    pieces.append(p if sgn == 1 else -p)
-
-
-def _soloviev_of(theory: Theory, f_parts: list[tuple[int, JetTable]],
-                 g_table: JetTable) -> Expression:
-    """soloviev(f, g) from the tables of f's sigma parts and of g."""
-    pieces: list[Expression] = []
-    _soloviev_into(pieces, theory, f_parts, [g_table])
-    return Expression.sum(theory, pieces)
+                    jobs.append((_nth_total(f_chain, ell).terms, _nth_total(g_chain, k).terms, sgn))
+    return Expression(theory, _multiply_accumulate(theory, jobs))
 
 
 def soloviev(f: Expression, g: Expression) -> Expression:
@@ -192,7 +185,7 @@ def soloviev(f: Expression, g: Expression) -> Expression:
     theory = f.theory
     if g.theory is not theory:
         raise TheoryError("mixed theory contexts")
-    return _soloviev_of(theory, _sigma_tables(f), _jet_table(g))
+    return _soloviev_into(theory, _sigma_tables(f), [_jet_table(g)])
 
 
 def bv_antibracket(f: Expression, g: Expression) -> Expression:

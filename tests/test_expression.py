@@ -1,4 +1,6 @@
 import random
+import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -78,6 +80,21 @@ def test_sign_degree_is_parity_plus_form_degree():
 def test_unregistered_symbol_errors(particle_theory):
     with pytest.raises(SymbolUnknownError):
         Expression.of(particle_theory, "nope")
+
+
+def test_field_pairs_are_kept_until_a_field_is_added(particle_theory):
+    """`field_pairs` hands out one tuple, rebuilt only by `add_field`."""
+    t = particle_theory
+    pairs = t.field_pairs()
+    assert t.field_pairs() is pairs
+    assert [(f.name, a.name) for f, a in pairs] == \
+        [(n, a) for n, a in (("x_1", "x+_1"), ("x_2", "x+_2"), ("p_1", "p+_1"),
+                             ("p_2", "p+_2"), ("e", "e+"), ("c", "c+"))]
+    assert all(a is t.symbol(a.name) for _, a in pairs)
+    t.add_function("F", ["e"])
+    assert t.field_pairs() is pairs
+    z = t.add_field("z", 0, 0)
+    assert t.field_pairs() == pairs + ((z, t.symbol("z+")),)
 
 
 def test_normalize_idempotent_random(particle_theory):
@@ -712,6 +729,232 @@ def test_products_and_derivatives_never_renormalize(monkeypatch):
     assert [_terms(d) for d in coefficients] == \
         [_terms(_coefficient_of_bruteforce(f, s)) for f in fs for s in odd]
     assert [_terms(d) for d in totals] == [_terms(_total_bruteforce(f)) for f in no_collision]
+
+
+# -- the bracket's multiply-accumulate -----------------------------------------
+#
+# The oracle is the per-product path the accumulator replaces in the Soloviev
+# kernel: the canonical sum of the signed `_product`s of its jobs.
+
+
+def _signed_products(t, jobs) -> Expression:
+    return Expression.sum(t, (Expression(t, expression._product(t, a, b)) * sign
+                              for a, b, sign in jobs))
+
+
+def _accumulated(t, jobs) -> Expression:
+    """The accumulator's sum of the jobs, checked term by term, key and
+    coefficient, against the sum of the signed products."""
+    got = Expression(t, expression._multiply_accumulate(t, jobs))
+    assert _terms(got) == _terms(_signed_products(t, jobs))
+    return got
+
+
+def _kernel_jobs(monkeypatch) -> list:
+    """Record the (theory, jobs) of every call the Soloviev kernel makes to
+    the accumulator."""
+    from bvcov import varcalc
+    seen = []
+    real = expression._multiply_accumulate
+
+    def record(theory, jobs):
+        seen.append((theory, jobs))
+        return real(theory, jobs)
+    monkeypatch.setattr(varcalc, "_multiply_accumulate", record)
+    return seen
+
+
+def _pair_kinds(t, jobs):
+    """Counter of the jobs' term pairs: "odd" when they share an odd symbol
+    (the product vanishes), "pow" when their pow atoms collide, else
+    "plain"."""
+    kinds = Counter()
+    for a, b, _ in jobs:
+        for t1 in a:
+            _, m1, n1, p1 = expression._layout(t, t1)
+            for t2 in b:
+                _, m2, _, p2 = expression._layout(t, t2)
+                if expression._merge_pair(1, t1, m1, n1, t2, m2) is None:
+                    kinds["odd"] += 1
+                elif (p1 or p2) and expression._pow_collision(p1, t1, p2, t2):
+                    kinds["pow"] += 1
+                else:
+                    kinds["plain"] += 1
+    return kinds
+
+
+def _kernel_merges(monkeypatch) -> list:
+    """Record each `_merge_pair` call that the accumulator makes itself,
+    not those of the products that `_normalize_term` multiplies out."""
+    real = expression._merge_pair
+    calls = []
+
+    def merge_pair(*args):
+        if sys._getframe(1).f_code.co_name == "_multiply_accumulate":
+            calls.append(args)
+        return real(*args)
+    monkeypatch.setattr(expression, "_merge_pair", merge_pair)
+    return calls
+
+
+def _merged_monomials(t, jobs) -> list:
+    """The keys of the merged (not yet folded) pair products of the jobs
+    whose signed coefficients do not cancel."""
+    sums = {}
+    for a, b, sign in jobs:
+        for t1 in a:
+            for t2 in b:
+                _, m1, n1, _ = expression._layout(t, t1)
+                p = expression._merge_pair(sign * t1.coef * t2.coef, t1, m1, n1, t2,
+                                           expression._layout(t, t2)[1])
+                if p is not None:
+                    sums[p.key] = sums.get(p.key, 0) + p.coef
+    return [k for k, c in sums.items() if c]
+
+
+def test_multiply_accumulate_matches_signed_products(monkeypatch):
+    """Seeded jobs over the oracle pools (odd symbols on both sides, jets,
+    function, log and pow atoms whose pairs collide or not, Fraction
+    coefficients), each call holding a job and its negative, whose pieces
+    cancel: the accumulator agrees term by term with the signed products,
+    and merges each monomial whose pairs do not cancel once, colliding pow
+    pairs included."""
+    t, atoms, symbols = _oracle_pools()
+    build = _builder(t, atoms, symbols)
+    rng = random.Random(23)
+
+    def sample():
+        return build([(rng.choice([1, -1, 2, Fraction(1, 2), Fraction(-2, 3)]),
+                       [(rng.randrange(len(atoms)), rng.randint(1, 2))
+                        for _ in range(rng.randint(0, 2))],
+                       [(rng.randrange(len(symbols)), rng.randint(1, 2))
+                        for _ in range(rng.randint(0, 4))])
+                      for _ in range(rng.randint(1, 5))])
+
+    kinds = Counter()
+    fractions = 0
+    merges = _kernel_merges(monkeypatch)
+    for _ in range(60):
+        pool = [sample() for _ in range(4)]
+        jobs = [(rng.choice(pool).terms, rng.choice(pool).terms, rng.choice([1, -1]))
+                for _ in range(5)]
+        a, b, sign = jobs[0]
+        jobs.append((a, b, -sign))
+        kinds += _pair_kinds(t, jobs)
+        del merges[:]
+        fractions += sum(isinstance(term.coef, Fraction) for term in _accumulated(t, jobs).terms)
+        assert len(merges) == len(_merged_monomials(t, jobs))
+        assert _accumulated(t, jobs[:1] + jobs[-1:]).is_structural_zero()
+    # not vacuous: every kind of pair occurs, and Fractions survive
+    assert min(kinds["odd"], kinds["pow"], kinds["plain"], fractions) > 50
+
+
+def test_multiply_accumulate_pinned_cases():
+    t, atoms, symbols = _oracle_pools()
+    q, r, th, th1, qp, thp = (Expression.of(t, n, j) for n, j in
+                              (("q", 0), ("r", 0), ("th", 0), ("th", 1), ("q+", 0), ("th+", 0)))
+    F, logq = Expression.func(t, "F"), log_of(q + 1)
+    root_q, root_q1 = power_of(q, Fraction(1, 2)), power_of(q + 1, Fraction(1, 2))
+    cases = [
+        # odd symbols on both sides: one crossing, two crossings, a square
+        ([(q * qp, th1 * r, 1)], -(q * r * th1 * qp)),
+        ([(th1 * qp, th * thp, 1)], th * th1 * qp * thp),
+        ([(th * qp, th + r, 1)], th * qp * r),
+        # odd factors anticommute: x y + y x cancels, even ones add
+        ([(th1, qp, 1), (qp, th1, 1)], 0),
+        ([(th1, thp, 1), (thp, th1, 1)], 2 * th1 * thp),
+        # equal monomials from different pairs add, Fractions included
+        ([(q * F, r * th, Fraction(1, 2)), (q * r, F * th, 1), (F * th, q * r, -3)],
+         Fraction(-3, 2) * q * r * F * th),
+        ([(logq * logq, F, 1), (logq, logq * F, -1)], 0),
+        # colliding pow pairs: a shared base, and pow(q, 1/2) meeting q
+        ([(root_q1 * th, power_of(q + 1, Fraction(-1, 2)), 1)], th),
+        ([(root_q, root_q * qp, 1), (q, qp, -1)], 0),
+        ([(root_q, q * th1, 2)], 2 * power_of(q, Fraction(3, 2)) * th1),
+        # a colliding pair meeting a plain pair on the same monomial
+        ([(root_q, root_q * th, 1), (q, th, 1)], 2 * q * th),
+        # pow atoms that do not collide
+        ([(root_q1 * inverse_of(r), root_q * th, 1)], root_q1 * inverse_of(r) * root_q * th),
+    ]
+    for jobs, expected in cases:
+        jobs = [(a.terms, b.terms, s) for a, b, s in jobs]
+        assert _accumulated(t, jobs) == Expression.sum(t, [expected])
+
+
+def test_multiply_accumulate_sizes_its_fields_per_call(monkeypatch):
+    """An operand with a huge even exponent: the fields grow with it, so no
+    exponent carries into its neighbour and nothing is refused, in the
+    accumulator and in the bracket that calls it."""
+    from bvcov.varcalc import soloviev
+    t, _, _ = _oracle_pools()
+    q, r, th, qp = (Expression.of(t, n) for n in ("q", "r", "th", "q+"))
+
+    def power(name, n):
+        return Expression.symbol(t, t.symbol(name), n)
+    huge = power("q", 70000) * qp
+    other = power("q", 70000) * r * r * th + power("r", 69999) * q
+    # the monomials that q^140000 r^2 would become if its q field, w bits
+    # wide, carried into r's
+    near = Expression.sum(t, (power("q", 140000 % 2 ** w) * power("r", 2 + (140000 >> w))
+                              for w in range(8, 18)))
+    # the r^69999 pairs cancel, the q^140000 ones add
+    got = _accumulated(t, [(huge.terms, other.terms, 1), (other.terms, huge.terms, -1),
+                           (r.terms, huge.terms, 3), (near.terms, (th * qp).terms, 1)])
+    assert got == (near - 2 * power("q", 140000) * r * r) * th * qp + 3 * r * huge
+    seen = _kernel_jobs(monkeypatch)
+    bracket = soloviev(huge + th, power("q", 70000) * r)
+    assert len(seen) == 1 and _terms(bracket) == _terms(_signed_products(*seen[0]))
+    assert max(e for term in bracket.terms for _, e in term.mono) == 139999
+
+
+def _twisted_curved_particle(monkeypatch, dim):
+    """The twisted series T1 of `spinning_pipeline` on the curved spinning
+    particle: the pipeline is stopped at its twist."""
+    from bvcov import models
+
+    class Twisted(Exception):
+        pass
+
+    def twist(S, W):
+        raise Twisted(real(S, W))
+    real = models.twist
+    monkeypatch.setattr(models, "twist", twist)
+    with pytest.raises(Twisted) as caught:
+        models.spinning_pipeline(models.curved_spinning_particle(dim))
+    monkeypatch.undo()
+    return caught.value.args[0]
+
+
+def test_bracket_traffic_accumulates_as_products(monkeypatch):
+    """u_bracket(S, S) on the twisted series of the curved spinning
+    particle: every call of the kernel agrees term by term with the signed
+    products of its jobs."""
+    from bvcov.curved import u_bracket
+    T = _twisted_curved_particle(monkeypatch, 2)
+    seen = _kernel_jobs(monkeypatch)
+    u_bracket(T, T)
+    assert len(seen) == 1
+    theory, jobs = seen[0]
+    assert _pair_kinds(theory, jobs)["plain"] > 10000
+    assert any(term.atoms for a, _, _ in jobs for term in a)
+    _accumulated(theory, jobs)
+
+
+def test_bracket_builds_one_term_per_surviving_monomial(monkeypatch):
+    """In u_bracket(S, S) on the curved spinning particle's series, the
+    accumulator calls `_merge_pair` once per merged monomial whose pairs do
+    not cancel, not once per pair."""
+    from bvcov.curved import u_bracket
+    from bvcov.models import curved_spinning_particle
+    S = curved_spinning_particle(1).series
+    seen = _kernel_jobs(monkeypatch)
+    merges = _kernel_merges(monkeypatch)
+    u_bracket(S, S)
+    (theory, jobs), = seen
+    kinds = _pair_kinds(theory, jobs)
+    assert 0 < len(merges) == len(_merged_monomials(theory, jobs)) < kinds["plain"]
+
+
 
 
 # -- canonical coefficients ---------------------------------------------------

@@ -7,8 +7,9 @@ parameter of the package is left to its default by every call in those
 trees, no field or `self` attribute of a package class is written without
 being read anywhere in them, no `_print_check` call of the package passes
 a literal verdict, every `ParseError` of the parser names a column, only
-the chain rule `_atom_partials` reads an atom's gradient, every name the
-benchmark reaches still exists, and the reference algebra of `tests/`
+the chain rule `_atom_partials` reads an atom's gradient, only the Soloviev
+kernel calls the packed multiply-accumulate, every name the benchmark
+reaches still exists, and the reference algebra of `tests/`
 reaches no module of the package."""
 
 import ast
@@ -317,6 +318,13 @@ def test_atom_gradients_are_read_by_the_chain_rule_only():
     found = set(callers(_trees()[0], "_atom_gradient")) - \
         {"expression.py:_atom_gradient", "expression.py:_atom_partials"}
     assert not found, f"_atom_gradient called outside the chain rule: {sorted(found)}"
+
+
+def test_only_the_soloviev_kernel_accumulates_on_packed_keys():
+    """The packed multiply-accumulate pays for its packing only where pair
+    products collapse, in a bracket's double sum; a small sum such as a
+    total derivative takes `_product`."""
+    assert callers(_trees()[0], "_multiply_accumulate") == ["varcalc.py:_soloviev_into"]
 
 
 def _attribute_reads(tree: ast.AST) -> set[str]:
