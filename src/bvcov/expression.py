@@ -341,13 +341,18 @@ def log_of(expr: Expression) -> Expression:
 # -- normalization ----------------------------------------------------------
 
 
-def _single_symbol_base(theory: Theory, key: str) -> Optional[GradedSymbol]:
-    expr = base_expression(theory, key)
-    if len(expr.terms) == 1:
-        t = expr.terms[0]
+def _unit_symbol(terms: Sequence[Term]) -> Optional[GradedSymbol]:
+    """s when the terms are one unit generator s: coefficient 1, no atom, s
+    at exponent 1; else None."""
+    if len(terms) == 1:
+        t = terms[0]
         if t.coef == 1 and not t.atoms and len(t.mono) == 1 and t.mono[0][1] == 1:
             return t.mono[0][0]
     return None
+
+
+def _single_symbol_base(theory: Theory, key: str) -> Optional[GradedSymbol]:
+    return _unit_symbol(base_expression(theory, key).terms)
 
 
 def _normalize_term(theory: Theory, coef: Rat, atoms: Sequence[tuple[Atom, int]],
@@ -474,7 +479,10 @@ def _single(theory: Theory, coef, atoms: Atoms, mono: Mono) -> Expression:
 # atoms: single-symbol pow bases into the monomial, compound integer powers
 # multiplied out.  This crossing count is the engine's one Koszul sign.  The
 # term order is not multiplicative (x < y but x*x > x*y), so the products
-# are sorted once by `_merge_runs` rather than heap-merged.
+# are sorted once by `_merge_runs` rather than heap-merged.  A product by a
+# unit generator, the commonest one (dt_i, u, eps, t_j, a raised jet), is
+# the same merge with one symbol on one side, so `_insert_generator` writes
+# it as an insertion into each term.
 
 
 def _pows(theory: Theory, t: Term):
@@ -590,10 +598,56 @@ def _merge_pair(coef, t1: Term, m1: list, odd_left: int, t2: Term, m2: list) -> 
     return Term(-coef if negative else coef, atoms, tuple(mono), tuple(key))
 
 
+def _has_pow(terms: Sequence[Term]) -> bool:
+    return any(t.atoms and isinstance(t.atoms[-1][0], PowerAtom) for t in terms)
+
+
+def _insert_generator(theory: Theory, s: GradedSymbol, terms: Sequence[Term],
+                      left: bool) -> tuple[Term, ...]:
+    """s * terms (left) or terms * s for canonical terms without a pow atom:
+    s goes into its sorted slot in each term, its exponent + 1 if s is even
+    and present, the term dropped if s is odd and present, and the sign the
+    parity of the odd symbols s passes, those before its slot as left factor
+    and those after it as right factor.  `_merge_pair`'s result, pair by
+    pair, without laying out either factor."""
+    ks = theory.sort_key(s)
+    odd = s.sign_degree
+    out: list[Term] = []
+    for t in terms:
+        mono, key = t.mono, t.key
+        n = len(mono)
+        i = 0
+        while i < n and key[1 + 2 * i] < ks:
+            i += 1
+        if i < n and mono[i][0] is s:
+            if odd:
+                continue
+            e = mono[i][1] + 1
+            out.append(Term(t.coef, t.atoms, mono[:i] + ((s, e),) + mono[i + 1:],
+                            key[:2 + 2 * i] + (e,) + key[3 + 2 * i:]))
+            continue
+        coef = t.coef
+        # an odd symbol has exponent 1
+        if odd and sum(x.sign_degree for x, _ in (mono[:i] if left else mono[i:])) & 1:
+            coef = -coef
+        out.append(Term(coef, t.atoms, mono[:i] + ((s, 1),) + mono[i:],
+                        key[:1 + 2 * i] + (ks, 1) + key[1 + 2 * i:]))
+    return _merge_runs(out)
+
+
 def _product(theory: Theory, left: Sequence[Term], right: Sequence[Term]) -> tuple[Term, ...]:
-    """Canonical product of two canonical term tuples."""
+    """Canonical product of two canonical term tuples.  A unit generator
+    times pow-free terms, on either side, is inserted
+    (`_insert_generator`); a pow atom keeps the merge path, since a
+    single-symbol base could fold with the generator."""
     if not left or not right:
         return ()
+    s = _unit_symbol(left)
+    if s is not None and not _has_pow(right):
+        return _insert_generator(theory, s, right, True)
+    s = _unit_symbol(right)
+    if s is not None and not _has_pow(left):
+        return _insert_generator(theory, s, left, False)
     rows = [_layout(theory, t) for t in right]
     out: list[Term] = []
     for t1 in left:

@@ -369,6 +369,7 @@ def parse_theory_file(source: str) -> TheoryFile:
     blocks: tuple[str, ...] = ()      # the open blocks: subst, or cover [chart|overlap]
     local: Optional[Theory] = None    # the open chart's or overlap's theory
     cover = subst = chart = overlap = None
+    declared = []                     # (overlap, line, chart words) per overlap line
     for line_no, raw in enumerate(source.splitlines(), 1):
         code = raw.split("#", 1)[0]
         if not code.strip():
@@ -428,14 +429,25 @@ def parse_theory_file(source: str) -> TheoryFile:
                     raise ParseError(f"{name} is not a field of chart {chart}", line_no, col)
                 cover.nu[chart][name] = parse_expression(local, rhs, line_no, at)
             elif head == "overlap":
+                seen = set()
                 for name, col in words[1:]:
                     if name not in cover.charts:
                         raise ParseError(f"{name} is not a chart of cover {cover.name}",
                                          line_no, col)
-                names = tuple(sorted(w for w, _ in words[1:]))
+                    if name in seen:
+                        raise ParseError(f"chart {name} is repeated in the overlap", line_no, col)
+                    seen.add(name)
+                first = words[1][1]
+                if len(seen) < 2:
+                    raise ParseError("an overlap needs at least two charts", line_no, first)
+                names = tuple(sorted(seen))
+                if any(o[0] == names for o in cover.overlaps):
+                    raise ParseError(f"overlap {' '.join(names)} is already declared",
+                                     line_no, first)
                 local = Theory("^".join(names))
                 overlap = [names, local, {}, None]
                 cover.overlaps.append(overlap)
+                declared.append((overlap, line_no, words[1:]))
                 blocks = ("cover", "overlap")
             elif head == "from":
                 name, col = words[1]
@@ -469,6 +481,13 @@ def parse_theory_file(source: str) -> TheoryFile:
             about = [col for w, col in words[1:] if w in str(exc).split()]
             about.append(words[min(1, len(words) - 1)][1])
             raise ParseError(str(exc), line_no, about[0]) from exc
+    # a missing `from` line shows only once the file is read through; it is
+    # refused at the chart's name on the `overlap` line
+    for overlap, line_no, charts in declared:
+        for name, col in charts:
+            if name not in overlap[2]:
+                raise ParseError(f"overlap {' '.join(overlap[0])} has no from line for {name}",
+                                 line_no, col)
     return tf
 
 

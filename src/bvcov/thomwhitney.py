@@ -6,7 +6,10 @@ Charts and intersections are symbolic: per overlap the user supplies a
 chart theory, restriction substitutions and the (nu, mu) data; emptiness
 is declared, not computed.  Simplex forms are fused into the expression
 algebra of each overlap (form degree drives the Koszul signs), so no
-separate tensor type exists at runtime.
+separate tensor type exists at runtime.  The Whitney forms depend on the
+nerve alone: it builds them once per (cochain degree, dimension bound)
+and drops them when an overlap is declared (`CoverNerve.whitney_faces`),
+so each Whitney map only restricts and multiplies.
 """
 
 from __future__ import annotations
@@ -35,7 +38,12 @@ class OverlapContext:
 
 class CoverNerve:
     """Chart index set with declared nonempty intersections, restriction
-    maps and a dimension bound; simplices beyond the bound are empty."""
+    maps and a dimension bound; simplices beyond the bound are empty.
+
+    The nerve keeps its simplex theories, and the Whitney forms of
+    `whitney_faces` per (cochain degree, dimension bound), which declaring
+    an overlap drops; an overlap is declared once, on two or more
+    charts."""
 
     def __init__(self, charts: dict[str, Theory], dimension_bound: int = 3):
         self.chart_names = sorted(charts)
@@ -43,7 +51,7 @@ class CoverNerve:
         self.overlaps: dict[frozenset, OverlapContext] = {}
         self.dimension_bound = dimension_bound
         self._simplex_theories: dict[tuple, Theory] = {}
-        self._whitney_forms: dict[tuple, Expression] = {}   # append-only, same key
+        self._whitney_faces: dict[tuple[int, int], list] = {}
 
     def declare_overlap(self, names: frozenset | set | tuple,
                         theory: Theory,
@@ -52,9 +60,14 @@ class CoverNerve:
         key = frozenset(names)
         if not all(n in self.charts for n in key):
             raise TheoryError("overlap references unknown charts")
+        if len(key) < 2:
+            raise TheoryError("an overlap needs at least two charts")
+        if key in self.overlaps:
+            raise TheoryError(f"overlap {' '.join(sorted(key))} is already declared")
         if set(from_chart) != set(key):
             raise TheoryError("need one restriction map per member chart")
         self.overlaps[key] = OverlapContext(theory, from_chart, mu)
+        self._whitney_faces.clear()
 
     def nonempty(self, names) -> bool:
         key = frozenset(names)
@@ -113,15 +126,44 @@ class CoverNerve:
                 -Expression.of(theory, f"dt_{j}") for j in range(1, k + 1)))
         return Expression.of(theory, f"dt_{i}")
 
-    def whitney_form(self, T: Tuple, positions: tuple[int, ...]) -> Expression:
-        """k! sum_j (-1)^j t_{p_j} prod_{r != j} dt_{p_r} on the simplex of
-        T, for the k + 1 positions p; cached per (member set, m, positions)."""
-        m = len(T) - 1
-        key = (frozenset(T), m, positions)
-        got = self._whitney_forms.get(key)
+    def whitney_faces(self, degree: int) -> list[tuple[Tuple, Theory, list]]:
+        """Per nondegenerate tuple T, in `nondegenerate_tuples` order: T, its
+        simplex theory and, per sorted face of degree + 1 distinct charts,
+        (face, form), the form being the sum of the Whitney forms of the
+        increasing positions of T that pick the face's charts, each signed
+        by the parity of its chart order against the face's.  Built on first
+        use once per (degree, dimension_bound) and dropped when an overlap
+        is declared, since both change the tuples."""
+        key = (degree, self.dimension_bound)
+        got = self._whitney_faces.get(key)
         if got is not None:
             return got
-        theory = self.simplex_theory(T, m)
+        got = []
+        # tuples of one member set and length share a simplex theory, and so
+        # their forms
+        forms: dict[tuple, Expression] = {}
+        for T in self.nondegenerate_tuples():
+            m = len(T) - 1
+            theory = self.simplex_theory(T, m)
+            faces: dict[Tuple, list[Expression]] = {}
+            for positions in itertools.combinations(range(m + 1), degree + 1):
+                charts = tuple(T[i] for i in positions)
+                if len(set(charts)) != len(charts):
+                    continue
+                form = forms.get((theory, positions))
+                if form is None:
+                    form = forms[theory, positions] = self._whitney_form(theory, positions, m)
+                inversions = sum(a > b for a, b in itertools.combinations(charts, 2))
+                faces.setdefault(tuple(sorted(charts)), []).append(
+                    -form if inversions % 2 else form)
+            got.append((T, theory, [(face, Expression.sum(theory, signed))
+                                    for face, signed in faces.items()]))
+        self._whitney_faces[key] = got
+        return got
+
+    def _whitney_form(self, theory: Theory, positions: tuple[int, ...], m: int) -> Expression:
+        """k! sum_j (-1)^j t_{p_j} prod_{r != j} dt_{p_r} on an m-simplex, for
+        the k + 1 positions p, with t_0 = 1 - sum t_i and dt_0 = -sum dt_i."""
         k = len(positions) - 1
         pieces = []
         for j in range(k + 1):
@@ -131,8 +173,7 @@ class CoverNerve:
                 if r != j:
                     form = form * self.dt_symbol(theory, positions[r], m)
             pieces.append(form)
-        got = self._whitney_forms[key] = Expression.sum(theory, pieces)
-        return got
+        return Expression.sum(theory, pieces)
 
     # -- restrictions ------------------------------------------------------
 
@@ -316,30 +357,22 @@ def whitney(c: CechCochain) -> TWElement:
     The form and the cochain are both alternating in the positions, so the
     summand is invariant under permuting them and vanishes on a repeat: the
     sum over all (m+1)^(k+1) position tuples is (k+1)! times the sum over
-    increasing ones, which `whitney_form` carries as its k! factor.
-    Positions that pick the same face share one restriction and one product
-    by their summed forms."""
+    increasing ones, which the nerve's `whitney_faces` carry as their k!
+    factor, already summed per face.  So each face value of c is restricted
+    once per simplex theory and multiplied once by its face's form."""
     nerve = c.nerve
     restricted: dict[tuple, Expression] = {}
     out: dict[Tuple, Expression] = {}
-    for T in nerve.nondegenerate_tuples():
-        m = len(T) - 1
-        theory = nerve.simplex_theory(T, m)
-        faces: dict[Tuple, tuple[Expression, list[Expression]]] = {}
-        for positions in itertools.combinations(range(m + 1), c.degree + 1):
-            sign, v = c.value(tuple(T[i] for i in positions))
-            if sign == 0 or v is None:
-                continue
-            form = nerve.whitney_form(T, positions)
-            face = tuple(sorted(T[i] for i in positions))
-            faces.setdefault(face, (v, []))[1].append(form if sign > 0 else -form)
+    for T, theory, faces in nerve.whitney_faces(c.degree):
         pieces = []
-        for face, (v, forms) in faces.items():
-            key = (face, frozenset(T), m)
-            moved = restricted.get(key)
+        for face, form in faces:
+            v = c.values.get(face)
+            if v is None:
+                continue
+            moved = restricted.get((face, theory))
             if moved is None:
-                moved = restricted[key] = nerve.restrict(v, face, T, theory)
-            pieces.append(Expression.sum(theory, forms) * moved)
+                moved = restricted[face, theory] = nerve.restrict(v, face, T, theory)
+            pieces.append(form * moved)
         out[T] = Expression.sum(theory, pieces)
     return TWElement(nerve, out)
 

@@ -549,6 +549,68 @@ def test_mul_pinned_cases():
             assert prod == Expression.sum(t, expected)
 
 
+def _merge_path(t, left, right) -> tuple:
+    """The product by `_product`'s merge path: every pair of pow-free terms
+    through `_merge_pair`, then one `_merge_runs`."""
+    out = []
+    for t1 in left:
+        _, m1, n1, _ = expression._layout(t, t1)
+        for t2 in right:
+            p = expression._merge_pair(t1.coef * t2.coef, t1, m1, n1, t2,
+                                       expression._layout(t, t2)[1])
+            if p is not None:
+                out.append(p)
+    return expression._merge_runs(out)
+
+
+def test_generator_insertion_matches_the_merge_path(monkeypatch):
+    """A unit generator times pow-free terms, as left and as right factor,
+    is inserted into each term, and agrees term by term, key and
+    coefficient, with the merge path: odd and even generators, jets and the
+    flow parameter, generators already in the term (an odd one kills it),
+    Fraction coefficients, function and log atoms."""
+    t, atoms, symbols = _oracle_pools()
+    build = _builder(t, atoms, symbols)
+    rng = random.Random(29)
+    inserted = []
+    real = expression._insert_generator
+    monkeypatch.setattr(expression, "_insert_generator",
+                        lambda *args: inserted.append(args[1]) or real(*args))
+    present = killed = fractions = 0
+    for _ in range(80):
+        a = build([(rng.choice([1, -1, 2, Fraction(1, 2), Fraction(-2, 3)]),
+                    [(rng.randrange(4), rng.randint(1, 2)) for _ in range(rng.randint(0, 2))],
+                    [(rng.randrange(len(symbols)), rng.randint(1, 2))
+                     for _ in range(rng.randint(0, 4))])
+                   for _ in range(rng.randint(1, 5))])
+        if not a.terms:
+            continue
+        for s in symbols:
+            g = Expression.symbol(t, s)
+            del inserted[:]
+            left, right = g * a, a * g
+            assert inserted == [s, s]
+            assert _terms(left) == _terms(Expression(t, _merge_path(t, g.terms, a.terms)))
+            assert _terms(right) == _terms(Expression(t, _merge_path(t, a.terms, g.terms)))
+            present += sum(s in dict(term.mono) for term in a.terms)
+            killed += len(a.terms) - len(left.terms)
+            fractions += sum(isinstance(term.coef, Fraction) for term in left.terms)
+    # not vacuous: generators met themselves, odd ones killed terms, and
+    # Fractions and atoms went through
+    assert min(present, killed, fractions) > 50
+
+
+def test_generator_insertion_leaves_pow_atoms_to_the_merge_path():
+    """A generator times terms with a pow atom takes the merge path, where
+    a single-symbol base folds with its own symbol."""
+    t, _, _ = _oracle_pools()
+    q, th = Expression.of(t, "q"), Expression.of(t, "th")
+    root_q, q_3_2 = power_of(q, Fraction(1, 2)), power_of(q, Fraction(3, 2))
+    for a, b, expected in ((root_q, q, q_3_2), (q, root_q, q_3_2),
+                           (root_q + th, q, q_3_2 + q * th)):
+        assert _terms(a * b) == _terms(expected) == _terms(_mul_bruteforce(a, b))
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_derivatives_match_bruteforce_oracles(data):

@@ -409,6 +409,41 @@ def test_structural_names_are_reserved(tmp_path, capsys, declaration):
         f"parse error: reserved name: {name} at line 2, column {len(head) + 2}\n"
 
 
+_OVERLAP = "overlap U0 U1\n"
+_FROM_U0 = "from U0 : x -> x ; p -> p\n"
+_FROM_U1 = "from U1 : y -> x + 3 ; p -> p\n"
+
+
+def _second_overlap_block(text):
+    block = text[text.index(_OVERLAP):text.index("endcover")]
+    return text.replace("endcover", block.replace("mu = 3*x", "mu = 0") + "endcover")
+
+
+@pytest.mark.parametrize("edit, message, line, column", [
+    # a second block replaced the first: with mu = 0 the check failed
+    (_second_overlap_block, "overlap U0 U1 is already declared", 22, 9),
+    # the U0 U1 overlap was dropped: 8 simplices checked instead of 30
+    (lambda text: text.replace(_OVERLAP, "overlap U0 U0\n").replace(_FROM_U1, ""),
+     "chart U0 is repeated in the overlap", 16, 12),
+    # a one-chart overlap was ignored and the check passed
+    (lambda text: text.replace(_OVERLAP, "overlap U1\n").replace(_FROM_U0, ""),
+     "an overlap needs at least two charts", 16, 9),
+    # refused only when the check ran, with no line or column
+    (lambda text: text.replace(_FROM_U1, ""), "overlap U0 U1 has no from line for U1", 16, 12),
+], ids=["declared-twice", "repeated-chart", "one-chart", "missing-from"])
+def test_malformed_overlap_blocks_exit_2_at_the_chart(tmp_path, capsys, edit, message,
+                                                     line, column):
+    """An overlap block declared twice, naming a chart twice, naming one
+    chart or lacking a `from` line for one of its charts is a parse error
+    at the overlap line, at the chart name that is repeated, alone or
+    missing its restriction (exit 2)."""
+    path = tmp_path / "cylinder.bvt"
+    path.write_text(edit((THEORIES / "cylinder_flux.bvt").read_text()))
+    assert run_cli("tw-check", str(path)) == 2
+    assert capsys.readouterr().err == \
+        f"parse error: {message} at line {line}, column {column}\n"
+
+
 def _word_mutants(source: str):
     """The sources made from each non-comment line of source by dropping
     the line, and for each of its words by deleting the word, duplicating

@@ -256,6 +256,65 @@ def test_whitney_matches_bruteforce_on_atlas(bound):
         _assert_matches_full_path(whitney(c), _whitney_bruteforce(c))
 
 
+def test_whitney_faces_follow_the_overlaps_and_the_bound():
+    """The nerve's Whitney data is keyed by degree and dimension bound and
+    dropped when an overlap is declared: after a Whitney map, a new overlap
+    or a new bound gives the full path's values on every admissible tuple.
+    An overlap cannot be declared again, nor one of a single chart."""
+    t = shared_theory()
+    nerve = CoverNerve({"A": t, "B": t, "C": t}, dimension_bound=2)
+    rand_val = sampler(t, 31)
+    values = {T: rand_val() for T in [("A",), ("B",), ("C",), ("A", "B"), ("A", "C"),
+                                      ("B", "C"), ("A", "B", "C")]}
+
+    def declare(names):
+        nerve.declare_overlap(frozenset(names), t,
+                              {c: CanonicalSubstitution(t, {}, t) for c in names})
+
+    def check():
+        for degree in (0, 1, 2):
+            c = CechCochain(nerve, degree, {T: v for T, v in values.items()
+                                            if len(T) == degree + 1 and nerve.nonempty(T)})
+            _assert_matches_full_path(whitney(c), _whitney_bruteforce(c))
+
+    declare("AB")
+    check()
+    declare("BC")
+    check()
+    for names in ("AC", "ABC"):
+        declare(names)
+    check()
+    for bound in (1, 3, 2):
+        nerve.dimension_bound = bound
+        check()
+    for names, message in (("BA", "overlap A B is already declared"),
+                           ("A", "an overlap needs at least two charts")):
+        with pytest.raises(TheoryError, match=message):
+            declare(names)
+
+
+def test_a_second_whitney_map_builds_no_form(monkeypatch):
+    """The Whitney forms of one degree are built once per nerve, one per
+    simplex theory and increasing positions, and a second map of that
+    degree builds none."""
+    nerve, t = atlas(2)
+    rand_val = sampler(t, 32)
+    built = []
+    real = CoverNerve._whitney_form
+    monkeypatch.setattr(CoverNerve, "_whitney_form", lambda self, theory, positions, m:
+                        built.append((theory, positions)) or real(self, theory, positions, m))
+    # at bound 2 the simplex theories are 3 points, 3 edges and 4 triangles,
+    # 3 of them on two charts (ABA), where 2 of the 3 position pairs pick
+    # distinct charts: 3 + 3 * 2 + 3 = 12 forms in degree 1, and 3 + 3 * 2
+    # + 4 * 3 = 21 in degree 0
+    for degree, count in ((1, 12), (1, 0), (0, 21), (1, 0), (0, 0)):
+        c = CechCochain(nerve, degree, {T: rand_val()
+                                        for T in itertools.combinations("ABC", degree + 1)})
+        del built[:]
+        whitney(c)
+        assert len(built) == len(set(built)) == count, degree
+
+
 @pytest.mark.parametrize("bound", [1, 2])
 def test_whitney_commutes_matches_full_path_on_atlas(bound):
     # not at bound 3, where the full path's differential of random values
