@@ -8,9 +8,13 @@ antifield, and sorted after every other symbol, so each eps term is g*eps
 with no sign; the eps part is kept modulo additive constants (constant
 multiples of eps vanish in the resolution), dropped wherever an operation
 can make one: after a bracket, a substitution or an evaluation of a flow
-parameter, and on parsed input.  u is even, of ghost 2, killed by D and
-paired with no antifield, so it is central for the bracket and a power
-series is a polynomial in it; `split_powers` reads its coefficients.
+parameter, on parsed input, and as iota writes each term.  u is even, of
+ghost 2, killed by D and paired with no antifield, so it is central for
+the bracket and a power series is a polynomial in it; `split_powers`
+reads its coefficients.  Since u and eps both sort last, d_u = d + u iota
+rewrites the terms of its argument in one pass and takes no product: an
+eps term drops its eps, and every other term gets u and eps written at
+the end of its monomial.
 """
 
 from __future__ import annotations
@@ -22,8 +26,8 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from .coefficients import AffineExponent, LogAtom, Rat, quotient, rational
-from .expression import (Expression, Term, _atom_partials, _merge_runs, _product,
-                         _single, apply_substitution, base_expression, inverse_of,
+from .expression import (Expression, Term, _atom_partials, _lower_symbol, _merge_runs,
+                         _product, _single, apply_substitution, base_expression, inverse_of,
                          is_zero, partial_derivative, power_of, split_powers,
                          substitute_param, total_derivative)
 from .symbols import EVEN, GradedSymbol, Kind, Theory, TheoryError
@@ -78,10 +82,19 @@ def _grade(e: Expression):
     return grades.pop() if len(grades) == 1 else None
 
 
+def _eps_slice(t: Term) -> Term:
+    """d/deps of a term g*eps: g, signed by the parity of its odd symbols,
+    which eps passes as the left partial takes it out; eps has exponent 1
+    and sorts last."""
+    odd = sum(s.sign_degree * e for s, e in t.mono) - 1
+    return _lower_symbol(t, len(t.mono) - 1, -t.coef if odd & 1 else t.coef)
+
+
 def b_differential(x: Expression) -> Expression:
     """d = D o d/deps: d(f + g eps) = (-1)^{pa(g)} dg, the sign that of the
     left partial by eps; d^2 = 0."""
-    return total_derivative(partial_derivative(x, x.theory.epsilon))
+    return total_derivative(Expression(x.theory, _merge_runs(
+        [_eps_slice(t) for t in x.terms if _has_eps(t)])))
 
 
 def b_bracket(a: Expression, b: Expression) -> Expression:
@@ -90,33 +103,57 @@ def b_bracket(a: Expression, b: Expression) -> Expression:
     return u_bracket(a, b)
 
 
+def _is_antifield(s: GradedSymbol) -> bool:
+    return s.kind == Kind.ANTIFIELD_JET
+
+
+def _iota_into(theory: Theory, t: Term, u: Optional[GradedSymbol], out: list[Term]):
+    """Append the terms of iota(t), times u when u is given, for a term t
+    without eps: (-1)^{pa(t)} (n+(t) - 1) t eps, n+ its antifield degree,
+    and s * dt/ds with the same sign for each antifield s that an atom of t
+    depends on (the chain rule, `_atom_partials`).  u and eps sort last, so
+    u goes in at the end of the monomial (or its exponent goes up by one)
+    and eps after it, with no sign; a constant eps term is not written."""
+    weight = -1
+    sd = 0
+    for s, e in t.mono:
+        if s.kind == Kind.ANTIFIELD_JET:
+            weight += e
+        sd += s.sign_degree * e
+    coef = -t.coef if sd % 2 else t.coef
+    pieces = [(weight * coef, t.atoms, t.mono, t.key)] if weight else []
+    if t.atoms:
+        for s, terms in _atom_partials(theory, t, _is_antifield, coef):
+            pieces += ((p.coef, p.atoms, p.mono, p.key) for p in
+                       _product(theory, Expression.symbol(theory, s).terms, terms))
+    eps = theory.epsilon
+    tail = (theory.sort_key(eps), 1)
+    for c, atoms, mono, key in pieces:
+        # eps terms with no chart content are constants (`_strip_eps_constant`)
+        if not atoms and not (mono and mono[0][0].kind <= Kind.ANTIFIELD_JET):
+            continue
+        if u is not None:
+            if mono and mono[-1][0] is u:
+                e = mono[-1][1] + 1
+                mono, key = mono[:-1] + ((u, e),), key[:-1] + (e,)
+            else:
+                mono, key = mono + ((u, 1),), key + (theory.sort_key(u), 1)
+        out.append(Term(c, atoms, mono + ((eps, 1),), key + tail))
+
+
 def iota(x: Expression) -> Expression:
     """iota(f + g eps) = (-1)^{pa(f)} (N+ f - f) eps, N+ = sum_k a+_k d/d(a+_k)
     the antifield counting operator; iota^2 = 0 and d iota + iota d = ad(D).
     N+ is diagonal on monomials: a+_k and d/d(a+_k) have the same parity, so
     putting a+_k back undoes the partial's prefix sign, and an odd a+_k has
-    exponent 1.  So each term t of f becomes (-1)^{pa(t)} (n+(t) - 1) t eps,
-    n+ its antifield degree, in one pass; an atom whose base holds an
-    antifield s adds s * dt/ds through the chain rule, `_atom_partials`."""
+    exponent 1.  So each term of f is written by `_iota_into`, in one pass
+    over x's terms."""
     theory = x.theory
     out: list[Term] = []
     for t in x.terms:
-        if _has_eps(t):
-            continue
-        weight = -1
-        sd = 0
-        for s, e in t.mono:
-            if s.kind == Kind.ANTIFIELD_JET:
-                weight += e
-            sd += s.sign_degree * e
-        sign = -1 if sd % 2 else 1
-        if weight:
-            out.append(Term(sign * weight * t.coef, t.atoms, t.mono, t.key))
-        if t.atoms:
-            for s, terms in _atom_partials(theory, t, lambda a: a.kind == Kind.ANTIFIELD_JET,
-                                           sign * t.coef):
-                out += _product(theory, Expression.symbol(theory, s).terms, terms)
-    return BElement.of_eps(Expression(theory, _merge_runs(out)))
+        if not _has_eps(t):
+            _iota_into(theory, t, None, out)
+    return Expression(theory, _merge_runs(out))
 
 
 def d_element(theory: Theory) -> Expression:
@@ -174,8 +211,21 @@ def _bracket_by(y: Expression, sign: int) -> Callable[[Expression], Expression]:
 
 
 def du(x: Expression) -> Expression:
-    """d_u = d + u iota."""
-    return b_differential(x) + u_element(x.theory) * iota(x)
+    """d_u = d + u iota, in one pass over x's terms: an eps term goes to
+    d/deps (`_eps_slice`), all of which take one total derivative, and every
+    other term is written as u iota of itself (`_iota_into`)."""
+    theory = x.theory
+    sliced: list[Term] = []
+    out: list[Term] = []
+    u = theory.u
+    for t in x.terms:
+        if _has_eps(t):
+            sliced.append(_eps_slice(t))
+        else:
+            _iota_into(theory, t, u, out)
+    if sliced:
+        out += total_derivative(Expression(theory, _merge_runs(sliced))).terms
+    return Expression(theory, _merge_runs(out))
 
 
 # -- curvature and Maurer-Cartan -----------------------------------------------

@@ -610,6 +610,13 @@ def _insert_generator(theory: Theory, s: GradedSymbol, terms: Sequence[Term],
     parity of the odd symbols s passes, those before its slot as left factor
     and those after it as right factor.  `_merge_pair`'s result, pair by
     pair, without laying out either factor."""
+    return _merge_runs(_inserted(theory, s, terms, left))
+
+
+def _inserted(theory: Theory, s: GradedSymbol, terms: Sequence[Term],
+              left: bool) -> list[Term]:
+    """The terms of `_insert_generator`, one per input term that survives,
+    before they are summed."""
     ks = theory.sort_key(s)
     odd = s.sign_degree
     out: list[Term] = []
@@ -632,7 +639,42 @@ def _insert_generator(theory: Theory, s: GradedSymbol, terms: Sequence[Term],
             coef = -coef
         out.append(Term(coef, t.atoms, mono[:i] + ((s, 1),) + mono[i:],
                         key[:1 + 2 * i] + (ks, 1) + key[1 + 2 * i:]))
-    return _merge_runs(out)
+    return out
+
+
+def _splice_forms(theory: Theory, form: Sequence[Term], value: Sequence[Term]) -> list[Term]:
+    """The terms of form * value, before they are summed, for a form whose
+    terms hold only simplex generators (t_i, dt_i) and no atom.  A value
+    term without a simplex generator has none of the form's symbols, so
+    each form term's monomial goes whole into the slot where the value
+    term's first symbol of kind >= SIMPLEX_T would start, its key fields
+    likewise, the atoms are the value term's, and the sign is the parity of
+    the form term's odd symbols times that of the value's odd symbols
+    before the slot.  A value term with a simplex generator in its
+    monomial, or as the one symbol of a pow base, is multiplied by
+    `_product`."""
+    rows = [(t.coef, t.mono, t.key[1:], sum(s.sign_degree for s, _ in t.mono) & 1)
+            for t in form]
+    out: list[Term] = []
+    for t in value:
+        mono, key = t.mono, t.key
+        n = len(mono)
+        i = odd = 0
+        while i < n and key[1 + 2 * i][0] < Kind.SIMPLEX_T:
+            odd += mono[i][0].sign_degree
+            i += 1
+        pows = _pows(theory, t)
+        if i < n and key[1 + 2 * i][0] <= Kind.SIMPLEX_DT or \
+                pows is not None and any(s.kind == Kind.SIMPLEX_T for s in pows[1]):
+            out += _product(theory, form, (t,))
+            continue
+        head_m, tail_m = mono[:i], mono[i:]
+        head_k, tail_k = key[:1 + 2 * i], key[1 + 2 * i:]
+        for coef, fm, fk, fodd in rows:
+            coef *= t.coef
+            out.append(Term(-coef if fodd and odd & 1 else coef, t.atoms,
+                            head_m + fm + tail_m, head_k + fk + tail_k))
+    return out
 
 
 def _product(theory: Theory, left: Sequence[Term], right: Sequence[Term]) -> tuple[Term, ...]:
@@ -1007,14 +1049,23 @@ def odd_derivation(expr: Expression, images: dict[GradedSymbol, Expression]) -> 
     each key symbol goes to its image and every other generator to zero;
     atoms follow by the chain rule.  Each image must be odd relative to its
     key (sign degree |s| + 1), else X is not an odd derivation and
-    TheoryError is raised."""
+    TheoryError is raised.
+
+    An image that is a unit generator g, such as dt_i, is inserted into
+    the terms of a partial without a pow atom (`_inserted`), any other image
+    multiplies its partial, and one `_merge_runs` sums everything."""
     theory = expr.theory
     for s, img in images.items():
         if img.terms and img.sign_degree() != 1 - s.sign_degree:
             raise TheoryError(f"odd_derivation: the image of {s.name} is not odd relative to it")
     out: list[Term] = []
     for s, ds in _gradient(expr, images.__contains__).items():
-        out += _product(theory, images[s].terms, ds.terms)
+        image = images[s].terms
+        g = _unit_symbol(image)
+        if g is not None and not _has_pow(ds.terms):
+            out += _inserted(theory, g, ds.terms, True)
+        else:
+            out += _product(theory, image, ds.terms)
     return Expression(theory, _merge_runs(out))
 
 

@@ -427,6 +427,9 @@ def parse_theory_file(source: str) -> TheoryFile:
                 s = local.maybe_symbol(name)
                 if s is None or s.kind != Kind.FIELD_JET:
                     raise ParseError(f"{name} is not a field of chart {chart}", line_no, col)
+                if name in cover.nu[chart]:
+                    raise ParseError(f"chart {chart} already has a nu line for {name}",
+                                     line_no, col)
                 cover.nu[chart][name] = parse_expression(local, rhs, line_no, at)
             elif head == "overlap":
                 seen = set()
@@ -454,6 +457,9 @@ def parse_theory_file(source: str) -> TheoryFile:
                 if name not in overlap[0]:
                     raise ParseError(f"{name} is not a chart of overlap {' '.join(overlap[0])}",
                                      line_no, col)
+                if name in overlap[2]:
+                    raise ParseError(f"overlap {' '.join(overlap[0])} already has a from line "
+                                     f"for {name}", line_no, col)
                 images = {}
                 for piece in rhs.split(";"):
                     if piece.strip():
@@ -468,6 +474,9 @@ def parse_theory_file(source: str) -> TheoryFile:
                 overlap[2][name] = CanonicalSubstitution(
                     chart_th, EtaleMap(local, chart_th, images).generator_images(), local)
             elif head == "mu":
+                if overlap[3] is not None:
+                    raise ParseError(f"overlap {' '.join(overlap[0])} already has a mu line",
+                                     line_no, words[0][1])
                 overlap[3] = parse_expression(local, rhs, line_no, at)
             elif head in ("endsubst", "endcover"):
                 blocks, local = (), None

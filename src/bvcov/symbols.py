@@ -10,6 +10,7 @@ it is part of the external contract (golden files depend on it).
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
@@ -106,6 +107,7 @@ class Theory:
         self._atom_gradients: dict[tuple, dict] = {}      # atom key -> {symbol: d atom/d symbol}, append-only
         self._atom_bases: dict[str, object] = {}          # log/pow base key -> its Expression, append-only
         self.relations: dict = {}                   # (func, x) -> what d_x(func) rewrites to
+        self._simplex_pairs: Optional[tuple] = None  # `simplex_pairs`, dropped on registration
 
     # -- registration -------------------------------------------------
 
@@ -118,6 +120,7 @@ class Theory:
         if name in self._order_index:
             raise TheoryError(f"name already registered: {name}")
         self._order_index[name] = len(self._order_index)
+        self._simplex_pairs = None
 
     def add_field(self, name: str, ghost: int, parity: int) -> GradedSymbol:
         """Register a base field; its antifield xi+ is generated alongside
@@ -234,6 +237,20 @@ class Theory:
 
     def has_name(self, name: str) -> bool:
         return name in self._order_index
+
+    def simplex_pairs(self) -> tuple[tuple[GradedSymbol, GradedSymbol], ...]:
+        """(t_i, dt_i) for i = 1, 2, ... while t_i is registered: the simplex
+        coordinates and their one-forms, as `CoverNerve.simplex_theory` names
+        them.  Read once, and again after the next registration."""
+        if self._simplex_pairs is None:
+            pairs = []
+            for i in itertools.count(1):
+                s = self._symbols.get((f"t_{i}", 0))
+                if s is None:
+                    break
+                pairs.append((s, self.symbol(f"dt_{i}")))
+            self._simplex_pairs = tuple(pairs)
+        return self._simplex_pairs
 
     # -- canonical order -------------------------------------------------
 

@@ -9,7 +9,8 @@ algebra of each overlap (form degree drives the Koszul signs), so no
 separate tensor type exists at runtime.  The Whitney forms depend on the
 nerve alone: it builds them once per (cochain degree, dimension bound)
 and drops them when an overlap is declared (`CoverNerve.whitney_faces`),
-so each Whitney map only restricts and multiplies.
+so each Whitney map only restricts and splices each face's form into the
+restricted chart terms, with no product.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .expression import (Expression, apply_substitution, embed, is_zero, odd_derivation,
-                         partial_derivative)
+from .expression import (Expression, _merge_runs, _splice_forms, apply_substitution, embed,
+                         is_zero, odd_derivation, partial_derivative)
 from .curved import (BElement, CanonicalSubstitution, TruncatedFlowError, _bracket_by,
                      _strip_eps_constant, curvature, du, exp_sum, orbit, u_bracket)
 from .symbols import GradedSymbol, Theory, TheoryError, product_theory
@@ -230,15 +231,11 @@ def simplicial_pullback(nerve: CoverNerve, f: list[int], k: int, ell: int,
 
 def form_differential(value: Expression) -> Expression:
     """The simplex de Rham differential: t_i -> dt_i, as an odd left
-    derivation of the fused algebra."""
+    derivation of the fused algebra.  Its images are unit generators, which
+    `odd_derivation` inserts."""
     theory = value.theory
-    images = {}
-    for i in itertools.count(1):
-        s = theory.maybe_symbol(f"t_{i}")
-        if s is None:
-            break
-        images[s] = Expression.of(theory, f"dt_{i}")
-    return odd_derivation(value, images)
+    return odd_derivation(value, {t: Expression.symbol(theory, dt)
+                                  for t, dt in theory.simplex_pairs()})
 
 
 def collapse(T: Tuple) -> tuple[Tuple, list[int]]:
@@ -359,12 +356,15 @@ def whitney(c: CechCochain) -> TWElement:
     sum over all (m+1)^(k+1) position tuples is (k+1)! times the sum over
     increasing ones, which the nerve's `whitney_faces` carry as their k!
     factor, already summed per face.  So each face value of c is restricted
-    once per simplex theory and multiplied once by its face's form."""
+    once per simplex theory, and its face's form is spliced into its terms
+    (`_splice_forms`: a form holds only t and dt, a restricted chart value
+    none, so the product merges nothing); one `_merge_runs` per tuple sums
+    the spliced terms of all its faces."""
     nerve = c.nerve
     restricted: dict[tuple, Expression] = {}
     out: dict[Tuple, Expression] = {}
     for T, theory, faces in nerve.whitney_faces(c.degree):
-        pieces = []
+        terms = []
         for face, form in faces:
             v = c.values.get(face)
             if v is None:
@@ -372,8 +372,8 @@ def whitney(c: CechCochain) -> TWElement:
             moved = restricted.get((face, theory))
             if moved is None:
                 moved = restricted[face, theory] = nerve.restrict(v, face, T, theory)
-            pieces.append(form * moved)
-        out[T] = Expression.sum(theory, pieces)
+            terms += _splice_forms(theory, form.terms, moved.terms)
+        out[T] = Expression(theory, _merge_runs(terms))
     return TWElement(nerve, out)
 
 
@@ -434,44 +434,6 @@ def global_mc_check(SS: TWElement) -> GlobalMCReport:
         else:
             residuals[T] = Expression.zero(nerve.simplex_theory(T, len(T) - 1))
     return GlobalMCReport(residuals, not failing, failing)
-
-
-@dataclass
-class SimplicialReport:
-    """Arrows (T, f) that break the equalizer condition; `checked` of the
-    `total` generating arrows were tested, fewer when the cap was hit."""
-    bad: list[tuple]
-    checked: int
-    total: int
-
-
-def check_simplicial(SS: TWElement, max_checks: int = 400) -> SimplicialReport:
-    """Equalizer condition on the generating arrows of the simplex category:
-    the form pullback of the value on a tuple agrees with the restricted
-    value on the reindexed tuple.  Tests the first `max_checks` arrows."""
-    nerve = SS.nerve
-    arrows: list[tuple[Tuple, list[int]]] = []
-    for T in nerve.tuples():
-        m = len(T) - 1
-        if m >= 1:
-            for i in range(m + 1):
-                arrows.append((T, [j for j in range(m + 1) if j != i]))      # faces
-        if len(T) + 1 <= nerve.dimension_bound + 1:
-            for i in range(m + 1):
-                arrows.append((T, list(range(i + 1)) + list(range(i, m + 1))))  # degeneracies
-    tested = arrows[:max_checks]
-    bad = []
-    for T, f in tested:
-        m = len(T) - 1
-        src = tuple(T[j] for j in f)       # T o f, the reindexed tuple
-        k = len(f) - 1
-        theory = nerve.simplex_theory(T, k)
-        # form pullback of the long-tuple value along f: [k] -> [m]
-        lhs = simplicial_pullback(nerve, f, k, m, SS.value(T), T, theory)
-        rhs = nerve.restrict(SS.value(src), src, T, theory)
-        if not is_zero(lhs - rhs):
-            bad.append((T, f))
-    return SimplicialReport(bad, len(tested), len(arrows))
 
 
 # -- theorem-global builder ----------------------------------------------------------

@@ -1,14 +1,15 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bvcov.symbols import Theory, TheoryError
+from bvcov.symbols import Kind, Theory, TheoryError
 from bvcov.coefficients import AffineExponent, FuncAtom, LogAtom
 from bvcov.expression import (Expression, _single, base_expression, embed, inverse_of,
-                              is_zero, log_of, normalize, power_of, substitute_param,
-                              total_derivative)
+                              is_zero, log_of, normalize, partial_derivative, power_of,
+                              substitute_param, total_derivative)
 from bvcov.curved import (BElement, CanonicalSubstitution, FlowClosureError,
                           FlowSeries, TruncatedFlowError, _grade, _psi_closed,
                           antifield_rank, b_bracket, b_differential, bch,
@@ -158,6 +159,53 @@ def test_iota_matches_prolongation_oracle(raw):
     assert [(u.coef, u.atoms, u.mono, u.key) for u in eps_parts(got)[1].terms] == \
         [(u.coef, u.atoms, u.mono, u.key) for u in eps_parts(want)[1].terms]
     assert repr(got) == repr(want)
+
+
+def _du_by_public_operations(x: Expression) -> tuple[Expression, Expression]:
+    """(d_u x, iota x) from public operations only: d = D o d/deps, and
+    iota(f + g eps) = (-1)^sigma (N+ f - f) eps per sigma part of f, with
+    N+ f = sum over the antifield jets s of s * df/ds."""
+    t = x.theory
+    f = eps_parts(x)[0]
+    antifields = {s for s in f.symbols() if s.kind == Kind.ANTIFIELD_JET} | \
+        {a for _, a in t.field_pairs()}
+
+    def nplus(part):
+        return Expression.sum(t, (Expression.symbol(t, s) * partial_derivative(part, s)
+                                  for s in sorted(antifields, key=t.sort_key)))
+
+    iota_x = BElement.of_eps(Expression.sum(t, (
+        (nplus(part) - part) * sgn(sf) for sf, part in f.sigma_parts())))
+    d = total_derivative(partial_derivative(x, t.epsilon))
+    return d + u_element(t) * iota_x, iota_x
+
+
+def test_du_and_iota_match_public_operations():
+    """d_u and iota, one pass over the terms, agree term by term with d/deps,
+    D, partial derivatives and products, on seeded elements with u powers,
+    eps terms, constant eps terms (eps, tau*eps, u*eps), jets up to order
+    2, function atoms, log(b+) and pow(b+, a tau + b) atoms."""
+    t, atoms, symbols = _iota_pools()
+    pool = symbols + [t.u, t.u, t.epsilon, t.epsilon]
+    tau = t.symbol("tau")
+    rng = random.Random(26)
+    constants = [Expression.symbol(t, s) * Expression.symbol(t, t.epsilon)
+                 for s in (tau, t.u)] + [Expression.symbol(t, t.epsilon)]
+    eps_terms = 0
+    for _ in range(80):
+        x = normalize(t, [(rng.choice([1, -1, 2, Fraction(1, 2), Fraction(-2, 3)]),
+                           tuple((atoms[rng.randrange(len(atoms))], rng.randint(1, 2))
+                                 for _ in range(rng.randint(0, 2))),
+                           tuple((pool[rng.randrange(len(pool))], rng.randint(1, 2))
+                                 for _ in range(rng.randint(0, 4))))
+                          for _ in range(rng.randint(1, 6))])
+        x = x + rng.choice(constants) * rng.choice([0, 1, 3])
+        eps_terms += len(eps_parts(x)[1].terms)
+        want_du, want_iota = _du_by_public_operations(x)
+        for got, want in ((du(x), want_du), (iota(x), want_iota)):
+            assert [(u.coef, u.atoms, u.mono, u.key) for u in got.terms] == \
+                [(u.coef, u.atoms, u.mono, u.key) for u in want.terms]
+    assert eps_terms > 50
 
 
 def test_curvature_axioms():

@@ -635,6 +635,48 @@ def test_derivatives_match_bruteforce_oracles(data):
         _terms(_odd_derivation_bruteforce(f, images))
 
 
+def test_odd_derivation_inserts_unit_images(monkeypatch):
+    """Unit-generator images, as in the simplex differential t_i -> dt_i,
+    are inserted into the lowered terms of a partial without a pow atom and
+    multiply a partial with one; both agree term by term with the
+    bruteforce derivation, on seeded expressions with odd and even keys,
+    jets, tau, function atoms (whose chain-rule terms are inserted too) and
+    log and pow atoms (whose partials hold pow atoms)."""
+    t, atoms, symbols = _oracle_pools()
+    build = _builder(t, atoms, symbols)
+    rng = random.Random(26)
+    q, r, th, tau = (t.symbol(n) for n in ("q", "r", "th", "tau"))
+    # each image has sign degree |s| + 1
+    images = {q: Expression.of(t, "th"), th: Expression.of(t, "r"),
+              t.jet("q", 1): Expression.of(t, "th", 1), tau: Expression.of(t, "q+")}
+    image_terms = [img.terms for img in images.values()]
+    inserted, multiplied = set(), set()
+    real_inserted, real_product = expression._inserted, expression._product
+
+    def product(theory, left, right):
+        if any(left is terms for terms in image_terms):
+            multiplied.add(n)
+        return real_product(theory, left, right)
+
+    for n in range(120):
+        # the first half has function atoms only, so no partial holds a pow atom
+        pool = range(3) if n < 60 else range(len(atoms))
+        f = build([(rng.choice([1, -2, Fraction(1, 3)]),
+                    [(rng.choice(pool), rng.randint(1, 2)) for _ in range(rng.randint(0, 1))],
+                    [(rng.randrange(len(symbols)), rng.randint(1, 2))
+                     for _ in range(rng.randint(0, 4))]) for _ in range(rng.randint(1, 5))])
+        monkeypatch.setattr(expression, "_inserted",
+                            lambda *a: inserted.add(n) or real_inserted(*a))
+        monkeypatch.setattr(expression, "_product", product)
+        got = odd_derivation(f, images)
+        monkeypatch.undo()
+        assert _terms(got) == _terms(_odd_derivation_bruteforce(f, images)), n
+    # without a pow atom no image multiplies a partial; the insertion ran on
+    # most inputs, and the product path on some with pow atoms
+    assert not multiplied & set(range(60))
+    assert len(inserted & set(range(60))) > 40 and len(multiplied) > 10
+
+
 def test_flow_parameter_chain_rule_pinned():
     """d/dtau reaches a flow parameter in a pow exponent and in a log base
     alike: for P = pow(1 + q, tau - 1) and M = P * log(q + tau),

@@ -444,6 +444,30 @@ def test_malformed_overlap_blocks_exit_2_at_the_chart(tmp_path, capsys, edit, me
         f"parse error: {message} at line {line}, column {column}\n"
 
 
+@pytest.mark.parametrize("edit, message, line, column", [
+    # the second mu replaced the first, and the check failed
+    (lambda text: text.replace("mu = 3*x\n", "mu = 3*x\nmu = 0\n"),
+     "overlap U0 U1 already has a mu line", 22, 1),
+    # the second nu replaced the first, and the check failed
+    (lambda text: text.replace("nu x = p + 2\n", "nu x = p + 2\nnu x = p\n"),
+     "chart U0 already has a nu line for x", 12, 4),
+    # the second restriction replaced the first, and the check still passed
+    (lambda text: text.replace(_FROM_U1, _FROM_U1 + "from U1 : y -> x ; p -> p\n"),
+     "overlap U0 U1 already has a from line for U1", 21, 6),
+], ids=["second-mu", "second-nu", "second-from"])
+def test_repeated_cover_lines_exit_2_at_the_repeat(tmp_path, capsys, edit, message, line,
+                                                   column):
+    """A second `mu` line in an overlap block, a second `nu` line for one
+    field of a chart, or a second `from` line for one chart of an overlap is
+    a parse error at the repeated line (exit 2), at the field or chart it
+    names; before, it replaced the first without a word."""
+    path = tmp_path / "cylinder.bvt"
+    path.write_text(edit((THEORIES / "cylinder_flux.bvt").read_text()))
+    assert run_cli("tw-check", str(path)) == 2
+    assert capsys.readouterr().err == \
+        f"parse error: {message} at line {line}, column {column}\n"
+
+
 def _word_mutants(source: str):
     """The sources made from each non-comment line of source by dropping
     the line, and for each of its words by deleting the word, duplicating

@@ -1,5 +1,6 @@
 import itertools
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -7,16 +8,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bvcov.symbols import Theory, TheoryError
-from bvcov.coefficients import FuncAtom
+from bvcov.coefficients import AffineExponent, FuncAtom
 from bvcov.expression import (Expression, _map_atom, _is_jet, apply_substitution, embed,
-                              is_zero, iterated_total, log_of, normalize)
+                              inverse_of, is_zero, iterated_total, log_of, normalize, power_of)
 from bvcov.parser import build_cover, parse_theory_file
 from bvcov.curved import (BElement, CanonicalSubstitution, TruncatedFlowError, _grade,
                           d_element, du, u_bracket, u_coefficient, u_element)
 from bvcov.aksz import TargetChart, build_covariant_theory
 from bvcov.thomwhitney import (CechCochain, CoverNerve, Refinement, TWElement,
-                               _restrict_along, cech_delta, check_simplicial,
-                               collapse, form_differential,
+                               _restrict_along, cech_delta, collapse, form_differential,
                                gauge_equivalence_check, global_covariant_theory,
                                global_mc_check, simplicial_pullback, tw_bracket,
                                tw_differential, tw_gauge_flow, whitney,
@@ -181,6 +181,44 @@ def _whitney_bruteforce(c):
     return TWElement(nerve, out)
 
 
+@dataclass
+class SimplicialReport:
+    """Arrows (T, f) that break the equalizer condition; `checked` of the
+    `total` generating arrows were tested, fewer when the cap was hit."""
+    bad: list[tuple]
+    checked: int
+    total: int
+
+
+def check_simplicial(SS: TWElement, max_checks: int = 400) -> SimplicialReport:
+    """Equalizer condition on the generating arrows of the simplex category:
+    the form pullback of the value on a tuple agrees with the restricted
+    value on the reindexed tuple.  Tests the first `max_checks` arrows."""
+    nerve = SS.nerve
+    arrows = []
+    for T in nerve.tuples():
+        m = len(T) - 1
+        if m >= 1:
+            for i in range(m + 1):
+                arrows.append((T, [j for j in range(m + 1) if j != i]))      # faces
+        if len(T) + 1 <= nerve.dimension_bound + 1:
+            for i in range(m + 1):
+                arrows.append((T, list(range(i + 1)) + list(range(i, m + 1))))  # degeneracies
+    tested = arrows[:max_checks]
+    bad = []
+    for T, f in tested:
+        m = len(T) - 1
+        src = tuple(T[j] for j in f)       # T o f, the reindexed tuple
+        k = len(f) - 1
+        theory = nerve.simplex_theory(T, k)
+        # form pullback of the long-tuple value along f: [k] -> [m]
+        lhs = simplicial_pullback(nerve, f, k, m, SS.value(T), T, theory)
+        rhs = nerve.restrict(SS.value(src), src, T, theory)
+        if not is_zero(lhs - rhs):
+            bad.append((T, f))
+    return SimplicialReport(bad, len(tested), len(arrows))
+
+
 def _tw_curvature_full(nerve):
     out = {}
     for T in nerve.tuples():
@@ -254,6 +292,109 @@ def _atlas_cochains(bound):
 def test_whitney_matches_bruteforce_on_atlas(bound):
     for c in _atlas_cochains(bound):
         _assert_matches_full_path(whitney(c), _whitney_bruteforce(c))
+
+
+def _splice_chart():
+    """A chart with an even field q, an odd field th, an odd ghost -1 field
+    b whose antifield b+ is an even pow base, a function F(q) and tau; its
+    0- and 1-jets and tau, and atoms: F, F_q, log(b+), pow(b+, 2 tau - 1/2)
+    and a compound inverse."""
+    t = Theory("splice")
+    t.add_field("q", 0, 0)
+    t.add_field("th", 1, 1)
+    t.add_field("b", -1, 1)
+    t.add_function("F", ["q"])
+    tau = t.add_flow_param("tau")
+    bp = Expression.of(t, "b+")
+    atoms = [FuncAtom("F"), FuncAtom("F", ("q",))]
+    for e in (log_of(bp), power_of(bp, AffineExponent(Fraction(-1, 2), 2, tau)),
+              inverse_of(Expression.of(t, "q") + bp)):
+        (atom, _), = e.terms[0].atoms
+        atoms.append(atom)
+    symbols = [t.symbol(n, j) for n in ("q", "th", "b", "q+", "th+", "b+") for j in (0, 1)]
+    return t, atoms, symbols + [tau, t.u, t.epsilon]
+
+
+def _chart_values(t, atoms, symbols, rng, count):
+    """`count` seeded nonzero values over a chart: odd and even generators,
+    u and eps powers, tau, function, log and pow atoms."""
+    out = []
+    while len(out) < count:
+        v = normalize(t, [(rng.choice([1, -1, 2, Fraction(1, 3)]),
+                           tuple((rng.choice(atoms), rng.randint(1, 2))
+                                 for _ in range(rng.randint(0, 1)) if atoms),
+                           tuple((rng.choice(symbols), rng.randint(1, 2))
+                                 for _ in range(rng.randint(0, 4))))
+                          for _ in range(rng.randint(1, 4))])
+        if v.terms:
+            out.append(v)
+    return out
+
+
+def test_whitney_splice_matches_the_product(monkeypatch):
+    """`_splice_forms` gives `_product`'s terms, key and coefficient, for
+    every face form of the atlas at bounds 2 and 3 and of the cylinder
+    nerve, times seeded chart values; a value term with a simplex generator
+    in its monomial or as a single-symbol pow base takes `_product`, and no
+    other one does."""
+    from bvcov import expression
+    from bvcov.expression import _merge_runs, _product, _splice_forms
+    rng = random.Random(26)
+    chart, atoms, symbols = _splice_chart()
+    three = CoverNerve({"A": chart, "B": chart, "C": chart})
+    for k in (2, 3):
+        for combo in itertools.combinations("ABC", k):
+            three.declare_overlap(frozenset(combo), chart,
+                                  {c: CanonicalSubstitution(chart, {}, chart) for c in combo})
+    cyl = cylinder()[0]
+    OV = cyl.overlaps[frozenset({"U0", "U1"})].theory
+    cases = [(three, 2, chart, atoms, symbols), (three, 3, chart, atoms, symbols),
+             (cyl, 3, OV, [], [OV.symbol(n, j) for n in ("x", "p", "x+", "p+") for j in (0, 1)]
+              + [OV.u, OV.epsilon])]
+    calls = []
+    real = expression._product
+    spliced = fallbacks = 0
+    for nerve, bound, base, pool_atoms, pool in cases:
+        nerve.dimension_bound = bound
+        values = _chart_values(base, pool_atoms, pool, rng, 6)
+        for degree in range(bound + 1):
+            for T, theory, faces in nerve.whitney_faces(degree):
+                moved = [embed(v, theory) for v in values]
+                plain = len(moved)
+                if len(T) > 1:
+                    t1, dt1 = Expression.of(theory, "t_1"), Expression.of(theory, "dt_1")
+                    moved += [moved[0] * t1 + moved[1], moved[2] * dt1,
+                              power_of(t1, Fraction(1, 2)) * moved[3] + moved[4]]
+                for _, form in faces:
+                    for i, v in enumerate(moved):
+                        monkeypatch.setattr(expression, "_product",
+                                            lambda *a: calls.append(1) or real(*a))
+                        got = _merge_runs(_splice_forms(theory, form.terms, v.terms))
+                        monkeypatch.undo()
+                        assert [(x.coef, x.atoms, x.mono, x.key) for x in got] == \
+                            [(x.coef, x.atoms, x.mono, x.key)
+                             for x in _product(theory, form.terms, v.terms)], (T, i)
+                        if i < plain:
+                            assert not calls, (T, i)
+                            spliced += len(form.terms) * len(v.terms)
+                        else:
+                            assert calls, (T, i)
+                            fallbacks += 1
+                        del calls[:]
+    assert spliced > 5000 and fallbacks > 500
+
+
+def test_whitney_takes_no_product(monkeypatch):
+    """Once the nerve holds its Whitney forms, `whitney` on the atlas, whose
+    restrictions relabel, multiplies no two expressions."""
+    for c in _atlas_cochains(2):
+        whitney(c)
+        calls = []
+        real = Expression.__mul__
+        monkeypatch.setattr(Expression, "__mul__", lambda *a: calls.append(1) or real(*a))
+        w = whitney(c)
+        monkeypatch.undo()
+        assert calls == [] and not w.is_zero()
 
 
 def test_whitney_faces_follow_the_overlaps_and_the_bound():
