@@ -642,19 +642,26 @@ def _inserted(theory: Theory, s: GradedSymbol, terms: Sequence[Term],
     return out
 
 
-def _splice_forms(theory: Theory, form: Sequence[Term], value: Sequence[Term]) -> list[Term]:
-    """The terms of form * value, before they are summed, for a form whose
-    terms hold only simplex generators (t_i, dt_i) and no atom.  A value
-    term without a simplex generator has none of the form's symbols, so
-    each form term's monomial goes whole into the slot where the value
-    term's first symbol of kind >= SIMPLEX_T would start, its key fields
-    likewise, the atoms are the value term's, and the sign is the parity of
-    the form term's odd symbols times that of the value's odd symbols
-    before the slot.  A value term with a simplex generator in its
-    monomial, or as the one symbol of a pow base, is multiplied by
-    `_product`."""
-    rows = [(t.coef, t.mono, t.key[1:], sum(s.sign_degree for s, _ in t.mono) & 1)
-            for t in form]
+def _form_rows(form: Sequence[Term]) -> tuple[tuple[Term, ...], tuple[tuple, ...]]:
+    """A form whose terms hold only simplex generators (t_i, dt_i) and no
+    atom, prepared for `_splice_forms`: (its terms, and per term its
+    coefficient, monomial, key fields after the atom key, and the parity of
+    its odd symbols)."""
+    return tuple(form), tuple((t.coef, t.mono, t.key[1:],
+                               sum(s.sign_degree for s, _ in t.mono) & 1) for t in form)
+
+
+def _splice_forms(theory: Theory, form: tuple, value: Sequence[Term]) -> list[Term]:
+    """The terms of form * value, before they are summed, for a form laid
+    out by `_form_rows`.  A value term without a simplex generator has none
+    of the form's symbols, so each form term's monomial goes whole into the
+    slot where the value term's first symbol of kind >= SIMPLEX_T would
+    start, its key fields likewise, the atoms are the value term's, and the
+    sign is the parity of the form term's odd symbols times that of the
+    value's odd symbols before the slot.  A value term with a simplex
+    generator in its monomial, or as the one symbol of a pow base, is
+    multiplied by `_product`."""
+    terms, rows = form
     out: list[Term] = []
     for t in value:
         mono, key = t.mono, t.key
@@ -666,7 +673,7 @@ def _splice_forms(theory: Theory, form: Sequence[Term], value: Sequence[Term]) -
         pows = _pows(theory, t)
         if i < n and key[1 + 2 * i][0] <= Kind.SIMPLEX_DT or \
                 pows is not None and any(s.kind == Kind.SIMPLEX_T for s in pows[1]):
-            out += _product(theory, form, (t,))
+            out += _product(theory, terms, (t,))
             continue
         head_m, tail_m = mono[:i], mono[i:]
         head_k, tail_k = key[:1 + 2 * i], key[1 + 2 * i:]
@@ -1102,11 +1109,15 @@ def apply_substitution(expr: Expression, images: dict[GradedSymbol, Expression],
     A term with no atoms whose generators all have no image and keep their
     sort key and sign degree in the target is relabeled in place: its
     factors keep their order, so its key and sign stand and no product is
-    taken.  Every other term is multiplied out factor by factor."""
+    taken.  Every other term is multiplied out factor by factor.  Whether a
+    symbol keeps them is decided once per source and target theory, in the
+    target's relabel table; whether it has an image, on each call."""
     source = expr.theory
     terms: list[Term] = []
     jet_cache: dict[tuple[str, int], Expression] = {}
-    relabels: dict[GradedSymbol, Optional[GradedSymbol]] = {}
+    relabels = target._relabels.get(source)
+    if relabels is None:
+        relabels = target._relabels[source] = {}
 
     def namesake(sym: GradedSymbol) -> GradedSymbol:
         """The target's 0-jet symbol of sym's base name, or its own
@@ -1117,19 +1128,17 @@ def apply_substitution(expr: Expression, images: dict[GradedSymbol, Expression],
 
     def relabel(sym: GradedSymbol) -> Optional[GradedSymbol]:
         """sym's namesake in the target when sym has no image and keeps its
-        sort key and sign degree there, else None; decided once per call."""
-        if sym in relabels:
-            return relabels[sym]
-        got = None
-        jet = _is_jet(sym)
-        if (source.symbol(sym.base) if jet else sym) not in images:
+        sort key and sign degree there, else None."""
+        if images and (source.symbol(sym.base) if _is_jet(sym) else sym) in images:
+            return None
+        got = relabels.get(sym, False)
+        if got is False:
             ts = namesake(sym)
             if sym.jet_order and ts.kind == sym.kind:
                 ts = target.jet(sym.base, sym.jet_order)
-            if ts.sign_degree == sym.sign_degree and \
-                    target.sort_key(ts) == source.sort_key(sym):
-                got = ts
-        relabels[sym] = got
+            keeps = ts.sign_degree == sym.sign_degree and \
+                target.sort_key(ts) == source.sort_key(sym)
+            got = relabels[sym] = ts if keeps else None
         return got
 
     def image_of(sym: GradedSymbol) -> Expression:

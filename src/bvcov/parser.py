@@ -14,7 +14,7 @@ from typing import Optional
 from .coefficients import AffineExponent, Rat, quotient
 from .curved import CanonicalSubstitution, _strip_eps_constant
 from .expression import Expression, inverse_of, iterated_total, log_of, power_of
-from .symbols import GradedSymbol, Kind, Theory, TheoryError
+from .symbols import GradedSymbol, Kind, Theory, TheoryError, is_simplex_name
 from .varcalc import EtaleMap
 
 RESERVED_CALLS = {"d", "inv", "log", "pow", "D"}
@@ -394,7 +394,11 @@ def parse_theory_file(source: str) -> TheoryFile:
                 tf.name = words[1][0]
                 tf.theory = Theory(tf.name)
             elif head == "field":
-                here.add_field(words[1][0], int(words[3][0]), ("even", "odd").index(words[5][0]))
+                name, col = words[1]
+                if local is not None and is_simplex_name(name):
+                    raise ParseError(f"{name} is reserved for the simplex generators of the nerve",
+                                     line_no, col)
+                here.add_field(name, int(words[3][0]), ("even", "odd").index(words[5][0]))
             elif head == "function":
                 here.add_function(words[1][0], [w for w, _ in words[3:]])
             elif head == "param":

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import enum
 import itertools
+import re
+import weakref
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
@@ -71,6 +73,12 @@ class TheoryError(Exception):
     pass
 
 
+def is_simplex_name(name: str) -> bool:
+    """Whether name is t_<i> or dt_<i>, the names of the simplex generators
+    that a cover nerve adds to its charts (`simplex_pairs`)."""
+    return re.fullmatch(r"d?t_\d+", name) is not None
+
+
 # the names of the structural generators eps and u, which no declaration
 # may take
 _STRUCTURAL_NAMES = ("eps", "u")
@@ -106,6 +114,10 @@ class Theory:
         self._units: dict[GradedSymbol, object] = {}      # symbol -> its Expression, append-only
         self._atom_gradients: dict[tuple, dict] = {}      # atom key -> {symbol: d atom/d symbol}, append-only
         self._atom_bases: dict[str, object] = {}          # log/pow base key -> its Expression, append-only
+        # source theory -> {its symbol: the symbol `apply_substitution` relabels
+        # it to here, or None}, append-only; weak and holding only symbols, so
+        # that it keeps no theory alive
+        self._relabels: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
         self.relations: dict = {}                   # (func, x) -> what d_x(func) rewrites to
         self._simplex_pairs: Optional[tuple] = None  # `simplex_pairs`, dropped on registration
 

@@ -7,10 +7,13 @@ chart theory, restriction substitutions and the (nu, mu) data; emptiness
 is declared, not computed.  Simplex forms are fused into the expression
 algebra of each overlap (form degree drives the Koszul signs), so no
 separate tensor type exists at runtime.  The Whitney forms depend on the
-nerve alone: it builds them once per (cochain degree, dimension bound)
-and drops them when an overlap is declared (`CoverNerve.whitney_faces`),
-so each Whitney map only restricts and splices each face's form into the
-restricted chart terms, with no product.
+nerve alone: it builds them once per (cochain degree, dimension bound),
+laid out as `_splice_forms` rows, and drops them when an overlap is
+declared (`CoverNerve.whitney_faces`), so each Whitney map only restricts
+and splices each face's form into the restricted chart terms, with no
+product.  The cochain-map check `whitney_commutes` splices the same rows,
+and those of each form's differential, by the Leibniz rule, and builds no
+Whitney image.
 """
 
 from __future__ import annotations
@@ -21,11 +24,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .expression import (Expression, _merge_runs, _splice_forms, apply_substitution, embed,
-                         is_zero, odd_derivation, partial_derivative)
+from .expression import (Expression, _form_rows, _merge_runs, _splice_forms,
+                         apply_substitution, embed, is_zero, odd_derivation, partial_derivative)
 from .curved import (BElement, CanonicalSubstitution, TruncatedFlowError, _bracket_by,
                      _strip_eps_constant, curvature, du, exp_sum, orbit, u_bracket)
-from .symbols import GradedSymbol, Theory, TheoryError, product_theory
+from .symbols import GradedSymbol, Theory, TheoryError, is_simplex_name, product_theory
 
 Tuple = tuple[str, ...]
 
@@ -35,6 +38,32 @@ class OverlapContext:
     theory: Theory
     from_chart: dict[str, CanonicalSubstitution]
     mu: Optional[Expression] = None        # for the ordered pair (min, max)
+
+
+class FaceForm:
+    """One face's Whitney form w on a simplex theory, laid out as
+    `_splice_forms` rows: `rows` of w for the Whitney map, and for the
+    cochain-map check `negated` of -w and `differential` of its form
+    differential dw, laid out on first use."""
+
+    __slots__ = ("form", "rows", "_negated", "_differential")
+
+    def __init__(self, form: Expression):
+        self.form = form
+        self.rows = _form_rows(form.terms)
+        self._negated = self._differential = None
+
+    @property
+    def negated(self) -> tuple:
+        if self._negated is None:
+            self._negated = _form_rows((-self.form).terms)
+        return self._negated
+
+    @property
+    def differential(self) -> tuple:
+        if self._differential is None:
+            self._differential = _form_rows(form_differential(self.form).terms)
+        return self._differential
 
 
 class CoverNerve:
@@ -105,12 +134,14 @@ class CoverNerve:
         if got is not None:
             return got
         base = self.context_theory(names)
+        for name in base._order_index:
+            if is_simplex_name(name):
+                raise TheoryError(f"{base.name} declares {name}, a name reserved for the "
+                                  f"simplex generators of the nerve")
         t = product_theory(f"{base.name}|D{k}", base)
         for i in range(1, k + 1):
-            if not t.has_name(f"t_{i}"):
-                t.add_simplex_coordinate(f"t_{i}")
-            if not t.has_name(f"dt_{i}"):
-                t.add_one_form(f"dt_{i}", ghost=1)
+            t.add_simplex_coordinate(f"t_{i}")
+            t.add_one_form(f"dt_{i}", ghost=1)
         self._simplex_theories[key] = t
         return t
 
@@ -130,11 +161,11 @@ class CoverNerve:
     def whitney_faces(self, degree: int) -> list[tuple[Tuple, Theory, list]]:
         """Per nondegenerate tuple T, in `nondegenerate_tuples` order: T, its
         simplex theory and, per sorted face of degree + 1 distinct charts,
-        (face, form), the form being the sum of the Whitney forms of the
-        increasing positions of T that pick the face's charts, each signed
-        by the parity of its chart order against the face's.  Built on first
-        use once per (degree, dimension_bound) and dropped when an overlap
-        is declared, since both change the tuples."""
+        (face, its `FaceForm`), the form being the sum of the Whitney forms
+        of the increasing positions of T that pick the face's charts, each
+        signed by the parity of its chart order against the face's.  Built
+        on first use once per (degree, dimension_bound) and dropped when an
+        overlap is declared, since both change the tuples."""
         key = (degree, self.dimension_bound)
         got = self._whitney_faces.get(key)
         if got is not None:
@@ -157,7 +188,7 @@ class CoverNerve:
                 inversions = sum(a > b for a, b in itertools.combinations(charts, 2))
                 faces.setdefault(tuple(sorted(charts)), []).append(
                     -form if inversions % 2 else form)
-            got.append((T, theory, [(face, Expression.sum(theory, signed))
+            got.append((T, theory, [(face, FaceForm(Expression.sum(theory, signed)))
                                     for face, signed in faces.items()]))
         self._whitney_faces[key] = got
         return got
@@ -356,10 +387,10 @@ def whitney(c: CechCochain) -> TWElement:
     sum over all (m+1)^(k+1) position tuples is (k+1)! times the sum over
     increasing ones, which the nerve's `whitney_faces` carry as their k!
     factor, already summed per face.  So each face value of c is restricted
-    once per simplex theory, and its face's form is spliced into its terms
-    (`_splice_forms`: a form holds only t and dt, a restricted chart value
-    none, so the product merges nothing); one `_merge_runs` per tuple sums
-    the spliced terms of all its faces."""
+    once per simplex theory, and its face's form rows are spliced into its
+    terms (`_splice_forms`: a form holds only t and dt, a restricted chart
+    value none, so the product merges nothing); one `_merge_runs` per tuple
+    sums the spliced terms of all its faces."""
     nerve = c.nerve
     restricted: dict[tuple, Expression] = {}
     out: dict[Tuple, Expression] = {}
@@ -372,7 +403,7 @@ def whitney(c: CechCochain) -> TWElement:
             moved = restricted.get((face, theory))
             if moved is None:
                 moved = restricted[face, theory] = nerve.restrict(v, face, T, theory)
-            terms += _splice_forms(theory, form.terms, moved.terms)
+            terms += _splice_forms(theory, form.rows, moved.terms)
         out[T] = Expression(theory, _merge_runs(terms))
     return TWElement(nerve, out)
 
@@ -397,13 +428,50 @@ def tw_curvature(nerve: CoverNerve) -> TWElement:
 
 def whitney_commutes(c: CechCochain) -> TWElement:
     """Residual of the cochain-map identity: d_TW(w(c)) - w(delta_tot c)
-    where delta_tot = Cech delta + (-1)^k (internal d_u)."""
+    where delta_tot = Cech delta + (-1)^k (internal d_u).
+
+    It is written straight from the identity, one spliced sum per tuple.  A
+    face form w of a k-cochain holds only t and dt and has sign degree k;
+    D kills t and dt and iota counts antifields only, so d_u(w v) =
+    (-1)^k w d_u v, and the form differential of a restricted chart value
+    vanishes.  So the residual on a tuple is, over the faces F of k + 1
+    charts, dw_F r(c_F) + (-1)^k w_F (d_u r(c_F) - r(d_u c_F)), minus w_G
+    r((delta c)_G) over the faces G of k + 2 charts, r the restriction to
+    the tuple's simplex theory.  Each face value and its d_u is restricted
+    once per simplex theory, and a restriction is not assumed to commute
+    with d_u; the signs are the face forms' `negated` rows."""
+    nerve = c.nerve
     k = c.degree
-    lhs = tw_differential(whitney(c))
-    internal = CechCochain(c.nerve, k, {
-        T: du(v) * (-1) ** k for T, v in c.values.items()})
-    rhs = whitney(cech_delta(c)) + whitney(internal)
-    return lhs - rhs
+    delta = cech_delta(c).values
+    du_c = {F: du(v) for F, v in c.values.items()}
+    moved: dict[tuple, tuple[Expression, Expression]] = {}
+    moved_delta: dict[tuple, Expression] = {}
+    out: dict[Tuple, Expression] = {}
+    for (T, theory, faces), (_, _, cofaces) in zip(nerve.whitney_faces(k),
+                                                   nerve.whitney_faces(k + 1)):
+        terms = []
+        for face, form in faces:
+            v = c.values.get(face)
+            if v is None:
+                continue
+            got = moved.get((face, theory))
+            if got is None:
+                r = nerve.restrict(v, face, T, theory)
+                got = moved[face, theory] = (r, du(r) - nerve.restrict(du_c[face], face, T,
+                                                                       theory))
+            r, slip = got
+            terms += _splice_forms(theory, form.differential, r.terms)
+            terms += _splice_forms(theory, form.negated if k & 1 else form.rows, slip.terms)
+        for face, form in cofaces:
+            v = delta.get(face)
+            if v is None:
+                continue
+            r = moved_delta.get((face, theory))
+            if r is None:
+                r = moved_delta[face, theory] = nerve.restrict(v, face, T, theory)
+            terms += _splice_forms(theory, form.negated, r.terms)
+        out[T] = Expression(theory, _merge_runs(terms))
+    return TWElement(nerve, out)
 
 
 @dataclass

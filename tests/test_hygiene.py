@@ -9,8 +9,9 @@ being read anywhere in them, no `_print_check` call of the package passes
 a literal verdict, every `ParseError` of the parser names a column, only
 the chain rule `_atom_partials` reads an atom's gradient, only the Soloviev
 kernel calls the packed multiply-accumulate, every name the benchmark
-reaches still exists, and the reference algebra of `tests/`
-reaches no module of the package."""
+reaches still exists, the reference algebra of `tests/`
+reaches no module of the package, and no function of the package writes
+to a module-level dict, list or set."""
 
 import ast
 import sys
@@ -469,3 +470,89 @@ def test_reference_algebra_imports_no_package_module():
                for p in sorted((ROOT / "tests").glob("*.py"))}
     found = package_imports(modules, "reference_algebra", "bvcov")
     assert not found, "the reference algebra reaches the package:\n" + "\n".join(found)
+
+
+# Calls that change a dict, list or set in place.
+_MUTATORS = {"setdefault", "append", "update", "clear", "add", "extend", "insert", "pop",
+             "popitem", "remove", "discard"}
+_CONTAINER_CALLS = {"dict", "list", "set", "defaultdict", "OrderedDict", "Counter",
+                    "WeakKeyDictionary", "WeakValueDictionary"}
+
+
+def _module_containers(tree: ast.Module) -> set[str]:
+    """The names a module binds at its top level to a dict, list or set:
+    a display, a comprehension or a constructor call."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets, value = node.targets, node.value
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            targets, value = [node.target], node.value
+        else:
+            continue
+        if isinstance(value, (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp,
+                              ast.SetComp)) or \
+                isinstance(value, ast.Call) and _called_name(value) in _CONTAINER_CALLS:
+            names |= {t.id for t in targets if isinstance(t, ast.Name)}
+    return names
+
+
+def module_container_writes(source: str) -> list[tuple[int, str]]:
+    """(line, name) of each write, inside a function or method, to a
+    module-level dict, list or set: an item assigned, augmented or deleted,
+    or a mutating call such as `setdefault`, `append`, `update` or `clear`.
+    A table written so is a cache that outlives every object it serves; a
+    function whose own local shadows the name is not counted."""
+    tree = ast.parse(source)
+    containers = _module_containers(tree)
+    found = set()
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        args = fn.args
+        local = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs
+                 + [a for a in (args.vararg, args.kwarg) if a is not None]}
+        local |= {n.id for n in ast.walk(fn)
+                  if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+        local -= {name for n in ast.walk(fn) if isinstance(n, ast.Global) for name in n.names}
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del)):
+                target = node.value
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                    and node.func.attr in _MUTATORS:
+                target = node.func.value
+            else:
+                continue
+            if isinstance(target, ast.Name) and target.id in containers \
+                    and target.id not in local:
+                found.add((node.lineno, target.id))
+    return sorted(found)
+
+
+def test_module_container_write_detector():
+    source = ("import weakref\n"
+              "_TABLE = {}\n"
+              "_SEEN: set = set()\n"
+              "_ORDER = [1, 2]\n"
+              "_READ = {'a': 1}\n"
+              "_WEAK = weakref.WeakKeyDictionary()\n"
+              "def cache(k, v):\n    _TABLE[k] = v\n    return _READ[k]\n"
+              "def mark(x):\n    _SEEN.add(x)\n    _TABLE.setdefault(x, 0)\n"
+              "class C:\n    def push(self):\n        _ORDER.append(1)\n"
+              "        _WEAK[self] = 1\n"
+              "def local():\n    _TABLE = {}\n    _TABLE[0] = 1\n    return _TABLE\n"
+              "def reset():\n    global _ORDER\n    _ORDER.clear()\n    _ORDER = []\n"
+              "    del _READ['a']\n    _TABLE['n'] += 1\n"
+              "_TABLE['at import'] = 0\n"
+              "_TABLE.update(_READ)\n")
+    assert module_container_writes(source) == [
+        (8, "_TABLE"), (11, "_SEEN"), (12, "_TABLE"), (15, "_ORDER"), (16, "_WEAK"),
+        (23, "_ORDER"), (25, "_READ"), (26, "_TABLE")]
+
+
+def test_no_function_writes_a_module_level_container():
+    """Every cache lives on the object it serves, a nerve or a theory, and
+    goes with it; the module tables of the package are read-only."""
+    found = [f"{path.name}:{line}: {name}" for path in sorted(SRC.glob("*.py"))
+             for line, name in module_container_writes(path.read_text(encoding="utf-8"))]
+    assert not found, "module-level containers written by a function:\n" + "\n".join(found)

@@ -444,6 +444,30 @@ def test_malformed_overlap_blocks_exit_2_at_the_chart(tmp_path, capsys, edit, me
         f"parse error: {message} at line {line}, column {column}\n"
 
 
+@pytest.mark.parametrize("edit, name, line", [
+    # exit 2 with `error: unknown symbol: dt_1`, no line or column
+    (lambda text: re.sub(r"\bx\b", "t_1", text), "t_1", 9),
+    (lambda text: re.sub(r"\bx\b", "t_3", text), "t_3", 9),
+    # bound 3 needs no t_4, but the nerve read t_4 as its own and asked for dt_4
+    (lambda text: re.sub(r"\bx\b", "t_4", text), "t_4", 9),
+    # exit 2 with `odd_derivation: the image of t_3 is not odd relative to it`
+    (lambda text: re.sub(r"\bx\b", "dt_3", text), "dt_3", 9),
+    (lambda text: text.replace("overlap U0 U1\nfield x", "overlap U0 U1\nfield dt_1"),
+     "dt_1", 17),
+], ids=["t_1", "t_3", "t_4", "dt_3", "overlap-dt_1"])
+def test_cover_fields_named_like_simplex_generators_exit_2_at_the_name(tmp_path, capsys,
+                                                                       edit, name, line):
+    """A field of a chart or an overlap named t_<i> or dt_<i>, a name of
+    the nerve's simplex generators, is a parse error at the name (exit
+    2); outside a cover such a field is an ordinary one."""
+    path = tmp_path / "cylinder.bvt"
+    path.write_text(edit((THEORIES / "cylinder_flux.bvt").read_text()))
+    assert run_cli("tw-check", str(path)) == 2
+    assert capsys.readouterr().err == (f"parse error: {name} is reserved for the simplex "
+                                       f"generators of the nerve at line {line}, column 7\n")
+    assert parse_theory_file(f"field {name} ghost 0 parity even\n").theory.has_name(name)
+
+
 @pytest.mark.parametrize("edit, message, line, column", [
     # the second mu replaced the first, and the check failed
     (lambda text: text.replace("mu = 3*x\n", "mu = 3*x\nmu = 0\n"),

@@ -1,5 +1,8 @@
+import gc
 import itertools
 import random
+import sys
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -332,11 +335,13 @@ def _chart_values(t, atoms, symbols, rng, count):
 
 
 def test_whitney_splice_matches_the_product(monkeypatch):
-    """`_splice_forms` gives `_product`'s terms, key and coefficient, for
-    every face form of the atlas at bounds 2 and 3 and of the cylinder
-    nerve, times seeded chart values; a value term with a simplex generator
-    in its monomial or as a single-symbol pow base takes `_product`, and no
-    other one does."""
+    """`_splice_forms` on the prepared rows of a face form w (`rows`, and
+    `negated` and `differential`, the rows of -w and of its form
+    differential dw) gives `_product`'s terms, key and coefficient with w,
+    -w and dw, for every face form of the atlas at bounds 2 and 3 and of
+    the cylinder nerve, times seeded chart values; a value term with a
+    simplex generator in its monomial or as a single-symbol pow base takes
+    `_product`, and no other one does."""
     from bvcov import expression
     from bvcov.expression import _merge_runs, _product, _splice_forms
     rng = random.Random(26)
@@ -365,23 +370,26 @@ def test_whitney_splice_matches_the_product(monkeypatch):
                     t1, dt1 = Expression.of(theory, "t_1"), Expression.of(theory, "dt_1")
                     moved += [moved[0] * t1 + moved[1], moved[2] * dt1,
                               power_of(t1, Fraction(1, 2)) * moved[3] + moved[4]]
-                for _, form in faces:
-                    for i, v in enumerate(moved):
-                        monkeypatch.setattr(expression, "_product",
-                                            lambda *a: calls.append(1) or real(*a))
-                        got = _merge_runs(_splice_forms(theory, form.terms, v.terms))
-                        monkeypatch.undo()
-                        assert [(x.coef, x.atoms, x.mono, x.key) for x in got] == \
-                            [(x.coef, x.atoms, x.mono, x.key)
-                             for x in _product(theory, form.terms, v.terms)], (T, i)
-                        if i < plain:
-                            assert not calls, (T, i)
-                            spliced += len(form.terms) * len(v.terms)
-                        else:
-                            assert calls, (T, i)
-                            fallbacks += 1
-                        del calls[:]
-    assert spliced > 5000 and fallbacks > 500
+                for _, face in faces:
+                    w = face.form
+                    for rows, form in ((face.rows, w), (face.negated, -w),
+                                       (face.differential, form_differential(w))):
+                        for i, v in enumerate(moved):
+                            monkeypatch.setattr(expression, "_product",
+                                                lambda *a: calls.append(1) or real(*a))
+                            got = _merge_runs(_splice_forms(theory, rows, v.terms))
+                            monkeypatch.undo()
+                            assert [(x.coef, x.atoms, x.mono, x.key) for x in got] == \
+                                [(x.coef, x.atoms, x.mono, x.key)
+                                 for x in _product(theory, form.terms, v.terms)], (T, i)
+                            if i < plain:
+                                assert not calls, (T, i)
+                                spliced += len(form.terms) * len(v.terms)
+                            else:
+                                assert calls, (T, i)
+                                fallbacks += 1
+                            del calls[:]
+    assert spliced > 15000 and fallbacks > 1500
 
 
 def test_whitney_takes_no_product(monkeypatch):
@@ -434,6 +442,24 @@ def test_whitney_faces_follow_the_overlaps_and_the_bound():
             declare(names)
 
 
+def test_simplex_theory_refuses_a_chart_name_of_the_nerve():
+    """A chart or overlap that declares a t_<i> or dt_<i> name is refused
+    with that name; before, the name was skipped and the check failed on
+    an unknown dt_<i>, or on the form differential, far from the cause."""
+    for name in ("t_1", "t_4", "dt_3"):
+        t = shared_theory()
+        clashing = Theory("U")
+        clashing.add_field(name, 0, 0)
+        for chart, overlap in ((clashing, t), (t, clashing)):
+            nerve = CoverNerve({"A": chart, "B": t}, dimension_bound=1)
+            nerve.declare_overlap({"A", "B"}, overlap, {
+                "A": CanonicalSubstitution(chart, {}, overlap),
+                "B": CanonicalSubstitution(t, {}, overlap)})
+            with pytest.raises(TheoryError, match=f"^U declares {name}, a name reserved "
+                               "for the simplex generators of the nerve$"):
+                whitney(CechCochain(nerve, 0, {}))
+
+
 def test_a_second_whitney_map_builds_no_form(monkeypatch):
     """The Whitney forms of one degree are built once per nerve, one per
     simplex theory and increasing positions, and a second map of that
@@ -462,6 +488,91 @@ def test_whitney_commutes_matches_full_path_on_atlas(bound):
     # on all 120 tuples takes seconds
     for c in _atlas_cochains(bound):
         _assert_matches_full_path(whitney_commutes(c), _whitney_commutes_full(c))
+
+
+def _whitney_commutes_by_maps(c):
+    """The cochain-map residual as the composite of the maps it checks,
+    d_TW w(c) - w(delta c) - w((-1)^k d_u c): the oracle for the spliced
+    residual of `whitney_commutes`."""
+    internal = CechCochain(c.nerve, c.degree, {
+        T: du(v) * (-1) ** c.degree for T, v in c.values.items()})
+    return tw_differential(whitney(c)) - whitney(cech_delta(c)) - whitney(internal)
+
+
+def _twisted_atlas(bound):
+    """The atlas with chart A restricted to each overlap along q -> q +
+    q+ th+, which is not a d_u map, so the cochain-map residual of a
+    cochain with a value on A does not vanish."""
+    t = shared_theory()
+    twist = {t.symbol("q"): Expression.of(t, "q") + Expression.of(t, "q+") * Expression.of(t, "th+")}
+    nerve = CoverNerve({"A": t, "B": t, "C": t}, dimension_bound=bound)
+    for k in (2, 3):
+        for combo in itertools.combinations("ABC", k):
+            nerve.declare_overlap(frozenset(combo), t, {
+                c: CanonicalSubstitution(t, twist if c == "A" else {}, t) for c in combo})
+    return nerve, t
+
+
+def _assert_same_residual(got, want) -> int:
+    """got and want agree term by term on every nondegenerate tuple; the
+    number of tuples where they do not vanish."""
+    assert list(got.values) == list(want.values) == got.nerve.nondegenerate_tuples()
+    for T, v in want.values.items():
+        _assert_same_terms(got.values[T], v, T)
+    return sum(not is_zero(v) for v in want.values.values())
+
+
+@pytest.mark.parametrize("bound", [1, 2, 3])
+def test_whitney_commutes_matches_the_maps_on_atlas(bound):
+    """The spliced residual is the maps' term by term, key and coefficient:
+    zero on the atlas, whose restrictions commute with d_u, and nonzero on
+    many tuples of the twisted atlas, whose cochains have u and eps parts."""
+    for c in _atlas_cochains(bound):
+        assert _assert_same_residual(whitney_commutes(c), _whitney_commutes_by_maps(c)) == 0
+    nerve, t = _twisted_atlas(bound)
+    rand_val = sampler(t, 40 + bound)
+    nonzero = 0
+    for _ in range(8):
+        for degree in (0, 1, 2):
+            c = CechCochain(nerve, degree, {
+                T: u_series(t, {0: rand_val() + BElement.of_eps(rand_val()),
+                                1: BElement.of_body(rand_val())})
+                for T in itertools.combinations("ABC", degree + 1)})
+            nonzero += _assert_same_residual(whitney_commutes(c), _whitney_commutes_by_maps(c))
+    # 230 of the 72 cochains' 1,800 tuple residuals
+    assert nonzero == {1: 16, 2: 70, 3: 144}[bound]
+
+
+def test_whitney_commutes_matches_the_maps_on_cylinder():
+    """On the cylinder, whose U1 restricts along x -> x + 3, for its local
+    theories as a 0-cochain and its mu as a 1-cochain, with the cocycle mu
+    and with the broken mu + x^2."""
+    for nerve, local, _ in _cylinders():
+        for c in (CechCochain(nerve, 0, {(a,): local[a] for a in nerve.chart_names}),
+                  CechCochain(nerve, 1, {("U0", "U1"): BElement.of_eps(
+                      nerve.overlaps[frozenset({"U0", "U1"})].mu)})):
+            _assert_same_residual(whitney_commutes(c), _whitney_commutes_by_maps(c))
+
+
+def test_a_second_cochain_map_check_takes_no_whitney_map(monkeypatch):
+    """Once the nerve holds its face forms and their differentials, a
+    cochain-map check builds no Whitney image, takes no Thom-Whitney
+    differential and no form differential."""
+    from bvcov import thomwhitney
+    nerve, t = atlas(2)
+    rand_val = sampler(t, 33)
+    for degree in (0, 1, 2):
+        c = CechCochain(nerve, degree, {T: rand_val()
+                                        for T in itertools.combinations("ABC", degree + 1)})
+        assert whitney_commutes(c).is_zero()
+        calls = []
+        for name in ("whitney", "tw_differential", "form_differential"):
+            real = getattr(thomwhitney, name)
+            monkeypatch.setattr(thomwhitney, name,
+                                lambda *a, name=name, real=real: calls.append(name) or real(*a))
+        assert whitney_commutes(c).is_zero()
+        monkeypatch.undo()
+        assert calls == [], degree
 
 
 def _cylinders():
@@ -593,6 +704,72 @@ def test_substitution_relabels_as_the_product_path(data):
     images = {g: embed(img, fused) for g, img in sub.images.items()}
     moved = eps_parts(u_coefficient(_restrict_along(sub, f, fused), 0))[0]
     _assert_substitution_matches(moved, f, images, fused)
+
+
+def _substitution_per_call(expr, images, target):
+    """`apply_substitution` deciding every relabel afresh, with an empty
+    relabel table on the target."""
+    kept = target._relabels
+    target._relabels = weakref.WeakKeyDictionary()
+    try:
+        return apply_substitution(expr, images, target)
+    finally:
+        target._relabels = kept
+
+
+def test_relabel_table_matches_the_per_call_path(monkeypatch):
+    """Every substitution and embedding of the library models' pipelines and
+    of the cylinder's global check, made with the relabel tables they fill,
+    gives the terms, key and coefficient of the same call with an empty
+    table, and of the product path."""
+    from bvcov import expression
+    from bvcov.models import MODEL_BUILDERS, build_model, spinning_pipeline
+    real = expression.apply_substitution
+    calls = []
+
+    def recording(expr, images, target):
+        got = real(expr, images, target)
+        calls.append((expr, dict(images), target, got))
+        return got
+    for module in [m for n, m in sys.modules.items() if n.startswith("bvcov") and m]:
+        if getattr(module, "apply_substitution", None) is real:
+            monkeypatch.setattr(module, "apply_substitution", recording)
+    for name in MODEL_BUILDERS:
+        for dim in (1, 2):
+            model = build_model(name, dim)
+            if model.charge is not None and (dim, name) != (2, "curved-spinning-particle"):
+                spinning_pipeline(model)
+    nerve, local, _ = cylinder()
+    assert global_mc_check(global_covariant_theory(nerve, local)).ok
+    monkeypatch.undo()
+    pairs = {(expr.theory, target) for expr, _, target, _ in calls}
+    assert len(calls) > 400 and len(pairs) > 15
+    for expr, images, target, got in calls:
+        want = _substitution_per_call(expr, images, target)
+        assert [(t.coef, t.atoms, t.mono, t.key) for t in got.terms] == \
+            [(t.coef, t.atoms, t.mono, t.key) for t in want.terms]
+        _assert_substitution_matches(got, expr, images, target)
+    # a symbol that the table relabels is still moved by a call giving it an image
+    t, other = shared_theory(), shared_theory()
+    e = Expression.of(t, "q") * Expression.of(t, "th", 1) + Expression.of(t, "q", 1)
+    embed(e, other)
+    images = {t.symbol("q"): Expression.of(other, "r") + 1}
+    _assert_substitution_matches(apply_substitution(e, images, other), e, images, other)
+
+
+def test_relabel_table_keeps_no_source_theory_alive():
+    """A theory embedded into another and then dropped is collected, and
+    its entry leaves the target's relabel table."""
+    target = shared_theory()
+    source = shared_theory()
+    e = Expression.of(source, "q") * Expression.of(source, "th+", 1) + 2
+    moved = embed(e, target)
+    assert moved == Expression.of(target, "q") * Expression.of(target, "th+", 1) + 2
+    assert list(target._relabels) == [source]
+    gone = weakref.ref(source)
+    del source, e
+    gc.collect()
+    assert gone() is None and len(target._relabels) == 0
 
 
 def test_whitney_k1_display(atlas3):
