@@ -1009,16 +1009,49 @@ def jet_partial(expr: Expression, s: GradedSymbol) -> Expression:
 def total_derivative(expr: Expression) -> Expression:
     """Total t-derivative D = sum over jets s of s_{+1} d/ds: raises jet
     orders by one; kills constants, flow parameters and simplex generators.
-    D is even, so D(s) stands left of the left partial; a raised jet is never
-    a pow base, so the products never collide."""
+
+    One pass over the terms, then one `_merge_runs`.  A jet s_k at exponent
+    e in slot i becomes e * s_k^(e-1) * s_{k+1} in place: the sort key of
+    s_{k+1} is (kind, rank, k+1), right after s_k's, so no symbol lies
+    between them, and D is even, so no sign enters.  If slot i+1 already
+    holds s_{k+1}, its exponent rises by one (even) or the term vanishes
+    (odd).  The atoms' share is `_atom_partials`' with s_{+1} inserted
+    (`_inserted`); a raised jet is never a pow base (`intern_base` refuses
+    jets), so a pow atom needs no merge path here."""
     theory = expr.theory
     out: list[Term] = []
-    for s, ds in _gradient(expr, _is_jet).items():
-        out += _product(theory, Expression.symbol(theory, theory.jet_bump(s)).terms, ds.terms)
+    for t in expr.terms:
+        mono, key, coef = t.mono, t.key, t.coef
+        n = len(mono)
+        # jets sort first, kinds FIELD_JET and ANTIFIELD_JET
+        for i, (s, e) in enumerate(mono):
+            if s.kind > Kind.ANTIFIELD_JET:
+                break
+            b = theory.jet_bump(s)
+            # s_k^(e-1), if e > 1, then s_{k+1}^f in slots i to j - 1
+            f, j = 1, i + 1
+            if j < n and mono[j][0] is b:
+                if b.sign_degree:
+                    continue
+                f += mono[j][1]
+                j += 1
+            at = 1 + 2 * i
+            if e > 1:
+                out.append(Term(coef * e, t.atoms, mono[:i] + ((s, e - 1), (b, f)) + mono[j:],
+                                key[:at + 1] + (e - 1, theory.sort_key(b), f) + key[1 + 2 * j:]))
+            else:
+                out.append(Term(coef, t.atoms, mono[:i] + ((b, f),) + mono[j:],
+                                key[:at] + (theory.sort_key(b), f) + key[1 + 2 * j:]))
+        if t.atoms:
+            for s, terms in _atom_partials(theory, t, _is_jet, coef):
+                out += _inserted(theory, theory.jet_bump(s), terms, True)
     return Expression(theory, _merge_runs(out))
 
 
 def iterated_total(expr: Expression, k: int) -> Expression:
+    """D^k(expr); D^0 is the identity, and a negative order is refused."""
+    if k < 0:
+        raise TheoryError(f"negative total-derivative order {k}")
     for _ in range(k):
         expr = total_derivative(expr)
     return expr

@@ -149,19 +149,20 @@ class ExpressionParser:
         if name == "D" and nxt[0] == "op" and nxt[1] == "[":
             return self.func_derivative()
         if nxt[0] == "op" and nxt[1] == "(" and name in RESERVED_CALLS:
-            return self.call(name, 0, tok[2])
+            return self.call(name, 1, tok[2])
         if name == "d" and nxt[0] == "op" and nxt[1] == "^":
             self.take()
             order = int(self.take("num")[1])
             return self.call("d", order, tok[2])
         return self.symbol_or_function(name, tok[2])
 
-    def call(self, name: str, jet_order: int, col: int) -> Expression:
+    def call(self, name: str, order: int, col: int) -> Expression:
+        """name(...) for a reserved call; `order` is the N of d^N, 1 for a
+        bare d, and no other call reads it."""
         self.take("op", "(")
         if name == "d":
             inner = self.expr()
             self.take("op", ")")
-            order = jet_order if jet_order else 1
             return iterated_total(inner, order)
         if name == "pow":
             base = self.expr()

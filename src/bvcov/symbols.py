@@ -219,7 +219,9 @@ class Theory:
         return self._symbols.get((name, 0))
 
     def jet(self, name: str, order: int) -> GradedSymbol:
-        """d^order(name); lazily interned."""
+        """d^order(name); lazily interned.  A negative order is refused."""
+        if order < 0:
+            raise TheoryError(f"negative jet order {order} of {name}")
         base = self._symbols.get((name, 0))
         if base is None:
             raise SymbolUnknownError(f"unknown symbol: {name}")

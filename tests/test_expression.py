@@ -9,11 +9,12 @@ from hypothesis import given, settings, strategies as st
 from bvcov import expression
 from bvcov.symbols import Kind, Theory, TheoryError, SymbolUnknownError
 from bvcov.expression import (Expression, GradingError, inverse_of, is_zero,
-                              log_of, normalize, odd_derivation, partial_derivative,
-                              power_of, total_derivative, jet_partial,
-                              substitute_param)
+                              iterated_total, log_of, normalize, odd_derivation,
+                              partial_derivative, power_of, total_derivative,
+                              jet_partial, substitute_param)
 from bvcov.coefficients import AffineExponent, FuncAtom, LogAtom, PowerAtom
 from bvcov.printer import render
+from bvcov.thomwhitney import CoverNerve
 from conftest import HomogeneousSampler, eps_parts, u_parts
 
 
@@ -633,6 +634,118 @@ def test_derivatives_match_bruteforce_oracles(data):
               for s in keys}
     assert _terms(odd_derivation(f, images)) == \
         _terms(_odd_derivation_bruteforce(f, images))
+
+
+def _total_by_gradient(expr: Expression) -> Expression:
+    """D as the sum over jets s of s_{+1} * (d expr/ds): the graded
+    gradient, then one product per jet; the total derivative's former
+    path."""
+    theory = expr.theory
+    out = []
+    for s, ds in expression._gradient(expr, expression._is_jet).items():
+        bump = Expression.symbol(theory, theory.jet_bump(s))
+        out += expression._product(theory, bump.terms, ds.terms)
+    return Expression(theory, expression._merge_runs(out))
+
+
+def _simplex_pools():
+    """A simplex theory of a one-chart nerve, with t_1, dt_1, t_2 and dt_2,
+    over even q and r, odd th and b (ghost -1, so b+ is even, ghost 0), a
+    function symbol and a flow parameter; pools of its jets of orders 0-3,
+    structural and simplex generators, and atoms: function descendants,
+    log, pow(q, 1/2) and pow(b+, a*tau + b)."""
+    chart = Theory("chart")
+    chart.add_field("q", 0, 0)
+    chart.add_field("r", 0, 0)
+    chart.add_field("th", 1, 1)
+    chart.add_field("b", -1, 1)
+    chart.add_function("F", ["q", "r"])
+    chart.add_flow_param("tau")
+    t = CoverNerve({"A": chart}).simplex_theory(("A",), 2)
+    q, tau = Expression.of(t, "q"), t.symbol("tau")
+    atoms = [FuncAtom("F"), FuncAtom("F", ("q",)), FuncAtom("F", ("q", "r"))]
+    for e in (log_of(q + 1), power_of(q, Fraction(1, 2)),
+              power_of(Expression.of(t, "b+"), AffineExponent(Fraction(1, 2), 2, tau))):
+        (atom, _), = e.terms[0].atoms
+        atoms.append(atom)
+    jets = [t.symbol(n, k) for n in ("q", "r", "th", "b", "q+", "th+", "b+")
+            for k in range(4)]
+    others = [tau, t.u, t.epsilon] + [t.symbol(n) for n in ("t_1", "dt_1", "t_2", "dt_2")]
+    return t, atoms, jets, others
+
+
+def test_total_derivative_in_place_matches_the_gradient_path():
+    """D writes each raised jet in its slot and inserts s_{+1} into the
+    atoms' share, and agrees term by term, key and coefficient, with the
+    gradient-and-product path and with the bruteforce loop: odd and even
+    jets of orders 0-3, s_k beside s_{k+1}, exponents up to 3, function atoms
+    at exponents above 1, log and pow atoms, Fraction coefficients, u, eps,
+    tau and the simplex generators."""
+    t, atoms, jets, others = _simplex_pools()
+    symbols = jets + others
+    rng = random.Random(28)
+    neighbours = raised_atoms = 0
+    for _ in range(80):
+        raw = []
+        for _ in range(rng.randint(1, 4)):
+            mono = [(rng.choice(symbols), rng.randint(1, 3)) for _ in range(rng.randint(0, 3))]
+            if rng.random() < 0.5:
+                s = rng.choice([s for s in jets if s.jet_order < 3])
+                mono += [(s, rng.randint(1, 3)), (t.jet_bump(s), rng.randint(1, 3))]
+            raw.append((rng.choice([1, -1, 3, Fraction(1, 2), Fraction(-2, 3)]),
+                        tuple((rng.choice(atoms), rng.randint(1, 3))
+                              for _ in range(rng.randint(0, 2))),
+                        tuple(mono)))
+        f = normalize(t, raw)
+        got = total_derivative(f)
+        assert _terms(got) == _terms(_total_by_gradient(f))
+        assert _terms(got) == _terms(_total_bruteforce(f))
+        neighbours += sum(any(b is t.jet_bump(s) for (s, _), (b, _) in zip(term.mono, term.mono[1:])
+                              if expression._is_jet(s))
+                          for term in f.terms)
+        raised_atoms += sum(e > 1 for term in f.terms for _, e in term.atoms)
+    # not vacuous: s_k met s_{k+1}, and atoms stood at exponents above 1
+    assert neighbours > 20 and raised_atoms > 20
+
+
+def test_total_derivative_takes_no_gradient_and_no_product(monkeypatch):
+    """On an atom-free input D lowers no gradient and takes no product: each
+    jet is rewritten in its slot."""
+    t, _, jets, others = _simplex_pools()
+    rng = random.Random(5)
+    f = normalize(t, [(rng.choice([1, -2, Fraction(1, 3)]), (),
+                       tuple((rng.choice(jets + others), rng.randint(1, 3))
+                             for _ in range(rng.randint(1, 4))))
+                      for _ in range(12)])
+    assert len(f.terms) > 5
+    calls = []
+    for name in ("_gradient", "_product"):
+        real = getattr(expression, name)
+        monkeypatch.setattr(expression, name,
+                            lambda *a, _real=real, _name=name: calls.append(_name) or _real(*a))
+    got = total_derivative(f)
+    monkeypatch.undo()
+    assert calls == []
+    assert got.terms and _terms(got) == _terms(_total_by_gradient(f))
+
+
+def test_a_negative_jet_order_is_refused():
+    """A jet of negative order is refused rather than built as a symbol."""
+    t, _, _, _ = _simplex_pools()
+    with pytest.raises(TheoryError, match="negative jet order -1 of q"):
+        Expression.of(t, "q", -1)
+    with pytest.raises(TheoryError, match="negative jet order"):
+        t.jet("th+", -2)
+
+
+def test_a_negative_total_derivative_order_is_refused():
+    """D^0 is the identity, and D^k of negative k is refused rather than
+    read as D^0."""
+    t, _, _, _ = _simplex_pools()
+    q = Expression.of(t, "q")
+    assert iterated_total(q, 0) is q
+    with pytest.raises(TheoryError, match="negative total-derivative order -1"):
+        iterated_total(q, -1)
 
 
 def test_odd_derivation_inserts_unit_images(monkeypatch):

@@ -323,9 +323,15 @@ def test_atom_gradients_are_read_by_the_chain_rule_only():
 
 def test_only_the_soloviev_kernel_accumulates_on_packed_keys():
     """The packed multiply-accumulate pays for its packing only where pair
-    products collapse, in a bracket's double sum; a small sum such as a
-    total derivative takes `_product`."""
+    products collapse, in a bracket's double sum; a small sum, such as the
+    chain-rule share of an atom, takes `_product`."""
     assert callers(_trees()[0], "_multiply_accumulate") == ["varcalc.py:_soloviev_into"]
+
+
+def test_only_the_total_derivative_raises_jets():
+    """One D on symbols: `total_derivative` is the only code that raises a
+    jet order; every other reader of D goes through it."""
+    assert callers(_trees()[0], "jet_bump") == ["expression.py:total_derivative"]
 
 
 def _attribute_reads(tree: ast.AST) -> set[str]:

@@ -50,6 +50,15 @@ def test_jet_and_antifield_forms(particle_theory):
     assert parse_expression(t, "u").grade() == (2, 0, 0)
 
 
+def test_d0_is_the_identity(particle_theory):
+    """d^0(E) is E, not d(E); a bare d( is the first total derivative."""
+    t = particle_theory
+    x = Expression.of(t, "x_1")
+    assert parse_expression(t, "d^0(x_1*p_1)") == x * Expression.of(t, "p_1")
+    assert parse_expression(t, "d(x_1)") == parse_expression(t, "d^1(x_1)") == \
+        Expression.of(t, "x_1", 1)
+
+
 def test_plus_after_a_name_is_the_suffix_unless_an_operand_follows(particle_theory):
     """After a name, + is the antifield suffix unless the next character is a
     letter, a digit, ( or -; then it is the operator."""
@@ -241,6 +250,16 @@ def test_cli_failing_check_exits_1(tmp_path, capsys):
     rc = run_cli("check-mc", str(bad), "--check", "no")
     out = capsys.readouterr().out
     assert rc == 1 and "FAIL" in out
+
+
+def test_cli_normalize_reads_d0_as_its_argument(tmp_path, capsys):
+    """`normalize --expr` prints D^0(x) as x, and d(x) and d^2(x) as jets."""
+    f = tmp_path / "d0.bvt"
+    f.write_text("field x ghost 0 parity even\n"
+                 "expr A = d^0(x)\nexpr B = d(x)\nexpr C = d^2(x)\n")
+    for name, text in (("A", "x"), ("B", "d(x)"), ("C", "d^2(x)")):
+        assert run_cli("normalize", str(f), "--expr", name) == 0
+        assert capsys.readouterr() == (text + "\n", "")
 
 
 def test_cli_zero_denominator_in_exponent_exits_2(tmp_path, capsys):
