@@ -10,13 +10,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .expression import (Expression, embed, is_zero, jet_gradient, log_of,
-                         partial_derivative, split_powers)
+from .expression import Expression, embed, is_zero, jet_gradient, log_of, split_powers
 from .curved import (BElement, EndpointReport, d_element, du, gauge_flow_closed,
                      gauge_flow_series, iota, mc_check, u_bracket, u_coefficient, u_element)
 from .printer import render_by_u
 from .symbols import GradedSymbol, Theory, TheoryError, antifield_name, product_theory
-from .varcalc import _matrix_right_inverse
+from .varcalc import _matrix_right_inverse, _nonzero_rows, _signed_identity_holds
 
 
 class SymplecticError(TheoryError):
@@ -30,6 +29,12 @@ class TargetChart:
     def __init__(self, theory: Theory, nu: dict[str, Expression]):
         self.theory = theory
         self.fields = [f for f, _ in theory.field_pairs()]
+        coordinates = {f.name for f in self.fields}
+        for key, comp in nu.items():
+            if key not in coordinates:
+                raise SymplecticError(f"nu_{key}: {key} is not a coordinate of the chart")
+            if comp.theory is not theory:
+                raise SymplecticError(f"nu_{key} belongs to another theory than the chart")
         self.nu = {f.name: nu.get(f.name, Expression.zero(theory)) for f in self.fields}
         for f in self.fields:
             comp = self.nu[f.name]
@@ -43,52 +48,57 @@ class TargetChart:
                 raise SymplecticError("nu components must be functions of base coordinates")
         self._omega: Optional[list[list[Expression]]] = None
         self._pi: Optional[list[list[Expression]]] = None
+        self._pi_rows: list[dict[int, Expression]] = []
 
     # -- two-form, Poisson tensor, brackets ------------------------------
 
     def two_form(self) -> list[list[Expression]]:
-        """omega_ab = d_a nu_b - (-1)^{pa(a)pa(b)} d_b nu_a."""
+        """omega_ab = d_a nu_b - (-1)^{pa(a)pa(b)} d_b nu_a, read off one jet
+        gradient per nu component.  Only the pairs (a, b) where d_a nu_b or
+        d_b nu_a is nonzero are formed; every other entry is zero."""
         if self._omega is not None:
             return self._omega
         n = len(self.fields)
-        omega = [[Expression.zero(self.theory)] * n for _ in range(n)]
-        for a, fa in enumerate(self.fields):
-            for b, fb in enumerate(self.fields):
-                term = partial_derivative(self.nu[fb.name], fa)
-                swap = partial_derivative(self.nu[fa.name], fb)
-                sign = -1 if (fa.parity * fb.parity) % 2 else 1
-                omega[a][b] = term - swap * sign
+        index = {f: a for a, f in enumerate(self.fields)}
+        # grads[b][a] = d_a nu_b, nonzero entries only
+        grads = [{index[s]: d for s, d in jet_gradient(self.nu[f.name]).items() if s in index}
+                 for f in self.fields]
+        pairs = {p for b, grad in enumerate(grads) for a in grad for p in ((a, b), (b, a))}
+        zero = Expression.zero(self.theory)
+        omega = [[zero] * n for _ in range(n)]
+        for a, b in pairs:
+            sign = -1 if (self.fields[a].parity * self.fields[b].parity) % 2 else 1
+            omega[a][b] = grads[b].get(a, zero) - grads[a].get(b, zero) * sign
         self._omega = omega
         return omega
 
     def poisson_tensor(self) -> list[list[Expression]]:
         """Solve (-1)^{pa(a)} pi^{ab} omega_bc = delta^a_c by exact Gaussian
-        elimination; inverse() atoms appear only for non-constant pivots and
-        the signed-identity post-check is mandatory."""
+        elimination on sparse rows; inverse() atoms appear only for
+        non-constant pivots.  The signed-identity post-check and the
+        symmetry check are mandatory; like the parity signs, they visit only
+        nonzero entries, so the cost follows the nonzeros of omega and pi."""
         if self._pi is not None:
             return self._pi
         omega = self.two_form()
         n = len(self.fields)
-        if all(all(e.is_structural_zero() for e in row) for row in omega):
+        if not any(_nonzero_rows(omega)):
             raise SymplecticError("two-form is zero: not symplectic")
         inv = _matrix_right_inverse(self.theory, omega)
         if inv is None:
             raise SymplecticError("two-form is degenerate: not symplectic")
-        pi = [[inv[a][b] * (-1 if self.fields[a].parity else 1) for b in range(n)]
-              for a in range(n)]
-        for a in range(n):
-            sa = -1 if self.fields[a].parity else 1
-            for c in range(n):
-                acc = Expression.sum(self.theory, (pi[a][b] * omega[b][c] for b in range(n)))
-                want = Expression.const(self.theory, 1 if a == c else 0)
-                if not is_zero(acc * sa - want):
-                    raise SymplecticError("post-check pi.omega = signed identity failed")
-        for a in range(n):
-            for b in range(n):
-                sign = -1 if (self.fields[a].parity * self.fields[b].parity) % 2 else 1
-                if not is_zero(pi[a][b] + pi[b][a] * sign):
-                    raise SymplecticError("Poisson tensor symmetry check failed")
-        self._pi = pi
+        signs = [-1 if f.parity else 1 for f in self.fields]
+        rows = [{b: e * signs[a] for b, e in row.items()}
+                for a, row in enumerate(_nonzero_rows(inv))]
+        zero = Expression.zero(self.theory)
+        pi = [[row.get(b, zero) for b in range(n)] for row in rows]
+        if not _signed_identity_holds(self.theory, pi, omega, signs):
+            raise SymplecticError("post-check pi.omega = signed identity failed")
+        for a, b in sorted({(min(a, b), max(a, b)) for a, row in enumerate(rows) for b in row}):
+            sign = -1 if (self.fields[a].parity * self.fields[b].parity) % 2 else 1
+            if not is_zero(pi[a][b] + pi[b][a] * sign):
+                raise SymplecticError("Poisson tensor symmetry check failed")
+        self._pi, self._pi_rows = pi, rows
         return pi
 
     def jacobi_residual(self, pi: Optional[list[list[Expression]]] = None) -> list[Expression]:
@@ -98,6 +108,7 @@ class TargetChart:
         may be passed to test a hand-entered bivector."""
         if pi is None:
             pi = self.poisson_tensor()
+        rows = _nonzero_rows(pi)
         out = []
         n = len(self.fields)
         for a in range(n):
@@ -109,17 +120,18 @@ class TargetChart:
                 sign = -1 if (pa * pc) % 2 else 1
                 for dd in range(n):
                     fd = Expression.symbol(self.theory, self.fields[dd])
-                    res = self._bracket_with(pi, fa, self._bracket_with(pi, fc, fd)) \
-                        - self._bracket_with(pi, self._bracket_with(pi, fa, fc), fd) \
-                        - self._bracket_with(pi, fc, self._bracket_with(pi, fa, fd)) * sign
+                    res = self._bracket_with(rows, fa, self._bracket_with(rows, fc, fd)) \
+                        - self._bracket_with(rows, self._bracket_with(rows, fa, fc), fd) \
+                        - self._bracket_with(rows, fc, self._bracket_with(rows, fa, fd)) * sign
                     if not is_zero(res):
                         out.append(res)
         return out
 
-    def _bracket_with(self, pi: list[list[Expression]], f: Expression,
+    def _bracket_with(self, rows: list[dict[int, Expression]], f: Expression,
                       g: Expression) -> Expression:
         """{f, g} = (-1)^{(pa(f)+pa(a))pa(b)} pi^{ab} d_a f d_b g for the
-        bivector pi; each operand is differentiated once per call."""
+        bivector pi given by its nonzero rows {b: pi^{ab}}; each operand is
+        differentiated once per call."""
         dg = jet_gradient(g)
         pieces: list[Expression] = []
         for sf, fp in f.sigma_parts():
@@ -128,16 +140,18 @@ class TargetChart:
                 da = df.get(fa)
                 if da is None:
                     continue
-                for b, fb in enumerate(self.fields):
+                for b, pab in rows[a].items():
+                    fb = self.fields[b]
                     db = dg.get(fb)
-                    if db is None or pi[a][b].is_structural_zero():
+                    if db is None:
                         continue
                     sign = -1 if ((sf + fa.parity) * fb.parity) % 2 else 1
-                    pieces.append((pi[a][b] * da * db) * sign)
+                    pieces.append((pab * da * db) * sign)
         return Expression.sum(self.theory, pieces)
 
     def poisson_bracket(self, f: Expression, g: Expression) -> Expression:
-        return self._bracket_with(self.poisson_tensor(), f, g)
+        self.poisson_tensor()
+        return self._bracket_with(self._pi_rows, f, g)
 
 
 def build_covariant_theory(chart: TargetChart) -> Expression:

@@ -17,7 +17,7 @@ from typing import Optional
 
 from .coefficients import quotient
 from .expression import (Expression, _multiply_accumulate, is_zero, iterated_total,
-                         jet_gradient, jet_partial, total_derivative)
+                         jet_gradient, total_derivative)
 from .symbols import GradedSymbol, Kind, Theory, TheoryError, antifield_name
 
 
@@ -329,18 +329,16 @@ class EtaleMap:
                     if s.jet_order != 0 or s.kind != Kind.FIELD_JET:
                         raise TheoryError("images must be functions of source fields")
         src_fields = [fld for fld, _ in source.field_pairs()]
-        jac = [[jet_partial(images[fb.name], fa) for fa in src_fields]
-               for fb in tgt_fields]
+        zero = Expression.zero(source)
+        jac = []
+        for fb in tgt_fields:
+            grad = jet_gradient(images[fb.name])
+            jac.append([grad.get(fa, zero) for fa in src_fields])
         inv = _matrix_right_inverse(source, jac)
         if inv is None:
             raise TheoryError("Jacobian is not invertible: map is not etale")
-        n = len(src_fields)
-        for b in range(n):
-            for c in range(n):
-                want = 1 if b == c else 0
-                lhs = Expression.sum(source, (jac[b][a] * inv[a][c] for a in range(n)))
-                if not is_zero(lhs - Expression.const(source, want)):
-                    raise TheoryError("Jacobian inverse check failed")
+        if not _signed_identity_holds(source, jac, inv):
+            raise TheoryError("Jacobian inverse check failed")
         self._images: dict[GradedSymbol, Expression] = {}
         for j, fld in enumerate(tgt_fields):
             self._images[target.symbol(fld.name)] = images[fld.name]
@@ -362,21 +360,56 @@ class EtaleMap:
         return dict(self._images)
 
 
+def _nonzero_rows(mat) -> list[dict[int, Expression]]:
+    """Each row of a matrix as {column: entry} over the entries that are not
+    structurally zero, in column order."""
+    return [{j: e for j, e in enumerate(row) if e.terms} for row in mat]
+
+
+def _signed_identity_holds(theory: Theory, left, right, signs=None) -> bool:
+    """Whether signs[a] * sum_b left[a][b] right[b][c] = delta_ac for every
+    a and c (every sign +1 by default), with the products formed over
+    nonzero entries only: for each row a, each b with left[a][b] != 0 and
+    each c with right[b][c] != 0.  An entry that no product reaches is 0,
+    which holds off the diagonal and fails on it."""
+    right_rows = _nonzero_rows(right)
+    for a, row in enumerate(_nonzero_rows(left)):
+        pieces: dict[int, list[Expression]] = {}
+        for b, lab in row.items():
+            for c, rbc in right_rows[b].items():
+                pieces.setdefault(c, []).append(lab * rbc)
+        if a not in pieces:
+            return False
+        for c, ps in pieces.items():
+            acc = Expression.sum(theory, ps)
+            if signs is not None:
+                acc = acc * signs[a]
+            if not is_zero(acc - Expression.const(theory, 1 if a == c else 0)):
+                return False
+    return True
+
+
 def _matrix_right_inverse(theory: Theory, mat) -> Optional[list[list[Expression]]]:
     """Solve M X = I by Gaussian elimination over the supercommutative
-    coefficient ring; pivots must be invertible (even); inverse() atoms are
-    introduced only for non-constant pivots."""
+    coefficient ring, or return None when some column has no invertible
+    pivot.  Each row of the augmented matrix [M | I] is kept as a
+    {column: entry} dict of its nonzero entries, so a row update touches
+    only the pivot row's nonzero columns and the work follows the nonzeros.
+    The pivot of a column is scanned for from the diagonal down, must be
+    invertible (even), and a constant one is taken first; inverse() atoms
+    are introduced only for non-constant pivots.  X is returned dense."""
     from .expression import inverse_of
     n = len(mat)
-    aug = [[mat[i][j] for j in range(n)] +
-           [Expression.const(theory, 1 if i == j else 0) for j in range(n)]
-           for i in range(n)]
+    zero = Expression.zero(theory)
+    aug = [{j: mat[i][j] for j in range(n) if mat[i][j].terms} for i in range(n)]
+    for i, row in enumerate(aug):
+        row[n + i] = Expression.const(theory, 1)
     for col in range(n):
         piv = None
         best = None
         for r in range(col, n):
-            e = aug[r][col]
-            if e.is_structural_zero():
+            e = aug[r].get(col)
+            if e is None:
                 continue
             sig = e.sign_degree()
             if sig != 0:
@@ -394,12 +427,21 @@ def _matrix_right_inverse(theory: Theory, mat) -> Optional[list[list[Expression]
             pinv = Expression.const(theory, quotient(1, p.terms[0].coef))
         else:
             pinv = inverse_of(p)
-        aug[col] = [pinv * e for e in aug[col]]
+        pivot_row = {}
+        for j, e in aug[col].items():
+            pe = pinv * e
+            if pe.terms:
+                pivot_row[j] = pe
+        aug[col] = pivot_row
         for r in range(n):
-            if r == col:
+            row = aug[r]
+            factor = row.get(col)
+            if r == col or factor is None:
                 continue
-            factor = aug[r][col]
-            if factor.is_structural_zero():
-                continue
-            aug[r] = [aug[r][j] - factor * aug[col][j] for j in range(2 * n)]
-    return [[aug[i][n + j] for j in range(n)] for i in range(n)]
+            for j, pe in pivot_row.items():
+                e = row.get(j, zero) - factor * pe
+                if e.terms:
+                    row[j] = e
+                else:
+                    row.pop(j, None)
+    return [[aug[i].get(n + j, zero) for j in range(n)] for i in range(n)]

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from bvcov import aksz
 from bvcov.symbols import Theory, TheoryError
 from bvcov.expression import (Expression, embed, inverse_of, is_zero,
                               partial_derivative, total_derivative)
@@ -18,6 +19,7 @@ from bvcov.models import (apply_relations, bc_system, betagamma_system,
                           spinning_pipeline)
 from bvcov.varcalc import EtaleMap, functional_equal
 from conftest import HomogeneousSampler, eps_parts, u_parts, u_series
+from dense_oracle import dense_poisson_tensor, dense_two_form, keys
 from paper_intro import (_with_worldline_form, composite_form, intro_action,
                          intro_transformations)
 
@@ -530,3 +532,136 @@ def test_relations_apply_in_a_product_theory():
     c = Expression.of(prod, "c")
     assert apply_relations(F) != F
     assert apply_relations(embed(F, prod) * c) == embed(apply_relations(F), prod) * c
+
+
+# -- the sparse symplectic inversion against the dense oracle ---------------
+
+
+LIBRARY_CHARTS = [(build, dim) for build in (flat_particle, magnetic_particle,
+                                              flat_spinning_particle, curved_spinning_particle)
+                  for dim in (1, 2, 3, 4)] + [(bc_system, None), (betagamma_system, None)]
+
+
+def _fresh_chart(build, dim) -> TargetChart:
+    """The library chart of a model, rebuilt so nothing is cached on it."""
+    model = build() if dim is None else build(dim)
+    return TargetChart(model.theory, model.chart.nu)
+
+
+@pytest.mark.parametrize("build,dim", LIBRARY_CHARTS,
+                         ids=[f"{b.__name__}-{d}" for b, d in LIBRARY_CHARTS])
+def test_sparse_two_form_and_poisson_tensor_match_dense_oracle(build, dim):
+    chart = _fresh_chart(build, dim)
+    assert keys(chart.two_form()) == keys(dense_two_form(chart))
+    want = dense_poisson_tensor(chart)
+    assert want not in (None, False)
+    assert keys(chart.poisson_tensor()) == keys(want)
+
+
+@pytest.mark.parametrize("build,dim", [(flat_particle, 3), (flat_spinning_particle, 3),
+                                       (bc_system, None), (betagamma_system, None)])
+def test_constant_poisson_tensor_is_the_exact_inverse(build, dim):
+    """pi^{ab} = (-1)^{pa(a)} (omega^-1)^{ab} against sympy's exact inverse."""
+    sympy = pytest.importorskip("sympy")
+    chart = _fresh_chart(build, dim)
+    omega = chart.two_form()
+    for row in omega:
+        for e in row:
+            assert all(not t.mono and not t.atoms for t in e.terms)
+    inv = sympy.Matrix([[sympy.Rational(str(e.constant_part())) for e in row]
+                        for row in omega]).inv()
+    pi = chart.poisson_tensor()
+    for a, fa in enumerate(chart.fields):
+        for b in range(len(chart.fields)):
+            q = inv[a, b] * (-1 if fa.parity else 1)
+            assert pi[a][b] == Expression.const(chart.theory, Fraction(int(q.p), int(q.q)))
+
+
+def _corrupted_inverse(corrupt):
+    """A stand-in for the inverse that `poisson_tensor` receives: the true
+    inverse with `corrupt(inv, omega)` applied."""
+    true_inverse = aksz._matrix_right_inverse
+
+    def invert(theory, omega):
+        inv = true_inverse(theory, omega)
+        corrupt(inv, omega)
+        return inv
+    return invert
+
+
+def _drop_diagonal_producer(inv, omega):
+    b = next(b for b in range(len(inv)) if inv[0][b].terms and omega[b][0].terms)
+    inv[0][b] = Expression.zero(omega[0][0].theory)
+
+
+def _flip_off_diagonal(inv, omega):
+    a, b = next((a, b) for a in range(len(inv)) for b in range(len(inv))
+                if a != b and inv[a][b].terms)
+    inv[a][b] = -inv[a][b]
+
+
+def _add_spurious_entry(inv, omega):
+    a, b = next((a, b) for a in range(len(inv)) for b in range(len(inv))
+                if not inv[a][b].terms
+                and any(c != a and omega[b][c].terms for c in range(len(inv))))
+    inv[a][b] = Expression.const(omega[0][0].theory, 1)
+
+
+@pytest.mark.parametrize("corrupt", [_drop_diagonal_producer, _flip_off_diagonal,
+                                     _add_spurious_entry])
+def test_post_check_catches_a_corrupted_inverse(monkeypatch, corrupt):
+    chart = _fresh_chart(magnetic_particle, 2)
+    monkeypatch.setattr(aksz, "_matrix_right_inverse", _corrupted_inverse(corrupt))
+    with pytest.raises(SymplecticError, match="post-check"):
+        chart.poisson_tensor()
+
+
+def test_symmetry_check_catches_an_asymmetric_inverse(monkeypatch):
+    """omega = [[0, 1], [2, 0]] is not antisymmetric, so its inverse passes
+    the signed-identity post-check and fails the symmetry check."""
+    t = Theory("skewless")
+    t.add_field("q", 0, 0)
+    t.add_field("r", 0, 0)
+    chart = TargetChart(t, {"q": Expression.of(t, "r")})
+    zero, one, two = (Expression.const(t, k) for k in (0, 1, 2))
+    monkeypatch.setattr(chart, "two_form", lambda: [[zero, one], [two, zero]])
+    with pytest.raises(SymplecticError, match="symmetry check failed"):
+        chart.poisson_tensor()
+
+
+def test_poisson_tensor_multiplies_only_nonzero_entries(monkeypatch):
+    """omega of the dim-8 flat spinning particle has 24 nonzeros of 576; the
+    dense inversion and post-checks made 17,280 products here."""
+    model = flat_spinning_particle(8)
+    chart = TargetChart(model.theory, model.chart.nu)
+    calls = 0
+    mul = Expression.__mul__
+
+    def counting(self, other):
+        nonlocal calls
+        calls += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(Expression, "__mul__", counting)
+    chart.poisson_tensor()
+    assert calls < 240
+
+
+def _xp_theory() -> Theory:
+    t = Theory("xypq")
+    for name in ("x", "y", "p", "q"):
+        t.add_field(name, 0, 0)
+    return t
+
+
+def test_target_chart_refuses_a_nu_key_that_is_not_a_coordinate():
+    t = _xp_theory()
+    p, q, x = (Expression.of(t, n) for n in ("p", "q", "x"))
+    with pytest.raises(SymplecticError, match="nu_z: z is not a coordinate"):
+        TargetChart(t, {"x": p, "y": q, "z": x})
+
+
+def test_target_chart_refuses_a_nu_component_of_another_theory():
+    t, other = _xp_theory(), _xp_theory()
+    with pytest.raises(SymplecticError, match="nu_y belongs to another theory"):
+        TargetChart(t, {"x": Expression.of(t, "p"), "y": Expression.of(other, "q")})

@@ -8,10 +8,11 @@ trees, no field or `self` attribute of a package class is written without
 being read anywhere in them, no `_print_check` call of the package passes
 a literal verdict, every `ParseError` of the parser names a column, only
 the chain rule `_atom_partials` reads an atom's gradient, only the Soloviev
-kernel calls the packed multiply-accumulate, every name the benchmark
-reaches still exists, the reference algebra of `tests/`
-reaches no module of the package, and no function of the package writes
-to a module-level dict, list or set."""
+kernel calls the packed multiply-accumulate, only a chart's Poisson tensor
+and an etale map's Jacobian call the sparse inverse and its signed-identity
+check, every name the benchmark reaches still exists, the reference algebra
+of `tests/` reaches no module of the package, and no function of the
+package writes to a module-level dict, list or set."""
 
 import ast
 import sys
@@ -332,6 +333,16 @@ def test_only_the_total_derivative_raises_jets():
     """One D on symbols: `total_derivative` is the only code that raises a
     jet order; every other reader of D goes through it."""
     assert callers(_trees()[0], "jet_bump") == ["expression.py:total_derivative"]
+
+
+def test_the_sparse_inverse_and_its_check_serve_two_callers():
+    """The sparse inversion and its signed-identity check run where an
+    exact inverse is needed, a chart's Poisson tensor and an etale map's
+    Jacobian, and nowhere else."""
+    package = _trees()[0]
+    for name in ("_matrix_right_inverse", "_signed_identity_holds"):
+        assert sorted(callers(package, name)) == [
+            "aksz.py:TargetChart.poisson_tensor", "varcalc.py:EtaleMap.__init__"], name
 
 
 def _attribute_reads(tree: ast.AST) -> set[str]:

@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bvcov import parser, varcalc
 from bvcov.coefficients import FuncAtom
 from bvcov.curved import BElement, b_bracket, u_bracket
 from bvcov.symbols import Kind, Theory, TheoryError
@@ -14,11 +16,15 @@ from bvcov.expression import (Expression, base_expression, inverse_of, is_zero,
                               total_derivative)
 from bvcov.varcalc import (EtaleMap, EvolutionaryVectorField, RescalingError,
                            _check_polynomial_in_jets, _jet_degree_parts,
+                           _matrix_right_inverse, _signed_identity_holds,
                            ad_expansion, bv_antibracket, euler,
                            functional_equal, hamiltonian_vf,
                            is_total_derivative, prolong, soloviev)
 from conftest import (HomogeneousSampler, antifield_counting_field, eps_parts, u_parts,
                       u_series)
+from dense_oracle import dense_etale_images, dense_right_inverse, dense_signed_identity, keys
+
+THEORIES = Path(__file__).resolve().parent.parent / "theories"
 
 
 def sgn(b):
@@ -303,6 +309,105 @@ def test_etale_rejects_singular_jacobian(etale_pair):
     with pytest.raises(TheoryError):
         EtaleMap(src, tgt, {"X": Expression.of(src, "x_1"),
                             "P": Expression.of(src, "x_1")})
+
+
+# -- the sparse inversion against the dense oracle ---------------------------
+
+
+def _inverse_outcome(invert, theory, mat):
+    """An inversion's result as keys, or the text of the error it raised."""
+    try:
+        return keys(invert(theory, mat))
+    except TheoryError as exc:
+        return f"raised: {exc}"
+
+
+def _random_sparse_matrix(rng: random.Random, t: Theory, n: int,
+                          nilpotent: bool = True) -> list[list[Expression]]:
+    """An even invertible-looking diagonal and about a quarter of the other
+    entries nonzero, rows shuffled: constants, function atoms, polynomial
+    entries, odd entries and, if `nilpotent`, even nilpotent ones, whose
+    inverse the engine refuses."""
+    x, th, eta = (Expression.of(t, s) for s in ("x", "th", "eta"))
+    f = Expression.func(t, "f")
+    even = [lambda c: Expression.const(t, c), lambda c: f * c + 1, lambda c: x * c]
+    kinds = even + [lambda c: th * c] + [lambda c: th * eta * c + c] * nilpotent
+
+    def entry(choices):
+        return rng.choice(choices)(rng.choice((1, -1, 2, Fraction(1, 3), -3)))
+
+    zero = Expression.zero(t)
+    mat = [[entry(even) if i == j else entry(kinds) if rng.random() < 0.25 else zero
+            for j in range(n)] for i in range(n)]
+    rng.shuffle(mat)
+    return mat
+
+
+def test_sparse_inverse_matches_dense_oracle_on_random_matrices():
+    t = Theory("random_matrices")
+    t.add_field("x", 0, 0)
+    t.add_field("th", 1, 1)
+    t.add_field("eta", -1, 1)
+    t.add_function("f", ["x"])
+    rng = random.Random(30)
+    outcomes = {"inverted": 0, "singular": 0, "raised": 0}
+    for i in range(200):
+        n = rng.randint(1, 6)
+        singular = i % 5 == 0
+        mat = _random_sparse_matrix(rng, t, n, nilpotent=not singular)
+        if singular:      # a zero row or column leaves some column without a pivot
+            k = rng.randrange(n)
+            for j in range(n):
+                if i % 10 == 0:
+                    mat[k][j] = Expression.zero(t)
+                else:
+                    mat[j][k] = Expression.zero(t)
+        want = _inverse_outcome(dense_right_inverse, t, mat)
+        assert _inverse_outcome(_matrix_right_inverse, t, mat) == want, i
+        if singular:
+            assert want is None, i
+        if want is None:
+            outcomes["singular"] += 1
+        elif isinstance(want, str):
+            outcomes["raised"] += 1
+        else:
+            outcomes["inverted"] += 1
+            inv = _matrix_right_inverse(t, mat)
+            assert _signed_identity_holds(t, mat, inv) == dense_signed_identity(t, mat, inv), i
+    # the sample reaches every branch: inverses, missing pivots and refusals
+    assert min(outcomes.values()) > 0, outcomes
+    assert outcomes["inverted"] >= 100, outcomes
+
+
+def test_cylinder_overlap_etale_maps_match_dense_oracle(monkeypatch):
+    made = []
+
+    class Recording(EtaleMap):
+        def __init__(self, source, target, images):
+            super().__init__(source, target, images)
+            made.append((source, target, images, self))
+
+    monkeypatch.setattr(parser, "EtaleMap", Recording)
+    parser.parse_theory_file((THEORIES / "cylinder_flux.bvt").read_text(encoding="utf-8"))
+    assert len(made) == 2    # the overlap's maps from U0 and from U1
+    for source, target, images, emap in made:
+        want = dense_etale_images(source, target, images)
+        got = emap.generator_images()
+        assert list(got) == list(want)
+        assert [e.key() for e in got.values()] == [e.key() for e in want.values()]
+
+
+def test_corrupted_etale_inverse_is_caught(monkeypatch, etale_pair):
+    src, tgt = etale_pair
+
+    def flipped(theory, mat):
+        inv = _matrix_right_inverse(theory, mat)
+        inv[0][0] = -inv[0][0]
+        return inv
+
+    monkeypatch.setattr(varcalc, "_matrix_right_inverse", flipped)
+    with pytest.raises(TheoryError, match="Jacobian inverse check failed"):
+        quadratic_map(src, tgt)
 
 
 # -- the bracket kernel against the double sum it replaces -------------------
