@@ -341,18 +341,15 @@ def log_of(expr: Expression) -> Expression:
 # -- normalization ----------------------------------------------------------
 
 
-def _unit_symbol(terms: Sequence[Term]) -> Optional[GradedSymbol]:
-    """s when the terms are one unit generator s: coefficient 1, no atom, s
-    at exponent 1; else None."""
+def _single_symbol_base(theory: Theory, key: str) -> Optional[GradedSymbol]:
+    """s when the pow base `key` is one unit generator s: coefficient 1, no
+    atom, s at exponent 1; else None."""
+    terms = base_expression(theory, key).terms
     if len(terms) == 1:
         t = terms[0]
         if t.coef == 1 and not t.atoms and len(t.mono) == 1 and t.mono[0][1] == 1:
             return t.mono[0][0]
     return None
-
-
-def _single_symbol_base(theory: Theory, key: str) -> Optional[GradedSymbol]:
-    return _unit_symbol(base_expression(theory, key).terms)
 
 
 def _normalize_term(theory: Theory, coef: Rat, atoms: Sequence[tuple[Atom, int]],
@@ -479,10 +476,9 @@ def _single(theory: Theory, coef, atoms: Atoms, mono: Mono) -> Expression:
 # atoms: single-symbol pow bases into the monomial, compound integer powers
 # multiplied out.  This crossing count is the engine's one Koszul sign.  The
 # term order is not multiplicative (x < y but x*x > x*y), so the products
-# are sorted once by `_merge_runs` rather than heap-merged.  A product by a
-# unit generator, the commonest one (dt_i, u, eps, t_j, a raised jet), is
-# the same merge with one symbol on one side, so `_insert_generator` writes
-# it as an insertion into each term.
+# are sorted once by `_merge_runs` rather than heap-merged.  `_merge_pair`
+# is the one term product: it reads both factors in place, so a unit
+# generator (dt_i, u, eps, t_j, a raised jet) is a run of length one.
 
 
 def _pows(theory: Theory, t: Term):
@@ -494,14 +490,6 @@ def _pows(theory: Theory, t: Term):
     bases = tuple(a.base_key for a, _ in t.atoms if isinstance(a, PowerAtom))
     return bases, tuple(s for s in (_single_symbol_base(theory, b) for b in bases)
                         if s is not None)
-
-
-def _layout(theory: Theory, t: Term) -> tuple:
-    """(t, [(sort key, (symbol, exponent), odd)] of its monomial, odd count,
-    `_pows`)."""
-    k = t.key
-    entries = [(k[1 + 2 * i], se, se[0].sign_degree) for i, se in enumerate(t.mono)]
-    return t, entries, sum(o for _, _, o in entries), _pows(theory, t)
 
 
 def _meets(symbols: tuple, mono: Mono) -> bool:
@@ -550,96 +538,56 @@ def _merge_atoms(a1: Atoms, k1: tuple, a2: Atoms, k2: tuple) -> tuple[Atoms, tup
     return tuple(atoms), tuple(keys)
 
 
-def _merge_pair(coef, t1: Term, m1: list, odd_left: int, t2: Term, m2: list) -> Optional[Term]:
-    """The product of two canonical terms (laid out by `_layout`) whose pow
-    atoms do not collide, with coefficient `coef` before the Koszul sign;
-    None when it vanishes."""
+def _merge_pair(coef, t1: Term, odd_left: int, t2: Term) -> Optional[Term]:
+    """The product of two canonical terms whose pow atoms do not collide,
+    with coefficient `coef` before the Koszul sign; None when it vanishes.
+    `odd_left` counts t1's odd symbols.  A two-way merge of the monomials
+    in place, reading the i-th symbol's sort key at key[1 + 2*i]."""
     if not t2.atoms:
         atoms, akey = t1.atoms, t1.key[0]
     elif not t1.atoms:
         atoms, akey = t2.atoms, t2.key[0]
     else:
         atoms, akey = _merge_atoms(t1.atoms, t1.key[0], t2.atoms, t2.key[0])
+    m1, m2, k1, k2 = t1.mono, t2.mono, t1.key, t2.key
     if not m2:
-        return Term(coef, atoms, t1.mono, t1.key if akey is t1.key[0] else (akey,) + t1.key[1:])
+        return Term(coef, atoms, m1, k1 if akey is k1[0] else (akey,) + k1[1:])
     if not m1:
-        return Term(coef, atoms, t2.mono, t2.key if akey is t2.key[0] else (akey,) + t2.key[1:])
+        return Term(coef, atoms, m2, k2 if akey is k2[0] else (akey,) + k2[1:])
     mono: list = []
     key: list = [akey]
     negative = False
     i = j = 0
     n1, n2 = len(m1), len(m2)
     while i < n1 and j < n2:
-        k1, se1, o1 = m1[i]
-        k2, se2, o2 = m2[j]
-        if se1[0] is se2[0]:
-            if o1:
+        se1, se2 = m1[i], m2[j]
+        s1, s2 = se1[0], se2[0]
+        if s1 is s2:
+            if s1.sign_degree:
                 return None
             e = se1[1] + se2[1]
-            mono.append((se1[0], e))
-            key += (k1, e)
+            mono.append((s1, e))
+            key += (k1[1 + 2 * i], e)
             i += 1
             j += 1
-        elif k1 < k2:
-            mono.append(se1)
-            key += (k1, se1[1])
-            odd_left -= o1
-            i += 1
         else:
-            mono.append(se2)
-            key += (k2, se2[1])
-            if o2 and odd_left & 1:
-                negative = not negative
-            j += 1
-    mono += t1.mono[i:]
-    key += t1.key[1 + 2 * i:]
-    mono += t2.mono[j:]
-    key += t2.key[1 + 2 * j:]
+            x, y = k1[1 + 2 * i], k2[1 + 2 * j]
+            if x < y:
+                mono.append(se1)
+                key += (x, se1[1])
+                odd_left -= s1.sign_degree
+                i += 1
+            else:
+                mono.append(se2)
+                key += (y, se2[1])
+                if s2.sign_degree and odd_left & 1:
+                    negative = not negative
+                j += 1
+    mono += m1[i:]
+    key += k1[1 + 2 * i:]
+    mono += m2[j:]
+    key += k2[1 + 2 * j:]
     return Term(-coef if negative else coef, atoms, tuple(mono), tuple(key))
-
-
-def _has_pow(terms: Sequence[Term]) -> bool:
-    return any(t.atoms and isinstance(t.atoms[-1][0], PowerAtom) for t in terms)
-
-
-def _insert_generator(theory: Theory, s: GradedSymbol, terms: Sequence[Term],
-                      left: bool) -> tuple[Term, ...]:
-    """s * terms (left) or terms * s for canonical terms without a pow atom:
-    s goes into its sorted slot in each term, its exponent + 1 if s is even
-    and present, the term dropped if s is odd and present, and the sign the
-    parity of the odd symbols s passes, those before its slot as left factor
-    and those after it as right factor.  `_merge_pair`'s result, pair by
-    pair, without laying out either factor."""
-    return _merge_runs(_inserted(theory, s, terms, left))
-
-
-def _inserted(theory: Theory, s: GradedSymbol, terms: Sequence[Term],
-              left: bool) -> list[Term]:
-    """The terms of `_insert_generator`, one per input term that survives,
-    before they are summed."""
-    ks = theory.sort_key(s)
-    odd = s.sign_degree
-    out: list[Term] = []
-    for t in terms:
-        mono, key = t.mono, t.key
-        n = len(mono)
-        i = 0
-        while i < n and key[1 + 2 * i] < ks:
-            i += 1
-        if i < n and mono[i][0] is s:
-            if odd:
-                continue
-            e = mono[i][1] + 1
-            out.append(Term(t.coef, t.atoms, mono[:i] + ((s, e),) + mono[i + 1:],
-                            key[:2 + 2 * i] + (e,) + key[3 + 2 * i:]))
-            continue
-        coef = t.coef
-        # an odd symbol has exponent 1
-        if odd and sum(x.sign_degree for x, _ in (mono[:i] if left else mono[i:])) & 1:
-            coef = -coef
-        out.append(Term(coef, t.atoms, mono[:i] + ((s, 1),) + mono[i:],
-                        key[:1 + 2 * i] + (ks, 1) + key[1 + 2 * i:]))
-    return out
 
 
 def _form_rows(form: Sequence[Term]) -> tuple[tuple[Term, ...], tuple[tuple, ...]]:
@@ -685,25 +633,16 @@ def _splice_forms(theory: Theory, form: tuple, value: Sequence[Term]) -> list[Te
 
 
 def _product(theory: Theory, left: Sequence[Term], right: Sequence[Term]) -> tuple[Term, ...]:
-    """Canonical product of two canonical term tuples.  A unit generator
-    times pow-free terms, on either side, is inserted
-    (`_insert_generator`); a pow atom keeps the merge path, since a
-    single-symbol base could fold with the generator."""
-    if not left or not right:
-        return ()
-    s = _unit_symbol(left)
-    if s is not None and not _has_pow(right):
-        return _insert_generator(theory, s, right, True)
-    s = _unit_symbol(right)
-    if s is not None and not _has_pow(left):
-        return _insert_generator(theory, s, left, False)
-    rows = [_layout(theory, t) for t in right]
+    """Canonical product of two canonical term tuples: every pair of terms
+    through `_merge_pair`, a pair with colliding pow atoms folded by
+    `_normalize_term`, then one `_merge_runs`."""
+    rows = [(t2, _pows(theory, t2)) for t2 in right]
     out: list[Term] = []
     for t1 in left:
-        t1, m1, odd1, p1 = _layout(theory, t1)
-        for t2, m2, _, p2 in rows:
-            coef = t1.coef * t2.coef
-            t = _merge_pair(coef, t1, m1, odd1, t2, m2)
+        odd1 = sum(s.sign_degree for s, _ in t1.mono)
+        p1 = _pows(theory, t1)
+        for t2, p2 in rows:
+            t = _merge_pair(t1.coef * t2.coef, t1, odd1, t2)
             if t is None:
                 continue
             if (p1 or p2) and _pow_collision(p1, t1, p2, t2):
@@ -729,7 +668,7 @@ def _product(theory: Theory, left: Sequence[Term], right: Sequence[Term]) -> tup
 # colliding pow atoms is one merged product, which `_normalize_term` folds
 # once for all of them (a canonical term never holds two pow atoms of one
 # base, nor a single-symbol base with its symbol, so every pair of such a
-# key collides).  Terms are laid out (`_layout`) only for the survivors.
+# key collides).
 
 
 def _pack(theory: Theory, terms: Sequence[Term], fields: dict, width: int,
@@ -795,20 +734,15 @@ def _multiply_accumulate(theory: Theory, jobs: Sequence[tuple]) -> tuple[Term, .
                 k = k1 + k2
                 got = acc.get(k)
                 if got is None:
-                    acc[k] = [c, negative, t1, t2,
+                    acc[k] = [c, negative, t1, o1, t2,
                               (p1 or p2) and _pow_collision(p1, t1, p2, t2)]
                 else:
                     got[0] += c
     out: list[Term] = []
-    layouts: dict[int, tuple] = {}
-    for c, negative, t1, t2, collide in acc.values():
+    for c, negative, t1, o1, t2, collide in acc.values():
         if c:
-            for t in (t1, t2):
-                if id(t) not in layouts:
-                    layouts[id(t)] = _layout(theory, t)
-            _, m1, n1, _ = layouts[id(t1)]
             # _merge_pair applies the first pair's sign to what it is given
-            t = _merge_pair(-c if negative else c, t1, m1, n1, t2, layouts[id(t2)][1])
+            t = _merge_pair(-c if negative else c, t1, o1.bit_count(), t2)
             if collide:
                 out += _normalize_term(theory, t.coef, t.atoms, t.mono)
             else:
@@ -1015,9 +949,8 @@ def total_derivative(expr: Expression) -> Expression:
     s_{k+1} is (kind, rank, k+1), right after s_k's, so no symbol lies
     between them, and D is even, so no sign enters.  If slot i+1 already
     holds s_{k+1}, its exponent rises by one (even) or the term vanishes
-    (odd).  The atoms' share is `_atom_partials`' with s_{+1} inserted
-    (`_inserted`); a raised jet is never a pow base (`intern_base` refuses
-    jets), so a pow atom needs no merge path here."""
+    (odd).  The atoms' share is `_atom_partials`' times s_{+1}, by
+    `_product`."""
     theory = expr.theory
     out: list[Term] = []
     for t in expr.terms:
@@ -1044,7 +977,8 @@ def total_derivative(expr: Expression) -> Expression:
                                 key[:at] + (theory.sort_key(b), f) + key[1 + 2 * j:]))
         if t.atoms:
             for s, terms in _atom_partials(theory, t, _is_jet, coef):
-                out += _inserted(theory, theory.jet_bump(s), terms, True)
+                out += _product(theory, Expression.symbol(theory, theory.jet_bump(s)).terms,
+                                terms)
     return Expression(theory, _merge_runs(out))
 
 
@@ -1091,21 +1025,15 @@ def odd_derivation(expr: Expression, images: dict[GradedSymbol, Expression]) -> 
     key (sign degree |s| + 1), else X is not an odd derivation and
     TheoryError is raised.
 
-    An image that is a unit generator g, such as dt_i, is inserted into
-    the terms of a partial without a pow atom (`_inserted`), any other image
-    multiplies its partial, and one `_merge_runs` sums everything."""
+    Each image multiplies its partial by `_product`, and one `_merge_runs`
+    sums everything."""
     theory = expr.theory
     for s, img in images.items():
         if img.terms and img.sign_degree() != 1 - s.sign_degree:
             raise TheoryError(f"odd_derivation: the image of {s.name} is not odd relative to it")
     out: list[Term] = []
     for s, ds in _gradient(expr, images.__contains__).items():
-        image = images[s].terms
-        g = _unit_symbol(image)
-        if g is not None and not _has_pow(ds.terms):
-            out += _inserted(theory, g, ds.terms, True)
-        else:
-            out += _product(theory, image, ds.terms)
+        out += _product(theory, images[s].terms, ds.terms)
     return Expression(theory, _merge_runs(out))
 
 

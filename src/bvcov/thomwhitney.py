@@ -262,8 +262,7 @@ def simplicial_pullback(nerve: CoverNerve, f: list[int], k: int, ell: int,
 
 def form_differential(value: Expression) -> Expression:
     """The simplex de Rham differential: t_i -> dt_i, as an odd left
-    derivation of the fused algebra.  Its images are unit generators, which
-    `odd_derivation` inserts."""
+    derivation of the fused algebra."""
     theory = value.theory
     return odd_derivation(value, {t: Expression.symbol(theory, dt)
                                   for t, dt in theory.simplex_pairs()})

@@ -329,6 +329,9 @@ class EtaleMap:
                     if s.jet_order != 0 or s.kind != Kind.FIELD_JET:
                         raise TheoryError("images must be functions of source fields")
         src_fields = [fld for fld, _ in source.field_pairs()]
+        if len(src_fields) != len(tgt_fields):
+            raise TheoryError(f"{source.name} has {len(src_fields)} fields and {target.name} "
+                              f"has {len(tgt_fields)}: an etale map needs as many of each")
         zero = Expression.zero(source)
         jac = []
         for fb in tgt_fields:

@@ -550,33 +550,21 @@ def test_mul_pinned_cases():
             assert prod == Expression.sum(t, expected)
 
 
-def _merge_path(t, left, right) -> tuple:
-    """The product by `_product`'s merge path: every pair of pow-free terms
-    through `_merge_pair`, then one `_merge_runs`."""
-    out = []
-    for t1 in left:
-        _, m1, n1, _ = expression._layout(t, t1)
-        for t2 in right:
-            p = expression._merge_pair(t1.coef * t2.coef, t1, m1, n1, t2,
-                                       expression._layout(t, t2)[1])
-            if p is not None:
-                out.append(p)
-    return expression._merge_runs(out)
+def _merge(coef, t1, t2):
+    """`_merge_pair` of two terms, t1's odd symbols counted here."""
+    return expression._merge_pair(coef, t1, sum(s.sign_degree for s, _ in t1.mono), t2)
 
 
-def test_generator_insertion_matches_the_merge_path(monkeypatch):
-    """A unit generator times pow-free terms, as left and as right factor,
-    is inserted into each term, and agrees term by term, key and
-    coefficient, with the merge path: odd and even generators, jets and the
-    flow parameter, generators already in the term (an odd one kills it),
-    Fraction coefficients, function and log atoms."""
+def test_unit_generator_products_match_bruteforce():
+    """A unit generator times seeded expressions, as left and as right
+    factor, agrees term by term, key and coefficient, with the bruteforce
+    product: odd and even generators, jets and the flow parameter,
+    generators already in the term (an odd one kills it), Fraction
+    coefficients, function and log atoms; and pow atoms, among them
+    single-symbol bases that fold with their own generator."""
     t, atoms, symbols = _oracle_pools()
     build = _builder(t, atoms, symbols)
     rng = random.Random(29)
-    inserted = []
-    real = expression._insert_generator
-    monkeypatch.setattr(expression, "_insert_generator",
-                        lambda *args: inserted.append(args[1]) or real(*args))
     present = killed = fractions = 0
     for _ in range(80):
         a = build([(rng.choice([1, -1, 2, Fraction(1, 2), Fraction(-2, 3)]),
@@ -588,11 +576,9 @@ def test_generator_insertion_matches_the_merge_path(monkeypatch):
             continue
         for s in symbols:
             g = Expression.symbol(t, s)
-            del inserted[:]
-            left, right = g * a, a * g
-            assert inserted == [s, s]
-            assert _terms(left) == _terms(Expression(t, _merge_path(t, g.terms, a.terms)))
-            assert _terms(right) == _terms(Expression(t, _merge_path(t, a.terms, g.terms)))
+            left = g * a
+            assert _terms(left) == _terms(_mul_bruteforce(g, a))
+            assert _terms(a * g) == _terms(_mul_bruteforce(a, g))
             present += sum(s in dict(term.mono) for term in a.terms)
             killed += len(a.terms) - len(left.terms)
             fractions += sum(isinstance(term.coef, Fraction) for term in left.terms)
@@ -600,16 +586,24 @@ def test_generator_insertion_matches_the_merge_path(monkeypatch):
     # Fractions and atoms went through
     assert min(present, killed, fractions) > 50
 
-
-def test_generator_insertion_leaves_pow_atoms_to_the_merge_path():
-    """A generator times terms with a pow atom takes the merge path, where
-    a single-symbol base folds with its own symbol."""
-    t, _, _ = _oracle_pools()
-    q, th = Expression.of(t, "q"), Expression.of(t, "th")
+    q, r, th = (Expression.of(t, n) for n in ("q", "r", "th"))
     root_q, q_3_2 = power_of(q, Fraction(1, 2)), power_of(q, Fraction(3, 2))
     for a, b, expected in ((root_q, q, q_3_2), (q, root_q, q_3_2),
-                           (root_q + th, q, q_3_2 + q * th)):
+                           (root_q + th, q, q_3_2 + q * th),
+                           (q, root_q * q, power_of(q, Fraction(5, 2)))):
         assert _terms(a * b) == _terms(expected) == _terms(_mul_bruteforce(a, b))
+    folded = 0
+    for a in (root_q * q, root_q * th, inverse_of(r) * q,
+              power_of(q, AffineExponent(Fraction(-1), Fraction(1), t.symbol("tau"))) + th,
+              power_of(q + 1, Fraction(1, 2)) * r):
+        for s in symbols:
+            g = Expression.symbol(t, s)
+            assert _terms(g * a) == _terms(_mul_bruteforce(g, a))
+            assert _terms(a * g) == _terms(_mul_bruteforce(a, g))
+            folded += sum(s not in dict(term.mono) for term in (g * a).terms)
+    # q folds into pow(q, 3/2), pow(q, 1/2) * th and pow(q, tau - 1), and r
+    # into inv(r)
+    assert folded == 4
 
 
 @settings(max_examples=100, deadline=None)
@@ -748,13 +742,12 @@ def test_a_negative_total_derivative_order_is_refused():
         iterated_total(q, -1)
 
 
-def test_odd_derivation_inserts_unit_images(monkeypatch):
+def test_odd_derivation_by_unit_images_matches_bruteforce():
     """Unit-generator images, as in the simplex differential t_i -> dt_i,
-    are inserted into the lowered terms of a partial without a pow atom and
-    multiply a partial with one; both agree term by term with the
-    bruteforce derivation, on seeded expressions with odd and even keys,
-    jets, tau, function atoms (whose chain-rule terms are inserted too) and
-    log and pow atoms (whose partials hold pow atoms)."""
+    agree term by term with the bruteforce derivation, on seeded
+    expressions with odd and even keys, jets, tau, function atoms (whose
+    chain-rule terms take the image too) and log and pow atoms (whose
+    partials hold pow atoms)."""
     t, atoms, symbols = _oracle_pools()
     build = _builder(t, atoms, symbols)
     rng = random.Random(26)
@@ -762,15 +755,6 @@ def test_odd_derivation_inserts_unit_images(monkeypatch):
     # each image has sign degree |s| + 1
     images = {q: Expression.of(t, "th"), th: Expression.of(t, "r"),
               t.jet("q", 1): Expression.of(t, "th", 1), tau: Expression.of(t, "q+")}
-    image_terms = [img.terms for img in images.values()]
-    inserted, multiplied = set(), set()
-    real_inserted, real_product = expression._inserted, expression._product
-
-    def product(theory, left, right):
-        if any(left is terms for terms in image_terms):
-            multiplied.add(n)
-        return real_product(theory, left, right)
-
     for n in range(120):
         # the first half has function atoms only, so no partial holds a pow atom
         pool = range(3) if n < 60 else range(len(atoms))
@@ -778,16 +762,8 @@ def test_odd_derivation_inserts_unit_images(monkeypatch):
                     [(rng.choice(pool), rng.randint(1, 2)) for _ in range(rng.randint(0, 1))],
                     [(rng.randrange(len(symbols)), rng.randint(1, 2))
                      for _ in range(rng.randint(0, 4))]) for _ in range(rng.randint(1, 5))])
-        monkeypatch.setattr(expression, "_inserted",
-                            lambda *a: inserted.add(n) or real_inserted(*a))
-        monkeypatch.setattr(expression, "_product", product)
-        got = odd_derivation(f, images)
-        monkeypatch.undo()
-        assert _terms(got) == _terms(_odd_derivation_bruteforce(f, images)), n
-    # without a pow atom no image multiplies a partial; the insertion ran on
-    # most inputs, and the product path on some with pow atoms
-    assert not multiplied & set(range(60))
-    assert len(inserted & set(range(60))) > 40 and len(multiplied) > 10
+        assert _terms(odd_derivation(f, images)) == \
+            _terms(_odd_derivation_bruteforce(f, images)), n
 
 
 def test_flow_parameter_chain_rule_pinned():
@@ -988,10 +964,10 @@ def _pair_kinds(t, jobs):
     kinds = Counter()
     for a, b, _ in jobs:
         for t1 in a:
-            _, m1, n1, p1 = expression._layout(t, t1)
+            p1 = expression._pows(t, t1)
             for t2 in b:
-                _, m2, _, p2 = expression._layout(t, t2)
-                if expression._merge_pair(1, t1, m1, n1, t2, m2) is None:
+                p2 = expression._pows(t, t2)
+                if _merge(1, t1, t2) is None:
                     kinds["odd"] += 1
                 elif (p1 or p2) and expression._pow_collision(p1, t1, p2, t2):
                     kinds["pow"] += 1
@@ -1021,9 +997,7 @@ def _merged_monomials(t, jobs) -> list:
     for a, b, sign in jobs:
         for t1 in a:
             for t2 in b:
-                _, m1, n1, _ = expression._layout(t, t1)
-                p = expression._merge_pair(sign * t1.coef * t2.coef, t1, m1, n1, t2,
-                                           expression._layout(t, t2)[1])
+                p = _merge(sign * t1.coef * t2.coef, t1, t2)
                 if p is not None:
                     sums[p.key] = sums.get(p.key, 0) + p.coef
     return [k for k, c in sums.items() if c]

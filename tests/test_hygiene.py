@@ -335,6 +335,14 @@ def test_only_the_total_derivative_raises_jets():
     assert callers(_trees()[0], "jet_bump") == ["expression.py:total_derivative"]
 
 
+def test_one_term_product():
+    """Two terms multiply by `_merge_pair` alone: `_product` pair by pair,
+    and the packed accumulator for its surviving monomials.  Every other
+    product, a unit generator's included, goes through `_product`."""
+    assert sorted(callers(_trees()[0], "_merge_pair")) == [
+        "expression.py:_multiply_accumulate", "expression.py:_product"]
+
+
 def test_the_sparse_inverse_and_its_check_serve_two_callers():
     """The sparse inversion and its signed-identity check run where an
     exact inverse is needed, a chart's Poisson tensor and an etale map's

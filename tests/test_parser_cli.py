@@ -487,6 +487,30 @@ def test_cover_fields_named_like_simplex_generators_exit_2_at_the_name(tmp_path,
     assert parse_theory_file(f"field {name} ghost 0 parity even\n").theory.has_name(name)
 
 
+@pytest.mark.parametrize("edit", [
+    # an IndexError traceback, exit 1
+    (lambda text: text.replace("overlap U0 U1\nfield x ghost 0 parity even\n"
+                               "field p ghost 0 parity even\n",
+                               "overlap U0 U1\nfield x ghost 0 parity even\n"
+                               "field p ghost 0 parity even\nfield z ghost 0 parity even\n")),
+    # exit 2 with "Jacobian is not invertible"
+    (lambda text: text.replace("overlap U0 U1\n",
+                               "overlap U0 U1\nfield z ghost 0 parity even\n")),
+], ids=["after-p", "before-x"])
+def test_an_overlap_with_more_fields_than_its_chart_exits_2(tmp_path, capsys, edit):
+    """An overlap that declares more fields than the chart it restricts to
+    cannot map to it etale; the first `from` line is a parse error at its
+    chart, naming both field counts (exit 2)."""
+    path = tmp_path / "cylinder.bvt"
+    text = (THEORIES / "cylinder_flux.bvt").read_text()
+    assert edit(text) != text
+    path.write_text(edit(text))
+    assert run_cli("tw-check", str(path)) == 2
+    assert capsys.readouterr().err == (
+        "parse error: U0^U1 has 3 fields and U0 has 2: an etale map needs as many of each "
+        "at line 20, column 6\n")
+
+
 @pytest.mark.parametrize("edit, message, line, column", [
     # the second mu replaced the first, and the check failed
     (lambda text: text.replace("mu = 3*x\n", "mu = 3*x\nmu = 0\n"),
