@@ -1,12 +1,14 @@
 """bvcov: check Batalin-Vilkovisky covariant-field-theory identities.
 
 Exit codes: 0 all checks pass, 1 a check failed, 2 usage error,
-3 a series truncated without a termination certificate.
+3 a series truncated without a termination certificate, 141 standard
+output closed before the report was written.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from fractions import Fraction
 
@@ -23,40 +25,52 @@ from .symbols import TheoryError
 from .varcalc import bv_antibracket, is_total_derivative, soloviev
 
 PASS, FAIL, USAGE, TRUNCATED = 0, 1, 2, 3
+CLOSED = 141    # 128 + SIGPIPE, as a shell reports a process that a closed pipe ended
+
+PARSER = argparse.ArgumentParser(prog="bvcov", description=__doc__)
+PARSER.add_argument("subcommand", choices=[
+    "check-mc", "bracket", "flow", "verify-endpoint", "twist",
+    "build-aksz", "couple-gravity", "spinning", "tw-check", "normalize",
+    "rank", "run"])
+PARSER.add_argument("file", nargs="?", help="theory file")
+PARSER.add_argument("--check", help="named check from the file")
+PARSER.add_argument("--expr", help="named expression")
+PARSER.add_argument("--left")
+PARSER.add_argument("--right")
+PARSER.add_argument("--kind", default="soloviev", choices=["soloviev", "bv"])
+PARSER.add_argument("--model", choices=sorted(MODEL_BUILDERS))
+PARSER.add_argument("--dim", type=int, default=2)
+PARSER.add_argument("--max-order", type=int, default=24)
+PARSER.add_argument("--dim-bound", type=int, default=None)
+PARSER.add_argument("--relations", choices=["on", "off"], default="off")
 
 
 def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(prog="bvcov", description=__doc__)
-    ap.add_argument("subcommand", choices=[
-        "check-mc", "bracket", "flow", "verify-endpoint", "twist",
-        "build-aksz", "couple-gravity", "spinning", "tw-check", "normalize",
-        "rank", "run"])
-    ap.add_argument("file", nargs="?", help="theory file")
-    ap.add_argument("--check", help="named check from the file")
-    ap.add_argument("--expr", help="named expression")
-    ap.add_argument("--left")
-    ap.add_argument("--right")
-    ap.add_argument("--kind", default="soloviev", choices=["soloviev", "bv"])
-    ap.add_argument("--model", choices=sorted(MODEL_BUILDERS))
-    ap.add_argument("--dim", type=int, default=2)
-    ap.add_argument("--max-order", type=int, default=24)
-    ap.add_argument("--dim-bound", type=int, default=None)
-    ap.add_argument("--relations", choices=["on", "off"], default="off")
     try:
-        args = ap.parse_args(argv)
+        args = PARSER.parse_args(argv)
     except SystemExit:
         return USAGE
     try:
-        return _dispatch(args)
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return USAGE
-    except (TruncatedFlowError, FlowClosureError) as exc:
-        print(f"TRUNCATED: {exc}", file=sys.stderr)
-        return TRUNCATED
-    except TheoryError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE
+        try:
+            return _dispatch(args)
+        except ParseError as exc:
+            print(f"parse error: {exc}", file=sys.stderr)
+            return USAGE
+        except (TruncatedFlowError, FlowClosureError) as exc:
+            print(f"TRUNCATED: {exc}", file=sys.stderr)
+            return TRUNCATED
+        except TheoryError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return USAGE
+        finally:
+            sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader went away: stop quietly, with what is left unwritten
+        # sent to the null device so that the flush at exit cannot fail too
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return CLOSED
 
 
 def _load(args) -> TheoryFile:

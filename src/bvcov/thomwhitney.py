@@ -6,25 +6,30 @@ Charts and intersections are symbolic: per overlap the user supplies a
 chart theory, restriction substitutions and the (nu, mu) data; emptiness
 is declared, not computed.  Simplex forms are fused into the expression
 algebra of each overlap (form degree drives the Koszul signs), so no
-separate tensor type exists at runtime.  The Whitney forms depend on the
-nerve alone: it builds them once per (cochain degree, dimension bound),
-laid out as `_splice_forms` rows, and drops them when an overlap is
-declared (`CoverNerve.whitney_faces`), so each Whitney map only restricts
-and splices each face's form into the restricted chart terms, with no
-product.  The cochain-map check `whitney_commutes` splices the same rows,
-and those of each form's differential, by the Leibniz rule, and builds no
-Whitney image.
+separate tensor type exists at runtime.  The nerve keeps one fused
+simplex theory per chart set, serving every simplex dimension, so the
+restrictions, d_u values and curvature that hang off a theory are
+computed once per chart set.  The Whitney forms depend on the nerve
+alone: it writes them term by term once per (cochain degree, dimension
+bound), laid out as `_splice_forms` rows, and drops them when an overlap
+is declared (`CoverNerve.whitney_faces`), so each Whitney map only
+restricts and splices each face's form into the restricted chart terms,
+with no product.  The cochain-map check `whitney_commutes` splices the
+same rows, and those of each form's differential, by the Leibniz rule,
+and builds no Whitney image.  The global check's report pulls a
+degenerate tuple's residual back only when it is read.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .expression import (Expression, _form_rows, _merge_runs, _splice_forms,
+from .expression import (Expression, Term, _form_rows, _merge_runs, _splice_forms, _term_key,
                          apply_substitution, embed, is_zero, odd_derivation, partial_derivative)
 from .curved import (BElement, CanonicalSubstitution, TruncatedFlowError, _bracket_by,
                      _strip_eps_constant, curvature, du, exp_sum, orbit, u_bracket)
@@ -70,17 +75,17 @@ class CoverNerve:
     """Chart index set with declared nonempty intersections, restriction
     maps and a dimension bound; simplices beyond the bound are empty.
 
-    The nerve keeps its simplex theories, and the Whitney forms of
-    `whitney_faces` per (cochain degree, dimension bound), which declaring
-    an overlap drops; an overlap is declared once, on two or more
-    charts."""
+    The nerve keeps one simplex theory per chart set, and the Whitney
+    forms of `whitney_faces` per (cochain degree, dimension bound), which
+    declaring an overlap drops; an overlap is declared once, on two or
+    more charts."""
 
     def __init__(self, charts: dict[str, Theory], dimension_bound: int = 3):
         self.chart_names = sorted(charts)
         self.charts = dict(charts)
         self.overlaps: dict[frozenset, OverlapContext] = {}
         self.dimension_bound = dimension_bound
-        self._simplex_theories: dict[tuple, Theory] = {}
+        self._simplex_theories: dict[frozenset, Theory] = {}
         self._whitney_faces: dict[tuple[int, int], list] = {}
 
     def declare_overlap(self, names: frozenset | set | tuple,
@@ -129,20 +134,23 @@ class CoverNerve:
     # -- fused simplex theories ----------------------------------------
 
     def simplex_theory(self, names, k: int) -> Theory:
-        key = (frozenset(names), k)
-        got = self._simplex_theories.get(key)
-        if got is not None:
-            return got
-        base = self.context_theory(names)
-        for name in base._order_index:
-            if is_simplex_name(name):
-                raise TheoryError(f"{base.name} declares {name}, a name reserved for the "
-                                  f"simplex generators of the nerve")
-        t = product_theory(f"{base.name}|D{k}", base)
-        for i in range(1, k + 1):
+        """The fused theory of the member set of names, with the simplex
+        coordinates t_i and one-forms dt_i for i up to at least k.  One
+        theory serves the member set's every simplex dimension: a larger k
+        registers the missing t_i and dt_i, and registration appends ranks,
+        so the keys of terms built before stay valid."""
+        key = frozenset(names)
+        t = self._simplex_theories.get(key)
+        if t is None:
+            base = self.context_theory(key)
+            for name in base._order_index:
+                if is_simplex_name(name):
+                    raise TheoryError(f"{base.name} declares {name}, a name reserved for the "
+                                      f"simplex generators of the nerve")
+            t = self._simplex_theories[key] = product_theory(f"{base.name}|D", base)
+        for i in range(len(t.simplex_pairs()) + 1, k + 1):
             t.add_simplex_coordinate(f"t_{i}")
             t.add_one_form(f"dt_{i}", ghost=1)
-        self._simplex_theories[key] = t
         return t
 
     def t_symbol(self, theory: Theory, i: int, k: int) -> Expression:
@@ -171,8 +179,8 @@ class CoverNerve:
         if got is not None:
             return got
         got = []
-        # tuples of one member set and length share a simplex theory, and so
-        # their forms
+        # tuples of one member set share a simplex theory, and those of one
+        # length their forms too: t_0 depends on the length
         forms: dict[tuple, Expression] = {}
         for T in self.nondegenerate_tuples():
             m = len(T) - 1
@@ -182,9 +190,9 @@ class CoverNerve:
                 charts = tuple(T[i] for i in positions)
                 if len(set(charts)) != len(charts):
                     continue
-                form = forms.get((theory, positions))
+                form = forms.get((theory, m, positions))
                 if form is None:
-                    form = forms[theory, positions] = self._whitney_form(theory, positions, m)
+                    form = forms[theory, m, positions] = self._whitney_form(theory, positions, m)
                 inversions = sum(a > b for a, b in itertools.combinations(charts, 2))
                 faces.setdefault(tuple(sorted(charts)), []).append(
                     -form if inversions % 2 else form)
@@ -195,17 +203,31 @@ class CoverNerve:
 
     def _whitney_form(self, theory: Theory, positions: tuple[int, ...], m: int) -> Expression:
         """k! sum_j (-1)^j t_{p_j} prod_{r != j} dt_{p_r} on an m-simplex, for
-        the k + 1 positions p, with t_0 = 1 - sum t_i and dt_0 = -sum dt_i."""
+        the k + 1 positions p, with t_0 = 1 - sum t_i and dt_0 = -sum dt_i,
+        written term by term: each choice of one summand per factor is one
+        monomial, its t (even) before its dt, the dt sorted with the sign of
+        that sort; a repeated dt kills it."""
         k = len(positions) - 1
-        pieces = []
+        # a factor's summands as (coefficient, index), index 0 the constant 1
+        ts = [(-1, i) for i in range(1, m + 1)]
+
+        def factor(p: int, t: bool) -> list:
+            return [(1, p)] if p else [(1, 0)] + ts if t else ts
+
+        terms = []
         for j in range(k + 1):
-            form = Expression.const(theory, math.factorial(k) * (-1) ** j)
-            form = form * self.t_symbol(theory, positions[j], m)
-            for r in range(k + 1):
-                if r != j:
-                    form = form * self.dt_symbol(theory, positions[r], m)
-            pieces.append(form)
-        return Expression.sum(theory, pieces)
+            for (coef, i), *dts in itertools.product(
+                    factor(positions[j], True),
+                    *(factor(positions[r], False) for r in range(k + 1) if r != j)):
+                picked = [d for _, d in dts]
+                if len(set(picked)) < k:
+                    continue
+                coef *= math.factorial(k) * math.prod(c for c, _ in dts) * (-1) ** (
+                    j + sum(a > b for a, b in itertools.combinations(picked, 2)))
+                mono = (((theory.symbol(f"t_{i}"), 1),) if i else ()) + tuple(
+                    (theory.symbol(f"dt_{d}"), 1) for d in sorted(picked))
+                terms.append(Term(coef, (), mono, _term_key(theory, (), mono)))
+        return Expression(theory, _merge_runs(terms))
 
     # -- restrictions ------------------------------------------------------
 
@@ -421,8 +443,17 @@ def tw_bracket(a: TWElement, b: TWElement) -> TWElement:
 
 
 def tw_curvature(nerve: CoverNerve) -> TWElement:
-    return TWElement(nerve, {T: curvature(nerve.simplex_theory(T, len(T) - 1))
-                             for T in nerve.nondegenerate_tuples()})
+    """uD on every nondegenerate tuple, built and Bianchi-checked once per
+    simplex theory."""
+    built: dict[Theory, Expression] = {}
+    out: dict[Tuple, Expression] = {}
+    for T in nerve.nondegenerate_tuples():
+        theory = nerve.simplex_theory(T, len(T) - 1)
+        uD = built.get(theory)
+        if uD is None:
+            uD = built[theory] = curvature(theory)
+        out[T] = uD
+    return TWElement(nerve, out)
 
 
 def whitney_commutes(c: CechCochain) -> TWElement:
@@ -473,9 +504,36 @@ def whitney_commutes(c: CechCochain) -> TWElement:
     return TWElement(nerve, out)
 
 
+class _Residuals(Mapping):
+    """The Maurer-Cartan residual on every admissible tuple, in
+    `nerve.tuples()` order, computed on read: a nondegenerate tuple's is
+    stored, a degenerate one's is f* of its face's when that fails, pulled
+    back on first read and kept, and otherwise the zero of its simplex
+    theory.  Taking the length or iterating computes nothing."""
+
+    def __init__(self, residual: TWElement, fails: dict[Tuple, bool]):
+        self._residual = residual
+        self._fails = fails
+        self._read: dict[Tuple, Optional[Expression]] = dict.fromkeys(residual.nerve.tuples())
+
+    def __len__(self) -> int:
+        return len(self._read)
+
+    def __iter__(self):
+        return iter(self._read)
+
+    def __getitem__(self, T: Tuple) -> Expression:
+        got = self._read[T]
+        if got is None:
+            R = collapse(T)[0]
+            got = self._read[T] = self._residual.value(T) if R == T or self._fails[R] \
+                else Expression.zero(self._residual.nerve.simplex_theory(T, len(T) - 1))
+        return got
+
+
 @dataclass
 class GlobalMCReport:
-    residuals: dict[Tuple, Expression]
+    residuals: Mapping[Tuple, Expression]
     ok: bool
     failing: list[Tuple]
 
@@ -484,23 +542,14 @@ def global_mc_check(SS: TWElement) -> GlobalMCReport:
     """d_TW,u SS + (1/2)[SS, SS] + uD on every admissible tuple.  It is
     computed on the nondegenerate tuples: f* is a map of curved algebras
     fixing uD, so a degenerate tuple's residual is f* of its face's, and
-    zero exactly when that one is."""
+    zero exactly when that one is; `_Residuals` takes the pullback only
+    when the residual is read."""
     nerve = SS.nerve
     residual = tw_differential(SS) + tw_bracket(SS, SS) * Fraction(1, 2) \
         + tw_curvature(nerve)
     fails = {R: not is_zero(v) for R, v in residual.values.items()}
-    residuals: dict[Tuple, Expression] = {}
-    failing = []
-    for T in nerve.tuples():
-        R = collapse(T)[0]
-        if fails[R]:
-            failing.append(T)
-            residuals[T] = residual.value(T)
-        elif R == T:
-            residuals[T] = residual.values[T]
-        else:
-            residuals[T] = Expression.zero(nerve.simplex_theory(T, len(T) - 1))
-    return GlobalMCReport(residuals, not failing, failing)
+    failing = [T for T in nerve.tuples() if fails[collapse(T)[0]]]
+    return GlobalMCReport(_Residuals(residual, fails), not failing, failing)
 
 
 # -- theorem-global builder ----------------------------------------------------------

@@ -14,7 +14,7 @@ from bvcov.expression import Expression
 from bvcov.parser import (ParseError, parse_expression, parse_theory_file,
                           to_useries, from_useries)
 from bvcov.printer import render
-from bvcov.cli import main as cli_main
+from bvcov.cli import CLOSED, main as cli_main
 from conftest import HomogeneousSampler, u_parts
 
 THEORIES = Path(__file__).resolve().parent.parent / "theories"
@@ -832,6 +832,26 @@ def test_cli_output_independent_of_hash_seed():
         assert r.returncode == 0, r.stderr
         outs.add(r.stdout)
     assert len(outs) == 1
+
+
+def test_cli_closed_stdout_stops_quietly():
+    """A reader that goes away, as `| head -0` does, ends a passing run
+    with exit 141 (128 + SIGPIPE) and nothing on stderr, where it ended in
+    a traceback and exit 1, the code of a failed check.  The pipe's read
+    end is closed before the run starts, so every write to it fails."""
+    src = str(THEORIES.parent / "src")
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        r = subprocess.run([sys.executable, "-m", "bvcov.cli", "run",
+                            str(THEORIES / "particle.bvt")],
+                           stdout=write, stderr=subprocess.PIPE, text=True, env=env,
+                           timeout=120)
+    finally:
+        os.close(write)
+    assert (r.returncode, r.stderr) == (CLOSED, "") and CLOSED == 141
 
 
 def test_cli_model_subcommands(capsys):

@@ -1,5 +1,6 @@
 import gc
 import itertools
+import math
 import random
 import sys
 import weakref
@@ -462,24 +463,148 @@ def test_simplex_theory_refuses_a_chart_name_of_the_nerve():
 
 def test_a_second_whitney_map_builds_no_form(monkeypatch):
     """The Whitney forms of one degree are built once per nerve, one per
-    simplex theory and increasing positions, and a second map of that
-    degree builds none."""
+    simplex theory, simplex dimension and increasing positions, and a
+    second map of that degree builds none."""
     nerve, t = atlas(2)
     rand_val = sampler(t, 32)
     built = []
     real = CoverNerve._whitney_form
     monkeypatch.setattr(CoverNerve, "_whitney_form", lambda self, theory, positions, m:
-                        built.append((theory, positions)) or real(self, theory, positions, m))
-    # at bound 2 the simplex theories are 3 points, 3 edges and 4 triangles,
-    # 3 of them on two charts (ABA), where 2 of the 3 position pairs pick
-    # distinct charts: 3 + 3 * 2 + 3 = 12 forms in degree 1, and 3 + 3 * 2
-    # + 4 * 3 = 21 in degree 0
+                        built.append((theory, m, positions)) or real(self, theory, positions, m))
+    # at bound 2 the tuples of a simplex theory and dimension are 3 points,
+    # 3 edges and 4 triangles, 3 of them on two charts (ABA), where 2 of the
+    # 3 position pairs pick distinct charts: 3 + 3 * 2 + 3 = 12 forms in
+    # degree 1, and 3 + 3 * 2 + 4 * 3 = 21 in degree 0
     for degree, count in ((1, 12), (1, 0), (0, 21), (1, 0), (0, 0)):
         c = CechCochain(nerve, degree, {T: rand_val()
                                         for T in itertools.combinations("ABC", degree + 1)})
         del built[:]
         whitney(c)
         assert len(built) == len(set(built)) == count, degree
+
+
+def _whitney_form_by_products(nerve, theory, positions, m):
+    """k! sum_j (-1)^j t_{p_j} prod_{r != j} dt_{p_r} multiplied out factor
+    by factor, with t_0 and dt_0 as sums: the oracle for the term-by-term
+    `CoverNerve._whitney_form`."""
+    k = len(positions) - 1
+    pieces = []
+    for j in range(k + 1):
+        form = Expression.const(theory, math.factorial(k) * (-1) ** j)
+        form = form * nerve.t_symbol(theory, positions[j], m)
+        for r in range(k + 1):
+            if r != j:
+                form = form * nerve.dt_symbol(theory, positions[r], m)
+        pieces.append(form)
+    return Expression.sum(theory, pieces)
+
+
+def test_whitney_forms_match_the_products():
+    """The term-by-term Whitney form is the product-built one, term by term,
+    key and coefficient, for every increasing positions on every simplex up
+    to dimension 4, all served by one simplex theory."""
+    nerve = CoverNerve({"A": shared_theory()})
+    theory = nerve.simplex_theory(("A",), 4)
+    forms = 0
+    for m in range(5):
+        for k in range(m + 1):
+            for positions in itertools.combinations(range(m + 1), k + 1):
+                got = nerve._whitney_form(theory, positions, m)
+                want = _whitney_form_by_products(nerve, theory, positions, m)
+                assert got.terms, (m, positions)
+                assert [(type(x.coef), x.coef, x.atoms, x.mono, x.key) for x in got.terms] == \
+                    [(type(x.coef), x.coef, x.atoms, x.mono, x.key) for x in want.terms], \
+                    (m, positions)
+                forms += 1
+    assert forms == 57
+
+
+def _counting(monkeypatch, name):
+    """The calls of `thomwhitney.<name>`, recorded from now on."""
+    from bvcov import thomwhitney
+    calls = []
+    real = getattr(thomwhitney, name)
+    monkeypatch.setattr(thomwhitney, name, lambda *a, **kw: calls.append(a) or real(*a, **kw))
+    return calls
+
+
+def test_one_simplex_theory_and_curvature_per_chart_set(monkeypatch):
+    """The bound-3 cylinder's 8 nondegenerate tuples lie on 3 chart sets,
+    and its global check builds one simplex theory and one curvature per
+    set, not one per set and dimension (11 and 8); the bound-2 atlas's 21
+    lie on 7 sets (10 per set and dimension)."""
+    theories = _counting(monkeypatch, "product_theory")
+    curvatures = _counting(monkeypatch, "curvature")
+    nerve, local, _ = cylinder()
+    assert global_mc_check(global_covariant_theory(nerve, local)).ok
+    assert (len(theories), len(curvatures)) == (3, 3)
+    del theories[:]
+    nerve, t = atlas(2)
+    whitney(CechCochain(nerve, 0, {(a,): Expression.of(t, "q") for a in "ABC"}))
+    assert len(theories) == 7
+
+
+def test_tw_check_pulls_back_no_residual(monkeypatch, capsys):
+    """`tw-check` on the broken cylinder reads the number of residuals and
+    the failing tuples only, so no degenerate residual is pulled back
+    (16 were); a read pulls one back once and keeps it."""
+    from bvcov.cli import main
+    pullbacks = _counting(monkeypatch, "simplicial_pullback")
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "inputs" / "cylinder_mu_sq.bvt"
+    assert main(["tw-check", str(path)]) == 1
+    assert "nonzero residual on ('U0', 'U0', 'U1')" in capsys.readouterr().out
+    assert pullbacks == []
+    nerve, local, _ = cylinder(mu_extra=lambda OV: Expression.of(OV, "x") ** 2)
+    report = global_mc_check(global_covariant_theory(nerve, local))
+    assert len(report.residuals) == 30 and len(report.failing) == 22 and pullbacks == []
+    T = ("U0", "U0", "U1")
+    assert T in report.failing and not is_zero(report.residuals[T])
+    assert report.residuals[T] is report.residuals[T] and len(pullbacks) == 1
+    assert is_zero(report.residuals[("U0", "U0")]) and len(pullbacks) == 1
+    with pytest.raises(KeyError):
+        report.residuals[("U0", "U0", "U0", "U0", "U0")]
+
+
+def _shape(x: Expression) -> list:
+    """x's terms with each symbol by name: equal for the same value over two
+    theories that declare the same names in the same order."""
+    return [(t.coef, t.atoms, tuple((s.name, s.jet_order, e) for s, e in t.mono), t.key)
+            for t in x.terms]
+
+
+def test_a_raised_bound_matches_a_fresh_nerve():
+    """A nerve used at bound 1 and then at bound 3, whose simplex theories
+    register t_2, dt_2, t_3 and dt_3 after their first forms and values,
+    gives the Whitney maps, cochain-map residuals and global reports of a
+    fresh bound-3 nerve, term for term."""
+    def atlas_results(nerve, t):
+        rand_val = sampler(t, 36)
+        out = []
+        for degree in (0, 1, 2):
+            c = CechCochain(nerve, degree, {
+                T: u_series(t, {0: rand_val() + BElement.of_eps(rand_val()),
+                                1: BElement.of_body(rand_val())})
+                for T in itertools.combinations("ABC", degree + 1)})
+            out += [{T: _shape(v) for T, v in x.values.items()}
+                    for x in (whitney(c), whitney_commutes(c))]
+        return out
+
+    def cylinder_report(nerve, local):
+        report = global_mc_check(global_covariant_theory(nerve, local))
+        return report.failing, {T: _shape(v) for T, v in report.residuals.items()}
+
+    raised, t = _twisted_atlas(1)
+    atlas_results(raised, t)
+    raised.dimension_bound = 3
+    assert atlas_results(raised, t) == atlas_results(*_twisted_atlas(3))
+    broken = dict(mu_extra=lambda OV: Expression.of(OV, "x") ** 2)
+    raised, local, _ = cylinder(**broken)
+    raised.dimension_bound = 1
+    cylinder_report(raised, local)
+    raised.dimension_bound = 3
+    fresh, fresh_local, _ = cylinder(**broken)
+    got, want = cylinder_report(raised, local), cylinder_report(fresh, fresh_local)
+    assert got == want and len(want[0]) == 22
 
 
 @pytest.mark.parametrize("bound", [1, 2])
@@ -718,8 +843,9 @@ def _substitution_per_call(expr, images, target):
 
 
 def test_relabel_table_matches_the_per_call_path(monkeypatch):
-    """Every substitution and embedding of the library models' pipelines and
-    of the cylinder's global check, made with the relabel tables they fill,
+    """Every substitution and embedding of the library models' pipelines, of
+    the cylinder's global check and of cochain-map checks on the three-chart
+    atlas, made with the relabel tables they fill,
     gives the terms, key and coefficient of the same call with an empty
     table, and of the product path."""
     from bvcov import expression
@@ -741,6 +867,8 @@ def test_relabel_table_matches_the_per_call_path(monkeypatch):
                 spinning_pipeline(model)
     nerve, local, _ = cylinder()
     assert global_mc_check(global_covariant_theory(nerve, local)).ok
+    for c in _atlas_cochains(2)[:2]:
+        assert whitney_commutes(c).is_zero()
     monkeypatch.undo()
     pairs = {(expr.theory, target) for expr, _, target, _ in calls}
     assert len(calls) > 400 and len(pairs) > 15
