@@ -37,7 +37,6 @@ PARSER.add_argument("--check", help="named check from the file")
 PARSER.add_argument("--expr", help="named expression")
 PARSER.add_argument("--left")
 PARSER.add_argument("--right")
-PARSER.add_argument("--kind", default="soloviev", choices=["soloviev", "bv"])
 PARSER.add_argument("--model", choices=sorted(MODEL_BUILDERS))
 PARSER.add_argument("--dim", type=int, default=2)
 PARSER.add_argument("--max-order", type=int, default=24)
@@ -48,8 +47,8 @@ PARSER.add_argument("--relations", choices=["on", "off"], default="off")
 def main(argv=None) -> int:
     try:
         args = PARSER.parse_args(argv)
-    except SystemExit:
-        return USAGE
+    except SystemExit as exc:    # argparse exits 0 after --help, 2 on an error
+        return PASS if exc.code == 0 else USAGE
     try:
         try:
             return _dispatch(args)
@@ -134,8 +133,7 @@ def _dispatch(args) -> int:
     if sub == "bracket" and args.left and args.right:
         a = tf.expressions[args.left]
         b = tf.expressions[args.right]
-        out = soloviev(a, b) if args.kind == "soloviev" else bv_antibracket(a, b)
-        print(render(out))
+        print(render(soloviev(a, b)))
         return PASS
     kind_map = {
         "check-mc": "mc", "bracket": "bracket", "flow": "flow",

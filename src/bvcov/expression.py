@@ -72,12 +72,11 @@ class Term:
 class Expression:
     """Canonical sum of Koszul-signed terms over one theory context."""
 
-    __slots__ = ("theory", "terms", "_hash")
+    __slots__ = ("theory", "terms")
 
     def __init__(self, theory: Theory, terms: tuple[Term, ...]):
         self.theory = theory
         self.terms = terms
-        self._hash: Optional[int] = None
 
     # -- constructors ---------------------------------------------------
 
@@ -180,11 +179,6 @@ class Expression:
         if not isinstance(other, Expression):
             return NotImplemented
         return self.key() == other.key()
-
-    def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(self.key())
-        return self._hash
 
     def key(self) -> tuple:
         return tuple((t.coef, _atoms_key(t.atoms),
@@ -469,44 +463,37 @@ def _single(theory: Theory, coef, atoms: Atoms, mono: Mono) -> Expression:
 # key, where a symbol in both factors adds exponents if even and kills the
 # product if odd.  The Koszul sign of sorting t1.mono + t2.mono is the
 # parity of crossings: each odd symbol of t2 crosses the odd symbols of t1
-# not yet placed.  That merge is canonical unless the pair's pow atoms
-# collide: the two terms share a pow base, whose exponents then add, or a
-# single-symbol pow base meets its own symbol in the other monomial.  A
-# colliding pair is merged the same way, then `_normalize_term` folds its
-# atoms: single-symbol pow bases into the monomial, compound integer powers
-# multiplied out.  This crossing count is the engine's one Koszul sign.  The
-# term order is not multiplicative (x < y but x*x > x*y), so the products
-# are sorted once by `_merge_runs` rather than heap-merged.  `_merge_pair`
-# is the one term product: it reads both factors in place, so a unit
-# generator (dt_i, u, eps, t_j, a raised jet) is a run of length one.
+# not yet placed.  This crossing count is the engine's one Koszul sign.  The
+# merged product is canonical unless `_collides` finds a pow atom twice, two
+# pow atoms of one base, or a single-symbol pow base beside its own symbol:
+# no canonical term holds any of these, so only the product can, and
+# `_normalize_term` folds it (single-symbol pow bases into the monomial,
+# compound integer powers multiplied out).  The term order is not
+# multiplicative (x < y but x*x > x*y), so the products are sorted once by
+# `_merge_runs` rather than heap-merged.  `_merge_pair` is the one term
+# product: it reads both factors in place, so a unit generator (dt_i, u,
+# eps, t_j, a raised jet) is a run of length one.
 
 
-def _pows(theory: Theory, t: Term):
-    """None when t holds no pow atom, else (its pow base keys, the symbols
-    of its single-symbol pow bases).  Atom keys of pow atoms start with 2,
-    so pow atoms sort last."""
-    if not (t.atoms and isinstance(t.atoms[-1][0], PowerAtom)):
-        return None
-    bases = tuple(a.base_key for a, _ in t.atoms if isinstance(a, PowerAtom))
-    return bases, tuple(s for s in (_single_symbol_base(theory, b) for b in bases)
-                        if s is not None)
-
-
-def _meets(symbols: tuple, mono: Mono) -> bool:
-    return any(x is s for x, _ in mono for s in symbols)
-
-
-def _pow_collision(p1, t1: Term, p2, t2: Term) -> bool:
-    """Whether two terms with `_pows` p1 and p2, one of them holding a pow
-    atom, share a pow base or have a single-symbol pow base meeting its own
-    symbol in the other term's monomial; their product then needs
-    `_normalize_term`."""
-    if p1 is None:
-        return _meets(p2[1], t1.mono)
-    if p2 is None:
-        return _meets(p1[1], t2.mono)
-    return any(b in p2[0] for b in p1[0]) or _meets(p1[1], t2.mono) or \
-        _meets(p2[1], t1.mono)
+def _collides(theory: Theory, t: Term) -> bool:
+    """Whether the merged product t of two canonical terms needs
+    `_normalize_term`.  Atom keys of pow atoms start with 2, so pow atoms
+    sort last, those of one base next to each other, and a term whose last
+    atom is no pow atom is canonical."""
+    atoms = t.atoms
+    if not (atoms and isinstance(atoms[-1][0], PowerAtom)):
+        return False
+    prev = None
+    for a, e in reversed(atoms):
+        if not isinstance(a, PowerAtom):
+            return False
+        if e > 1 or a.base_key == prev:
+            return True
+        prev = a.base_key
+        s = _single_symbol_base(theory, prev)
+        if s is not None and any(x is s for x, _ in t.mono):
+            return True
+    return False
 
 
 def _merge_atoms(a1: Atoms, k1: tuple, a2: Atoms, k2: tuple) -> tuple[Atoms, tuple]:
@@ -539,8 +526,8 @@ def _merge_atoms(a1: Atoms, k1: tuple, a2: Atoms, k2: tuple) -> tuple[Atoms, tup
 
 
 def _merge_pair(coef, t1: Term, odd_left: int, t2: Term) -> Optional[Term]:
-    """The product of two canonical terms whose pow atoms do not collide,
-    with coefficient `coef` before the Koszul sign; None when it vanishes.
+    """The merged product of two canonical terms, with coefficient `coef`
+    before the Koszul sign, before any atom fold; None when it vanishes.
     `odd_left` counts t1's odd symbols.  A two-way merge of the monomials
     in place, reading the i-th symbol's sort key at key[1 + 2*i]."""
     if not t2.atoms:
@@ -606,9 +593,10 @@ def _splice_forms(theory: Theory, form: tuple, value: Sequence[Term]) -> list[Te
     slot where the value term's first symbol of kind >= SIMPLEX_T would
     start, its key fields likewise, the atoms are the value term's, and the
     sign is the parity of the form term's odd symbols times that of the
-    value's odd symbols before the slot.  A value term with a simplex
-    generator in its monomial, or as the one symbol of a pow base, is
-    multiplied by `_product`."""
+    value's odd symbols before the slot.  A spliced term is folded when it
+    `_collides`, as a simplex generator meets its single-symbol pow base.
+    A value term with a simplex generator in its monomial is multiplied by
+    `_product`."""
     terms, rows = form
     out: list[Term] = []
     for t in value:
@@ -618,34 +606,34 @@ def _splice_forms(theory: Theory, form: tuple, value: Sequence[Term]) -> list[Te
         while i < n and key[1 + 2 * i][0] < Kind.SIMPLEX_T:
             odd += mono[i][0].sign_degree
             i += 1
-        pows = _pows(theory, t)
-        if i < n and key[1 + 2 * i][0] <= Kind.SIMPLEX_DT or \
-                pows is not None and any(s.kind == Kind.SIMPLEX_T for s in pows[1]):
+        if i < n and key[1 + 2 * i][0] <= Kind.SIMPLEX_DT:
             out += _product(theory, terms, (t,))
             continue
         head_m, tail_m = mono[:i], mono[i:]
         head_k, tail_k = key[:1 + 2 * i], key[1 + 2 * i:]
         for coef, fm, fk, fodd in rows:
             coef *= t.coef
-            out.append(Term(-coef if fodd and odd & 1 else coef, t.atoms,
-                            head_m + fm + tail_m, head_k + fk + tail_k))
+            p = Term(-coef if fodd and odd & 1 else coef, t.atoms,
+                     head_m + fm + tail_m, head_k + fk + tail_k)
+            if _collides(theory, p):
+                out += _normalize_term(theory, p.coef, p.atoms, p.mono)
+            else:
+                out.append(p)
     return out
 
 
 def _product(theory: Theory, left: Sequence[Term], right: Sequence[Term]) -> tuple[Term, ...]:
     """Canonical product of two canonical term tuples: every pair of terms
-    through `_merge_pair`, a pair with colliding pow atoms folded by
+    through `_merge_pair`, a product that `_collides` folded by
     `_normalize_term`, then one `_merge_runs`."""
-    rows = [(t2, _pows(theory, t2)) for t2 in right]
     out: list[Term] = []
     for t1 in left:
         odd1 = sum(s.sign_degree for s, _ in t1.mono)
-        p1 = _pows(theory, t1)
-        for t2, p2 in rows:
+        for t2 in right:
             t = _merge_pair(t1.coef * t2.coef, t1, odd1, t2)
             if t is None:
                 continue
-            if (p1 or p2) and _pow_collision(p1, t1, p2, t2):
+            if _collides(theory, t):
                 out += _normalize_term(theory, t.coef, t.atoms, t.mono)
             else:
                 out.append(t)
@@ -664,16 +652,13 @@ def _product(theory: Theory, left: Sequence[Term], right: Sequence[Term]) -> tup
 # crossing count taken on the masks: the parity of the pairs of an odd bit
 # of the left term above an odd bit of the right one.  Each surviving
 # monomial is built by `_merge_pair` from the first pair that produced it.
-# The key holds a pow atom like any atom, so a key whose pairs have
-# colliding pow atoms is one merged product, which `_normalize_term` folds
-# once for all of them (a canonical term never holds two pow atoms of one
-# base, nor a single-symbol base with its symbol, so every pair of such a
-# key collides).
+# The key holds a pow atom like any atom, so every pair of a key merges to
+# the same product, which `_collides` tests and `_normalize_term` folds
+# once for all of them.
 
 
-def _pack(theory: Theory, terms: Sequence[Term], fields: dict, width: int,
-          bits: dict) -> list[tuple]:
-    """One row per term: (packed key, odd mask, below, coef, term, `_pows`),
+def _pack(terms: Sequence[Term], fields: dict, width: int, bits: dict) -> list[tuple]:
+    """One row per term: (packed key, odd mask, below, coef, term),
     where bit i of `below` is the parity of the term's odd bits under i."""
     rows = []
     odd_shift = len(fields) * width
@@ -688,7 +673,7 @@ def _pack(theory: Theory, terms: Sequence[Term], fields: dict, width: int,
                 key += e << (fields[s] * width)
         for ak, e in t.key[0]:
             key += e << (fields[ak] * width)
-        rows.append((key + (mask << odd_shift), mask, below, t.coef, t, _pows(theory, t)))
+        rows.append((key + (mask << odd_shift), mask, below, t.coef, t))
     return rows
 
 
@@ -719,14 +704,14 @@ def _multiply_accumulate(theory: Theory, jobs: Sequence[tuple]) -> tuple[Term, .
                     top = e
     width = (2 * top).bit_length()
     bits = {s: j for j, s in enumerate(sorted(odd, key=theory.sort_key))}
-    rows = {i: _pack(theory, terms, fields, width, bits) for i, terms in operands.items()}
+    rows = {i: _pack(terms, fields, width, bits) for i, terms in operands.items()}
 
     acc: dict[int, list] = {}
     for left, right, sign in jobs:
         right_rows = rows[id(right)]
-        for k1, o1, _, c1, t1, p1 in rows[id(left)]:
+        for k1, o1, _, c1, t1 in rows[id(left)]:
             c1 *= sign
-            for k2, o2, below2, c2, t2, p2 in right_rows:
+            for k2, o2, below2, c2, t2 in right_rows:
                 if o1 & o2:
                     continue
                 negative = (o1 & below2).bit_count() & 1
@@ -734,16 +719,15 @@ def _multiply_accumulate(theory: Theory, jobs: Sequence[tuple]) -> tuple[Term, .
                 k = k1 + k2
                 got = acc.get(k)
                 if got is None:
-                    acc[k] = [c, negative, t1, o1, t2,
-                              (p1 or p2) and _pow_collision(p1, t1, p2, t2)]
+                    acc[k] = [c, negative, t1, o1, t2]
                 else:
                     got[0] += c
     out: list[Term] = []
-    for c, negative, t1, o1, t2, collide in acc.values():
+    for c, negative, t1, o1, t2 in acc.values():
         if c:
             # _merge_pair applies the first pair's sign to what it is given
             t = _merge_pair(-c if negative else c, t1, o1.bit_count(), t2)
-            if collide:
+            if _collides(theory, t):
                 out += _normalize_term(theory, t.coef, t.atoms, t.mono)
             else:
                 out.append(t)

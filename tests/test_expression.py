@@ -957,6 +957,23 @@ def _kernel_jobs(monkeypatch) -> list:
     return seen
 
 
+def _pow_collision(t, t1, t2) -> bool:
+    """The pairwise oracle of `expression._collides`: whether two canonical
+    terms share a pow base, or a single-symbol pow base of one meets its own
+    symbol in the other's monomial, so that their product needs
+    `_normalize_term`."""
+    def pows(term):
+        bases = [a.base_key for a, _ in term.atoms if isinstance(a, PowerAtom)]
+        return bases, [s for s in (expression._single_symbol_base(t, b) for b in bases)
+                       if s is not None]
+
+    def meets(symbols, mono):
+        return any(x is s for x, _ in mono for s in symbols)
+    (bases1, singles1), (bases2, singles2) = pows(t1), pows(t2)
+    return any(b in bases2 for b in bases1) or meets(singles1, t2.mono) or \
+        meets(singles2, t1.mono)
+
+
 def _pair_kinds(t, jobs):
     """Counter of the jobs' term pairs: "odd" when they share an odd symbol
     (the product vanishes), "pow" when their pow atoms collide, else
@@ -964,12 +981,10 @@ def _pair_kinds(t, jobs):
     kinds = Counter()
     for a, b, _ in jobs:
         for t1 in a:
-            p1 = expression._pows(t, t1)
             for t2 in b:
-                p2 = expression._pows(t, t2)
                 if _merge(1, t1, t2) is None:
                     kinds["odd"] += 1
-                elif (p1 or p2) and expression._pow_collision(p1, t1, p2, t2):
+                elif _pow_collision(t, t1, t2):
                     kinds["pow"] += 1
                 else:
                     kinds["plain"] += 1
@@ -1040,13 +1055,13 @@ def test_multiply_accumulate_matches_signed_products(monkeypatch):
     assert min(kinds["odd"], kinds["pow"], kinds["plain"], fractions) > 50
 
 
-def test_multiply_accumulate_pinned_cases():
-    t, atoms, symbols = _oracle_pools()
+def _pinned_accumulate_cases(t) -> list:
+    """(jobs as expressions, expected sum) over the oracle pools' theory."""
     q, r, th, th1, qp, thp = (Expression.of(t, n, j) for n, j in
                               (("q", 0), ("r", 0), ("th", 0), ("th", 1), ("q+", 0), ("th+", 0)))
     F, logq = Expression.func(t, "F"), log_of(q + 1)
     root_q, root_q1 = power_of(q, Fraction(1, 2)), power_of(q + 1, Fraction(1, 2))
-    cases = [
+    return [
         # odd symbols on both sides: one crossing, two crossings, a square
         ([(q * qp, th1 * r, 1)], -(q * r * th1 * qp)),
         ([(th1 * qp, th * thp, 1)], th * th1 * qp * thp),
@@ -1067,9 +1082,40 @@ def test_multiply_accumulate_pinned_cases():
         # pow atoms that do not collide
         ([(root_q1 * inverse_of(r), root_q * th, 1)], root_q1 * inverse_of(r) * root_q * th),
     ]
-    for jobs, expected in cases:
+
+
+def test_multiply_accumulate_pinned_cases():
+    t, _, _ = _oracle_pools()
+    for jobs, expected in _pinned_accumulate_cases(t):
         jobs = [(a.terms, b.terms, s) for a, b, s in jobs]
         assert _accumulated(t, jobs) == Expression.sum(t, [expected])
+
+
+def test_collides_matches_the_pairwise_oracle():
+    """`_collides` on the merged product of two canonical terms agrees with
+    the pairwise oracle for every pair that `_merge_pair` does not kill:
+    seeded terms over the oracle pools (every atom, odd symbols, jets) and
+    the pinned accumulator cases."""
+    t, atoms, symbols = _oracle_pools()
+    build = _builder(t, atoms, symbols)
+    rng = random.Random(33)
+    pairs = [(a.terms, b.terms) for jobs, _ in _pinned_accumulate_cases(t) for a, b, _ in jobs]
+    for _ in range(600):
+        a, b = (build([(1, [(rng.randrange(len(atoms)), rng.randint(1, 2))
+                            for _ in range(rng.randint(0, 3))],
+                        [(rng.randrange(len(symbols)), rng.randint(1, 2))
+                         for _ in range(rng.randint(0, 3))])]) for _ in range(2))
+        pairs.append((a.terms, b.terms))
+    kinds = Counter()
+    for a, b in pairs:
+        for t1 in a:
+            for t2 in b:
+                merged = _merge(1, t1, t2)
+                if merged is not None:
+                    collides = expression._collides(t, merged)
+                    assert collides == _pow_collision(t, t1, t2), (t1.key, t2.key)
+                    kinds[collides] += 1
+    assert kinds[True] > 50 and kinds[False] > 50, kinds
 
 
 def test_multiply_accumulate_sizes_its_fields_per_call(monkeypatch):

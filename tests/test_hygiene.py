@@ -8,8 +8,9 @@ trees, no field or `self` attribute of a package class is written without
 being read anywhere in them, no `_print_check` call of the package passes
 a literal verdict, every `ParseError` of the parser names a column, only
 the chain rule `_atom_partials` reads an atom's gradient, only the Soloviev
-kernel calls the packed multiply-accumulate, only a chart's Poisson tensor
-and an etale map's Jacobian call the sparse inverse and its signed-identity
+kernel calls the packed multiply-accumulate, only the three product
+builders test a product for a fold, only a chart's Poisson tensor and an
+etale map's Jacobian call the sparse inverse and its signed-identity
 check, every name the benchmark reaches still exists, the reference algebra
 of `tests/` reaches no module of the package, and no function of the
 package writes to a module-level dict, list or set."""
@@ -341,6 +342,15 @@ def test_one_term_product():
     product, a unit generator's included, goes through `_product`."""
     assert sorted(callers(_trees()[0], "_merge_pair")) == [
         "expression.py:_multiply_accumulate", "expression.py:_product"]
+
+
+def test_products_fold_on_one_test():
+    """A product is folded only when `_collides` finds it non-canonical,
+    and only the code that builds products asks: `_product`, the packed
+    accumulator and the Whitney splice."""
+    assert sorted(callers(_trees()[0], "_collides")) == [
+        "expression.py:_multiply_accumulate", "expression.py:_product",
+        "expression.py:_splice_forms"]
 
 
 def test_the_sparse_inverse_and_its_check_serve_two_callers():

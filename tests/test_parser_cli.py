@@ -210,6 +210,62 @@ def test_cli_usage_error():
     assert run_cli("check-mc") == 2
 
 
+def test_cli_help_exits_0_and_an_argument_error_2(capsys):
+    """argparse's exit after `--help` is a success; an argument it refuses,
+    such as an option the CLI does not have, is a usage error."""
+    assert run_cli("--help") == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("usage: bvcov") and err == ""
+    assert run_cli("bracket", str(THEORIES / "particle.bvt"), "--kind", "bv") == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "unrecognized arguments: --kind bv" in err
+
+
+def test_cli_bracket_of_two_named_expressions(capsys):
+    """README's `bvcov bracket theories/particle.bvt --left S0 --right S1`
+    prints the Soloviev bracket {S0, S1}: minus the total derivative of
+    c*(p_1*d(x_1) + p_2*d(x_2))."""
+    assert run_cli("bracket", str(THEORIES / "particle.bvt"), "--left", "S0",
+                   "--right", "S1") == 0
+    assert capsys.readouterr() == (
+        "-d(x_1)*p_1*d(c) - d(x_1)*d(p_1)*c - d^2(x_1)*p_1*c"
+        " - d(x_2)*p_2*d(c) - d(x_2)*d(p_2)*c - d^2(x_2)*p_2*c\n", "")
+
+
+_CHECK_KIND_THEORY = ("field x ghost 0 parity even\nfield p ghost 0 parity even\n"
+                      "expr X = x\nexpr P = p\nexpr Xa = x+\nexpr XdX = x*d(x)\n"
+                      "expr DX = d(x)\nexpr One = 1\nexpr Two = 2\n"
+                      "expr A = x*p + p*x\nexpr B = 2*p*x\nexpr C = x*p\n"
+                      "expr L = d(x*p) + 3\nexpr N = x*d(p)\n")
+
+
+@pytest.mark.parametrize("sub, check, rc, detail", [
+    # {x d(x), x+} is d(x) as densities (Soloviev) and 0 as functionals (bv)
+    ("bracket", "bracket left=X right=P expect=zero", 0, "0"),
+    ("bracket", "bracket left=XdX right=Xa expect=zero", 1, "d(x)"),
+    ("bracket", "bracket left=XdX right=Xa expect=DX with=soloviev", 0, "d(x)"),
+    ("bracket", "bracket left=X right=Xa expect=Two", 1, "1"),
+    ("bracket", "bracket left=XdX right=Xa expect=zero with=bv", 0, "0"),
+    ("bracket", "bracket left=XdX right=Xa expect=DX with=bv", 1, "0"),
+    ("bracket", "bracket left=X right=Xa expect=One with=bv", 0, "1"),
+    ("normalize", "normalize expr=A expect=B", 0, "2*x*p"),
+    ("normalize", "normalize expr=A expect=C", 1, "2*x*p"),
+    ("run", "total-derivative expr=N expect=no", 0, "flag=False constant=0"),
+    ("run", "total-derivative expr=L expect=no", 1, "flag=True constant=3"),
+    ("run", "total-derivative expr=L expect-const=3", 0, "flag=True constant=3"),
+    ("run", "total-derivative expr=L expect-const=2", 1, "flag=True constant=3"),
+])
+def test_cli_bracket_normalize_and_total_derivative_checks(tmp_path, capsys, sub, check,
+                                                            rc, detail):
+    """The `bracket` (Soloviev and bv, `expect=zero` and a named expect),
+    `normalize` and `total-derivative` (`expect=no`, `expect-const`) check
+    kinds each pass and fail, and print their result."""
+    f = tmp_path / "kinds.bvt"
+    f.write_text(_CHECK_KIND_THEORY + f"check k {check}\n")
+    assert run_cli(sub, str(f)) == rc
+    assert capsys.readouterr() == (f"CHECK k: {'FAIL' if rc else 'PASS'}\n  {detail}\n", "")
+
+
 def test_cli_refuses_out_of_range_numbers_and_unreadable_files(tmp_path, capsys):
     """A negative --dim-bound (which would check no simplex), a --max-order
     below 1 (which would report a truncation), a --dim below 1 on a

@@ -341,8 +341,9 @@ def test_whitney_splice_matches_the_product(monkeypatch):
     differential dw) gives `_product`'s terms, key and coefficient with w,
     -w and dw, for every face form of the atlas at bounds 2 and 3 and of
     the cylinder nerve, times seeded chart values; a value term with a
-    simplex generator in its monomial or as a single-symbol pow base takes
-    `_product`, and no other one does."""
+    simplex generator in its monomial takes `_product`, and no other one
+    does; a spliced term whose single-symbol pow base t_1 meets t_1 in the
+    form term is folded by `_normalize_term`, and no other one is."""
     from bvcov import expression
     from bvcov.expression import _merge_runs, _product, _splice_forms
     rng = random.Random(26)
@@ -357,9 +358,9 @@ def test_whitney_splice_matches_the_product(monkeypatch):
     cases = [(three, 2, chart, atoms, symbols), (three, 3, chart, atoms, symbols),
              (cyl, 3, OV, [], [OV.symbol(n, j) for n in ("x", "p", "x+", "p+") for j in (0, 1)]
               + [OV.u, OV.epsilon])]
-    calls = []
-    real = expression._product
-    spliced = fallbacks = 0
+    calls, folds = [], []
+    real, fold = expression._product, expression._normalize_term
+    spliced = fallbacks = folded = 0
     for nerve, bound, base, pool_atoms, pool in cases:
         nerve.dimension_bound = bound
         values = _chart_values(base, pool_atoms, pool, rng, 6)
@@ -375,22 +376,28 @@ def test_whitney_splice_matches_the_product(monkeypatch):
                     w = face.form
                     for rows, form in ((face.rows, w), (face.negated, -w),
                                        (face.differential, form_differential(w))):
+                        holds_t1 = any(s.name == "t_1" for x in form.terms for s, _ in x.mono)
                         for i, v in enumerate(moved):
                             monkeypatch.setattr(expression, "_product",
                                                 lambda *a: calls.append(1) or real(*a))
+                            monkeypatch.setattr(expression, "_normalize_term",
+                                                lambda *a: folds.append(1) or fold(*a))
                             got = _merge_runs(_splice_forms(theory, rows, v.terms))
                             monkeypatch.undo()
                             assert [(x.coef, x.atoms, x.mono, x.key) for x in got] == \
                                 [(x.coef, x.atoms, x.mono, x.key)
                                  for x in _product(theory, form.terms, v.terms)], (T, i)
                             if i < plain:
-                                assert not calls, (T, i)
+                                assert not calls and not folds, (T, i)
                                 spliced += len(form.terms) * len(v.terms)
+                            elif i == plain + 2:    # pow(t_1, 1/2) * value + value
+                                assert not calls and bool(folds) == holds_t1, (T, i)
+                                folded += holds_t1
                             else:
                                 assert calls, (T, i)
                                 fallbacks += 1
-                            del calls[:]
-    assert spliced > 15000 and fallbacks > 1500
+                            del calls[:], folds[:]
+    assert spliced > 15000 and fallbacks > 1500 and folded > 300
 
 
 def test_whitney_takes_no_product(monkeypatch):
